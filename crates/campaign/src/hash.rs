@@ -35,6 +35,7 @@ impl Fnv1a {
     }
 
     /// Feeds bytes into the hash.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);

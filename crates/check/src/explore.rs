@@ -27,8 +27,9 @@
 //! the same candidate set are in the same simulator state — the trace is
 //! deliberately exhaustive (that is what makes golden fingerprints
 //! sound), so the canonical-record stream doubles as a state identity.
-//! Each choice point folds the new trace records into a running FNV-1a
-//! hash (via [`rtsim_trace::canonical_record`], byte-identical to the
+//! Each choice point folds the records appended since the previous one
+//! into a running FNV-1a hash (via [`rtsim_trace::canonical_record_into`]
+//! over the recorder's borrowed records, byte-identical to the
 //! whole-trace canonical form) and mixes in the current time, the choice
 //! kind and every candidate's identity token. A hit in the visited set
 //! answers `0` without pushing a frame: the subtree rooted there was
@@ -42,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use rtsim_campaign::Fnv1a;
 use rtsim_kernel::choice::{Candidate, ChoiceKind, ChoicePolicy};
 use rtsim_kernel::{ExecMode, SimTime};
-use rtsim_trace::{canonical, canonical_record, Trace, TraceRecorder};
+use rtsim_trace::{canonical, canonical_record_into, Trace, TraceRecorder};
 
 use crate::oracle::Violation;
 use crate::scenarios::CheckScenario;
@@ -201,6 +202,8 @@ struct Shared {
     running: Fnv1a,
     /// How many records `running` has consumed.
     hashed: usize,
+    /// Scratch buffer for the canonical lines of newly hashed records.
+    lines: Vec<u8>,
 }
 
 impl Shared {
@@ -217,6 +220,7 @@ impl Shared {
             recorder: None,
             running: Fnv1a::new(),
             hashed: 0,
+            lines: Vec::new(),
         }
     }
 
@@ -235,12 +239,16 @@ impl Shared {
     /// copy — the state hash of "about to decide this choice".
     fn state_hash(&mut self, now: SimTime, kind: ChoiceKind, candidates: &[Candidate]) -> u64 {
         if let Some(rec) = &self.recorder {
-            let trace = rec.snapshot();
-            for r in &trace.records()[self.hashed..] {
-                self.running.write(canonical_record(r).as_bytes());
-                self.running.write(b"\n");
-            }
-            self.hashed = trace.records().len();
+            let (lines, hashed) = (&mut self.lines, &mut self.hashed);
+            rec.with_records(|_, records| {
+                lines.clear();
+                for r in &records[*hashed..] {
+                    canonical_record_into(lines, r);
+                    lines.push(b'\n');
+                }
+                *hashed = records.len();
+            });
+            self.running.write(&self.lines);
         }
         let mut h = self.running;
         h.write(&now.as_ps().to_le_bytes());

@@ -7,11 +7,21 @@
 //! fingerprint is immune to float-formatting differences and identical
 //! across platforms; any behavioural change — one event reordered, one
 //! preemption moved by a picosecond — changes it.
+//!
+//! The reduction is one pass over the recorder's own records
+//! ([`TraceRecorder::with_records`](rtsim_trace::TraceRecorder::with_records)):
+//! each canonical line is written into one reused line buffer and hashed
+//! at once, and the same loop folds the response summaries, the horizon
+//! and the fault count. No trace copy and no whole-trace text is built.
+//! Hashing line by line, rather than in larger chunks, lets the CPU write
+//! the next line while the latency-bound FNV-1a chain of the previous one
+//! is still running; FNV-1a is byte-serial, so where the text is cut never
+//! changes the hash.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 use rtsim_mcse::ElaboratedSystem;
-use rtsim_trace::{canonical, ActorKind, Measure};
+use rtsim_trace::{canonical_actor_into, canonical_record_into, ActorKind, JobFold, TraceData};
 
 // The hasher itself moved down into `rtsim_campaign::hash` so the
 // grid's cache keys and the farm's fingerprints share one primitive;
@@ -56,30 +66,60 @@ impl Fingerprint {
 /// The system must already have been run; the fingerprint covers exactly
 /// what has been recorded so far.
 pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
-    let trace = system.trace();
-    let mut text = canonical(&trace);
+    let mut line = Vec::with_capacity(256);
+    let mut hasher = Fnv1a::new();
+    let mut hash_line = |line: &mut Vec<u8>| {
+        line.push(b'\n');
+        hasher.write(line);
+        line.clear();
+    };
 
-    // Per-task response-time summaries, in actor-index order. All values
+    // One pass: the canonical text, plus per-task response folds (`None`
+    // for non-task actors), the horizon and the fault count.
+    let (events, horizon, faults, tasks) = system.recorder().with_records(|actors, records| {
+        let mut tasks: Vec<Option<JobFold>> = Vec::with_capacity(actors.len());
+        for (index, info) in actors.iter().enumerate() {
+            canonical_actor_into(&mut line, index, info);
+            hash_line(&mut line);
+            tasks.push((info.kind == ActorKind::Task).then(JobFold::default));
+        }
+        let (mut horizon, mut faults) = (0, 0);
+        for r in records {
+            canonical_record_into(&mut line, r);
+            hash_line(&mut line);
+            horizon = horizon.max(r.at.as_ps());
+            match r.data {
+                TraceData::State(state) => {
+                    if let Some(Some(fold)) = tasks.get_mut(r.actor.index()) {
+                        fold.observe(r.at, state);
+                    }
+                }
+                // Fault records are already hashed through the canonical
+                // `F` lines; the count is carried alongside so a fault-cell
+                // drift report can say "the injection pattern moved", not
+                // just "the hash moved".
+                TraceData::Fault { .. } => faults += 1,
+                _ => {}
+            }
+        }
+        (records.len() as u64, horizon, faults, tasks)
+    });
+
+    // The trailer collects in the (now empty) line buffer and is hashed
+    // last. Per-task response-time summaries, in actor-index order. All values
     // are integer picoseconds; the mean uses integer division so no float
     // ever enters the hash input.
-    let measure = Measure::new(&trace);
-    for actor in trace.actors_of_kind(ActorKind::Task) {
-        let responses = measure.response_times(actor);
-        let (min, mean, max) = if responses.is_empty() {
-            (0, 0, 0)
-        } else {
-            let min = responses.iter().copied().min().unwrap().as_ps();
-            let max = responses.iter().copied().max().unwrap().as_ps();
-            let total: u128 = responses.iter().map(|d| u128::from(d.as_ps())).sum();
-            let mean = (total / responses.len() as u128) as u64;
-            (min, mean, max)
-        };
-        let _ = writeln!(
-            text,
-            "task {} jobs {} response {min} {mean} {max}",
-            actor.index(),
-            responses.len(),
-        );
+    for (index, fold) in tasks.iter().enumerate() {
+        if let Some(fold) = fold {
+            let _ = writeln!(
+                line,
+                "task {index} jobs {} response {} {} {}",
+                fold.jobs(),
+                fold.min_ps(),
+                fold.mean_ps(),
+                fold.max_ps(),
+            );
+        }
     }
 
     // Per-processor scheduler counters. processor_names() iterates the
@@ -87,11 +127,10 @@ pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
     let mut dispatches = 0;
     let mut preemptions = 0;
     let mut deadline_misses = 0;
-    let names: Vec<String> = system.processor_names().map(str::to_owned).collect();
-    for name in &names {
+    for name in system.processor_names() {
         let stats = system.processor_stats(name).expect("declared processor");
         let _ = writeln!(
-            text,
+            line,
             "proc {name} {} {} {} {} {}",
             stats.dispatches,
             stats.preemptions,
@@ -107,24 +146,13 @@ pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
     // The time of the last recorded event, not `system.now()`: the farm
     // drives runs through `run_until(horizon)`, which leaves the clock at
     // the hang-guard horizon rather than at the instant activity ceased.
-    let makespan_ps = trace.horizon().as_ps();
-    let _ = writeln!(text, "makespan {makespan_ps}");
+    let _ = writeln!(line, "makespan {horizon}");
 
-    // Fault records are already hashed through the canonical `F` lines;
-    // the count is carried alongside so a fault-cell drift report can say
-    // "the injection pattern moved", not just "the hash moved".
-    let faults = trace
-        .records()
-        .iter()
-        .filter(|r| matches!(r.data, rtsim_trace::TraceData::Fault { .. }))
-        .count() as u64;
-
-    let mut hasher = Fnv1a::new();
-    hasher.write(text.as_bytes());
+    hasher.write(&line);
     Fingerprint {
         hash: hasher.finish(),
-        events: trace.records().len() as u64,
-        makespan_ps,
+        events,
+        makespan_ps: horizon,
         dispatches,
         preemptions,
         deadline_misses,

@@ -96,6 +96,13 @@ pub(crate) struct Kernel {
     /// Pluggable tie-break (see [`crate::choice`]); `None` keeps the
     /// built-in stable order on the original fast path.
     choice: Option<Box<dyn ChoicePolicy>>,
+    /// Scratch buffers reused across steps so the run loop does not
+    /// allocate per dispatch: a segment dispatch's notification ops, the
+    /// waiter list an event swaps in when it fires, and the same-instant
+    /// ripe timer set. Each is empty between uses.
+    spare_ops: Vec<NotifyOp>,
+    spare_waiters: Vec<(ProcessId, u64)>,
+    spare_ripe: Vec<TimedEntry>,
     pub stats: KernelStats,
 }
 
@@ -115,6 +122,9 @@ impl Kernel {
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
             choice: None,
+            spare_ops: Vec::new(),
+            spare_waiters: Vec::new(),
+            spare_ripe: Vec::new(),
             stats: KernelStats::default(),
         }
     }
@@ -309,15 +319,19 @@ impl Kernel {
     }
 
     /// Wakes every valid waiter of `event` into the current evaluation
-    /// phase.
+    /// phase. The event's list is swapped with the empty spare rather
+    /// than taken, so both keep their capacity.
     fn fire(&mut self, event: Event) {
-        let waiters = std::mem::take(&mut self.events[event.index()].waiters);
-        for (pid, seq) in waiters {
+        let spare = std::mem::take(&mut self.spare_waiters);
+        let mut waiters = std::mem::replace(&mut self.events[event.index()].waiters, spare);
+        for &(pid, seq) in &waiters {
             let proc = &self.procs[pid.index()];
             if proc.state == ProcState::Waiting && proc.wait_seq == seq {
                 self.make_runnable(pid, Wake::Event(event));
             }
         }
+        waiters.clear();
+        self.spare_waiters = waiters;
     }
 
     fn make_runnable(&mut self, pid: ProcessId, wake: Wake) {
@@ -329,8 +343,10 @@ impl Kernel {
         self.runnable.push_back((pid, wake));
     }
 
-    fn apply_ops(&mut self, ops: Vec<NotifyOp>) {
-        for op in ops {
+    /// Applies a yield's ops in program order, then keeps the drained
+    /// `Vec` as the spare for the next segment dispatch.
+    fn apply_ops(&mut self, mut ops: Vec<NotifyOp>) {
+        for op in ops.drain(..) {
             match op {
                 NotifyOp::Immediate(e) => {
                     // Immediate notification overrides (cancels) anything
@@ -357,6 +373,7 @@ impl Kernel {
                 }
             }
         }
+        self.spare_ops = ops;
     }
 
     fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason) -> Result<(), KernelError> {
@@ -453,7 +470,7 @@ impl Kernel {
             ProcBackend::Segment { body } => {
                 let mut machine = body.take().expect("segment process re-entered");
                 let now = self.now();
-                let mut ops = Vec::new();
+                let mut ops = std::mem::take(&mut self.spare_ops);
                 let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut ctx = SegmentCtx {
                         pid,
@@ -549,6 +566,10 @@ impl Kernel {
                     self.events[e.index()].pending = Pending::None;
                     self.fire(e);
                 }
+                // Firing posted no new deltas, so the list is still empty:
+                // hand the drained one back with its capacity.
+                debug_assert!(self.delta_events.is_empty());
+                self.delta_events = pending;
                 continue;
             }
 
@@ -581,7 +602,8 @@ impl Kernel {
             // revalidate an entry (wait_seq and pending stamps only move
             // forward), so the retain per iteration only ever shrinks the
             // set and the collect-then-fire order equals the old eager pop.
-            let mut ripe = self.take_ripe(t);
+            let mut ripe = std::mem::take(&mut self.spare_ripe);
+            self.take_ripe(t, &mut ripe);
             loop {
                 ripe.retain(|e| self.timer_valid(e));
                 if ripe.is_empty() {
@@ -605,15 +627,16 @@ impl Kernel {
                     }
                 }
             }
+            self.spare_ripe = ripe;
         }
     }
 
-    /// Pops every heap entry ripe at `t` (valid, `time <= t`), in the
-    /// heap's deterministic ascending `(time, stamp)` order — the stable
-    /// same-instant slice the choice hook enumerates over. Invalid
-    /// entries are discarded during the pop.
-    fn take_ripe(&mut self, t: SimTime) -> Vec<TimedEntry> {
-        let mut ripe = Vec::new();
+    /// Pops every heap entry ripe at `t` (valid, `time <= t`) into the
+    /// empty `ripe`, in the heap's deterministic ascending `(time, stamp)`
+    /// order — the stable same-instant slice the choice hook enumerates
+    /// over. Invalid entries are discarded during the pop.
+    fn take_ripe(&mut self, t: SimTime, ripe: &mut Vec<TimedEntry>) {
+        debug_assert!(ripe.is_empty());
         while let Some(Reverse(top)) = self.timers.peek().copied() {
             if top.time > t {
                 break;
@@ -623,7 +646,6 @@ impl Kernel {
                 ripe.push(top);
             }
         }
-        ripe
     }
 
     /// The set of timer entries that would fire at the next timed

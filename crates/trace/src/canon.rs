@@ -26,22 +26,128 @@
 //! record stays exactly one line with space-separated fields. **Changing
 //! this format invalidates every pinned fingerprint** — treat it like a
 //! wire format, not an implementation detail.
+//!
+//! The format has exactly one writer: [`canonical_actor_into`] and
+//! [`canonical_record_into`] append one line's bytes to a `Vec<u8>`.
+//! [`canonical`], [`canonical_record`] and [`write_canonical`] wrap them,
+//! and the farm's fingerprint and the explorer's state hash feed their
+//! output straight into FNV-1a without building a `String`.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
-use crate::record::{Record, TraceData};
+use crate::record::{ActorInfo, Record, TraceData};
 use crate::recorder::Trace;
 
-/// Escapes a name or label so it is one whitespace-free token.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            ' ' => out.push_str("\\s"),
-            c => out.push(c),
+/// `"00" "01" … "99"`: two decimal digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends `n` in decimal, two digits per division.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut i = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Appends a name or label escaped so it is one whitespace-free token.
+/// Byte-wise is exact: the three escaped characters are ASCII, and no
+/// byte of a multi-byte UTF-8 sequence is ASCII.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    for &b in s.as_bytes() {
+        match b {
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b' ' => out.extend_from_slice(b"\\s"),
+            b => out.push(b),
         }
     }
+}
+
+/// Appends actor `index`'s canonical header line (no trailing newline).
+pub fn canonical_actor_into(out: &mut Vec<u8>, index: usize, info: &ActorInfo) {
+    out.extend_from_slice(b"actor ");
+    push_decimal(out, index as u64);
+    out.push(b' ');
+    out.extend_from_slice(info.kind.key().as_bytes());
+    out.push(b' ');
+    push_escaped(out, &info.name);
+}
+
+/// Appends one record's canonical line (no trailing newline).
+pub fn canonical_record_into(out: &mut Vec<u8>, r: &Record) {
+    push_decimal(out, r.at.as_ps());
+    out.push(b' ');
+    push_decimal(out, r.seq);
+    out.push(b' ');
+    push_decimal(out, r.actor.index() as u64);
+    match &r.data {
+        TraceData::State(s) => {
+            out.extend_from_slice(b" S ");
+            out.extend_from_slice(s.key().as_bytes());
+        }
+        TraceData::Overhead { kind, duration } => {
+            out.extend_from_slice(b" O ");
+            out.extend_from_slice(kind.key().as_bytes());
+            out.push(b' ');
+            push_decimal(out, duration.as_ps());
+        }
+        TraceData::Comm { relation, kind } => {
+            out.extend_from_slice(b" C ");
+            push_decimal(out, relation.index() as u64);
+            out.push(b' ');
+            out.extend_from_slice(kind.key().as_bytes());
+        }
+        TraceData::QueueDepth { depth, capacity } => {
+            out.extend_from_slice(b" Q ");
+            push_decimal(out, *depth as u64);
+            out.push(b'/');
+            push_decimal(out, *capacity as u64);
+        }
+        TraceData::ResourceHeld(true) => out.extend_from_slice(b" R acquired"),
+        TraceData::ResourceHeld(false) => out.extend_from_slice(b" R released"),
+        TraceData::Annotation(label) => {
+            out.extend_from_slice(b" A ");
+            push_escaped(out, label);
+        }
+        TraceData::Core(core) => {
+            out.extend_from_slice(b" K ");
+            push_decimal(out, *core as u64);
+        }
+        TraceData::Fault { kind, magnitude_ps } => {
+            out.extend_from_slice(b" F ");
+            out.extend_from_slice(kind.key().as_bytes());
+            out.push(b' ');
+            push_decimal(out, *magnitude_ps);
+        }
+    }
+}
+
+/// The writer only ever emits ASCII and whole `str`s, so its bytes are
+/// always UTF-8.
+fn into_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("canonical text is UTF-8")
 }
 
 /// Renders the canonical form of `trace` into a string.
@@ -65,73 +171,55 @@ fn escape_into(out: &mut String, s: &str) {
 /// assert_eq!(text, "actor 0 task Function_1\n42 0 0 S running\n");
 /// ```
 pub fn canonical(trace: &Trace) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     for (index, info) in trace.actors().iter().enumerate() {
-        let _ = write!(out, "actor {index} {} ", info.kind);
-        escape_into(&mut out, &info.name);
-        out.push('\n');
+        canonical_actor_into(&mut out, index, info);
+        out.push(b'\n');
     }
     for r in trace.records() {
         canonical_record_into(&mut out, r);
-        out.push('\n');
+        out.push(b'\n');
     }
-    out
-}
-
-/// Renders one record's canonical line (no trailing newline) into `out`.
-/// Shared by [`canonical`] and [`canonical_record`] so the bytes cannot
-/// diverge between the whole-trace and incremental forms.
-fn canonical_record_into(out: &mut String, r: &Record) {
-    let _ = write!(out, "{} {} {} ", r.at.as_ps(), r.seq, r.actor.index());
-    match &r.data {
-        TraceData::State(s) => {
-            let _ = write!(out, "S {s}");
-        }
-        TraceData::Overhead { kind, duration } => {
-            let _ = write!(out, "O {kind} {}", duration.as_ps());
-        }
-        TraceData::Comm { relation, kind } => {
-            let _ = write!(out, "C {} {kind}", relation.index());
-        }
-        TraceData::QueueDepth { depth, capacity } => {
-            let _ = write!(out, "Q {depth}/{capacity}");
-        }
-        TraceData::ResourceHeld(held) => {
-            let _ = write!(out, "R {}", if *held { "acquired" } else { "released" });
-        }
-        TraceData::Annotation(label) => {
-            out.push_str("A ");
-            escape_into(out, label);
-        }
-        TraceData::Core(core) => {
-            let _ = write!(out, "K {core}");
-        }
-        TraceData::Fault { kind, magnitude_ps } => {
-            let _ = write!(out, "F {kind} {magnitude_ps}");
-        }
-    }
+    into_text(out)
 }
 
 /// Renders one record's canonical line, exactly as it would appear in
 /// [`canonical`] output (without the trailing newline).
 ///
 /// This is the incremental face of the canonical format: a consumer that
-/// hashes records as they are appended — e.g. the `rtsim-check` explorer
-/// folding a trace prefix into its visited-state hash — gets the same
-/// byte stream as hashing [`canonical`]'s record section at the end.
+/// hashes records as they are appended gets the same byte stream as
+/// hashing [`canonical`]'s record section at the end. Hot loops should
+/// call [`canonical_record_into`] with a reused buffer instead.
 pub fn canonical_record(r: &Record) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     canonical_record_into(&mut out, r);
-    out
+    into_text(out)
 }
 
-/// Streams the canonical form of `trace` to a [`fmt::Write`] sink.
+/// Streams the canonical form of `trace` to a [`fmt::Write`] sink, one
+/// line at a time.
 ///
 /// # Errors
 ///
 /// Propagates the sink's formatting errors.
 pub fn write_canonical<W: fmt::Write>(trace: &Trace, out: &mut W) -> fmt::Result {
-    out.write_str(&canonical(trace))
+    let mut line = Vec::new();
+    let mut emit = |line: &mut Vec<u8>| {
+        line.push(b'\n');
+        let text = std::str::from_utf8(line).expect("canonical text is UTF-8");
+        let written = out.write_str(text);
+        line.clear();
+        written
+    };
+    for (index, info) in trace.actors().iter().enumerate() {
+        canonical_actor_into(&mut line, index, info);
+        emit(&mut line)?;
+    }
+    for r in trace.records() {
+        canonical_record_into(&mut line, r);
+        emit(&mut line)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -200,5 +288,20 @@ mod tests {
         let mut sink = String::new();
         write_canonical(&trace, &mut sink).unwrap();
         assert_eq!(sink, canonical(&trace));
+    }
+
+    #[test]
+    fn decimal_matches_display_at_every_width() {
+        let mut n = 1u64;
+        let mut samples = vec![0, 9, 10, 99, 100, u64::MAX];
+        while let Some(next) = n.checked_mul(10) {
+            samples.extend([n - 1, n, n + 1]);
+            n = next;
+        }
+        for v in samples {
+            let mut out = Vec::new();
+            push_decimal(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes());
+        }
     }
 }

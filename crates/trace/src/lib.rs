@@ -42,10 +42,12 @@ pub mod stats;
 pub mod timeline;
 pub mod vcd;
 
-pub use canon::{canonical, canonical_record, write_canonical};
+pub use canon::{
+    canonical, canonical_actor_into, canonical_record, canonical_record_into, write_canonical,
+};
 pub use csv::write_csv;
 pub use vcd::write_vcd;
-pub use measure::{Job, Measure};
+pub use measure::{Job, JobFold, Measure};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
 };

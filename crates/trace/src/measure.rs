@@ -195,6 +195,108 @@ impl Job {
     }
 }
 
+/// One task's [`Measure::response_times`], folded one state record at a
+/// time into a count and the min, total and max: the one-pass form the
+/// farm fingerprint uses instead of collecting records and jobs.
+///
+/// Feed it the task's state changes in trace order. As in
+/// [`Measure::jobs`], a job opens at every activation (a `Ready` whose
+/// previous state is none, `Created` or `Waiting`), every open job
+/// completes at the next `Waiting` or `Terminated`, and jobs still open
+/// at the end are left out. Open jobs are kept as a count plus their
+/// earliest, latest and summed activation times — exact, because trace
+/// times never decrease.
+///
+/// # Examples
+///
+/// ```
+/// use rtsim_kernel::SimTime;
+/// use rtsim_trace::{JobFold, TaskState};
+///
+/// let mut fold = JobFold::default();
+/// for (at, state) in [(0, TaskState::Ready), (5, TaskState::Running), (20, TaskState::Waiting)] {
+///     fold.observe(SimTime::from_ps(at), state);
+/// }
+/// assert_eq!((fold.jobs(), fold.min_ps(), fold.mean_ps(), fold.max_ps()), (1, 20, 20, 20));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JobFold {
+    prev: Option<TaskState>,
+    open: u64,
+    open_first: u64,
+    open_last: u64,
+    open_sum: u128,
+    jobs: u64,
+    min: u64,
+    total: u128,
+    max: u64,
+}
+
+impl JobFold {
+    /// Folds in the task's next state change.
+    pub fn observe(&mut self, at: SimTime, state: TaskState) {
+        let at = at.as_ps();
+        match state {
+            TaskState::Ready
+                if matches!(
+                    self.prev,
+                    None | Some(TaskState::Created | TaskState::Waiting)
+                ) =>
+            {
+                if self.open == 0 {
+                    self.open_first = at;
+                }
+                self.open += 1;
+                self.open_last = at;
+                self.open_sum += u128::from(at);
+            }
+            TaskState::Waiting | TaskState::Terminated if self.open > 0 => {
+                let (shortest, longest) = (at - self.open_last, at - self.open_first);
+                if self.jobs == 0 {
+                    (self.min, self.max) = (shortest, longest);
+                } else {
+                    self.min = self.min.min(shortest);
+                    self.max = self.max.max(longest);
+                }
+                self.jobs += self.open;
+                self.total += u128::from(self.open) * u128::from(at) - self.open_sum;
+                self.open = 0;
+                self.open_sum = 0;
+            }
+            _ => {}
+        }
+        self.prev = Some(state);
+    }
+
+    /// Completed jobs so far.
+    pub fn jobs(&self) -> u64 {
+        self.jobs
+    }
+
+    /// Shortest response time in picoseconds (0 without jobs).
+    pub fn min_ps(&self) -> u64 {
+        self.min
+    }
+
+    /// Longest response time in picoseconds (0 without jobs).
+    pub fn max_ps(&self) -> u64 {
+        self.max
+    }
+
+    /// Sum of all response times in picoseconds.
+    pub fn total_ps(&self) -> u128 {
+        self.total
+    }
+
+    /// Mean response time in picoseconds, rounded down (0 without jobs).
+    pub fn mean_ps(&self) -> u64 {
+        match self.jobs {
+            0 => 0,
+            n => (self.total / u128::from(n)) as u64,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,14 +42,20 @@ pub enum ActorKind {
     Relation,
 }
 
-impl fmt::Display for ActorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ActorKind {
+    /// Stable key used in the canonical trace format.
+    pub const fn key(self) -> &'static str {
+        match self {
             ActorKind::Task => "task",
             ActorKind::Processor => "processor",
             ActorKind::Relation => "relation",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ActorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key())
     }
 }
 
@@ -85,19 +91,23 @@ impl TaskState {
             TaskState::Terminated => ' ',
         }
     }
-}
 
-impl fmt::Display for TaskState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// Stable key used in the canonical trace format.
+    pub const fn key(self) -> &'static str {
+        match self {
             TaskState::Created => "created",
             TaskState::Running => "running",
             TaskState::Ready => "ready",
             TaskState::Waiting => "waiting",
             TaskState::WaitingResource => "waiting-resource",
             TaskState::Terminated => "terminated",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TaskState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key())
     }
 }
 
@@ -116,15 +126,21 @@ pub enum OverheadKind {
     Migration,
 }
 
-impl fmt::Display for OverheadKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl OverheadKind {
+    /// Stable key used in the canonical trace format.
+    pub const fn key(self) -> &'static str {
+        match self {
             OverheadKind::ContextSave => "context-save",
             OverheadKind::Scheduling => "scheduling",
             OverheadKind::ContextLoad => "context-load",
             OverheadKind::Migration => "migration",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for OverheadKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.key())
     }
 }
 
@@ -150,16 +166,20 @@ impl CommKind {
             CommKind::Signal => 'S',
         }
     }
+
+    /// Stable key used in the canonical trace format.
+    pub const fn key(self) -> &'static str {
+        match self {
+            CommKind::Read => "read",
+            CommKind::Write => "write",
+            CommKind::Signal => "signal",
+        }
+    }
 }
 
 impl fmt::Display for CommKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CommKind::Read => "read",
-            CommKind::Write => "write",
-            CommKind::Signal => "signal",
-        };
-        f.write_str(s)
+        f.write_str(self.key())
     }
 }
 

@@ -153,6 +153,31 @@ impl TraceRecorder {
         }
     }
 
+    /// Runs `f` over the recorder's own actor table and records, under
+    /// its lock, without copying them — the zero-copy alternative to
+    /// [`snapshot`](TraceRecorder::snapshot) for one-pass consumers such
+    /// as fingerprints and state hashes.
+    ///
+    /// `f` must not record into this recorder (or any clone of it): the
+    /// lock is held for the whole call, so that would deadlock.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtsim_kernel::SimTime;
+    /// use rtsim_trace::{ActorKind, TaskState, TraceRecorder};
+    ///
+    /// let rec = TraceRecorder::new();
+    /// let t = rec.register("T", ActorKind::Task);
+    /// rec.state(t, SimTime::ZERO, TaskState::Running);
+    /// let (actors, records) = rec.with_records(|a, r| (a.len(), r.len()));
+    /// assert_eq!((actors, records), (1, 1));
+    /// ```
+    pub fn with_records<R>(&self, f: impl FnOnce(&[ActorInfo], &[Record]) -> R) -> R {
+        let inner = self.inner.lock();
+        f(&inner.actors, &inner.records)
+    }
+
     /// Number of records currently held.
     pub fn len(&self) -> usize {
         self.inner.lock().records.len()

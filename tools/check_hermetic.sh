@@ -75,6 +75,12 @@ for exec_mode in thread segment; do
         "$repo/target/release/rtsim-farm" --check
 done
 
+echo "== hermetic check: regression farm goldens (full matrix, segment mode) =="
+# The whole 224-cell matrix in the run-to-completion kernel (about a
+# second): every golden line is re-derived by the one-pass fingerprint
+# on every CI run, not only the smoke subset's.
+RTSIM_EXEC_MODE=segment "$repo/target/release/rtsim-farm" --check
+
 echo "== hermetic check: grid cache round-trip (smoke subset) =="
 # Cold sweep into a scratch cache, then a warm sweep at a different
 # shard count: must be 100 % hits with byte-identical merged results.
