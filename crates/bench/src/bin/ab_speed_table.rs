@@ -67,8 +67,8 @@ fn main() -> ExitCode {
         }
     };
     // Smoke mode (check_hermetic) takes one sample per case instead of
-    // three; the case set stays identical so trajectories stay diffable.
-    let runs = if smoke() { 1 } else { 3 };
+    // five; the case set stays identical so trajectories stay diffable.
+    let runs = if smoke() { 1 } else { 5 };
     let mut report = BenchReport::new("ab_speed_table");
     println!("== §4: simulation duration, dedicated thread (A) vs procedure calls (B) ==");
     println!("== plus the segment kernel (B under ExecMode::Segment) ==\n");

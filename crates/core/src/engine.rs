@@ -140,8 +140,12 @@ pub(crate) struct RtosState {
     /// Initial dispatch performed; before this, ready tasks only queue.
     pub started: bool,
     pub tasks: Vec<TaskEntry>,
-    /// Ready queue in enqueue order; policies impose their own order.
+    /// Ready queue (unordered: elections `swap_remove`); policies see it
+    /// through [`RtosState::fill_view`] in enqueue order.
     pub ready: Vec<TaskId>,
+    /// The ready tasks as the policy sees them, refilled by each decision
+    /// so that no decision allocates.
+    ready_view: Vec<TaskView>,
     /// Number of cores. `1` (the default) keeps every code path of the
     /// original single-core model; SMP state (`core_slots`, per-task core
     /// fields) is only consulted when `cores > 1`.
@@ -187,6 +191,7 @@ impl RtosState {
             started: false,
             tasks: Vec::new(),
             ready: Vec::new(),
+            ready_view: Vec::new(),
             cores,
             core_slots: vec![CoreSlot::Idle; cores],
             running: None,
@@ -258,18 +263,22 @@ impl RtosState {
         }
     }
 
-    /// Builds the policy's view of the world: ready tasks in enqueue order
-    /// plus the running task.
-    fn snapshot(&self, now: SimTime) -> (Vec<TaskView>, Option<TaskView>) {
-        let mut ready: Vec<TaskView> = self
-            .ready
-            .iter()
-            .map(|&id| self.entry(id).view(id))
-            .collect();
-        ready.sort_by_key(|t| t.enqueue_seq);
-        let running = self.running.map(|id| self.entry(id).view(id));
-        let _ = now;
-        (ready, running)
+    /// Refills the reused [`RtosState::ready_view`] with the `eligible` ready
+    /// tasks, in enqueue order. Enqueue sequence numbers are unique, so
+    /// the unstable sort (which never allocates) is deterministic.
+    fn fill_view(&mut self, eligible: impl Fn(&TaskEntry) -> bool) {
+        let tasks = &self.tasks;
+        self.ready_view.clear();
+        self.ready_view.extend(self.ready.iter().filter_map(|&id| {
+            let entry = &tasks[id.index()];
+            eligible(entry).then(|| entry.view(id))
+        }));
+        self.ready_view.sort_unstable_by_key(|t| t.enqueue_seq);
+    }
+
+    /// The running task's view (single-core).
+    fn running_view(&self) -> Option<TaskView> {
+        self.running.map(|id| self.entry(id).view(id))
     }
 
     /// Records and applies a task state change. Completing a job (entering
@@ -317,10 +326,11 @@ impl RtosState {
         if self.ready.is_empty() {
             return None;
         }
-        let (ready, running) = self.snapshot(now);
+        self.fill_view(|_| true);
+        let running = self.running_view();
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.ready_view,
             running: running.as_ref(),
         };
         let choice = self.policy.select(&view)?;
@@ -346,27 +356,27 @@ impl RtosState {
         if !self.preemptive || self.lock_depth > 0 {
             return false;
         }
-        if self.running.is_none() {
+        let Some(run_view) = self.running_view() else {
             return false;
-        }
-        let (ready, running_view) = self.snapshot(now);
+        };
+        self.fill_view(|_| true);
         let view = PolicyView {
             now,
-            ready: &ready,
-            running: running_view.as_ref(),
+            ready: &self.ready_view,
+            running: Some(&run_view),
         };
         let cand_view = self.entry(candidate).view(candidate);
-        let run_view = running_view.expect("running view present");
         self.policy.should_preempt(&view, &cand_view, &run_view)
     }
 
     /// The policy's time slice for `id`, minus what it already consumed
     /// since dispatch.
-    pub fn remaining_slice(&self, id: TaskId, now: SimTime) -> Option<SimDuration> {
-        let (ready, running) = self.snapshot(now);
+    pub fn remaining_slice(&mut self, id: TaskId, now: SimTime) -> Option<SimDuration> {
+        self.fill_view(|_| true);
+        let running = self.running_view();
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.ready_view,
             running: running.as_ref(),
         };
         let entry = self.entry(id);
@@ -441,40 +451,34 @@ impl RtosState {
     ///
     /// Panics if the policy returns a task that was not offered.
     fn smp_select(&mut self, now: SimTime) -> Option<(TaskId, usize)> {
-        let idle: Vec<usize> = (0..self.cores)
+        // Bit `c` set: core `c` is idle.
+        let idle = (0..self.cores)
             .filter(|&c| self.core_slots[c] == CoreSlot::Idle)
-            .collect();
-        if idle.is_empty() {
+            .fold(0u64, |mask, c| mask | (1 << c));
+        if idle == 0 {
             return None;
         }
-        let mut ready: Vec<TaskView> = self
-            .ready
-            .iter()
-            .filter(|&&id| idle.iter().any(|&c| self.affinity_allows(id, c)))
-            .map(|&id| self.entry(id).view(id))
-            .collect();
-        if ready.is_empty() {
+        self.fill_view(|t| t.config.affinity & idle != 0);
+        if self.ready_view.is_empty() {
             return None;
         }
-        ready.sort_by_key(|t| t.enqueue_seq);
         let view = PolicyView {
             now,
-            ready: &ready,
+            ready: &self.ready_view,
             running: None,
         };
         let choice = self.policy.select(&view)?;
         assert!(
-            ready.iter().any(|t| t.id == choice),
+            self.ready_view.iter().any(|t| t.id == choice),
             "policy `{}` selected {choice}, which was not offered",
             self.policy.name()
         );
-        let core = match self.entry(choice).last_core {
-            Some(c) if idle.contains(&c) && self.affinity_allows(choice, c) => c,
-            _ => idle
-                .iter()
-                .copied()
-                .find(|&c| self.affinity_allows(choice, c))
-                .expect("offered task has an eligible idle core"),
+        let entry = self.entry(choice);
+        let eligible = idle & entry.config.affinity;
+        let core = match entry.last_core {
+            Some(c) if eligible & (1 << c) != 0 => c,
+            // The lowest-numbered eligible idle core.
+            _ => eligible.trailing_zeros() as usize,
         };
         Some((choice, core))
     }
@@ -484,7 +488,7 @@ impl RtosState {
     /// task's own coroutine will consume in `acquire` — scheduling (when
     /// the dispatch itself ran the scheduler), migration (when `core`
     /// differs from the task's last core), then context load. Returns the
-    /// run event to notify after the lock is dropped.
+    /// run event to notify.
     fn smp_dispatch(
         &mut self,
         id: TaskId,
@@ -520,9 +524,11 @@ impl RtosState {
     /// each awakened task consume a scheduling overhead (idle dispatches
     /// and wake-ups run the scheduler; the tail of a relinquish does not,
     /// because the relinquisher already paid for that scheduler pass).
-    /// Returns the run events to notify once the state lock is dropped.
-    pub fn smp_fill_idle(&mut self, now: SimTime, charge_sched: bool) -> Vec<Event> {
-        let mut events = Vec::new();
+    /// Notifies each elected task's run event through `h`, in election
+    /// order (notifying only buffers the op; it never re-enters the
+    /// engine, so it is safe under the state lock).
+    pub fn smp_fill_idle(&mut self, h: &mut dyn KernelHandle, charge_sched: bool) {
+        let now = h.now();
         loop {
             let wake_sched = if charge_sched {
                 Some(self.overheads.scheduling.eval(&self.rtos_view(now)))
@@ -532,9 +538,8 @@ impl RtosState {
             let Some((task, core)) = self.smp_select(now) else {
                 break;
             };
-            events.push(self.smp_dispatch(task, core, now, wake_sched));
+            h.notify(self.smp_dispatch(task, core, now, wake_sched));
         }
-        events
     }
 
     /// SMP preemption: among the cores `candidate` may run on, finds the
@@ -547,7 +552,7 @@ impl RtosState {
             return None;
         }
         let cand_view = self.entry(candidate).view(candidate);
-        let (ready, _) = self.snapshot(now);
+        self.fill_view(|_| true);
         let mut victim: Option<TaskView> = None;
         for core in 0..self.cores {
             let CoreSlot::Busy(running) = self.core_slots[core] else {
@@ -559,7 +564,7 @@ impl RtosState {
             let run_view = self.entry(running).view(running);
             let view = PolicyView {
                 now,
-                ready: &ready,
+                ready: &self.ready_view,
                 running: Some(&run_view),
             };
             if !self.policy.should_preempt(&view, &cand_view, &run_view) {
@@ -926,40 +931,22 @@ pub(crate) fn preemption_point(engine: &dyn Engine, ctx: &mut ProcessContext, me
 /// core on SMP (where only ready tasks whose affinity admits that core
 /// compete for it).
 fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool {
-    if st.cores > 1 {
+    let running = if st.cores > 1 {
         let Some(core) = st.entry(me).core else {
             return false;
         };
-        let mut ready: Vec<TaskView> = st
-            .ready
-            .iter()
-            .filter(|&&id| st.affinity_allows(id, core))
-            .map(|&id| st.entry(id).view(id))
-            .collect();
-        if ready.is_empty() {
+        st.fill_view(|t| t.config.affinity & (1 << core) != 0);
+        if st.ready_view.is_empty() {
             return false;
         }
-        ready.sort_by_key(|t| t.enqueue_seq);
-        let run_view = st.entry(me).view(me);
-        let view = PolicyView {
-            now,
-            ready: &ready,
-            running: Some(&run_view),
-        };
-        let Some(best) = st.policy.select(&view) else {
-            return false;
-        };
-        let cand = ready
-            .iter()
-            .find(|t| t.id == best)
-            .copied()
-            .expect("policy selected a non-ready task");
-        return st.policy.should_preempt(&view, &cand, &run_view);
-    }
-    let (ready, running) = st.snapshot(now);
+        Some(st.entry(me).view(me))
+    } else {
+        st.fill_view(|_| true);
+        st.running_view()
+    };
     let view = PolicyView {
         now,
-        ready: &ready,
+        ready: &st.ready_view,
         running: running.as_ref(),
     };
     let Some(best) = st.policy.select(&view) else {
@@ -968,7 +955,8 @@ fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool
     let Some(run_view) = running.as_ref() else {
         return false;
     };
-    let cand = ready
+    let cand = view
+        .ready
         .iter()
         .find(|t| t.id == best)
         .copied()

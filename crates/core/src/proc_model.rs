@@ -39,34 +39,28 @@ pub(crate) struct ProcEngine {
 /// The initial dispatcher's one shot: after the t=0 registrations settle,
 /// elect the first running task. Shared verbatim by the thread-backed and
 /// segment-backed dispatcher processes.
+///
+/// Here and below, run events are notified under the state lock, where
+/// they are decided: [`KernelHandle::notify`] only buffers the op for the
+/// caller's yield and never re-enters the engine.
 fn dispatcher_fire(shared: &Mutex<RtosState>, h: &mut dyn KernelHandle) {
-    let notify: Vec<rtsim_kernel::Event> = {
-        let mut st = shared.lock();
-        st.started = true;
-        if st.cores > 1 {
-            st.smp_fill_idle(h.now(), true)
-        } else if st.running.is_some() {
-            Vec::new()
-        } else {
-            let now = h.now();
-            // Evaluate the scheduling duration against the full
-            // ready queue, before the election removes the winner
-            // (paper §3.2: the duration depends on the number of
-            // ready tasks *when the algorithm runs*).
+    let mut st = shared.lock();
+    st.started = true;
+    if st.cores > 1 {
+        st.smp_fill_idle(h, true);
+    } else if st.running.is_none() {
+        let now = h.now();
+        // Evaluate the scheduling duration against the full ready queue,
+        // before the election removes the winner (paper §3.2: the
+        // duration depends on the number of ready tasks *when the
+        // algorithm runs*).
+        let view = st.rtos_view(now);
+        let sched = st.overheads.scheduling.eval(&view);
+        if let Some(next) = st.pick_next(now) {
             let view = st.rtos_view(now);
-            let sched = st.overheads.scheduling.eval(&view);
-            st.pick_next(now)
-                .map(|next| {
-                    let view = st.rtos_view(now);
-                    let load = st.overheads.context_load.eval(&view);
-                    st.grant(next, Some(sched), Some(load))
-                })
-                .into_iter()
-                .collect()
+            let load = st.overheads.context_load.eval(&view);
+            h.notify(st.grant(next, Some(sched), Some(load)));
         }
-    };
-    for ev in notify {
-        h.notify(ev);
     }
 }
 
@@ -174,31 +168,23 @@ impl Engine for ProcEngine {
             // successors skip the scheduling charge because this task
             // already paid for the scheduler pass in phase 1.
             _ => {
-                let notify: Vec<rtsim_kernel::Event> = {
-                    let mut st = self.shared.lock();
+                let mut st = self.shared.lock();
+                if st.cores > 1 {
+                    let core = st
+                        .entry(me)
+                        .last_core
+                        .expect("phase 0 recorded the vacated core");
+                    debug_assert_eq!(st.core_slots[core], CoreSlot::Electing);
+                    st.core_slots[core] = CoreSlot::Idle;
+                    st.smp_fill_idle(h, false);
+                } else {
                     let now = h.now();
-                    if st.cores > 1 {
-                        let core = st
-                            .entry(me)
-                            .last_core
-                            .expect("phase 0 recorded the vacated core");
-                        debug_assert_eq!(st.core_slots[core], CoreSlot::Electing);
-                        st.core_slots[core] = CoreSlot::Idle;
-                        st.smp_fill_idle(now, false)
-                    } else {
-                        st.in_overhead = false;
-                        st.pick_next(now)
-                            .map(|next| {
-                                let view = st.rtos_view(now);
-                                let load = st.overheads.context_load.eval(&view);
-                                st.grant(next, None, Some(load))
-                            })
-                            .into_iter()
-                            .collect()
+                    st.in_overhead = false;
+                    if let Some(next) = st.pick_next(now) {
+                        let view = st.rtos_view(now);
+                        let load = st.overheads.context_load.eval(&view);
+                        h.notify(st.grant(next, None, Some(load)));
                     }
-                };
-                for ev in notify {
-                    h.notify(ev);
                 }
                 RelStep::Done
             }
@@ -206,58 +192,45 @@ impl Engine for ProcEngine {
     }
 
     fn make_ready(&self, h: &mut dyn KernelHandle, target: TaskId) {
-        let events: Vec<rtsim_kernel::Event> = {
-            let mut st = self.shared.lock();
-            let now = h.now();
-            match st.entry(target).state {
-                TaskState::Ready | TaskState::Running => return, // already awake
-                TaskState::Terminated => return,                 // nothing to wake
-                _ => {}
-            }
-            st.enqueue_ready(target, now, true);
-            if st.cores > 1 {
-                if !st.started {
-                    Vec::new()
-                } else {
-                    // Fill any idle core first (the arrival may slot in
-                    // without disturbing anyone); if the target is still
-                    // queued, look for a busy core whose occupant it
-                    // should preempt.
-                    let mut events = st.smp_fill_idle(now, true);
-                    if st.ready.contains(&target) {
-                        if let Some(ev) = st.smp_pick_victim(target, now) {
-                            events.push(ev);
-                        }
-                    }
-                    events
+        let mut st = self.shared.lock();
+        let now = h.now();
+        match st.entry(target).state {
+            TaskState::Ready | TaskState::Running => return, // already awake
+            TaskState::Terminated => return,                 // nothing to wake
+            _ => {}
+        }
+        st.enqueue_ready(target, now, true);
+        if !st.started {
+            // The initial dispatcher will see this arrival.
+        } else if st.cores > 1 {
+            // Fill any idle core first (the arrival may slot in without
+            // disturbing anyone); if the target is still queued, look for
+            // a busy core whose occupant it should preempt.
+            st.smp_fill_idle(h, true);
+            if st.ready.contains(&target) {
+                if let Some(ev) = st.smp_pick_victim(target, now) {
+                    h.notify(ev);
                 }
-            } else if !st.started || st.in_overhead {
-                // The pending scheduler pass will see this arrival.
-                Vec::new()
-            } else if st.running.is_some() {
-                if st.preemption_check(target, now) {
-                    let running = st.running.expect("checked running");
-                    st.entry_mut(running).preempt_pending = true;
-                    st.stats.preemptions += 1;
-                    vec![st.entry(running).preempt_event]
-                } else {
-                    Vec::new()
-                }
-            } else {
-                // Idle processor: dispatch directly. The awakened task's
-                // coroutine consumes both the scheduling and the
-                // context-load durations. The scheduling duration sees the
-                // full ready queue, pre-election.
-                let view = st.rtos_view(now);
-                let sched = st.overheads.scheduling.eval(&view);
-                let next = st.pick_next(now).expect("ready queue is non-empty");
-                let view = st.rtos_view(now);
-                let load = st.overheads.context_load.eval(&view);
-                vec![st.grant(next, Some(sched), Some(load))]
             }
-        };
-        for ev in events {
-            h.notify(ev);
+        } else if st.in_overhead {
+            // The pending scheduler pass will see this arrival.
+        } else if let Some(running) = st.running {
+            if st.preemption_check(target, now) {
+                st.entry_mut(running).preempt_pending = true;
+                st.stats.preemptions += 1;
+                h.notify(st.entry(running).preempt_event);
+            }
+        } else {
+            // Idle processor: dispatch directly. The awakened task's
+            // coroutine consumes both the scheduling and the context-load
+            // durations. The scheduling duration sees the full ready
+            // queue, pre-election.
+            let view = st.rtos_view(now);
+            let sched = st.overheads.scheduling.eval(&view);
+            let next = st.pick_next(now).expect("ready queue is non-empty");
+            let view = st.rtos_view(now);
+            let load = st.overheads.context_load.eval(&view);
+            h.notify(st.grant(next, Some(sched), Some(load)));
         }
     }
 }

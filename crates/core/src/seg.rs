@@ -81,28 +81,30 @@ enum AcqStage {
     Load,
 }
 
-/// Outcome of stepping one frame.
+/// Outcome of stepping one frame. The frames a step asks for are named,
+/// not built: [`SegTaskRunner::advance`] pushes them onto the runner's
+/// own stack.
 enum FrameStep {
     /// Suspend here; re-step this frame on the next dispatch.
     Yield(WaitRequest),
     /// The frame completed.
     Pop,
-    /// Keep this frame and run `children` first (last entry on top).
-    Push(Vec<Frame>),
-    /// Replace this frame by `children` (last entry on top).
-    Replace(Vec<Frame>),
+    /// Keep this frame; first give the CPU up as Ready (requeued) and win
+    /// it back — a preemption or a quantum rotation.
+    Requeue,
+    /// Replace this frame by a wait for the CPU grant.
+    Reacquire,
 }
 
-/// The relinquish + re-acquire pair every yield of the CPU goes through.
-fn resume_frames(next_state: TaskState, requeue: bool) -> Vec<Frame> {
-    vec![
-        Frame::Acquire(AcqStage::Poll),
-        Frame::Relinquish {
-            next_state,
-            requeue,
-            phase: 0,
-        },
-    ]
+/// Pushes the relinquish + re-acquire pair every yield of the CPU goes
+/// through (the relinquish on top, so it runs first).
+fn push_resume(stack: &mut Vec<Frame>, next_state: TaskState, requeue: bool) {
+    stack.push(Frame::Acquire(AcqStage::Poll));
+    stack.push(Frame::Relinquish {
+        next_state,
+        requeue,
+        phase: 0,
+    });
 }
 
 fn step_start(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
@@ -112,7 +114,7 @@ fn step_start(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> Fram
         st.set_task_state(me, now, TaskState::Created);
     }
     engine.make_ready(ctx, me);
-    FrameStep::Replace(vec![Frame::Acquire(AcqStage::Poll)])
+    FrameStep::Reacquire
 }
 
 fn acquire_finish(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
@@ -252,7 +254,7 @@ fn step_execute(
             Wake::Event(_) => {
                 // Preempted: the remaining time survives for the resume.
                 engine.shared().lock().entry_mut(me).preempt_pending = false;
-                return FrameStep::Push(resume_frames(TaskState::Ready, true));
+                return FrameStep::Requeue;
             }
             Wake::Timeout => {
                 if remaining.is_zero() {
@@ -261,7 +263,7 @@ fn step_execute(
                 if engine.shared().lock().preemption_granularity.is_none() {
                     // Quantum expired with work left: rotate to the back.
                     engine.shared().lock().stats.quantum_expirations += 1;
-                    return FrameStep::Push(resume_frames(TaskState::Ready, true));
+                    return FrameStep::Requeue;
                 }
                 // Chunk boundary of the clock-driven baseline: fall
                 // through to re-check the preemption flags.
@@ -282,7 +284,7 @@ fn step_execute(
         )
     };
     if preempt_now {
-        return FrameStep::Push(resume_frames(TaskState::Ready, true));
+        return FrameStep::Requeue;
     }
     if remaining.is_zero() {
         return FrameStep::Pop;
@@ -292,7 +294,7 @@ fn step_execute(
         // instead of arming a zero-delay slice timer (see the matching
         // branch in `engine::execute`).
         engine.shared().lock().stats.quantum_expirations += 1;
-        return FrameStep::Push(resume_frames(TaskState::Ready, true));
+        return FrameStep::Requeue;
     }
     let bound = match slice {
         Some(s) => s.min(*remaining),
@@ -320,7 +322,7 @@ fn step_delay(
         }
     }
     engine.make_ready(ctx, me);
-    FrameStep::Replace(vec![Frame::Acquire(AcqStage::Poll)])
+    FrameStep::Reacquire
 }
 
 /// Drives one RTOS task as a run-to-completion frame stack.
@@ -348,6 +350,8 @@ impl SegTaskRunner {
     /// Runs frames until one suspends, the stack drains while the task is
     /// Running (feed an intent), or the task has terminated.
     pub fn advance(&mut self, ctx: &mut SegmentCtx<'_>) -> SegControl {
+        let engine = self.handle.engine.as_ref();
+        let me = self.handle.id;
         loop {
             let Some(mut frame) = self.stack.pop() else {
                 return if self.done {
@@ -356,22 +360,18 @@ impl SegTaskRunner {
                     SegControl::Idle
                 };
             };
-            let engine = Arc::clone(&self.handle.engine);
-            let me = self.handle.id;
             let step = match &mut frame {
-                Frame::Start => step_start(engine.as_ref(), me, ctx),
-                Frame::Acquire(stage) => step_acquire(engine.as_ref(), me, ctx, stage),
+                Frame::Start => step_start(engine, me, ctx),
+                Frame::Acquire(stage) => step_acquire(engine, me, ctx, stage),
                 Frame::Relinquish {
                     next_state,
                     requeue,
                     phase,
-                } => step_relinquish(engine.as_ref(), me, ctx, *next_state, *requeue, phase),
+                } => step_relinquish(engine, me, ctx, *next_state, *requeue, phase),
                 Frame::Execute { remaining, started } => {
-                    step_execute(engine.as_ref(), me, ctx, remaining, started)
+                    step_execute(engine, me, ctx, remaining, started)
                 }
-                Frame::Delay { wake_at, slept } => {
-                    step_delay(engine.as_ref(), me, ctx, *wake_at, slept)
-                }
+                Frame::Delay { wake_at, slept } => step_delay(engine, me, ctx, *wake_at, slept),
             };
             match step {
                 FrameStep::Yield(req) => {
@@ -379,13 +379,11 @@ impl SegTaskRunner {
                     return SegControl::Yield(req);
                 }
                 FrameStep::Pop => {}
-                FrameStep::Push(children) => {
+                FrameStep::Requeue => {
                     self.stack.push(frame);
-                    self.stack.extend(children);
+                    push_resume(&mut self.stack, TaskState::Ready, true);
                 }
-                FrameStep::Replace(children) => {
-                    self.stack.extend(children);
-                }
+                FrameStep::Reacquire => self.stack.push(Frame::Acquire(AcqStage::Poll)),
             }
         }
     }
@@ -423,7 +421,7 @@ impl SegTaskRunner {
             TaskState::Waiting
         };
         debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
-        self.stack.extend(resume_frames(state, false));
+        push_resume(&mut self.stack, state, false);
     }
 
     /// Intent: terminate the task. After the final relinquish completes,
@@ -475,7 +473,7 @@ impl SegTaskRunner {
 
     fn push_intent_pair(&mut self) {
         debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
-        self.stack.extend(resume_frames(TaskState::Ready, true));
+        push_resume(&mut self.stack, TaskState::Ready, true);
     }
 
     /// A cloneable handle for waking this task from elsewhere.

@@ -24,6 +24,7 @@ use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
+use crate::segment::WaitRequest;
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 
@@ -70,10 +71,12 @@ pub(crate) enum NotifyOp {
 /// Why a process yielded control back to the kernel.
 #[derive(Debug)]
 pub(crate) enum YieldReason {
-    /// Sleep for a fixed duration.
-    WaitTime(SimDuration),
-    /// Block on one or more events, optionally bounded by a timeout.
-    WaitEvents {
+    /// A timed sleep or a single-event wait — the same plain value a
+    /// segment yields.
+    Wait(WaitRequest),
+    /// Block on any of several events, optionally bounded by a timeout
+    /// (thread-mode `wait_any`/`wait_any_for` only).
+    WaitAny {
         events: Vec<Event>,
         timeout: Option<SimDuration>,
     },
@@ -182,7 +185,7 @@ impl ProcessContext {
     /// delta activity at the current instant has settled (the SystemC
     /// `wait(SC_ZERO_TIME)` behaviour).
     pub fn wait_for(&mut self, d: SimDuration) {
-        let wake = self.suspend(YieldReason::WaitTime(d));
+        let wake = self.suspend(YieldReason::Wait(WaitRequest::time(d)));
         debug_assert!(wake.is_timeout(), "timed sleep woken by an event");
     }
 
@@ -192,10 +195,7 @@ impl ProcessContext {
     /// while this process was not yet waiting is lost, exactly as with
     /// `sc_event`.
     pub fn wait_event(&mut self, event: Event) {
-        let wake = self.suspend(YieldReason::WaitEvents {
-            events: vec![event],
-            timeout: None,
-        });
+        let wake = self.suspend(YieldReason::Wait(WaitRequest::event(event)));
         debug_assert_eq!(wake, Wake::Event(event));
     }
 
@@ -206,10 +206,7 @@ impl ProcessContext {
     /// preemption* on: an executing task waits for its remaining
     /// computation time with its preemption event as the escape hatch.
     pub fn wait_event_for(&mut self, event: Event, timeout: SimDuration) -> Wake {
-        self.suspend(YieldReason::WaitEvents {
-            events: vec![event],
-            timeout: Some(timeout),
-        })
+        self.suspend(YieldReason::Wait(WaitRequest::event_for(event, timeout)))
     }
 
     /// Blocks until any of `events` is notified; returns the waking event.
@@ -219,7 +216,7 @@ impl ProcessContext {
     /// Panics if `events` is empty (the wait could never complete).
     pub fn wait_any(&mut self, events: &[Event]) -> Event {
         assert!(!events.is_empty(), "wait_any on an empty event set");
-        let wake = self.suspend(YieldReason::WaitEvents {
+        let wake = self.suspend(YieldReason::WaitAny {
             events: events.to_vec(),
             timeout: None,
         });
@@ -236,7 +233,7 @@ impl ProcessContext {
     /// Panics if `events` is empty.
     pub fn wait_any_for(&mut self, events: &[Event], timeout: SimDuration) -> Wake {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
-        self.suspend(YieldReason::WaitEvents {
+        self.suspend(YieldReason::WaitAny {
             events: events.to_vec(),
             timeout: Some(timeout),
         })
@@ -326,6 +323,15 @@ pub(crate) struct ProcHandle {
     /// Monotonic wait generation: bumped every time the process is woken,
     /// so stale wait-list and timer entries can be detected lazily.
     pub wait_seq: u64,
+}
+
+impl ProcHandle {
+    /// Whether the process is still blocked in wait generation `seq`:
+    /// false for every entry an earlier, finished wait left behind.
+    #[inline]
+    pub fn waits_in(&self, seq: u64) -> bool {
+        self.state == ProcState::Waiting && self.wait_seq == seq
+    }
 }
 
 /// Kernel-side lifecycle state of a process.

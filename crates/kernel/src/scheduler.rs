@@ -29,7 +29,7 @@ use crate::process::{
 };
 use crate::segment::{SegStep, SegmentCtx, WaitRequest};
 use crate::sync::{unbounded, Receiver, Sender};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Default bound on consecutive delta cycles at one instant before the
 /// kernel declares a zero-time livelock.
@@ -325,8 +325,7 @@ impl Kernel {
         let spare = std::mem::take(&mut self.spare_waiters);
         let mut waiters = std::mem::replace(&mut self.events[event.index()].waiters, spare);
         for &(pid, seq) in &waiters {
-            let proc = &self.procs[pid.index()];
-            if proc.state == ProcState::Waiting && proc.wait_seq == seq {
+            if self.procs[pid.index()].waits_in(seq) {
                 self.make_runnable(pid, Wake::Event(event));
             }
         }
@@ -376,37 +375,47 @@ impl Kernel {
         self.spare_ops = ops;
     }
 
+    /// Parks `pid` on `events` (none for a timed sleep), arming a wake
+    /// timer when `timeout` is set.
+    fn park(&mut self, pid: ProcessId, events: &[Event], timeout: Option<SimDuration>) {
+        let proc = &mut self.procs[pid.index()];
+        proc.state = ProcState::Waiting;
+        let seq = proc.wait_seq;
+        for e in events {
+            let waiters = &mut self.events[e.index()].waiters;
+            if waiters.len() == waiters.capacity() {
+                // A wait that ended another way (timeout, another event)
+                // leaves its entry behind until the event fires, so an
+                // event that never fires would grow without bound. Drop
+                // the stale entries before growing (`fire` skips them
+                // anyway, and the live ones keep their order); grow when
+                // fewer than half were stale, so this stays amortised O(1).
+                let procs = &self.procs;
+                waiters.retain(|&(p, s)| procs[p.index()].waits_in(s));
+                if waiters.len() * 2 > waiters.capacity() {
+                    waiters.reserve(waiters.len());
+                }
+            }
+            waiters.push((pid, seq));
+        }
+        if let Some(d) = timeout {
+            let at = self.now().saturating_add(d);
+            let stamp = self.next_stamp();
+            self.timers.push(Reverse(TimedEntry {
+                time: at,
+                stamp,
+                action: TimedAction::WakeProcess(pid, seq),
+            }));
+        }
+    }
+
     fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason) -> Result<(), KernelError> {
         match reason {
-            YieldReason::WaitTime(d) => {
-                let at = self.now().saturating_add(d);
-                let proc = &mut self.procs[pid.index()];
-                proc.state = ProcState::Waiting;
-                let seq = proc.wait_seq;
-                let stamp = self.next_stamp();
-                self.timers.push(Reverse(TimedEntry {
-                    time: at,
-                    stamp,
-                    action: TimedAction::WakeProcess(pid, seq),
-                }));
+            YieldReason::Wait(WaitRequest::Time(d)) => self.park(pid, &[], Some(d)),
+            YieldReason::Wait(WaitRequest::Event { event, timeout }) => {
+                self.park(pid, &[event], timeout)
             }
-            YieldReason::WaitEvents { events, timeout } => {
-                let proc = &mut self.procs[pid.index()];
-                proc.state = ProcState::Waiting;
-                let seq = proc.wait_seq;
-                for e in events {
-                    self.events[e.index()].waiters.push((pid, seq));
-                }
-                if let Some(d) = timeout {
-                    let at = self.now().saturating_add(d);
-                    let stamp = self.next_stamp();
-                    self.timers.push(Reverse(TimedEntry {
-                        time: at,
-                        stamp,
-                        action: TimedAction::WakeProcess(pid, seq),
-                    }));
-                }
-            }
+            YieldReason::WaitAny { events, timeout } => self.park(pid, &events, timeout),
             YieldReason::Terminated => {
                 self.procs[pid.index()].state = ProcState::Dead;
                 self.alive -= 1;
@@ -443,10 +452,7 @@ impl Kernel {
                     Pending::Timed { stamp: s, .. } if s == stamp
                 )
             }
-            TimedAction::WakeProcess(pid, seq) => {
-                let proc = &self.procs[pid.index()];
-                proc.state == ProcState::Waiting && proc.wait_seq == seq
-            }
+            TimedAction::WakeProcess(pid, seq) => self.procs[pid.index()].waits_in(seq),
         }
     }
 
@@ -488,12 +494,7 @@ impl Kernel {
                         {
                             *body = Some(machine);
                         }
-                        match req {
-                            WaitRequest::Time(d) => YieldReason::WaitTime(d),
-                            WaitRequest::Events { events, timeout } => {
-                                YieldReason::WaitEvents { events, timeout }
-                            }
-                        }
+                        YieldReason::Wait(req)
                     }
                     Ok(SegStep::Done) => YieldReason::Terminated,
                     Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),

@@ -69,17 +69,19 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-/// The wait a segment requests when it yields — the exact analogue of the
-/// `wait_*` family on [`ProcessContext`](crate::ProcessContext).
-#[derive(Debug, Clone)]
+/// The wait a segment requests when it yields — the exact analogue of
+/// `wait_for`, `wait_event` and `wait_event_for` on
+/// [`ProcessContext`](crate::ProcessContext). A plain value: yielding
+/// never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitRequest {
     /// Sleep for a fixed duration (`wait_for`); zero still yields.
     Time(SimDuration),
-    /// Block on events, optionally bounded by a timeout (`wait_event`,
-    /// `wait_event_for`, `wait_any`, `wait_any_for`).
-    Events {
-        /// Events to wait on; must be non-empty when `timeout` is `None`.
-        events: Vec<Event>,
+    /// Block on one event, optionally bounded by a timeout (`wait_event`,
+    /// `wait_event_for`).
+    Event {
+        /// The event to wait on.
+        event: Event,
         /// Timeout bound, if any.
         timeout: Option<SimDuration>,
     },
@@ -93,16 +95,16 @@ impl WaitRequest {
 
     /// `wait_event(e)` as a request.
     pub fn event(e: Event) -> Self {
-        WaitRequest::Events {
-            events: vec![e],
+        WaitRequest::Event {
+            event: e,
             timeout: None,
         }
     }
 
     /// `wait_event_for(e, timeout)` as a request.
     pub fn event_for(e: Event, timeout: SimDuration) -> Self {
-        WaitRequest::Events {
-            events: vec![e],
+        WaitRequest::Event {
+            event: e,
             timeout: Some(timeout),
         }
     }

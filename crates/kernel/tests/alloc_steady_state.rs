@@ -3,15 +3,15 @@
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]` over `System`. Counting is per thread and only
 //! switched on around the measured `run_until`, so the test harness's
-//! own threads never show up. Process bodies build their event-wait
-//! requests (`WaitRequest::event` boxes a `Vec`) with counting paused:
-//! that allocation belongs to the body, not to the kernel, and leaving
-//! it out lets the test keep real event waiters, so a kernel that stops
-//! reusing its waiter lists fails here too.
+//! own threads never show up. The process bodies' own yields are counted
+//! too, so the test pins the whole request path: building a
+//! `WaitRequest`, parking on an event's waiter list, and firing it.
 //!
 //! A change that puts a per-step `Vec::new()` back into `Kernel::run` —
 //! per-dispatch notify ops, the ripe-timer set, the delta list, an
-//! event's waiter list — makes this test fail.
+//! event's waiter list — or into a single-event wait request makes this
+//! test fail, and so does one that lets the stale entries of timed-out
+//! waits pile up on an event that never fires.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -64,14 +64,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs `f` with allocation counting paused on this thread.
-fn uncounted<T>(f: impl FnOnce() -> T) -> T {
-    let was = COUNTING.replace(false);
-    let value = f();
-    COUNTING.set(was);
-    value
-}
-
 /// Allocations made on this thread while `f` runs.
 fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCS.set(0);
@@ -102,14 +94,15 @@ fn segment_run_loop_allocates_nothing_per_dispatch_once_warm() {
     });
     // One waiter per notification kind; `later`'s waiter also arms a
     // timeout that never wins, so stale timer entries are popped too.
-    sim.spawn_segment("on_tick", move |_| {
-        SegStep::Yield(uncounted(|| WaitRequest::event(tick)))
-    });
-    sim.spawn_segment("on_soon", move |_| {
-        SegStep::Yield(uncounted(|| WaitRequest::event(soon)))
-    });
+    sim.spawn_segment("on_tick", move |_| SegStep::Yield(WaitRequest::event(tick)));
+    sim.spawn_segment("on_soon", move |_| SegStep::Yield(WaitRequest::event(soon)));
     sim.spawn_segment("on_later", move |_| {
-        SegStep::Yield(uncounted(|| WaitRequest::event_for(later, us(5))))
+        SegStep::Yield(WaitRequest::event_for(later, us(5)))
+    });
+    // Every wait on `never` times out and leaves a stale waiter entry.
+    let never = sim.event("never");
+    sim.spawn_segment("on_never", move |_| {
+        SegStep::Yield(WaitRequest::event_for(never, us(1)))
     });
 
     // Warm-up: every scratch buffer, waiter list and queue reaches its
