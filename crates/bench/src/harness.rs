@@ -26,8 +26,10 @@
 
 use std::time::{Duration, Instant};
 
+use rtsim_campaign::trajectory::summarize_sorted;
+
 use crate::fmt_wall;
-use crate::report::{summarize_sorted, BenchReport, CaseRecord};
+use crate::report::{BenchReport, CaseRecord};
 
 /// A named group of benchmark cases, mirroring the Criterion
 /// `benchmark_group` shape the benches were first written against.

@@ -52,6 +52,7 @@ pub mod hash;
 pub mod json;
 mod pool;
 mod stats;
+pub mod trajectory;
 
 pub use artifacts::{
     env_flag, env_u16, env_usize, scaled, smoke, write_artifact, write_artifact_in,

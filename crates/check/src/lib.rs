@@ -11,7 +11,7 @@
 //! windows — via the kernel's [`rtsim_kernel::ChoicePolicy`] hook, and
 //! evaluates invariant oracles on every reachable schedule.
 //!
-//! - [`explore`]: the DFS itself, with canonical-trace FNV-1a state
+//! - [`explore`](mod@explore): the DFS itself, with canonical-trace FNV-1a state
 //!   hashing to prune revisits, a run/state/depth [`Budget`], and a
 //!   deterministic [`Counterexample`] (the exact choice stack) on
 //!   violation.

@@ -194,7 +194,7 @@ impl RtEvent {
     /// [`finish_fugitive_wait`](RtEvent::finish_fugitive_wait) (the wake
     /// *is* the signal), while memorized policies must attempt again —
     /// another task may have consumed the token between the wake and the
-    /// dispatch. Used directly by the segment-mode script interpreter.
+    /// dispatch. Used directly by the script interpreter.
     pub fn wait_attempt(&self, agent: &mut dyn Agent) -> EvWait {
         let mut st = self.state.lock();
         match st.policy {

@@ -161,9 +161,9 @@ impl<T: Send> MessageQueue<T> {
     /// retry of the *same* write: the queue stores the waiter's
     /// seniority there on first registration, and a retry that loses the
     /// freed slot to a barging task re-queues at its original FIFO
-    /// position instead of the back. Used directly by the segment-mode
-    /// script interpreter; [`write`](MessageQueue::write) is the
-    /// blocking wrapper.
+    /// position instead of the back. Used directly by the script
+    /// interpreter; [`write`](MessageQueue::write) is the blocking
+    /// wrapper.
     pub fn write_attempt(
         &self,
         agent: &mut dyn Agent,

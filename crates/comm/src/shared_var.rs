@@ -169,7 +169,7 @@ impl<T: Clone + Send> SharedVar<T> {
     /// returns `true`, or registers the agent's waiter (applying the
     /// inheritance boost) and returns `false` — the caller must then
     /// suspend in the waiting-for-resource state and retry. Used directly
-    /// by the segment-mode script interpreter.
+    /// by the script interpreter.
     pub fn acquire_attempt(&self, agent: &mut dyn Agent) -> bool {
         {
             let mut st = self.state.lock();
@@ -262,7 +262,7 @@ impl<T: Clone + Send> SharedVar<T> {
     /// Clones the value. Meaningful only while the caller holds the model
     /// lock (between a successful
     /// [`acquire_attempt`](SharedVar::acquire_attempt) and the release) —
-    /// interpreter plumbing for the segment execution mode.
+    /// plumbing for the script interpreter.
     pub fn locked_get(&self) -> T {
         self.state.lock().value.clone()
     }

@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use rtsim_kernel::{Event, KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
-use rtsim_trace::{ActorId, ActorKind, TaskState, TraceRecorder};
+use rtsim_trace::{ActorId, TraceRecorder};
 
 use crate::processor::{TaskCtx, TaskHandle};
+use crate::seg::{self, register_seg_hw, SegControl, SegHwRunner};
 
 /// How to wake a suspended agent from another simulation process.
 ///
@@ -117,8 +118,9 @@ pub trait Agent {
     fn recorder(&self) -> &TraceRecorder;
 
     /// The raw kernel handle (for notifications issued on this agent's
-    /// behalf). A [`rtsim_kernel::ProcessContext`] in thread mode, a
-    /// [`rtsim_kernel::SegmentCtx`] in segment mode.
+    /// behalf): the thread's [`rtsim_kernel::ProcessContext`] for a
+    /// closure body, the step's [`rtsim_kernel::SegmentCtx`] for a
+    /// script.
     fn kernel(&mut self) -> &mut dyn KernelHandle;
 
     /// Enters a critical region (no-op in hardware).
@@ -209,26 +211,34 @@ impl Agent for TaskCtx<'_> {
 
 /// The runtime context of a hardware function: fully concurrent, no RTOS.
 ///
-/// Created by [`spawn_hw_function`].
+/// Created by [`spawn_hw_function`]. Each blocking call feeds one intent
+/// to the function's [`SegHwRunner`] and performs the waits it yields on
+/// the function's thread.
 pub struct HwCtx<'a> {
+    runner: SegHwRunner,
     kctx: &'a mut ProcessContext,
-    waker: HwWaker,
-    actor: ActorId,
-    recorder: TraceRecorder,
 }
 
 impl HwCtx<'_> {
     /// Annotates the trace at the current instant.
     pub fn annotate(&mut self, label: &str) {
         let now = self.kctx.now();
-        self.recorder.annotate(self.actor, now, label);
+        self.runner
+            .recorder
+            .annotate(self.runner.actor(), now, label);
+    }
+
+    /// Drives the runner until the fed intent completes (or, after
+    /// `finish`, until the function has terminated).
+    fn drive(&mut self) -> SegControl {
+        seg::drive(self.kctx, |ctx| self.runner.advance(ctx))
     }
 }
 
 impl fmt::Debug for HwCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HwCtx")
-            .field("actor", &self.actor)
+            .field("actor", &self.runner.actor())
             .field("now", &self.kctx.now())
             .finish()
     }
@@ -241,42 +251,30 @@ impl Agent for HwCtx<'_> {
 
     fn execute(&mut self, d: SimDuration) {
         // Hardware is fully concurrent: computing is just elapsed time.
-        self.kctx.wait_for(d);
+        self.runner.execute(d);
+        self.drive();
     }
 
     fn delay(&mut self, d: SimDuration) {
-        let now = self.kctx.now();
-        self.recorder.state(self.actor, now, TaskState::Waiting);
-        self.kctx.wait_for(d);
-        let now = self.kctx.now();
-        self.recorder.state(self.actor, now, TaskState::Running);
+        self.runner.delay(d);
+        self.drive();
     }
 
     fn suspend(&mut self, resource: bool) {
-        let state = if resource {
-            TaskState::WaitingResource
-        } else {
-            TaskState::Waiting
-        };
-        let now = self.kctx.now();
-        self.recorder.state(self.actor, now, state);
-        while !self.waker.pending.swap(false, Ordering::AcqRel) {
-            self.kctx.wait_event(self.waker.event);
-        }
-        let now = self.kctx.now();
-        self.recorder.state(self.actor, now, TaskState::Running);
+        self.runner.suspend(resource);
+        self.drive();
     }
 
     fn waiter(&self) -> Waiter {
-        Waiter::Hw(self.waker.clone())
+        self.runner.waiter()
     }
 
     fn trace_actor(&self) -> ActorId {
-        self.actor
+        self.runner.actor()
     }
 
     fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
+        &self.runner.recorder
     }
 
     fn kernel(&mut self) -> &mut dyn KernelHandle {
@@ -288,6 +286,8 @@ impl Agent for HwCtx<'_> {
 /// RTOS (the paper's `Clock` in Figure 6 is one).
 ///
 /// The body runs once from time zero; periodic stimuli loop internally.
+/// It blocks, so it runs on a thread process in both execution modes;
+/// its calls drive the same [`SegHwRunner`] a script uses.
 ///
 /// # Examples
 ///
@@ -318,26 +318,15 @@ pub fn spawn_hw_function<F>(
 where
     F: FnOnce(&mut HwCtx<'_>) + Send + 'static,
 {
-    let actor = recorder.register(name, ActorKind::Task);
-    let event = sim.event(&format!("{name}.hw_wake"));
-    let waker = HwWaker {
-        event,
-        pending: Arc::new(AtomicBool::new(false)),
-    };
-    let recorder = recorder.clone();
-    let spawn_waker = waker.clone();
-    sim.spawn(name, move |ctx| {
-        recorder.state(actor, ctx.now(), TaskState::Created);
-        recorder.state(actor, ctx.now(), TaskState::Running);
-        let mut hw = HwCtx {
-            kctx: ctx,
-            waker: spawn_waker,
-            actor,
-            recorder: recorder.clone(),
-        };
+    let runner = register_seg_hw(sim, recorder, name);
+    let waiter = runner.waiter();
+    sim.spawn(name, move |kctx| {
+        let mut hw = HwCtx { runner, kctx };
+        // Records Creation and Running.
+        hw.drive();
         body(&mut hw);
-        let now = hw.kctx.now();
-        recorder.state(actor, now, TaskState::Terminated);
+        hw.runner.finish();
+        hw.drive();
     });
-    Waiter::Hw(waker)
+    waiter
 }

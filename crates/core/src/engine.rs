@@ -3,23 +3,15 @@
 //! Both implementation strategies of the paper's §4 — the dedicated RTOS
 //! thread (approach A, [`crate::thread_model`]) and the procedure-call
 //! model (approach B, [`crate::proc_model`]) — operate on the same shared
-//! state defined here, and the task-side primitives (`execute`, `delay`,
-//! `block`, ...) are written once against the small [`Engine`] trait that
-//! captures where the two approaches differ: *who runs the scheduler and
-//! consumes the RTOS overhead time*.
-//!
-//! # Time-accurate preemption
-//!
-//! [`execute`] implements the paper's headline mechanism: a computing task
-//! waits for its **remaining computation time or its preemption event,
-//! whichever comes first** (`wait_event_for`). On preemption the elapsed
-//! time is subtracted exactly — no quantum or clock granularity is
-//! involved, unlike the SpecC model the paper compares against.
+//! state defined here. The task-side primitives (`execute`, `delay`,
+//! `suspend`, ...) are the frames of [`crate::seg`], written once against
+//! the small [`Engine`] trait that captures where the two approaches
+//! differ: *who runs the scheduler and consumes the RTOS overhead time*.
 
 use std::sync::Arc;
 
 use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{Event, KernelHandle, ProcessContext, SimDuration, SimTime, Wake};
+use rtsim_kernel::{Event, KernelHandle, SimDuration, SimTime};
 use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceRecorder};
 
 use crate::overhead::{Overheads, RtosView};
@@ -72,9 +64,9 @@ pub(crate) struct TaskEntry {
     pub state: TaskState,
     pub run_event: Event,
     pub preempt_event: Event,
-    /// The CPU has been granted; consumed by [`acquire`].
+    /// The CPU has been granted; consumed by the acquire frame.
     pub run_granted: bool,
-    /// A preemption was requested; consumed by [`execute`].
+    /// A preemption was requested; consumed by the execute frame.
     pub preempt_pending: bool,
     /// Scheduling overhead this task must consume when it wakes (set on
     /// idle dispatch in the procedure-call engine, where the awakened
@@ -485,7 +477,7 @@ impl RtosState {
 
     /// Dispatches ready task `id` onto idle `core`: removes it from the
     /// ready queue, claims the slot, and arms the wake-time overheads the
-    /// task's own coroutine will consume in `acquire` — scheduling (when
+    /// task's own coroutine will consume while acquiring — scheduling (when
     /// the dispatch itself ran the scheduler), migration (when `core`
     /// differs from the task's last core), then context load. Returns the
     /// run event to notify.
@@ -592,8 +584,8 @@ impl RtosState {
     }
 }
 
-/// One step of the relinquish protocol, as seen by whoever drives it
-/// (the blocking wrapper on a thread, or a segment frame).
+/// One step of the relinquish protocol, as seen by the relinquish frame
+/// that drives it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RelStep {
     /// Wait this long, then call `relinquish_step` with the next phase.
@@ -606,11 +598,8 @@ pub(crate) enum RelStep {
 /// and how a task is made ready. Everything else is shared.
 ///
 /// Both operations are expressed *non-blocking*: `relinquish_step` is a
-/// phase function whose waits are performed by the caller, so the thread
-/// backend (blocking [`Engine::relinquish`] wrapper) and the segment
-/// backend (a relinquish frame) drive the identical state mutations and
-/// trace records — the single source of truth behind the two execution
-/// modes' bit-identical schedules.
+/// phase function whose waits are performed by the caller (the
+/// relinquish frame of [`crate::seg`]).
 pub(crate) trait Engine: Send + Sync {
     /// The shared RTOS state.
     fn shared(&self) -> &Arc<Mutex<RtosState>>;
@@ -633,220 +622,11 @@ pub(crate) trait Engine: Send + Sync {
         phase: u8,
     ) -> RelStep;
 
-    /// Blocking form of the relinquish protocol, for thread-backed tasks.
-    fn relinquish(
-        &self,
-        ctx: &mut ProcessContext,
-        me: TaskId,
-        next_state: TaskState,
-        requeue: bool,
-    ) {
-        let mut phase = 0u8;
-        loop {
-            match self.relinquish_step(ctx, me, next_state, requeue, phase) {
-                RelStep::Wait(d) => {
-                    ctx.wait_for(d);
-                    phase += 1;
-                }
-                RelStep::Done => return,
-            }
-        }
-    }
-
     /// Marks `target` ready, possibly triggering preemption of the
     /// running task or an idle dispatch. Callable from any simulation
     /// process (tasks of this or another processor, hardware functions)
     /// in either execution mode — it never blocks.
     fn make_ready(&self, h: &mut dyn KernelHandle, target: TaskId);
-}
-
-/// Waits until the CPU is granted to `me`, consumes any wake-time
-/// overheads, and marks the task Running.
-pub(crate) fn acquire(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    let shared = engine.shared();
-    loop {
-        let wait_on = {
-            let mut st = shared.lock();
-            if st.entry(me).run_granted {
-                st.entry_mut(me).run_granted = false;
-                None
-            } else {
-                Some(st.entry(me).run_event)
-            }
-        };
-        match wait_on {
-            None => break,
-            Some(ev) => ctx.wait_event(ev),
-        }
-    }
-    let (sched, migration, load) = {
-        let mut st = shared.lock();
-        let entry = st.entry_mut(me);
-        (
-            entry.wake_sched.take(),
-            entry.wake_migration.take(),
-            entry.wake_load.take(),
-        )
-    };
-    if let Some(d) = sched {
-        shared
-            .lock()
-            .record_overhead(me, ctx.now(), OverheadKind::Scheduling, d);
-        ctx.wait_for(d);
-    }
-    if let Some(d) = migration {
-        shared
-            .lock()
-            .record_overhead(me, ctx.now(), OverheadKind::Migration, d);
-        ctx.wait_for(d);
-    }
-    if let Some(d) = load {
-        shared
-            .lock()
-            .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
-        ctx.wait_for(d);
-    }
-    let mut st = shared.lock();
-    let now = ctx.now();
-    st.note_core(me, now);
-    st.set_task_state(me, now, TaskState::Running);
-    let entry = st.entry_mut(me);
-    entry.dispatched_at = now;
-    if let Some(core) = entry.core {
-        entry.last_core = Some(core);
-    }
-}
-
-/// Consumes `total` of CPU time with time-accurate preemption and
-/// time-slice support.
-///
-/// When the processor configures a preemption granularity, the task
-/// instead computes in uninterruptible chunks of that size, checking for
-/// preemption only at chunk boundaries — the clock-driven baseline model
-/// whose reaction error the paper's time-accurate approach eliminates.
-pub(crate) fn execute(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId, total: SimDuration) {
-    let mut remaining = total;
-    loop {
-        // A preemption may have been requested while we were not waiting
-        // on the preempt event (e.g. during a wake-overhead wait); honor
-        // it before computing.
-        let (preempt_now, slice, preempt_ev, granularity) = {
-            let mut st = engine.shared().lock();
-            let pending = st.entry(me).preempt_pending;
-            if pending {
-                st.entry_mut(me).preempt_pending = false;
-            }
-            (
-                pending,
-                st.remaining_slice(me, ctx.now()),
-                st.entry(me).preempt_event,
-                st.preemption_granularity,
-            )
-        };
-        if preempt_now {
-            engine.relinquish(ctx, me, TaskState::Ready, true);
-            acquire(engine, ctx, me);
-            continue;
-        }
-        if remaining.is_zero() {
-            return;
-        }
-        if slice == Some(SimDuration::ZERO) {
-            // The quantum is already exhausted — e.g. a fresh `execute`
-            // call right after one that consumed the slice exactly.
-            // Rotate synchronously instead of arming a zero-delay slice
-            // timer: the delta-cycle yield the timer would introduce lets
-            // same-instant events interleave with the rotation, and under
-            // a preemption granularity it never advances time at all.
-            engine.shared().lock().stats.quantum_expirations += 1;
-            engine.relinquish(ctx, me, TaskState::Ready, true);
-            acquire(engine, ctx, me);
-            continue;
-        }
-        let bound = match slice {
-            Some(s) => s.min(remaining),
-            None => remaining,
-        };
-        let started = ctx.now();
-        let wake = match granularity {
-            None => ctx.wait_event_for(preempt_ev, bound),
-            Some(quantum) => {
-                // Clock-driven baseline: compute one uninterruptible
-                // chunk; preemption requests latch in preempt_pending and
-                // are honored at the chunk boundary (top of the loop).
-                ctx.wait_for(quantum.min(bound));
-                Wake::Timeout
-            }
-        };
-        let elapsed = ctx.now() - started;
-        remaining = remaining.saturating_sub(elapsed);
-        match wake {
-            Wake::Event(_) => {
-                // Preempted: the remaining time survives for the resume —
-                // the paper's time-accurate preemption.
-                engine.shared().lock().entry_mut(me).preempt_pending = false;
-                engine.relinquish(ctx, me, TaskState::Ready, true);
-                acquire(engine, ctx, me);
-            }
-            Wake::Timeout => {
-                if remaining.is_zero() {
-                    return;
-                }
-                if granularity.is_some() {
-                    // Chunk boundary: loop to re-check preemption flags.
-                    continue;
-                }
-                // Quantum expired with work left: rotate to the back.
-                engine.shared().lock().stats.quantum_expirations += 1;
-                engine.relinquish(ctx, me, TaskState::Ready, true);
-                acquire(engine, ctx, me);
-            }
-        }
-    }
-}
-
-/// Releases the CPU for `d` of wall simulation time (the task sleeps in
-/// Waiting, then re-activates). The wake instant is `call time + d`
-/// regardless of the RTOS overhead spent giving the CPU up.
-pub(crate) fn delay(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId, d: SimDuration) {
-    let wake_at = ctx.now().saturating_add(d);
-    engine.relinquish(ctx, me, TaskState::Waiting, false);
-    let now = ctx.now();
-    if wake_at > now {
-        ctx.wait_for(wake_at - now);
-    }
-    engine.make_ready(ctx, me);
-    acquire(engine, ctx, me);
-}
-
-/// Blocks the calling task until another agent wakes it via
-/// [`Engine::make_ready`]. `resource` selects the Waiting-for-resource
-/// trace state (mutual exclusion) over plain Waiting (synchronization).
-pub(crate) fn block(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId, resource: bool) {
-    let state = if resource {
-        TaskState::WaitingResource
-    } else {
-        TaskState::Waiting
-    };
-    engine.relinquish(ctx, me, state, false);
-    acquire(engine, ctx, me);
-}
-
-/// Terminates the calling task (paper: *Destruction*).
-pub(crate) fn terminate(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    engine.relinquish(ctx, me, TaskState::Terminated, false);
-}
-
-/// First activation of a task: records Creation, queues it ready and
-/// waits for its first dispatch.
-pub(crate) fn task_started(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    {
-        let mut st = engine.shared().lock();
-        let now = ctx.now();
-        st.set_task_state(me, now, TaskState::Created);
-    }
-    engine.make_ready(ctx, me);
-    acquire(engine, ctx, me);
 }
 
 /// Enters a critical region during which this task cannot be preempted
@@ -858,10 +638,11 @@ pub(crate) fn lock_preemption(engine: &dyn Engine, me: TaskId) {
     st.lock_depth += 1;
 }
 
-/// Non-blocking prelude of [`unlock_preemption`]: leaves the critical
-/// region and, when the caller must yield, applies the preemption
-/// bookkeeping. Returns whether the caller must relinquish + re-acquire.
-pub(crate) fn unlock_preemption_prelude(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
+/// Leaves a critical region. Returns whether a more urgent task became
+/// ready meanwhile, in which case the preemption is already counted and
+/// the caller must give the CPU up on the spot (the paper's Figure 7
+/// point (3)).
+pub(crate) fn unlock_preemption_yields(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
     let mut st = engine.shared().lock();
     assert!(st.lock_depth > 0, "preemption unlock without a lock");
     st.lock_depth -= 1;
@@ -874,18 +655,11 @@ pub(crate) fn unlock_preemption_prelude(engine: &dyn Engine, me: TaskId, now: Si
     must_yield
 }
 
-/// Leaves a critical region; if a more urgent task became ready meanwhile,
-/// the caller is preempted on the spot (the paper's Figure 7 point (3)).
-pub(crate) fn unlock_preemption(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    if unlock_preemption_prelude(engine, me, ctx.now()) {
-        engine.relinquish(ctx, me, TaskState::Ready, true);
-        acquire(engine, ctx, me);
-    }
-}
-
-/// Non-blocking prelude of [`reschedule`]: decides whether the caller
-/// must yield and applies the bookkeeping when it must.
-pub(crate) fn reschedule_prelude(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
+/// Forces a scheduling decision: returns whether the policy's best ready
+/// candidate now outranks the caller (e.g. after the caller's priority was
+/// restored at the end of a ceiling section), in which case the
+/// preemption is already counted and the caller must give the CPU up.
+pub(crate) fn reschedule_yields(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
     let mut st = engine.shared().lock();
     let must_yield =
         st.preemptive && st.lock_depth == 0 && best_candidate_preempts(&mut st, me, now);
@@ -896,16 +670,6 @@ pub(crate) fn reschedule_prelude(engine: &dyn Engine, me: TaskId, now: SimTime) 
     must_yield
 }
 
-/// Forces a scheduling decision: if the policy's best ready candidate now
-/// outranks the caller (e.g. after the caller's priority was restored at
-/// the end of a ceiling section), the caller yields the CPU.
-pub(crate) fn reschedule(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    if reschedule_prelude(engine, me, ctx.now()) {
-        engine.relinquish(ctx, me, TaskState::Ready, true);
-        acquire(engine, ctx, me);
-    }
-}
-
 /// Consumes a pending preemption request, returning whether one was set.
 pub(crate) fn take_preempt_pending(engine: &dyn Engine, me: TaskId) -> bool {
     let mut st = engine.shared().lock();
@@ -914,16 +678,6 @@ pub(crate) fn take_preempt_pending(engine: &dyn Engine, me: TaskId) -> bool {
         st.entry_mut(me).preempt_pending = false;
     }
     p
-}
-
-/// Voluntary preemption point: yields the CPU if a preemption is pending
-/// (the paper's rule that a preemptive RTOS suspends a task *between two
-/// of its RTOS calls*).
-pub(crate) fn preemption_point(engine: &dyn Engine, ctx: &mut ProcessContext, me: TaskId) {
-    if take_preempt_pending(engine, me) {
-        engine.relinquish(ctx, me, TaskState::Ready, true);
-        acquire(engine, ctx, me);
-    }
 }
 
 /// Whether the policy's best ready candidate would preempt the caller

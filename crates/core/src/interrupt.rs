@@ -7,7 +7,7 @@
 //! overheads). This module provides stimulus helpers for building such
 //! hardware events in testbenches and experiments.
 
-use rtsim_kernel::{ExecMode, SegStep, SimDuration, Simulator, WaitRequest};
+use rtsim_kernel::{SegStep, SimDuration, Simulator, WaitRequest};
 
 use crate::agent::Waiter;
 
@@ -63,39 +63,22 @@ pub fn spawn_periodic_interrupt(
         count <= 1 || !period.is_zero(),
         "zero-period interrupt source would livelock"
     );
-    match sim.exec_mode() {
-        ExecMode::Thread => {
-            sim.spawn(name, move |ctx| {
-                if count == 0 {
-                    return;
-                }
-                ctx.wait_for(phase);
-                target.wake(ctx);
-                for _ in 1..count {
-                    ctx.wait_for(period);
-                    target.wake(ctx);
-                }
-            });
+    let mut fired = 0u64;
+    sim.spawn_segment(name, move |ctx| {
+        if fired == 0 {
+            if count == 0 {
+                return SegStep::Done;
+            }
+            fired = 1;
+            return SegStep::Yield(WaitRequest::time(phase));
         }
-        ExecMode::Segment => {
-            let mut fired = 0u64;
-            sim.spawn_segment(name, move |ctx| {
-                if fired == 0 {
-                    if count == 0 {
-                        return SegStep::Done;
-                    }
-                    fired = 1;
-                    return SegStep::Yield(WaitRequest::time(phase));
-                }
-                target.wake(ctx);
-                if fired >= count {
-                    return SegStep::Done;
-                }
-                fired += 1;
-                SegStep::Yield(WaitRequest::time(period))
-            });
+        target.wake(ctx);
+        if fired >= count {
+            return SegStep::Done;
         }
-    }
+        fired += 1;
+        SegStep::Yield(WaitRequest::time(period))
+    });
 }
 
 /// Spawns a one-shot interrupt at an absolute delay from time zero.
@@ -118,29 +101,17 @@ pub fn spawn_interrupt_schedule(
     gaps: Vec<SimDuration>,
     target: Waiter,
 ) {
-    match sim.exec_mode() {
-        ExecMode::Thread => {
-            sim.spawn(name, move |ctx| {
-                for gap in gaps {
-                    ctx.wait_for(gap);
-                    target.wake(ctx);
-                }
-            });
+    let mut idx = 0usize;
+    let mut waited = false;
+    sim.spawn_segment(name, move |ctx| {
+        if waited {
+            target.wake(ctx);
+            idx += 1;
         }
-        ExecMode::Segment => {
-            let mut idx = 0usize;
-            let mut waited = false;
-            sim.spawn_segment(name, move |ctx| {
-                if waited {
-                    target.wake(ctx);
-                    idx += 1;
-                }
-                if idx >= gaps.len() {
-                    return SegStep::Done;
-                }
-                waited = true;
-                SegStep::Yield(WaitRequest::time(gaps[idx]))
-            });
+        if idx >= gaps.len() {
+            return SegStep::Done;
         }
-    }
+        waited = true;
+        SegStep::Yield(WaitRequest::time(gaps[idx]))
+    });
 }

@@ -18,14 +18,13 @@
 //!
 //! The relinquish protocol is written as phase functions
 //! ([`Engine::relinquish_step`]): each phase mutates state and reports
-//! the wait to perform, and the caller — a blocking task thread or a
-//! run-to-completion segment frame — sleeps it. Both execution modes
-//! therefore drive the same code and produce the same schedule.
+//! the wait to perform, and the caller (the relinquish frame of
+//! [`crate::seg`]) sleeps it.
 
 use std::sync::Arc;
 
 use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{ExecMode, KernelHandle, SegStep, SimDuration, Simulator, WaitRequest};
+use rtsim_kernel::{KernelHandle, SegStep, SimDuration, Simulator, WaitRequest};
 use rtsim_trace::{OverheadKind, TaskState};
 
 use crate::engine::{CoreSlot, Engine, EngineKind, RelStep, RtosState};
@@ -37,8 +36,7 @@ pub(crate) struct ProcEngine {
 }
 
 /// The initial dispatcher's one shot: after the t=0 registrations settle,
-/// elect the first running task. Shared verbatim by the thread-backed and
-/// segment-backed dispatcher processes.
+/// elect the first running task.
 ///
 /// Here and below, run events are notified under the state lock, where
 /// they are decided: [`KernelHandle::notify`] only buffers the op for the
@@ -67,34 +65,21 @@ fn dispatcher_fire(shared: &Mutex<RtosState>, h: &mut dyn KernelHandle) {
 impl ProcEngine {
     /// Creates the engine and spawns its one helper process: the initial
     /// dispatcher, which waits for all t=0 registrations to settle (one
-    /// zero-time step) and then elects the first running task. The
-    /// dispatcher takes the simulator's execution mode: a blocking
-    /// closure in thread mode, an inline segment otherwise.
+    /// zero-time step) and then elects the first running task.
     pub fn new(sim: &mut Simulator, shared: Arc<Mutex<RtosState>>) -> Arc<Self> {
         let engine = Arc::new(ProcEngine {
             shared: Arc::clone(&shared),
         });
         let name = shared.lock().name.clone();
-        let proc_name = format!("{name}.dispatcher");
-        match sim.exec_mode() {
-            ExecMode::Thread => {
-                sim.spawn(&proc_name, move |ctx| {
-                    ctx.wait_for(SimDuration::ZERO);
-                    dispatcher_fire(&shared, ctx);
-                });
+        let mut fired = false;
+        sim.spawn_segment(&format!("{name}.dispatcher"), move |ctx| {
+            if !fired {
+                fired = true;
+                return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
             }
-            ExecMode::Segment => {
-                let mut fired = false;
-                sim.spawn_segment(&proc_name, move |ctx| {
-                    if !fired {
-                        fired = true;
-                        return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
-                    }
-                    dispatcher_fire(&shared, ctx);
-                    SegStep::Done
-                });
-            }
-        }
+            dispatcher_fire(&shared, ctx);
+            SegStep::Done
+        });
         engine
     }
 }

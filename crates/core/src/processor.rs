@@ -4,7 +4,7 @@
 //! scheduling policy, the preemption mode and the overhead parameters
 //! (paper §3), and serializes the tasks spawned onto it. Task bodies are
 //! ordinary closures receiving a [`TaskCtx`], whose methods are the RTOS
-//! "system calls" of the model.
+//! "system calls" of the model, or scripts driving a [`SegTaskRunner`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -13,12 +13,12 @@ use rtsim_kernel::sync::Mutex;
 use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
 use rtsim_trace::{ActorId, ActorKind, TaskState, TraceRecorder};
 
-use crate::engine::{self, Engine, EngineKind, RtosState, SchedulerStats};
+use crate::engine::{Engine, EngineKind, RtosState, SchedulerStats};
 use crate::overhead::Overheads;
 use crate::policies::PriorityPreemptive;
 use crate::policy::SchedulingPolicy;
 use crate::proc_model::ProcEngine;
-use crate::seg::SegTaskRunner;
+use crate::seg::{self, SegControl, SegTaskRunner};
 use crate::task::{Priority, TaskConfig, TaskId};
 use crate::thread_model::ThreadEngine;
 
@@ -201,51 +201,31 @@ impl Processor {
     /// Spawns a task on this processor. The body runs once, from the
     /// task's first dispatch to its destruction; periodic tasks loop
     /// internally using [`TaskCtx::delay`] or communication waits.
+    ///
+    /// The body blocks, so it runs on a thread process in both execution
+    /// modes; its calls drive the same [`SegTaskRunner`] a script uses.
     pub fn spawn_task<F>(&self, sim: &mut Simulator, config: TaskConfig, body: F) -> TaskHandle
     where
         F: FnOnce(&mut TaskCtx<'_>) + Send + 'static,
     {
-        let task_name = config.name.clone();
-        let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
-        let preempt_event = sim.event(&format!("{}.{}.TaskPreempt", self.name, task_name));
-        let actor = self.recorder.register(&task_name, ActorKind::Task);
-        let id = self
-            .engine
-            .shared()
-            .lock()
-            .add_task(config, run_event, preempt_event, actor);
-        let engine = Arc::clone(&self.engine);
-        let recorder = self.recorder.clone();
-        let name: Arc<str> = Arc::from(task_name.as_str());
-        let handle_name = Arc::clone(&name);
-        sim.spawn(&format!("{}.{}", self.name, task_name), move |ctx| {
-            engine::task_started(engine.as_ref(), ctx, id);
-            {
-                let mut task_ctx = TaskCtx {
-                    engine: Arc::clone(&engine),
-                    me: id,
-                    actor,
-                    name: Arc::clone(&name),
-                    recorder,
-                    kctx: ctx,
-                };
-                body(&mut task_ctx);
-            }
-            engine::terminate(engine.as_ref(), ctx, id);
+        let runner = self.register_seg_task(sim, config);
+        let handle = runner.handle();
+        sim.spawn(&format!("{}.{}", self.name, handle.name()), move |kctx| {
+            let mut task = TaskCtx { runner, kctx };
+            // Creation, the first ready transition and the first dispatch.
+            task.drive();
+            body(&mut task);
+            task.runner.finish();
+            task.drive();
         });
-        TaskHandle {
-            engine: Arc::clone(&self.engine),
-            id,
-            actor,
-            name: handle_name,
-        }
+        handle
     }
 
-    /// Registers a task for segment-mode execution: run/preempt events,
-    /// trace actor and RTOS entry are created in exactly the same order
-    /// as [`spawn_task`](Processor::spawn_task), but no kernel process is
-    /// spawned — the caller embeds the returned [`SegTaskRunner`] in a
-    /// run-to-completion segment instead (see `rtsim-mcse`).
+    /// Registers a task: run/preempt events, trace actor and RTOS entry
+    /// are created, but no kernel process is spawned — the caller embeds
+    /// the returned [`SegTaskRunner`] in a segment process instead (see
+    /// `rtsim-mcse`), or [`spawn_task`](Processor::spawn_task) drives it
+    /// from a closure body.
     pub fn register_seg_task(&self, sim: &mut Simulator, config: TaskConfig) -> SegTaskRunner {
         let task_name = config.name.clone();
         let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
@@ -407,16 +387,21 @@ impl fmt::Debug for TaskHandle {
 ///   higher-priority activation suspends the task and the remaining time
 ///   is recomputed exactly, the paper's time-accurate preemption);
 /// - [`delay`](TaskCtx::delay) — release the CPU for a fixed span.
+///
+/// Each blocking call feeds one intent to the task's [`SegTaskRunner`]
+/// and performs the waits it yields on the task's thread.
 pub struct TaskCtx<'a> {
-    pub(crate) engine: Arc<dyn Engine>,
-    pub(crate) me: TaskId,
-    pub(crate) actor: ActorId,
-    pub(crate) name: Arc<str>,
-    pub(crate) recorder: TraceRecorder,
-    pub(crate) kctx: &'a mut ProcessContext,
+    runner: SegTaskRunner,
+    kctx: &'a mut ProcessContext,
 }
 
 impl TaskCtx<'_> {
+    /// Drives the runner until the fed intent completes (or, after
+    /// `finish`, until the task has terminated).
+    fn drive(&mut self) -> SegControl {
+        seg::drive(self.kctx, |ctx| self.runner.advance(ctx))
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.kctx.now()
@@ -424,58 +409,56 @@ impl TaskCtx<'_> {
 
     /// This task's id.
     pub fn id(&self) -> TaskId {
-        self.me
+        self.runner.handle.id
     }
 
     /// This task's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.runner.name()
     }
 
     /// This task's trace actor.
     pub fn actor(&self) -> ActorId {
-        self.actor
+        self.runner.actor()
     }
 
     /// This task's static priority.
     pub fn priority(&self) -> Priority {
-        self.engine.shared().lock().entry(self.me).config.priority
+        self.runner.handle.priority()
     }
 
     /// A cloneable handle for waking this task from elsewhere.
     pub fn handle(&self) -> TaskHandle {
-        TaskHandle {
-            engine: Arc::clone(&self.engine),
-            id: self.me,
-            actor: self.actor,
-            name: Arc::clone(&self.name),
-        }
+        self.runner.handle()
     }
 
     /// Consumes `d` of CPU time. Preemptible: hardware events or
     /// higher-priority activations suspend the task mid-computation and
     /// the remaining time survives exactly (no clock granularity).
     pub fn execute(&mut self, d: SimDuration) {
-        engine::execute(self.engine.as_ref(), self.kctx, self.me, d);
+        self.runner.execute(d);
+        self.drive();
     }
 
     /// Releases the CPU and sleeps until `d` after the call instant, then
     /// competes for the CPU again.
     pub fn delay(&mut self, d: SimDuration) {
-        engine::delay(self.engine.as_ref(), self.kctx, self.me, d);
+        self.runner.delay(self.kctx.now(), d);
+        self.drive();
     }
 
     /// Blocks until woken via [`TaskHandle::wake`]. Building block for
     /// communication relations; `resource` selects the waiting-for-
     /// resource trace state (mutual exclusion) over plain Waiting.
     pub fn suspend(&mut self, resource: bool) {
-        engine::block(self.engine.as_ref(), self.kctx, self.me, resource);
+        self.runner.suspend(resource);
+        self.drive();
     }
 
     /// Enters a critical region: this task cannot be preempted until the
     /// matching [`unlock_preemption`](TaskCtx::unlock_preemption). Nests.
     pub fn lock_preemption(&mut self) {
-        engine::lock_preemption(self.engine.as_ref(), self.me);
+        self.runner.lock_preemption();
     }
 
     /// Leaves a critical region. If a more urgent task became ready during
@@ -485,13 +468,15 @@ impl TaskCtx<'_> {
     ///
     /// Panics if no region is active.
     pub fn unlock_preemption(&mut self) {
-        engine::unlock_preemption(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.unlock_preemption(self.kctx.now());
+        self.drive();
     }
 
     /// Voluntary preemption point: yields if a preemption is pending (the
     /// paper's "between two RTOS calls" rule).
     pub fn preemption_point(&mut self) {
-        engine::preemption_point(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.preemption_point();
+        self.drive();
     }
 
     /// Forces a scheduling decision now: yields if the policy's best
@@ -499,13 +484,14 @@ impl TaskCtx<'_> {
     /// change priorities without waking anyone (e.g. restoring a
     /// priority-ceiling boost at the end of a critical section).
     pub fn reschedule(&mut self) {
-        engine::reschedule(self.engine.as_ref(), self.kctx, self.me);
+        self.runner.reschedule(self.kctx.now());
+        self.drive();
     }
 
     /// Switches the whole processor's preemptive mode (paper §3.1: the
     /// mode "can be changed during the simulation").
     pub fn set_preemptive(&mut self, preemptive: bool) {
-        self.engine.shared().lock().preemptive = preemptive;
+        self.runner.handle.engine.shared().lock().preemptive = preemptive;
     }
 
     /// Direct access to the kernel process context, for advanced models
@@ -516,27 +502,27 @@ impl TaskCtx<'_> {
 
     /// The recorder this task traces into.
     pub fn recorder(&self) -> &TraceRecorder {
-        &self.recorder
+        &self.runner.recorder
     }
 
     /// Annotates the trace at the current instant (anchor for TimeLine
     /// measurements).
     pub fn annotate(&mut self, label: &str) {
-        let now = self.kctx.now();
-        self.recorder.annotate(self.actor, now, label);
+        self.runner.annotate(self.kctx.now(), label);
     }
 
     /// This task's current state as known to the RTOS.
     pub fn state(&self) -> TaskState {
-        self.engine.shared().lock().entry(self.me).state
+        let handle = &self.runner.handle;
+        handle.engine.shared().lock().entry(handle.id).state
     }
 }
 
 impl fmt::Debug for TaskCtx<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaskCtx")
-            .field("task", &self.name)
-            .field("id", &self.me)
+            .field("task", &self.name())
+            .field("id", &self.id())
             .field("now", &self.now())
             .finish()
     }

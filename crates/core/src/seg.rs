@@ -1,22 +1,31 @@
-//! Run-to-completion drivers for tasks and hardware functions.
+//! Step machines for tasks and hardware functions: the one
+//! implementation of the RTOS primitives.
 //!
-//! In [`ExecMode::Segment`](rtsim_kernel::ExecMode) a task is not a
-//! blocking closure on its own thread but a **frame stack** advanced
-//! inside the kernel's scheduler loop. Every blocking primitive of
-//! [`crate::engine`] (`acquire`, `execute`, `delay`, `block`, the
-//! relinquish protocol) has a frame here that performs the *identical*
-//! state mutations and trace records and asks its caller to perform the
-//! waits — so both execution modes produce bit-identical schedules.
+//! A task is a **frame stack**. Every RTOS primitive (acquiring the CPU,
+//! `execute`, `delay`, `suspend`, the relinquish protocol) is a frame
+//! here that mutates the RTOS state, records the trace and asks its
+//! caller to perform the waits. The runners deliberately know nothing
+//! about what the task computes: their owner calls
+//! [`SegTaskRunner::advance`] until it reports [`SegControl::Idle`],
+//! feeds the next intent ([`SegTaskRunner::execute`],
+//! [`delay`](SegTaskRunner::delay), ...), and performs every
+//! [`SegControl::Yield`].
 //!
-//! The drivers deliberately know nothing about what the task computes:
-//! a script interpreter (see `rtsim-mcse`) calls [`SegTaskRunner::advance`]
-//! until it reports [`SegControl::Idle`], feeds the next intent
-//! ([`SegTaskRunner::execute`], [`delay`](SegTaskRunner::delay), ...), and
-//! forwards every [`SegControl::Yield`] to the kernel.
+//! Two owners exist. A script (see `rtsim-mcse`) sits in a kernel
+//! segment process and forwards each yield to the kernel, inline in the
+//! scheduler loop or on a thread, as the
+//! [`ExecMode`](rtsim_kernel::ExecMode) decides. A closure body
+//! ([`Processor::spawn_task`](crate::Processor::spawn_task),
+//! [`spawn_hw_function`](crate::spawn_hw_function)) runs on a thread, and
+//! each of its blocking calls pushes an intent and then performs the
+//! yields itself as blocking waits. Either way the same frames run, so
+//! every body produces the same schedule in both modes.
 
 use std::sync::Arc;
 
-use rtsim_kernel::{SegmentCtx, SimDuration, SimTime, Simulator, Wake, WaitRequest};
+use rtsim_kernel::{
+    ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, Wake, WaitRequest,
+};
 use rtsim_trace::{ActorId, ActorKind, OverheadKind, TaskState, TraceRecorder};
 
 use crate::agent::{Agent, HwWaker, Waiter};
@@ -38,29 +47,51 @@ pub enum SegControl {
     Finished,
 }
 
-/// One suspended RTOS operation of a segment task (LIFO stack).
+/// Advances a runner on its own thread until it is idle or finished,
+/// performing each wait it yields as a blocking wait on `kctx`. Returns
+/// [`SegControl::Idle`] or [`SegControl::Finished`].
+///
+/// This is how closure bodies use the frames: each blocking call of
+/// [`TaskCtx`](crate::TaskCtx) or [`HwCtx`](crate::HwCtx) feeds one
+/// intent, then drives. The first step of a drive reads no wake cause
+/// (frames only read it after their own yield), so it reports a timeout.
+pub(crate) fn drive(
+    kctx: &mut ProcessContext,
+    mut advance: impl FnMut(&mut SegmentCtx<'_>) -> SegControl,
+) -> SegControl {
+    let mut wake = Wake::Timeout;
+    loop {
+        match kctx.step(wake, &mut advance) {
+            SegControl::Yield(request) => wake = kctx.wait(request),
+            control => return control,
+        }
+    }
+}
+
+/// One suspended RTOS operation of a task (LIFO stack).
 enum Frame {
     /// First activation: record Creation, go ready, wait for dispatch.
     Start,
-    /// Waiting for the CPU grant + consuming wake-time overheads
-    /// (mirrors [`engine::acquire`]).
+    /// Waiting for the CPU grant, then consuming the wake-time overheads
+    /// and entering Running.
     Acquire(AcqStage),
-    /// One give-up of the CPU, driven phase by phase
-    /// (mirrors [`Engine::relinquish`]).
+    /// One give-up of the CPU, driven phase by phase through
+    /// [`Engine::relinquish_step`].
     Relinquish {
         next_state: TaskState,
         requeue: bool,
         phase: u8,
     },
-    /// Preemptible computation (mirrors [`engine::execute`]). `started`
-    /// is `Some` while a wait is in flight; its take distinguishes a
-    /// fresh loop entry from wake processing.
+    /// Preemptible computation (see [`step_execute`]). `started` is
+    /// `Some` while a wait is in flight; its take distinguishes a fresh
+    /// loop entry from wake processing.
     Execute {
         remaining: SimDuration,
         started: Option<SimTime>,
     },
-    /// Timed sleep with a pre-computed wake instant
-    /// (mirrors [`engine::delay`]).
+    /// Timed sleep with a pre-computed wake instant: the task sleeps in
+    /// Waiting, then re-activates. The wake instant is `call time + d`
+    /// regardless of the RTOS overhead spent giving the CPU up.
     Delay { wake_at: SimTime, slept: bool },
 }
 
@@ -238,6 +269,17 @@ fn step_relinquish(
     }
 }
 
+/// Consumes CPU time with time-accurate preemption and time-slice
+/// support — the paper's headline mechanism. A computing task waits for
+/// its **remaining computation time or its preemption event, whichever
+/// comes first** (`WaitRequest::event_for`). On preemption the elapsed
+/// time is subtracted exactly: no quantum or clock granularity is
+/// involved, unlike the SpecC model the paper compares against.
+///
+/// When the processor configures a preemption granularity, the task
+/// instead computes in uninterruptible chunks of that size, checking for
+/// preemption only at chunk boundaries — the clock-driven baseline model
+/// whose reaction error the paper's time-accurate approach eliminates.
 fn step_execute(
     engine: &dyn Engine,
     me: TaskId,
@@ -270,6 +312,9 @@ fn step_execute(
             }
         }
     }
+    // A preemption may have been requested while the task was not waiting
+    // on its preempt event (e.g. during a wake-overhead wait); honor it
+    // before computing.
     let (preempt_now, slice, preempt_ev, granularity) = {
         let mut st = engine.shared().lock();
         let pending = st.entry(me).preempt_pending;
@@ -290,9 +335,12 @@ fn step_execute(
         return FrameStep::Pop;
     }
     if slice == Some(SimDuration::ZERO) {
-        // Quantum already exhausted on entry: rotate synchronously
-        // instead of arming a zero-delay slice timer (see the matching
-        // branch in `engine::execute`).
+        // The quantum is already exhausted — e.g. a fresh `execute` right
+        // after one that consumed the slice exactly. Rotate synchronously
+        // instead of arming a zero-delay slice timer: the delta-cycle
+        // yield the timer would introduce lets same-instant events
+        // interleave with the rotation, and under a preemption
+        // granularity it never advances time at all.
         engine.shared().lock().stats.quantum_expirations += 1;
         return FrameStep::Requeue;
     }
@@ -303,6 +351,9 @@ fn step_execute(
     *started = Some(ctx.now());
     match granularity {
         None => FrameStep::Yield(WaitRequest::event_for(preempt_ev, bound)),
+        // Clock-driven baseline: compute one uninterruptible chunk;
+        // preemption requests latch in `preempt_pending` and are honored
+        // at the chunk boundary.
         Some(quantum) => FrameStep::Yield(WaitRequest::time(quantum.min(bound))),
     }
 }
@@ -325,14 +376,14 @@ fn step_delay(
     FrameStep::Reacquire
 }
 
-/// Drives one RTOS task as a run-to-completion frame stack.
+/// Drives one RTOS task as a frame stack.
 ///
 /// Created by [`Processor::register_seg_task`](crate::Processor::register_seg_task);
 /// the owner embeds it in a kernel segment process and loops
 /// [`advance`](SegTaskRunner::advance).
 pub struct SegTaskRunner {
-    handle: TaskHandle,
-    recorder: TraceRecorder,
+    pub(crate) handle: TaskHandle,
+    pub(crate) recorder: TraceRecorder,
     stack: Vec<Frame>,
     done: bool,
 }
@@ -389,7 +440,7 @@ impl SegTaskRunner {
     }
 
     /// Intent: consume `d` of preemptible CPU time
-    /// (the segment form of [`TaskCtx::execute`](crate::TaskCtx::execute)).
+    /// (what [`TaskCtx::execute`](crate::TaskCtx::execute) performs).
     pub fn execute(&mut self, d: SimDuration) {
         self.push_intent(Frame::Execute {
             remaining: d,
@@ -398,7 +449,7 @@ impl SegTaskRunner {
     }
 
     /// Intent: release the CPU until `d` after `now`
-    /// (the segment form of [`TaskCtx::delay`](crate::TaskCtx::delay)).
+    /// (what [`TaskCtx::delay`](crate::TaskCtx::delay) performs).
     pub fn delay(&mut self, now: SimTime, d: SimDuration) {
         let wake_at = now.saturating_add(d);
         self.push_intent(Frame::Delay {
@@ -413,7 +464,7 @@ impl SegTaskRunner {
     }
 
     /// Intent: block until woken through this task's [`Waiter`]
-    /// (the segment form of [`TaskCtx::suspend`](crate::TaskCtx::suspend)).
+    /// (what [`TaskCtx::suspend`](crate::TaskCtx::suspend) performs).
     pub fn suspend(&mut self, resource: bool) {
         let state = if resource {
             TaskState::WaitingResource
@@ -445,15 +496,15 @@ impl SegTaskRunner {
     /// Leaves a critical region; if a more urgent task became ready during
     /// it, queues the on-the-spot preemption.
     pub fn unlock_preemption(&mut self, now: SimTime) {
-        if engine::unlock_preemption_prelude(self.handle.engine.as_ref(), self.handle.id, now) {
+        if engine::unlock_preemption_yields(self.handle.engine.as_ref(), self.handle.id, now) {
             self.push_intent_pair();
         }
     }
 
-    /// Forces a scheduling decision after a priority change (the segment
-    /// form of [`TaskCtx::reschedule`](crate::TaskCtx::reschedule)).
+    /// Forces a scheduling decision after a priority change (what
+    /// [`TaskCtx::reschedule`](crate::TaskCtx::reschedule) performs).
     pub fn reschedule(&mut self, now: SimTime) {
-        if engine::reschedule_prelude(self.handle.engine.as_ref(), self.handle.id, now) {
+        if engine::reschedule_yields(self.handle.engine.as_ref(), self.handle.id, now) {
             self.push_intent_pair();
         }
     }
@@ -520,30 +571,31 @@ impl std::fmt::Debug for SegTaskRunner {
     }
 }
 
-/// One suspended operation of a segment hardware function.
+/// One suspended operation of a hardware function.
 enum HwFrame {
     Execute { d: SimDuration, slept: bool },
     Delay { d: SimDuration, slept: bool },
     Suspend { resource: bool, announced: bool },
 }
 
-/// Drives one hardware function (fully concurrent, no RTOS) as a
-/// run-to-completion frame stack. Mirrors [`crate::agent::HwCtx`].
+/// Drives one hardware function (fully concurrent, no RTOS) as a frame
+/// stack: the operations behind [`HwCtx`](crate::HwCtx).
 ///
 /// Created by [`register_seg_hw`].
 pub struct SegHwRunner {
     waker: HwWaker,
     actor: ActorId,
-    recorder: TraceRecorder,
+    pub(crate) recorder: TraceRecorder,
     stack: Vec<HwFrame>,
     started: bool,
     done: bool,
 }
 
-/// Registers a hardware function for segment-mode execution: trace actor
-/// and wake event are created in the same order as
-/// [`spawn_hw_function`](crate::spawn_hw_function), but no process is
-/// spawned — the caller embeds the returned runner in a kernel segment.
+/// Registers a hardware function: creates its trace actor and wake
+/// event, but spawns no process — the caller embeds the returned runner
+/// in a kernel segment (or, for a closure body,
+/// [`spawn_hw_function`](crate::spawn_hw_function) drives it on a
+/// thread).
 pub fn register_seg_hw(sim: &mut Simulator, recorder: &TraceRecorder, name: &str) -> SegHwRunner {
     let actor = recorder.register(name, ActorKind::Task);
     let event = sim.event(&format!("{name}.hw_wake"));
@@ -680,13 +732,13 @@ impl std::fmt::Debug for SegHwRunner {
     }
 }
 
-/// The [`Agent`] view of a segment task or hardware function.
+/// The [`Agent`] view of a task or hardware function inside a step.
 ///
 /// Supports exactly the non-blocking subset of [`Agent`] that the
 /// communication *attempt* functions use: time, notifications, waiter,
 /// tracing and preemption locks. The blocking calls (`execute`, `delay`,
-/// `suspend`, `unlock_preemption`, `reschedule`) panic — in segment mode
-/// those are intents fed to the runner between attempts.
+/// `suspend`, `unlock_preemption`, `reschedule`) panic — a step machine
+/// feeds those to the runner as intents between attempts.
 pub struct SegAgent<'r, 'c, 'a> {
     ctx: &'c mut SegmentCtx<'a>,
     waiter: Waiter,

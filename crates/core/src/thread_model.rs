@@ -15,19 +15,15 @@
 //! so notifications that land while the RTOS coroutine is busy consuming
 //! overhead time are never lost.
 //!
-//! The coroutine's body is factored into non-blocking pieces so it can be
-//! driven either by a blocking loop on its own thread ([`ExecMode::Thread`])
-//! or as a run-to-completion state machine inside the scheduler loop
-//! ([`ExecMode::Segment`]); both orderings of state mutations, trace
-//! records and waits are identical.
+//! The coroutine is a step machine ([`RtosPhase`]) spawned through
+//! [`Simulator::spawn_segment`], so the execution mode decides only
+//! whether it runs on its own thread or inline in the scheduler loop.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{
-    Event, ExecMode, KernelHandle, SegStep, SimDuration, SimTime, Simulator, WaitRequest,
-};
+use rtsim_kernel::{Event, KernelHandle, SegStep, SimDuration, SimTime, Simulator, WaitRequest};
 use rtsim_trace::{OverheadKind, TaskState};
 
 use crate::engine::{Engine, EngineKind, RelStep, RtosState};
@@ -55,8 +51,7 @@ pub(crate) struct ThreadEngine {
 }
 
 impl ThreadEngine {
-    /// Creates the engine and spawns the RTOS coroutine (a blocking
-    /// process thread or an inline segment, per the simulator's mode).
+    /// Creates the engine and spawns the RTOS coroutine.
     pub fn new(sim: &mut Simulator, shared: Arc<Mutex<RtosState>>) -> Arc<Self> {
         let name = shared.lock().name.clone();
         let rtk_run = sim.event(&format!("{name}.RTKRun"));
@@ -66,122 +61,66 @@ impl ThreadEngine {
             rtk_run,
         });
         let requests = Arc::clone(&engine.requests);
-        let proc_name = format!("{name}.rtos");
-        match sim.exec_mode() {
-            ExecMode::Thread => {
-                sim.spawn(&proc_name, move |ctx| {
-                    // Let all t=0 activations register before the first election.
-                    ctx.wait_for(SimDuration::ZERO);
+        let mut phase = RtosPhase::Boot;
+        sim.spawn_segment(&format!("{name}.rtos"), move |ctx| loop {
+            match phase {
+                RtosPhase::Boot => {
+                    // Let all t=0 activations register before the first
+                    // election.
+                    phase = RtosPhase::Start;
+                    return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
+                }
+                RtosPhase::Start => {
                     shared.lock().started = true;
-                    loop {
-                        let req = requests.lock().pop_front();
-                        match req {
-                            Some(Request::Ready(t)) => apply_ready(&shared, ctx, t),
-                            Some(Request::GiveUp {
-                                me,
-                                next_state,
-                                requeue,
-                            }) => {
-                                let save =
-                                    give_up_begin(&shared, ctx.now(), me, next_state, requeue);
-                                ctx.wait_for(save);
-                                let sched = give_up_sched(&shared, ctx.now(), me);
-                                ctx.wait_for(sched);
-                                drain_ready_requests(&shared, &requests, ctx);
-                                if let Some((next, load)) = elect(&shared, ctx.now(), None) {
-                                    ctx.wait_for(load);
-                                    grant_and_notify(&shared, ctx, next);
-                                }
-                            }
-                            None => {
-                                if needs_dispatch(&shared) {
-                                    let start = ctx.now();
-                                    let sched = idle_sched_eval(&shared, start);
-                                    ctx.wait_for(sched);
-                                    drain_ready_requests(&shared, &requests, ctx);
-                                    if let Some((next, load)) =
-                                        elect(&shared, ctx.now(), Some((start, sched)))
-                                    {
-                                        ctx.wait_for(load);
-                                        grant_and_notify(&shared, ctx, next);
-                                    }
-                                } else {
-                                    ctx.wait_event(rtk_run);
-                                }
-                            }
+                    phase = RtosPhase::Main;
+                }
+                RtosPhase::Main => {
+                    let req = requests.lock().pop_front();
+                    match req {
+                        Some(Request::Ready(t)) => apply_ready(&shared, ctx, t),
+                        Some(Request::GiveUp {
+                            me,
+                            next_state,
+                            requeue,
+                        }) => {
+                            let save = give_up_begin(&shared, ctx.now(), me, next_state, requeue);
+                            phase = RtosPhase::AfterSave { me };
+                            return SegStep::Yield(WaitRequest::time(save));
                         }
-                    }
-                });
-            }
-            ExecMode::Segment => {
-                let mut phase = RtosPhase::Boot;
-                sim.spawn_segment(&proc_name, move |ctx| {
-                    loop {
-                        match phase {
-                            RtosPhase::Boot => {
-                                phase = RtosPhase::Start;
-                                return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
-                            }
-                            RtosPhase::Start => {
-                                shared.lock().started = true;
-                                phase = RtosPhase::Main;
-                            }
-                            RtosPhase::Main => {
-                                let req = requests.lock().pop_front();
-                                match req {
-                                    Some(Request::Ready(t)) => apply_ready(&shared, ctx, t),
-                                    Some(Request::GiveUp {
-                                        me,
-                                        next_state,
-                                        requeue,
-                                    }) => {
-                                        let save = give_up_begin(
-                                            &shared,
-                                            ctx.now(),
-                                            me,
-                                            next_state,
-                                            requeue,
-                                        );
-                                        phase = RtosPhase::AfterSave { me };
-                                        return SegStep::Yield(WaitRequest::time(save));
-                                    }
-                                    None => {
-                                        if needs_dispatch(&shared) {
-                                            let start = ctx.now();
-                                            let sched = idle_sched_eval(&shared, start);
-                                            phase = RtosPhase::AfterSched {
-                                                attr: Some((start, sched)),
-                                            };
-                                            return SegStep::Yield(WaitRequest::time(sched));
-                                        }
-                                        return SegStep::Yield(WaitRequest::event(rtk_run));
-                                    }
-                                }
-                            }
-                            RtosPhase::AfterSave { me } => {
-                                let sched = give_up_sched(&shared, ctx.now(), me);
-                                phase = RtosPhase::AfterSched { attr: None };
+                        None => {
+                            if needs_dispatch(&shared) {
+                                let start = ctx.now();
+                                let sched = idle_sched_eval(&shared, start);
+                                phase = RtosPhase::AfterSched {
+                                    attr: Some((start, sched)),
+                                };
                                 return SegStep::Yield(WaitRequest::time(sched));
                             }
-                            RtosPhase::AfterSched { attr } => {
-                                drain_ready_requests(&shared, &requests, ctx);
-                                match elect(&shared, ctx.now(), attr) {
-                                    Some((next, load)) => {
-                                        phase = RtosPhase::AfterLoad { next };
-                                        return SegStep::Yield(WaitRequest::time(load));
-                                    }
-                                    None => phase = RtosPhase::Main,
-                                }
-                            }
-                            RtosPhase::AfterLoad { next } => {
-                                grant_and_notify(&shared, ctx, next);
-                                phase = RtosPhase::Main;
-                            }
+                            return SegStep::Yield(WaitRequest::event(rtk_run));
                         }
                     }
-                });
+                }
+                RtosPhase::AfterSave { me } => {
+                    let sched = give_up_sched(&shared, ctx.now(), me);
+                    phase = RtosPhase::AfterSched { attr: None };
+                    return SegStep::Yield(WaitRequest::time(sched));
+                }
+                RtosPhase::AfterSched { attr } => {
+                    drain_ready_requests(&shared, &requests, ctx);
+                    match elect(&shared, ctx.now(), attr) {
+                        Some((next, load)) => {
+                            phase = RtosPhase::AfterLoad { next };
+                            return SegStep::Yield(WaitRequest::time(load));
+                        }
+                        None => phase = RtosPhase::Main,
+                    }
+                }
+                RtosPhase::AfterLoad { next } => {
+                    grant_and_notify(&shared, ctx, next);
+                    phase = RtosPhase::Main;
+                }
             }
-        }
+        });
         engine
     }
 
@@ -191,7 +130,7 @@ impl ThreadEngine {
     }
 }
 
-/// Resume point of the segment-mode RTOS state machine.
+/// Resume point of the RTOS coroutine's step machine.
 #[derive(Debug, Clone, Copy)]
 enum RtosPhase {
     /// Not yet yielded the t=0 settling wait.

@@ -15,7 +15,7 @@
 //!    policy × preemptive/non-preemptive mode and runs the resulting
 //!    cells on a [`Campaign`](rtsim_campaign::Campaign), so the sweep is
 //!    parallel yet bit-identical for any `RTSIM_WORKERS`;
-//! 3. [`fingerprint`] reduces each run to a 64-bit FNV-1a hash over the
+//! 3. [`fingerprint`](mod@fingerprint) reduces each run to a 64-bit FNV-1a hash over the
 //!    canonical trace ([`rtsim_trace::canonical`]) plus integer summary
 //!    metrics — any change in dispatch order, preemption instants or
 //!    overhead placement changes the hash;

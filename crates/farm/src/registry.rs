@@ -371,8 +371,8 @@ pub fn run_cell(cell: Cell) -> CellResult {
     run_cell_inner(cell, None)
 }
 
-/// [`run_cell`] pinned to one kernel execution mode (thread-backed
-/// processes or run-to-completion segments), immune to the
+/// [`run_cell`] pinned to one kernel execution mode (step machines on
+/// threads or inline in the scheduler loop), immune to the
 /// `RTSIM_EXEC_MODE` environment. The two modes must reduce every cell
 /// to the same fingerprint — the cross-mode differential suite sweeps
 /// the whole matrix through this.

@@ -12,9 +12,10 @@
 //!   single-pending-notification override rules ([`Event`]);
 //! - cooperative processes written as plain closures, backed by OS threads
 //!   under a strict one-runner handoff ([`ProcessContext`]);
-//! - run-to-completion **segment** processes — state machines dispatched
-//!   inline by the scheduler with no backing thread ([`SegmentCtx`],
-//!   selected via [`ExecMode`]) — the paper's approach-B cost profile;
+//! - **segment** processes — step machines ([`SegmentCtx`]) that
+//!   [`ExecMode`] either dispatches inline in the scheduler with no
+//!   backing thread (the paper's approach-B cost profile) or hosts on a
+//!   thread that blocks at each yield;
 //! - waits with timeouts ([`ProcessContext::wait_event_for`]), the
 //!   primitive from which the RTOS model builds time-accurate preemption;
 //! - a deterministic scheduler with delta cycles and an event wheel

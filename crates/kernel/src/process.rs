@@ -24,7 +24,7 @@ use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
-use crate::segment::WaitRequest;
+use crate::segment::{SegmentCtx, WaitRequest};
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 
@@ -75,7 +75,7 @@ pub(crate) enum YieldReason {
     /// segment yields.
     Wait(WaitRequest),
     /// Block on any of several events, optionally bounded by a timeout
-    /// (thread-mode `wait_any`/`wait_any_for` only).
+    /// (the blocking `wait_any`/`wait_any_for` only).
     WaitAny {
         events: Vec<Event>,
         timeout: Option<SimDuration>,
@@ -179,13 +179,20 @@ impl ProcessContext {
         self.pid
     }
 
+    /// Performs `request` and blocks until it completes — the blocking
+    /// form of a segment's [`SegStep::Yield`](crate::SegStep). Returns
+    /// what ended the wait.
+    pub fn wait(&mut self, request: WaitRequest) -> Wake {
+        self.suspend(YieldReason::Wait(request))
+    }
+
     /// Suspends this process for `d` of simulated time.
     ///
     /// A zero duration still yields: the process resumes once all pending
     /// delta activity at the current instant has settled (the SystemC
     /// `wait(SC_ZERO_TIME)` behaviour).
     pub fn wait_for(&mut self, d: SimDuration) {
-        let wake = self.suspend(YieldReason::Wait(WaitRequest::time(d)));
+        let wake = self.wait(WaitRequest::time(d));
         debug_assert!(wake.is_timeout(), "timed sleep woken by an event");
     }
 
@@ -195,7 +202,7 @@ impl ProcessContext {
     /// while this process was not yet waiting is lost, exactly as with
     /// `sc_event`.
     pub fn wait_event(&mut self, event: Event) {
-        let wake = self.suspend(YieldReason::Wait(WaitRequest::event(event)));
+        let wake = self.wait(WaitRequest::event(event));
         debug_assert_eq!(wake, Wake::Event(event));
     }
 
@@ -206,7 +213,22 @@ impl ProcessContext {
     /// preemption* on: an executing task waits for its remaining
     /// computation time with its preemption event as the escape hatch.
     pub fn wait_event_for(&mut self, event: Event, timeout: SimDuration) -> Wake {
-        self.suspend(YieldReason::Wait(WaitRequest::event_for(event, timeout)))
+        self.wait(WaitRequest::event_for(event, timeout))
+    }
+
+    /// Runs one step of a segment state machine on this thread: `f` gets
+    /// a [`SegmentCtx`] whose notifications go to this process's own
+    /// buffer (applied at its next yield) and whose wake cause is `wake`.
+    /// Together with [`wait`](ProcessContext::wait) this hosts a step
+    /// machine on a thread: step, perform the yielded wait, step again.
+    pub fn step<R>(&mut self, wake: Wake, f: impl FnOnce(&mut SegmentCtx<'_>) -> R) -> R {
+        let mut ctx = SegmentCtx {
+            pid: self.pid,
+            now: self.now(),
+            wake,
+            ops: &mut self.pending,
+        };
+        f(&mut ctx)
     }
 
     /// Blocks until any of `events` is notified; returns the waking event.
@@ -294,7 +316,7 @@ impl ProcessContext {
 
 /// A segment-process body: a state machine the scheduler calls inline.
 pub(crate) type SegBody =
-    Box<dyn FnMut(&mut crate::segment::SegmentCtx<'_>) -> crate::segment::SegStep + Send + 'static>;
+    Box<dyn FnMut(&mut SegmentCtx<'_>) -> crate::segment::SegStep + Send + 'static>;
 
 /// How one process is executed: the coroutine-style thread handoff, or a
 /// run-to-completion state machine dispatched inside the scheduler loop.

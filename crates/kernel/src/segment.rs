@@ -1,39 +1,42 @@
-//! Run-to-completion segments: the thread-free process backend.
+//! Segment processes: step machines and their two hosts.
 //!
 //! The DATE 2004 paper's approach-B result hinges on modeling RTOS
 //! services as plain procedure calls on the caller's thread instead of
 //! coroutine switches. This module brings the same idea to the kernel
-//! substrate itself: a **segment process** is a state machine
-//! (`FnMut(&mut SegmentCtx) -> SegStep`) the scheduler calls *directly*
-//! inside its evaluation loop — zero thread spawns, zero park/unpark, no
-//! channels on the hot path. Each call runs one segment to completion and
-//! returns either [`SegStep::Yield`] with a [`WaitRequest`] (the analogue
-//! of a `wait_*` call on [`ProcessContext`](crate::ProcessContext)) or
-//! [`SegStep::Done`].
+//! substrate itself: a **segment process** is a step machine
+//! (`FnMut(&mut SegmentCtx) -> SegStep`). Each call runs one segment to
+//! completion and returns either [`SegStep::Yield`] with a
+//! [`WaitRequest`] (the analogue of a `wait_*` call on
+//! [`ProcessContext`]) or [`SegStep::Done`].
 //!
-//! Thread-backed and segment-backed processes coexist in one simulator and
-//! follow the identical scheduling protocol, so a model ported to segments
-//! produces the bit-identical event schedule. [`ExecMode`] is the knob the
-//! higher layers use to choose a backend per simulator.
+//! [`ExecMode`] picks where step machines run. In `Segment` mode the
+//! scheduler calls them *directly* inside its evaluation loop: zero
+//! thread spawns, zero park/unpark, no channels on the hot path. In
+//! `Thread` mode each one runs on its own OS thread, which performs
+//! every yielded wait as a blocking [`ProcessContext::wait`]. The
+//! machine and the scheduling protocol are the same in both, so both
+//! produce the bit-identical event schedule.
 
 use crate::event::{Event, Wake};
 use crate::process::{NotifyOp, ProcessContext, ProcessId};
 use crate::time::{SimDuration, SimTime};
 
-/// How the higher layers should back simulated processes.
+/// Where a simulator runs its step machines (see
+/// [`Simulator::spawn_segment`](crate::Simulator::spawn_segment)).
 ///
 /// This mirrors the paper's two modeling approaches at the substrate
 /// level: `Thread` is the coroutine-style handoff (every process an OS
 /// thread, approach A's cost profile), `Segment` is run-to-completion
-/// dispatch inside the scheduler loop (approach B's cost profile). Both
-/// produce identical simulated behaviour; they differ only in host cost.
+/// dispatch inside the scheduler loop (approach B's cost profile). The
+/// mode chooses only the host of one step machine, so both produce
+/// identical simulated behaviour; they differ only in host cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Every process body is a blocking closure on its own OS thread.
+    /// Every step machine runs on its own OS thread, which blocks at each
+    /// yield.
     #[default]
     Thread,
-    /// Process bodies are run-to-completion state machines dispatched
-    /// inline by the scheduler.
+    /// Step machines are dispatched inline by the scheduler.
     Segment,
 }
 
@@ -71,8 +74,7 @@ impl std::fmt::Display for ExecMode {
 
 /// The wait a segment requests when it yields — the exact analogue of
 /// `wait_for`, `wait_event` and `wait_event_for` on
-/// [`ProcessContext`](crate::ProcessContext). A plain value: yielding
-/// never allocates.
+/// [`ProcessContext`]. A plain value: yielding never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitRequest {
     /// Sleep for a fixed duration (`wait_for`); zero still yields.
@@ -122,12 +124,11 @@ pub enum SegStep {
 
 /// The per-dispatch view of the kernel handed to a segment state machine.
 ///
-/// Mirrors the non-blocking surface of
-/// [`ProcessContext`](crate::ProcessContext): reading the clock, the wake
-/// cause, and buffering event notifications (applied by the kernel when
-/// the segment yields, exactly as a thread-backed process's buffered ops
-/// are applied at its yield point — indistinguishable under the
-/// one-runner protocol).
+/// Mirrors the non-blocking surface of [`ProcessContext`]: reading the
+/// clock, the wake cause, and buffering event notifications (applied by
+/// the kernel when the segment yields, exactly as a thread-backed
+/// process's buffered ops are applied at its yield point —
+/// indistinguishable under the one-runner protocol).
 #[derive(Debug)]
 pub struct SegmentCtx<'a> {
     pub(crate) pid: ProcessId,
@@ -190,9 +191,8 @@ impl SegmentCtx<'_> {
 ///
 /// Code that only needs to read the clock and post notifications — wake
 /// paths, communication primitives — takes `&mut dyn KernelHandle` and
-/// works identically from a thread-backed process
-/// ([`ProcessContext`](crate::ProcessContext)) or a segment dispatch
-/// ([`SegmentCtx`]).
+/// works identically from a thread-backed process ([`ProcessContext`]) or
+/// a segment dispatch ([`SegmentCtx`]).
 pub trait KernelHandle {
     /// Current simulation time.
     fn now(&self) -> SimTime;

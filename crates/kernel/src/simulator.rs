@@ -1,7 +1,7 @@
 //! The public simulator front-end.
 
 use crate::error::KernelError;
-use crate::event::Event;
+use crate::event::{Event, Wake};
 use crate::process::{ProcessContext, ProcessId};
 use crate::scheduler::{Kernel, KernelStats};
 use crate::segment::{ExecMode, SegStep, SegmentCtx};
@@ -66,13 +66,9 @@ impl Simulator {
         }
     }
 
-    /// The execution mode this simulator advertises to higher layers.
-    ///
-    /// The kernel itself accepts both [`spawn`](Simulator::spawn) and
-    /// [`spawn_segment`](Simulator::spawn_segment) regardless of mode (a
-    /// blocking closure can never be dispatched inline); the mode tells
-    /// model layers which form to prefer for bodies they can express
-    /// either way.
+    /// The execution mode: where [`spawn_segment`](Simulator::spawn_segment)
+    /// runs its step machines. [`spawn`](Simulator::spawn) always backs
+    /// its blocking closure with a thread.
     pub fn exec_mode(&self) -> ExecMode {
         self.mode
     }
@@ -94,19 +90,33 @@ impl Simulator {
         self.kernel.spawn(name, body)
     }
 
-    /// Spawns a run-to-completion segment process: a state machine called
-    /// directly inside the scheduler loop, with no backing OS thread.
+    /// Spawns a segment process: a step machine that receives a
+    /// [`SegmentCtx`] (clock, wake cause, notification buffer) and
+    /// returns [`SegStep::Yield`] with the wait to perform, or
+    /// [`SegStep::Done`].
     ///
-    /// Each call runs one segment: it receives a [`SegmentCtx`] (clock,
-    /// wake cause, notification buffer) and returns [`SegStep::Yield`]
-    /// with the wait to perform, or [`SegStep::Done`]. Scheduling order,
-    /// statistics and event semantics are identical to thread-backed
-    /// processes — only the host-side cost differs.
-    pub fn spawn_segment<F>(&mut self, name: &str, body: F) -> ProcessId
+    /// The [execution mode](Simulator::exec_mode) picks the host. In
+    /// [`ExecMode::Segment`] the scheduler calls the machine inline, with
+    /// no backing OS thread. In [`ExecMode::Thread`] a thread process
+    /// runs it, stepping it and blocking at each yield, so every dispatch
+    /// pays the thread handoff (the paper's approach-A cost). The machine
+    /// is the same either way, and so are scheduling order, statistics
+    /// and event semantics.
+    pub fn spawn_segment<F>(&mut self, name: &str, mut body: F) -> ProcessId
     where
         F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Send + 'static,
     {
-        self.kernel.spawn_segment(name, body)
+        match self.mode {
+            ExecMode::Segment => self.kernel.spawn_segment(name, body),
+            ExecMode::Thread => self.kernel.spawn(name, move |ctx| {
+                // Like an inline segment, the first dispatch reports a
+                // timeout wake.
+                let mut wake = Wake::Timeout;
+                while let SegStep::Yield(request) = ctx.step(wake, &mut body) {
+                    wake = ctx.wait(request);
+                }
+            }),
+        }
     }
 
     /// Runs until event starvation (no runnable process and no pending

@@ -12,13 +12,16 @@ fn us(n: u64) -> SimDuration {
     SimDuration::from_us(n)
 }
 
+/// Every choice a policy was asked: its kind and the candidate labels.
+type ChoiceLog = Arc<StdMutex<Vec<(ChoiceKind, Vec<String>)>>>;
+
 /// Picks the LAST candidate for one targeted choice kind (the built-in
 /// stable order's mirror image) and candidate 0 everywhere else, so each
 /// test flips exactly the tie it is about — reversing every choice at
 /// once also reverses wait-registration order and the flips cancel out.
 struct PickLastFor {
     target: ChoiceKind,
-    seen: Arc<StdMutex<Vec<(ChoiceKind, Vec<String>)>>>,
+    seen: ChoiceLog,
 }
 
 impl ChoicePolicy for PickLastFor {

@@ -1,5 +1,5 @@
-//! Run-to-completion segment processes: substrate-level equivalence with
-//! thread-backed processes, plus the stale-wake regression audit.
+//! Segment processes: substrate-level equivalence with thread-backed
+//! processes in both hosts, plus the stale-wake regression audit.
 
 use rtsim_kernel::{
     ExecMode, SegStep, SimDuration, SimTime, Simulator, Wake, WaitRequest,
@@ -10,8 +10,9 @@ fn us(n: u64) -> SimDuration {
 }
 
 /// The kernel quick-start model (timer + handler) written once as
-/// blocking closures and once as segment state machines; every observable
-/// (final time, statistics, liveness) must agree.
+/// blocking closures and once as segment state machines, the machines
+/// run both inline and hosted on threads; every observable (final time,
+/// statistics, liveness) must agree.
 #[test]
 fn segment_and_thread_substrates_agree() {
     fn run_thread() -> (SimTime, rtsim_kernel::KernelStats) {
@@ -32,8 +33,8 @@ fn segment_and_thread_substrates_agree() {
         (sim.now(), sim.stats())
     }
 
-    fn run_segment() -> (SimTime, rtsim_kernel::KernelStats) {
-        let mut sim = Simulator::with_mode(ExecMode::Segment);
+    fn run_segment(mode: ExecMode) -> (SimTime, rtsim_kernel::KernelStats) {
+        let mut sim = Simulator::with_mode(mode);
         let irq = sim.event("irq");
         let mut fired = 0u32;
         sim.spawn_segment("timer", move |ctx| {
@@ -61,25 +62,32 @@ fn segment_and_thread_substrates_agree() {
     }
 
     let (t_now, t_stats) = run_thread();
-    let (s_now, s_stats) = run_segment();
-    assert_eq!(t_now, s_now);
     assert_eq!(t_now.as_us(), 40);
-    assert_eq!(t_stats, s_stats, "kernel statistics must be bit-identical");
+    for mode in [ExecMode::Segment, ExecMode::Thread] {
+        let (s_now, s_stats) = run_segment(mode);
+        assert_eq!(t_now, s_now, "{mode}");
+        assert_eq!(
+            t_stats, s_stats,
+            "{mode}: kernel statistics must be bit-identical"
+        );
+    }
 }
 
 /// A segment that panics is isolated exactly like a panicking thread
-/// body, and the panic payload description includes a type hint for
-/// non-string payloads.
+/// body, inline or hosted on a thread, and the panic payload description
+/// includes a type hint for non-string payloads.
 #[test]
 fn segment_panic_is_isolated_with_typed_payload() {
-    let mut sim = Simulator::with_mode(ExecMode::Segment);
-    sim.spawn_segment("bomb", |_ctx| -> SegStep {
-        std::panic::panic_any(7u32);
-    });
-    let err = sim.run().unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("bomb"), "{msg}");
-    assert!(msg.contains("7 (u32)"), "{msg}");
+    for mode in [ExecMode::Segment, ExecMode::Thread] {
+        let mut sim = Simulator::with_mode(mode);
+        sim.spawn_segment("bomb", |_ctx| -> SegStep {
+            std::panic::panic_any(7u32);
+        });
+        let err = sim.run().unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("bomb"), "{mode}: {msg}");
+        assert!(msg.contains("7 (u32)"), "{mode}: {msg}");
+    }
 }
 
 /// Satellite audit: a timer armed for an earlier wait must not fire into

@@ -13,13 +13,13 @@ use rtsim_comm::{MessageQueue, Rendezvous, RtEvent, SharedVar};
 use rtsim_core::{
     register_seg_hw, spawn_hw_function, Processor, ProcessorConfig, SchedulerStats, TaskHandle,
 };
-use rtsim_kernel::{ExecMode, KernelError, KernelStats, SimTime, Simulator};
+use rtsim_kernel::{KernelError, KernelStats, SimTime, Simulator};
 use rtsim_trace::{Statistics, TimelineOptions, Trace, TraceRecorder};
 
 use crate::constraint::{verify, ConstraintReport, TimingConstraint};
 use crate::error::ModelError;
 use crate::model::{Body, Mapping, Message, RelationDecl, SystemModel};
-use crate::script::{run_blocking_with, FaultCtx, ScriptProcess};
+use crate::script::{FaultCtx, ScriptProcess};
 
 /// The relations visible to a function body, looked up by name.
 ///
@@ -126,11 +126,9 @@ impl ElaboratedSystem {
             }
         }
 
-        let mut sim = match model.exec_mode {
-            Some(mode) => Simulator::with_mode(mode),
-            None => Simulator::new(),
-        };
-        let segment = sim.exec_mode() == ExecMode::Segment;
+        let mut sim = model
+            .exec_mode
+            .map_or_else(Simulator::new, Simulator::with_mode);
         let recorder = TraceRecorder::new();
 
         // Relations first, so every function body can capture them.
@@ -218,22 +216,17 @@ impl ElaboratedSystem {
             let fctx = injector
                 .as_ref()
                 .map(|inj| FaultCtx::new(Arc::clone(inj), fname));
-            // Scripted bodies follow the simulator's execution mode;
-            // closure bodies always need a thread-backed process.
+            // Scripts run as step machines, hosted as the simulator's
+            // execution mode decides; closure bodies block, so they always
+            // get a thread-backed process.
             match (decl.mapping.expect("validated above"), decl.body) {
                 (Mapping::Hardware, Body::Closure(body)) => {
                     spawn_hw_function(&mut sim, &recorder, fname, move |hw| body(hw, &io));
                 }
                 (Mapping::Hardware, Body::Script(script)) => {
-                    if segment {
-                        let runner = register_seg_hw(&mut sim, &recorder, fname);
-                        let mut process = ScriptProcess::hw(runner, io, script).with_fault(fctx);
-                        sim.spawn_segment(fname, move |ctx| process.poll(ctx));
-                    } else {
-                        spawn_hw_function(&mut sim, &recorder, fname, move |hw| {
-                            run_blocking_with(&script, hw, &io, fctx)
-                        });
-                    }
+                    let runner = register_seg_hw(&mut sim, &recorder, fname);
+                    let mut process = ScriptProcess::hw(runner, io, script).with_fault(fctx);
+                    sim.spawn_segment(fname, move |ctx| process.poll(ctx));
                 }
                 (Mapping::Software(pname), Body::Closure(body)) => {
                     let processor = processors.get(&pname).expect("validated above");
@@ -244,18 +237,11 @@ impl ElaboratedSystem {
                 }
                 (Mapping::Software(pname), Body::Script(script)) => {
                     let processor = processors.get(&pname).expect("validated above");
-                    let handle = if segment {
-                        let runner = processor.register_seg_task(&mut sim, decl.config);
-                        let handle = runner.handle();
-                        let process_name = format!("{}.{}", processor.name(), fname);
-                        let mut process = ScriptProcess::task(runner, io, script).with_fault(fctx);
-                        sim.spawn_segment(&process_name, move |ctx| process.poll(ctx));
-                        handle
-                    } else {
-                        processor.spawn_task(&mut sim, decl.config, move |t| {
-                            run_blocking_with(&script, t, &io, fctx)
-                        })
-                    };
+                    let runner = processor.register_seg_task(&mut sim, decl.config);
+                    let handle = runner.handle();
+                    let process_name = format!("{}.{}", processor.name(), fname);
+                    let mut process = ScriptProcess::task(runner, io, script).with_fault(fctx);
+                    sim.spawn_segment(&process_name, move |ctx| process.poll(ctx));
                     tasks.insert(fname.clone(), handle);
                     task_placement.insert(fname.clone(), pname);
                 }

@@ -76,4 +76,4 @@ pub use elaborate::{ElaboratedSystem, Io};
 pub use error::ModelError;
 pub use model::{FunctionBody, Mapping, Message, SystemModel};
 pub use rtsim_fault::FaultPlan;
-pub use script::{run_blocking, run_blocking_with, FaultCtx, Instr, Regs, ScriptProcess};
+pub use script::{FaultCtx, Instr, Regs, ScriptProcess};

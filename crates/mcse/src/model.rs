@@ -53,9 +53,9 @@ pub(crate) enum Body {
     /// A blocking closure — runs on a thread-backed kernel process in
     /// every execution mode.
     Closure(FunctionBody),
-    /// A behaviour script (see [`crate::script`]) — interpreted blocking
-    /// in thread mode and as a run-to-completion state machine in
-    /// segment mode, with identical observable behaviour.
+    /// A behaviour script (see [`crate::script`]) — interpreted as a step
+    /// machine, hosted on a thread in thread mode and inline in segment
+    /// mode.
     Script(Arc<[Instr]>),
 }
 
@@ -202,11 +202,11 @@ impl SystemModel {
     /// Declares a function whose behaviour is a script (see
     /// [`crate::script`]) rather than a closure.
     ///
-    /// Scripted functions run in *both* execution modes — blocking on a
-    /// kernel thread in [`ExecMode::Thread`], and as a run-to-completion
-    /// state machine (no OS thread at all) in [`ExecMode::Segment`] —
-    /// with bit-identical traces. Map it with [`map`](SystemModel::map)
-    /// before elaboration.
+    /// A scripted function is a step machine, so the execution mode only
+    /// picks its host — a kernel thread that blocks at each yield in
+    /// [`ExecMode::Thread`], inline dispatch with no OS thread at all in
+    /// [`ExecMode::Segment`] — and its traces are bit-identical in both.
+    /// Map it with [`map`](SystemModel::map) before elaboration.
     ///
     /// # Panics
     ///
@@ -233,10 +233,11 @@ impl SystemModel {
     ///
     /// By default elaboration honours the `RTSIM_EXEC_MODE` environment
     /// override (see [`ExecMode::from_env`]); this pins the mode
-    /// explicitly. Closure-bodied functions always need a thread-backed
-    /// process, so in [`ExecMode::Segment`] only hardware closures (which
-    /// keep their own kernel process either way) and scripted functions
-    /// are affected.
+    /// explicitly. The mode decides where step machines run: scripted
+    /// functions, the processors' RTOS helper processes and interrupt
+    /// sources. Closure bodies block, so they keep a thread-backed
+    /// process in both modes (driving the same RTOS step machines a
+    /// script drives).
     pub fn exec_mode(&mut self, mode: ExecMode) -> &mut Self {
         self.exec_mode = Some(mode);
         self

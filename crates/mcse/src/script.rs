@@ -1,23 +1,21 @@
-//! Mode-portable function bodies: a small behaviour script.
+//! Function bodies as data: a small behaviour script.
 //!
 //! A closure body (see [`SystemModel::function`](crate::SystemModel::function))
-//! blocks, so it can only run on a thread-backed kernel process. A
-//! **script** expresses the same behaviour as data — a list of [`Instr`]
-//! steps over a tiny register file ([`Regs`]) — and is interpreted in
-//! whichever execution mode the simulator runs:
+//! blocks, so it needs a thread of its own. A **script** expresses the
+//! same behaviour as data — a list of [`Instr`] steps over a tiny
+//! register file ([`Regs`]) — and [`ScriptProcess`] interprets it as a
+//! step machine over a [`SegTaskRunner`]/[`SegHwRunner`], using the
+//! communication relations' non-blocking *attempt* entry points and
+//! feeding waits back to the kernel as
+//! [`SegStep::Yield`](rtsim_kernel::SegStep).
 //!
-//! - [`run_blocking`] walks the script on an [`Agent`] (thread mode),
-//!   issuing exactly the calls the equivalent closure would make;
-//! - [`ScriptProcess`] drives the script as a run-to-completion state
-//!   machine over a [`SegTaskRunner`]/[`SegHwRunner`] (segment mode),
-//!   using the communication relations' non-blocking *attempt* entry
-//!   points and feeding waits back to the kernel as
-//!   [`SegStep::Yield`](rtsim_kernel::SegStep).
-//!
-//! Both interpreters perform the identical sequence of engine operations
-//! and trace records, so a scripted model produces bit-identical
-//! canonical traces in either mode — the property the regression farm's
-//! cross-mode differential suite asserts.
+//! This is the only script interpreter. The execution mode decides only
+//! where it runs: inline in the scheduler loop, or on a thread that
+//! blocks at each yield (see
+//! [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment)).
+//! So a scripted model produces bit-identical canonical traces in either
+//! mode — the property the regression farm's cross-mode differential
+//! suite asserts.
 //!
 //! Rendezvous relations are not scriptable (their transfer handshake is
 //! inherently two-sided blocking); functions using them stay closures.
@@ -34,10 +32,10 @@ use crate::elaborate::Io;
 use crate::model::Message;
 
 /// The fault-injection view of one function: the system's shared
-/// [`FaultInjector`] plus this function's name, threaded through both
-/// interpreters so [`Instr::Execute`], [`Instr::PeriodicRelease`] and
+/// [`FaultInjector`] plus this function's name, threaded through the
+/// interpreter so [`Instr::Execute`], [`Instr::PeriodicRelease`] and
 /// [`Instr::DegradedGate`] can consult the plan. Absent (the common
-/// case) the interpreters take the exact pre-fault paths, byte for byte.
+/// case) the interpreter takes the exact pre-fault paths, byte for byte.
 pub struct FaultCtx {
     injector: Arc<FaultInjector>,
     task: Arc<str>,
@@ -319,194 +317,10 @@ pub fn ret() -> Instr {
 }
 
 // ---------------------------------------------------------------------
-// Blocking interpreter (thread mode)
+// Interpreter
 // ---------------------------------------------------------------------
 
-enum Flow {
-    Next,
-    Return,
-}
-
-/// Runs a script to completion on a blocking [`Agent`] — the thread-mode
-/// interpreter. Issues exactly the `Agent`/relation calls the equivalent
-/// hand-written closure body would.
-pub fn run_blocking(script: &[Instr], agent: &mut dyn Agent, io: &Io) {
-    run_blocking_with(script, agent, io, None);
-}
-
-/// [`run_blocking`] with a fault-injection context (see [`FaultCtx`]);
-/// `None` is exactly `run_blocking`.
-pub fn run_blocking_with(
-    script: &[Instr],
-    agent: &mut dyn Agent,
-    io: &Io,
-    mut fctx: Option<FaultCtx>,
-) {
-    let mut regs = Regs::initial(agent.now());
-    let _ = exec_list(script, agent, io, &mut regs, &mut fctx);
-}
-
-fn exec_list(
-    list: &[Instr],
-    agent: &mut dyn Agent,
-    io: &Io,
-    regs: &mut Regs,
-    fctx: &mut Option<FaultCtx>,
-) -> Flow {
-    for instr in list {
-        if let Flow::Return = exec_blocking(instr, agent, io, regs, fctx) {
-            return Flow::Return;
-        }
-    }
-    Flow::Next
-}
-
-fn exec_blocking(
-    instr: &Instr,
-    agent: &mut dyn Agent,
-    io: &Io,
-    regs: &mut Regs,
-    fctx: &mut Option<FaultCtx>,
-) -> Flow {
-    match instr {
-        Instr::Execute(f) => {
-            let mut d = f(regs);
-            if let Some(fc) = fctx.as_ref() {
-                let now = agent.now();
-                let extra = fc.injector.burst_extra(&fc.task, now, d);
-                if extra > SimDuration::ZERO {
-                    let actor = agent.trace_actor();
-                    agent
-                        .recorder()
-                        .fault(actor, now, FaultKind::Burst, extra.as_ps());
-                    d = d + extra;
-                }
-            }
-            agent.execute(d);
-        }
-        Instr::Delay(f) => agent.delay(f(regs)),
-        Instr::DelayUntil(f) => {
-            let next = f(regs);
-            let now = agent.now();
-            if next > now {
-                agent.delay(next - now);
-            }
-        }
-        Instr::Annotate(label) => agent.annotate(label),
-        Instr::Signal(name) => io.event(name).signal(agent),
-        Instr::AwaitEvent(name) => io.event(name).wait(agent),
-        Instr::QueueWrite(name, f) => {
-            let msg = f(regs);
-            io.queue(name).write(agent, msg);
-        }
-        Instr::QueueRead(name) => regs.msg = io.queue(name).read(agent),
-        Instr::QueueTryWrite(name, f) => {
-            let msg = f(regs);
-            regs.flag = io.queue(name).try_write(agent, msg).is_ok();
-        }
-        Instr::QueueTryRead(name) => match io.queue(name).try_read(agent) {
-            Some(m) => {
-                regs.msg = m;
-                regs.flag = true;
-            }
-            None => regs.flag = false,
-        },
-        Instr::VarRead(name, f) => {
-            let d = f(regs);
-            regs.var = io.var(name).read_for(agent, d);
-        }
-        Instr::VarWrite(name, df, mf) => {
-            let d = df(regs);
-            let m = mf(regs);
-            io.var(name).write_for(agent, d, m);
-        }
-        Instr::Repeat(n, body) => {
-            let saved = regs.k;
-            for i in 0..*n {
-                regs.k = i;
-                if let Flow::Return = exec_list(body, agent, io, regs, fctx) {
-                    return Flow::Return;
-                }
-            }
-            regs.k = saved;
-        }
-        Instr::Forever(body) => {
-            assert!(!body.is_empty(), "Forever body must not be empty");
-            let mut i = 0u64;
-            loop {
-                regs.k = i;
-                if let Flow::Return = exec_list(body, agent, io, regs, fctx) {
-                    return Flow::Return;
-                }
-                i += 1;
-            }
-        }
-        Instr::IfFlag(then_body, else_body) => {
-            let body = if regs.flag { then_body } else { else_body };
-            return exec_list(body, agent, io, regs, fctx);
-        }
-        Instr::IfNowPast(f, body) => {
-            if agent.now() > f(regs) {
-                return exec_list(body, agent, io, regs, fctx);
-            }
-        }
-        Instr::PeriodicRelease(period) => {
-            let next_k = regs.k + 1;
-            let base = regs.started + *period * next_k;
-            let offset = fctx
-                .as_ref()
-                .map_or(SimDuration::ZERO, |fc| fc.release_offset(next_k));
-            let now = agent.now();
-            if offset > SimDuration::ZERO {
-                let actor = agent.trace_actor();
-                agent
-                    .recorder()
-                    .fault(actor, now, FaultKind::Jitter, offset.as_ps());
-            }
-            let next = base + offset;
-            if next > now {
-                agent.delay(next - now);
-            }
-        }
-        Instr::DegradedGate(nominal, fallback) => {
-            let mut use_fallback = false;
-            if let Some(fc) = fctx.as_mut() {
-                let now = agent.now();
-                let locally = fc.locally_faulted(now, regs.k);
-                if let Some(v) = fc.injector.degraded_tick(&fc.task, now, locally) {
-                    let actor = agent.trace_actor();
-                    match v.change {
-                        Some(ModeChange::EnterDegraded) => {
-                            agent.recorder().fault(actor, now, FaultKind::Degraded, 0);
-                            if fc.saved_deadline.is_none() {
-                                fc.saved_deadline = Some(agent.relative_deadline());
-                            }
-                            agent.set_relative_deadline(Some(v.relaxed_deadline));
-                        }
-                        Some(ModeChange::Recover) => {
-                            agent.recorder().fault(actor, now, FaultKind::Recovered, 0);
-                            if let Some(orig) = fc.saved_deadline.take() {
-                                agent.set_relative_deadline(orig);
-                            }
-                        }
-                        None => {}
-                    }
-                    use_fallback = v.degraded;
-                }
-            }
-            let body = if use_fallback { fallback } else { nominal };
-            return exec_list(body, agent, io, regs, fctx);
-        }
-        Instr::Return => return Flow::Return,
-    }
-    Flow::Next
-}
-
-// ---------------------------------------------------------------------
-// Segment interpreter (run-to-completion mode)
-// ---------------------------------------------------------------------
-
-/// The two run-to-completion drivers a script can sit on.
+/// The two step-machine runners a script can sit on.
 enum Runner {
     Task(SegTaskRunner),
     Hw(SegHwRunner),
@@ -561,7 +375,7 @@ impl Runner {
     /// Performs the release follow-up of a shared-variable access.
     /// Returns `true` when the follow-up goes through the RTOS and the
     /// access record must wait for it to complete (hardware functions
-    /// treat both follow-ups as no-ops, exactly like the blocking
+    /// treat both follow-ups as no-ops, exactly like
     /// [`HwCtx`](rtsim_core::HwCtx)).
     fn followup(&mut self, f: ReleaseFollowup, now: SimTime) -> bool {
         match (self, f) {
@@ -629,13 +443,9 @@ enum Progress {
     Continue,
 }
 
-/// A script bound to a run-to-completion driver — the segment-mode
-/// interpreter, embeddable directly in
+/// A script bound to a step-machine runner — the script interpreter,
+/// embeddable directly in
 /// [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment).
-///
-/// Performs the identical engine operations and trace records as
-/// [`run_blocking`] on the same script, so both execution modes produce
-/// bit-identical canonical traces.
 pub struct ScriptProcess {
     runner: Runner,
     io: Arc<Io>,
@@ -785,7 +595,7 @@ impl ScriptProcess {
                         agent
                             .recorder()
                             .fault(actor, now, FaultKind::Burst, extra.as_ps());
-                        d = d + extra;
+                        d += extra;
                     }
                 }
                 self.runner.execute(d);
@@ -933,9 +743,10 @@ impl ScriptProcess {
                     let now = ctx.now();
                     let locally = fc.locally_faulted(now, self.regs.k);
                     if let Some(v) = fc.injector.degraded_tick(&fc.task, now, locally) {
-                        // Deadline changes go through the task handle
-                        // (hardware functions have no deadline — no-op,
-                        // exactly like the blocking interpreter).
+                        // Deadline changes go through the task handle;
+                        // hardware functions have no deadline, so for them
+                        // this is a no-op (as `Agent::set_relative_deadline`
+                        // is for `HwCtx`).
                         let handle = match &self.runner {
                             Runner::Task(r) => Some(r.handle()),
                             Runner::Hw(_) => None,
@@ -1077,8 +888,8 @@ impl ScriptProcess {
             self.pending = Some(Pending::VarAcquire(acc));
             return Progress::Intent;
         }
-        // Lock acquired: take the value snapshot (exactly where the
-        // blocking `with_lock` clones it), then compute under the lock.
+        // Lock acquired: take the value snapshot (exactly where a closure
+        // body's `with_lock` clones it), then compute under the lock.
         if acc.write.is_none() {
             self.regs.var = var.locked_get();
         }

@@ -1,10 +1,14 @@
 //! System-level tests of the MCSE layer: multi-processor pipelines,
 //! one-line HW/SW remapping, elaborated-system introspection, codegen on
-//! a realistic model, and constraint reporting.
+//! a realistic model, constraint reporting, and closure bodies against
+//! scripts.
 
-use rtsim_comm::EventPolicy;
+use rtsim_comm::{EventPolicy, LockMode};
 use rtsim_core::{EngineKind, Overheads, TaskConfig};
-use rtsim_kernel::{SimDuration, SimTime};
+use rtsim_kernel::{ExecMode, SimDuration, SimTime};
+use rtsim_mcse::script::{
+    await_event, delay, exec, q_read, q_write, repeat, signal, var_read, var_write,
+};
 use rtsim_mcse::{generate_freertos, Mapping, Message, SystemModel, TimingConstraint};
 
 fn us(v: u64) -> SimDuration {
@@ -278,4 +282,120 @@ fn io_lookup_of_unknown_relation_panics_inside_the_run() {
     let err = system.run().unwrap_err();
     let message = err.to_string();
     assert!(message.contains("mistyped_event"), "{message}");
+}
+
+/// One model, its bodies written as closures or as scripts: a hardware
+/// source writes a capacity-1 queue and signals a counter event twice per
+/// period; two prioritized tasks on a processor with 2 µs overheads wait
+/// on the event, compute, and read or write a priority-inheritance shared
+/// variable (the high-priority writer also drains the queue, and blocks
+/// on the variable while the low-priority reader holds it).
+fn closure_or_script_model(scripted: bool, mode: ExecMode) -> SystemModel {
+    const N: u64 = 4;
+    let mut model = SystemModel::new("closure_or_script");
+    model.exec_mode(mode);
+    model.queue("q", 1);
+    model.event("tick", EventPolicy::Counter);
+    model.shared_var("v", Message::new(0, 1), LockMode::PriorityInheritance);
+    model.software_processor("CPU", Overheads::uniform(us(2)));
+    let (src, hi, lo) = (
+        TaskConfig::new("src"),
+        TaskConfig::new("hi").priority(5),
+        TaskConfig::new("lo").priority(1),
+    );
+    if scripted {
+        model.function_script(
+            src,
+            vec![repeat(
+                N,
+                vec![
+                    delay(us(20)),
+                    q_write("q", |r| Message::new(r.k, 8)),
+                    signal("tick"),
+                    signal("tick"),
+                ],
+            )],
+        );
+        model.function_script(
+            hi,
+            vec![repeat(
+                N,
+                vec![
+                    await_event("tick"),
+                    q_read("q"),
+                    exec(us(4)),
+                    var_write("v", us(3), |r| r.msg),
+                ],
+            )],
+        );
+        model.function_script(
+            lo,
+            vec![repeat(
+                N,
+                vec![await_event("tick"), var_read("v", us(15)), exec(us(2))],
+            )],
+        );
+    } else {
+        model.function(src, |agent, io| {
+            let (q, tick) = (io.queue("q"), io.event("tick"));
+            for k in 0..N {
+                agent.delay(us(20));
+                q.write(agent, Message::new(k, 8));
+                tick.signal(agent);
+                tick.signal(agent);
+            }
+        });
+        model.function(hi, |agent, io| {
+            let (q, tick, v) = (io.queue("q"), io.event("tick"), io.var("v"));
+            for _ in 0..N {
+                tick.wait(agent);
+                let msg = q.read(agent);
+                agent.execute(us(4));
+                v.write_for(agent, us(3), msg);
+            }
+        });
+        model.function(lo, |agent, io| {
+            let (tick, v) = (io.event("tick"), io.var("v"));
+            for _ in 0..N {
+                tick.wait(agent);
+                let _ = v.read_for(agent, us(15));
+                agent.execute(us(2));
+            }
+        });
+    }
+    model.map("src", Mapping::Hardware);
+    model.map_to_processor("hi", "CPU");
+    model.map_to_processor("lo", "CPU");
+    model
+}
+
+/// Closure bodies and scripts drive the same step machines, so the same
+/// behaviour written either way gives the same canonical trace and the
+/// same kernel counters — closures on threads, scripts on threads, and
+/// scripts inline.
+#[test]
+fn closure_and_script_bodies_agree_in_both_exec_modes() {
+    let run = |scripted, mode| {
+        let mut system = closure_or_script_model(scripted, mode).elaborate().unwrap();
+        system.run().unwrap();
+        let trace = system.trace();
+        let v = trace.actor_by_name("v").unwrap();
+        let stats = rtsim_trace::Statistics::from_trace(&trace, system.now());
+        let var = stats.relation(v).unwrap();
+        assert_eq!((var.writes, var.reads), (4, 4), "every job ran");
+        (rtsim_trace::canonical(&trace), system.kernel_stats())
+    };
+    let (closures, closure_stats) = run(false, ExecMode::Thread);
+    assert!(
+        closures.contains("waiting-resource"),
+        "the model never contends for the shared variable:\n{closures}"
+    );
+    for (label, scripted, mode) in [
+        ("scripts/thread", true, ExecMode::Thread),
+        ("scripts/segment", true, ExecMode::Segment),
+    ] {
+        let (trace, stats) = run(scripted, mode);
+        assert_eq!(trace, closures, "{label}: canonical trace");
+        assert_eq!(stats, closure_stats, "{label}: kernel statistics");
+    }
 }

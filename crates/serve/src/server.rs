@@ -53,7 +53,7 @@ use rtsim_kernel::sync::{unbounded, Mutex, Receiver, RecvTimeoutError, Sender};
 /// Environment variable selecting the listen port. `0` asks the OS for
 /// an ephemeral port; the binary prints the real bound address in its
 /// `rtsim-serve listening on ...` banner so callers can discover it,
-/// and [`ServeHandle::addr`] reports it in-process.
+/// and [`ServerHandle::addr`] reports it in-process.
 pub const PORT_ENV: &str = "RTSIM_SERVE_PORT";
 /// Environment variable sizing the simulation worker pool.
 pub const WORKERS_ENV: &str = "RTSIM_SERVE_WORKERS";

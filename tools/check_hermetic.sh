@@ -56,6 +56,9 @@ echo "ok: no external dependencies declared"
 echo "== hermetic check: offline release build (all targets) =="
 cargo build --release --offline --workspace --all-targets
 
+echo "== hermetic check: clippy (warnings are errors) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== hermetic check: offline test suite =="
 cargo test -q --offline --workspace
 
