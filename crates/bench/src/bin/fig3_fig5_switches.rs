@@ -46,7 +46,7 @@ fn run(engine: EngineKind) -> (u64, u64, rtsim::Trace) {
             &mut sim,
             &format!("hw_irq{i}"),
             us(at),
-            Waiter::Task(t1.clone()),
+            Waiter::Task(t1),
         );
     }
     sim.run().expect("run");

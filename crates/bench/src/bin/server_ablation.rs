@@ -47,7 +47,7 @@ fn run(arrivals: &[(SimDuration, SimDuration)], period: SimDuration, budget: Sim
     let mut sim = Simulator::new();
     let rec = TraceRecorder::new();
     let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-    let queue = AperiodicQueue::new();
+    let queue = AperiodicQueue::new(&rec);
 
     spawn_polling_server(
         &cpu,

@@ -76,10 +76,14 @@ impl Json {
     /// let v = Json::parse(r#"{"id":"a/b","ps":[1,2.5,null]}"#).unwrap();
     /// assert_eq!(v.get("id").and_then(Json::as_str), Some("a/b"));
     /// ```
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] levels deep;
+    /// deeper input is an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -134,12 +138,19 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest in [`Json::parse`] input. The
+/// parser recurses once per level, so this bounds its stack use; every
+/// document rtsim writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 512;
+
 /// Recursive-descent state for [`Json::parse`]. Operates on bytes;
 /// string content is re-validated as UTF-8 only where escapes rewrite
 /// it, since the input is `&str` already.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -173,8 +184,19 @@ impl Parser<'_> {
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let nested = if self.bytes[self.pos] == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
@@ -527,6 +549,20 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            let err = Json::parse(&deep).expect_err("100k levels must be rejected");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // At the limit itself, well-formed input still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -18,9 +18,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_fault::ChannelLane;
+use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorKind, CommKind, FaultKind, TraceRecorder};
 
 /// Memorization policy of an [`RtEvent`].
@@ -102,27 +102,35 @@ pub enum EvWait {
 /// ```
 #[derive(Clone)]
 pub struct RtEvent {
-    state: Arc<Mutex<EvState>>,
+    state: Slot<EvState>,
     actor: rtsim_trace::ActorId,
     recorder: TraceRecorder,
     name: Arc<str>,
 }
 
 impl RtEvent {
-    /// Creates an event relation with the given memorization policy.
+    /// Creates an event relation with the given memorization policy, its
+    /// state in `recorder`'s world.
     pub fn new(recorder: &TraceRecorder, name: &str, policy: EventPolicy) -> Self {
         let actor = recorder.register(name, ActorKind::Relation);
+        let state = recorder.world().lock_for("RtEvent::new").insert(EvState {
+            policy,
+            tokens: 0,
+            waiters: VecDeque::new(),
+            lane: None,
+        });
         RtEvent {
-            state: Arc::new(Mutex::new(EvState {
-                policy,
-                tokens: 0,
-                waiters: VecDeque::new(),
-                lane: None,
-            })),
+            state,
             actor,
             recorder: recorder.clone(),
             name: Arc::from(name),
         }
+    }
+
+    /// Runs `f` on the event state, locking the world (code outside a
+    /// step only).
+    fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut EvState) -> R) -> R {
+        f(self.recorder.world().lock_for(accessor).get_mut(self.state))
     }
 
     /// The relation's name.
@@ -137,12 +145,12 @@ impl RtEvent {
 
     /// The configured policy.
     pub fn policy(&self) -> EventPolicy {
-        self.state.lock().policy
+        self.with_state("RtEvent::policy", |st| st.policy)
     }
 
     /// Number of memorized signals (always 0 for fugitive events).
     pub fn pending(&self) -> u64 {
-        self.state.lock().tokens
+        self.with_state("RtEvent::pending", |st| st.tokens)
     }
 
     /// Installs a fault plan's dropout lane: every subsequent signal
@@ -150,7 +158,7 @@ impl RtEvent {
     /// token is memorized, no waiter wakes, and the trace gains a
     /// `drop-signal` fault record on this relation.
     pub fn install_fault_lane(&self, lane: Arc<ChannelLane>) {
-        self.state.lock().lane = Some(lane);
+        self.with_state("RtEvent::install_fault_lane", |st| st.lane = Some(lane));
     }
 
     /// Signals the event from `agent`.
@@ -159,32 +167,53 @@ impl RtEvent {
     /// sets the flag (saturating) and wakes one waiter. Counter: adds a
     /// token and wakes one waiter.
     pub fn signal(&self, agent: &mut dyn Agent) {
-        let lane = self.state.lock().lane.clone();
-        if let Some(lane) = lane {
-            let now = agent.now();
-            if lane.should_drop(now) {
-                self.recorder.fault(self.actor, now, FaultKind::DropSignal, 0);
+        let (now, me, log) = (agent.now(), agent.trace_actor(), self.recorder.log());
+        let fugitive = {
+            let mut world = agent.kernel().world();
+            let lane = world.get(self.state).lane.clone();
+            if lane.is_some_and(|lane| lane.should_drop(now)) {
+                world
+                    .get_mut(log)
+                    .fault(self.actor, now, FaultKind::DropSignal, 0);
                 return;
             }
-        }
-        self.recorder
-            .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Signal);
-        let to_wake: Vec<Waiter> = {
-            let mut st = self.state.lock();
+            let (st, log) = world.pair_mut(self.state, log);
+            log.comm(me, now, self.actor, CommKind::Signal);
             match st.policy {
-                EventPolicy::Fugitive => st.waiters.drain(..).collect(),
+                EventPolicy::Fugitive => true,
                 EventPolicy::Boolean => {
                     st.tokens = 1;
-                    st.waiters.pop_front().into_iter().collect()
+                    false
                 }
                 EventPolicy::Counter => {
                     st.tokens += 1;
-                    st.waiters.pop_front().into_iter().collect()
+                    false
                 }
             }
         };
-        for waiter in to_wake {
-            waiter.wake(agent.kernel());
+        if fugitive {
+            // Every current waiter. The list moves out whole and its
+            // drained buffer goes back, so nothing allocates; waking never
+            // registers a waiter, so the slot is still empty then.
+            let mut waiters =
+                std::mem::take(&mut agent.kernel().world().get_mut(self.state).waiters);
+            for waiter in waiters.drain(..) {
+                waiter.wake(agent.kernel());
+            }
+            let mut world = agent.kernel().world();
+            let st = world.get_mut(self.state);
+            debug_assert!(st.waiters.is_empty());
+            st.waiters = waiters;
+        } else {
+            let next = agent
+                .kernel()
+                .world()
+                .get_mut(self.state)
+                .waiters
+                .pop_front();
+            if let Some(waiter) = next {
+                waiter.wake(agent.kernel());
+            }
         }
     }
 
@@ -196,25 +225,21 @@ impl RtEvent {
     /// another task may have consumed the token between the wake and the
     /// dispatch. Used directly by the script interpreter.
     pub fn wait_attempt(&self, agent: &mut dyn Agent) -> EvWait {
-        let mut st = self.state.lock();
+        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
+        let mut world = agent.kernel().world();
+        let (st, log) = world.pair_mut(self.state, self.recorder.log());
         match st.policy {
             EventPolicy::Fugitive => {
-                st.waiters.push_back(agent.waiter());
+                st.waiters.push_back(waiter);
                 EvWait::Registered { fugitive: true }
             }
             EventPolicy::Boolean | EventPolicy::Counter => {
                 if st.tokens > 0 {
                     st.tokens -= 1;
-                    drop(st);
-                    self.recorder.comm(
-                        agent.trace_actor(),
-                        agent.now(),
-                        self.actor,
-                        CommKind::Read,
-                    );
+                    log.comm(me, now, self.actor, CommKind::Read);
                     EvWait::Ready
                 } else {
-                    st.waiters.push_back(agent.waiter());
+                    st.waiters.push_back(waiter);
                     EvWait::Registered { fugitive: false }
                 }
             }
@@ -223,8 +248,13 @@ impl RtEvent {
 
     /// Completes a fugitive wait after the wake: records the consumption.
     pub fn finish_fugitive_wait(&self, agent: &mut dyn Agent) {
-        self.recorder
-            .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Read);
+        let (now, me) = (agent.now(), agent.trace_actor());
+        agent.kernel().world().get_mut(self.recorder.log()).comm(
+            me,
+            now,
+            self.actor,
+            CommKind::Read,
+        );
     }
 
     /// Blocks `agent` until the event is signalled (consuming one token
@@ -248,12 +278,12 @@ impl RtEvent {
     /// Consumes a token without blocking; `true` on success. Always
     /// `false` for fugitive events (they cannot be polled).
     pub fn try_wait(&self, agent: &mut dyn Agent) -> bool {
-        let mut st = self.state.lock();
+        let (now, me) = (agent.now(), agent.trace_actor());
+        let mut world = agent.kernel().world();
+        let (st, log) = world.pair_mut(self.state, self.recorder.log());
         if st.policy != EventPolicy::Fugitive && st.tokens > 0 {
             st.tokens -= 1;
-            drop(st);
-            self.recorder
-                .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Read);
+            log.comm(me, now, self.actor, CommKind::Read);
             true
         } else {
             false
@@ -263,12 +293,14 @@ impl RtEvent {
 
 impl fmt::Debug for RtEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let (policy, tokens, waiters) = self.with_state("RtEvent::fmt", |st| {
+            (st.policy, st.tokens, st.waiters.len())
+        });
         f.debug_struct("RtEvent")
             .field("name", &self.name)
-            .field("policy", &st.policy)
-            .field("tokens", &st.tokens)
-            .field("waiters", &st.waiters.len())
+            .field("policy", &policy)
+            .field("tokens", &tokens)
+            .field("waiters", &waiters)
             .finish()
     }
 }

@@ -11,9 +11,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_fault::ChannelLane;
+use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorKind, CommKind, FaultKind, TraceRecorder};
 
 struct QState<T> {
@@ -31,6 +31,18 @@ struct QState<T> {
     /// wait lists stay ordered by who blocked first — not by who
     /// happened to retry last.
     next_ticket: u64,
+}
+
+impl<T> QState<T> {
+    /// The ticket of a blocked end: its own on a retry, the next fresh
+    /// one on its first registration.
+    fn ticket(&mut self, ticket: &mut Option<u64>) -> u64 {
+        *ticket.get_or_insert_with(|| {
+            let t = self.next_ticket;
+            self.next_ticket += 1;
+            t
+        })
+    }
 }
 
 /// Inserts a waiter keeping the list sorted by ticket. Fresh tickets are
@@ -78,7 +90,7 @@ fn enqueue_waiter(list: &mut VecDeque<(u64, Waiter)>, ticket: u64, waiter: Waite
 /// # }
 /// ```
 pub struct MessageQueue<T> {
-    state: Arc<Mutex<QState<T>>>,
+    state: Slot<QState<T>>,
     actor: rtsim_trace::ActorId,
     recorder: TraceRecorder,
     name: Arc<str>,
@@ -87,7 +99,7 @@ pub struct MessageQueue<T> {
 impl<T> Clone for MessageQueue<T> {
     fn clone(&self) -> Self {
         MessageQueue {
-            state: Arc::clone(&self.state),
+            state: self.state,
             actor: self.actor,
             recorder: self.recorder.clone(),
             name: Arc::clone(&self.name),
@@ -95,8 +107,9 @@ impl<T> Clone for MessageQueue<T> {
     }
 }
 
-impl<T: Send> MessageQueue<T> {
-    /// Creates a queue holding at most `capacity` messages.
+impl<T: Send + 'static> MessageQueue<T> {
+    /// Creates a queue holding at most `capacity` messages, its state in
+    /// `recorder`'s world.
     ///
     /// # Panics
     ///
@@ -105,19 +118,29 @@ impl<T: Send> MessageQueue<T> {
     pub fn new(recorder: &TraceRecorder, name: &str, capacity: usize) -> Self {
         assert!(capacity > 0, "message queue capacity must be positive");
         let actor = recorder.register(name, ActorKind::Relation);
-        MessageQueue {
-            state: Arc::new(Mutex::new(QState {
+        let state = recorder
+            .world()
+            .lock_for("MessageQueue::new")
+            .insert(QState {
                 buffer: VecDeque::with_capacity(capacity),
                 capacity,
                 readers: VecDeque::new(),
                 writers: VecDeque::new(),
                 lane: None,
                 next_ticket: 0,
-            })),
+            });
+        MessageQueue {
+            state,
             actor,
             recorder: recorder.clone(),
             name: Arc::from(name),
         }
+    }
+
+    /// Runs `f` on the queue state, locking the world (code outside a
+    /// step only).
+    fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut QState<T>) -> R) -> R {
+        f(self.recorder.world().lock_for(accessor).get_mut(self.state))
     }
 
     /// The relation's name.
@@ -132,7 +155,7 @@ impl<T: Send> MessageQueue<T> {
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.state.lock().capacity
+        self.with_state("MessageQueue::capacity", |st| st.capacity)
     }
 
     /// Installs a fault plan's dropout lane: every subsequent write's
@@ -141,17 +164,67 @@ impl<T: Send> MessageQueue<T> {
     /// sees it, and the trace gains a `drop-message` fault record on
     /// this relation.
     pub fn install_fault_lane(&self, lane: Arc<ChannelLane>) {
-        self.state.lock().lane = Some(lane);
+        self.with_state("MessageQueue::install_fault_lane", |st| {
+            st.lane = Some(lane)
+        });
     }
 
     /// Messages currently buffered.
     pub fn len(&self) -> usize {
-        self.state.lock().buffer.len()
+        self.with_state("MessageQueue::len", |st| st.buffer.len())
     }
 
     /// Returns `true` if no message is buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Appends `message` if there is room, recording the write, and
+    /// returns the reader to wake; on a full queue registers `waiter` (a
+    /// blocked writer, when given) and hands the message back.
+    fn put(
+        &self,
+        agent: &mut dyn Agent,
+        message: T,
+        blocked: Option<&mut Option<u64>>,
+    ) -> Result<Option<Waiter>, T> {
+        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
+        let mut world = agent.kernel().world();
+        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        if st.buffer.len() >= st.capacity {
+            if let Some(ticket) = blocked {
+                let t = st.ticket(ticket);
+                enqueue_waiter(&mut st.writers, t, waiter);
+            }
+            return Err(message);
+        }
+        st.buffer.push_back(message);
+        log.comm(me, now, self.actor, CommKind::Write);
+        log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+        Ok(st.readers.pop_front().map(|(_, w)| w))
+    }
+
+    /// Removes the oldest message, recording the read, and returns it
+    /// with the writer to wake; on an empty queue registers the agent's
+    /// waiter (a blocked reader, when given).
+    fn take(
+        &self,
+        agent: &mut dyn Agent,
+        blocked: Option<&mut Option<u64>>,
+    ) -> Option<(T, Option<Waiter>)> {
+        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
+        let mut world = agent.kernel().world();
+        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        let Some(message) = st.buffer.pop_front() else {
+            if let Some(ticket) = blocked {
+                let t = st.ticket(ticket);
+                enqueue_waiter(&mut st.readers, t, waiter);
+            }
+            return None;
+        };
+        log.comm(me, now, self.actor, CommKind::Read);
+        log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+        Some((message, st.writers.pop_front().map(|(_, w)| w)))
     }
 
     /// Non-blocking step of [`write`](MessageQueue::write): appends the
@@ -173,44 +246,22 @@ impl<T: Send> MessageQueue<T> {
         // Fault lane: decide each message's fate exactly once, on its
         // first attempt — a retry after blocking is the same message.
         if ticket.is_none() {
-            let lane = self.state.lock().lane.clone();
+            let lane = agent.kernel().world().get(self.state).lane.clone();
             if let Some(lane) = lane {
                 let now = agent.now();
                 if lane.should_drop(now) {
-                    self.recorder
-                        .fault(self.actor, now, FaultKind::DropMessage, 0);
+                    let log = self.recorder.log();
+                    agent.kernel().world().get_mut(log).fault(
+                        self.actor,
+                        now,
+                        FaultKind::DropMessage,
+                        0,
+                    );
                     return Ok(());
                 }
             }
         }
-        let wake = {
-            let mut st = self.state.lock();
-            if st.buffer.len() < st.capacity {
-                st.buffer.push_back(message);
-                let depth = st.buffer.len();
-                let cap = st.capacity;
-                let reader = st.readers.pop_front().map(|(_, w)| w);
-                drop(st);
-                let now = agent.now();
-                self.recorder
-                    .comm(agent.trace_actor(), now, self.actor, CommKind::Write);
-                self.recorder.queue_depth(self.actor, now, depth, cap);
-                reader
-            } else {
-                let t = match *ticket {
-                    Some(t) => t,
-                    None => {
-                        let t = st.next_ticket;
-                        st.next_ticket += 1;
-                        *ticket = Some(t);
-                        t
-                    }
-                };
-                enqueue_waiter(&mut st.writers, t, agent.waiter());
-                return Err(message);
-            }
-        };
-        if let Some(w) = wake {
+        if let Some(w) = self.put(agent, message, Some(ticket))? {
             w.wake(agent.kernel());
         }
         Ok(())
@@ -237,35 +288,7 @@ impl<T: Send> MessageQueue<T> {
     /// threading `ticket` exactly as in
     /// [`write_attempt`](MessageQueue::write_attempt).
     pub fn read_attempt(&self, agent: &mut dyn Agent, ticket: &mut Option<u64>) -> Option<T> {
-        let (message, wake) = {
-            let mut st = self.state.lock();
-            match st.buffer.pop_front() {
-                Some(m) => {
-                    let depth = st.buffer.len();
-                    let cap = st.capacity;
-                    let writer = st.writers.pop_front().map(|(_, w)| w);
-                    drop(st);
-                    let now = agent.now();
-                    self.recorder
-                        .comm(agent.trace_actor(), now, self.actor, CommKind::Read);
-                    self.recorder.queue_depth(self.actor, now, depth, cap);
-                    (m, writer)
-                }
-                None => {
-                    let t = match *ticket {
-                        Some(t) => t,
-                        None => {
-                            let t = st.next_ticket;
-                            st.next_ticket += 1;
-                            *ticket = Some(t);
-                            t
-                        }
-                    };
-                    enqueue_waiter(&mut st.readers, t, agent.waiter());
-                    return None;
-                }
-            }
-        };
+        let (message, wake) = self.take(agent, Some(ticket))?;
         if let Some(w) = wake {
             w.wake(agent.kernel());
         }
@@ -285,23 +308,7 @@ impl<T: Send> MessageQueue<T> {
 
     /// Appends without blocking; returns the message back on a full queue.
     pub fn try_write(&self, agent: &mut dyn Agent, message: T) -> Result<(), T> {
-        let wake = {
-            let mut st = self.state.lock();
-            if st.buffer.len() >= st.capacity {
-                return Err(message);
-            }
-            st.buffer.push_back(message);
-            let depth = st.buffer.len();
-            let cap = st.capacity;
-            let reader = st.readers.pop_front().map(|(_, w)| w);
-            drop(st);
-            let now = agent.now();
-            self.recorder
-                .comm(agent.trace_actor(), now, self.actor, CommKind::Write);
-            self.recorder.queue_depth(self.actor, now, depth, cap);
-            reader
-        };
-        if let Some(w) = wake {
+        if let Some(w) = self.put(agent, message, None)? {
             w.wake(agent.kernel());
         }
         Ok(())
@@ -309,19 +316,7 @@ impl<T: Send> MessageQueue<T> {
 
     /// Removes the oldest message without blocking.
     pub fn try_read(&self, agent: &mut dyn Agent) -> Option<T> {
-        let (message, wake) = {
-            let mut st = self.state.lock();
-            let m = st.buffer.pop_front()?;
-            let depth = st.buffer.len();
-            let cap = st.capacity;
-            let writer = st.writers.pop_front().map(|(_, w)| w);
-            drop(st);
-            let now = agent.now();
-            self.recorder
-                .comm(agent.trace_actor(), now, self.actor, CommKind::Read);
-            self.recorder.queue_depth(self.actor, now, depth, cap);
-            (m, writer)
-        };
+        let (message, wake) = self.take(agent, None)?;
         if let Some(w) = wake {
             w.wake(agent.kernel());
         }
@@ -329,15 +324,22 @@ impl<T: Send> MessageQueue<T> {
     }
 }
 
-impl<T> fmt::Debug for MessageQueue<T> {
+impl<T: Send + 'static> fmt::Debug for MessageQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let (depth, capacity, readers, writers) = self.with_state("MessageQueue::fmt", |st| {
+            (
+                st.buffer.len(),
+                st.capacity,
+                st.readers.len(),
+                st.writers.len(),
+            )
+        });
         f.debug_struct("MessageQueue")
             .field("name", &self.name)
-            .field("depth", &st.buffer.len())
-            .field("capacity", &st.capacity)
-            .field("blocked_readers", &st.readers.len())
-            .field("blocked_writers", &st.writers.len())
+            .field("depth", &depth)
+            .field("capacity", &capacity)
+            .field("blocked_readers", &readers)
+            .field("blocked_writers", &writers)
             .finish()
     }
 }

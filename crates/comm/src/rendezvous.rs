@@ -13,8 +13,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
 use rtsim_core::agent::{Agent, Waiter};
+use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorKind, CommKind, TraceRecorder};
 
 struct RvState<T> {
@@ -57,7 +57,7 @@ struct RvState<T> {
 /// # }
 /// ```
 pub struct Rendezvous<T> {
-    state: Arc<Mutex<RvState<T>>>,
+    state: Slot<RvState<T>>,
     actor: rtsim_trace::ActorId,
     recorder: TraceRecorder,
     name: Arc<str>,
@@ -66,7 +66,7 @@ pub struct Rendezvous<T> {
 impl<T> Clone for Rendezvous<T> {
     fn clone(&self) -> Self {
         Rendezvous {
-            state: Arc::clone(&self.state),
+            state: self.state,
             actor: self.actor,
             recorder: self.recorder.clone(),
             name: Arc::clone(&self.name),
@@ -74,16 +74,20 @@ impl<T> Clone for Rendezvous<T> {
     }
 }
 
-impl<T: Send> Rendezvous<T> {
-    /// Creates a rendezvous channel.
+impl<T: Send + 'static> Rendezvous<T> {
+    /// Creates a rendezvous channel, its state in `recorder`'s world.
     pub fn new(recorder: &TraceRecorder, name: &str) -> Self {
         let actor = recorder.register(name, ActorKind::Relation);
-        Rendezvous {
-            state: Arc::new(Mutex::new(RvState {
+        let state = recorder
+            .world()
+            .lock_for("Rendezvous::new")
+            .insert(RvState {
                 slot: None,
                 readers: VecDeque::new(),
                 writers: VecDeque::new(),
-            })),
+            });
+        Rendezvous {
+            state,
             actor,
             recorder: recorder.clone(),
             name: Arc::from(name),
@@ -100,37 +104,44 @@ impl<T: Send> Rendezvous<T> {
         self.actor
     }
 
+    /// Records an access by `agent`.
+    fn record(&self, agent: &mut dyn Agent, kind: CommKind) {
+        let (now, me) = (agent.now(), agent.trace_actor());
+        agent
+            .kernel()
+            .world()
+            .get_mut(self.recorder.log())
+            .comm(me, now, self.actor, kind);
+    }
+
     /// Offers `message` and blocks until a reader takes it.
     pub fn write(&self, agent: &mut dyn Agent, message: T) {
         let mut message = Some(message);
         loop {
+            let waiter = agent.waiter();
             let reader = {
-                let mut st = self.state.lock();
+                let mut world = agent.kernel().world();
+                let st = world.get_mut(self.state);
                 if st.slot.is_none() {
-                    st.slot = Some((message.take().expect("message present"), agent.waiter()));
+                    st.slot = Some((message.take().expect("message present"), waiter));
                     st.readers.pop_front()
                 } else {
                     // Another writer is mid-handshake: queue up.
-                    st.writers.push_back(agent.waiter());
+                    st.writers.push_back(waiter);
                     None
                 }
             };
-            match (&message, reader) {
-                (None, maybe_reader) => {
-                    self.recorder
-                        .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Write);
-                    if let Some(r) = maybe_reader {
-                        r.wake(agent.kernel());
-                    }
-                    // Block until the reader acknowledges the take-over.
-                    agent.suspend(false);
-                    return;
+            if message.is_none() {
+                self.record(agent, CommKind::Write);
+                if let Some(r) = reader {
+                    r.wake(agent.kernel());
                 }
-                (Some(_), _) => {
-                    agent.suspend(false);
-                    // Retry: the slot freed up.
-                }
+                // Block until the reader acknowledges the take-over.
+                agent.suspend(false);
+                return;
             }
+            agent.suspend(false);
+            // Retry: the slot freed up.
         }
     }
 
@@ -138,23 +149,21 @@ impl<T: Send> Rendezvous<T> {
     /// writer at the same instant.
     pub fn read(&self, agent: &mut dyn Agent) -> T {
         loop {
+            let waiter = agent.waiter();
             let taken = {
-                let mut st = self.state.lock();
+                let mut world = agent.kernel().world();
+                let st = world.get_mut(self.state);
                 match st.slot.take() {
-                    Some((message, writer)) => {
-                        let next_writer = st.writers.pop_front();
-                        Some((message, writer, next_writer))
-                    }
+                    Some((message, writer)) => Some((message, writer, st.writers.pop_front())),
                     None => {
-                        st.readers.push_back(agent.waiter());
+                        st.readers.push_back(waiter);
                         None
                     }
                 }
             };
             match taken {
                 Some((message, writer, next_writer)) => {
-                    self.recorder
-                        .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Read);
+                    self.record(agent, CommKind::Read);
                     writer.wake(agent.kernel());
                     if let Some(w) = next_writer {
                         w.wake(agent.kernel());
@@ -167,9 +176,10 @@ impl<T: Send> Rendezvous<T> {
     }
 }
 
-impl<T> fmt::Debug for Rendezvous<T> {
+impl<T: Send + 'static> fmt::Debug for Rendezvous<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let world = self.recorder.world().lock_for("Rendezvous::fmt");
+        let st = world.get(self.state);
         f.debug_struct("Rendezvous")
             .field("name", &self.name)
             .field("offer_pending", &st.slot.is_some())

@@ -17,9 +17,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_core::{Priority, TaskHandle};
+use rtsim_kernel::world::Slot;
 use rtsim_kernel::SimDuration;
 use rtsim_trace::{ActorKind, CommKind, TraceRecorder};
 
@@ -110,7 +110,7 @@ pub enum ReleaseFollowup {
 /// # }
 /// ```
 pub struct SharedVar<T> {
-    state: Arc<Mutex<VState<T>>>,
+    state: Slot<VState<T>>,
     mode: LockMode,
     actor: rtsim_trace::ActorId,
     recorder: TraceRecorder,
@@ -120,7 +120,7 @@ pub struct SharedVar<T> {
 impl<T> Clone for SharedVar<T> {
     fn clone(&self) -> Self {
         SharedVar {
-            state: Arc::clone(&self.state),
+            state: self.state,
             mode: self.mode,
             actor: self.actor,
             recorder: self.recorder.clone(),
@@ -129,19 +129,20 @@ impl<T> Clone for SharedVar<T> {
     }
 }
 
-impl<T: Clone + Send> SharedVar<T> {
+impl<T: Clone + Send + 'static> SharedVar<T> {
     /// Creates a shared variable with the given initial value and
-    /// protection mode.
+    /// protection mode, its state in `recorder`'s world.
     pub fn new(recorder: &TraceRecorder, name: &str, initial: T, mode: LockMode) -> Self {
         let actor = recorder.register(name, ActorKind::Relation);
+        let state = recorder.world().lock_for("SharedVar::new").insert(VState {
+            value: initial,
+            held: false,
+            owner: None,
+            owner_base_priority: None,
+            waiters: VecDeque::new(),
+        });
         SharedVar {
-            state: Arc::new(Mutex::new(VState {
-                value: initial,
-                held: false,
-                owner: None,
-                owner_base_priority: None,
-                waiters: VecDeque::new(),
-            })),
+            state,
             mode,
             actor,
             recorder: recorder.clone(),
@@ -171,39 +172,50 @@ impl<T: Clone + Send> SharedVar<T> {
     /// suspend in the waiting-for-resource state and retry. Used directly
     /// by the script interpreter.
     pub fn acquire_attempt(&self, agent: &mut dyn Agent) -> bool {
+        let (now, me) = (agent.now(), agent.waiter());
         {
-            let mut st = self.state.lock();
-            if !st.held {
-                st.held = true;
-                if let Waiter::Task(handle) = agent.waiter() {
-                    st.owner_base_priority = Some(handle.priority());
+            let mut world = agent.kernel().world();
+            let held = world.get(self.state).held;
+            if held {
+                // Priority inheritance: boost the owner if we outrank it.
+                let owner = world.get(self.state).owner;
+                if let (LockMode::PriorityInheritance, Some(owner), Waiter::Task(me)) =
+                    (self.mode, owner, me)
+                {
+                    let mine = me.priority_in(&world);
+                    if mine > owner.priority_in(&world) {
+                        owner.set_priority_in(&mut world, mine);
+                    }
+                }
+                world.get_mut(self.state).waiters.push_back(me);
+                return false;
+            }
+            let owner = match me {
+                Waiter::Task(handle) => {
+                    let base = handle.priority_in(&world);
                     // Immediate priority ceiling: boost for the whole
                     // critical section, before any contender appears.
                     if let LockMode::PriorityCeiling(ceiling) = self.mode {
-                        if ceiling > handle.priority() {
-                            handle.set_priority(ceiling);
+                        if ceiling > base {
+                            handle.set_priority_in(&mut world, ceiling);
                         }
                     }
-                    st.owner = Some(handle);
+                    Some((handle, base))
                 }
-                drop(st);
-                self.recorder.resource_held(self.actor, agent.now(), true);
-                if self.mode == LockMode::PreemptionMasked {
-                    agent.lock_preemption();
-                }
-                return true;
+                Waiter::Hw(_) => None,
+            };
+            let (st, log) = world.pair_mut(self.state, self.recorder.log());
+            st.held = true;
+            if let Some((handle, base)) = owner {
+                st.owner_base_priority = Some(base);
+                st.owner = Some(handle);
             }
-            // Priority inheritance: boost the owner if we outrank it.
-            if self.mode == LockMode::PriorityInheritance {
-                if let (Some(owner), Waiter::Task(me)) = (&st.owner, agent.waiter()) {
-                    if me.priority() > owner.priority() {
-                        owner.set_priority(me.priority());
-                    }
-                }
-            }
-            st.waiters.push_back(agent.waiter());
+            log.resource_held(self.actor, now, true);
         }
-        false
+        if self.mode == LockMode::PreemptionMasked {
+            agent.lock_preemption();
+        }
+        true
     }
 
     /// Acquires the lock, blocking in the waiting-for-resource state if
@@ -218,24 +230,28 @@ impl<T: Clone + Send> SharedVar<T> {
     /// priority, wakes the next waiter, and reports the mode's follow-up
     /// action — which the caller must perform (it may yield the CPU).
     pub fn release_attempt(&self, agent: &mut dyn Agent) -> ReleaseFollowup {
+        let now = agent.now();
         let next = {
-            let mut st = self.state.lock();
+            let mut world = agent.kernel().world();
+            let st = world.get_mut(self.state);
             debug_assert!(st.held, "release of a free shared variable");
             st.held = false;
+            let owner = st.owner.take().zip(st.owner_base_priority.take());
+            let next = st.waiters.pop_front();
             // Restore the owner's base priority (inheritance or ceiling).
             if matches!(
                 self.mode,
                 LockMode::PriorityInheritance | LockMode::PriorityCeiling(_)
             ) {
-                if let (Some(owner), Some(base)) = (&st.owner, st.owner_base_priority) {
-                    owner.set_priority(base);
+                if let Some((owner, base)) = owner {
+                    owner.set_priority_in(&mut world, base);
                 }
             }
-            st.owner = None;
-            st.owner_base_priority = None;
-            st.waiters.pop_front()
+            world
+                .get_mut(self.recorder.log())
+                .resource_held(self.actor, now, false);
+            next
         };
-        self.recorder.resource_held(self.actor, agent.now(), false);
         if let Some(w) = next {
             w.wake(agent.kernel());
         }
@@ -259,25 +275,29 @@ impl<T: Clone + Send> SharedVar<T> {
         }
     }
 
-    /// Clones the value. Meaningful only while the caller holds the model
+    /// Clones the value. Meaningful only while `agent` holds the model
     /// lock (between a successful
     /// [`acquire_attempt`](SharedVar::acquire_attempt) and the release) —
     /// plumbing for the script interpreter.
-    pub fn locked_get(&self) -> T {
-        self.state.lock().value.clone()
+    pub fn locked_get(&self, agent: &mut dyn Agent) -> T {
+        agent.kernel().world().get(self.state).value.clone()
     }
 
     /// Stores a value. Same locking contract as
     /// [`locked_get`](SharedVar::locked_get).
-    pub fn locked_set(&self, value: T) {
-        self.state.lock().value = value;
+    pub fn locked_set(&self, agent: &mut dyn Agent, value: T) {
+        agent.kernel().world().get_mut(self.state).value = value;
     }
 
     /// Records a completed access (the `CommKind::Read`/`Write` record
     /// the blocking wrappers emit after release) — interpreter plumbing.
     pub fn record_access(&self, agent: &mut dyn Agent, kind: CommKind) {
-        self.recorder
-            .comm(agent.trace_actor(), agent.now(), self.actor, kind);
+        let (now, me) = (agent.now(), agent.trace_actor());
+        agent
+            .kernel()
+            .world()
+            .get_mut(self.recorder.log())
+            .comm(me, now, self.actor, kind);
     }
 
     /// Runs `body` with the lock held, giving it the agent and the value.
@@ -285,17 +305,11 @@ impl<T: Clone + Send> SharedVar<T> {
     /// access duration.
     pub fn with_lock<R>(&self, agent: &mut dyn Agent, body: impl FnOnce(&mut dyn Agent, &mut T) -> R) -> R {
         self.acquire(agent);
-        // The kernel's one-runner discipline makes this re-lock safe: no
-        // other agent can touch the value while we hold the model lock.
-        let mut value = {
-            let st = self.state.lock();
-            st.value.clone()
-        };
+        // The kernel's one-runner discipline makes this safe: no other
+        // agent can touch the value while we hold the model lock.
+        let mut value = self.locked_get(agent);
         let result = body(agent, &mut value);
-        {
-            let mut st = self.state.lock();
-            st.value = value;
-        }
+        self.locked_set(agent, value);
         self.release(agent);
         result
     }
@@ -315,8 +329,7 @@ impl<T: Clone + Send> SharedVar<T> {
             }
             value.clone()
         });
-        self.recorder
-            .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Read);
+        self.record_access(agent, CommKind::Read);
         value
     }
 
@@ -335,14 +348,14 @@ impl<T: Clone + Send> SharedVar<T> {
             }
             *slot = value;
         });
-        self.recorder
-            .comm(agent.trace_actor(), agent.now(), self.actor, CommKind::Write);
+        self.record_access(agent, CommKind::Write);
     }
 }
 
-impl<T> fmt::Debug for SharedVar<T> {
+impl<T: Send + 'static> fmt::Debug for SharedVar<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let world = self.recorder.world().lock_for("SharedVar::fmt");
+        let st = world.get(self.state);
         f.debug_struct("SharedVar")
             .field("name", &self.name)
             .field("mode", &self.mode)

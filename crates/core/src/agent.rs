@@ -13,9 +13,8 @@
 //! unchanged.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
+use rtsim_kernel::world::Slot;
 use rtsim_kernel::{Event, KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
 use rtsim_trace::{ActorId, TraceRecorder};
 
@@ -26,8 +25,9 @@ use crate::seg::{self, register_seg_hw, SegControl, SegHwRunner};
 ///
 /// For a task this goes through the RTOS (`TaskIsReady`, possibly
 /// preempting); for a hardware function it is a raw kernel notification
-/// with a latch so a wake issued before the suspend is not lost.
-#[derive(Clone)]
+/// with a latch so a wake issued before the suspend is not lost. Ids
+/// only, so copying is free.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub enum Waiter {
     /// Wake an RTOS task.
     Task(TaskHandle),
@@ -50,42 +50,26 @@ impl Waiter {
 impl fmt::Debug for Waiter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Waiter::Task(h) => write!(f, "Waiter::Task({})", h.name()),
+            Waiter::Task(h) => write!(f, "Waiter::Task({})", h.actor()),
             Waiter::Hw(_) => f.write_str("Waiter::Hw"),
         }
     }
 }
 
 /// Latching waker for a hardware function: a wake that arrives while the
-/// function is not suspended is remembered until its next suspend.
-#[derive(Clone, Debug)]
+/// function is not suspended is remembered, in its latch slot of the
+/// simulation world, until its next suspend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HwWaker {
-    event: Event,
-    pending: Arc<AtomicBool>,
+    pub(crate) event: Event,
+    pub(crate) latch: Slot<bool>,
 }
 
 impl HwWaker {
-    pub(crate) fn new(event: Event) -> Self {
-        HwWaker {
-            event,
-            pending: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
     /// Wakes the hardware function (latched).
     pub fn wake(&self, h: &mut dyn KernelHandle) {
-        self.pending.store(true, Ordering::Release);
+        *h.world().get_mut(self.latch) = true;
         h.notify(self.event);
-    }
-
-    /// Consumes the latch, returning whether a wake was pending.
-    pub(crate) fn take_pending(&self) -> bool {
-        self.pending.swap(false, Ordering::AcqRel)
-    }
-
-    /// The wake event other processes notify.
-    pub(crate) fn event(&self) -> Event {
-        self.event
     }
 }
 
@@ -114,7 +98,9 @@ pub trait Agent {
     /// This agent's trace actor.
     fn trace_actor(&self) -> ActorId;
 
-    /// The trace recorder in use.
+    /// The trace recorder in use. Outside a step, its methods record
+    /// directly; inside one, record into its log through
+    /// [`kernel`](Agent::kernel)`().world()`.
     fn recorder(&self) -> &TraceRecorder;
 
     /// The raw kernel handle (for notifications issued on this agent's
@@ -149,9 +135,11 @@ pub trait Agent {
     /// Annotates the trace at the current instant — the anchor for
     /// TimeLine measurements and reaction-time constraints.
     fn annotate(&mut self, label: &str) {
-        let now = self.now();
-        let actor = self.trace_actor();
-        self.recorder().annotate(actor, now, label);
+        let (now, actor, log) = (self.now(), self.trace_actor(), self.recorder().log());
+        self.kernel()
+            .world()
+            .get_mut(log)
+            .annotate(actor, now, label);
     }
 }
 
@@ -201,11 +189,13 @@ impl Agent for TaskCtx<'_> {
     }
 
     fn relative_deadline(&self) -> Option<SimDuration> {
-        self.handle().relative_deadline()
+        let (handle, world) = (self.handle(), self.recorder().world());
+        handle.relative_deadline_in(&world.lock_for("TaskCtx::relative_deadline"))
     }
 
     fn set_relative_deadline(&mut self, deadline: Option<SimDuration>) {
-        self.handle().set_relative_deadline(deadline);
+        let handle = self.handle();
+        handle.set_relative_deadline(self.kernel(), deadline);
     }
 }
 
@@ -222,10 +212,7 @@ pub struct HwCtx<'a> {
 impl HwCtx<'_> {
     /// Annotates the trace at the current instant.
     pub fn annotate(&mut self, label: &str) {
-        let now = self.kctx.now();
-        self.runner
-            .recorder
-            .annotate(self.runner.actor(), now, label);
+        Agent::annotate(self, label);
     }
 
     /// Drives the runner until the fed intent completes (or, after

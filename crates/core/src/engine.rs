@@ -2,21 +2,25 @@
 //!
 //! Both implementation strategies of the paper's §4 — the dedicated RTOS
 //! thread (approach A, [`crate::thread_model`]) and the procedure-call
-//! model (approach B, [`crate::proc_model`]) — operate on the same shared
-//! state defined here. The task-side primitives (`execute`, `delay`,
+//! model (approach B, [`crate::proc_model`]) — operate on the same
+//! state defined here, one [`RtosState`] per processor, kept in the
+//! simulation world. The task-side primitives (`execute`, `delay`,
 //! `suspend`, ...) are the frames of [`crate::seg`], written once against
-//! the small [`Engine`] trait that captures where the two approaches
-//! differ: *who runs the scheduler and consumes the RTOS overhead time*.
+//! [`make_ready`] and [`relinquish_step`], the two operations where the
+//! approaches differ: *who runs the scheduler and consumes the RTOS
+//! overhead time*.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{Event, KernelHandle, SimDuration, SimTime};
-use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceRecorder};
+use rtsim_kernel::world::{Slot, World};
+use rtsim_kernel::{Event, Notifier, SimDuration, SimTime};
+use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceLog};
 
 use crate::overhead::{Overheads, RtosView};
 use crate::policy::{PolicyView, SchedulingPolicy, TaskView};
 use crate::task::{TaskConfig, TaskId};
+use crate::thread_model::Request;
+use crate::{proc_model, thread_model};
 
 /// Which of the paper's two RTOS model implementations a processor uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -119,9 +123,27 @@ pub(crate) enum CoreSlot {
     Electing,
 }
 
+/// Where one processor's RTOS lives in the simulation world: its tables
+/// and the trace log it records into. Two plain slot ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Rtos {
+    pub state: Slot<RtosState>,
+    pub log: Slot<TraceLog>,
+}
+
+impl Rtos {
+    /// The processor's tables and the trace log, borrowed together.
+    #[inline]
+    pub fn borrow(self, world: &mut World) -> (&mut RtosState, &mut TraceLog) {
+        world.pair_mut(self.state, self.log)
+    }
+}
+
 /// The mutable RTOS state shared by all tasks of one processor.
 pub(crate) struct RtosState {
     pub name: String,
+    /// Which of the paper's two implementations runs this processor.
+    pub kind: EngineKind,
     pub policy: Box<dyn SchedulingPolicy>,
     pub overheads: Overheads,
     /// `Some(q)`: preemption checked only at `q` boundaries (the clock-
@@ -132,8 +154,10 @@ pub(crate) struct RtosState {
     /// Initial dispatch performed; before this, ready tasks only queue.
     pub started: bool,
     pub tasks: Vec<TaskEntry>,
-    /// Ready queue (unordered: elections `swap_remove`); policies see it
-    /// through [`RtosState::fill_view`] in enqueue order.
+    /// Ready queue in enqueue order: only [`RtosState::enqueue_ready`]
+    /// appends (taking the next sequence number), and elections remove
+    /// with the order-preserving `remove`, so policies see it through
+    /// [`RtosState::fill_view`] without a sort.
     pub ready: Vec<TaskId>,
     /// The ready tasks as the policy sees them, refilled by each decision
     /// so that no decision allocates.
@@ -151,30 +175,29 @@ pub(crate) struct RtosState {
     /// queue and are seen by the pending scheduler pass.
     pub in_overhead: bool,
     pub enqueue_counter: u64,
-    pub recorder: TraceRecorder,
-    /// The processor's own trace actor (kept for processor-level records
-    /// from future extensions; tasks carry their own actors).
-    #[allow(dead_code)]
-    pub proc_actor: ActorId,
+    /// Approach A only: requests posted to the RTOS coroutine, which
+    /// `rtk_run` wakes. A queue rather than the event alone, so requests
+    /// landing while the coroutine consumes overhead time are kept.
+    pub requests: VecDeque<Request>,
+    pub rtk_run: Option<Event>,
     pub stats: SchedulerStats,
 }
 
 impl RtosState {
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
+        kind: EngineKind,
         policy: Box<dyn SchedulingPolicy>,
         overheads: Overheads,
         preemption_granularity: Option<SimDuration>,
         preemptive: bool,
         cores: usize,
-        recorder: TraceRecorder,
-        proc_actor: ActorId,
     ) -> Self {
         assert!(cores >= 1, "a processor needs at least one core");
         assert!(cores <= 64, "affinity masks cover at most 64 cores");
         RtosState {
             name: name.to_owned(),
+            kind,
             policy,
             overheads,
             preemption_granularity,
@@ -189,8 +212,8 @@ impl RtosState {
             running: None,
             in_overhead: false,
             enqueue_counter: 0,
-            recorder,
-            proc_actor,
+            requests: VecDeque::new(),
+            rtk_run: None,
             stats: SchedulerStats::default(),
         }
     }
@@ -256,8 +279,7 @@ impl RtosState {
     }
 
     /// Refills the reused [`RtosState::ready_view`] with the `eligible` ready
-    /// tasks, in enqueue order. Enqueue sequence numbers are unique, so
-    /// the unstable sort (which never allocates) is deterministic.
+    /// tasks, in enqueue order — the ready queue's own order, so no sort.
     fn fill_view(&mut self, eligible: impl Fn(&TaskEntry) -> bool) {
         let tasks = &self.tasks;
         self.ready_view.clear();
@@ -265,7 +287,12 @@ impl RtosState {
             let entry = &tasks[id.index()];
             eligible(entry).then(|| entry.view(id))
         }));
-        self.ready_view.sort_unstable_by_key(|t| t.enqueue_seq);
+        debug_assert!(
+            self.ready_view
+                .windows(2)
+                .all(|w| w[0].enqueue_seq < w[1].enqueue_seq),
+            "ready queue out of enqueue order"
+        );
     }
 
     /// The running task's view (single-core).
@@ -276,15 +303,21 @@ impl RtosState {
     /// Records and applies a task state change. Completing a job (entering
     /// Waiting or Terminated) past the task's absolute deadline counts and
     /// annotates a deadline miss.
-    pub fn set_task_state(&mut self, id: TaskId, now: SimTime, state: TaskState) {
+    pub fn set_task_state(
+        &mut self,
+        log: &mut TraceLog,
+        id: TaskId,
+        now: SimTime,
+        state: TaskState,
+    ) {
         let actor = self.entry(id).actor;
         self.entry_mut(id).state = state;
-        self.recorder.state(actor, now, state);
+        log.state(actor, now, state);
         if matches!(state, TaskState::Waiting | TaskState::Terminated) {
             if let Some(deadline) = self.entry_mut(id).absolute_deadline.take() {
                 if now > deadline {
                     self.stats.deadline_misses += 1;
-                    self.recorder.annotate(actor, now, "deadline_miss");
+                    log.annotate(actor, now, "deadline_miss");
                 }
             }
         }
@@ -293,8 +326,14 @@ impl RtosState {
     /// Marks `id` Ready and queues it. `refresh_deadline` recomputes the
     /// EDF absolute deadline (done on real activations, not on round-robin
     /// rotations).
-    pub fn enqueue_ready(&mut self, id: TaskId, now: SimTime, refresh_deadline: bool) {
-        self.set_task_state(id, now, TaskState::Ready);
+    pub fn enqueue_ready(
+        &mut self,
+        log: &mut TraceLog,
+        id: TaskId,
+        now: SimTime,
+        refresh_deadline: bool,
+    ) {
+        self.set_task_state(log, id, now, TaskState::Ready);
         let seq = self.enqueue_counter;
         self.enqueue_counter += 1;
         let entry = self.entry_mut(id);
@@ -336,7 +375,7 @@ impl RtosState {
                     self.policy.name()
                 )
             });
-        self.ready.swap_remove(pos);
+        self.ready.remove(pos);
         self.running = Some(choice);
         self.stats.dispatches += 1;
         Some(choice)
@@ -393,14 +432,14 @@ impl RtosState {
 
     /// Records an overhead segment attributed to `id`.
     pub fn record_overhead(
-        &mut self,
+        &self,
+        log: &mut TraceLog,
         id: TaskId,
         now: SimTime,
         kind: OverheadKind,
         duration: SimDuration,
     ) {
-        let actor = self.entry(id).actor;
-        self.recorder.overhead(actor, now, kind, duration);
+        log.overhead(self.entry(id).actor, now, kind, duration);
     }
 
     /// Whether `id`'s affinity mask admits `core`.
@@ -424,11 +463,10 @@ impl RtosState {
     /// Records which core `id` was dispatched on (SMP only; single-core
     /// processors record nothing, keeping their traces byte-identical to
     /// the pre-SMP model).
-    pub fn note_core(&mut self, id: TaskId, now: SimTime) {
+    pub fn note_core(&self, log: &mut TraceLog, id: TaskId, now: SimTime) {
         if self.cores > 1 {
             if let Some(core) = self.entry(id).core {
-                let actor = self.entry(id).actor;
-                self.recorder.core(actor, now, core);
+                log.core(self.entry(id).actor, now, core);
             }
         }
     }
@@ -493,7 +531,7 @@ impl RtosState {
             .iter()
             .position(|&t| t == id)
             .expect("dispatching a task that is not ready");
-        self.ready.swap_remove(pos);
+        self.ready.remove(pos);
         self.core_slots[core] = CoreSlot::Busy(id);
         self.stats.dispatches += 1;
         let view = self.rtos_view(now);
@@ -516,11 +554,11 @@ impl RtosState {
     /// each awakened task consume a scheduling overhead (idle dispatches
     /// and wake-ups run the scheduler; the tail of a relinquish does not,
     /// because the relinquisher already paid for that scheduler pass).
-    /// Notifies each elected task's run event through `h`, in election
+    /// Notifies each elected task's run event through `n`, in election
     /// order (notifying only buffers the op; it never re-enters the
-    /// engine, so it is safe under the state lock).
-    pub fn smp_fill_idle(&mut self, h: &mut dyn KernelHandle, charge_sched: bool) {
-        let now = h.now();
+    /// engine).
+    pub fn smp_fill_idle(&mut self, n: &mut Notifier<'_>, charge_sched: bool) {
+        let now = n.now();
         loop {
             let wake_sched = if charge_sched {
                 Some(self.overheads.scheduling.eval(&self.rtos_view(now)))
@@ -530,7 +568,7 @@ impl RtosState {
             let Some((task, core)) = self.smp_select(now) else {
                 break;
             };
-            h.notify(self.smp_dispatch(task, core, now, wake_sched));
+            n.notify(self.smp_dispatch(task, core, now, wake_sched));
         }
     }
 
@@ -594,46 +632,63 @@ pub(crate) enum RelStep {
     Done,
 }
 
-/// The per-implementation-strategy surface: how a task gives up the CPU
-/// and how a task is made ready. Everything else is shared.
-///
-/// Both operations are expressed *non-blocking*: `relinquish_step` is a
-/// phase function whose waits are performed by the caller (the
-/// relinquish frame of [`crate::seg`]).
-pub(crate) trait Engine: Send + Sync {
-    /// The shared RTOS state.
-    fn shared(&self) -> &Arc<Mutex<RtosState>>;
+/// Phase `phase` of task `me` giving up the CPU, entering `next_state`
+/// (requeued as Ready if `requeue`). Phase 0 leaves the Running state;
+/// each returned [`RelStep::Wait`] must be slept by the caller (the
+/// relinquish frame of [`crate::seg`]) before invoking the next phase.
+/// In approach B the phases run on the caller; in approach A phase 0
+/// merely posts a request to the RTOS coroutine and completes.
+pub(crate) fn relinquish_step(
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    n: &mut Notifier<'_>,
+    me: TaskId,
+    next_state: TaskState,
+    requeue: bool,
+    phase: u8,
+) -> RelStep {
+    match st.kind {
+        EngineKind::ProcedureCall => {
+            proc_model::relinquish_step(st, log, n, me, next_state, requeue, phase)
+        }
+        EngineKind::DedicatedThread => {
+            // Approach A gives up by messaging the RTOS coroutine; the
+            // caller has nothing to wait for here (it blocks in the
+            // acquire frame instead).
+            thread_model::post(
+                st,
+                n,
+                Request::GiveUp {
+                    me,
+                    next_state,
+                    requeue,
+                },
+            );
+            RelStep::Done
+        }
+    }
+}
 
-    /// Which strategy this engine implements.
-    fn kind(&self) -> EngineKind;
-
-    /// Phase `phase` of task `me` giving up the CPU, entering
-    /// `next_state` (requeued as Ready if `requeue`). Phase 0 leaves the
-    /// Running state; each returned [`RelStep::Wait`] must be slept by
-    /// the caller before invoking the next phase. In approach B the
-    /// phases run on the caller; in approach A phase 0 merely posts a
-    /// request to the RTOS coroutine and completes.
-    fn relinquish_step(
-        &self,
-        h: &mut dyn KernelHandle,
-        me: TaskId,
-        next_state: TaskState,
-        requeue: bool,
-        phase: u8,
-    ) -> RelStep;
-
-    /// Marks `target` ready, possibly triggering preemption of the
-    /// running task or an idle dispatch. Callable from any simulation
-    /// process (tasks of this or another processor, hardware functions)
-    /// in either execution mode — it never blocks.
-    fn make_ready(&self, h: &mut dyn KernelHandle, target: TaskId);
+/// Marks `target` ready, possibly triggering preemption of the running
+/// task or an idle dispatch. Callable from any simulation process (tasks
+/// of this or another processor, hardware functions) in either execution
+/// mode — it never blocks.
+pub(crate) fn make_ready(
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    n: &mut Notifier<'_>,
+    target: TaskId,
+) {
+    match st.kind {
+        EngineKind::ProcedureCall => proc_model::make_ready(st, log, n, target),
+        EngineKind::DedicatedThread => thread_model::post(st, n, Request::Ready(target)),
+    }
 }
 
 /// Enters a critical region during which this task cannot be preempted
 /// (paper §3.1: the preemptive mode "can be changed during the simulation
 /// ... to model critical regions").
-pub(crate) fn lock_preemption(engine: &dyn Engine, me: TaskId) {
-    let mut st = engine.shared().lock();
+pub(crate) fn lock_preemption(st: &mut RtosState, me: TaskId) {
     debug_assert!(st.is_running(me), "preemption lock by a non-running task");
     st.lock_depth += 1;
 }
@@ -642,12 +697,10 @@ pub(crate) fn lock_preemption(engine: &dyn Engine, me: TaskId) {
 /// ready meanwhile, in which case the preemption is already counted and
 /// the caller must give the CPU up on the spot (the paper's Figure 7
 /// point (3)).
-pub(crate) fn unlock_preemption_yields(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
-    let mut st = engine.shared().lock();
+pub(crate) fn unlock_preemption_yields(st: &mut RtosState, me: TaskId, now: SimTime) -> bool {
     assert!(st.lock_depth > 0, "preemption unlock without a lock");
     st.lock_depth -= 1;
-    let must_yield =
-        st.lock_depth == 0 && st.preemptive && best_candidate_preempts(&mut st, me, now);
+    let must_yield = st.lock_depth == 0 && st.preemptive && best_candidate_preempts(st, me, now);
     if must_yield {
         st.stats.preemptions += 1;
         st.entry_mut(me).preempt_pending = false;
@@ -659,10 +712,8 @@ pub(crate) fn unlock_preemption_yields(engine: &dyn Engine, me: TaskId, now: Sim
 /// candidate now outranks the caller (e.g. after the caller's priority was
 /// restored at the end of a ceiling section), in which case the
 /// preemption is already counted and the caller must give the CPU up.
-pub(crate) fn reschedule_yields(engine: &dyn Engine, me: TaskId, now: SimTime) -> bool {
-    let mut st = engine.shared().lock();
-    let must_yield =
-        st.preemptive && st.lock_depth == 0 && best_candidate_preempts(&mut st, me, now);
+pub(crate) fn reschedule_yields(st: &mut RtosState, me: TaskId, now: SimTime) -> bool {
+    let must_yield = st.preemptive && st.lock_depth == 0 && best_candidate_preempts(st, me, now);
     if must_yield {
         st.stats.preemptions += 1;
         st.entry_mut(me).preempt_pending = false;
@@ -671,13 +722,8 @@ pub(crate) fn reschedule_yields(engine: &dyn Engine, me: TaskId, now: SimTime) -
 }
 
 /// Consumes a pending preemption request, returning whether one was set.
-pub(crate) fn take_preempt_pending(engine: &dyn Engine, me: TaskId) -> bool {
-    let mut st = engine.shared().lock();
-    let p = st.entry(me).preempt_pending;
-    if p {
-        st.entry_mut(me).preempt_pending = false;
-    }
-    p
+pub(crate) fn take_preempt_pending(st: &mut RtosState, me: TaskId) -> bool {
+    std::mem::take(&mut st.entry_mut(me).preempt_pending)
 }
 
 /// Whether the policy's best ready candidate would preempt the caller

@@ -7,20 +7,19 @@
 //! "system calls" of the model, or scripts driving a [`SegTaskRunner`].
 
 use std::fmt;
-use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
+use rtsim_kernel::world::World;
 use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
 use rtsim_trace::{ActorId, ActorKind, TaskState, TraceRecorder};
 
-use crate::engine::{Engine, EngineKind, RtosState, SchedulerStats};
+use crate::agent::Agent;
+use crate::engine::{self, EngineKind, Rtos, RtosState, SchedulerStats};
 use crate::overhead::Overheads;
 use crate::policies::PriorityPreemptive;
 use crate::policy::SchedulingPolicy;
-use crate::proc_model::ProcEngine;
 use crate::seg::{self, SegControl, SegTaskRunner};
 use crate::task::{Priority, TaskConfig, TaskId};
-use crate::thread_model::ThreadEngine;
+use crate::{proc_model, thread_model};
 
 /// Configuration of one RTOS processor.
 ///
@@ -154,7 +153,8 @@ impl ProcessorConfig {
 /// # }
 /// ```
 pub struct Processor {
-    engine: Arc<dyn Engine>,
+    rtos: Rtos,
+    kind: EngineKind,
     name: String,
     actor: ActorId,
     recorder: TraceRecorder,
@@ -162,7 +162,8 @@ pub struct Processor {
 
 impl Processor {
     /// Creates a processor (spawning its internal dispatcher or RTOS
-    /// coroutine) inside `sim`, recording into `recorder`.
+    /// coroutine) inside `sim`, recording into `recorder`. Its RTOS state
+    /// lives in the recorder's world, which this attaches to `sim`.
     pub fn new(sim: &mut Simulator, recorder: &TraceRecorder, config: ProcessorConfig) -> Self {
         if config.cores > 1 {
             assert!(
@@ -175,27 +176,49 @@ impl Processor {
                  (no preemption granularity)"
             );
         }
+        sim.attach_world(recorder.world());
         let actor = recorder.register(&config.name, ActorKind::Processor);
-        let state = Arc::new(Mutex::new(RtosState::new(
+        let state = RtosState::new(
             &config.name,
+            config.engine,
             config.policy,
             config.overheads,
             config.preemption_granularity,
             config.preemptive,
             config.cores,
-            recorder.clone(),
-            actor,
-        )));
-        let engine: Arc<dyn Engine> = match config.engine {
-            EngineKind::ProcedureCall => ProcEngine::new(sim, state),
-            EngineKind::DedicatedThread => ThreadEngine::new(sim, state),
+        );
+        let rtos = Rtos {
+            state: recorder.world().lock_for("Processor::new").insert(state),
+            log: recorder.log(),
         };
+        match config.engine {
+            EngineKind::ProcedureCall => proc_model::spawn_dispatcher(sim, rtos, &config.name),
+            EngineKind::DedicatedThread => {
+                let rtk_run = thread_model::spawn_rtos(sim, rtos, &config.name);
+                recorder
+                    .world()
+                    .lock_for("Processor::new")
+                    .get_mut(rtos.state)
+                    .rtk_run = Some(rtk_run);
+            }
+        }
         Processor {
-            engine,
+            rtos,
+            kind: config.engine,
             name: config.name,
             actor,
             recorder: recorder.clone(),
         }
+    }
+
+    /// Runs `f` on this processor's RTOS state, locking the world (code
+    /// outside a step only).
+    fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut RtosState) -> R) -> R {
+        f(self
+            .recorder
+            .world()
+            .lock_for(accessor)
+            .get_mut(self.rtos.state))
     }
 
     /// Spawns a task on this processor. The body runs once, from the
@@ -210,7 +233,7 @@ impl Processor {
     {
         let runner = self.register_seg_task(sim, config);
         let handle = runner.handle();
-        sim.spawn(&format!("{}.{}", self.name, handle.name()), move |kctx| {
+        sim.spawn(&format!("{}.{}", self.name, runner.name()), move |kctx| {
             let mut task = TaskCtx { runner, kctx };
             // Creation, the first ready transition and the first dispatch.
             task.drive();
@@ -231,18 +254,15 @@ impl Processor {
         let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
         let preempt_event = sim.event(&format!("{}.{}.TaskPreempt", self.name, task_name));
         let actor = self.recorder.register(&task_name, ActorKind::Task);
-        let id = self
-            .engine
-            .shared()
-            .lock()
-            .add_task(config, run_event, preempt_event, actor);
+        let id = self.with_state("Processor::register_seg_task", |st| {
+            st.add_task(config, run_event, preempt_event, actor)
+        });
         let handle = TaskHandle {
-            engine: Arc::clone(&self.engine),
+            rtos: self.rtos,
             id,
             actor,
-            name: Arc::from(task_name.as_str()),
         };
-        SegTaskRunner::new(handle, self.recorder.clone())
+        SegTaskRunner::new(handle, self.recorder.clone(), &task_name)
     }
 
     /// Processor display name.
@@ -257,24 +277,24 @@ impl Processor {
 
     /// Which implementation strategy this processor runs.
     pub fn kind(&self) -> EngineKind {
-        self.engine.kind()
+        self.kind
     }
 
     /// Scheduler statistics so far.
     pub fn stats(&self) -> SchedulerStats {
-        self.engine.shared().lock().stats
+        self.with_state("Processor::stats", |st| st.stats)
     }
 
     /// Switches the preemptive/non-preemptive mode (testbench use; tasks
     /// use [`TaskCtx::set_preemptive`]). Takes effect at the next
     /// scheduling decision.
     pub fn set_preemptive(&self, preemptive: bool) {
-        self.engine.shared().lock().preemptive = preemptive;
+        self.with_state("Processor::set_preemptive", |st| st.preemptive = preemptive);
     }
 
     /// Current preemptive mode.
     pub fn is_preemptive(&self) -> bool {
-        self.engine.shared().lock().preemptive
+        self.with_state("Processor::is_preemptive", |st| st.preemptive)
     }
 }
 
@@ -288,14 +308,18 @@ impl fmt::Debug for Processor {
     }
 }
 
-/// A cheap, cloneable reference to a spawned task, used to wake it from
+/// A plain, copyable reference to a spawned task, used to wake it from
 /// hardware processes, other processors, or communication relations.
-#[derive(Clone)]
+///
+/// It holds ids only: the task's state lives in the simulation world, so
+/// each method takes the world, or the caller's [`KernelHandle`] (the
+/// step's [`rtsim_kernel::SegmentCtx`], a closure body's
+/// [`ProcessContext`], or the [`Simulator`] between runs).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskHandle {
-    pub(crate) engine: Arc<dyn Engine>,
+    pub(crate) rtos: Rtos,
     pub(crate) id: TaskId,
     pub(crate) actor: ActorId,
-    pub(crate) name: Arc<str>,
 }
 
 impl TaskHandle {
@@ -309,11 +333,6 @@ impl TaskHandle {
         self.actor
     }
 
-    /// The task's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Makes the task ready — the paper's `TaskIsReady()` as seen from
     /// outside: a hardware interrupt, a cross-processor message arrival...
     /// May preempt the task currently running on the target processor.
@@ -322,57 +341,82 @@ impl TaskHandle {
     /// Callable from either execution mode: `h` is the caller's
     /// [`ProcessContext`] or [`rtsim_kernel::SegmentCtx`].
     pub fn wake(&self, h: &mut dyn KernelHandle) {
-        self.engine.make_ready(h, self.id);
+        let (mut world, mut n) = h.split();
+        let (st, log) = self.rtos.borrow(&mut world);
+        engine::make_ready(st, log, &mut n, self.id);
     }
 
     /// Returns `true` if both handles designate the same task of the same
     /// processor.
     pub fn same_task(&self, other: &TaskHandle) -> bool {
-        Arc::ptr_eq(&self.engine, &other.engine) && self.id == other.id
+        self == other
+    }
+
+    fn entry<'w>(&self, world: &'w World) -> &'w crate::engine::TaskEntry {
+        world.get(self.rtos.state).entry(self.id)
+    }
+
+    fn config_mut<'w>(&self, world: &'w mut World) -> &'w mut TaskConfig {
+        &mut world.get_mut(self.rtos.state).entry_mut(self.id).config
+    }
+
+    /// The task's current (possibly boosted) priority, read from `world`.
+    pub fn priority_in(&self, world: &World) -> Priority {
+        self.entry(world).config.priority
+    }
+
+    /// Changes the task's priority in `world`. Takes effect at the next
+    /// scheduling decision — the mechanism behind priority-inheritance
+    /// resource protocols (see `rtsim-comm`).
+    pub fn set_priority_in(&self, world: &mut World, priority: Priority) {
+        self.config_mut(world).priority = priority;
+    }
+
+    /// The task's current relative deadline in `world`, if one is
+    /// configured.
+    pub fn relative_deadline_in(&self, world: &World) -> Option<SimDuration> {
+        self.entry(world).config.relative_deadline
+    }
+
+    /// Changes the task's relative deadline in `world`. Takes effect at
+    /// the next activation — the running job keeps the absolute deadline
+    /// it was released under.
+    pub fn set_relative_deadline_in(&self, world: &mut World, deadline: Option<SimDuration>) {
+        self.config_mut(world).relative_deadline = deadline;
     }
 
     /// The task's current (possibly boosted) priority.
-    pub fn priority(&self) -> Priority {
-        self.engine.shared().lock().entry(self.id).config.priority
+    pub fn priority(&self, h: &mut dyn KernelHandle) -> Priority {
+        self.priority_in(&h.world())
     }
 
     /// Changes the task's priority. Takes effect at the next scheduling
     /// decision — the mechanism behind priority-inheritance resource
     /// protocols (see `rtsim-comm`).
-    pub fn set_priority(&self, priority: Priority) {
-        self.engine.shared().lock().entry_mut(self.id).config.priority = priority;
+    pub fn set_priority(&self, h: &mut dyn KernelHandle, priority: Priority) {
+        self.set_priority_in(&mut h.world(), priority);
     }
 
     /// The task's current relative deadline (EDF parameter and
     /// deadline-miss bound), if one is configured.
-    pub fn relative_deadline(&self) -> Option<SimDuration> {
-        self.engine
-            .shared()
-            .lock()
-            .entry(self.id)
-            .config
-            .relative_deadline
+    pub fn relative_deadline(&self, h: &mut dyn KernelHandle) -> Option<SimDuration> {
+        self.relative_deadline_in(&h.world())
     }
 
     /// Changes the task's relative deadline. Takes effect at the next
     /// activation — the running job keeps the absolute deadline it was
     /// released under. The mechanism behind fault-degraded modes relaxing
     /// a task's timing contract (see the `rtsim-fault` crate).
-    pub fn set_relative_deadline(&self, deadline: Option<SimDuration>) {
-        self.engine
-            .shared()
-            .lock()
-            .entry_mut(self.id)
-            .config
-            .relative_deadline = deadline;
+    pub fn set_relative_deadline(&self, h: &mut dyn KernelHandle, deadline: Option<SimDuration>) {
+        self.set_relative_deadline_in(&mut h.world(), deadline);
     }
 }
 
 impl fmt::Debug for TaskHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TaskHandle")
-            .field("name", &self.name)
             .field("id", &self.id)
+            .field("actor", &self.actor)
             .finish()
     }
 }
@@ -402,6 +446,17 @@ impl TaskCtx<'_> {
         seg::drive(self.kctx, |ctx| self.runner.advance(ctx))
     }
 
+    /// Runs `f` on this task's RTOS state, locking the world.
+    fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut RtosState) -> R) -> R {
+        let rtos = self.runner.handle.rtos;
+        f(self
+            .runner
+            .recorder
+            .world()
+            .lock_for(accessor)
+            .get_mut(rtos.state))
+    }
+
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.kctx.now()
@@ -422,12 +477,13 @@ impl TaskCtx<'_> {
         self.runner.actor()
     }
 
-    /// This task's static priority.
+    /// This task's current (possibly boosted) priority.
     pub fn priority(&self) -> Priority {
-        self.runner.handle.priority()
+        let id = self.id();
+        self.with_state("TaskCtx::priority", |st| st.entry(id).config.priority)
     }
 
-    /// A cloneable handle for waking this task from elsewhere.
+    /// A handle for waking this task from elsewhere.
     pub fn handle(&self) -> TaskHandle {
         self.runner.handle()
     }
@@ -458,7 +514,7 @@ impl TaskCtx<'_> {
     /// Enters a critical region: this task cannot be preempted until the
     /// matching [`unlock_preemption`](TaskCtx::unlock_preemption). Nests.
     pub fn lock_preemption(&mut self) {
-        self.runner.lock_preemption();
+        self.runner.lock_preemption(&mut self.kctx.world());
     }
 
     /// Leaves a critical region. If a more urgent task became ready during
@@ -468,14 +524,15 @@ impl TaskCtx<'_> {
     ///
     /// Panics if no region is active.
     pub fn unlock_preemption(&mut self) {
-        self.runner.unlock_preemption(self.kctx.now());
+        let now = self.kctx.now();
+        self.runner.unlock_preemption(&mut self.kctx.world(), now);
         self.drive();
     }
 
     /// Voluntary preemption point: yields if a preemption is pending (the
     /// paper's "between two RTOS calls" rule).
     pub fn preemption_point(&mut self) {
-        self.runner.preemption_point();
+        self.runner.preemption_point(&mut self.kctx.world());
         self.drive();
     }
 
@@ -484,14 +541,16 @@ impl TaskCtx<'_> {
     /// change priorities without waking anyone (e.g. restoring a
     /// priority-ceiling boost at the end of a critical section).
     pub fn reschedule(&mut self) {
-        self.runner.reschedule(self.kctx.now());
+        let now = self.kctx.now();
+        self.runner.reschedule(&mut self.kctx.world(), now);
         self.drive();
     }
 
     /// Switches the whole processor's preemptive mode (paper §3.1: the
     /// mode "can be changed during the simulation").
     pub fn set_preemptive(&mut self, preemptive: bool) {
-        self.runner.handle.engine.shared().lock().preemptive = preemptive;
+        let rtos = self.runner.handle.rtos;
+        self.kctx.world().get_mut(rtos.state).preemptive = preemptive;
     }
 
     /// Direct access to the kernel process context, for advanced models
@@ -508,13 +567,13 @@ impl TaskCtx<'_> {
     /// Annotates the trace at the current instant (anchor for TimeLine
     /// measurements).
     pub fn annotate(&mut self, label: &str) {
-        self.runner.annotate(self.kctx.now(), label);
+        Agent::annotate(self, label);
     }
 
     /// This task's current state as known to the RTOS.
     pub fn state(&self) -> TaskState {
-        let handle = &self.runner.handle;
-        handle.engine.shared().lock().entry(handle.id).state
+        let id = self.id();
+        self.with_state("TaskCtx::state", |st| st.entry(id).state)
     }
 }
 

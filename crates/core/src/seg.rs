@@ -20,16 +20,21 @@
 //! each of its blocking calls pushes an intent and then performs the
 //! yields itself as blocking waits. Either way the same frames run, so
 //! every body produces the same schedule in both modes.
+//!
+//! A runner reaches its processor's RTOS state and the trace log through
+//! the world its step lends: one borrow per [`SegTaskRunner::advance`],
+//! no lock.
 
 use std::sync::Arc;
 
+use rtsim_kernel::world::World;
 use rtsim_kernel::{
-    ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, Wake, WaitRequest,
+    Notifier, ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
 };
-use rtsim_trace::{ActorId, ActorKind, OverheadKind, TaskState, TraceRecorder};
+use rtsim_trace::{ActorId, ActorKind, OverheadKind, TaskState, TraceLog, TraceRecorder};
 
 use crate::agent::{Agent, HwWaker, Waiter};
-use crate::engine::{self, Engine, RelStep};
+use crate::engine::{self, RelStep, RtosState};
 use crate::processor::TaskHandle;
 use crate::task::TaskId;
 
@@ -138,21 +143,20 @@ fn push_resume(stack: &mut Vec<Frame>, next_state: TaskState, requeue: bool) {
     });
 }
 
-fn step_start(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
-    {
-        let mut st = engine.shared().lock();
-        let now = ctx.now();
-        st.set_task_state(me, now, TaskState::Created);
-    }
-    engine.make_ready(ctx, me);
+fn step_start(
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    n: &mut Notifier<'_>,
+    me: TaskId,
+) -> FrameStep {
+    st.set_task_state(log, me, n.now(), TaskState::Created);
+    engine::make_ready(st, log, n, me);
     FrameStep::Reacquire
 }
 
-fn acquire_finish(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> FrameStep {
-    let mut st = engine.shared().lock();
-    let now = ctx.now();
-    st.note_core(me, now);
-    st.set_task_state(me, now, TaskState::Running);
+fn acquire_finish(st: &mut RtosState, log: &mut TraceLog, now: SimTime, me: TaskId) -> FrameStep {
+    st.note_core(log, me, now);
+    st.set_task_state(log, me, now, TaskState::Running);
     let entry = st.entry_mut(me);
     entry.dispatched_at = now;
     if let Some(core) = entry.core {
@@ -161,106 +165,84 @@ fn acquire_finish(engine: &dyn Engine, me: TaskId, ctx: &mut SegmentCtx<'_>) -> 
     FrameStep::Pop
 }
 
-fn step_acquire(
-    engine: &dyn Engine,
+/// Starts the wake-time overhead segment `kind` of duration `d`: records
+/// it and yields its wait.
+fn overhead_wait(
+    st: &RtosState,
+    log: &mut TraceLog,
+    now: SimTime,
     me: TaskId,
-    ctx: &mut SegmentCtx<'_>,
+    kind: OverheadKind,
+    d: SimDuration,
+) -> FrameStep {
+    st.record_overhead(log, me, now, kind, d);
+    FrameStep::Yield(WaitRequest::time(d))
+}
+
+fn step_acquire(
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    now: SimTime,
+    me: TaskId,
     stage: &mut AcqStage,
 ) -> FrameStep {
     match stage {
         AcqStage::Poll => {
-            let wait_on = {
-                let mut st = engine.shared().lock();
-                if st.entry(me).run_granted {
-                    st.entry_mut(me).run_granted = false;
-                    None
-                } else {
-                    Some(st.entry(me).run_event)
-                }
-            };
-            if let Some(ev) = wait_on {
-                return FrameStep::Yield(WaitRequest::event(ev));
+            let entry = st.entry_mut(me);
+            if !std::mem::take(&mut entry.run_granted) {
+                return FrameStep::Yield(WaitRequest::event(entry.run_event));
             }
-            let (sched, migration, load) = {
-                let mut st = engine.shared().lock();
-                let entry = st.entry_mut(me);
-                (
-                    entry.wake_sched.take(),
-                    entry.wake_migration.take(),
-                    entry.wake_load.take(),
-                )
-            };
+            let sched = entry.wake_sched.take();
+            let migration = entry.wake_migration.take();
+            let load = entry.wake_load.take();
             if let Some(d) = sched {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Scheduling, d);
                 *stage = AcqStage::Sched { migration, load };
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::Scheduling, d);
             }
             if let Some(d) = migration {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Migration, d);
                 *stage = AcqStage::Migration { load };
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::Migration, d);
             }
             if let Some(d) = load {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
                 *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
             }
-            acquire_finish(engine, me, ctx)
+            acquire_finish(st, log, now, me)
         }
         AcqStage::Sched { migration, load } => {
             let migration = migration.take();
             let load = load.take();
             if let Some(d) = migration {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::Migration, d);
                 *stage = AcqStage::Migration { load };
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::Migration, d);
             }
             if let Some(d) = load {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
                 *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
             }
-            acquire_finish(engine, me, ctx)
+            acquire_finish(st, log, now, me)
         }
         AcqStage::Migration { load } => {
             if let Some(d) = load.take() {
-                engine
-                    .shared()
-                    .lock()
-                    .record_overhead(me, ctx.now(), OverheadKind::ContextLoad, d);
                 *stage = AcqStage::Load;
-                return FrameStep::Yield(WaitRequest::time(d));
+                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
             }
-            acquire_finish(engine, me, ctx)
+            acquire_finish(st, log, now, me)
         }
-        AcqStage::Load => acquire_finish(engine, me, ctx),
+        AcqStage::Load => acquire_finish(st, log, now, me),
     }
 }
 
 fn step_relinquish(
-    engine: &dyn Engine,
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    n: &mut Notifier<'_>,
     me: TaskId,
-    ctx: &mut SegmentCtx<'_>,
     next_state: TaskState,
     requeue: bool,
     phase: &mut u8,
 ) -> FrameStep {
-    match engine.relinquish_step(ctx, me, next_state, requeue, *phase) {
+    match engine::relinquish_step(st, log, n, me, next_state, requeue, *phase) {
         RelStep::Wait(d) => {
             *phase += 1;
             FrameStep::Yield(WaitRequest::time(d))
@@ -281,30 +263,31 @@ fn step_relinquish(
 /// preemption only at chunk boundaries — the clock-driven baseline model
 /// whose reaction error the paper's time-accurate approach eliminates.
 fn step_execute(
-    engine: &dyn Engine,
+    st: &mut RtosState,
+    now: SimTime,
+    wake: Wake,
     me: TaskId,
-    ctx: &mut SegmentCtx<'_>,
     remaining: &mut SimDuration,
     started: &mut Option<SimTime>,
 ) -> FrameStep {
     if let Some(s) = started.take() {
         // A computation wait just ended: account the elapsed time exactly
         // (the paper's time-accurate preemption), then classify the wake.
-        let elapsed = ctx.now() - s;
+        let elapsed = now - s;
         *remaining = remaining.saturating_sub(elapsed);
-        match ctx.wake() {
+        match wake {
             Wake::Event(_) => {
                 // Preempted: the remaining time survives for the resume.
-                engine.shared().lock().entry_mut(me).preempt_pending = false;
+                st.entry_mut(me).preempt_pending = false;
                 return FrameStep::Requeue;
             }
             Wake::Timeout => {
                 if remaining.is_zero() {
                     return FrameStep::Pop;
                 }
-                if engine.shared().lock().preemption_granularity.is_none() {
+                if st.preemption_granularity.is_none() {
                     // Quantum expired with work left: rotate to the back.
-                    engine.shared().lock().stats.quantum_expirations += 1;
+                    st.stats.quantum_expirations += 1;
                     return FrameStep::Requeue;
                 }
                 // Chunk boundary of the clock-driven baseline: fall
@@ -315,19 +298,8 @@ fn step_execute(
     // A preemption may have been requested while the task was not waiting
     // on its preempt event (e.g. during a wake-overhead wait); honor it
     // before computing.
-    let (preempt_now, slice, preempt_ev, granularity) = {
-        let mut st = engine.shared().lock();
-        let pending = st.entry(me).preempt_pending;
-        if pending {
-            st.entry_mut(me).preempt_pending = false;
-        }
-        (
-            pending,
-            st.remaining_slice(me, ctx.now()),
-            st.entry(me).preempt_event,
-            st.preemption_granularity,
-        )
-    };
+    let preempt_now = engine::take_preempt_pending(st, me);
+    let slice = st.remaining_slice(me, now);
     if preempt_now {
         return FrameStep::Requeue;
     }
@@ -341,16 +313,16 @@ fn step_execute(
         // yield the timer would introduce lets same-instant events
         // interleave with the rotation, and under a preemption
         // granularity it never advances time at all.
-        engine.shared().lock().stats.quantum_expirations += 1;
+        st.stats.quantum_expirations += 1;
         return FrameStep::Requeue;
     }
     let bound = match slice {
         Some(s) => s.min(*remaining),
         None => *remaining,
     };
-    *started = Some(ctx.now());
-    match granularity {
-        None => FrameStep::Yield(WaitRequest::event_for(preempt_ev, bound)),
+    *started = Some(now);
+    match st.preemption_granularity {
+        None => FrameStep::Yield(WaitRequest::event_for(st.entry(me).preempt_event, bound)),
         // Clock-driven baseline: compute one uninterruptible chunk;
         // preemption requests latch in `preempt_pending` and are honored
         // at the chunk boundary.
@@ -359,20 +331,21 @@ fn step_execute(
 }
 
 fn step_delay(
-    engine: &dyn Engine,
+    st: &mut RtosState,
+    log: &mut TraceLog,
+    n: &mut Notifier<'_>,
     me: TaskId,
-    ctx: &mut SegmentCtx<'_>,
     wake_at: SimTime,
     slept: &mut bool,
 ) -> FrameStep {
     if !*slept {
         *slept = true;
-        let now = ctx.now();
+        let now = n.now();
         if wake_at > now {
             return FrameStep::Yield(WaitRequest::time(wake_at - now));
         }
     }
-    engine.make_ready(ctx, me);
+    engine::make_ready(st, log, n, me);
     FrameStep::Reacquire
 }
 
@@ -384,25 +357,30 @@ fn step_delay(
 pub struct SegTaskRunner {
     pub(crate) handle: TaskHandle,
     pub(crate) recorder: TraceRecorder,
+    name: Arc<str>,
     stack: Vec<Frame>,
     done: bool,
 }
 
 impl SegTaskRunner {
-    pub(crate) fn new(handle: TaskHandle, recorder: TraceRecorder) -> Self {
+    pub(crate) fn new(handle: TaskHandle, recorder: TraceRecorder, name: &str) -> Self {
         SegTaskRunner {
             handle,
             recorder,
+            name: Arc::from(name),
             stack: vec![Frame::Start],
             done: false,
         }
     }
 
     /// Runs frames until one suspends, the stack drains while the task is
-    /// Running (feed an intent), or the task has terminated.
+    /// Running (feed an intent), or the task has terminated. Borrows the
+    /// processor's RTOS state from the step's world once for the call.
     pub fn advance(&mut self, ctx: &mut SegmentCtx<'_>) -> SegControl {
-        let engine = self.handle.engine.as_ref();
         let me = self.handle.id;
+        let wake = ctx.wake();
+        let (world, mut n) = ctx.split();
+        let (st, log) = self.handle.rtos.borrow(world);
         loop {
             let Some(mut frame) = self.stack.pop() else {
                 return if self.done {
@@ -411,18 +389,19 @@ impl SegTaskRunner {
                     SegControl::Idle
                 };
             };
+            let now = n.now();
             let step = match &mut frame {
-                Frame::Start => step_start(engine, me, ctx),
-                Frame::Acquire(stage) => step_acquire(engine, me, ctx, stage),
+                Frame::Start => step_start(st, log, &mut n, me),
+                Frame::Acquire(stage) => step_acquire(st, log, now, me, stage),
                 Frame::Relinquish {
                     next_state,
                     requeue,
                     phase,
-                } => step_relinquish(engine, me, ctx, *next_state, *requeue, phase),
+                } => step_relinquish(st, log, &mut n, me, *next_state, *requeue, phase),
                 Frame::Execute { remaining, started } => {
-                    step_execute(engine, me, ctx, remaining, started)
+                    step_execute(st, now, wake, me, remaining, started)
                 }
-                Frame::Delay { wake_at, slept } => step_delay(engine, me, ctx, *wake_at, slept),
+                Frame::Delay { wake_at, slept } => step_delay(st, log, &mut n, me, *wake_at, slept),
             };
             match step {
                 FrameStep::Yield(req) => {
@@ -487,32 +466,37 @@ impl SegTaskRunner {
         });
     }
 
+    /// The task's RTOS state in `world`.
+    fn rtos<'w>(&self, world: &'w mut World) -> &'w mut RtosState {
+        world.get_mut(self.handle.rtos.state)
+    }
+
     /// Enters a critical region (never blocks; see
     /// [`TaskCtx::lock_preemption`](crate::TaskCtx::lock_preemption)).
-    pub fn lock_preemption(&mut self) {
-        engine::lock_preemption(self.handle.engine.as_ref(), self.handle.id);
+    pub fn lock_preemption(&mut self, world: &mut World) {
+        engine::lock_preemption(self.rtos(world), self.handle.id);
     }
 
     /// Leaves a critical region; if a more urgent task became ready during
     /// it, queues the on-the-spot preemption.
-    pub fn unlock_preemption(&mut self, now: SimTime) {
-        if engine::unlock_preemption_yields(self.handle.engine.as_ref(), self.handle.id, now) {
+    pub fn unlock_preemption(&mut self, world: &mut World, now: SimTime) {
+        if engine::unlock_preemption_yields(self.rtos(world), self.handle.id, now) {
             self.push_intent_pair();
         }
     }
 
     /// Forces a scheduling decision after a priority change (what
     /// [`TaskCtx::reschedule`](crate::TaskCtx::reschedule) performs).
-    pub fn reschedule(&mut self, now: SimTime) {
-        if engine::reschedule_yields(self.handle.engine.as_ref(), self.handle.id, now) {
+    pub fn reschedule(&mut self, world: &mut World, now: SimTime) {
+        if engine::reschedule_yields(self.rtos(world), self.handle.id, now) {
             self.push_intent_pair();
         }
     }
 
     /// Voluntary preemption point: yields the CPU if a preemption is
     /// pending.
-    pub fn preemption_point(&mut self) {
-        if engine::take_preempt_pending(self.handle.engine.as_ref(), self.handle.id) {
+    pub fn preemption_point(&mut self, world: &mut World) {
+        if engine::take_preempt_pending(self.rtos(world), self.handle.id) {
             self.push_intent_pair();
         }
     }
@@ -527,9 +511,9 @@ impl SegTaskRunner {
         push_resume(&mut self.stack, TaskState::Ready, true);
     }
 
-    /// A cloneable handle for waking this task from elsewhere.
+    /// A handle for waking this task from elsewhere.
     pub fn handle(&self) -> TaskHandle {
-        self.handle.clone()
+        self.handle
     }
 
     /// This task's trace actor.
@@ -539,12 +523,7 @@ impl SegTaskRunner {
 
     /// This task's name.
     pub fn name(&self) -> &str {
-        self.handle.name()
-    }
-
-    /// Annotates the trace at `now`.
-    pub fn annotate(&self, now: SimTime, label: &str) {
-        self.recorder.annotate(self.handle.actor, now, label);
+        &self.name
     }
 
     /// An [`Agent`] view over this task for the *non-blocking* operations
@@ -553,10 +532,10 @@ impl SegTaskRunner {
     pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
         SegAgent {
             ctx,
-            waiter: Waiter::Task(self.handle.clone()),
+            waiter: Waiter::Task(self.handle),
             actor: self.handle.actor,
             recorder: &self.recorder,
-            lock_target: Some((Arc::clone(&self.handle.engine), self.handle.id)),
+            lock_target: Some(self.handle),
         }
     }
 }
@@ -564,7 +543,7 @@ impl SegTaskRunner {
 impl std::fmt::Debug for SegTaskRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegTaskRunner")
-            .field("task", &self.handle.name())
+            .field("task", &self.name)
             .field("frames", &self.stack.len())
             .field("done", &self.done)
             .finish()
@@ -591,16 +570,18 @@ pub struct SegHwRunner {
     done: bool,
 }
 
-/// Registers a hardware function: creates its trace actor and wake
-/// event, but spawns no process — the caller embeds the returned runner
-/// in a kernel segment (or, for a closure body,
+/// Registers a hardware function: creates its trace actor, wake event
+/// and wake latch, but spawns no process — the caller embeds the
+/// returned runner in a kernel segment (or, for a closure body,
 /// [`spawn_hw_function`](crate::spawn_hw_function) drives it on a
-/// thread).
+/// thread). Attaches `recorder`'s world to `sim`.
 pub fn register_seg_hw(sim: &mut Simulator, recorder: &TraceRecorder, name: &str) -> SegHwRunner {
+    sim.attach_world(recorder.world());
     let actor = recorder.register(name, ActorKind::Task);
     let event = sim.event(&format!("{name}.hw_wake"));
+    let latch = recorder.world().lock_for("register_seg_hw").insert(false);
     SegHwRunner {
-        waker: HwWaker::new(event),
+        waker: HwWaker { event, latch },
         actor,
         recorder: recorder.clone(),
         stack: Vec::new(),
@@ -613,17 +594,17 @@ impl SegHwRunner {
     /// Runs frames until one suspends, the stack drains (feed an intent),
     /// or the function has finished.
     pub fn advance(&mut self, ctx: &mut SegmentCtx<'_>) -> SegControl {
+        let now = ctx.now();
+        let (log, latch) = ctx.world().pair_mut(self.recorder.log(), self.waker.latch);
         if !self.started {
             self.started = true;
-            let now = ctx.now();
-            self.recorder.state(self.actor, now, TaskState::Created);
-            self.recorder.state(self.actor, now, TaskState::Running);
+            log.state(self.actor, now, TaskState::Created);
+            log.state(self.actor, now, TaskState::Running);
         }
         loop {
             let Some(frame) = self.stack.last_mut() else {
                 if self.done {
-                    self.recorder
-                        .state(self.actor, ctx.now(), TaskState::Terminated);
+                    log.state(self.actor, now, TaskState::Terminated);
                     return SegControl::Finished;
                 }
                 return SegControl::Idle;
@@ -638,13 +619,11 @@ impl SegHwRunner {
                 }
                 HwFrame::Delay { d, slept } => {
                     if !*slept {
-                        self.recorder
-                            .state(self.actor, ctx.now(), TaskState::Waiting);
+                        log.state(self.actor, now, TaskState::Waiting);
                         *slept = true;
                         return SegControl::Yield(WaitRequest::time(*d));
                     }
-                    self.recorder
-                        .state(self.actor, ctx.now(), TaskState::Running);
+                    log.state(self.actor, now, TaskState::Running);
                     self.stack.pop();
                 }
                 HwFrame::Suspend {
@@ -657,15 +636,14 @@ impl SegHwRunner {
                         } else {
                             TaskState::Waiting
                         };
-                        self.recorder.state(self.actor, ctx.now(), state);
+                        log.state(self.actor, now, state);
                         *announced = true;
                     }
-                    if self.waker.take_pending() {
-                        self.recorder
-                            .state(self.actor, ctx.now(), TaskState::Running);
+                    if std::mem::take(latch) {
+                        log.state(self.actor, now, TaskState::Running);
                         self.stack.pop();
                     } else {
-                        return SegControl::Yield(WaitRequest::event(self.waker.event()));
+                        return SegControl::Yield(WaitRequest::event(self.waker.event));
                     }
                 }
             }
@@ -701,7 +679,7 @@ impl SegHwRunner {
 
     /// How other processes wake this function.
     pub fn waiter(&self) -> Waiter {
-        Waiter::Hw(self.waker.clone())
+        Waiter::Hw(self.waker)
     }
 
     /// This function's trace actor.
@@ -714,7 +692,7 @@ impl SegHwRunner {
     pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
         SegAgent {
             ctx,
-            waiter: Waiter::Hw(self.waker.clone()),
+            waiter: Waiter::Hw(self.waker),
             actor: self.actor,
             recorder: &self.recorder,
             lock_target: None,
@@ -735,16 +713,17 @@ impl std::fmt::Debug for SegHwRunner {
 /// The [`Agent`] view of a task or hardware function inside a step.
 ///
 /// Supports exactly the non-blocking subset of [`Agent`] that the
-/// communication *attempt* functions use: time, notifications, waiter,
-/// tracing and preemption locks. The blocking calls (`execute`, `delay`,
-/// `suspend`, `unlock_preemption`, `reschedule`) panic — a step machine
-/// feeds those to the runner as intents between attempts.
+/// communication *attempt* functions use: time, notifications, the lent
+/// world, waiter, tracing and preemption locks. The blocking calls
+/// (`execute`, `delay`, `suspend`, `unlock_preemption`, `reschedule`)
+/// panic — a step machine feeds those to the runner as intents between
+/// attempts.
 pub struct SegAgent<'r, 'c, 'a> {
     ctx: &'c mut SegmentCtx<'a>,
     waiter: Waiter,
     actor: ActorId,
     recorder: &'r TraceRecorder,
-    lock_target: Option<(Arc<dyn Engine>, TaskId)>,
+    lock_target: Option<TaskHandle>,
 }
 
 impl Agent for SegAgent<'_, '_, '_> {
@@ -765,7 +744,7 @@ impl Agent for SegAgent<'_, '_, '_> {
     }
 
     fn waiter(&self) -> Waiter {
-        self.waiter.clone()
+        self.waiter
     }
 
     fn trace_actor(&self) -> ActorId {
@@ -781,8 +760,8 @@ impl Agent for SegAgent<'_, '_, '_> {
     }
 
     fn lock_preemption(&mut self) {
-        if let Some((engine, me)) = &self.lock_target {
-            engine::lock_preemption(engine.as_ref(), *me);
+        if let Some(task) = self.lock_target {
+            engine::lock_preemption(self.ctx.world().get_mut(task.rtos.state), task.id);
         }
     }
 

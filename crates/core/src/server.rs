@@ -30,7 +30,7 @@
 //! let mut sim = Simulator::new();
 //! let rec = TraceRecorder::new();
 //! let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-//! let queue = AperiodicQueue::new();
+//! let queue = AperiodicQueue::new(&rec);
 //!
 //! // A server with a 2 ms period and 500 µs budget, priority 5.
 //! spawn_polling_server(
@@ -61,10 +61,10 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
-use rtsim_kernel::{SimDuration, SimTime, Simulator};
+use rtsim_kernel::world::Slot;
+use rtsim_kernel::{KernelHandle, SimDuration, SimTime, Simulator};
+use rtsim_trace::TraceRecorder;
 
 use crate::agent::{Agent, Waiter};
 use crate::processor::{Processor, TaskHandle};
@@ -105,18 +105,34 @@ struct QueueState {
 
 /// The request queue feeding a polling server.
 ///
-/// Cloning yields another handle to the same queue. Submission is
-/// non-blocking and callable from any simulation process — typically a
-/// hardware function modeling an unpredictable event source.
-#[derive(Clone, Default)]
+/// Cloning yields another handle to the same queue, whose state lives in
+/// the simulation world. Submission is non-blocking and callable from
+/// any simulation process — typically a hardware function modeling an
+/// unpredictable event source.
+#[derive(Clone)]
 pub struct AperiodicQueue {
-    state: Arc<Mutex<QueueState>>,
+    recorder: TraceRecorder,
+    state: Slot<QueueState>,
 }
 
 impl AperiodicQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        AperiodicQueue::default()
+    /// Creates an empty queue in `recorder`'s world (the one its server's
+    /// processor is built on).
+    pub fn new(recorder: &TraceRecorder) -> Self {
+        let state = recorder
+            .world()
+            .lock_for("AperiodicQueue::new")
+            .insert(QueueState::default());
+        AperiodicQueue {
+            recorder: recorder.clone(),
+            state,
+        }
+    }
+
+    /// Runs `f` on the queue state, locking the world (code outside a
+    /// step: the testbench and the servers' closure bodies).
+    fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut QueueState) -> R) -> R {
+        f(self.recorder.world().lock_for(accessor).get_mut(self.state))
     }
 
     /// Submits a request of `cost` CPU time, identified by `id`.
@@ -130,50 +146,86 @@ impl AperiodicQueue {
     /// Panics if `cost` is zero.
     pub fn submit(&self, now: SimTime, id: u64, cost: SimDuration) {
         assert!(!cost.is_zero(), "aperiodic request needs a non-zero cost");
-        self.state.lock().pending.push_back(PendingRequest {
-            id,
-            submitted: now,
-            remaining: cost,
+        self.with_state("AperiodicQueue::submit", |st| {
+            st.pending.push_back(PendingRequest {
+                id,
+                submitted: now,
+                remaining: cost,
+            })
         });
     }
 
     /// Submits a request and wakes the serving task (required for a
-    /// deferrable server to honor its arrival-time service). `ctx` is the
-    /// submitting simulation process's kernel context.
+    /// deferrable server to honor its arrival-time service). `h` is the
+    /// submitting simulation process's kernel handle.
     ///
     /// # Panics
     ///
     /// Panics if `cost` is zero.
-    pub fn submit_from(
-        &self,
-        ctx: &mut rtsim_kernel::ProcessContext,
-        id: u64,
-        cost: SimDuration,
-    ) {
-        self.submit(ctx.now(), id, cost);
-        let waiter = self.state.lock().waiter.clone();
+    pub fn submit_from(&self, h: &mut dyn KernelHandle, id: u64, cost: SimDuration) {
+        assert!(!cost.is_zero(), "aperiodic request needs a non-zero cost");
+        let now = h.now();
+        let waiter = {
+            let mut world = h.world();
+            let st = world.get_mut(self.state);
+            st.pending.push_back(PendingRequest {
+                id,
+                submitted: now,
+                remaining: cost,
+            });
+            st.waiter
+        };
         if let Some(w) = waiter {
-            w.wake(ctx);
+            w.wake(h);
         }
     }
 
     /// Requests not yet fully served.
     pub fn pending(&self) -> usize {
-        self.state.lock().pending.len()
+        self.with_state("AperiodicQueue::pending", |st| st.pending.len())
     }
 
     /// Requests fully served so far, in completion order.
     pub fn completions(&self) -> Vec<CompletedRequest> {
-        self.state.lock().completed.clone()
+        self.with_state("AperiodicQueue::completions", |st| st.completed.clone())
+    }
+
+    /// Takes up to `budget` of service from the oldest pending request:
+    /// `(slice, finished, id, submitted)`, or `None` on an empty queue.
+    fn take_slice(
+        st: &mut QueueState,
+        budget: SimDuration,
+    ) -> Option<(SimDuration, bool, u64, SimTime)> {
+        let req = st.pending.front_mut()?;
+        let slice = req.remaining.min(budget);
+        req.remaining -= slice;
+        let finished = req.remaining.is_zero();
+        let (id, submitted) = (req.id, req.submitted);
+        if finished {
+            st.pending.pop_front();
+        }
+        Some((slice, finished, id, submitted))
+    }
+
+    fn complete(&self, id: u64, submitted: SimTime, completed: SimTime) {
+        self.with_state("AperiodicQueue::complete", |st| {
+            st.completed.push(CompletedRequest {
+                id,
+                submitted,
+                completed,
+            })
+        });
     }
 }
 
 impl fmt::Debug for AperiodicQueue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
+        let (pending, completed) = self.with_state("AperiodicQueue::fmt", |st| {
+            (st.pending.len(), st.completed.len())
+        });
         f.debug_struct("AperiodicQueue")
-            .field("pending", &st.pending.len())
-            .field("completed", &st.completed.len())
+            .field("pending", &pending)
+            .field("completed", &completed)
             .finish()
     }
 }
@@ -226,33 +278,16 @@ pub fn spawn_polling_server(
             let mut remaining_budget = budget;
             loop {
                 // Take (part of) the oldest pending request.
-                let slice = {
-                    let mut st = queue.state.lock();
-                    match st.pending.front_mut() {
-                        None => None,
-                        Some(req) => {
-                            let slice = req.remaining.min(remaining_budget);
-                            req.remaining -= slice;
-                            let finished = req.remaining.is_zero();
-                            let (id, submitted) = (req.id, req.submitted);
-                            if finished {
-                                st.pending.pop_front();
-                            }
-                            Some((slice, finished, id, submitted))
-                        }
-                    }
-                };
+                let slice = queue.with_state("AperiodicQueue::serve", |st| {
+                    AperiodicQueue::take_slice(st, remaining_budget)
+                });
                 let Some((slice, finished, id, submitted)) = slice else {
                     break; // queue empty: the rest of the budget is lost
                 };
                 t.execute(slice);
                 remaining_budget -= slice;
                 if finished {
-                    queue.state.lock().completed.push(CompletedRequest {
-                        id,
-                        submitted,
-                        completed: t.now(),
-                    });
+                    queue.complete(id, submitted, t.now());
                 }
                 if remaining_budget.is_zero() {
                     break; // budget exhausted until the next period
@@ -297,7 +332,7 @@ pub fn spawn_deferrable_server(
     let period = config.period;
     let full_budget = config.budget;
     let cycles = config.cycles;
-    let handle = processor.spawn_task(sim, task_config, move |t| {
+    processor.spawn_task(sim, task_config, move |t| {
         let start = t.now();
         let horizon = start + period * cycles;
         let mut budget = full_budget;
@@ -321,52 +356,36 @@ pub fn spawn_deferrable_server(
                 continue;
             }
             // Serve one slice, or suspend (budget preserved!) until a
-            // submission wakes us. The waiter is armed *under the same
-            // lock as the emptiness check* (no lost wakeup) and only for
+            // submission wakes us. The waiter is armed *in the same
+            // access as the emptiness check* (no lost wakeup) and only for
             // this idle wait: were it armed permanently, a submission
             // landing during the replenishment sleep above would mark
             // the still-sleeping task Ready, and the grant would hold
             // the CPU idle until the timer fires — starving lower-
             // priority work for up to a full period.
-            let slice = {
-                let mut st = queue.state.lock();
-                match st.pending.front_mut() {
-                    None => {
-                        st.waiter = Some(t.waiter());
-                        None
-                    }
-                    Some(req) => {
-                        let slice = req.remaining.min(budget);
-                        req.remaining -= slice;
-                        let finished = req.remaining.is_zero();
-                        let (id, submitted) = (req.id, req.submitted);
-                        if finished {
-                            st.pending.pop_front();
-                        }
-                        Some((slice, finished, id, submitted))
-                    }
+            let waiter = t.waiter();
+            let slice = queue.with_state("AperiodicQueue::serve", |st| {
+                let slice = AperiodicQueue::take_slice(st, budget);
+                if slice.is_none() {
+                    st.waiter = Some(waiter);
                 }
-            };
+                slice
+            });
             match slice {
                 None => {
                     t.suspend(false);
-                    queue.state.lock().waiter = None;
+                    queue.with_state("AperiodicQueue::serve", |st| st.waiter = None);
                 }
                 Some((slice, finished, id, submitted)) => {
                     t.execute(slice);
                     budget -= slice;
                     if finished {
-                        queue.state.lock().completed.push(CompletedRequest {
-                            id,
-                            submitted,
-                            completed: t.now(),
-                        });
+                        queue.complete(id, submitted, t.now());
                     }
                 }
             }
         }
-    });
-    handle
+    })
 }
 
 #[cfg(test)]
@@ -388,8 +407,8 @@ mod tests {
 
     #[test]
     fn request_waits_for_the_next_poll() {
-        let (mut sim, _rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let (mut sim, rec, cpu) = harness();
+        let queue = AperiodicQueue::new(&rec);
         spawn_polling_server(
             &cpu,
             &mut sim,
@@ -419,8 +438,8 @@ mod tests {
 
     #[test]
     fn oversized_request_spans_periods() {
-        let (mut sim, _rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let (mut sim, rec, cpu) = harness();
+        let queue = AperiodicQueue::new(&rec);
         spawn_polling_server(
             &cpu,
             &mut sim,
@@ -444,7 +463,7 @@ mod tests {
     #[test]
     fn budget_bounds_interference_on_background_work() {
         let (mut sim, rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let queue = AperiodicQueue::new(&rec);
         spawn_polling_server(
             &cpu,
             &mut sim,
@@ -481,8 +500,8 @@ mod tests {
 
     #[test]
     fn arrivals_during_service_are_served_same_period() {
-        let (mut sim, _rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let (mut sim, rec, cpu) = harness();
+        let queue = AperiodicQueue::new(&rec);
         spawn_polling_server(
             &cpu,
             &mut sim,
@@ -509,8 +528,8 @@ mod tests {
 
     #[test]
     fn deferrable_server_serves_on_arrival() {
-        let (mut sim, _rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let (mut sim, rec, cpu) = harness();
+        let queue = AperiodicQueue::new(&rec);
         spawn_deferrable_server(
             &cpu,
             &mut sim,
@@ -540,8 +559,8 @@ mod tests {
 
     #[test]
     fn deferrable_budget_exhaustion_defers_to_replenishment() {
-        let (mut sim, _rec, cpu) = harness();
-        let queue = AperiodicQueue::new();
+        let (mut sim, rec, cpu) = harness();
+        let queue = AperiodicQueue::new(&rec);
         spawn_deferrable_server(
             &cpu,
             &mut sim,
@@ -581,7 +600,7 @@ mod tests {
             let mut sim = Simulator::with_mode(mode);
             let rec = TraceRecorder::new();
             let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-            let queue = AperiodicQueue::new();
+            let queue = AperiodicQueue::new(&rec);
             spawn_deferrable_server(
                 &cpu,
                 &mut sim,
@@ -631,7 +650,7 @@ mod tests {
             let mut sim = Simulator::with_mode(mode);
             let rec = TraceRecorder::new();
             let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-            let queue = AperiodicQueue::new();
+            let queue = AperiodicQueue::new(&rec);
             spawn_deferrable_server(
                 &cpu,
                 &mut sim,
@@ -666,9 +685,7 @@ mod tests {
             let bg_done = trace
                 .records_for(bg)
                 .find_map(|r| match r.data {
-                    rtsim_trace::TraceData::State(rtsim_trace::TaskState::Terminated) => {
-                        Some(r.at)
-                    }
+                    rtsim_trace::TraceData::State(rtsim_trace::TaskState::Terminated) => Some(r.at),
                     _ => None,
                 })
                 .expect("bg finished");
@@ -683,8 +700,8 @@ mod tests {
     #[test]
     fn deferrable_beats_polling_on_latency_for_the_same_bandwidth() {
         fn run(deferrable: bool) -> SimDuration {
-            let (mut sim, _rec, cpu) = harness();
-            let queue = AperiodicQueue::new();
+            let (mut sim, rec, cpu) = harness();
+            let queue = AperiodicQueue::new(&rec);
             let config = PollingServerConfig {
                 name: "srv".into(),
                 priority: 5,
@@ -725,7 +742,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "budget exceeds")]
     fn overcommitted_server_rejected() {
-        let (mut sim, _rec, cpu) = harness();
+        let (mut sim, rec, cpu) = harness();
         let _ = spawn_polling_server(
             &cpu,
             &mut sim,
@@ -736,13 +753,13 @@ mod tests {
                 budget: us(20),
                 cycles: 1,
             },
-            AperiodicQueue::new(),
+            AperiodicQueue::new(&rec),
         );
     }
 
     #[test]
     #[should_panic(expected = "non-zero cost")]
     fn zero_cost_request_rejected() {
-        AperiodicQueue::new().submit(SimTime::ZERO, 1, SimDuration::ZERO);
+        AperiodicQueue::new(&TraceRecorder::new()).submit(SimTime::ZERO, 1, SimDuration::ZERO);
     }
 }

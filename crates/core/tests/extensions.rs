@@ -132,11 +132,11 @@ fn dynamic_priority_change_takes_effect_at_next_decision() {
     cpu.spawn_task(&mut sim, TaskConfig::new("rival").priority(3), |t| {
         t.execute(us(100));
     });
-    assert_eq!(victim.priority(), Priority(5));
+    assert_eq!(victim.priority(&mut sim), Priority(5));
     // Demote the victim before the run: the rival should win the second
     // round even though the victim wakes from its delay.
-    victim.set_priority(Priority(1));
-    assert_eq!(victim.priority(), Priority(1));
+    victim.set_priority(&mut sim, Priority(1));
+    assert_eq!(victim.priority(&mut sim), Priority(1));
     sim.run().unwrap();
     let trace = rec.snapshot();
     // The demotion applied before the first election, so the rival runs
@@ -166,7 +166,7 @@ fn deadline_misses_are_counted_and_annotated() {
         t.suspend(false);
         t.execute(us(100));
     });
-    rtsim_core::spawn_interrupt_at(&mut sim, "v1", us(10), Waiter::Task(victim.clone()));
+    rtsim_core::spawn_interrupt_at(&mut sim, "v1", us(10), Waiter::Task(victim));
     rtsim_core::spawn_interrupt_at(&mut sim, "v2", us(200), Waiter::Task(victim));
     rtsim_core::spawn_interrupt_at(&mut sim, "h", us(205), Waiter::Task(hog));
     sim.run().unwrap();
@@ -287,7 +287,7 @@ fn waiter_wake_is_idempotent_for_ready_tasks() {
     });
     // Two wakes land at 10 and 20 while the hog runs and the isr already
     // sits Ready: they must coalesce into a single activation.
-    rtsim_core::spawn_interrupt_at(&mut sim, "irq1", us(10), Waiter::Task(isr.clone()));
+    rtsim_core::spawn_interrupt_at(&mut sim, "irq1", us(10), Waiter::Task(isr));
     rtsim_core::spawn_interrupt_at(&mut sim, "irq2", us(20), Waiter::Task(isr));
     sim.run().unwrap();
     let trace = rec.snapshot();

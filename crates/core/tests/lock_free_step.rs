@@ -1,0 +1,354 @@
+//! A Segment-mode run takes no lock per step: the simulator lends its
+//! world once, and every RTOS frame, trace record and relation access of
+//! every step reaches the state through that loan.
+//!
+//! The system is the one of `alloc_steady_state.rs` — a priority-
+//! preemptive processor with uniform overheads and a round-robin one —
+//! extended with a capacity-2 message queue, a priority-inheritance
+//! shared variable and a counter event, so producers block on a full
+//! queue, tasks block on the held variable (boosting its owner) and a
+//! task waits for memorized signals. Bringing back a lock per trace
+//! record, per RTOS frame or per relation access makes the Segment-mode
+//! count fail.
+
+use rtsim_comm::{
+    EvWait, EventPolicy, LockMode, MessageQueue, ReleaseFollowup, RtEvent, SharedVar,
+};
+use rtsim_core::policies::RoundRobin;
+use rtsim_core::{
+    Overheads, Processor, ProcessorConfig, SchedulerStats, SegControl, SegTaskRunner, TaskConfig,
+};
+use rtsim_kernel::sync::locks_taken;
+use rtsim_kernel::{ExecMode, KernelError, SegStep, SegmentCtx, SimDuration, SimTime, Simulator};
+use rtsim_trace::{ActorKind, CommKind, TaskState, TraceData, TraceRecorder};
+
+fn us(n: u64) -> SimDuration {
+    SimDuration::from_us(n)
+}
+
+/// One step of a task's endless program.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Compute for this many µs.
+    Exec(u64),
+    /// Sleep until the next release, this many µs after the previous one.
+    Release(u64),
+    /// Blocking write of one message to the queue.
+    Write,
+    /// Blocking read of one message from the queue.
+    Read,
+    /// Hold the shared variable while computing for this many µs.
+    Hold(u64),
+    /// Signal the counter event.
+    Signal,
+    /// Wait for one memorized signal of the counter event.
+    Await,
+}
+
+/// The relations every task program may use.
+#[derive(Clone)]
+struct Relations {
+    queue: MessageQueue<u32>,
+    var: SharedVar<u32>,
+    event: RtEvent,
+}
+
+/// A task running `ops` in a loop, driving its runner the way the script
+/// interpreter does: attempts through the step's agent, suspending and
+/// retrying the same op while it blocks.
+struct Program {
+    runner: SegTaskRunner,
+    rel: Relations,
+    ops: Vec<Op>,
+    pc: usize,
+    release: SimTime,
+    ticket: Option<u64>,
+    /// `Hold` has the variable and is computing under it.
+    holding: bool,
+}
+
+impl Program {
+    /// Feeds ops until one hands the runner work.
+    fn feed(&mut self, ctx: &mut SegmentCtx<'_>) {
+        loop {
+            let (intent, done) = self.op(ctx, self.ops[self.pc]);
+            if done {
+                self.pc = (self.pc + 1) % self.ops.len();
+            }
+            if intent {
+                return;
+            }
+        }
+    }
+
+    /// Runs one op: `(fed the runner an intent, op finished)`.
+    fn op(&mut self, ctx: &mut SegmentCtx<'_>, op: Op) -> (bool, bool) {
+        match op {
+            Op::Exec(n) => {
+                self.runner.execute(us(n));
+                (true, true)
+            }
+            Op::Release(period) => {
+                self.release += us(period);
+                let now = ctx.now();
+                let sleep = if self.release > now {
+                    self.release - now
+                } else {
+                    SimDuration::ZERO
+                };
+                self.runner.delay(now, sleep);
+                (true, true)
+            }
+            Op::Write => {
+                let mut agent = self.runner.agent(ctx);
+                match self
+                    .rel
+                    .queue
+                    .write_attempt(&mut agent, 1, &mut self.ticket)
+                {
+                    Ok(()) => {
+                        self.ticket = None;
+                        (false, true)
+                    }
+                    Err(_) => {
+                        self.runner.suspend(false);
+                        (true, false)
+                    }
+                }
+            }
+            Op::Read => {
+                let mut agent = self.runner.agent(ctx);
+                match self.rel.queue.read_attempt(&mut agent, &mut self.ticket) {
+                    Some(_) => {
+                        self.ticket = None;
+                        (false, true)
+                    }
+                    None => {
+                        self.runner.suspend(false);
+                        (true, false)
+                    }
+                }
+            }
+            Op::Hold(_) if self.holding => {
+                self.holding = false;
+                let mut agent = self.runner.agent(ctx);
+                let followup = self.rel.var.release_attempt(&mut agent);
+                assert_eq!(followup, ReleaseFollowup::None);
+                self.rel.var.record_access(&mut agent, CommKind::Write);
+                (false, true)
+            }
+            Op::Hold(n) => {
+                let mut agent = self.runner.agent(ctx);
+                if self.rel.var.acquire_attempt(&mut agent) {
+                    let v = self.rel.var.locked_get(&mut agent);
+                    self.rel.var.locked_set(&mut agent, v + 1);
+                    self.holding = true;
+                    self.runner.execute(us(n));
+                } else {
+                    self.runner.suspend(true);
+                }
+                (true, false)
+            }
+            Op::Signal => {
+                let mut agent = self.runner.agent(ctx);
+                self.rel.event.signal(&mut agent);
+                (false, true)
+            }
+            Op::Await => {
+                let mut agent = self.runner.agent(ctx);
+                match self.rel.event.wait_attempt(&mut agent) {
+                    EvWait::Ready => (false, true),
+                    EvWait::Registered { .. } => {
+                        self.runner.suspend(false);
+                        (true, false)
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Registers a task running `ops` forever on `cpu`.
+fn task(
+    sim: &mut Simulator,
+    cpu: &Processor,
+    rel: &Relations,
+    name: &str,
+    priority: u32,
+    ops: &[Op],
+) {
+    let runner = cpu.register_seg_task(sim, TaskConfig::new(name).priority(priority));
+    let mut program = Program {
+        runner,
+        rel: rel.clone(),
+        ops: ops.to_vec(),
+        pc: 0,
+        release: SimTime::ZERO,
+        ticket: None,
+        holding: false,
+    };
+    sim.spawn_segment(name, move |ctx| loop {
+        match program.runner.advance(ctx) {
+            SegControl::Yield(req) => return SegStep::Yield(req),
+            SegControl::Finished => return SegStep::Done,
+            SegControl::Idle => program.feed(ctx),
+        }
+    });
+}
+
+/// The scenario, built on `rec` in `mode`.
+fn system(mode: ExecMode, rec: &TraceRecorder) -> (Simulator, Processor, Processor) {
+    use Op::*;
+    let mut sim = Simulator::with_mode(mode);
+    let rel = Relations {
+        queue: MessageQueue::new(rec, "q", 2),
+        var: SharedVar::new(rec, "v", 0, LockMode::PriorityInheritance),
+        event: RtEvent::new(rec, "ev", EventPolicy::Counter),
+    };
+    let fixed = Processor::new(
+        &mut sim,
+        rec,
+        ProcessorConfig::new("FP").overheads(Overheads::uniform(us(2))),
+    );
+    task(
+        &mut sim,
+        &fixed,
+        &rel,
+        "hi",
+        5,
+        &[Exec(8), Hold(4), Release(100)],
+    );
+    task(&mut sim, &fixed, &rel, "sink", 4, &[Await, Exec(3)]);
+    task(
+        &mut sim,
+        &fixed,
+        &rel,
+        "mid",
+        3,
+        &[Exec(20), Write, Write, Write, Signal, Release(170)],
+    );
+    task(&mut sim, &fixed, &rel, "consumer", 2, &[Read, Exec(3)]);
+    task(
+        &mut sim,
+        &fixed,
+        &rel,
+        "lo",
+        1,
+        &[Hold(15), Exec(30), Release(430)],
+    );
+    let shared = Processor::new(
+        &mut sim,
+        rec,
+        ProcessorConfig::new("RR").policy(RoundRobin::new(us(5))),
+    );
+    task(&mut sim, &shared, &rel, "a", 1, &[Exec(30), Release(100)]);
+    task(&mut sim, &shared, &rel, "b", 1, &[Exec(40), Release(150)]);
+    (sim, fixed, shared)
+}
+
+fn dispatches(a: SchedulerStats, b: SchedulerStats) -> u64 {
+    b.dispatches - a.dispatches
+}
+
+#[test]
+fn segment_mode_run_takes_one_lock_the_loan() {
+    let rec = TraceRecorder::new();
+    let (mut sim, fixed, shared) = system(ExecMode::Segment, &rec);
+    sim.run_until(SimTime::ZERO + us(5_000)).unwrap();
+    let (fp0, rr0) = (fixed.stats(), shared.stats());
+
+    let before = locks_taken();
+    sim.run_until(SimTime::ZERO + us(105_000)).unwrap();
+    let locks = locks_taken() - before;
+
+    let n = dispatches(fp0, fixed.stats()) + dispatches(rr0, shared.stats());
+    assert!(n > 10_000, "only {n} RTOS dispatches measured");
+    assert!(
+        locks <= 1,
+        "{locks} locks over {n} RTOS dispatches: a Segment-mode step must reach \
+         the world through the run's one loan"
+    );
+
+    // The extensions were exercised: the queue filled up, the variable
+    // was contended, the event delivered memorized signals.
+    let trace = rec.snapshot();
+    let q = trace.actor_by_name("q").unwrap();
+    let ev = trace.actor_by_name("ev").unwrap();
+    assert!(trace
+        .records_for(q)
+        .any(|r| matches!(r.data, TraceData::QueueDepth { depth: 2, .. })));
+    assert!(trace.actors_of_kind(ActorKind::Task).any(|t| trace
+        .state_sequence(t)
+        .contains(&TaskState::WaitingResource)));
+    assert!(trace.records().iter().any(|r| matches!(
+        r.data,
+        TraceData::Comm { relation, kind: CommKind::Read } if relation == ev
+    )));
+}
+
+#[test]
+fn thread_mode_lends_the_world_at_most_once_per_switch() {
+    let rec = TraceRecorder::new();
+    let (mut sim, _fixed, _shared) = system(ExecMode::Thread, &rec);
+    sim.run_until(SimTime::ZERO + us(1_000)).unwrap();
+    let loans0 = rec.world().lock_for("test").loans();
+    let switches0 = sim.stats().process_switches;
+
+    sim.run_until(SimTime::ZERO + us(11_000)).unwrap();
+    // Minus the loan that reads the count itself.
+    let loans = rec.world().lock_for("test").loans() - loans0 - 1;
+    let switches = sim.stats().process_switches - switches0;
+    assert!(switches > 1_000, "only {switches} process switches");
+    assert!(
+        loans <= switches,
+        "{loans} world loans over {switches} process switches"
+    );
+}
+
+/// Runs a system whose one step calls `accessor` — with a queue and the
+/// recorder of the system's own world — and returns the run's error.
+fn misuse(
+    mode: ExecMode,
+    accessor: impl Fn(&TraceRecorder, &MessageQueue<u32>) + Send + 'static,
+) -> String {
+    let rec = TraceRecorder::new();
+    let queue = MessageQueue::new(&rec, "q", 2);
+    let mut sim = Simulator::with_mode(mode);
+    let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
+    let mut runner = cpu.register_seg_task(&mut sim, TaskConfig::new("t"));
+    let probe = rec.clone();
+    sim.spawn_segment("t", move |ctx| loop {
+        match runner.advance(ctx) {
+            SegControl::Yield(req) => return SegStep::Yield(req),
+            SegControl::Finished => return SegStep::Done,
+            SegControl::Idle => {
+                accessor(&probe, &queue);
+                runner.finish();
+            }
+        }
+    });
+    match sim.run() {
+        Err(KernelError::ProcessPanicked { message, .. }) => message,
+        other => panic!("[{mode}] the misuse must fail the run, got {other:?}"),
+    }
+}
+
+#[test]
+fn cold_path_accessors_inside_a_step_panic_with_their_name() {
+    for mode in [ExecMode::Segment, ExecMode::Thread] {
+        let message = misuse(mode, |rec, _| {
+            let _ = rec.len();
+        });
+        assert!(
+            message.contains("TraceRecorder::len called inside a simulation step"),
+            "[{mode}] {message}"
+        );
+        let message = misuse(mode, |_, queue| {
+            let _ = queue.len();
+        });
+        assert!(
+            message.contains("MessageQueue::len called inside a simulation step"),
+            "[{mode}] {message}"
+        );
+    }
+}

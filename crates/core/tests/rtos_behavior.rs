@@ -754,7 +754,7 @@ fn hardware_and_software_tasks_coexist() {
         spawn_hw_function(&mut sim, &rec, "hw", move |hw| {
             for _ in 0..2 {
                 hw.execute(us(20));
-                Waiter::Task(handler.clone()).wake(hw.kernel());
+                Waiter::Task(handler).wake(hw.kernel());
             }
         });
         sim.run().unwrap();

@@ -74,12 +74,14 @@ pub mod simulator;
 pub mod sync;
 pub mod testutil;
 pub mod time;
+pub mod world;
 
 pub use choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePolicy, StableTieBreak};
 pub use error::KernelError;
 pub use event::{Event, Wake};
 pub use process::{ProcessContext, ProcessId};
 pub use scheduler::KernelStats;
-pub use segment::{ExecMode, KernelHandle, SegStep, SegmentCtx, WaitRequest};
+pub use segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx, WaitRequest};
 pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};
+pub use world::{SharedWorld, Slot, World, WorldRef};

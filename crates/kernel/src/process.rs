@@ -24,9 +24,10 @@ use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
-use crate::segment::{SegmentCtx, WaitRequest};
+use crate::segment::{Notifier, SegmentCtx, WaitRequest};
 use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
+use crate::world::{SharedWorld, WorldRef};
 
 /// A lightweight, copyable handle to a simulation process.
 ///
@@ -97,8 +98,9 @@ pub(crate) struct YieldMsg {
 /// Message sent from the kernel to a process thread to resume it.
 #[derive(Debug)]
 pub(crate) enum ResumeMsg {
-    /// Continue execution; `Wake` says what ended the previous wait.
-    Wake(Wake),
+    /// Continue execution; `Wake` says what ended the previous wait, and
+    /// the world is the simulator's current one.
+    Wake(Wake, SharedWorld),
     /// The simulator is being torn down; unwind quietly.
     Shutdown,
 }
@@ -151,6 +153,7 @@ pub struct ProcessContext {
     yield_tx: Sender<YieldMsg>,
     resume_rx: Receiver<ResumeMsg>,
     pending: Vec<NotifyOp>,
+    world: SharedWorld,
 }
 
 impl fmt::Debug for ProcessContext {
@@ -218,17 +221,33 @@ impl ProcessContext {
 
     /// Runs one step of a segment state machine on this thread: `f` gets
     /// a [`SegmentCtx`] whose notifications go to this process's own
-    /// buffer (applied at its next yield) and whose wake cause is `wake`.
+    /// buffer (applied at its next yield), whose wake cause is `wake`,
+    /// and which lends the simulation world, locked once for the step.
     /// Together with [`wait`](ProcessContext::wait) this hosts a step
     /// machine on a thread: step, perform the yielded wait, step again.
     pub fn step<R>(&mut self, wake: Wake, f: impl FnOnce(&mut SegmentCtx<'_>) -> R) -> R {
+        let now = self.now();
+        let mut world = self.world.lock_for("ProcessContext::step");
         let mut ctx = SegmentCtx {
             pid: self.pid,
-            now: self.now(),
+            now,
             wake,
             ops: &mut self.pending,
+            world: &mut world,
         };
         f(&mut ctx)
+    }
+
+    /// The simulation world, locked once for the caller, and a notifier
+    /// into this process's buffer (see
+    /// [`KernelHandle::split`](crate::KernelHandle::split)).
+    pub fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>) {
+        let now = self.now();
+        let world = self.world.lock_for("ProcessContext::world");
+        (
+            WorldRef::Locked(world),
+            Notifier::ops(now, &mut self.pending),
+        )
     }
 
     /// Blocks until any of `events` is notified; returns the waking event.
@@ -308,7 +327,10 @@ impl ProcessContext {
             panic::panic_any(ShutdownToken);
         }
         match self.resume_rx.recv() {
-            Ok(ResumeMsg::Wake(wake)) => wake,
+            Ok(ResumeMsg::Wake(wake, world)) => {
+                self.world = world;
+                wake
+            }
             Ok(ResumeMsg::Shutdown) | Err(_) => panic::panic_any(ShutdownToken),
         }
     }
@@ -420,18 +442,19 @@ where
     std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
+            // Wait for the kernel to start us.
+            let world = match resume_rx.recv() {
+                Ok(ResumeMsg::Wake(_, world)) => world,
+                Ok(ResumeMsg::Shutdown) | Err(_) => return,
+            };
             let mut ctx = ProcessContext {
                 pid,
                 now_ps,
                 yield_tx,
                 resume_rx,
                 pending: Vec::new(),
+                world,
             };
-            // Wait for the kernel to start us.
-            match ctx.resume_rx.recv() {
-                Ok(ResumeMsg::Wake(_)) => {}
-                Ok(ResumeMsg::Shutdown) | Err(_) => return,
-            }
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
             let reason = match result {
                 Ok(()) => YieldReason::Terminated,

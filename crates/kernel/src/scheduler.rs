@@ -30,6 +30,7 @@ use crate::process::{
 use crate::segment::{SegStep, SegmentCtx, WaitRequest};
 use crate::sync::{unbounded, Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
+use crate::world::{SharedWorld, World, WorldGuard};
 
 /// Default bound on consecutive delta cycles at one instant before the
 /// kernel declares a zero-time livelock.
@@ -281,8 +282,7 @@ impl Kernel {
     /// Immediate notification from outside any process (testbench code
     /// between `run` calls).
     pub fn notify_external(&mut self, event: Event) {
-        self.events[event.index()].pending = Pending::None;
-        self.fire(event);
+        self.apply_op(NotifyOp::Immediate(event));
     }
 
     /// Schedules a notification of `event` at absolute time `at`.
@@ -346,33 +346,38 @@ impl Kernel {
     /// `Vec` as the spare for the next segment dispatch.
     fn apply_ops(&mut self, mut ops: Vec<NotifyOp>) {
         for op in ops.drain(..) {
-            match op {
-                NotifyOp::Immediate(e) => {
-                    // Immediate notification overrides (cancels) anything
-                    // pending and fires right now.
-                    self.events[e.index()].pending = Pending::None;
-                    self.fire(e);
-                }
-                NotifyOp::Delta(e) => {
-                    let entry = &mut self.events[e.index()];
-                    match entry.pending {
-                        Pending::Delta => {}
-                        Pending::None | Pending::Timed { .. } => {
-                            entry.pending = Pending::Delta;
-                            self.delta_events.push(e);
-                        }
-                    }
-                }
-                NotifyOp::Timed(e, d) => {
-                    let at = self.now().saturating_add(d);
-                    self.post_timed(e, at);
-                }
-                NotifyOp::Cancel(e) => {
-                    self.events[e.index()].pending = Pending::None;
-                }
-            }
+            self.apply_op(op);
         }
         self.spare_ops = ops;
+    }
+
+    /// Applies one notification op.
+    pub(crate) fn apply_op(&mut self, op: NotifyOp) {
+        match op {
+            NotifyOp::Immediate(e) => {
+                // Immediate notification overrides (cancels) anything
+                // pending and fires right now.
+                self.events[e.index()].pending = Pending::None;
+                self.fire(e);
+            }
+            NotifyOp::Delta(e) => {
+                let entry = &mut self.events[e.index()];
+                match entry.pending {
+                    Pending::Delta => {}
+                    Pending::None | Pending::Timed { .. } => {
+                        entry.pending = Pending::Delta;
+                        self.delta_events.push(e);
+                    }
+                }
+            }
+            NotifyOp::Timed(e, d) => {
+                let at = self.now().saturating_add(d);
+                self.post_timed(e, at);
+            }
+            NotifyOp::Cancel(e) => {
+                self.events[e.index()].pending = Pending::None;
+            }
+        }
     }
 
     /// Parks `pid` on `events` (none for a timed sleep), arming a wake
@@ -459,55 +464,81 @@ impl Kernel {
     /// Runs `pid` for one slice and returns its yield.
     ///
     /// Thread backend: channel handoff to the process thread (one resume
-    /// send, one yield recv — two OS context switches). Segment backend:
-    /// a direct call to the state machine on the kernel's own thread.
-    /// Either way the returned [`YieldMsg`] is applied identically, which
-    /// is what makes the two modes produce the same schedule.
-    fn dispatch(&mut self, pid: ProcessId, wake: Wake) -> YieldMsg {
+    /// send, one yield recv — two OS context switches); the run loop has
+    /// given its world loan back, and the thread locks the world for its
+    /// step. Segment backend: a direct call to the state machine on the
+    /// kernel's own thread, lending it `world` (taken once, by `lend`,
+    /// and kept across consecutive segment dispatches). Either way the
+    /// returned [`YieldMsg`] is applied identically, which is what makes
+    /// the two modes produce the same schedule.
+    fn dispatch<'w>(
+        &mut self,
+        pid: ProcessId,
+        wake: Wake,
+        shared: &'w SharedWorld,
+        loan: &mut Option<WorldGuard<'w>>,
+    ) -> YieldMsg {
         match &mut self.procs[pid.index()].backend {
             ProcBackend::Thread { resume_tx, .. } => {
+                *loan = None;
                 resume_tx
-                    .send(ResumeMsg::Wake(wake))
+                    .send(ResumeMsg::Wake(wake, shared.clone()))
                     .expect("process thread vanished");
                 self.yield_rx
                     .recv()
                     .expect("process thread hung up without yielding")
             }
             ProcBackend::Segment { body } => {
-                let mut machine = body.take().expect("segment process re-entered");
-                let now = self.now();
-                let mut ops = std::mem::take(&mut self.spare_ops);
-                let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut ctx = SegmentCtx {
-                        pid,
-                        now,
-                        wake,
-                        ops: &mut ops,
-                    };
-                    machine(&mut ctx)
-                }));
-                let reason = match step {
-                    Ok(SegStep::Yield(req)) => {
-                        // Not done: park the state machine for the next wake.
-                        if let ProcBackend::Segment { body } =
-                            &mut self.procs[pid.index()].backend
-                        {
-                            *body = Some(machine);
-                        }
-                        YieldReason::Wait(req)
-                    }
-                    Ok(SegStep::Done) => YieldReason::Terminated,
-                    Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
-                };
-                YieldMsg { pid, ops, reason }
+                let machine = body.take().expect("segment process re-entered");
+                let world = loan.get_or_insert_with(|| shared.lock_for("Simulator::run"));
+                self.step_segment(pid, wake, machine, world)
             }
         }
+    }
+
+    fn step_segment(
+        &mut self,
+        pid: ProcessId,
+        wake: Wake,
+        mut machine: crate::process::SegBody,
+        world: &mut World,
+    ) -> YieldMsg {
+        let now = self.now();
+        let mut ops = std::mem::take(&mut self.spare_ops);
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut ctx = SegmentCtx {
+                pid,
+                now,
+                wake,
+                ops: &mut ops,
+                world,
+            };
+            machine(&mut ctx)
+        }));
+        let reason = match step {
+            Ok(SegStep::Yield(req)) => {
+                // Not done: park the state machine for the next wake.
+                if let ProcBackend::Segment { body } = &mut self.procs[pid.index()].backend {
+                    *body = Some(machine);
+                }
+                YieldReason::Wait(req)
+            }
+            Ok(SegStep::Done) => YieldReason::Terminated,
+            Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
+        };
+        YieldMsg { pid, ops, reason }
     }
 
     /// Runs until event starvation or (if given) until simulated time
     /// would pass `limit`. Events scheduled exactly at `limit` are
     /// processed.
-    pub fn run(&mut self, limit: Option<SimTime>) -> Result<(), KernelError> {
+    ///
+    /// `world` is lent to segment dispatches: locked at the first one and
+    /// kept across the next, given back only before a thread-backed
+    /// dispatch and around each choice-policy call (the policy may read
+    /// model state, such as the trace).
+    pub fn run(&mut self, limit: Option<SimTime>, world: &SharedWorld) -> Result<(), KernelError> {
+        let mut loan: Option<WorldGuard<'_>> = None;
         let mut deltas_at_instant: u64 = 0;
         loop {
             // -- evaluation phase ------------------------------------------
@@ -518,6 +549,7 @@ impl Kernel {
                         .iter()
                         .map(|&(pid, wake)| self.dispatch_candidate(pid, wake))
                         .collect();
+                    loan = None;
                     let idx = self.choose(ChoiceKind::Dispatch, &candidates);
                     self.runnable.remove(idx).expect("index validated")
                 } else {
@@ -528,7 +560,7 @@ impl Kernel {
                 };
                 debug_assert_eq!(self.procs[pid.index()].state, ProcState::Runnable);
                 self.stats.process_switches += 1;
-                let msg = self.dispatch(pid, wake);
+                let msg = self.dispatch(pid, wake, world, &mut loan);
                 debug_assert_eq!(msg.pid, pid, "yield from a process that was not running");
                 self.apply_ops(msg.ops);
                 self.apply_reason(msg.pid, msg.reason)?;
@@ -555,10 +587,9 @@ impl Kernel {
                         break;
                     }
                     let idx = if self.choice.is_some() && pending.len() >= 2 {
-                        let candidates: Vec<Candidate> = pending
-                            .iter()
-                            .map(|&e| self.delta_candidate(e))
-                            .collect();
+                        let candidates: Vec<Candidate> =
+                            pending.iter().map(|&e| self.delta_candidate(e)).collect();
+                        loan = None;
                         self.choose(ChoiceKind::Delta, &candidates)
                     } else {
                         0
@@ -613,6 +644,7 @@ impl Kernel {
                 let idx = if self.choice.is_some() && ripe.len() >= 2 {
                     let candidates: Vec<Candidate> =
                         ripe.iter().map(|e| self.timer_candidate(e)).collect();
+                    loan = None;
                     self.choose(ChoiceKind::Timer, &candidates)
                 } else {
                     0

@@ -16,10 +16,16 @@
 //! every yielded wait as a blocking [`ProcessContext::wait`]. The
 //! machine and the scheduling protocol are the same in both, so both
 //! produce the bit-identical event schedule.
+//!
+//! Every step receives the simulation [`World`] on loan through its
+//! [`SegmentCtx`]: inline steps share the run loop's one loan, and a
+//! thread-hosted step locks the world once (see [`crate::world`]).
 
 use crate::event::{Event, Wake};
 use crate::process::{NotifyOp, ProcessContext, ProcessId};
+use crate::scheduler::Kernel;
 use crate::time::{SimDuration, SimTime};
+use crate::world::{World, WorldRef};
 
 /// Where a simulator runs its step machines (see
 /// [`Simulator::spawn_segment`](crate::Simulator::spawn_segment)).
@@ -128,13 +134,16 @@ pub enum SegStep {
 /// clock, the wake cause, and buffering event notifications (applied by
 /// the kernel when the segment yields, exactly as a thread-backed
 /// process's buffered ops are applied at its yield point —
-/// indistinguishable under the one-runner protocol).
+/// indistinguishable under the one-runner protocol). It also carries the
+/// simulation [`World`], lent for the step: reaching model state through
+/// it takes no lock.
 #[derive(Debug)]
 pub struct SegmentCtx<'a> {
     pub(crate) pid: ProcessId,
     pub(crate) now: SimTime,
     pub(crate) wake: Wake,
     pub(crate) ops: &'a mut Vec<NotifyOp>,
+    pub(crate) world: &'a mut World,
 }
 
 impl SegmentCtx<'_> {
@@ -185,14 +194,110 @@ impl SegmentCtx<'_> {
     pub fn cancel(&mut self, event: Event) {
         self.ops.push(NotifyOp::Cancel(event));
     }
+
+    /// The simulation world, lent for this step.
+    #[inline]
+    pub fn world(&mut self) -> &mut World {
+        self.world
+    }
+
+    /// The lent world and this step's notification buffer at once, for
+    /// code that notifies while it holds model state.
+    #[inline]
+    pub fn split(&mut self) -> (&mut World, Notifier<'_>) {
+        (self.world, Notifier::ops(self.now, self.ops))
+    }
 }
 
-/// The non-blocking kernel surface shared by both process backends.
+enum Sink<'a> {
+    /// A process's buffer, applied when it yields.
+    Ops(&'a mut Vec<NotifyOp>),
+    /// The idle kernel itself (testbench code between runs).
+    Kernel(&'a mut Kernel),
+}
+
+/// Posts event notifications on behalf of the code that holds it: into
+/// a running process's buffer, or straight into an idle kernel. Obtained
+/// next to the world from [`KernelHandle::split`] or
+/// [`SegmentCtx::split`].
+pub struct Notifier<'a> {
+    now: SimTime,
+    sink: Sink<'a>,
+}
+
+impl Notifier<'_> {
+    /// Current simulation time.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    #[inline]
+    fn post(&mut self, op: NotifyOp) {
+        match &mut self.sink {
+            Sink::Ops(ops) => ops.push(op),
+            Sink::Kernel(kernel) => kernel.apply_op(op),
+        }
+    }
+
+    /// Immediate notification.
+    #[inline]
+    pub fn notify(&mut self, event: Event) {
+        self.post(NotifyOp::Immediate(event));
+    }
+
+    /// Delta notification.
+    #[inline]
+    pub fn notify_delta(&mut self, event: Event) {
+        self.post(NotifyOp::Delta(event));
+    }
+
+    /// Timed notification (zero delay = delta).
+    #[inline]
+    pub fn notify_after(&mut self, event: Event, delay: SimDuration) {
+        if delay.is_zero() {
+            self.post(NotifyOp::Delta(event));
+        } else {
+            self.post(NotifyOp::Timed(event, delay));
+        }
+    }
+
+    /// Cancel a pending notification.
+    #[inline]
+    pub fn cancel(&mut self, event: Event) {
+        self.post(NotifyOp::Cancel(event));
+    }
+
+    pub(crate) fn ops(now: SimTime, ops: &mut Vec<NotifyOp>) -> Notifier<'_> {
+        Notifier {
+            now,
+            sink: Sink::Ops(ops),
+        }
+    }
+
+    pub(crate) fn kernel(now: SimTime, kernel: &mut Kernel) -> Notifier<'_> {
+        Notifier {
+            now,
+            sink: Sink::Kernel(kernel),
+        }
+    }
+}
+
+impl std::fmt::Debug for Notifier<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Notifier").field("now", &self.now).finish()
+    }
+}
+
+/// The non-blocking kernel surface shared by both process backends and
+/// the testbench.
 ///
-/// Code that only needs to read the clock and post notifications — wake
-/// paths, communication primitives — takes `&mut dyn KernelHandle` and
-/// works identically from a thread-backed process ([`ProcessContext`]) or
-/// a segment dispatch ([`SegmentCtx`]).
+/// Code that only needs to read the clock, post notifications and reach
+/// model state — wake paths, communication primitives — takes
+/// `&mut dyn KernelHandle` and works identically from a segment dispatch
+/// ([`SegmentCtx`], which lends its world), a thread-backed process
+/// ([`ProcessContext`], which locks the world once per call) or the
+/// testbench between runs ([`Simulator`](crate::Simulator)).
 pub trait KernelHandle {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -204,6 +309,14 @@ pub trait KernelHandle {
     fn notify_after(&mut self, event: Event, delay: SimDuration);
     /// Cancel a pending notification.
     fn cancel(&mut self, event: Event);
+    /// The simulation world and a notifier at once. Inside a step the
+    /// world is the lent one; elsewhere it is locked once for the call.
+    fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>);
+    /// The simulation world: the lent one inside a step, otherwise
+    /// locked once for the call.
+    fn world(&mut self) -> WorldRef<'_> {
+        self.split().0
+    }
 }
 
 impl KernelHandle for ProcessContext {
@@ -222,6 +335,9 @@ impl KernelHandle for ProcessContext {
     fn cancel(&mut self, event: Event) {
         ProcessContext::cancel(self, event)
     }
+    fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>) {
+        ProcessContext::split(self)
+    }
 }
 
 impl KernelHandle for SegmentCtx<'_> {
@@ -239,5 +355,9 @@ impl KernelHandle for SegmentCtx<'_> {
     }
     fn cancel(&mut self, event: Event) {
         SegmentCtx::cancel(self, event)
+    }
+    fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>) {
+        let (world, notifier) = SegmentCtx::split(self);
+        (WorldRef::Lent(world), notifier)
     }
 }

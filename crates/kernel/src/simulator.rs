@@ -4,8 +4,9 @@ use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{ProcessContext, ProcessId};
 use crate::scheduler::{Kernel, KernelStats};
-use crate::segment::{ExecMode, SegStep, SegmentCtx};
-use crate::time::SimTime;
+use crate::segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx};
+use crate::time::{SimDuration, SimTime};
+use crate::world::{SharedWorld, WorldRef};
 
 /// A discrete-event simulator: the SystemC-engine stand-in that everything
 /// in `rtsim` runs on.
@@ -15,6 +16,11 @@ use crate::time::SimTime;
 /// [`ProcessContext`]), then [`run`](Simulator::run) or
 /// [`run_until`](Simulator::run_until). The simulator may be run multiple
 /// times; each call continues from where the previous one stopped.
+///
+/// The simulator owns the model's mutable state as one
+/// [`World`](crate::world::World) and lends it to each step (see
+/// [`crate::world`]). Between runs the testbench reaches that state
+/// through the simulator's own [`KernelHandle`] implementation.
 ///
 /// # Examples
 ///
@@ -46,6 +52,9 @@ use crate::time::SimTime;
 pub struct Simulator {
     kernel: Kernel,
     mode: ExecMode,
+    world: SharedWorld,
+    /// A world was attached (see [`Simulator::attach_world`]).
+    attached: bool,
 }
 
 impl Simulator {
@@ -63,7 +72,36 @@ impl Simulator {
         Simulator {
             kernel: Kernel::new(),
             mode,
+            world: SharedWorld::new(),
+            attached: false,
         }
+    }
+
+    /// Makes `world` the one this simulator lends to its steps. Model
+    /// layers call this when they build state in a world of their own
+    /// (a trace recorder's); attaching the same world again is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a different world was attached before, or if the
+    /// simulator's own world already holds state: one simulation has
+    /// exactly one world.
+    pub fn attach_world(&mut self, world: &SharedWorld) {
+        if self.world.same(world) {
+            return;
+        }
+        assert!(
+            !self.attached,
+            "attach_world: this simulator already has another world attached \
+             (build every processor, relation and hardware function of one \
+             simulation on one trace recorder)"
+        );
+        assert!(
+            self.world.lock_for("Simulator::attach_world").is_empty(),
+            "attach_world: this simulator's own world already holds state"
+        );
+        self.world = world.clone();
+        self.attached = true;
     }
 
     /// The execution mode: where [`spawn_segment`](Simulator::spawn_segment)
@@ -119,6 +157,13 @@ impl Simulator {
         }
     }
 
+    /// A notifier applying straight to the idle kernel (testbench code
+    /// between runs).
+    fn notifier(&mut self) -> Notifier<'_> {
+        let now = self.kernel.now();
+        Notifier::kernel(now, &mut self.kernel)
+    }
+
     /// Runs until event starvation (no runnable process and no pending
     /// notification).
     ///
@@ -127,7 +172,7 @@ impl Simulator {
     /// Returns [`KernelError::ProcessPanicked`] if a process body panics
     /// and [`KernelError::DeltaCycleOverflow`] on a zero-time livelock.
     pub fn run(&mut self) -> Result<(), KernelError> {
-        self.kernel.run(None)
+        self.kernel.run(None, &self.world)
     }
 
     /// Runs until event starvation or until simulated time would pass
@@ -139,7 +184,7 @@ impl Simulator {
     ///
     /// Same as [`run`](Simulator::run).
     pub fn run_until(&mut self, until: SimTime) -> Result<(), KernelError> {
-        self.kernel.run(Some(until))
+        self.kernel.run(Some(until), &self.world)
     }
 
     /// Runs for `span` of simulated time from the current instant
@@ -244,6 +289,34 @@ impl Simulator {
 impl Default for Simulator {
     fn default() -> Self {
         Simulator::new()
+    }
+}
+
+/// The testbench's handle between runs: notifications apply to the idle
+/// kernel at once (as [`Simulator::notify`] does), and the world is
+/// locked once per call.
+impl KernelHandle for Simulator {
+    fn now(&self) -> SimTime {
+        Simulator::now(self)
+    }
+    fn notify(&mut self, event: Event) {
+        self.notifier().notify(event);
+    }
+    fn notify_delta(&mut self, event: Event) {
+        self.notifier().notify_delta(event);
+    }
+    fn notify_after(&mut self, event: Event, delay: SimDuration) {
+        self.notifier().notify_after(event, delay);
+    }
+    fn cancel(&mut self, event: Event) {
+        self.notifier().cancel(event);
+    }
+    fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>) {
+        let now = self.kernel.now();
+        (
+            WorldRef::Locked(self.world.lock_for("Simulator::world")),
+            Notifier::kernel(now, &mut self.kernel),
+        )
     }
 }
 

@@ -8,7 +8,9 @@
 //!   recovers from poisoning. In this kernel a panicking simulated process
 //!   is an *expected* event (the scheduler converts it into
 //!   `KernelError::ProcessPanicked`), so a poisoned lock must not cascade
-//!   the failure into unrelated processes or tests.
+//!   the failure into unrelated processes or tests. Every acquisition
+//!   bumps a per-thread counter ([`locks_taken`]), so tests can pin how
+//!   many locks a hot path takes.
 //! - [`unbounded`] — the `SyncChannel` handoff pair used for the
 //!   one-runner coroutine protocol between the kernel and its process
 //!   threads (the paper's Approach-A thread model), backed by
@@ -16,8 +18,35 @@
 //!
 //! [`lock`]: Mutex::lock
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::mpsc;
+
+thread_local! {
+    static LOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`Mutex`] acquisitions this thread has made so far (both
+/// [`Mutex::lock`] and successful [`Mutex::try_lock`] calls).
+///
+/// # Examples
+///
+/// ```
+/// use rtsim_kernel::sync::{locks_taken, Mutex};
+///
+/// let m = Mutex::new(0);
+/// let before = locks_taken();
+/// *m.lock() += 1;
+/// assert_eq!(locks_taken() - before, 1);
+/// ```
+pub fn locks_taken() -> u64 {
+    LOCKS.get()
+}
+
+#[inline]
+fn count_lock() {
+    LOCKS.set(LOCKS.get() + 1);
+}
 
 /// A mutual-exclusion lock that shrugs off poisoning.
 ///
@@ -53,7 +82,21 @@ impl<T: ?Sized> Mutex<T> {
     /// recovered rather than propagated: the guard is returned anyway.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_lock();
         self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Acquires the lock if it is free right now, `None` if another
+    /// holder has it (poisoning is recovered, as in [`lock`](Self::lock)).
+    #[inline]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.0.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        count_lock();
+        Some(guard)
     }
 
     /// Mutable access without locking (requires exclusive ownership).

@@ -40,10 +40,13 @@ impl Io {
     ///
     /// Panics if no event relation with that name was declared.
     pub fn event(&self, name: &str) -> RtEvent {
+        self.event_ref(name).clone()
+    }
+
+    pub(crate) fn event_ref(&self, name: &str) -> &RtEvent {
         self.events
             .get(name)
             .unwrap_or_else(|| panic!("no event relation `{name}` in the model"))
-            .clone()
     }
 
     /// The message-queue relation called `name`.
@@ -52,10 +55,13 @@ impl Io {
     ///
     /// Panics if no queue relation with that name was declared.
     pub fn queue(&self, name: &str) -> MessageQueue<Message> {
+        self.queue_ref(name).clone()
+    }
+
+    pub(crate) fn queue_ref(&self, name: &str) -> &MessageQueue<Message> {
         self.queues
             .get(name)
             .unwrap_or_else(|| panic!("no queue relation `{name}` in the model"))
-            .clone()
     }
 
     /// The rendezvous relation called `name`.
@@ -76,10 +82,13 @@ impl Io {
     ///
     /// Panics if no shared-variable relation with that name was declared.
     pub fn var(&self, name: &str) -> SharedVar<Message> {
+        self.var_ref(name).clone()
+    }
+
+    pub(crate) fn var_ref(&self, name: &str) -> &SharedVar<Message> {
         self.vars
             .get(name)
             .unwrap_or_else(|| panic!("no shared-variable relation `{name}` in the model"))
-            .clone()
     }
 }
 
@@ -129,7 +138,10 @@ impl ElaboratedSystem {
         let mut sim = model
             .exec_mode
             .map_or_else(Simulator::new, Simulator::with_mode);
+        // Every relation, processor and function keeps its state in the
+        // recorder's world, which the simulator lends to each step.
         let recorder = TraceRecorder::new();
+        sim.attach_world(recorder.world());
 
         // Relations first, so every function body can capture them.
         let mut events = BTreeMap::new();

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use rtsim_comm::{EvWait, ReleaseFollowup};
 use rtsim_core::{Agent, SegControl, SegHwRunner, SegTaskRunner};
 use rtsim_fault::{FaultInjector, ModeChange};
+use rtsim_kernel::world::World;
 use rtsim_kernel::{SegStep, SegmentCtx, SimDuration, SimTime};
 use rtsim_trace::{CommKind, FaultKind};
 
@@ -377,18 +378,28 @@ impl Runner {
     /// access record must wait for it to complete (hardware functions
     /// treat both follow-ups as no-ops, exactly like
     /// [`HwCtx`](rtsim_core::HwCtx)).
-    fn followup(&mut self, f: ReleaseFollowup, now: SimTime) -> bool {
+    fn followup(&mut self, f: ReleaseFollowup, world: &mut World, now: SimTime) -> bool {
         match (self, f) {
             (Runner::Task(r), ReleaseFollowup::UnlockPreemption) => {
-                r.unlock_preemption(now);
+                r.unlock_preemption(world, now);
                 true
             }
             (Runner::Task(r), ReleaseFollowup::Reschedule) => {
-                r.reschedule(now);
+                r.reschedule(world, now);
                 true
             }
             _ => false,
         }
+    }
+
+    /// Records a fault of `kind` against this function at the current
+    /// instant, through the step's world.
+    fn record_fault(&self, ctx: &mut SegmentCtx<'_>, kind: FaultKind, magnitude_ps: u64) {
+        let agent = self.agent(ctx);
+        let (actor, now, log) = (agent.trace_actor(), agent.now(), agent.recorder().log());
+        ctx.world()
+            .get_mut(log)
+            .fault(actor, now, kind, magnitude_ps);
     }
 }
 
@@ -590,11 +601,8 @@ impl ScriptProcess {
                     let now = ctx.now();
                     let extra = fc.injector.burst_extra(&fc.task, now, d);
                     if extra > SimDuration::ZERO {
-                        let agent = self.runner.agent(ctx);
-                        let actor = agent.trace_actor();
-                        agent
-                            .recorder()
-                            .fault(actor, now, FaultKind::Burst, extra.as_ps());
+                        self.runner
+                            .record_fault(ctx, FaultKind::Burst, extra.as_ps());
                         d += extra;
                     }
                 }
@@ -622,9 +630,8 @@ impl ScriptProcess {
                 Progress::Continue
             }
             Instr::Signal(name) => {
-                let ev = self.io.event(&name);
                 let mut agent = self.runner.agent(ctx);
-                ev.signal(&mut agent);
+                self.io.event_ref(&name).signal(&mut agent);
                 Progress::Continue
             }
             Instr::AwaitEvent(name) => self.event_wait(ctx, name),
@@ -635,19 +642,17 @@ impl ScriptProcess {
             Instr::QueueRead(name) => self.queue_read(ctx, name, None),
             Instr::QueueTryWrite(name, f) => {
                 let msg = f(&self.regs);
-                let q = self.io.queue(&name);
                 let ok = {
                     let mut agent = self.runner.agent(ctx);
-                    q.try_write(&mut agent, msg).is_ok()
+                    self.io.queue_ref(&name).try_write(&mut agent, msg).is_ok()
                 };
                 self.regs.flag = ok;
                 Progress::Continue
             }
             Instr::QueueTryRead(name) => {
-                let q = self.io.queue(&name);
                 let got = {
                     let mut agent = self.runner.agent(ctx);
-                    q.try_read(&mut agent)
+                    self.io.queue_ref(&name).try_read(&mut agent)
                 };
                 match got {
                     Some(m) => {
@@ -723,11 +728,8 @@ impl ScriptProcess {
                     .map_or(SimDuration::ZERO, |fc| fc.release_offset(next_k));
                 let now = ctx.now();
                 if offset > SimDuration::ZERO {
-                    let agent = self.runner.agent(ctx);
-                    let actor = agent.trace_actor();
-                    agent
-                        .recorder()
-                        .fault(actor, now, FaultKind::Jitter, offset.as_ps());
+                    self.runner
+                        .record_fault(ctx, FaultKind::Jitter, offset.as_ps());
                 }
                 let next = base + offset;
                 if next > now {
@@ -753,23 +755,20 @@ impl ScriptProcess {
                         };
                         match v.change {
                             Some(ModeChange::EnterDegraded) => {
-                                let agent = self.runner.agent(ctx);
-                                let actor = agent.trace_actor();
-                                agent.recorder().fault(actor, now, FaultKind::Degraded, 0);
-                                if let Some(h) = &handle {
+                                self.runner.record_fault(ctx, FaultKind::Degraded, 0);
+                                if let Some(h) = handle {
+                                    let world = ctx.world();
                                     if fc.saved_deadline.is_none() {
-                                        fc.saved_deadline = Some(h.relative_deadline());
+                                        fc.saved_deadline = Some(h.relative_deadline_in(world));
                                     }
-                                    h.set_relative_deadline(Some(v.relaxed_deadline));
+                                    h.set_relative_deadline_in(world, Some(v.relaxed_deadline));
                                 }
                             }
                             Some(ModeChange::Recover) => {
-                                let agent = self.runner.agent(ctx);
-                                let actor = agent.trace_actor();
-                                agent.recorder().fault(actor, now, FaultKind::Recovered, 0);
-                                if let Some(h) = &handle {
+                                self.runner.record_fault(ctx, FaultKind::Recovered, 0);
+                                if let Some(h) = handle {
                                     if let Some(orig) = fc.saved_deadline.take() {
-                                        h.set_relative_deadline(orig);
+                                        h.set_relative_deadline_in(ctx.world(), orig);
                                     }
                                 }
                             }
@@ -795,9 +794,8 @@ impl ScriptProcess {
         match pending {
             Pending::EventRetry(name) => self.event_wait(ctx, name),
             Pending::EventFinish(name) => {
-                let ev = self.io.event(&name);
                 let mut agent = self.runner.agent(ctx);
-                ev.finish_fugitive_wait(&mut agent);
+                self.io.event_ref(&name).finish_fugitive_wait(&mut agent);
                 Progress::Continue
             }
             Pending::QueueWrite(name, msg, ticket) => self.queue_write(ctx, name, msg, ticket),
@@ -812,10 +810,9 @@ impl ScriptProcess {
     }
 
     fn event_wait(&mut self, ctx: &mut SegmentCtx<'_>, name: Arc<str>) -> Progress {
-        let ev = self.io.event(&name);
         let wait = {
             let mut agent = self.runner.agent(ctx);
-            ev.wait_attempt(&mut agent)
+            self.io.event_ref(&name).wait_attempt(&mut agent)
         };
         match wait {
             EvWait::Ready => Progress::Continue,
@@ -838,10 +835,11 @@ impl ScriptProcess {
         msg: Message,
         mut ticket: Option<u64>,
     ) -> Progress {
-        let q = self.io.queue(&name);
         let res = {
             let mut agent = self.runner.agent(ctx);
-            q.write_attempt(&mut agent, msg, &mut ticket)
+            self.io
+                .queue_ref(&name)
+                .write_attempt(&mut agent, msg, &mut ticket)
         };
         match res {
             Ok(()) => Progress::Continue,
@@ -859,10 +857,11 @@ impl ScriptProcess {
         name: Arc<str>,
         mut ticket: Option<u64>,
     ) -> Progress {
-        let q = self.io.queue(&name);
         let got = {
             let mut agent = self.runner.agent(ctx);
-            q.read_attempt(&mut agent, &mut ticket)
+            self.io
+                .queue_ref(&name)
+                .read_attempt(&mut agent, &mut ticket)
         };
         match got {
             Some(m) => {
@@ -878,12 +877,9 @@ impl ScriptProcess {
     }
 
     fn var_begin(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let var = self.io.var(&acc.name);
-        let got = {
-            let mut agent = self.runner.agent(ctx);
-            var.acquire_attempt(&mut agent)
-        };
-        if !got {
+        let var = self.io.var_ref(&acc.name);
+        let mut agent = self.runner.agent(ctx);
+        if !var.acquire_attempt(&mut agent) {
             self.runner.suspend(true);
             self.pending = Some(Pending::VarAcquire(acc));
             return Progress::Intent;
@@ -891,7 +887,7 @@ impl ScriptProcess {
         // Lock acquired: take the value snapshot (exactly where a closure
         // body's `with_lock` clones it), then compute under the lock.
         if acc.write.is_none() {
-            self.regs.var = var.locked_get();
+            self.regs.var = var.locked_get(&mut agent);
         }
         if !acc.dur.is_zero() {
             self.runner.execute(acc.dur);
@@ -902,15 +898,16 @@ impl ScriptProcess {
     }
 
     fn var_release(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let var = self.io.var(&acc.name);
-        if let Some(m) = acc.write {
-            var.locked_set(m);
-        }
         let followup = {
+            let var = self.io.var_ref(&acc.name);
             let mut agent = self.runner.agent(ctx);
+            if let Some(m) = acc.write {
+                var.locked_set(&mut agent, m);
+            }
             var.release_attempt(&mut agent)
         };
-        if self.runner.followup(followup, ctx.now()) {
+        let now = ctx.now();
+        if self.runner.followup(followup, ctx.world(), now) {
             self.pending = Some(Pending::VarRecord(acc));
             return Progress::Intent;
         }
@@ -919,14 +916,13 @@ impl ScriptProcess {
     }
 
     fn var_record(&mut self, ctx: &mut SegmentCtx<'_>, acc: &VarAccess) {
-        let var = self.io.var(&acc.name);
         let kind = if acc.write.is_some() {
             CommKind::Write
         } else {
             CommKind::Read
         };
         let mut agent = self.runner.agent(ctx);
-        var.record_access(&mut agent, kind);
+        self.io.var_ref(&acc.name).record_access(&mut agent, kind);
     }
 }
 

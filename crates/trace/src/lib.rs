@@ -46,12 +46,12 @@ pub use canon::{
     canonical, canonical_actor_into, canonical_record, canonical_record_into, write_canonical,
 };
 pub use csv::write_csv;
-pub use vcd::write_vcd;
 pub use measure::{Job, JobFold, Measure};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
 };
-pub use recorder::{Trace, TraceRecorder};
+pub use recorder::{Trace, TraceLog, TraceRecorder};
 pub use robust::RobustnessSummary;
 pub use stats::{DurationSummary, RelationStats, Statistics, TaskStats};
 pub use timeline::TimelineOptions;
+pub use vcd::write_vcd;

@@ -1,30 +1,152 @@
-//! The trace recorder: the shared sink all simulation layers write into.
+//! The trace recorder: the record buffer every simulation layer writes
+//! into, kept in the simulation's world.
 
 use std::fmt;
-use std::sync::Arc;
 
-use rtsim_kernel::sync::Mutex;
+use rtsim_kernel::world::{SharedWorld, Slot};
 use rtsim_kernel::{SimDuration, SimTime};
 
 use crate::record::{ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData};
 
-#[derive(Default)]
-struct Inner {
+/// The record buffer itself: a slot of the simulation
+/// [`World`](rtsim_kernel::World).
+///
+/// A running step reaches it through the world its
+/// [`KernelHandle`](rtsim_kernel::KernelHandle) lends, so recording is a
+/// plain `Vec::push`. Code outside a step records through the
+/// [`TraceRecorder`] handle instead.
+#[derive(Debug, Default)]
+pub struct TraceLog {
     actors: Vec<ActorInfo>,
     records: Vec<Record>,
     seq: u64,
     enabled: bool,
 }
 
-/// A cheaply cloneable handle to a shared trace sink.
+impl TraceLog {
+    /// Returns `true` if records are being kept.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Registers a traced entity and returns its id.
+    pub fn register(&mut self, name: &str, kind: ActorKind) -> ActorId {
+        let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
+        self.actors.push(ActorInfo {
+            name: name.to_owned(),
+            kind,
+        });
+        id
+    }
+
+    #[inline]
+    fn push(&mut self, at: SimTime, actor: ActorId, data: TraceData) {
+        if !self.enabled {
+            return;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.records.push(Record {
+            at,
+            seq,
+            actor,
+            data,
+        });
+    }
+
+    /// Records a task state change.
+    #[inline]
+    pub fn state(&mut self, actor: ActorId, at: SimTime, state: TaskState) {
+        self.push(at, actor, TraceData::State(state));
+    }
+
+    /// Records the start of an RTOS overhead segment of `kind` lasting
+    /// `duration`, attributed to `actor`.
+    #[inline]
+    pub fn overhead(
+        &mut self,
+        actor: ActorId,
+        at: SimTime,
+        kind: OverheadKind,
+        duration: SimDuration,
+    ) {
+        self.push(at, actor, TraceData::Overhead { kind, duration });
+    }
+
+    /// Records an access by `actor` to communication `relation`.
+    #[inline]
+    pub fn comm(&mut self, actor: ActorId, at: SimTime, relation: ActorId, kind: CommKind) {
+        self.push(at, actor, TraceData::Comm { relation, kind });
+    }
+
+    /// Records a queue occupancy change on relation `actor`.
+    #[inline]
+    pub fn queue_depth(&mut self, actor: ActorId, at: SimTime, depth: usize, capacity: usize) {
+        self.push(at, actor, TraceData::QueueDepth { depth, capacity });
+    }
+
+    /// Records acquisition (`true`) or release of resource `actor`.
+    #[inline]
+    pub fn resource_held(&mut self, actor: ActorId, at: SimTime, held: bool) {
+        self.push(at, actor, TraceData::ResourceHeld(held));
+    }
+
+    /// Records a free-form annotation on `actor`.
+    pub fn annotate(&mut self, actor: ActorId, at: SimTime, label: &str) {
+        if self.enabled {
+            self.push(at, actor, TraceData::Annotation(label.to_owned()));
+        }
+    }
+
+    /// Records the core `actor` was dispatched on (SMP processors; never
+    /// recorded by single-core processors).
+    #[inline]
+    pub fn core(&mut self, actor: ActorId, at: SimTime, core: usize) {
+        self.push(at, actor, TraceData::Core(core));
+    }
+
+    /// Records an injected fault (or degraded-mode transition) at
+    /// `actor`. Only fault-plan runs ever call this, so nominal traces
+    /// never carry fault records.
+    pub fn fault(
+        &mut self,
+        actor: ActorId,
+        at: SimTime,
+        kind: crate::record::FaultKind,
+        magnitude_ps: u64,
+    ) {
+        self.push(at, actor, TraceData::Fault { kind, magnitude_ps });
+    }
+
+    /// The registered actors, indexable by [`ActorId::index`].
+    pub fn actors(&self) -> &[ActorInfo] {
+        &self.actors
+    }
+
+    /// The records so far, in global order.
+    pub fn records(&self) -> &[Record] {
+        &self.records
+    }
+}
+
+/// A cheaply cloneable handle to a simulation's trace: the world that
+/// holds the [`TraceLog`] and its slot there.
 ///
 /// Every layer of the simulation (RTOS engines, communication relations,
-/// user task code) records into the same `TraceRecorder`; afterwards
+/// user task code) records into the same log; afterwards
 /// [`snapshot`](TraceRecorder::snapshot) yields an immutable [`Trace`] for
 /// rendering, statistics and assertions.
 ///
-/// Recording is thread-safe; because the kernel runs exactly one process at
-/// a time, records are globally ordered by their sequence number.
+/// [`TraceRecorder::new`] creates a fresh world holding only the log.
+/// The processors, relations and hardware functions built on a recorder
+/// keep their state in its world, and the first of them built on a
+/// simulator attaches that world to it
+/// ([`Simulator::attach_world`](rtsim_kernel::Simulator::attach_world)).
+///
+/// The methods here lock the world, for code outside a simulation step
+/// (the testbench, closure bodies). Called inside a step, whose thread
+/// holds the world on loan, they panic naming themselves: a step records
+/// through the lent world instead.
 ///
 /// # Examples
 ///
@@ -41,125 +163,132 @@ struct Inner {
 /// ```
 #[derive(Clone)]
 pub struct TraceRecorder {
-    inner: Arc<Mutex<Inner>>,
+    world: SharedWorld,
+    log: Slot<TraceLog>,
 }
 
 impl TraceRecorder {
-    /// Creates an empty, enabled recorder.
+    fn with_enabled(enabled: bool) -> Self {
+        let world = SharedWorld::new();
+        let log = world.lock_for("TraceRecorder::new").insert(TraceLog {
+            enabled,
+            ..TraceLog::default()
+        });
+        TraceRecorder { world, log }
+    }
+
+    /// Creates an empty, enabled recorder in a world of its own.
     pub fn new() -> Self {
-        TraceRecorder {
-            inner: Arc::new(Mutex::new(Inner {
-                enabled: true,
-                ..Inner::default()
-            })),
-        }
+        TraceRecorder::with_enabled(true)
     }
 
     /// Creates a recorder that drops all records (for speed benchmarks
     /// where tracing overhead must be excluded).
     pub fn disabled() -> Self {
-        TraceRecorder {
-            inner: Arc::new(Mutex::new(Inner::default())),
-        }
+        TraceRecorder::with_enabled(false)
+    }
+
+    /// The world holding this recorder's log.
+    pub fn world(&self) -> &SharedWorld {
+        &self.world
+    }
+
+    /// The log's slot in [`world`](TraceRecorder::world).
+    pub fn log(&self) -> Slot<TraceLog> {
+        self.log
+    }
+
+    fn with_log<R>(&self, accessor: &'static str, f: impl FnOnce(&mut TraceLog) -> R) -> R {
+        f(self.world.lock_for(accessor).get_mut(self.log))
     }
 
     /// Returns `true` if records are being kept.
     pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
+        self.with_log("TraceRecorder::is_enabled", |log| log.enabled)
     }
 
     /// Registers a traced entity and returns its id.
     pub fn register(&self, name: &str, kind: ActorKind) -> ActorId {
-        let mut inner = self.inner.lock();
-        let id = ActorId(u32::try_from(inner.actors.len()).expect("too many actors"));
-        inner.actors.push(ActorInfo {
-            name: name.to_owned(),
-            kind,
-        });
-        id
-    }
-
-    fn push(&self, at: SimTime, actor: ActorId, data: TraceData) {
-        let mut inner = self.inner.lock();
-        if !inner.enabled {
-            return;
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.records.push(Record {
-            at,
-            seq,
-            actor,
-            data,
-        });
+        self.with_log("TraceRecorder::register", |log| log.register(name, kind))
     }
 
     /// Records a task state change.
     pub fn state(&self, actor: ActorId, at: SimTime, state: TaskState) {
-        self.push(at, actor, TraceData::State(state));
+        self.with_log("TraceRecorder::state", |log| log.state(actor, at, state));
     }
 
     /// Records the start of an RTOS overhead segment of `kind` lasting
     /// `duration`, attributed to `actor`.
-    pub fn overhead(
-        &self,
-        actor: ActorId,
-        at: SimTime,
-        kind: OverheadKind,
-        duration: SimDuration,
-    ) {
-        self.push(at, actor, TraceData::Overhead { kind, duration });
+    pub fn overhead(&self, actor: ActorId, at: SimTime, kind: OverheadKind, duration: SimDuration) {
+        self.with_log("TraceRecorder::overhead", |log| {
+            log.overhead(actor, at, kind, duration)
+        });
     }
 
     /// Records an access by `actor` to communication `relation`.
     pub fn comm(&self, actor: ActorId, at: SimTime, relation: ActorId, kind: CommKind) {
-        self.push(at, actor, TraceData::Comm { relation, kind });
+        self.with_log("TraceRecorder::comm", |log| {
+            log.comm(actor, at, relation, kind)
+        });
     }
 
     /// Records a queue occupancy change on relation `actor`.
     pub fn queue_depth(&self, actor: ActorId, at: SimTime, depth: usize, capacity: usize) {
-        self.push(at, actor, TraceData::QueueDepth { depth, capacity });
+        self.with_log("TraceRecorder::queue_depth", |log| {
+            log.queue_depth(actor, at, depth, capacity)
+        });
     }
 
     /// Records acquisition (`true`) or release of resource `actor`.
     pub fn resource_held(&self, actor: ActorId, at: SimTime, held: bool) {
-        self.push(at, actor, TraceData::ResourceHeld(held));
+        self.with_log("TraceRecorder::resource_held", |log| {
+            log.resource_held(actor, at, held)
+        });
     }
 
     /// Records a free-form annotation on `actor`.
     pub fn annotate(&self, actor: ActorId, at: SimTime, label: &str) {
-        self.push(at, actor, TraceData::Annotation(label.to_owned()));
+        self.with_log("TraceRecorder::annotate", |log| {
+            log.annotate(actor, at, label)
+        });
     }
 
     /// Records the core `actor` was dispatched on (SMP processors; never
     /// recorded by single-core processors).
     pub fn core(&self, actor: ActorId, at: SimTime, core: usize) {
-        self.push(at, actor, TraceData::Core(core));
+        self.with_log("TraceRecorder::core", |log| log.core(actor, at, core));
     }
 
     /// Records an injected fault (or degraded-mode transition) at
     /// `actor`. Only fault-plan runs ever call this, so nominal traces
     /// never carry fault records.
-    pub fn fault(&self, actor: ActorId, at: SimTime, kind: crate::record::FaultKind, magnitude_ps: u64) {
-        self.push(at, actor, TraceData::Fault { kind, magnitude_ps });
+    pub fn fault(
+        &self,
+        actor: ActorId,
+        at: SimTime,
+        kind: crate::record::FaultKind,
+        magnitude_ps: u64,
+    ) {
+        self.with_log("TraceRecorder::fault", |log| {
+            log.fault(actor, at, kind, magnitude_ps)
+        });
     }
 
     /// Takes an immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
-        let inner = self.inner.lock();
-        Trace {
-            actors: inner.actors.clone(),
-            records: inner.records.clone(),
-        }
+        self.with_log("TraceRecorder::snapshot", |log| Trace {
+            actors: log.actors.clone(),
+            records: log.records.clone(),
+        })
     }
 
-    /// Runs `f` over the recorder's own actor table and records, under
-    /// its lock, without copying them — the zero-copy alternative to
+    /// Runs `f` over the log's own actor table and records, with the
+    /// world locked, without copying them — the zero-copy alternative to
     /// [`snapshot`](TraceRecorder::snapshot) for one-pass consumers such
     /// as fingerprints and state hashes.
     ///
-    /// `f` must not record into this recorder (or any clone of it): the
-    /// lock is held for the whole call, so that would deadlock.
+    /// `f` must not use this recorder (or any clone of it): the world is
+    /// locked for the whole call, so that panics.
     ///
     /// # Examples
     ///
@@ -174,13 +303,14 @@ impl TraceRecorder {
     /// assert_eq!((actors, records), (1, 1));
     /// ```
     pub fn with_records<R>(&self, f: impl FnOnce(&[ActorInfo], &[Record]) -> R) -> R {
-        let inner = self.inner.lock();
-        f(&inner.actors, &inner.records)
+        self.with_log("TraceRecorder::with_records", |log| {
+            f(&log.actors, &log.records)
+        })
     }
 
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        self.with_log("TraceRecorder::len", |log| log.records.len())
     }
 
     /// Returns `true` if nothing has been recorded.
@@ -197,11 +327,9 @@ impl Default for TraceRecorder {
 
 impl fmt::Debug for TraceRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("TraceRecorder")
-            .field("actors", &inner.actors.len())
-            .field("records", &inner.records.len())
-            .field("enabled", &inner.enabled)
+            .field("world", &self.world)
+            .field("log", &self.log)
             .finish()
     }
 }

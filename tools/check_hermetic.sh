@@ -59,6 +59,13 @@ cargo build --release --offline --workspace --all-targets
 echo "== hermetic check: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== hermetic check: the benchmark package still compiles =="
+# rtsim-benchmark is a package of its own (not a workspace member), so
+# the workspace build above never compiles it. It uses the public API of
+# the facade; an API change that breaks it must fail here, not only when
+# the benchmark is next run.
+cargo check --offline --all-targets --manifest-path rtsim-benchmark/Cargo.toml
+
 echo "== hermetic check: offline test suite =="
 cargo test -q --offline --workspace
 
