@@ -11,14 +11,23 @@
 //! verified by replay before the run counts as a pass). Exit status is
 //! nonzero on any unexpected outcome.
 //!
+//! Each scenario's line reports the explored counts, the runs that
+//! started from a new elaboration (`fresh`: 1 when the explorer forks),
+//! the deepest stack of open choice frames and the wall-clock speed.
+//! The states/choices ratio is the pruning ratio.
+//!
+//! A `--replay` sequence that does not fit the scenario (a choice out of
+//! range, or choices left over) is an error: exit status 2.
+//!
 //! When `RTSIM_BENCH_OUT` is set, explored-state counts are written as
 //! a `bench-v1` trajectory (`bench-check.jsonl`) for
 //! `rtsim-bench-diff` gating.
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rtsim_check::{
-    emit, explore, replay, scenario_by_name, Budget, CheckScenario, Expectation, SCENARIOS,
+    emit, explore, scenario_by_name, try_replay, Budget, CheckScenario, Expectation, SCENARIOS,
 };
 
 fn usage() -> ! {
@@ -85,14 +94,20 @@ fn main() -> ExitCode {
     let mut failed = false;
     let mut explorations = Vec::new();
     for scenario in targets {
+        let started = Instant::now();
         let outcome = explore(scenario, &budget);
+        let runs_per_s = outcome.runs as f64 / started.elapsed().as_secs_f64().max(1e-9);
         println!(
-            "{:16} runs {:>7}  states {:>8}  traces {:>7}  choices {:>8}  {}",
+            "{:16} runs {:>7}  states {:>8}  traces {:>7}  choices {:>8}  \
+             fresh {:>5}  depth {:>3}  {:>9.0} runs/s  {}",
             outcome.scenario,
             outcome.runs,
             outcome.states,
             outcome.distinct_traces,
             outcome.choice_points,
+            outcome.fresh,
+            outcome.max_frames,
+            runs_per_s,
             if outcome.counterexample.is_some() {
                 "violated"
             } else if outcome.complete {
@@ -122,8 +137,9 @@ fn main() -> ExitCode {
             (Expectation::Violate, Some(cx)) => {
                 // A mutant only counts as caught if its counterexample
                 // replays to the same violation deterministically.
-                let (_, violations) = replay(scenario, &cx.choices);
-                if violations.is_empty() {
+                let replays = try_replay(scenario, &cx.choices)
+                    .is_ok_and(|(_, violations)| !violations.is_empty());
+                if !replays {
                     failed = true;
                     eprintln!(
                         "FAIL: mutant `{}` counterexample does not replay",
@@ -162,7 +178,13 @@ fn run_replay(spec: &str) -> ExitCode {
             .map(|c| c.parse().unwrap_or_else(|_| usage()))
             .collect()
     };
-    let (trace, violations) = replay(scenario, &choices);
+    let (trace, violations) = match try_replay(scenario, &choices) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("rtsim-check: cannot replay `{name}`: {e}");
+            return ExitCode::from(2);
+        }
+    };
     println!(
         "replayed `{name}` with {} forced choices: {} trace records",
         choices.len(),

@@ -15,9 +15,11 @@ use rtsim_campaign::write_artifact_in;
 use crate::explore::Exploration;
 
 /// Renders the coverage trajectory for a set of explorations: per
-/// scenario, the visited-state count (`states/<name>`), the replay
-/// count (`runs/<name>`) and the distinct-trace count
-/// (`traces/<name>`).
+/// scenario, the visited-state count (`states/<name>`), the run count
+/// (`runs/<name>`), the distinct-trace count (`traces/<name>`) and the
+/// runs that started from a new elaboration (`fresh/<name>`: 1 when the
+/// explorer forks, so a change that silently stops forking shows up as
+/// a regression).
 pub fn coverage_jsonl(explorations: &[Exploration]) -> String {
     let env = EnvFingerprint::capture();
     let count = |id: String, n: u64| -> Json {
@@ -31,6 +33,7 @@ pub fn coverage_jsonl(explorations: &[Exploration]) -> String {
             format!("traces/{}", e.scenario),
             e.distinct_traces as u64,
         ));
+        records.push(count(format!("fresh/{}", e.scenario), e.fresh));
     }
     to_jsonl(&records)
 }

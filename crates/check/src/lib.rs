@@ -5,16 +5,17 @@
 //! yesterday" for that one arbitrary interleaving. This crate converts
 //! that into exhaustive verification, in the spirit of model-checking
 //! RTOS schedulers (cf. the Spin analyses of FreeRTOS): a depth-first
-//! explorer replays small scenarios through the Segment-mode kernel,
-//! systematically resolving every nondeterministic choice point —
-//! same-timestamp event dispatch order, ready ties, interrupt-arrival
-//! windows — via the kernel's [`rtsim_kernel::ChoicePolicy`] hook, and
-//! evaluates invariant oracles on every reachable schedule.
+//! explorer runs small scenarios through the Segment-mode kernel,
+//! stopping at every nondeterministic choice point — same-timestamp
+//! event dispatch order, ready ties, interrupt-arrival windows — with
+//! [`rtsim_kernel::Simulator::run_to_choice`], forking the simulation
+//! there to resume each alternative, and evaluates invariant oracles on
+//! every reachable schedule.
 //!
 //! - [`explore`](mod@explore): the DFS itself, with canonical-trace FNV-1a state
 //!   hashing to prune revisits, a run/state/depth [`Budget`], and a
 //!   deterministic [`Counterexample`] (the exact choice stack) on
-//!   violation.
+//!   violation, which [`replay`] (or [`try_replay`]) reproduces.
 //! - [`oracle`]: the invariant trait and built-ins — no missed
 //!   deadline, no lost message, all tasks terminate, mutex exclusion,
 //!   critical-section exclusion, priority-inversion bound.
@@ -32,7 +33,10 @@ pub mod explore;
 pub mod oracle;
 pub mod scenarios;
 
-pub use explore::{explore, explore_with, replay, Budget, ChoiceFrame, Counterexample, Exploration};
+pub use explore::{
+    explore, explore_with, replay, try_replay, Budget, ChoiceFrame, Counterexample, Exploration,
+    ReplayError,
+};
 pub use oracle::{
     built_ins, AllTasksTerminate, CriticalSectionExclusion, MutexExclusion, NoLostMessage,
     NoMissedDeadline, Oracle, PriorityInversionBound, Violation,

@@ -16,12 +16,13 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_fault::ChannelLane;
 use rtsim_kernel::world::Slot;
-use rtsim_trace::{ActorKind, CommKind, FaultKind, TraceRecorder};
+use rtsim_trace::{ActorId, ActorKind, CommKind, FaultKind, TraceLog, TraceRecorder};
 
 /// Memorization policy of an [`RtEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,15 +47,16 @@ impl fmt::Display for EventPolicy {
     }
 }
 
+#[derive(Clone)]
 struct EvState {
     policy: EventPolicy,
     tokens: u64,
     waiters: VecDeque<Waiter>,
     /// Installed by a fault plan: consulted once per signal.
-    lane: Option<Arc<ChannelLane>>,
+    lane: Option<Slot<ChannelLane>>,
 }
 
-/// Outcome of one [`RtEvent::wait_attempt`] step.
+/// Outcome of one [`EventRef::wait_attempt`] step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvWait {
     /// A token was consumed; the wait is over.
@@ -70,7 +72,9 @@ pub enum EvWait {
 /// A synchronization event between MCSE functions, usable across
 /// processors and between hardware and software.
 ///
-/// Cloning yields another handle to the same event.
+/// Cloning yields another handle to the same event. The operations live
+/// on the event's [`EventRef`] (reached through `Deref`); the handle adds
+/// the accessors for code outside a step.
 ///
 /// # Examples
 ///
@@ -102,10 +106,27 @@ pub enum EvWait {
 /// ```
 #[derive(Clone)]
 pub struct RtEvent {
-    state: Slot<EvState>,
-    actor: rtsim_trace::ActorId,
+    ids: EventRef,
     recorder: TraceRecorder,
     name: Arc<str>,
+}
+
+impl Deref for RtEvent {
+    type Target = EventRef;
+    fn deref(&self) -> &EventRef {
+        &self.ids
+    }
+}
+
+/// The slot ids of an [`RtEvent`]: every operation a simulation step
+/// performs on the event, and nothing that reaches a world. A step
+/// machine holds this, so a forked simulation's copy of the machine
+/// works on the fork's event.
+#[derive(Debug, Clone, Copy)]
+pub struct EventRef {
+    state: Slot<EvState>,
+    actor: ActorId,
+    log: Slot<TraceLog>,
 }
 
 impl RtEvent {
@@ -120,27 +141,30 @@ impl RtEvent {
             lane: None,
         });
         RtEvent {
-            state,
-            actor,
+            ids: EventRef {
+                state,
+                actor,
+                log: recorder.log(),
+            },
             recorder: recorder.clone(),
             name: Arc::from(name),
         }
     }
 
+    /// The event's slot ids, for a step machine.
+    pub fn ids(&self) -> EventRef {
+        self.ids
+    }
+
     /// Runs `f` on the event state, locking the world (code outside a
     /// step only).
     fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut EvState) -> R) -> R {
-        f(self.recorder.world().lock_for(accessor).get_mut(self.state))
+        f(self.recorder.world().lock_for(accessor).get_mut(self.ids.state))
     }
 
     /// The relation's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The relation's trace actor.
-    pub fn actor(&self) -> rtsim_trace::ActorId {
-        self.actor
     }
 
     /// The configured policy.
@@ -153,12 +177,20 @@ impl RtEvent {
         self.with_state("RtEvent::pending", |st| st.tokens)
     }
 
-    /// Installs a fault plan's dropout lane: every subsequent signal
-    /// consults it, and a dropped notification vanishes in transit — no
-    /// token is memorized, no waiter wakes, and the trace gains a
-    /// `drop-signal` fault record on this relation.
-    pub fn install_fault_lane(&self, lane: Arc<ChannelLane>) {
+    /// Installs a fault plan's dropout lane (a slot of this event's
+    /// world): every subsequent signal consults it, and a dropped
+    /// notification vanishes in transit — no token is memorized, no
+    /// waiter wakes, and the trace gains a `drop-signal` fault record on
+    /// this relation.
+    pub fn install_fault_lane(&self, lane: Slot<ChannelLane>) {
         self.with_state("RtEvent::install_fault_lane", |st| st.lane = Some(lane));
+    }
+}
+
+impl EventRef {
+    /// The relation's trace actor.
+    pub fn actor(&self) -> ActorId {
+        self.actor
     }
 
     /// Signals the event from `agent`.
@@ -167,11 +199,11 @@ impl RtEvent {
     /// sets the flag (saturating) and wakes one waiter. Counter: adds a
     /// token and wakes one waiter.
     pub fn signal(&self, agent: &mut dyn Agent) {
-        let (now, me, log) = (agent.now(), agent.trace_actor(), self.recorder.log());
+        let (now, me, log) = (agent.now(), agent.trace_actor(), self.log);
         let fugitive = {
             let mut world = agent.kernel().world();
-            let lane = world.get(self.state).lane.clone();
-            if lane.is_some_and(|lane| lane.should_drop(now)) {
+            let lane = world.get(self.state).lane;
+            if lane.is_some_and(|lane| world.get_mut(lane).should_drop(now)) {
                 world
                     .get_mut(log)
                     .fault(self.actor, now, FaultKind::DropSignal, 0);
@@ -217,17 +249,17 @@ impl RtEvent {
         }
     }
 
-    /// Non-blocking step of [`wait`](RtEvent::wait). On
+    /// Non-blocking step of [`wait`](EventRef::wait). On
     /// [`EvWait::Registered`] the caller must suspend; after the wake, a
     /// fugitive wait completes via
-    /// [`finish_fugitive_wait`](RtEvent::finish_fugitive_wait) (the wake
+    /// [`finish_fugitive_wait`](EventRef::finish_fugitive_wait) (the wake
     /// *is* the signal), while memorized policies must attempt again —
     /// another task may have consumed the token between the wake and the
     /// dispatch. Used directly by the script interpreter.
     pub fn wait_attempt(&self, agent: &mut dyn Agent) -> EvWait {
         let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
         let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        let (st, log) = world.pair_mut(self.state, self.log);
         match st.policy {
             EventPolicy::Fugitive => {
                 st.waiters.push_back(waiter);
@@ -249,12 +281,11 @@ impl RtEvent {
     /// Completes a fugitive wait after the wake: records the consumption.
     pub fn finish_fugitive_wait(&self, agent: &mut dyn Agent) {
         let (now, me) = (agent.now(), agent.trace_actor());
-        agent.kernel().world().get_mut(self.recorder.log()).comm(
-            me,
-            now,
-            self.actor,
-            CommKind::Read,
-        );
+        agent
+            .kernel()
+            .world()
+            .get_mut(self.log)
+            .comm(me, now, self.actor, CommKind::Read);
     }
 
     /// Blocks `agent` until the event is signalled (consuming one token
@@ -280,7 +311,7 @@ impl RtEvent {
     pub fn try_wait(&self, agent: &mut dyn Agent) -> bool {
         let (now, me) = (agent.now(), agent.trace_actor());
         let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        let (st, log) = world.pair_mut(self.state, self.log);
         if st.policy != EventPolicy::Fugitive && st.tokens > 0 {
             st.tokens -= 1;
             log.comm(me, now, self.actor, CommKind::Read);

@@ -57,10 +57,10 @@ pub mod queue;
 pub mod rendezvous;
 pub mod shared_var;
 
-pub use event_relation::{EvWait, EventPolicy, RtEvent};
-pub use queue::MessageQueue;
+pub use event_relation::{EvWait, EventPolicy, EventRef, RtEvent};
+pub use queue::{MessageQueue, QueueRef};
 pub use rendezvous::Rendezvous;
-pub use shared_var::{LockMode, ReleaseFollowup, SharedVar};
+pub use shared_var::{LockMode, ReleaseFollowup, SharedVar, VarRef};
 
 // Re-exported so `LockMode::PriorityCeiling` can be constructed without
 // importing rtsim-core directly.

@@ -9,13 +9,15 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_fault::ChannelLane;
 use rtsim_kernel::world::Slot;
-use rtsim_trace::{ActorKind, CommKind, FaultKind, TraceRecorder};
+use rtsim_trace::{ActorId, ActorKind, CommKind, FaultKind, TraceLog, TraceRecorder};
 
+#[derive(Clone)]
 struct QState<T> {
     buffer: VecDeque<T>,
     capacity: usize,
@@ -23,7 +25,7 @@ struct QState<T> {
     writers: VecDeque<(u64, Waiter)>,
     /// Installed by a fault plan: consulted once per message, on the
     /// first attempt of each write (never on blocked retries).
-    lane: Option<Arc<ChannelLane>>,
+    lane: Option<Slot<ChannelLane>>,
     /// Seniority counter for blocked ends: each *first* registration
     /// takes the next ticket, and a waiter that is woken but loses the
     /// race for the freed slot (a running task wrote/read first without
@@ -55,7 +57,9 @@ fn enqueue_waiter(list: &mut VecDeque<(u64, Waiter)>, ticket: u64, waiter: Waite
 
 /// A bounded, blocking message queue between MCSE functions.
 ///
-/// Cloning yields another handle to the same queue.
+/// Cloning yields another handle to the same queue. The operations live
+/// on the queue's [`QueueRef`] (reached through `Deref`); the handle adds
+/// the accessors for code outside a step.
 ///
 /// # Examples
 ///
@@ -90,8 +94,7 @@ fn enqueue_waiter(list: &mut VecDeque<(u64, Waiter)>, ticket: u64, waiter: Waite
 /// # }
 /// ```
 pub struct MessageQueue<T> {
-    state: Slot<QState<T>>,
-    actor: rtsim_trace::ActorId,
+    ids: QueueRef<T>,
     recorder: TraceRecorder,
     name: Arc<str>,
 }
@@ -99,15 +102,48 @@ pub struct MessageQueue<T> {
 impl<T> Clone for MessageQueue<T> {
     fn clone(&self) -> Self {
         MessageQueue {
-            state: self.state,
-            actor: self.actor,
+            ids: self.ids,
             recorder: self.recorder.clone(),
             name: Arc::clone(&self.name),
         }
     }
 }
 
-impl<T: Send + 'static> MessageQueue<T> {
+impl<T> Deref for MessageQueue<T> {
+    type Target = QueueRef<T>;
+    fn deref(&self) -> &QueueRef<T> {
+        &self.ids
+    }
+}
+
+/// The slot ids of a [`MessageQueue`]: every operation a simulation
+/// step performs on the queue, and nothing that reaches a world. A step
+/// machine holds this, so a forked simulation's copy of the machine
+/// works on the fork's queue.
+pub struct QueueRef<T> {
+    state: Slot<QState<T>>,
+    actor: ActorId,
+    log: Slot<TraceLog>,
+}
+
+impl<T> Clone for QueueRef<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for QueueRef<T> {}
+
+impl<T> fmt::Debug for QueueRef<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QueueRef")
+            .field("state", &self.state)
+            .field("actor", &self.actor)
+            .finish()
+    }
+}
+
+impl<T: Clone + Send + 'static> MessageQueue<T> {
     /// Creates a queue holding at most `capacity` messages, its state in
     /// `recorder`'s world.
     ///
@@ -130,17 +166,25 @@ impl<T: Send + 'static> MessageQueue<T> {
                 next_ticket: 0,
             });
         MessageQueue {
-            state,
-            actor,
+            ids: QueueRef {
+                state,
+                actor,
+                log: recorder.log(),
+            },
             recorder: recorder.clone(),
             name: Arc::from(name),
         }
     }
 
+    /// The queue's slot ids, for a step machine.
+    pub fn ids(&self) -> QueueRef<T> {
+        self.ids
+    }
+
     /// Runs `f` on the queue state, locking the world (code outside a
     /// step only).
     fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut QState<T>) -> R) -> R {
-        f(self.recorder.world().lock_for(accessor).get_mut(self.state))
+        f(self.recorder.world().lock_for(accessor).get_mut(self.ids.state))
     }
 
     /// The relation's name.
@@ -148,22 +192,17 @@ impl<T: Send + 'static> MessageQueue<T> {
         &self.name
     }
 
-    /// The relation's trace actor.
-    pub fn actor(&self) -> rtsim_trace::ActorId {
-        self.actor
-    }
-
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.with_state("MessageQueue::capacity", |st| st.capacity)
     }
 
-    /// Installs a fault plan's dropout lane: every subsequent write's
-    /// *first* attempt consults it, and a dropped message vanishes in
-    /// transit — the writer proceeds as if delivered, the buffer never
-    /// sees it, and the trace gains a `drop-message` fault record on
-    /// this relation.
-    pub fn install_fault_lane(&self, lane: Arc<ChannelLane>) {
+    /// Installs a fault plan's dropout lane (a slot of this queue's
+    /// world): every subsequent write's *first* attempt consults it, and
+    /// a dropped message vanishes in transit — the writer proceeds as if
+    /// delivered, the buffer never sees it, and the trace gains a
+    /// `drop-message` fault record on this relation.
+    pub fn install_fault_lane(&self, lane: Slot<ChannelLane>) {
         self.with_state("MessageQueue::install_fault_lane", |st| {
             st.lane = Some(lane)
         });
@@ -178,6 +217,13 @@ impl<T: Send + 'static> MessageQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+impl<T: Clone + Send + 'static> QueueRef<T> {
+    /// The relation's trace actor.
+    pub fn actor(&self) -> ActorId {
+        self.actor
+    }
 
     /// Appends `message` if there is room, recording the write, and
     /// returns the reader to wake; on a full queue registers `waiter` (a
@@ -190,7 +236,7 @@ impl<T: Send + 'static> MessageQueue<T> {
     ) -> Result<Option<Waiter>, T> {
         let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
         let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        let (st, log) = world.pair_mut(self.state, self.log);
         if st.buffer.len() >= st.capacity {
             if let Some(ticket) = blocked {
                 let t = st.ticket(ticket);
@@ -214,7 +260,7 @@ impl<T: Send + 'static> MessageQueue<T> {
     ) -> Option<(T, Option<Waiter>)> {
         let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
         let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.recorder.log());
+        let (st, log) = world.pair_mut(self.state, self.log);
         let Some(message) = st.buffer.pop_front() else {
             if let Some(ticket) = blocked {
                 let t = st.ticket(ticket);
@@ -227,7 +273,7 @@ impl<T: Send + 'static> MessageQueue<T> {
         Some((message, st.writers.pop_front().map(|(_, w)| w)))
     }
 
-    /// Non-blocking step of [`write`](MessageQueue::write): appends the
+    /// Non-blocking step of [`write`](QueueRef::write): appends the
     /// message, or — on a full queue — registers the agent's waiter (the
     /// next read will wake it) and hands the message back. The caller
     /// must then suspend and retry, threading `ticket` through every
@@ -235,7 +281,7 @@ impl<T: Send + 'static> MessageQueue<T> {
     /// seniority there on first registration, and a retry that loses the
     /// freed slot to a barging task re-queues at its original FIFO
     /// position instead of the back. Used directly by the script
-    /// interpreter; [`write`](MessageQueue::write) is the blocking
+    /// interpreter; [`write`](QueueRef::write) is the blocking
     /// wrapper.
     pub fn write_attempt(
         &self,
@@ -246,17 +292,13 @@ impl<T: Send + 'static> MessageQueue<T> {
         // Fault lane: decide each message's fate exactly once, on its
         // first attempt — a retry after blocking is the same message.
         if ticket.is_none() {
-            let lane = agent.kernel().world().get(self.state).lane.clone();
-            if let Some(lane) = lane {
-                let now = agent.now();
-                if lane.should_drop(now) {
-                    let log = self.recorder.log();
-                    agent.kernel().world().get_mut(log).fault(
-                        self.actor,
-                        now,
-                        FaultKind::DropMessage,
-                        0,
-                    );
+            let now = agent.now();
+            let mut world = agent.kernel().world();
+            if let Some(lane) = world.get(self.state).lane {
+                if world.get_mut(lane).should_drop(now) {
+                    world
+                        .get_mut(self.log)
+                        .fault(self.actor, now, FaultKind::DropMessage, 0);
                     return Ok(());
                 }
             }
@@ -282,11 +324,11 @@ impl<T: Send + 'static> MessageQueue<T> {
         }
     }
 
-    /// Non-blocking step of [`read`](MessageQueue::read): removes the
+    /// Non-blocking step of [`read`](QueueRef::read): removes the
     /// oldest message, or — on an empty queue — registers the agent's
     /// waiter and returns `None`; the caller must suspend and retry,
     /// threading `ticket` exactly as in
-    /// [`write_attempt`](MessageQueue::write_attempt).
+    /// [`write_attempt`](QueueRef::write_attempt).
     pub fn read_attempt(&self, agent: &mut dyn Agent, ticket: &mut Option<u64>) -> Option<T> {
         let (message, wake) = self.take(agent, Some(ticket))?;
         if let Some(w) = wake {
@@ -324,7 +366,7 @@ impl<T: Send + 'static> MessageQueue<T> {
     }
 }
 
-impl<T: Send + 'static> fmt::Debug for MessageQueue<T> {
+impl<T: Clone + Send + 'static> fmt::Debug for MessageQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (depth, capacity, readers, writers) = self.with_state("MessageQueue::fmt", |st| {
             (

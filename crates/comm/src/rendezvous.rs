@@ -17,6 +17,7 @@ use rtsim_core::agent::{Agent, Waiter};
 use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorKind, CommKind, TraceRecorder};
 
+#[derive(Clone)]
 struct RvState<T> {
     /// The in-flight message and the writer to acknowledge on take-over.
     slot: Option<(T, Waiter)>,
@@ -74,7 +75,7 @@ impl<T> Clone for Rendezvous<T> {
     }
 }
 
-impl<T: Send + 'static> Rendezvous<T> {
+impl<T: Clone + Send + 'static> Rendezvous<T> {
     /// Creates a rendezvous channel, its state in `recorder`'s world.
     pub fn new(recorder: &TraceRecorder, name: &str) -> Self {
         let actor = recorder.register(name, ActorKind::Relation);
@@ -176,7 +177,7 @@ impl<T: Send + 'static> Rendezvous<T> {
     }
 }
 
-impl<T: Send + 'static> fmt::Debug for Rendezvous<T> {
+impl<T: Clone + Send + 'static> fmt::Debug for Rendezvous<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let world = self.recorder.world().lock_for("Rendezvous::fmt");
         let st = world.get(self.state);

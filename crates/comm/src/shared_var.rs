@@ -15,13 +15,14 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use rtsim_core::agent::{Agent, Waiter};
 use rtsim_core::{Priority, TaskHandle};
 use rtsim_kernel::world::Slot;
 use rtsim_kernel::SimDuration;
-use rtsim_trace::{ActorKind, CommKind, TraceRecorder};
+use rtsim_trace::{ActorId, ActorKind, CommKind, TraceLog, TraceRecorder};
 
 /// How a [`SharedVar`] protects its critical sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -58,6 +59,7 @@ impl fmt::Display for LockMode {
     }
 }
 
+#[derive(Clone)]
 struct VState<T> {
     value: T,
     held: bool,
@@ -67,7 +69,7 @@ struct VState<T> {
 }
 
 /// What the caller must do after
-/// [`SharedVar::release_attempt`] — the mode-dependent scheduling action
+/// [`VarRef::release_attempt`] — the mode-dependent scheduling action
 /// that may yield the CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReleaseFollowup {
@@ -110,9 +112,7 @@ pub enum ReleaseFollowup {
 /// # }
 /// ```
 pub struct SharedVar<T> {
-    state: Slot<VState<T>>,
-    mode: LockMode,
-    actor: rtsim_trace::ActorId,
+    ids: VarRef<T>,
     recorder: TraceRecorder,
     name: Arc<str>,
 }
@@ -120,12 +120,46 @@ pub struct SharedVar<T> {
 impl<T> Clone for SharedVar<T> {
     fn clone(&self) -> Self {
         SharedVar {
-            state: self.state,
-            mode: self.mode,
-            actor: self.actor,
+            ids: self.ids,
             recorder: self.recorder.clone(),
             name: Arc::clone(&self.name),
         }
+    }
+}
+
+impl<T> Deref for SharedVar<T> {
+    type Target = VarRef<T>;
+    fn deref(&self) -> &VarRef<T> {
+        &self.ids
+    }
+}
+
+/// The slot ids of a [`SharedVar`]: every operation a simulation step
+/// performs on the variable, and nothing that reaches a world. A step
+/// machine holds this, so a forked simulation's copy of the machine
+/// works on the fork's variable.
+pub struct VarRef<T> {
+    state: Slot<VState<T>>,
+    mode: LockMode,
+    actor: ActorId,
+    log: Slot<TraceLog>,
+}
+
+impl<T> Clone for VarRef<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for VarRef<T> {}
+
+impl<T> fmt::Debug for VarRef<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("VarRef")
+            .field("state", &self.state)
+            .field("mode", &self.mode)
+            .field("actor", &self.actor)
+            .finish()
     }
 }
 
@@ -142,9 +176,12 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
             waiters: VecDeque::new(),
         });
         SharedVar {
-            state,
-            mode,
-            actor,
+            ids: VarRef {
+                state,
+                mode,
+                actor,
+                log: recorder.log(),
+            },
             recorder: recorder.clone(),
             name: Arc::from(name),
         }
@@ -155,8 +192,15 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
         &self.name
     }
 
+    /// The variable's slot ids, for a step machine.
+    pub fn ids(&self) -> VarRef<T> {
+        self.ids
+    }
+}
+
+impl<T: Clone + Send + 'static> VarRef<T> {
     /// The relation's trace actor.
-    pub fn actor(&self) -> rtsim_trace::ActorId {
+    pub fn actor(&self) -> ActorId {
         self.actor
     }
 
@@ -204,7 +248,7 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
                 }
                 Waiter::Hw(_) => None,
             };
-            let (st, log) = world.pair_mut(self.state, self.recorder.log());
+            let (st, log) = world.pair_mut(self.state, self.log);
             st.held = true;
             if let Some((handle, base)) = owner {
                 st.owner_base_priority = Some(base);
@@ -248,7 +292,7 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
                 }
             }
             world
-                .get_mut(self.recorder.log())
+                .get_mut(self.log)
                 .resource_held(self.actor, now, false);
             next
         };
@@ -277,14 +321,14 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
 
     /// Clones the value. Meaningful only while `agent` holds the model
     /// lock (between a successful
-    /// [`acquire_attempt`](SharedVar::acquire_attempt) and the release) —
+    /// [`acquire_attempt`](VarRef::acquire_attempt) and the release) —
     /// plumbing for the script interpreter.
     pub fn locked_get(&self, agent: &mut dyn Agent) -> T {
         agent.kernel().world().get(self.state).value.clone()
     }
 
     /// Stores a value. Same locking contract as
-    /// [`locked_get`](SharedVar::locked_get).
+    /// [`locked_get`](VarRef::locked_get).
     pub fn locked_set(&self, agent: &mut dyn Agent, value: T) {
         agent.kernel().world().get_mut(self.state).value = value;
     }
@@ -296,7 +340,7 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
         agent
             .kernel()
             .world()
-            .get_mut(self.recorder.log())
+            .get_mut(self.log)
             .comm(me, now, self.actor, kind);
     }
 
@@ -355,10 +399,10 @@ impl<T: Clone + Send + 'static> SharedVar<T> {
 impl<T: Send + 'static> fmt::Debug for SharedVar<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let world = self.recorder.world().lock_for("SharedVar::fmt");
-        let st = world.get(self.state);
+        let st = world.get(self.ids.state);
         f.debug_struct("SharedVar")
             .field("name", &self.name)
-            .field("mode", &self.mode)
+            .field("mode", &self.ids.mode)
             .field("held", &st.held)
             .field("waiters", &st.waiters.len())
             .finish()

@@ -16,7 +16,7 @@ use std::fmt;
 
 use rtsim_kernel::world::Slot;
 use rtsim_kernel::{Event, KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
-use rtsim_trace::{ActorId, TraceRecorder};
+use rtsim_trace::{ActorId, TraceLog, TraceRecorder};
 
 use crate::processor::{TaskCtx, TaskHandle};
 use crate::seg::{self, register_seg_hw, SegControl, SegHwRunner};
@@ -98,10 +98,9 @@ pub trait Agent {
     /// This agent's trace actor.
     fn trace_actor(&self) -> ActorId;
 
-    /// The trace recorder in use. Outside a step, its methods record
-    /// directly; inside one, record into its log through
-    /// [`kernel`](Agent::kernel)`().world()`.
-    fn recorder(&self) -> &TraceRecorder;
+    /// The slot of the trace log this agent records into: reach it
+    /// through [`kernel`](Agent::kernel)`().world()`.
+    fn log(&self) -> Slot<TraceLog>;
 
     /// The raw kernel handle (for notifications issued on this agent's
     /// behalf): the thread's [`rtsim_kernel::ProcessContext`] for a
@@ -135,7 +134,7 @@ pub trait Agent {
     /// Annotates the trace at the current instant — the anchor for
     /// TimeLine measurements and reaction-time constraints.
     fn annotate(&mut self, label: &str) {
-        let (now, actor, log) = (self.now(), self.trace_actor(), self.recorder().log());
+        let (now, actor, log) = (self.now(), self.trace_actor(), self.log());
         self.kernel()
             .world()
             .get_mut(log)
@@ -168,8 +167,8 @@ impl Agent for TaskCtx<'_> {
         self.actor()
     }
 
-    fn recorder(&self) -> &TraceRecorder {
-        TaskCtx::recorder(self)
+    fn log(&self) -> Slot<TraceLog> {
+        TaskCtx::recorder(self).log()
     }
 
     fn kernel(&mut self) -> &mut dyn KernelHandle {
@@ -189,7 +188,7 @@ impl Agent for TaskCtx<'_> {
     }
 
     fn relative_deadline(&self) -> Option<SimDuration> {
-        let (handle, world) = (self.handle(), self.recorder().world());
+        let (handle, world) = (self.handle(), TaskCtx::recorder(self).world());
         handle.relative_deadline_in(&world.lock_for("TaskCtx::relative_deadline"))
     }
 
@@ -207,6 +206,7 @@ impl Agent for TaskCtx<'_> {
 pub struct HwCtx<'a> {
     runner: SegHwRunner,
     kctx: &'a mut ProcessContext,
+    recorder: TraceRecorder,
 }
 
 impl HwCtx<'_> {
@@ -260,8 +260,8 @@ impl Agent for HwCtx<'_> {
         self.runner.actor()
     }
 
-    fn recorder(&self) -> &TraceRecorder {
-        &self.runner.recorder
+    fn log(&self) -> Slot<TraceLog> {
+        self.recorder.log()
     }
 
     fn kernel(&mut self) -> &mut dyn KernelHandle {
@@ -307,8 +307,13 @@ where
 {
     let runner = register_seg_hw(sim, recorder, name);
     let waiter = runner.waiter();
+    let recorder = recorder.clone();
     sim.spawn(name, move |kctx| {
-        let mut hw = HwCtx { runner, kctx };
+        let mut hw = HwCtx {
+            runner,
+            kctx,
+            recorder,
+        };
         // Records Creation and Running.
         hw.drive();
         body(&mut hw);

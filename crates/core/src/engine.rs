@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use rtsim_kernel::world::{Slot, World};
+use rtsim_kernel::world::{Fork, Slot, World};
 use rtsim_kernel::{Event, Notifier, SimDuration, SimTime};
 use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceLog};
 
@@ -63,6 +63,7 @@ pub struct SchedulerStats {
 }
 
 /// Kernel-facing bookkeeping for one task.
+#[derive(Clone)]
 pub(crate) struct TaskEntry {
     pub config: TaskConfig,
     pub state: TaskState,
@@ -181,6 +182,35 @@ pub(crate) struct RtosState {
     pub requests: VecDeque<Request>,
     pub rtk_run: Option<Event>,
     pub stats: SchedulerStats,
+}
+
+/// A forked simulation gets a copy of the tables; the policy copies
+/// itself through [`SchedulingPolicy::fork`], and one that cannot makes
+/// the processor, and so the simulation, unforkable.
+impl Fork for RtosState {
+    fn fork(&self) -> Option<Self> {
+        Some(RtosState {
+            name: self.name.clone(),
+            kind: self.kind,
+            policy: self.policy.fork()?,
+            overheads: self.overheads.clone(),
+            preemption_granularity: self.preemption_granularity,
+            preemptive: self.preemptive,
+            lock_depth: self.lock_depth,
+            started: self.started,
+            tasks: self.tasks.clone(),
+            ready: self.ready.clone(),
+            ready_view: self.ready_view.clone(),
+            cores: self.cores,
+            core_slots: self.core_slots.clone(),
+            running: self.running,
+            in_overhead: self.in_overhead,
+            enqueue_counter: self.enqueue_counter,
+            requests: self.requests.clone(),
+            rtk_run: self.rtk_run,
+            stats: self.stats,
+        })
+    }
 }
 
 impl RtosState {

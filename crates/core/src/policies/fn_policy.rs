@@ -36,6 +36,7 @@ use crate::task::TaskId;
 /// # use rtsim_core::SchedulingPolicy;
 /// assert_eq!(policy.name(), "shortest-period-cooperative");
 /// ```
+#[derive(Clone)]
 pub struct FnPolicy<S, P> {
     name: String,
     select: S,
@@ -73,9 +74,13 @@ impl<S, P> fmt::Debug for FnPolicy<S, P> {
 
 impl<S, P> SchedulingPolicy for FnPolicy<S, P>
 where
-    S: FnMut(&PolicyView<'_>) -> Option<TaskId> + Send,
-    P: FnMut(&PolicyView<'_>, &TaskView, &TaskView) -> bool + Send,
+    S: FnMut(&PolicyView<'_>) -> Option<TaskId> + Clone + Send + 'static,
+    P: FnMut(&PolicyView<'_>, &TaskView, &TaskView) -> bool + Clone + Send + 'static,
 {
+    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn name(&self) -> &str {
         &self.name
     }

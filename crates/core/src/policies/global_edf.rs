@@ -43,6 +43,10 @@ fn deadline_key(t: &TaskView) -> (SimTime, u64) {
 }
 
 impl SchedulingPolicy for GlobalEdf {
+    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
+        Some(Box::new(*self))
+    }
+
     fn name(&self) -> &str {
         "global_edf"
     }

@@ -105,6 +105,13 @@ pub trait SchedulingPolicy: Send + fmt::Debug {
     fn time_slice(&self, _view: &PolicyView<'_>, _task: &TaskView) -> Option<SimDuration> {
         None
     }
+    /// A copy of this policy in its current state, for a forked
+    /// simulation (see `Simulator::fork`). The default, `None`, makes a
+    /// processor running this policy unforkable, so a schedule explorer
+    /// replays its runs instead; every built-in policy returns `Some`.
+    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
+        None
+    }
 }
 
 #[cfg(test)]

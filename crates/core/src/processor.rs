@@ -7,6 +7,7 @@
 //! "system calls" of the model, or scripts driving a [`SegTaskRunner`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use rtsim_kernel::world::World;
 use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
@@ -155,7 +156,7 @@ impl ProcessorConfig {
 pub struct Processor {
     rtos: Rtos,
     kind: EngineKind,
-    name: String,
+    name: Arc<str>,
     actor: ActorId,
     recorder: TraceRecorder,
 }
@@ -188,7 +189,7 @@ impl Processor {
             config.cores,
         );
         let rtos = Rtos {
-            state: recorder.world().lock_for("Processor::new").insert(state),
+            state: recorder.world().lock_for("Processor::new").insert_fork(state),
             log: recorder.log(),
         };
         match config.engine {
@@ -205,7 +206,7 @@ impl Processor {
         Processor {
             rtos,
             kind: config.engine,
-            name: config.name,
+            name: Arc::from(config.name),
             actor,
             recorder: recorder.clone(),
         }
@@ -233,8 +234,13 @@ impl Processor {
     {
         let runner = self.register_seg_task(sim, config);
         let handle = runner.handle();
+        let recorder = self.recorder.clone();
         sim.spawn(&format!("{}.{}", self.name, runner.name()), move |kctx| {
-            let mut task = TaskCtx { runner, kctx };
+            let mut task = TaskCtx {
+                runner,
+                kctx,
+                recorder,
+            };
             // Creation, the first ready transition and the first dispatch.
             task.drive();
             body(&mut task);
@@ -262,7 +268,20 @@ impl Processor {
             id,
             actor,
         };
-        SegTaskRunner::new(handle, self.recorder.clone(), &task_name)
+        SegTaskRunner::new(handle, &task_name)
+    }
+
+    /// This processor in a forked simulation whose trace recorder is
+    /// `recorder` (see `Simulator::fork`): the same RTOS slot ids, its
+    /// accessors reaching the fork's world.
+    pub fn rebind(&self, recorder: &TraceRecorder) -> Processor {
+        Processor {
+            rtos: self.rtos,
+            kind: self.kind,
+            name: Arc::clone(&self.name),
+            actor: self.actor,
+            recorder: recorder.clone(),
+        }
     }
 
     /// Processor display name.
@@ -437,6 +456,7 @@ impl fmt::Debug for TaskHandle {
 pub struct TaskCtx<'a> {
     runner: SegTaskRunner,
     kctx: &'a mut ProcessContext,
+    recorder: TraceRecorder,
 }
 
 impl TaskCtx<'_> {
@@ -449,12 +469,7 @@ impl TaskCtx<'_> {
     /// Runs `f` on this task's RTOS state, locking the world.
     fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut RtosState) -> R) -> R {
         let rtos = self.runner.handle.rtos;
-        f(self
-            .runner
-            .recorder
-            .world()
-            .lock_for(accessor)
-            .get_mut(rtos.state))
+        f(self.recorder.world().lock_for(accessor).get_mut(rtos.state))
     }
 
     /// Current simulation time.
@@ -561,7 +576,7 @@ impl TaskCtx<'_> {
 
     /// The recorder this task traces into.
     pub fn recorder(&self) -> &TraceRecorder {
-        &self.runner.recorder
+        &self.recorder
     }
 
     /// Annotates the trace at the current instant (anchor for TimeLine

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use rtsim_kernel::world::World;
+use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{
     Notifier, ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
 };
@@ -74,6 +74,7 @@ pub(crate) fn drive(
 }
 
 /// One suspended RTOS operation of a task (LIFO stack).
+#[derive(Clone)]
 enum Frame {
     /// First activation: record Creation, go ready, wait for dispatch.
     Start,
@@ -101,6 +102,7 @@ enum Frame {
 }
 
 /// Progress through the acquire protocol.
+#[derive(Clone)]
 enum AcqStage {
     /// Check/await the CPU grant.
     Poll,
@@ -354,19 +356,21 @@ fn step_delay(
 /// Created by [`Processor::register_seg_task`](crate::Processor::register_seg_task);
 /// the owner embeds it in a kernel segment process and loops
 /// [`advance`](SegTaskRunner::advance).
+///
+/// Plain data and slot ids: cloning it copies the task's machine, which
+/// is how a forked simulation gets its own.
+#[derive(Clone)]
 pub struct SegTaskRunner {
     pub(crate) handle: TaskHandle,
-    pub(crate) recorder: TraceRecorder,
     name: Arc<str>,
     stack: Vec<Frame>,
     done: bool,
 }
 
 impl SegTaskRunner {
-    pub(crate) fn new(handle: TaskHandle, recorder: TraceRecorder, name: &str) -> Self {
+    pub(crate) fn new(handle: TaskHandle, name: &str) -> Self {
         SegTaskRunner {
             handle,
-            recorder,
             name: Arc::from(name),
             stack: vec![Frame::Start],
             done: false,
@@ -529,12 +533,12 @@ impl SegTaskRunner {
     /// An [`Agent`] view over this task for the *non-blocking* operations
     /// (communication attempts). Blocking `Agent` calls on it panic —
     /// those are expressed as intents on the runner instead.
-    pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
+    pub fn agent<'c, 'a>(&self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'c, 'a> {
         SegAgent {
             ctx,
             waiter: Waiter::Task(self.handle),
             actor: self.handle.actor,
-            recorder: &self.recorder,
+            log: self.handle.rtos.log,
             lock_target: Some(self.handle),
         }
     }
@@ -551,6 +555,7 @@ impl std::fmt::Debug for SegTaskRunner {
 }
 
 /// One suspended operation of a hardware function.
+#[derive(Clone)]
 enum HwFrame {
     Execute { d: SimDuration, slept: bool },
     Delay { d: SimDuration, slept: bool },
@@ -560,11 +565,13 @@ enum HwFrame {
 /// Drives one hardware function (fully concurrent, no RTOS) as a frame
 /// stack: the operations behind [`HwCtx`](crate::HwCtx).
 ///
-/// Created by [`register_seg_hw`].
+/// Created by [`register_seg_hw`]. Plain data and slot ids, like
+/// [`SegTaskRunner`].
+#[derive(Clone)]
 pub struct SegHwRunner {
     waker: HwWaker,
     actor: ActorId,
-    pub(crate) recorder: TraceRecorder,
+    log: Slot<TraceLog>,
     stack: Vec<HwFrame>,
     started: bool,
     done: bool,
@@ -583,7 +590,7 @@ pub fn register_seg_hw(sim: &mut Simulator, recorder: &TraceRecorder, name: &str
     SegHwRunner {
         waker: HwWaker { event, latch },
         actor,
-        recorder: recorder.clone(),
+        log: recorder.log(),
         stack: Vec::new(),
         started: false,
         done: false,
@@ -595,7 +602,7 @@ impl SegHwRunner {
     /// or the function has finished.
     pub fn advance(&mut self, ctx: &mut SegmentCtx<'_>) -> SegControl {
         let now = ctx.now();
-        let (log, latch) = ctx.world().pair_mut(self.recorder.log(), self.waker.latch);
+        let (log, latch) = ctx.world().pair_mut(self.log, self.waker.latch);
         if !self.started {
             self.started = true;
             log.state(self.actor, now, TaskState::Created);
@@ -689,12 +696,12 @@ impl SegHwRunner {
 
     /// An [`Agent`] view over this function for the non-blocking
     /// operations (communication attempts).
-    pub fn agent<'r, 'c, 'a>(&'r self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'r, 'c, 'a> {
+    pub fn agent<'c, 'a>(&self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'c, 'a> {
         SegAgent {
             ctx,
             waiter: Waiter::Hw(self.waker),
             actor: self.actor,
-            recorder: &self.recorder,
+            log: self.log,
             lock_target: None,
         }
     }
@@ -718,15 +725,15 @@ impl std::fmt::Debug for SegHwRunner {
 /// (`execute`, `delay`, `suspend`, `unlock_preemption`, `reschedule`)
 /// panic — a step machine feeds those to the runner as intents between
 /// attempts.
-pub struct SegAgent<'r, 'c, 'a> {
+pub struct SegAgent<'c, 'a> {
     ctx: &'c mut SegmentCtx<'a>,
     waiter: Waiter,
     actor: ActorId,
-    recorder: &'r TraceRecorder,
+    log: Slot<TraceLog>,
     lock_target: Option<TaskHandle>,
 }
 
-impl Agent for SegAgent<'_, '_, '_> {
+impl Agent for SegAgent<'_, '_> {
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
@@ -751,8 +758,8 @@ impl Agent for SegAgent<'_, '_, '_> {
         self.actor
     }
 
-    fn recorder(&self) -> &TraceRecorder {
-        self.recorder
+    fn log(&self) -> Slot<TraceLog> {
+        self.log
     }
 
     fn kernel(&mut self) -> &mut dyn rtsim_kernel::KernelHandle {
@@ -778,7 +785,7 @@ impl Agent for SegAgent<'_, '_, '_> {
     }
 }
 
-impl std::fmt::Debug for SegAgent<'_, '_, '_> {
+impl std::fmt::Debug for SegAgent<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegAgent").field("actor", &self.actor).finish()
     }

@@ -88,14 +88,14 @@ impl CompletedRequest {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingRequest {
     id: u64,
     submitted: SimTime,
     remaining: SimDuration,
 }
 
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct QueueState {
     pending: VecDeque<PendingRequest>,
     completed: Vec<CompletedRequest>,

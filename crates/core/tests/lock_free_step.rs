@@ -56,6 +56,7 @@ struct Relations {
 /// A task running `ops` in a loop, driving its runner the way the script
 /// interpreter does: attempts through the step's agent, suspending and
 /// retrying the same op while it blocks.
+#[derive(Clone)]
 struct Program {
     runner: SegTaskRunner,
     rel: Relations,
@@ -309,7 +310,7 @@ fn thread_mode_lends_the_world_at_most_once_per_switch() {
 /// recorder of the system's own world — and returns the run's error.
 fn misuse(
     mode: ExecMode,
-    accessor: impl Fn(&TraceRecorder, &MessageQueue<u32>) + Send + 'static,
+    accessor: impl Fn(&TraceRecorder, &MessageQueue<u32>) + Clone + Send + 'static,
 ) -> String {
     let rec = TraceRecorder::new();
     let queue = MessageQueue::new(&rec, "q", 2);

@@ -32,17 +32,20 @@
 //! the script interpreter drives it once per activation and branches on
 //! the verdict.
 //!
+//! The injector itself is immutable plan data. Everything a run changes —
+//! each lane's random stream and drop count, each degraded-mode monitor —
+//! lives in the simulation [`World`], so a fault cell takes no lock per
+//! operation and a simulation with a fault plan forks like any other.
+//!
 //! A plan with zero probabilities, zero jitter bounds and no windows
 //! injects nothing and records nothing: its runs are byte-identical to
 //! no-fault runs, which is what keeps pre-fault goldens stable.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use rtsim_campaign::hash::Fnv1a;
-use rtsim_kernel::sync::Mutex;
 use rtsim_kernel::testutil::Rng;
+use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{SimDuration, SimTime};
 
 /// Stable 64-bit stream id for a named injector family + target, so
@@ -243,49 +246,49 @@ impl FaultPlan {
             && self.degraded.is_empty()
     }
 
-    /// Instantiates the plan's runtime.
-    pub fn instantiate(&self) -> FaultInjector {
-        FaultInjector::new(self.clone())
+    /// Instantiates the plan's runtime, its lanes and monitors in
+    /// `world`.
+    pub fn instantiate(&self, world: &mut World) -> FaultInjector {
+        FaultInjector::new(self.clone(), world)
     }
 }
 
-/// The per-channel dropout decider handed to a comm relation.
+/// The per-channel dropout decider a comm relation consults: a slot of
+/// the simulation [`World`], reached through the step's lent world.
 ///
 /// `should_drop` is called once per delivery, in the channel's own
 /// operation order — which the kernel makes deterministic and the
 /// exec-mode equivalence suite pins as identical across modes — so
 /// probability lanes replay bit-exactly.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ChannelLane {
     mode: DropMode,
-    rng: Mutex<Rng>,
-    drops: AtomicU64,
+    rng: Rng,
+    drops: u64,
 }
 
 impl ChannelLane {
     fn new(seed: u64, channel: &str, mode: DropMode) -> ChannelLane {
         ChannelLane {
             mode,
-            rng: Mutex::new(Rng::seed_from_u64(seed).fork(stream_id("drop", channel))),
-            drops: AtomicU64::new(0),
+            rng: Rng::seed_from_u64(seed).fork(stream_id("drop", channel)),
+            drops: 0,
         }
     }
 
     /// Decides the fate of one delivery at `now`; counts drops.
-    pub fn should_drop(&self, now: SimTime) -> bool {
+    pub fn should_drop(&mut self, now: SimTime) -> bool {
         let drop = match &self.mode {
-            DropMode::Probability(p) => self.rng.lock().gen_bool(*p),
+            DropMode::Probability(p) => self.rng.gen_bool(*p),
             DropMode::Windows(windows) => windows.iter().any(|(from, until)| now >= *from && now < *until),
         };
-        if drop {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-        }
+        self.drops += u64::from(drop);
         drop
     }
 
     /// Total deliveries dropped so far.
     pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
+        self.drops
     }
 }
 
@@ -311,6 +314,8 @@ pub struct DegradedVerdict {
     pub relaxed_deadline: SimDuration,
 }
 
+/// One task's degraded-mode monitor, a slot of the simulation world.
+#[derive(Debug, Clone)]
 struct MonitorState {
     consecutive_faulted: u32,
     consecutive_healthy: u32,
@@ -319,31 +324,34 @@ struct MonitorState {
     watched_drops: Vec<u64>,
 }
 
-/// The runtime of one [`FaultPlan`] over one simulated system.
+/// The runtime of one [`FaultPlan`] over one simulated system: the plan
+/// plus the world slots of its lanes and monitors.
 ///
-/// Shared (via `Arc`) between the comm layer (dropout lanes) and the
-/// script interpreters (jitter, bursts, degraded modes).
+/// Immutable once built, so the comm layer (dropout lanes) and the
+/// script interpreters (jitter, bursts, degraded modes) share it freely,
+/// and so do forks of the simulation: the slot ids mean the same lanes
+/// and monitors in a forked world.
 pub struct FaultInjector {
     plan: FaultPlan,
-    lanes: BTreeMap<String, Arc<ChannelLane>>,
-    monitors: BTreeMap<String, Mutex<MonitorState>>,
+    lanes: BTreeMap<String, Slot<ChannelLane>>,
+    monitors: BTreeMap<String, Slot<MonitorState>>,
 }
 
 impl FaultInjector {
-    /// Instantiates `plan`.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
+    /// Instantiates `plan`, its lanes and monitors in `world`.
+    pub fn new(plan: FaultPlan, world: &mut World) -> FaultInjector {
         let mut lanes = BTreeMap::new();
         for spec in &plan.dropouts {
             lanes.insert(
                 spec.channel.clone(),
-                Arc::new(ChannelLane::new(plan.seed, &spec.channel, spec.mode.clone())),
+                world.insert(ChannelLane::new(plan.seed, &spec.channel, spec.mode.clone())),
             );
         }
         let mut monitors = BTreeMap::new();
         for spec in &plan.degraded {
             monitors.insert(
                 spec.task.clone(),
-                Mutex::new(MonitorState {
+                world.insert(MonitorState {
                     consecutive_faulted: 0,
                     consecutive_healthy: 0,
                     degraded: false,
@@ -363,9 +371,10 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// The dropout lane for `channel`, if the plan declares one.
-    pub fn lane(&self, channel: &str) -> Option<Arc<ChannelLane>> {
-        self.lanes.get(channel).cloned()
+    /// The world slot of `channel`'s dropout lane, if the plan declares
+    /// one.
+    pub fn lane(&self, channel: &str) -> Option<Slot<ChannelLane>> {
+        self.lanes.get(channel).copied()
     }
 
     /// The jitter offset of `task`'s activation `k` — a pure function
@@ -419,24 +428,27 @@ impl FaultInjector {
     /// (released with jitter or inside a burst window); the monitor
     /// additionally counts drops on the spec's watched channels since
     /// the previous tick. Returns `None` for tasks without a registered
-    /// degraded mode.
+    /// degraded mode. The monitor and lanes are read in `world`, the
+    /// step's lent world.
     pub fn degraded_tick(
         &self,
+        world: &mut World,
         task: &str,
         _now: SimTime,
         locally_faulted: bool,
     ) -> Option<DegradedVerdict> {
         let spec = self.degraded_spec(task)?;
-        let monitor = self.monitors.get(task)?;
-        let mut st = monitor.lock();
+        let monitor = *self.monitors.get(task)?;
         let mut faulted = locally_faulted;
         for (i, channel) in spec.watch.iter().enumerate() {
-            let total = self.lanes.get(channel).map_or(0, |l| l.drops());
+            let total = self.lanes.get(channel).map_or(0, |&l| world.get(l).drops());
+            let st = world.get_mut(monitor);
             if total > st.watched_drops[i] {
                 faulted = true;
             }
             st.watched_drops[i] = total;
         }
+        let st = world.get_mut(monitor);
         let mut change = None;
         if faulted {
             st.consecutive_faulted += 1;
@@ -483,26 +495,33 @@ mod tests {
         SimTime::ZERO + us(v)
     }
 
+    /// The plan's runtime in a world of its own.
+    fn runtime(plan: &FaultPlan) -> (World, FaultInjector) {
+        let mut world = World::new();
+        let inj = plan.instantiate(&mut world);
+        (world, inj)
+    }
+
     #[test]
     fn probability_lane_replays_bit_exactly() {
         let plan = FaultPlan::new(7).drop_probability("q", 0.3);
-        let a = plan.instantiate();
-        let b = plan.instantiate();
+        let (mut wa, a) = runtime(&plan);
+        let (mut wb, b) = runtime(&plan);
         let la = a.lane("q").unwrap();
         let lb = b.lane("q").unwrap();
-        let fa: Vec<bool> = (0..64).map(|i| la.should_drop(at(i))).collect();
-        let fb: Vec<bool> = (0..64).map(|i| lb.should_drop(at(i))).collect();
+        let fa: Vec<bool> = (0..64).map(|i| wa.get_mut(la).should_drop(at(i))).collect();
+        let fb: Vec<bool> = (0..64).map(|i| wb.get_mut(lb).should_drop(at(i))).collect();
         assert_eq!(fa, fb);
         assert!(fa.iter().any(|d| *d), "p=0.3 over 64 draws should drop");
         assert!(!fa.iter().all(|d| *d));
-        assert_eq!(la.drops(), fa.iter().filter(|d| **d).count() as u64);
+        assert_eq!(wa.get(la).drops(), fa.iter().filter(|d| **d).count() as u64);
     }
 
     #[test]
     fn probability_zero_never_drops() {
         let plan = FaultPlan::new(3).drop_probability("q", 0.0);
-        let inj = plan.instantiate();
-        let lane = inj.lane("q").unwrap();
+        let (mut world, inj) = runtime(&plan);
+        let lane = world.get_mut(inj.lane("q").unwrap());
         assert!((0..256).all(|i| !lane.should_drop(at(i))));
     }
 
@@ -511,8 +530,8 @@ mod tests {
         let plan = FaultPlan::new(0)
             .drop_window("q", at(10), at(20))
             .drop_window("q", at(40), at(41));
-        let inj = plan.instantiate();
-        let lane = inj.lane("q").unwrap();
+        let (mut world, inj) = runtime(&plan);
+        let lane = world.get_mut(inj.lane("q").unwrap());
         assert!(!lane.should_drop(at(9)));
         assert!(lane.should_drop(at(10)));
         assert!(lane.should_drop(at(19)));
@@ -524,7 +543,7 @@ mod tests {
     #[test]
     fn jitter_is_pure_in_task_and_activation() {
         let plan = FaultPlan::new(11).jitter("sensor", us(50));
-        let inj = plan.instantiate();
+        let (_, inj) = runtime(&plan);
         let o1 = inj.release_offset("sensor", 4);
         // Querying other activations (in any order) never perturbs it.
         let _ = inj.release_offset("sensor", 9);
@@ -539,7 +558,7 @@ mod tests {
     #[test]
     fn burst_scales_inside_window_only() {
         let plan = FaultPlan::new(0).burst("decoder", at(100), at(200), 3, 2);
-        let inj = plan.instantiate();
+        let (_, inj) = runtime(&plan);
         assert_eq!(inj.burst_extra("decoder", at(99), us(10)), SimDuration::ZERO);
         assert_eq!(inj.burst_extra("decoder", at(100), us(10)), us(5));
         assert_eq!(inj.burst_extra("decoder", at(199), us(10)), us(5));
@@ -552,8 +571,8 @@ mod tests {
     #[test]
     fn degraded_state_machine_enters_and_recovers() {
         let plan = FaultPlan::new(0).degraded("ctrl", &[], 3, 2, us(900));
-        let inj = plan.instantiate();
-        let tick = |f| inj.degraded_tick("ctrl", at(0), f).unwrap();
+        let (mut world, inj) = runtime(&plan);
+        let mut tick = |f| inj.degraded_tick(&mut world, "ctrl", at(0), f).unwrap();
         assert_eq!(tick(true).change, None);
         assert_eq!(tick(true).change, None);
         let v = tick(true);
@@ -568,7 +587,7 @@ mod tests {
         let v = tick(false);
         assert_eq!(v.change, Some(ModeChange::Recover));
         assert!(!v.degraded);
-        assert!(inj.degraded_tick("other", at(0), true).is_none());
+        assert!(inj.degraded_tick(&mut world, "other", at(0), true).is_none());
     }
 
     #[test]
@@ -576,16 +595,16 @@ mod tests {
         let plan = FaultPlan::new(0)
             .drop_window("q", at(10), at(20))
             .degraded("ctrl", &["q"], 1, 1, us(900));
-        let inj = plan.instantiate();
+        let (mut world, inj) = runtime(&plan);
         let lane = inj.lane("q").unwrap();
         // No drops yet: healthy.
-        assert!(!inj.degraded_tick("ctrl", at(5), false).unwrap().degraded);
+        assert!(!inj.degraded_tick(&mut world, "ctrl", at(5), false).unwrap().degraded);
         // A drop on the watched channel faults the next activation.
-        assert!(lane.should_drop(at(15)));
-        let v = inj.degraded_tick("ctrl", at(16), false).unwrap();
+        assert!(world.get_mut(lane).should_drop(at(15)));
+        let v = inj.degraded_tick(&mut world, "ctrl", at(16), false).unwrap();
         assert_eq!(v.change, Some(ModeChange::EnterDegraded));
         // No further drops: recovery after one healthy activation.
-        let v = inj.degraded_tick("ctrl", at(30), false).unwrap();
+        let v = inj.degraded_tick(&mut world, "ctrl", at(30), false).unwrap();
         assert_eq!(v.change, Some(ModeChange::Recover));
     }
 

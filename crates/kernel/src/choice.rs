@@ -20,6 +20,25 @@
 //! With no policy installed the kernel takes its original zero-cost
 //! fast path — no candidate vectors are built and no labels are
 //! rendered.
+//!
+//! # Resumable choice points
+//!
+//! A search can also take the choice points one at a time instead of
+//! installing a policy: `Simulator::run_to_choice` runs until the next
+//! choice point and returns it as a [`ChoicePoint`]. The kernel keeps
+//! the phase it stopped in and that phase's working set (the runnable
+//! queue, the delta cycle's pending notifications, or the instant's ripe
+//! timers), so nothing has happened yet: `Simulator::candidate` names
+//! each eligible action, `Simulator::decide` picks one, and the next
+//! `run_to_choice` performs it and runs on to the following choice
+//! point. One run loop serves all three ways of resolving a tie — the
+//! decision of a stopped point, an installed policy, or the stable
+//! order.
+//!
+//! A simulator stopped at a choice point is at rest, so it can be
+//! copied (`Simulator::fork`): the schedule explorer keeps one copy per
+//! open choice point and resumes each sibling schedule from it instead
+//! of replaying the prefix that led there.
 
 use std::fmt;
 
@@ -85,11 +104,11 @@ pub struct Candidate {
     pub label: String,
 }
 
-impl Candidate {
-    /// A stable 64-bit token identifying this candidate, independent of
+impl CandidateDetail {
+    /// A stable 64-bit token identifying this action, independent of
     /// allocation order and label text — the unit a state hash mixes in.
-    pub fn hash_token(&self) -> u64 {
-        let (tag, a, b): (u64, u64, u64) = match self.detail {
+    pub fn hash_token(self) -> u64 {
+        let (tag, a, b): (u64, u64, u64) = match self {
             CandidateDetail::Dispatch { pid, wake } => {
                 let w = match wake {
                     Wake::Event(e) => e.index() as u64,
@@ -103,6 +122,25 @@ impl Candidate {
         };
         (tag << 60) ^ (a << 30) ^ b
     }
+}
+
+impl Candidate {
+    /// The [`CandidateDetail::hash_token`] of this candidate's action.
+    pub fn hash_token(&self) -> u64 {
+        self.detail.hash_token()
+    }
+}
+
+/// A choice point a run stopped at (see `Simulator::run_to_choice`):
+/// two or more simultaneously eligible actions, none performed yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChoicePoint {
+    /// The scheduler phase of the choice.
+    pub kind: ChoiceKind,
+    /// The simulated instant of the choice.
+    pub at: SimTime,
+    /// How many actions are eligible (at least two).
+    pub arity: usize,
 }
 
 impl fmt::Display for Candidate {

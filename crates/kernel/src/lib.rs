@@ -76,7 +76,9 @@ pub mod testutil;
 pub mod time;
 pub mod world;
 
-pub use choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePolicy, StableTieBreak};
+pub use choice::{
+    Candidate, CandidateDetail, ChoiceKind, ChoicePoint, ChoicePolicy, StableTieBreak,
+};
 pub use error::KernelError;
 pub use event::{Event, Wake};
 pub use process::{ProcessContext, ProcessId};
@@ -84,4 +86,4 @@ pub use scheduler::KernelStats;
 pub use segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx, WaitRequest};
 pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};
-pub use world::{SharedWorld, Slot, World, WorldRef};
+pub use world::{Fork, SharedWorld, Slot, World, WorldRef};

@@ -336,9 +336,30 @@ impl ProcessContext {
     }
 }
 
-/// A segment-process body: a state machine the scheduler calls inline.
-pub(crate) type SegBody =
-    Box<dyn FnMut(&mut SegmentCtx<'_>) -> crate::segment::SegStep + Send + 'static>;
+/// A segment-process body: a step machine the scheduler calls inline,
+/// and copies when the simulator is forked.
+pub(crate) trait SegMachine: Send {
+    /// Runs one step.
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> crate::segment::SegStep;
+    /// A copy of the machine in its current state.
+    fn fork(&self) -> SegBody;
+}
+
+impl<F> SegMachine for F
+where
+    F: FnMut(&mut SegmentCtx<'_>) -> crate::segment::SegStep + Clone + Send + 'static,
+{
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> crate::segment::SegStep {
+        self(ctx)
+    }
+
+    fn fork(&self) -> SegBody {
+        Box::new(self.clone())
+    }
+}
+
+/// A boxed [`SegMachine`].
+pub(crate) type SegBody = Box<dyn SegMachine>;
 
 /// How one process is executed: the coroutine-style thread handoff, or a
 /// run-to-completion state machine dispatched inside the scheduler loop.
@@ -361,7 +382,7 @@ pub(crate) enum ProcBackend {
 
 /// Kernel-side record of one spawned process.
 pub(crate) struct ProcHandle {
-    pub name: String,
+    pub name: Arc<str>,
     pub backend: ProcBackend,
     pub state: ProcState,
     /// Monotonic wait generation: bumped every time the process is woken,
@@ -370,6 +391,27 @@ pub(crate) struct ProcHandle {
 }
 
 impl ProcHandle {
+    /// A copy of this process for a forked kernel: a segment's machine
+    /// is copied in its current state, and a dead thread process becomes
+    /// a finished segment. `None` for a live thread process.
+    pub fn fork(&self) -> Option<ProcHandle> {
+        let backend = match &self.backend {
+            ProcBackend::Segment { body } => ProcBackend::Segment {
+                body: body.as_ref().map(|machine| machine.fork()),
+            },
+            ProcBackend::Thread { .. } if self.state == ProcState::Dead => {
+                ProcBackend::Segment { body: None }
+            }
+            ProcBackend::Thread { .. } => return None,
+        };
+        Some(ProcHandle {
+            name: Arc::clone(&self.name),
+            backend,
+            state: self.state,
+            wait_seq: self.wait_seq,
+        })
+    }
+
     /// Whether the process is still blocked in wait generation `seq`:
     /// false for every entry an earlier, finished wait left behind.
     #[inline]

@@ -14,13 +14,18 @@
 //! Determinism: runnable processes resume in FIFO wake order, waiters wake
 //! in registration order, and simultaneous timers fire in posting order, so
 //! a given model always produces the identical schedule.
+//!
+//! The loop's working sets (the runnable queue, the delta cycle's pending
+//! notifications, the instant's ripe timers) and its phase live in the
+//! [`Kernel`], so a run can stop at a choice point and resume at the same
+//! spot, and a kernel at rest can be copied (see [`crate::choice`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePolicy};
+use crate::choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePoint, ChoicePolicy};
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{
@@ -44,8 +49,9 @@ enum Pending {
     Timed { time: SimTime, stamp: u64 },
 }
 
+#[derive(Clone)]
 struct EventEntry {
-    name: String,
+    name: Arc<str>,
     /// `(pid, wait_seq)` pairs; stale entries are skipped lazily.
     waiters: Vec<(ProcessId, u64)>,
     pending: Pending,
@@ -67,6 +73,16 @@ struct TimedEntry {
     action: TimedAction,
 }
 
+impl TimedEntry {
+    /// The entry as a timed-phase choice candidate.
+    fn detail(&self) -> CandidateDetail {
+        match self.action {
+            TimedAction::NotifyEvent(e, _) => CandidateDetail::TimerNotify(e),
+            TimedAction::WakeProcess(pid, _) => CandidateDetail::TimerWake(pid),
+        }
+    }
+}
+
 /// Cumulative kernel statistics, used by the approach-A/approach-B
 /// simulation-speed experiment (the paper's §4 comparison hinges on
 /// *process switch counts*).
@@ -80,6 +96,19 @@ pub struct KernelStats {
     pub time_advances: u64,
     /// Event notifications delivered (waiter wakes).
     pub event_wakes: u64,
+}
+
+/// Where the run loop stands. Kept in the kernel, with the working set
+/// of each phase, so a run stopped at a choice point resumes there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// The evaluation phase, then the start of the next delta or timed
+    /// phase.
+    Evaluate,
+    /// Firing the delta cycle's notifications (`Kernel::pending`).
+    Delta,
+    /// Firing the instant's ripe timers (`Kernel::ripe`).
+    Timed,
 }
 
 pub(crate) struct Kernel {
@@ -97,13 +126,24 @@ pub(crate) struct Kernel {
     /// Pluggable tie-break (see [`crate::choice`]); `None` keeps the
     /// built-in stable order on the original fast path.
     choice: Option<Box<dyn ChoicePolicy>>,
+    phase: Phase,
+    /// The delta cycle being fired: the notifications pending when it
+    /// began, minus those fired or overridden since.
+    pending: Vec<Event>,
+    /// The instant's ripe timer entries, in `(time, stamp)` order.
+    ripe: Vec<TimedEntry>,
+    deltas_at_instant: u64,
+    /// The choice point a run stopped at, until it is decided.
+    stopped: Option<ChoicePoint>,
+    /// The decision for the choice point a run stopped at; the resumed
+    /// run applies it.
+    decided: Option<usize>,
     /// Scratch buffers reused across steps so the run loop does not
-    /// allocate per dispatch: a segment dispatch's notification ops, the
-    /// waiter list an event swaps in when it fires, and the same-instant
-    /// ripe timer set. Each is empty between uses.
+    /// allocate per dispatch: a segment dispatch's notification ops and
+    /// the waiter list an event swaps in when it fires. Each is empty
+    /// between uses.
     spare_ops: Vec<NotifyOp>,
     spare_waiters: Vec<(ProcessId, u64)>,
-    spare_ripe: Vec<TimedEntry>,
     pub stats: KernelStats,
 }
 
@@ -123,11 +163,52 @@ impl Kernel {
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
             choice: None,
+            phase: Phase::Evaluate,
+            pending: Vec::new(),
+            ripe: Vec::new(),
+            deltas_at_instant: 0,
+            stopped: None,
+            decided: None,
             spare_ops: Vec::new(),
             spare_waiters: Vec::new(),
-            spare_ripe: Vec::new(),
             stats: KernelStats::default(),
         }
+    }
+
+    /// A copy of this kernel at rest (between runs, or stopped at a
+    /// choice point), with its own clock and yield channel and no choice
+    /// policy. `None` if a live process is thread-backed: its state is a
+    /// stack on another thread, which cannot be copied.
+    pub fn fork(&self) -> Option<Kernel> {
+        let procs = self
+            .procs
+            .iter()
+            .map(ProcHandle::fork)
+            .collect::<Option<Vec<_>>>()?;
+        let (yield_tx, yield_rx) = unbounded();
+        Some(Kernel {
+            now_ps: Arc::new(AtomicU64::new(self.now_ps.load(Ordering::Acquire))),
+            procs,
+            events: self.events.clone(),
+            runnable: self.runnable.clone(),
+            delta_events: self.delta_events.clone(),
+            timers: self.timers.clone(),
+            stamp: self.stamp,
+            yield_tx,
+            yield_rx,
+            alive: self.alive,
+            max_deltas: self.max_deltas,
+            choice: None,
+            phase: self.phase,
+            pending: self.pending.clone(),
+            ripe: self.ripe.clone(),
+            deltas_at_instant: self.deltas_at_instant,
+            stopped: self.stopped,
+            decided: self.decided,
+            spare_ops: Vec::new(),
+            spare_waiters: Vec::new(),
+            stats: self.stats,
+        })
     }
 
     pub fn set_choice_policy(&mut self, policy: Option<Box<dyn ChoicePolicy>>) {
@@ -149,39 +230,113 @@ impl Kernel {
         idx
     }
 
-    fn dispatch_candidate(&self, pid: ProcessId, wake: Wake) -> Candidate {
-        let label = match wake {
-            Wake::Event(e) => format!(
-                "dispatch {} <- {}",
-                self.procs[pid.index()].name,
-                self.events[e.index()].name
-            ),
-            Wake::Timeout => format!("dispatch {} <- timeout", self.procs[pid.index()].name),
-        };
-        Candidate {
-            detail: CandidateDetail::Dispatch { pid, wake },
-            label,
+    /// The number of eligible actions of a `kind` choice: the size of
+    /// that phase's working set.
+    fn arity(&self, kind: ChoiceKind) -> usize {
+        match kind {
+            ChoiceKind::Dispatch => self.runnable.len(),
+            ChoiceKind::Delta => self.pending.len(),
+            ChoiceKind::Timer => self.ripe.len(),
         }
     }
 
-    fn delta_candidate(&self, event: Event) -> Candidate {
-        Candidate {
-            detail: CandidateDetail::DeltaEvent(event),
-            label: format!("delta-notify {}", self.events[event.index()].name),
+    /// Candidate `index` of a `kind` choice, in the stable order.
+    pub fn candidate_detail(&self, kind: ChoiceKind, index: usize) -> CandidateDetail {
+        match kind {
+            ChoiceKind::Dispatch => {
+                let (pid, wake) = self.runnable[index];
+                CandidateDetail::Dispatch { pid, wake }
+            }
+            ChoiceKind::Delta => CandidateDetail::DeltaEvent(self.pending[index]),
+            ChoiceKind::Timer => self.ripe[index].detail(),
         }
     }
 
-    fn timer_candidate(&self, entry: &TimedEntry) -> Candidate {
-        match entry.action {
-            TimedAction::NotifyEvent(e, _) => Candidate {
-                detail: CandidateDetail::TimerNotify(e),
-                label: format!("timed-notify {}", self.events[e.index()].name),
-            },
-            TimedAction::WakeProcess(pid, _) => Candidate {
-                detail: CandidateDetail::TimerWake(pid),
-                label: format!("timer-wake {}", self.procs[pid.index()].name),
-            },
+    /// The human-readable rendering of a candidate, process and event
+    /// names resolved.
+    pub fn candidate_label(&self, detail: CandidateDetail) -> String {
+        let proc = |pid: ProcessId| &*self.procs[pid.index()].name;
+        let event = |e: Event| &*self.events[e.index()].name;
+        match detail {
+            CandidateDetail::Dispatch {
+                pid,
+                wake: Wake::Event(e),
+            } => format!("dispatch {} <- {}", proc(pid), event(e)),
+            CandidateDetail::Dispatch {
+                pid,
+                wake: Wake::Timeout,
+            } => format!("dispatch {} <- timeout", proc(pid)),
+            CandidateDetail::DeltaEvent(e) => format!("delta-notify {}", event(e)),
+            CandidateDetail::TimerNotify(e) => format!("timed-notify {}", event(e)),
+            CandidateDetail::TimerWake(pid) => format!("timer-wake {}", proc(pid)),
         }
+    }
+
+    /// The labelled candidates of a `kind` choice.
+    fn candidates(&self, kind: ChoiceKind) -> Vec<Candidate> {
+        (0..self.arity(kind))
+            .map(|i| {
+                let detail = self.candidate_detail(kind, i);
+                Candidate {
+                    detail,
+                    label: self.candidate_label(detail),
+                }
+            })
+            .collect()
+    }
+
+    /// The choice point a run stopped at (see [`Kernel::run`]), if it
+    /// has not been decided yet.
+    pub fn stopped(&self) -> Option<ChoicePoint> {
+        self.stopped
+    }
+
+    /// Decides the choice point a run stopped at: the next run performs
+    /// candidate `index` there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run is stopped at a choice point, or if `index` is
+    /// out of range.
+    pub fn decide(&mut self, index: usize) {
+        let point = self
+            .stopped
+            .take()
+            .expect("decide: the simulator is not stopped at a choice point");
+        assert!(
+            index < point.arity,
+            "decide: index {index} out of {} candidates",
+            point.arity
+        );
+        self.decided = Some(index);
+    }
+
+    /// Resolves a choice among two or more eligible actions: the decision
+    /// taken for the point a run stopped at, else `None` to stop there
+    /// (`stop`), else the installed policy's pick, else the stable 0.
+    fn pick<'w>(
+        &mut self,
+        kind: ChoiceKind,
+        stop: bool,
+        loan: &mut Option<WorldGuard<'w>>,
+    ) -> Option<usize> {
+        if let Some(index) = self.decided.take() {
+            return Some(index);
+        }
+        if stop {
+            self.stopped = Some(ChoicePoint {
+                kind,
+                at: self.now(),
+                arity: self.arity(kind),
+            });
+            return None;
+        }
+        if self.choice.is_some() {
+            let candidates = self.candidates(kind);
+            *loan = None;
+            return Some(self.choose(kind, &candidates));
+        }
+        Some(0)
     }
 
     pub fn set_max_deltas(&mut self, limit: u64) {
@@ -205,7 +360,7 @@ impl Kernel {
     pub fn create_event(&mut self, name: &str) -> Event {
         let id = Event(u32::try_from(self.events.len()).expect("too many events"));
         self.events.push(EventEntry {
-            name: name.to_owned(),
+            name: Arc::from(name),
             waiters: Vec::new(),
             pending: Pending::None,
         });
@@ -243,7 +398,7 @@ impl Kernel {
             body,
         );
         self.procs.push(ProcHandle {
-            name: name.to_owned(),
+            name: Arc::from(name),
             backend: ProcBackend::Thread {
                 resume_tx,
                 join: Some(join),
@@ -263,11 +418,11 @@ impl Kernel {
     /// indistinguishable from a thread-backed process.
     pub fn spawn_segment<F>(&mut self, name: &str, body: F) -> ProcessId
     where
-        F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Send + 'static,
+        F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Clone + Send + 'static,
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
         self.procs.push(ProcHandle {
-            name: name.to_owned(),
+            name: Arc::from(name),
             backend: ProcBackend::Segment {
                 body: Some(Box::new(body)),
             },
@@ -429,7 +584,7 @@ impl Kernel {
                 self.procs[pid.index()].state = ProcState::Dead;
                 self.alive -= 1;
                 return Err(KernelError::ProcessPanicked {
-                    process: self.procs[pid.index()].name.clone(),
+                    process: self.procs[pid.index()].name.to_string(),
                     message,
                 });
             }
@@ -450,15 +605,7 @@ impl Kernel {
     }
 
     fn timer_valid(&self, entry: &TimedEntry) -> bool {
-        match entry.action {
-            TimedAction::NotifyEvent(e, stamp) => {
-                matches!(
-                    self.events[e.index()].pending,
-                    Pending::Timed { stamp: s, .. } if s == stamp
-                )
-            }
-            TimedAction::WakeProcess(pid, seq) => self.procs[pid.index()].waits_in(seq),
-        }
+        timer_valid(&self.events, &self.procs, entry)
     }
 
     /// Runs `pid` for one slice and returns its yield.
@@ -513,7 +660,7 @@ impl Kernel {
                 ops: &mut ops,
                 world,
             };
-            machine(&mut ctx)
+            machine.step(&mut ctx)
         }));
         let reason = match step {
             Ok(SegStep::Yield(req)) => {
@@ -533,134 +680,159 @@ impl Kernel {
     /// would pass `limit`. Events scheduled exactly at `limit` are
     /// processed.
     ///
+    /// With `stop`, the run stops at the first choice point (two or more
+    /// simultaneously eligible actions) and returns it; the kernel keeps
+    /// the phase and its working set, so after [`Kernel::decide`] the
+    /// next call resumes at that spot and performs the decided action.
+    /// Without `stop`, the installed choice policy answers each choice
+    /// point, or the stable order does, and the result is always `None`.
+    ///
     /// `world` is lent to segment dispatches: locked at the first one and
     /// kept across the next, given back only before a thread-backed
-    /// dispatch and around each choice-policy call (the policy may read
-    /// model state, such as the trace).
-    pub fn run(&mut self, limit: Option<SimTime>, world: &SharedWorld) -> Result<(), KernelError> {
+    /// dispatch, around each choice-policy call (the policy may read
+    /// model state, such as the trace) and when the run stops.
+    pub fn run(
+        &mut self,
+        limit: Option<SimTime>,
+        world: &SharedWorld,
+        stop: bool,
+    ) -> Result<Option<ChoicePoint>, KernelError> {
+        self.stopped = None;
+        let hooked = stop || self.choice.is_some() || self.decided.is_some();
         let mut loan: Option<WorldGuard<'_>> = None;
-        let mut deltas_at_instant: u64 = 0;
         loop {
-            // -- evaluation phase ------------------------------------------
-            loop {
-                let (pid, wake) = if self.choice.is_some() && self.runnable.len() >= 2 {
-                    let candidates: Vec<Candidate> = self
-                        .runnable
-                        .iter()
-                        .map(|&(pid, wake)| self.dispatch_candidate(pid, wake))
-                        .collect();
-                    loan = None;
-                    let idx = self.choose(ChoiceKind::Dispatch, &candidates);
-                    self.runnable.remove(idx).expect("index validated")
-                } else {
-                    match self.runnable.pop_front() {
-                        Some(next) => next,
-                        None => break,
+            match self.phase {
+                Phase::Evaluate => {
+                    loop {
+                        let (pid, wake) = if hooked && self.runnable.len() >= 2 {
+                            let Some(idx) = self.pick(ChoiceKind::Dispatch, stop, &mut loan)
+                            else {
+                                return Ok(self.stopped);
+                            };
+                            self.runnable.remove(idx).expect("index validated")
+                        } else {
+                            match self.runnable.pop_front() {
+                                Some(next) => next,
+                                None => break,
+                            }
+                        };
+                        debug_assert_eq!(self.procs[pid.index()].state, ProcState::Runnable);
+                        self.stats.process_switches += 1;
+                        let msg = self.dispatch(pid, wake, world, &mut loan);
+                        debug_assert_eq!(msg.pid, pid, "yield from a process that was not running");
+                        self.apply_ops(msg.ops);
+                        self.apply_reason(msg.pid, msg.reason)?;
                     }
-                };
-                debug_assert_eq!(self.procs[pid.index()].state, ProcState::Runnable);
-                self.stats.process_switches += 1;
-                let msg = self.dispatch(pid, wake, world, &mut loan);
-                debug_assert_eq!(msg.pid, pid, "yield from a process that was not running");
-                self.apply_ops(msg.ops);
-                self.apply_reason(msg.pid, msg.reason)?;
-            }
 
-            // -- delta phase -----------------------------------------------
-            if !self.delta_events.is_empty() {
-                deltas_at_instant += 1;
-                self.stats.delta_cycles += 1;
-                if deltas_at_instant > self.max_deltas {
-                    return Err(KernelError::DeltaCycleOverflow {
-                        at: self.now(),
-                        limit: self.max_deltas,
-                    });
-                }
-                // Firing a delta cannot add or cancel delta notifications
-                // (only running processes post ops), so the set taken here
-                // is the whole cycle; the retain drops entries that were
-                // overridden before the cycle started.
-                let mut pending = std::mem::take(&mut self.delta_events);
-                loop {
-                    pending.retain(|e| self.events[e.index()].pending == Pending::Delta);
-                    if pending.is_empty() {
-                        break;
+                    // -- delta phase start ---------------------------------
+                    if !self.delta_events.is_empty() {
+                        self.deltas_at_instant += 1;
+                        self.stats.delta_cycles += 1;
+                        if self.deltas_at_instant > self.max_deltas {
+                            return Err(KernelError::DeltaCycleOverflow {
+                                at: self.now(),
+                                limit: self.max_deltas,
+                            });
+                        }
+                        // Firing a delta cannot add or cancel delta
+                        // notifications (only running processes post ops),
+                        // so the set taken here is the whole cycle. The two
+                        // lists swap, keeping both capacities.
+                        debug_assert!(self.pending.is_empty());
+                        std::mem::swap(&mut self.pending, &mut self.delta_events);
+                        self.phase = Phase::Delta;
+                        continue;
                     }
-                    let idx = if self.choice.is_some() && pending.len() >= 2 {
-                        let candidates: Vec<Candidate> =
-                            pending.iter().map(|&e| self.delta_candidate(e)).collect();
-                        loan = None;
-                        self.choose(ChoiceKind::Delta, &candidates)
-                    } else {
-                        0
+
+                    // -- timed phase start ---------------------------------
+                    let Some(t) = self.next_timer_time() else {
+                        // Event starvation: nothing left to do.
+                        if let Some(end) = limit {
+                            if end > self.now() {
+                                self.set_now(end);
+                            }
+                        }
+                        return Ok(None);
                     };
-                    let e = pending.remove(idx);
-                    self.events[e.index()].pending = Pending::None;
-                    self.fire(e);
-                }
-                // Firing posted no new deltas, so the list is still empty:
-                // hand the drained one back with its capacity.
-                debug_assert!(self.delta_events.is_empty());
-                self.delta_events = pending;
-                continue;
-            }
-
-            // -- timed phase -----------------------------------------------
-            let Some(t) = self.next_timer_time() else {
-                // Event starvation: nothing left to do.
-                if let Some(end) = limit {
-                    if end > self.now() {
-                        self.set_now(end);
+                    if let Some(end) = limit {
+                        if t > end {
+                            self.set_now(end);
+                            return Ok(None);
+                        }
                     }
+                    if t > self.now() {
+                        self.set_now(t);
+                        self.stats.time_advances += 1;
+                        self.deltas_at_instant = 0;
+                    }
+                    // Collect the whole same-instant ripe set up front (a
+                    // stable slice, not an eager pop), then fire entries one
+                    // at a time. Firing cannot add new ripe entries at `t` —
+                    // only running processes post timer ops, and none run
+                    // until the next evaluation phase — and cannot
+                    // revalidate an entry (wait_seq and pending stamps only
+                    // move forward), so the retain per iteration only ever
+                    // shrinks the set and the collect-then-fire order equals
+                    // an eager pop.
+                    self.take_ripe(t);
+                    self.phase = Phase::Timed;
                 }
-                return Ok(());
-            };
-            if let Some(end) = limit {
-                if t > end {
-                    self.set_now(end);
-                    return Ok(());
-                }
-            }
-            if t > self.now() {
-                self.set_now(t);
-                self.stats.time_advances += 1;
-                deltas_at_instant = 0;
-            }
-            // Collect the whole same-instant ripe set up front (satellite
-            // of the choice hook: the set is a stable slice, not an eager
-            // pop), then fire entries one at a time. Firing cannot add new
-            // ripe entries at `t` — only running processes post timer ops,
-            // and none run until the next evaluation phase — and cannot
-            // revalidate an entry (wait_seq and pending stamps only move
-            // forward), so the retain per iteration only ever shrinks the
-            // set and the collect-then-fire order equals the old eager pop.
-            let mut ripe = std::mem::take(&mut self.spare_ripe);
-            self.take_ripe(t, &mut ripe);
-            loop {
-                ripe.retain(|e| self.timer_valid(e));
-                if ripe.is_empty() {
-                    break;
-                }
-                let idx = if self.choice.is_some() && ripe.len() >= 2 {
-                    let candidates: Vec<Candidate> =
-                        ripe.iter().map(|e| self.timer_candidate(e)).collect();
-                    loan = None;
-                    self.choose(ChoiceKind::Timer, &candidates)
-                } else {
-                    0
-                };
-                let entry = ripe.remove(idx);
-                match entry.action {
-                    TimedAction::NotifyEvent(e, _) => {
+
+                Phase::Delta => {
+                    loop {
+                        // Drops entries overridden since the cycle began;
+                        // a no-op when resuming from a stop.
+                        let events = &self.events;
+                        self.pending
+                            .retain(|e| events[e.index()].pending == Pending::Delta);
+                        if self.pending.is_empty() {
+                            break;
+                        }
+                        let idx = if hooked && self.pending.len() >= 2 {
+                            let Some(idx) = self.pick(ChoiceKind::Delta, stop, &mut loan) else {
+                                return Ok(self.stopped);
+                            };
+                            idx
+                        } else {
+                            0
+                        };
+                        let e = self.pending.remove(idx);
                         self.events[e.index()].pending = Pending::None;
                         self.fire(e);
                     }
-                    TimedAction::WakeProcess(pid, _) => {
-                        self.make_runnable(pid, Wake::Timeout);
+                    debug_assert!(self.delta_events.is_empty());
+                    self.phase = Phase::Evaluate;
+                }
+
+                Phase::Timed => {
+                    loop {
+                        let (events, procs) = (&self.events, &self.procs);
+                        self.ripe.retain(|e| timer_valid(events, procs, e));
+                        if self.ripe.is_empty() {
+                            break;
+                        }
+                        let idx = if hooked && self.ripe.len() >= 2 {
+                            let Some(idx) = self.pick(ChoiceKind::Timer, stop, &mut loan) else {
+                                return Ok(self.stopped);
+                            };
+                            idx
+                        } else {
+                            0
+                        };
+                        let entry = self.ripe.remove(idx);
+                        match entry.action {
+                            TimedAction::NotifyEvent(e, _) => {
+                                self.events[e.index()].pending = Pending::None;
+                                self.fire(e);
+                            }
+                            TimedAction::WakeProcess(pid, _) => {
+                                self.make_runnable(pid, Wake::Timeout);
+                            }
+                        }
                     }
+                    self.phase = Phase::Evaluate;
                 }
             }
-            self.spare_ripe = ripe;
         }
     }
 
@@ -668,15 +840,15 @@ impl Kernel {
     /// empty `ripe`, in the heap's deterministic ascending `(time, stamp)`
     /// order — the stable same-instant slice the choice hook enumerates
     /// over. Invalid entries are discarded during the pop.
-    fn take_ripe(&mut self, t: SimTime, ripe: &mut Vec<TimedEntry>) {
-        debug_assert!(ripe.is_empty());
+    fn take_ripe(&mut self, t: SimTime) {
+        debug_assert!(self.ripe.is_empty());
         while let Some(Reverse(top)) = self.timers.peek().copied() {
             if top.time > t {
                 break;
             }
             self.timers.pop();
             if self.timer_valid(&top) {
-                ripe.push(top);
+                self.ripe.push(top);
             }
         }
     }
@@ -695,7 +867,13 @@ impl Kernel {
             .filter(|e| e.time == t && self.timer_valid(e))
             .collect();
         entries.sort_unstable();
-        let candidates = entries.iter().map(|e| self.timer_candidate(e)).collect();
+        let candidates = entries
+            .iter()
+            .map(|e| Candidate {
+                detail: e.detail(),
+                label: self.candidate_label(e.detail()),
+            })
+            .collect();
         Some((t, candidates))
     }
 
@@ -710,6 +888,20 @@ impl Kernel {
             return Some(self.now());
         }
         self.next_timer_time()
+    }
+}
+
+/// Whether a timer entry still fires: its event still pends with the
+/// entry's stamp, or its process still waits in the entry's generation.
+fn timer_valid(events: &[EventEntry], procs: &[ProcHandle], entry: &TimedEntry) -> bool {
+    match entry.action {
+        TimedAction::NotifyEvent(e, stamp) => {
+            matches!(
+                events[e.index()].pending,
+                Pending::Timed { stamp: s, .. } if s == stamp
+            )
+        }
+        TimedAction::WakeProcess(pid, seq) => procs[pid.index()].waits_in(seq),
     }
 }
 

@@ -140,9 +140,14 @@ impl Simulator {
     /// pays the thread handoff (the paper's approach-A cost). The machine
     /// is the same either way, and so are scheduling order, statistics
     /// and event semantics.
+    ///
+    /// The machine must be `Clone`: a simulator copies it, in its current
+    /// state, when it is [forked](Simulator::fork). A machine therefore
+    /// holds plain data and slot ids of the simulation world, never a
+    /// handle to the world itself.
     pub fn spawn_segment<F>(&mut self, name: &str, mut body: F) -> ProcessId
     where
-        F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Send + 'static,
+        F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Clone + Send + 'static,
     {
         match self.mode {
             ExecMode::Segment => self.kernel.spawn_segment(name, body),
@@ -172,7 +177,7 @@ impl Simulator {
     /// Returns [`KernelError::ProcessPanicked`] if a process body panics
     /// and [`KernelError::DeltaCycleOverflow`] on a zero-time livelock.
     pub fn run(&mut self) -> Result<(), KernelError> {
-        self.kernel.run(None, &self.world)
+        self.kernel.run(None, &self.world, false).map(drop)
     }
 
     /// Runs until event starvation or until simulated time would pass
@@ -184,7 +189,115 @@ impl Simulator {
     ///
     /// Same as [`run`](Simulator::run).
     pub fn run_until(&mut self, until: SimTime) -> Result<(), KernelError> {
-        self.kernel.run(Some(until), &self.world)
+        self.kernel.run(Some(until), &self.world, false).map(drop)
+    }
+
+    /// Runs like [`run_until`](Simulator::run_until), but stops at the
+    /// next choice point — two or more simultaneously eligible actions —
+    /// and returns it, before performing any of them. `Ok(None)` means
+    /// the run reached `until` (or starved) without meeting one.
+    ///
+    /// A stopped simulator keeps its place: [`candidate`](Simulator::candidate)
+    /// names the eligible actions, [`decide`](Simulator::decide) picks
+    /// one, and the next `run_to_choice` (or `run_until`) performs it and
+    /// carries on. Calling it again without deciding stops at the same
+    /// point. An installed [choice policy](Simulator::set_choice_policy)
+    /// is not consulted here. See [`crate::choice`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](Simulator::run).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rtsim_kernel::{ChoiceKind, ExecMode, SegStep, SimTime, Simulator, WaitRequest};
+    ///
+    /// # fn main() -> Result<(), rtsim_kernel::KernelError> {
+    /// let mut sim = Simulator::with_mode(ExecMode::Segment);
+    /// for name in ["a", "b"] {
+    ///     sim.spawn_segment(name, |_ctx| SegStep::Done);
+    /// }
+    /// let end = SimTime::from_ps(10);
+    /// let point = sim.run_to_choice(end)?.expect("a and b start together");
+    /// assert_eq!((point.kind, point.arity), (ChoiceKind::Dispatch, 2));
+    ///
+    /// // Copy the simulator here, then let each copy take another branch.
+    /// let mut other = sim.fork().expect("segment processes copy");
+    /// sim.decide(0);
+    /// other.decide(1);
+    /// // After the first dispatch only one process is left: no more ties.
+    /// assert_eq!(sim.run_to_choice(end)?, None);
+    /// assert_eq!(other.run_to_choice(end)?, None);
+    /// assert_eq!(sim.stats(), other.stats());
+    /// # let _ = WaitRequest::time;
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn run_to_choice(
+        &mut self,
+        until: SimTime,
+    ) -> Result<Option<crate::choice::ChoicePoint>, KernelError> {
+        self.kernel.run(Some(until), &self.world, true)
+    }
+
+    /// Candidate `index` of the choice point the simulator is stopped at,
+    /// in the kernel's stable order (index 0 is what a run without a
+    /// policy performs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is not stopped at a choice point, or if
+    /// `index` is out of range.
+    pub fn candidate(&self, index: usize) -> crate::choice::CandidateDetail {
+        let point = self
+            .kernel
+            .stopped()
+            .expect("candidate: the simulator is not stopped at a choice point");
+        assert!(index < point.arity, "candidate: index {index} out of {}", point.arity);
+        self.kernel.candidate_detail(point.kind, index)
+    }
+
+    /// The human-readable rendering of a candidate, e.g.
+    /// `dispatch CPU.Task_1 <- Clk`.
+    pub fn candidate_label(&self, detail: crate::choice::CandidateDetail) -> String {
+        self.kernel.candidate_label(detail)
+    }
+
+    /// Decides the choice point the simulator is stopped at: the next run
+    /// performs candidate `index` there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is not stopped at a choice point, or if
+    /// `index` is out of range.
+    pub fn decide(&mut self, index: usize) {
+        self.kernel.decide(index);
+    }
+
+    /// A copy of this simulator at rest — between runs, or stopped at a
+    /// choice point — that runs on independently: its own kernel, clock,
+    /// yield channel and [`World`](crate::world::World) (every slot
+    /// copied under the same ids), every segment machine copied in its
+    /// current state, and no choice policy.
+    ///
+    /// `None` when the copy cannot be made: a live process is
+    /// thread-backed (its state is a stack on another thread), or a world
+    /// slot refuses to copy (see [`Fork`](crate::world::Fork)).
+    pub fn fork(&self) -> Option<Simulator> {
+        let kernel = self.kernel.fork()?;
+        let world = self.world.fork()?;
+        Some(Simulator {
+            kernel,
+            mode: self.mode,
+            world,
+            attached: self.attached,
+        })
+    }
+
+    /// The world this simulator lends to its steps.
+    pub fn shared_world(&self) -> &SharedWorld {
+        &self.world
     }
 
     /// Runs for `span` of simulated time from the current instant

@@ -25,6 +25,14 @@
 //! already holds the world, such an accessor panics with its own name
 //! instead of deadlocking.
 //!
+//! A world can be **forked** ([`World::fork`]): every slot knows how to
+//! copy itself, because [`World::insert`] takes a `Clone` value and
+//! [`World::insert_fork`] a value implementing [`Fork`]. That is what
+//! lets a simulator be copied at a choice point (see
+//! [`Simulator::fork`](crate::Simulator::fork)). Step machines and the
+//! handles they carry therefore hold slot ids, never a world: the ids
+//! mean the same slots in the fork.
+//!
 //! [`ProcessContext::step`]: crate::ProcessContext::step
 
 use std::any::Any;
@@ -82,6 +90,27 @@ impl<T> fmt::Debug for Slot<T> {
     }
 }
 
+/// A value that can be copied when its world is forked, but may refuse
+/// (say, because it holds a user-supplied trait object that cannot copy
+/// itself). `Clone` values go through [`World::insert`] instead.
+pub trait Fork: Sized {
+    /// A copy of `self`, or `None` if this value cannot be copied.
+    fn fork(&self) -> Option<Self>;
+}
+
+/// Copies one type-erased slot (monomorphised per slot type at insert).
+type CopyFn = fn(&(dyn Any + Send)) -> Option<Box<dyn Any + Send>>;
+
+fn copy_clone<T: Any + Send + Clone>(value: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
+    let value: &T = value.downcast_ref().expect("slot holds its inserted type");
+    Some(Box::new(value.clone()))
+}
+
+fn copy_fork<T: Any + Send + Fork>(value: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
+    let value: &T = value.downcast_ref().expect("slot holds its inserted type");
+    Some(Box::new(value.fork()?))
+}
+
 /// The slot arena holding a simulation's mutable model state.
 ///
 /// # Examples
@@ -100,6 +129,8 @@ impl<T> fmt::Debug for Slot<T> {
 #[derive(Default)]
 pub struct World {
     slots: Vec<Box<dyn Any + Send>>,
+    /// How to copy each slot, by index.
+    copies: Vec<CopyFn>,
     loans: u64,
 }
 
@@ -109,14 +140,42 @@ impl World {
         World::default()
     }
 
-    /// Stores `value` and returns its slot.
-    pub fn insert<T: Any + Send>(&mut self, value: T) -> Slot<T> {
+    /// Stores `value` and returns its slot. A fork of this world gets a
+    /// clone of the value.
+    pub fn insert<T: Any + Send + Clone>(&mut self, value: T) -> Slot<T> {
+        self.push(value, copy_clone::<T>)
+    }
+
+    /// Stores `value` and returns its slot. A fork of this world gets
+    /// `value.fork()`; if that is `None`, the world cannot be forked.
+    pub fn insert_fork<T: Any + Send + Fork>(&mut self, value: T) -> Slot<T> {
+        self.push(value, copy_fork::<T>)
+    }
+
+    fn push<T: Any + Send>(&mut self, value: T, copy: CopyFn) -> Slot<T> {
         let index = u32::try_from(self.slots.len()).expect("too many world slots");
         self.slots.push(Box::new(value));
+        self.copies.push(copy);
         Slot {
             index,
             marker: PhantomData,
         }
+    }
+
+    /// A copy of every slot, under the same slot ids; `None` if some slot
+    /// cannot be copied (see [`Fork`]). The loan count carries over.
+    pub fn fork(&self) -> Option<World> {
+        let slots = self
+            .slots
+            .iter()
+            .zip(&self.copies)
+            .map(|(value, copy)| copy(value.as_ref()))
+            .collect::<Option<Vec<_>>>()?;
+        Some(World {
+            slots,
+            copies: self.copies.clone(),
+            loans: self.loans,
+        })
     }
 
     /// Number of slots.
@@ -211,6 +270,20 @@ impl SharedWorld {
     /// Whether both handles designate the same world.
     pub fn same(&self, other: &SharedWorld) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// How many handles (this one included) share this world: the
+    /// simulator's, and one per recorder, processor or relation handle
+    /// built on it. Forking a simulation adds none to its world.
+    pub fn handles(&self) -> usize {
+        Arc::strong_count(&self.0)
+    }
+
+    /// A new world holding a [`World::fork`] of this one (`None` if some
+    /// slot cannot be copied).
+    pub fn fork(&self) -> Option<SharedWorld> {
+        let copy = self.lock_for("SharedWorld::fork").fork()?;
+        Some(SharedWorld(Arc::new(Mutex::new(copy))))
     }
 
     fn address(&self) -> usize {
@@ -355,6 +428,39 @@ mod tests {
         let shared = SharedWorld::new();
         let _held = shared.lock_for("outer");
         let _ = shared.lock_for("Nested::accessor");
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Refuses(bool);
+
+    impl Fork for Refuses {
+        fn fork(&self) -> Option<Self> {
+            self.0.then_some(Refuses(true))
+        }
+    }
+
+    #[test]
+    fn a_fork_copies_every_slot_under_the_same_ids() {
+        let mut w = World::new();
+        let a = w.insert(vec![1u32]);
+        let b = w.insert_fork(Refuses(true));
+        let mut copy = w.fork().expect("every slot copies");
+        copy.get_mut(a).push(2);
+        assert_eq!((w.get(a).len(), copy.get(a).len()), (1, 2));
+        assert_eq!(copy.get(b), &Refuses(true));
+        w.insert_fork(Refuses(false));
+        assert!(w.fork().is_none(), "a refusing slot makes the world unforkable");
+    }
+
+    #[test]
+    fn a_shared_fork_is_a_world_of_its_own() {
+        let shared = SharedWorld::new();
+        let slot = shared.lock_for("test").insert(0u8);
+        let fork = shared.fork().unwrap();
+        *fork.lock_for("test").get_mut(slot) = 7;
+        assert!(!fork.same(&shared));
+        assert_eq!((shared.handles(), fork.handles()), (1, 1));
+        assert_eq!(*shared.lock_for("test").get(slot), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_comm::{MessageQueue, Rendezvous, RtEvent, SharedVar};
+use rtsim_comm::{EventRef, MessageQueue, QueueRef, Rendezvous, RtEvent, SharedVar, VarRef};
 use rtsim_core::{
     register_seg_hw, spawn_hw_function, Processor, ProcessorConfig, SchedulerStats, TaskHandle,
 };
@@ -40,13 +40,7 @@ impl Io {
     ///
     /// Panics if no event relation with that name was declared.
     pub fn event(&self, name: &str) -> RtEvent {
-        self.event_ref(name).clone()
-    }
-
-    pub(crate) fn event_ref(&self, name: &str) -> &RtEvent {
-        self.events
-            .get(name)
-            .unwrap_or_else(|| panic!("no event relation `{name}` in the model"))
+        lookup(&self.events, "event", name).clone()
     }
 
     /// The message-queue relation called `name`.
@@ -55,13 +49,7 @@ impl Io {
     ///
     /// Panics if no queue relation with that name was declared.
     pub fn queue(&self, name: &str) -> MessageQueue<Message> {
-        self.queue_ref(name).clone()
-    }
-
-    pub(crate) fn queue_ref(&self, name: &str) -> &MessageQueue<Message> {
-        self.queues
-            .get(name)
-            .unwrap_or_else(|| panic!("no queue relation `{name}` in the model"))
+        lookup(&self.queues, "queue", name).clone()
     }
 
     /// The rendezvous relation called `name`.
@@ -70,10 +58,7 @@ impl Io {
     ///
     /// Panics if no rendezvous relation with that name was declared.
     pub fn rendezvous(&self, name: &str) -> Rendezvous<Message> {
-        self.rendezvous
-            .get(name)
-            .unwrap_or_else(|| panic!("no rendezvous relation `{name}` in the model"))
-            .clone()
+        lookup(&self.rendezvous, "rendezvous", name).clone()
     }
 
     /// The shared-variable relation called `name`.
@@ -82,13 +67,64 @@ impl Io {
     ///
     /// Panics if no shared-variable relation with that name was declared.
     pub fn var(&self, name: &str) -> SharedVar<Message> {
-        self.var_ref(name).clone()
+        lookup(&self.vars, "shared-variable", name).clone()
     }
 
-    pub(crate) fn var_ref(&self, name: &str) -> &SharedVar<Message> {
-        self.vars
-            .get(name)
-            .unwrap_or_else(|| panic!("no shared-variable relation `{name}` in the model"))
+    /// The scriptable relations' slot ids.
+    fn relations(&self) -> Relations {
+        Relations {
+            events: ids(&self.events, RtEvent::ids),
+            queues: ids(&self.queues, MessageQueue::ids),
+            vars: ids(&self.vars, SharedVar::ids),
+        }
+    }
+}
+
+/// The relation called `name` in `map`.
+///
+/// # Panics
+///
+/// Panics if the model declares no `kind` relation of that name.
+fn lookup<'m, R>(map: &'m BTreeMap<String, R>, kind: &str, name: &str) -> &'m R {
+    map.get(name)
+        .unwrap_or_else(|| panic!("no {kind} relation `{name}` in the model"))
+}
+
+/// `map` with each relation handle replaced by its slot ids.
+fn ids<R, I>(map: &BTreeMap<String, R>, f: impl Fn(&R) -> I) -> BTreeMap<String, I> {
+    map.iter().map(|(name, r)| (name.clone(), f(r))).collect()
+}
+
+/// The scriptable relations (events, queues, shared variables) as slot
+/// ids, looked up by name: what a [`ScriptProcess`] reaches them
+/// through. It holds no world, so every forked simulation shares it.
+pub struct Relations {
+    events: BTreeMap<String, EventRef>,
+    queues: BTreeMap<String, QueueRef<Message>>,
+    vars: BTreeMap<String, VarRef<Message>>,
+}
+
+impl Relations {
+    pub(crate) fn event_ref(&self, name: &str) -> &EventRef {
+        lookup(&self.events, "event", name)
+    }
+
+    pub(crate) fn queue_ref(&self, name: &str) -> &QueueRef<Message> {
+        lookup(&self.queues, "queue", name)
+    }
+
+    pub(crate) fn var_ref(&self, name: &str) -> &VarRef<Message> {
+        lookup(&self.vars, "shared-variable", name)
+    }
+}
+
+impl fmt::Debug for Relations {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Relations")
+            .field("events", &self.events.keys().collect::<Vec<_>>())
+            .field("queues", &self.queues.keys().collect::<Vec<_>>())
+            .field("vars", &self.vars.keys().collect::<Vec<_>>())
+            .finish()
     }
 }
 
@@ -104,11 +140,23 @@ impl fmt::Debug for Io {
 }
 
 /// A fully instantiated, runnable system.
+///
+/// A system built from scripts alone can be [forked](ElaboratedSystem::fork)
+/// between runs or at a choice point: the copy runs on independently.
 pub struct ElaboratedSystem {
-    name: String,
     sim: Simulator,
     recorder: TraceRecorder,
-    processors: BTreeMap<String, Processor>,
+    /// The processors, in name order.
+    processors: Vec<Processor>,
+    layout: Arc<Layout>,
+}
+
+/// What elaboration fixed about a system: names, placement and
+/// constraints. It holds no world state, so forks share it.
+struct Layout {
+    name: String,
+    /// processor name → index into `ElaboratedSystem::processors`.
+    processors: BTreeMap<String, usize>,
     tasks: BTreeMap<String, TaskHandle>,
     /// function name → software processor name.
     task_placement: BTreeMap<String, String>,
@@ -179,7 +227,7 @@ impl ElaboratedSystem {
             .fault_plan
             .as_ref()
             .filter(|p| !p.is_empty())
-            .map(|p| Arc::new(p.instantiate()));
+            .map(|p| Arc::new(p.instantiate(&mut recorder.world().lock_for("elaborate"))));
         if let Some(inj) = &injector {
             for (name, q) in &queues {
                 if let Some(lane) = inj.lane(name) {
@@ -199,6 +247,7 @@ impl ElaboratedSystem {
             rendezvous,
             vars,
         });
+        let relations = Arc::new(io.relations());
 
         // Processors.
         let mut processors = BTreeMap::new();
@@ -224,7 +273,7 @@ impl ElaboratedSystem {
         let mut model_functions = model.functions;
         for fname in &model.function_order {
             let decl = model_functions.remove(fname).expect("declared function");
-            let io = Arc::clone(&io);
+            let (io, relations) = (Arc::clone(&io), Arc::clone(&relations));
             let fctx = injector
                 .as_ref()
                 .map(|inj| FaultCtx::new(Arc::clone(inj), fname));
@@ -237,7 +286,7 @@ impl ElaboratedSystem {
                 }
                 (Mapping::Hardware, Body::Script(script)) => {
                     let runner = register_seg_hw(&mut sim, &recorder, fname);
-                    let mut process = ScriptProcess::hw(runner, io, script).with_fault(fctx);
+                    let mut process = ScriptProcess::hw(runner, relations, script).with_fault(fctx);
                     sim.spawn_segment(fname, move |ctx| process.poll(ctx));
                 }
                 (Mapping::Software(pname), Body::Closure(body)) => {
@@ -252,7 +301,8 @@ impl ElaboratedSystem {
                     let runner = processor.register_seg_task(&mut sim, decl.config);
                     let handle = runner.handle();
                     let process_name = format!("{}.{}", processor.name(), fname);
-                    let mut process = ScriptProcess::task(runner, io, script).with_fault(fctx);
+                    let mut process =
+                        ScriptProcess::task(runner, relations, script).with_fault(fctx);
                     sim.spawn_segment(&process_name, move |ctx| process.poll(ctx));
                     tasks.insert(fname.clone(), handle);
                     task_placement.insert(fname.clone(), pname);
@@ -261,19 +311,50 @@ impl ElaboratedSystem {
         }
 
         Ok(ElaboratedSystem {
-            name: model.name,
             sim,
             recorder,
-            processors,
-            tasks,
-            task_placement,
-            constraints: model.constraints,
+            layout: Arc::new(Layout {
+                name: model.name,
+                processors: processors.keys().cloned().zip(0..).collect(),
+                tasks,
+                task_placement,
+                constraints: model.constraints,
+            }),
+            processors: processors.into_values().collect(),
         })
+    }
+
+    /// A copy of this system at rest — between runs, or stopped at a
+    /// choice point of [`simulator_mut`](ElaboratedSystem::simulator_mut)
+    /// — that runs on independently of it: its own simulator and world,
+    /// its recorder and processors reaching that world. See
+    /// [`Simulator::fork`] for when this is `None` (a closure body, which
+    /// runs on a thread, or a policy that cannot copy itself).
+    pub fn fork(&self) -> Option<ElaboratedSystem> {
+        let sim = self.sim.fork()?;
+        let recorder = self.recorder.rebind(sim.shared_world());
+        Some(ElaboratedSystem {
+            processors: self.processors.iter().map(|p| p.rebind(&recorder)).collect(),
+            sim,
+            recorder,
+            layout: Arc::clone(&self.layout),
+        })
+    }
+
+    /// The trace of a run that is over, moved out of the system without a
+    /// copy.
+    pub fn into_trace(self) -> Trace {
+        self.recorder.take()
+    }
+
+    /// The processor called `name`.
+    fn processor(&self, name: &str) -> Option<&Processor> {
+        self.layout.processors.get(name).map(|&i| &self.processors[i])
     }
 
     /// The model's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.layout.name
     }
 
     /// Runs until event starvation.
@@ -329,17 +410,17 @@ impl ElaboratedSystem {
 
     /// Verifies the declared timing constraints against the trace so far.
     pub fn verify_constraints(&self) -> ConstraintReport {
-        verify(&self.constraints, &self.trace(), self.now())
+        verify(&self.layout.constraints, &self.trace(), self.now())
     }
 
     /// The task handle of a software-mapped function.
     pub fn task(&self, function: &str) -> Option<&TaskHandle> {
-        self.tasks.get(function)
+        self.layout.tasks.get(function)
     }
 
     /// Scheduler statistics of one processor.
     pub fn processor_stats(&self, processor: &str) -> Option<SchedulerStats> {
-        self.processors.get(processor).map(Processor::stats)
+        self.processor(processor).map(Processor::stats)
     }
 
     /// Utilization of one processor over `[0, now]`: the fraction of time
@@ -350,12 +431,11 @@ impl ElaboratedSystem {
     ///
     /// Panics if called before any simulated time has elapsed.
     pub fn processor_utilization(&self, processor: &str) -> Option<f64> {
-        if !self.processors.contains_key(processor) {
-            return None;
-        }
+        self.processor(processor)?;
         let trace = self.trace();
         let stats = Statistics::from_trace(&trace, self.now());
         let busy = self
+            .layout
             .task_placement
             .iter()
             .filter(|(_, p)| p.as_str() == processor)
@@ -369,7 +449,7 @@ impl ElaboratedSystem {
     /// The software processor a function is mapped to (`None` for
     /// hardware functions and unknown names).
     pub fn placement(&self, function: &str) -> Option<&str> {
-        self.task_placement.get(function).map(String::as_str)
+        self.layout.task_placement.get(function).map(String::as_str)
     }
 
     /// Renders a Gantt-style occupancy lane for one processor: at each
@@ -383,7 +463,7 @@ impl ElaboratedSystem {
     pub fn processor_gantt(&self, processor: &str, width: usize, until: SimTime) -> String {
         use std::fmt::Write as _;
         assert!(
-            self.processors.contains_key(processor),
+            self.processor(processor).is_some(),
             "unknown processor `{processor}`"
         );
         assert!(width > 0 && until > SimTime::ZERO, "empty gantt window");
@@ -394,7 +474,7 @@ impl ElaboratedSystem {
         };
         let mut lane = vec!['.'; width];
         let mut legend = Vec::new();
-        for (fname, p) in &self.task_placement {
+        for (fname, p) in &self.layout.task_placement {
             if p != processor {
                 continue;
             }
@@ -442,7 +522,7 @@ impl ElaboratedSystem {
 
     /// Names of the declared processors, in declaration order.
     pub fn processor_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.processors.keys().map(String::as_str)
+        self.layout.processors.keys().map(String::as_str)
     }
 
     /// Direct access to the simulator (advanced testbench control).
@@ -454,10 +534,10 @@ impl ElaboratedSystem {
 impl fmt::Debug for ElaboratedSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ElaboratedSystem")
-            .field("name", &self.name)
+            .field("name", &self.layout.name)
             .field("now", &self.now())
-            .field("processors", &self.processors.keys().collect::<Vec<_>>())
-            .field("software_tasks", &self.tasks.len())
+            .field("processors", &self.layout.processors.keys().collect::<Vec<_>>())
+            .field("software_tasks", &self.layout.tasks.len())
             .finish()
     }
 }

@@ -72,7 +72,7 @@ pub mod script;
 pub use codegen::{generate_freertos, GeneratedCode};
 pub use explore::{run_variants, run_variants_parallel, Variant, VariantOutcome};
 pub use constraint::{ConstraintReport, ConstraintResult, TimingConstraint};
-pub use elaborate::{ElaboratedSystem, Io};
+pub use elaborate::{ElaboratedSystem, Io, Relations};
 pub use error::ModelError;
 pub use model::{FunctionBody, Mapping, Message, SystemModel};
 pub use rtsim_fault::FaultPlan;

@@ -29,7 +29,7 @@ use rtsim_kernel::world::World;
 use rtsim_kernel::{SegStep, SegmentCtx, SimDuration, SimTime};
 use rtsim_trace::{CommKind, FaultKind};
 
-use crate::elaborate::Io;
+use crate::elaborate::Relations;
 use crate::model::Message;
 
 /// The fault-injection view of one function: the system's shared
@@ -37,6 +37,10 @@ use crate::model::Message;
 /// interpreter so [`Instr::Execute`], [`Instr::PeriodicRelease`] and
 /// [`Instr::DegradedGate`] can consult the plan. Absent (the common
 /// case) the interpreter takes the exact pre-fault paths, byte for byte.
+///
+/// The injector is immutable plan data (its lanes and monitors live in
+/// the simulation world), so a clone shares it.
+#[derive(Clone)]
 pub struct FaultCtx {
     injector: Arc<FaultInjector>,
     task: Arc<str>,
@@ -322,6 +326,7 @@ pub fn ret() -> Instr {
 // ---------------------------------------------------------------------
 
 /// The two step-machine runners a script can sit on.
+#[derive(Clone)]
 enum Runner {
     Task(SegTaskRunner),
     Hw(SegHwRunner),
@@ -335,10 +340,7 @@ impl Runner {
         }
     }
 
-    fn agent<'r, 'c, 'a>(
-        &'r self,
-        ctx: &'c mut SegmentCtx<'a>,
-    ) -> rtsim_core::SegAgent<'r, 'c, 'a> {
+    fn agent<'c, 'a>(&self, ctx: &'c mut SegmentCtx<'a>) -> rtsim_core::SegAgent<'c, 'a> {
         match self {
             Runner::Task(r) => r.agent(ctx),
             Runner::Hw(r) => r.agent(ctx),
@@ -396,7 +398,7 @@ impl Runner {
     /// instant, through the step's world.
     fn record_fault(&self, ctx: &mut SegmentCtx<'_>, kind: FaultKind, magnitude_ps: u64) {
         let agent = self.agent(ctx);
-        let (actor, now, log) = (agent.trace_actor(), agent.now(), agent.recorder().log());
+        let (actor, now, log) = (agent.trace_actor(), agent.now(), agent.log());
         ctx.world()
             .get_mut(log)
             .fault(actor, now, kind, magnitude_ps);
@@ -404,12 +406,14 @@ impl Runner {
 }
 
 /// One control-stack entry: a list being walked, with loop bookkeeping.
+#[derive(Clone)]
 struct CtlFrame {
     list: Arc<[Instr]>,
     idx: usize,
     kind: FrameKind,
 }
 
+#[derive(Clone)]
 enum FrameKind {
     /// Plain sequence (an `If` body): pop when exhausted.
     Seq,
@@ -421,6 +425,7 @@ enum FrameKind {
 
 /// A shared-variable access in flight (the segment decomposition of
 /// `read_for`/`write_for`).
+#[derive(Clone)]
 struct VarAccess {
     name: Arc<str>,
     dur: SimDuration,
@@ -429,6 +434,7 @@ struct VarAccess {
 }
 
 /// What the interpreter must do when the runner next reports idle.
+#[derive(Clone)]
 enum Pending {
     /// Re-attempt a memorized-event wait after a wake.
     EventRetry(Arc<str>),
@@ -457,9 +463,14 @@ enum Progress {
 /// A script bound to a step-machine runner — the script interpreter,
 /// embeddable directly in
 /// [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment).
+///
+/// Plain data and slot ids (the runner, the [`Relations`] ids, the
+/// registers and control stack): a clone is the same script at the same
+/// point, which is how a forked simulation gets its own.
+#[derive(Clone)]
 pub struct ScriptProcess {
     runner: Runner,
-    io: Arc<Io>,
+    io: Arc<Relations>,
     ctl: Vec<CtlFrame>,
     regs: Regs,
     pending: Option<Pending>,
@@ -470,13 +481,13 @@ pub struct ScriptProcess {
 impl ScriptProcess {
     /// Binds a script to an RTOS task runner (see
     /// [`Processor::register_seg_task`](rtsim_core::Processor::register_seg_task)).
-    pub fn task(runner: SegTaskRunner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
+    pub fn task(runner: SegTaskRunner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
         Self::new(Runner::Task(runner), io, script)
     }
 
     /// Binds a script to a hardware-function runner (see
     /// [`register_seg_hw`](rtsim_core::register_seg_hw)).
-    pub fn hw(runner: SegHwRunner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
+    pub fn hw(runner: SegHwRunner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
         Self::new(Runner::Hw(runner), io, script)
     }
 
@@ -487,7 +498,7 @@ impl ScriptProcess {
         self
     }
 
-    fn new(runner: Runner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
+    fn new(runner: Runner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
         let ctl = if script.is_empty() {
             Vec::new()
         } else {
@@ -744,7 +755,8 @@ impl ScriptProcess {
                 if let Some(fc) = self.fctx.as_mut() {
                     let now = ctx.now();
                     let locally = fc.locally_faulted(now, self.regs.k);
-                    if let Some(v) = fc.injector.degraded_tick(&fc.task, now, locally) {
+                    let verdict = fc.injector.degraded_tick(ctx.world(), &fc.task, now, locally);
+                    if let Some(v) = verdict {
                         // Deadline changes go through the task handle;
                         // hardware functions have no deadline, so for them
                         // this is a no-op (as `Agent::set_relative_deadline`

@@ -2,6 +2,7 @@
 //! into, kept in the simulation's world.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rtsim_kernel::world::{SharedWorld, Slot};
 use rtsim_kernel::{SimDuration, SimTime};
@@ -15,9 +16,12 @@ use crate::record::{ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Recor
 /// [`KernelHandle`](rtsim_kernel::KernelHandle) lends, so recording is a
 /// plain `Vec::push`. Code outside a step records through the
 /// [`TraceRecorder`] handle instead.
-#[derive(Debug, Default)]
+///
+/// The actor table is registered before a run and shared, not copied,
+/// by the logs of forked simulations and by snapshots.
+#[derive(Debug, Default, Clone)]
 pub struct TraceLog {
-    actors: Vec<ActorInfo>,
+    actors: Arc<Vec<ActorInfo>>,
     records: Vec<Record>,
     seq: u64,
     enabled: bool,
@@ -32,7 +36,7 @@ impl TraceLog {
     /// Registers a traced entity and returns its id.
     pub fn register(&mut self, name: &str, kind: ActorKind) -> ActorId {
         let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
-        self.actors.push(ActorInfo {
+        Arc::make_mut(&mut self.actors).push(ActorInfo {
             name: name.to_owned(),
             kind,
         });
@@ -198,6 +202,16 @@ impl TraceRecorder {
         self.log
     }
 
+    /// The recorder of the same log slot in `world` — a fork of this
+    /// recorder's world (see
+    /// [`Simulator::fork`](rtsim_kernel::Simulator::fork)).
+    pub fn rebind(&self, world: &SharedWorld) -> TraceRecorder {
+        TraceRecorder {
+            world: world.clone(),
+            log: self.log,
+        }
+    }
+
     fn with_log<R>(&self, accessor: &'static str, f: impl FnOnce(&mut TraceLog) -> R) -> R {
         f(self.world.lock_for(accessor).get_mut(self.log))
     }
@@ -277,8 +291,18 @@ impl TraceRecorder {
     /// Takes an immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
         self.with_log("TraceRecorder::snapshot", |log| Trace {
-            actors: log.actors.clone(),
+            actors: Arc::clone(&log.actors),
             records: log.records.clone(),
+        })
+    }
+
+    /// Moves everything recorded so far out into a [`Trace`], leaving the
+    /// log's record buffer empty — for a run that is over, whose trace is
+    /// wanted without a copy.
+    pub fn take(&self) -> Trace {
+        self.with_log("TraceRecorder::take", |log| Trace {
+            actors: Arc::clone(&log.actors),
+            records: std::mem::take(&mut log.records),
         })
     }
 
@@ -341,7 +365,7 @@ impl fmt::Debug for TraceRecorder {
 /// assertions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
-    actors: Vec<ActorInfo>,
+    actors: Arc<Vec<ActorInfo>>,
     records: Vec<Record>,
 }
 

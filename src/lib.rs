@@ -29,9 +29,10 @@
 //!   loopback HTTP/1.1 front end (`rtsim-serve`) over the farm registry
 //!   with a grid-cache fast path, flood-benchmarked by
 //!   `rtsim-serve-flood`;
-//! - [`check`] — the schedule explorer: `rtsim-check` replays small
+//! - [`check`] — the schedule explorer: `rtsim-check` runs small
 //!   scenarios through the Segment-mode kernel while enumerating every
-//!   nondeterministic tie (dispatch, delta, timer) depth-first, prunes
+//!   nondeterministic tie (dispatch, delta, timer) depth-first, forking
+//!   the simulation at each tie to resume the alternatives, prunes
 //!   revisited states by canonical-trace fingerprint, and reports any
 //!   invariant violation with a replayable choice-stack counterexample.
 //!
