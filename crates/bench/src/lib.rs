@@ -17,7 +17,6 @@
 //! | `server_ablation` | extension — polling-server budget/period trade-off |
 //! | `quantum_error` | extension — reaction-time error of clock-driven preemption baselines |
 //! | `rtsim-bench-diff` | tooling — diffs two `bench-*.jsonl` trajectories (see [`report`]) |
-//! | `rtsim-serve-flood` | tooling — seeded duplicate-heavy request flood against a running `rtsim-serve`, asserting the warm-phase cache hit rate |
 //!
 //! Every binary (and every `BenchGroup` bench target) additionally
 //! emits a machine-readable `bench-<name>.jsonl` trajectory when

@@ -77,28 +77,6 @@ pub fn env_usize(name: &str) -> Option<usize> {
     }
 }
 
-/// Reads a 16-bit unsigned integer environment variable — the port
-/// parser behind `RTSIM_SERVE_PORT`.
-///
-/// The value is trimmed before parsing; `None` when the variable is
-/// unset, empty, or not a valid `u16` (the latter warns once on stderr
-/// rather than panicking or silently falling back — the same policy as
-/// [`env_usize`]).
-pub fn env_u16(name: &str) -> Option<u16> {
-    let raw = std::env::var(name).ok()?;
-    let value = raw.trim();
-    if value.is_empty() {
-        return None;
-    }
-    match value.parse::<u16>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            warn_once(name, &raw, "a port number (0-65535)");
-            None
-        }
-    }
-}
-
 /// Whether `RTSIM_BENCH_SMOKE` asked for the fast path: tiny case
 /// counts so the integration suite can execute every harness binary.
 /// Accepts trimmed `1`/`true`/`yes` (see [`env_flag`]).
@@ -193,25 +171,6 @@ mod tests {
         }
         std::env::remove_var(var);
         assert_eq!(env_flag(var), None);
-    }
-
-    #[test]
-    fn env_u16_accepts_ports_and_rejects_garbage() {
-        let var = "RTSIM_TEST_U16_PARSE";
-        for (value, expected) in [
-            ("0", Some(0)),
-            ("2004", Some(2004)),
-            (" 65535\n", Some(65535)),
-            ("65536", None), // out of u16 range
-            ("-1", None),
-            ("port", None),
-            ("", None),
-        ] {
-            std::env::set_var(var, value);
-            assert_eq!(env_u16(var), expected, "value {value:?}");
-        }
-        std::env::remove_var(var);
-        assert_eq!(env_u16(var), None);
     }
 
     #[test]

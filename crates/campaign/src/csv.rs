@@ -2,7 +2,8 @@
 //!
 //! `rtsim-trace` exports *traces* as CSV; this writer exports *campaign
 //! tables* — one row per job or per aggregate — and lives here so the
-//! campaign crate stays dependent on the kernel alone.
+//! campaign crate stays dependent on the kernel alone. Both quote their
+//! fields with [`escape`], so the workspace has one quoting rule.
 
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
@@ -83,8 +84,9 @@ impl fmt::Display for CsvTable {
     }
 }
 
-/// Quotes a field when it contains a comma, quote, or line break.
-fn escape(field: &str) -> String {
+/// Quotes a field when it contains a comma, quote, or line break (`\n`
+/// or `\r`), doubling any quotes inside it (RFC 4180).
+pub fn escape(field: &str) -> String {
     if field.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
@@ -108,6 +110,7 @@ mod tests {
         assert_eq!(escape("x,y"), "\"x,y\"");
         assert_eq!(escape("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(escape("two\nlines"), "\"two\nlines\"");
+        assert_eq!(escape("carriage\rreturn"), "\"carriage\rreturn\"");
         assert_eq!(escape("plain"), "plain");
     }
 

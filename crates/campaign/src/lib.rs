@@ -55,12 +55,10 @@ mod stats;
 pub mod trajectory;
 
 pub use artifacts::{
-    env_flag, env_u16, env_usize, scaled, smoke, write_artifact, write_artifact_in,
-    write_campaign_outputs,
+    env_flag, env_usize, scaled, smoke, write_artifact, write_artifact_in, write_campaign_outputs,
 };
 pub use hash::Fnv1a;
 pub use pool::{
-    run_isolated, workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Progress,
-    Report,
+    workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Progress, Report,
 };
 pub use stats::{nearest_rank_index, Histogram, StatSummary};

@@ -126,11 +126,9 @@ type ProgressCallback = Box<dyn Fn(&Progress) + Send + Sync>;
 /// instead of unwinding into the caller.
 ///
 /// This is the per-job execution primitive [`Campaign::run`] wraps every
-/// job in, exported so long-running consumers of the pool discipline —
-/// the `rtsim-serve` workers executing one simulation per request — get
-/// byte-identical failure reporting without re-rolling the
-/// `catch_unwind` dance.
-pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, JobPanic> {
+/// job in: one place for the `catch_unwind` dance, so every job's
+/// failure is reported the same way and the primitive has its own test.
+fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, JobPanic> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| JobPanic {
         message: panic_message(payload.as_ref()),
     })

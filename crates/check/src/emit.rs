@@ -2,9 +2,10 @@
 //!
 //! The explored-state and replay counts of each scenario are emitted as
 //! `bench-v1` [`CaseRecord`]s, so `rtsim-bench-diff` gates coverage
-//! regressions exactly like perf regressions. Each count is one sample
-//! of `count` nanoseconds, the encoding `rtsim-serve-flood` uses for its
-//! deterministic counters.
+//! regressions exactly like perf regressions. A `bench-v1` case holds
+//! durations only, so each count is one sample of `count` nanoseconds:
+//! its median is then the count itself, and a zero-tolerance diff of
+//! the medians is an exact comparison of the counts.
 
 use std::time::Duration;
 

@@ -34,7 +34,6 @@ pub mod fingerprint;
 pub mod golden;
 pub mod registry;
 pub mod scenarios;
-pub mod spec;
 
 pub use fingerprint::{fingerprint, Fingerprint, Fnv1a};
 pub use golden::{diff, goldens_path, parse_cell_key, parse_line, render, render_csv, DiffOutcome};
@@ -42,4 +41,3 @@ pub use registry::{
     run_cell, run_cell_with_mode, run_matrix, run_matrix_sharded, Cell, CellResult, MatrixRun,
     PolicyKind, Scenario, FARM_SEED, SCENARIOS,
 };
-pub use spec::{ResolvedJob, SpecError};

@@ -498,6 +498,15 @@ mod tests {
         for cell in smoke_matrix() {
             assert!(full.contains(&cell), "{}", cell.label());
         }
+        // Every cell has its own golden key and its own label (labels
+        // feed the grid cache key), so no two cells can share a result.
+        let keys: std::collections::HashSet<_> = full
+            .iter()
+            .map(|c| (c.scenario, c.policy.key(), c.mode(), c.cores))
+            .collect();
+        assert_eq!(keys.len(), full.len());
+        let labels: std::collections::HashSet<_> = full.iter().map(Cell::label).collect();
+        assert_eq!(labels.len(), full.len());
     }
 
     #[test]

@@ -71,9 +71,10 @@ impl CacheStore {
     /// non-UTF-8, empty, missing the trailing newline every writer
     /// appends (a truncated write by a non-atomic external tool), or
     /// holding more than one line — warns on stderr and is also `None`,
-    /// so the caller simply re-simulates and overwrites. Corruption must
-    /// never panic a grid or wedge a long-running server; the entry is
-    /// self-healing on the next store.
+    /// so the caller simply re-simulates and overwrites. The cache
+    /// directory is input from outside the process, so corruption must
+    /// never panic a grid sweep; the entry is self-healing on the next
+    /// store.
     ///
     /// Concurrent readers are safe against concurrent [`store`]s of the
     /// same key because writers publish atomically (tempfile +

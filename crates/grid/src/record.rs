@@ -6,8 +6,9 @@
 //! [`Record`] trait captures that contract, and the field scanners below
 //! are the decoding half: enough of a parser for the flat, escape-free
 //! records this workspace writes (the same scanning approach the farm's
-//! golden checker has always used), with no general JSON parser in the
-//! hermetic tree.
+//! golden checker has always used). They find one field in place
+//! instead of building the value tree that [`rtsim_campaign::json`]'s
+//! general parser returns.
 
 /// A job result that can round-trip through one JSONL line.
 ///

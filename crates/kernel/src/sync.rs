@@ -136,36 +136,6 @@ pub struct SendError<T>(pub T);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
-/// Error returned by [`Receiver::try_recv`].
-///
-/// A poller must be able to tell "nothing yet, come back later" from "all
-/// senders are gone, nothing will ever arrive" — collapsing both to one
-/// value makes a polling loop on a dead channel spin forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// The channel has no message right now, but senders are still alive.
-    Empty,
-    /// Every sender was dropped and the buffer is drained; no message
-    /// will ever arrive.
-    Disconnected,
-}
-
-/// Error returned by [`Receiver::recv_timeout`].
-///
-/// The same Empty/Disconnected split as [`TryRecvError`], with "empty"
-/// phrased as a deadline: a server loop blocked in `recv_timeout` must
-/// distinguish "nothing arrived yet, re-check the shutdown flag and wait
-/// again" from "every sender is gone, exit now".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// No message arrived before the timeout, but senders are still
-    /// alive.
-    Timeout,
-    /// Every sender was dropped and the buffer is drained; no message
-    /// will ever arrive.
-    Disconnected,
-}
-
 /// Creates an unbounded FIFO channel (the `SyncChannel` handoff pair).
 ///
 /// API-compatible with the subset of `crossbeam::channel::unbounded` the
@@ -208,34 +178,6 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         self.0.recv().map_err(|_| RecvError)
     }
-
-    /// Non-blocking receive, distinguishing a merely-empty channel
-    /// ([`TryRecvError::Empty`]) from one whose senders are all gone
-    /// ([`TryRecvError::Disconnected`]).
-    #[inline]
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        self.0.try_recv().map_err(|e| match e {
-            mpsc::TryRecvError::Empty => TryRecvError::Empty,
-            mpsc::TryRecvError::Disconnected => TryRecvError::Disconnected,
-        })
-    }
-
-    /// Blocks for at most `timeout` waiting for a value, mirroring the
-    /// [`try_recv`](Self::try_recv) Empty/Disconnected split
-    /// ([`RecvTimeoutError`]).
-    ///
-    /// Backed by the std channel's condvar wait: the receiver parks on
-    /// the channel's internal condition variable and is woken by a send,
-    /// a disconnect, or the deadline — no polling. This is the primitive
-    /// the `rtsim-serve` accept/shutdown loops are built on: wait a
-    /// bounded slice, re-check the shutdown flag, wait again.
-    #[inline]
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-        self.0.recv_timeout(timeout).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -276,53 +218,5 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert_eq!(tx.send(42), Err(SendError(42)));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_delivers_and_disconnects() {
-        use std::time::{Duration, Instant};
-        let (tx, rx) = unbounded();
-        // Timeout: nothing queued, sender alive — waits out the slice.
-        let t0 = Instant::now();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-        // Delivery: an already-queued value returns immediately.
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(5));
-        // Delivery mid-wait: a send from another thread wakes the
-        // receiver well before a generous deadline.
-        let tx2 = tx.clone();
-        let sender = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            tx2.send(6).unwrap();
-        });
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(6));
-        sender.join().unwrap();
-        // Disconnect: buffer drains first, then Disconnected — the same
-        // ordering try_recv guarantees.
-        tx.send(7).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(20)), Ok(7));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(20)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn try_recv_distinguishes_empty_from_disconnected() {
-        let (tx, rx) = unbounded();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(9).unwrap();
-        assert_eq!(rx.try_recv(), Ok(9));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        tx.send(10).unwrap();
-        drop(tx);
-        // The buffer drains before disconnection is reported.
-        assert_eq!(rx.try_recv(), Ok(10));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 }

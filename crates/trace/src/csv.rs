@@ -2,13 +2,17 @@
 
 use std::io::{self, Write};
 
+use rtsim_campaign::csv::escape;
+
 use crate::record::TraceData;
 use crate::recorder::Trace;
 
 /// Writes `trace` as CSV to `out`.
 ///
-/// Columns: `time_ps,seq,actor,kind,detail,value`. One row per record;
-/// pass `&mut writer` if you need the writer back.
+/// Columns: `time_ps,seq,actor,kind,detail,value`. One row per record,
+/// ended by `\n`; names and annotations are quoted by
+/// [`rtsim_campaign::csv::escape`]. Pass `&mut writer` if you need the
+/// writer back.
 ///
 /// # Errors
 ///
@@ -69,15 +73,6 @@ pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Quotes a field if it contains CSV-special characters.
-fn escape(field: &str) -> String {
-    if field.contains([',', '"', '\n']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,21 +92,18 @@ mod tests {
         rec.queue_depth(q, at, 2, 4);
         rec.resource_held(q, at, true);
         rec.annotate(t, at, "note");
+        rec.annotate(t, at, "carriage\rreturn");
         let mut buf = Vec::new();
         write_csv(&rec.snapshot(), &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 7); // header + 6 records
+        assert_eq!(text.lines().count(), 8); // header + 7 records
         assert!(text.contains("state,ready"));
         assert!(text.contains("overhead,context-load,5"));
         assert!(text.contains("comm,read,\"Q,with comma\""));
         assert!(text.contains("queue_depth,2,4"));
         assert!(text.contains("resource,true"));
         assert!(text.contains("annotation,note"));
-    }
-
-    #[test]
-    fn quotes_are_doubled() {
-        assert_eq!(escape("a\"b"), "\"a\"\"b\"");
-        assert_eq!(escape("plain"), "plain");
+        // A bare `\r` would split the row for RFC 4180 readers.
+        assert!(text.contains("annotation,\"carriage\rreturn\""));
     }
 }

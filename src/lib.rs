@@ -25,10 +25,6 @@
 //!   [`scenarios`] system across the whole scheduling-policy matrix,
 //!   checked against pinned goldens by the `rtsim-farm` binary and
 //!   sharded/cached by the `rtsim-grid` binary;
-//! - [`serve`] — the long-running simulation service: a hermetic
-//!   loopback HTTP/1.1 front end (`rtsim-serve`) over the farm registry
-//!   with a grid-cache fast path, flood-benchmarked by
-//!   `rtsim-serve-flood`;
 //! - [`check`] — the schedule explorer: `rtsim-check` runs small
 //!   scenarios through the Segment-mode kernel while enumerating every
 //!   nondeterministic tie (dispatch, delta, timer) depth-first, forking
@@ -71,7 +67,6 @@ pub use rtsim_comm as comm;
 pub use rtsim_core as core;
 pub use rtsim_kernel as kernel;
 pub use rtsim_mcse as mcse;
-pub use rtsim_serve as serve;
 pub use rtsim_trace as trace;
 
 pub use rtsim_campaign::{Campaign, JobCtx, StatSummary};
