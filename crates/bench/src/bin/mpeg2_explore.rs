@@ -4,14 +4,12 @@
 //! engine implementation and queue sizing.
 //!
 //! The seven design points are independent full-system simulations, so
-//! they fan out over the `rtsim-grid` engine: sharded across independent
-//! campaigns (`RTSIM_GRID_SHARDS`, merged results identical for any
-//! value), each point cached content-addressed by its configuration
-//! (`RTSIM_GRID_CACHE=<dir>` — re-exploring after editing one point
-//! re-simulates only that point). This is exactly the "explore many
-//! architectures before committing the SoC" workflow §5 motivates,
-//! at worker-pool speed with incremental re-runs. `RTSIM_WORKERS` sets
-//! the per-shard pool width; `RTSIM_BENCH_SMOKE=1` shrinks the frame
+//! they fan out over the `rtsim-grid` engine, each point cached
+//! content-addressed by its configuration (`RTSIM_GRID_CACHE=<dir>` —
+//! re-exploring after editing one point re-simulates only that point).
+//! This is exactly the "explore many architectures before committing the
+//! SoC" workflow §5 motivates, at worker-pool speed with incremental
+//! re-runs. `RTSIM_WORKERS` sets the pool width; `RTSIM_BENCH_SMOKE=1` shrinks the frame
 //! count; `RTSIM_CAMPAIGN_OUT=<dir>` writes the merged per-point
 //! records as `mpeg2_explore.jsonl`.
 //!

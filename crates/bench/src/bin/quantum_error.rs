@@ -74,12 +74,10 @@ fn main() {
     // One job per sampled interrupt instant: the job draws its offset
     // from its forked stream and measures the reaction error under every
     // preemption model, returning one error column per config.
-    let cmp = Campaign::new("quantum_error", 2003)
-        .progress_from_env()
-        .run_vs_serial(samples, |ctx| {
-            let at = us(ctx.rng().gen_range(1_000..40_000));
-            CONFIGS.map(|(_, quantum)| reaction_delay(at, quantum.map(us)))
-        });
+    let cmp = Campaign::new("quantum_error", 2003).run_vs_serial(samples, |ctx| {
+        let at = us(ctx.rng().gen_range(1_000..40_000));
+        CONFIGS.map(|(_, quantum)| reaction_delay(at, quantum.map(us)))
+    });
     assert_eq!(cmp.report.failed_count(), 0, "a sample panicked");
 
     println!("== interrupt reaction error vs preemption model granularity ==\n");

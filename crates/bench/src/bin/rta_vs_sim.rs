@@ -156,7 +156,6 @@ fn trial(ctx: &mut rtsim::JobCtx) -> Trial {
 fn main() {
     let trials = scaled(200, 10);
     let cmp = Campaign::new("rta_vs_sim", 20040216) // DATE 2004 ;-)
-        .progress_from_env()
         .run_vs_serial(trials, trial);
     let report = &cmp.report;
 

@@ -132,12 +132,10 @@ fn main() {
     let mut rng = Rng::seed_from_u64(42).fork(0);
     let load = arrivals(&mut rng, scaled(60, 12));
 
-    let cmp = Campaign::new("server_ablation", 42)
-        .progress_from_env()
-        .run_vs_serial(STRATEGIES.len(), |ctx| {
-            let (_, period, budget) = STRATEGIES[ctx.index()];
-            run(&load, us(period), us(budget))
-        });
+    let cmp = Campaign::new("server_ablation", 42).run_vs_serial(STRATEGIES.len(), |ctx| {
+        let (_, period, budget) = STRATEGIES[ctx.index()];
+        run(&load, us(period), us(budget))
+    });
     assert_eq!(cmp.report.failed_count(), 0, "a strategy panicked");
 
     println!("== aperiodic service: the polling-server budget/period trade-off ==\n");

@@ -28,7 +28,6 @@ fn run_with_bench_out(bin: &str, artifact: &str, out: &Path) -> String {
         .env("RTSIM_BENCH_SMOKE", "1")
         .env("RTSIM_WORKERS", "2")
         .env("RTSIM_BENCH_OUT", out)
-        .env_remove("RTSIM_GRID_SHARDS")
         .env_remove("RTSIM_GRID_CACHE")
         .output()
         .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));

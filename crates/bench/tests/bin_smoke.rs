@@ -13,7 +13,6 @@ fn run_smoke(bin: &str) -> String {
     let output = Command::new(bin)
         .env("RTSIM_BENCH_SMOKE", "1")
         .env("RTSIM_WORKERS", "2")
-        .env_remove("RTSIM_GRID_SHARDS")
         .env_remove("RTSIM_GRID_CACHE")
         .env_remove("RTSIM_BENCH_OUT")
         .output()

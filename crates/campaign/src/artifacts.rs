@@ -60,8 +60,8 @@ pub fn env_flag(name: &str) -> Option<bool> {
 ///
 /// The value is trimmed before parsing; `None` when the variable is
 /// unset, empty, or unrecognizable (the latter warns once on stderr
-/// rather than silently falling back). This is the shared parser behind
-/// `RTSIM_WORKERS` and `RTSIM_GRID_SHARDS`.
+/// rather than silently falling back). This is the parser behind
+/// `RTSIM_WORKERS`.
 pub fn env_usize(name: &str) -> Option<usize> {
     let raw = std::env::var(name).ok()?;
     let value = raw.trim();

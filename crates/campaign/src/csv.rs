@@ -6,7 +6,6 @@
 //! fields with [`escape`], so the workspace has one quoting rule.
 
 use std::fmt::{self, Write as _};
-use std::io::{self, Write};
 
 /// A CSV table under construction: a header and appended rows.
 ///
@@ -48,15 +47,6 @@ impl CsvTable {
     pub fn row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, fields: I) {
         let n = self.push_row(fields);
         assert_eq!(n, self.columns, "row has {n} fields, header has {}", self.columns);
-    }
-
-    /// Streams the rendered table to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's I/O errors.
-    pub fn write_to<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        out.write_all(self.out.as_bytes())
     }
 
     fn push_row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, fields: I) -> usize {
@@ -119,15 +109,6 @@ mod tests {
     fn ragged_row_panics() {
         let mut t = CsvTable::new(["a", "b"]);
         t.row(["only-one"]);
-    }
-
-    #[test]
-    fn write_to_matches_to_string() {
-        let mut t = CsvTable::new(["h"]);
-        t.row(["v"]);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), t.to_string());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! escaper's round-trip tests.
 
 use std::fmt;
-use std::io::{self, Write};
 
 /// A JSON value.
 ///
@@ -467,21 +466,6 @@ pub fn to_jsonl<'a, I: IntoIterator<Item = &'a Json>>(records: I) -> String {
     out
 }
 
-/// Streams records to `out` as JSON Lines.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O errors.
-pub fn write_jsonl<'a, W: Write, I: IntoIterator<Item = &'a Json>>(
-    out: &mut W,
-    records: I,
-) -> io::Result<()> {
-    for rec in records {
-        writeln!(out, "{rec}")?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,9 +501,6 @@ mod tests {
         let records = [Json::from(1u64), Json::obj([("k", Json::from("v"))])];
         let text = to_jsonl(&records);
         assert_eq!(text, "1\n{\"k\":\"v\"}\n");
-        let mut buf = Vec::new();
-        write_jsonl(&mut buf, &records).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), text);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    the same poison-recovery philosophy as `rtsim_kernel::sync`.
 //!
 //! The workspace is hermetic (offline build, empty registry), so the
-//! pool is plain `std::thread` plus the kernel's channels — no rayon,
-//! no crossbeam — and the [`json`]/[`csv`] output writers are
+//! pool is plain `std::thread` plus `std::sync::mpsc` — no rayon, no
+//! crossbeam — and the [`json`]/[`csv`] output writers are
 //! hand-rolled.
 //!
 //! ## Quick start
@@ -58,7 +58,5 @@ pub use artifacts::{
     env_flag, env_usize, scaled, smoke, write_artifact, write_artifact_in, write_campaign_outputs,
 };
 pub use hash::Fnv1a;
-pub use pool::{
-    workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Progress, Report,
-};
-pub use stats::{nearest_rank_index, Histogram, StatSummary};
+pub use pool::{workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Report};
+pub use stats::{nearest_rank_index, StatSummary};

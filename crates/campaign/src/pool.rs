@@ -7,18 +7,17 @@
 //! trials) never strands the cheap jobs queued behind it the way the old
 //! chunked self-scheduling could. Which worker runs a job is still
 //! irrelevant to results: completions flow back over a
-//! `rtsim_kernel::sync` channel to a collector that stores them by job
+//! `std::sync::mpsc` channel to a collector that stores them by job
 //! index — arrival order (nondeterministic) never leaks into the report.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rtsim_kernel::sync::{unbounded, Mutex};
+use rtsim_kernel::sync::Mutex;
 use rtsim_kernel::testutil::Rng;
-
-use crate::stats::StatSummary;
 
 /// Per-job execution context handed to the job closure.
 ///
@@ -91,20 +90,6 @@ pub struct JobOutcome<T> {
     pub result: Result<T, JobPanic>,
 }
 
-/// Live progress snapshot passed to the progress callback after each
-/// completion.
-#[derive(Debug, Clone, Copy)]
-pub struct Progress {
-    /// Jobs finished so far (ok + failed).
-    pub completed: usize,
-    /// Total jobs in the campaign.
-    pub total: usize,
-    /// Failed (panicked) jobs so far.
-    pub failed: usize,
-    /// Wall time since the campaign started.
-    pub elapsed: Duration,
-}
-
 /// Reads the worker count from `RTSIM_WORKERS`, defaulting to the
 /// machine's available parallelism (at least 1).
 ///
@@ -117,9 +102,6 @@ pub fn workers_from_env() -> usize {
         .map(|n| n.max(1))
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
-
-/// The boxed progress-callback shape [`Campaign::on_progress`] stores.
-type ProgressCallback = Box<dyn Fn(&Progress) + Send + Sync>;
 
 /// Runs `f` with the campaign pool's panic isolation: a panic is caught
 /// and converted into a [`JobPanic`] carrying the payload message
@@ -189,23 +171,12 @@ impl WorkQueues {
 ///
 /// See the [crate docs](crate) for the determinism and isolation
 /// guarantees.
+#[derive(Debug)]
 pub struct Campaign {
     name: String,
     seed: u64,
     workers: usize,
     first_index: usize,
-    on_progress: Option<ProgressCallback>,
-}
-
-impl std::fmt::Debug for Campaign {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Campaign")
-            .field("name", &self.name)
-            .field("seed", &self.seed)
-            .field("workers", &self.workers)
-            .field("first_index", &self.first_index)
-            .finish()
-    }
 }
 
 impl Campaign {
@@ -217,7 +188,6 @@ impl Campaign {
             seed,
             workers: workers_from_env(),
             first_index: 0,
-            on_progress: None,
         }
     }
 
@@ -243,37 +213,6 @@ impl Campaign {
         self
     }
 
-    /// Installs a live progress callback, invoked by the collector
-    /// thread after every completion.
-    #[must_use]
-    pub fn on_progress(mut self, f: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
-        self.on_progress = Some(Box::new(f));
-        self
-    }
-
-    /// Reports progress on stderr (overwriting one line, ~20 updates per
-    /// campaign) when `RTSIM_PROGRESS=1` (or `true`/`yes`) is set.
-    #[must_use]
-    pub fn progress_from_env(self) -> Self {
-        if crate::env_flag("RTSIM_PROGRESS") != Some(true) {
-            return self;
-        }
-        let name = self.name.clone();
-        self.on_progress(move |p| {
-            let step = (p.total / 20).max(1);
-            if p.completed % step == 0 || p.completed == p.total {
-                eprint!(
-                    "\r[{name}] {}/{} jobs ({} failed, {:.1}s){}",
-                    p.completed,
-                    p.total,
-                    p.failed,
-                    p.elapsed.as_secs_f64(),
-                    if p.completed == p.total { "\n" } else { "" },
-                );
-            }
-        })
-    }
-
     /// Runs `jobs` instances of `job` across the worker pool and
     /// collects every outcome in job-index order.
     ///
@@ -289,14 +228,13 @@ impl Campaign {
         let workers = self.workers.min(jobs.max(1));
         let root = Rng::seed_from_u64(self.seed);
         let queues = WorkQueues::new(jobs, workers);
-        let (tx, rx) = unbounded::<JobOutcome<T>>();
+        let (tx, rx) = mpsc::channel::<JobOutcome<T>>();
         let job = &job;
         let root = &root;
         let queues = &queues;
 
         let mut slots: Vec<Option<JobOutcome<T>>> = Vec::new();
         slots.resize_with(jobs, || None);
-        let mut failed = 0usize;
 
         thread::scope(|scope| {
             for worker in 0..workers {
@@ -325,24 +263,12 @@ impl Campaign {
             }
             drop(tx);
 
-            // Collector: runs on the scope's own thread so progress is
-            // live, not post-hoc. Arrival order is nondeterministic;
-            // slots are keyed by index.
-            for completed in 1..=jobs {
+            // Collector: arrival order is nondeterministic; slots are
+            // keyed by index.
+            for _ in 0..jobs {
                 let outcome = rx.recv().expect("workers ended before finishing all jobs");
-                if outcome.result.is_err() {
-                    failed += 1;
-                }
                 let slot = outcome.index - self.first_index;
                 slots[slot] = Some(outcome);
-                if let Some(cb) = &self.on_progress {
-                    cb(&Progress {
-                        completed,
-                        total: jobs,
-                        failed,
-                        elapsed: started.elapsed(),
-                    });
-                }
             }
         });
 
@@ -378,7 +304,6 @@ impl Campaign {
             seed: self.seed,
             workers: 1,
             first_index: self.first_index,
-            on_progress: None,
         }
         .run(jobs, &job);
         if self.workers == 1 {
@@ -488,11 +413,6 @@ impl<T> Report<T> {
             .map(|o| o.result.map_err(|p| (o.index, p)))
             .collect()
     }
-
-    /// Summary of per-job wall-clock times, in seconds.
-    pub fn job_wall_summary(&self) -> Option<StatSummary> {
-        StatSummary::from_values(self.outcomes.iter().map(|o| o.wall.as_secs_f64()))
-    }
 }
 
 #[cfg(test)]
@@ -574,22 +494,6 @@ mod tests {
         let report = Campaign::new("empty", 1).run(0, |_| 1u8);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.ok_count(), 0);
-        assert!(report.job_wall_summary().is_none());
-    }
-
-    #[test]
-    fn progress_callback_sees_every_completion() {
-        use std::sync::Mutex;
-        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink = std::sync::Arc::clone(&seen);
-        let report = Campaign::new("prog", 1)
-            .workers(3)
-            .on_progress(move |p| sink.lock().unwrap().push((p.completed, p.total)))
-            .run(10, |ctx| ctx.index());
-        assert_eq!(report.ok_count(), 10);
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 10);
-        assert_eq!(*seen.last().unwrap(), (10, 10));
     }
 
     #[test]
@@ -624,16 +528,5 @@ mod tests {
         // Outcome indices are global in the offset shard.
         assert_eq!(tail.outcomes[0].index, 6);
         assert_eq!(tail.outcomes[3].index, 9);
-    }
-
-    #[test]
-    fn job_wall_summary_counts_every_job() {
-        let report = Campaign::new("wall", 9).workers(2).run(8, |ctx| {
-            std::hint::black_box((0..1000u64).sum::<u64>());
-            ctx.index()
-        });
-        let summary = report.job_wall_summary().unwrap();
-        assert_eq!(summary.count, 8);
-        assert!(summary.max >= summary.min);
     }
 }

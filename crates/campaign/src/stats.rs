@@ -1,9 +1,8 @@
-//! Result aggregation: scalar summaries and histogram buckets.
+//! Result aggregation: scalar summaries.
 //!
 //! The `rtsim-trace` crate has [`DurationSummary`] for simulated-time
 //! samples; campaigns aggregate arbitrary scalar metrics (wall seconds,
-//! error counts, utilizations), so this is the `f64` counterpart plus a
-//! fixed-width bucket histogram for distribution shapes.
+//! error counts, utilizations), so this is the `f64` counterpart.
 //!
 //! [`DurationSummary`]: https://docs.rs/rtsim-trace
 
@@ -111,124 +110,6 @@ impl fmt::Display for StatSummary {
     }
 }
 
-/// A fixed-range, fixed-width bucket histogram with under/overflow
-/// counters.
-///
-/// # Examples
-///
-/// ```
-/// use rtsim_campaign::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// for v in [0.5, 1.5, 2.5, 2.6, 11.0] {
-///     h.add(v);
-/// }
-/// assert_eq!(h.counts(), &[2, 2, 0, 0, 0]); // buckets are 2.0 wide
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 5);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `buckets` equal buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero or the range is empty/non-finite.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "empty range");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds one sample (NaN counts as overflow — it fits no bucket).
-    pub fn add(&mut self, value: f64) {
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi || value.is_nan() {
-            self.overflow += 1;
-        } else {
-            let frac = (value - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.counts.len() as f64) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Adds every sample of an iterator.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.add(v);
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples added, including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// The `[lo, hi)` bounds of bucket `idx`.
-    pub fn bucket_bounds(&self, idx: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        (
-            self.lo + width * idx as f64,
-            self.lo + width * (idx + 1) as f64,
-        )
-    }
-
-    /// Renders an ASCII bar chart, one bucket per line, bars scaled to
-    /// `width` characters.
-    pub fn render(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        if self.underflow > 0 {
-            let _ = writeln!(out, "{:>22} {:>7}", "< range", self.underflow);
-        }
-        for (idx, &count) in self.counts.iter().enumerate() {
-            let (lo, hi) = self.bucket_bounds(idx);
-            // `count * width` is computed in u128: a u64 count near
-            // `usize::MAX / width` would overflow the usize product.
-            let len = (u128::from(count) * width as u128)
-                .div_ceil(u128::from(peak))
-                .min(width as u128) as usize;
-            let bar = "#".repeat(len);
-            let _ = writeln!(out, "[{lo:>9.3}, {hi:>9.3}) {count:>7} {bar}");
-        }
-        if self.overflow > 0 {
-            let _ = writeln!(out, "{:>22} {:>7}", ">= range", self.overflow);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,53 +199,5 @@ mod tests {
         assert_eq!(s.max, 7.5);
         assert_eq!(s.median, 7.5);
         assert_eq!(s.stddev, 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.add(0.0); // first bucket, inclusive lower edge
-        h.add(9.999); // last bucket
-        h.add(10.0); // overflow, exclusive upper edge
-        h.add(-0.1); // underflow
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.bucket_bounds(3), (3.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_render_survives_extreme_counts() {
-        // Regression: `(count as usize) * width` overflowed for counts
-        // near usize::MAX / width. Force the counters directly (adding
-        // u64::MAX samples one by one is not an option).
-        let mut h = Histogram::new(0.0, 2.0, 2);
-        h.counts[0] = u64::MAX;
-        h.counts[1] = u64::MAX / 2;
-        let text = h.render(50);
-        for line in text.lines() {
-            let bar = line.chars().filter(|&c| c == '#').count();
-            assert!(bar <= 50, "bar wider than requested: {line}");
-        }
-        assert!(text.lines().next().unwrap().ends_with(&"#".repeat(50)));
-    }
-
-    #[test]
-    fn histogram_renders_bars_and_tails() {
-        let mut h = Histogram::new(0.0, 4.0, 2);
-        h.extend([0.5, 0.6, 2.5, -1.0, 9.0]);
-        let text = h.render(10);
-        assert!(text.contains("< range"));
-        assert!(text.contains(">= range"));
-        assert!(text.contains("##"));
-        assert_eq!(text.lines().count(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn zero_buckets_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -1,103 +1,12 @@
-//! Seeded property tests for the campaign aggregation layer: histogram
-//! bucket-boundary laws and RFC 4180 CSV round-trips.
+//! Seeded property tests for the campaign CSV writer: RFC 4180
+//! round-trips.
 //!
 //! Uses the in-tree `rtsim_kernel::testutil::check` harness — failures
 //! print the generated input and an `RTSIM_PROP_SEED` value that replays
 //! the exact case.
 
 use rtsim_campaign::csv::CsvTable;
-use rtsim_campaign::Histogram;
 use rtsim_kernel::testutil::{check, Rng};
-
-// ---------------------------------------------------------------- stats
-
-/// Random-but-valid histogram shape plus samples clustered around the
-/// range edges, where off-by-one bucketing bugs live.
-fn gen_histogram_case(rng: &mut Rng) -> (f64, f64, usize, Vec<f64>) {
-    let lo = rng.gen_range(-1_000i64..1_000) as f64 / 10.0;
-    let width = rng.gen_range(1u64..500) as f64 / 10.0;
-    let hi = lo + width;
-    let buckets = rng.gen_range(1usize..24);
-    let samples = rng.gen_vec(0..64, |r| {
-        match r.gen_range(0u32..5) {
-            // Exactly on a bucket boundary (including lo and hi).
-            0 => {
-                let b = r.gen_range(0usize..buckets + 1);
-                lo + width * b as f64 / buckets as f64
-            }
-            // Just inside / outside the range.
-            1 => lo - f64::EPSILON.max(width * 1e-9),
-            2 => hi + width * 1e-9,
-            // Anywhere inside.
-            3 => lo + width * r.next_f64(),
-            // Far outside.
-            _ => lo + width * (r.next_f64() * 20.0 - 10.0),
-        }
-    });
-    (lo, hi, buckets, samples)
-}
-
-#[test]
-fn histogram_conserves_every_sample() {
-    check(256, gen_histogram_case, |(lo, hi, buckets, samples)| {
-        let mut h = Histogram::new(*lo, *hi, *buckets);
-        h.extend(samples.iter().copied());
-        assert_eq!(h.total(), samples.len() as u64, "samples lost or doubled");
-        let bucketed: u64 = h.counts().iter().sum();
-        assert_eq!(
-            bucketed + h.underflow() + h.overflow(),
-            samples.len() as u64
-        );
-    });
-}
-
-#[test]
-fn histogram_edges_honour_half_open_ranges() {
-    check(256, gen_histogram_case, |(lo, hi, buckets, samples)| {
-        let mut h = Histogram::new(*lo, *hi, *buckets);
-        h.extend(samples.iter().copied());
-        let expected_under = samples.iter().filter(|v| **v < *lo).count() as u64;
-        let expected_over = samples.iter().filter(|v| **v >= *hi).count() as u64;
-        assert_eq!(h.underflow(), expected_under, "[lo is inclusive");
-        assert_eq!(h.overflow(), expected_over, "hi) is exclusive");
-    });
-}
-
-#[test]
-fn histogram_samples_land_in_their_stated_bucket() {
-    check(128, gen_histogram_case, |(lo, hi, buckets, _)| {
-        // Feed one sample exactly at each bucket's lower bound: it must
-        // land in that bucket, never its neighbour.
-        for idx in 0..*buckets {
-            let mut h = Histogram::new(*lo, *hi, *buckets);
-            let (bucket_lo, _) = h.bucket_bounds(idx);
-            if bucket_lo >= *hi {
-                continue; // float rounding can push the last bound out
-            }
-            h.add(bucket_lo);
-            let landed: Vec<usize> = h
-                .counts()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(|(i, _)| i)
-                .collect();
-            // Exact placement can shift one bucket down when the bound
-            // itself was rounded up; anything further is a real bug.
-            assert_eq!(h.total(), 1);
-            if h.underflow() == 0 && h.overflow() == 0 {
-                assert_eq!(landed.len(), 1);
-                assert!(
-                    landed[0] == idx || landed[0] + 1 == idx,
-                    "sample at bound of bucket {idx} landed in {}",
-                    landed[0]
-                );
-            }
-        }
-    });
-}
-
-// ------------------------------------------------------------------ csv
 
 /// A minimal RFC 4180 parser, local to this test: enough to round-trip
 /// what `CsvTable` emits (CRLF rows, `"`-quoted fields with doubled

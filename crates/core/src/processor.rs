@@ -365,12 +365,6 @@ impl TaskHandle {
         engine::make_ready(st, log, &mut n, self.id);
     }
 
-    /// Returns `true` if both handles designate the same task of the same
-    /// processor.
-    pub fn same_task(&self, other: &TaskHandle) -> bool {
-        self == other
-    }
-
     fn entry<'w>(&self, world: &'w World) -> &'w crate::engine::TaskEntry {
         world.get(self.rtos.state).entry(self.id)
     }

@@ -6,27 +6,38 @@
 //!                       exit 1 with a per-cell diff on drift
 //! rtsim-farm --bless    rerun the FULL matrix and rewrite the goldens
 //! rtsim-farm --list     list scenarios and policies without running
+//! rtsim-farm --check-cache
+//!                       cold sweep, then warm sweep at another shard
+//!                       count; exit 1 unless the warm sweep is 100 %
+//!                       cache hits with byte-identical merged JSONL
 //! ```
 //!
 //! `RTSIM_WORKERS` sets the pool width (results are identical for any
-//! value); `RTSIM_GRID_SHARDS` / `RTSIM_GRID_CACHE` shard the sweep and
-//! cache per-cell results (also identical for any value — see
-//! `rtsim-grid`); `RTSIM_BENCH_SMOKE=1` shrinks the run and `--check` to
-//! the smoke subset of the matrix; `RTSIM_CAMPAIGN_OUT=<dir>`
-//! additionally writes the results as `farm.jsonl` / `farm.csv`
-//! artifacts; `RTSIM_FARM_GOLDENS` overrides the golden-file path.
+//! value); `RTSIM_GRID_CACHE=<dir>` caches per-cell results (also
+//! identical; `--check-cache` creates and removes a temporary cache when
+//! it is unset); `RTSIM_BENCH_SMOKE=1` shrinks the run, `--check` and
+//! `--check-cache` to the smoke subset of the matrix;
+//! `RTSIM_CAMPAIGN_OUT=<dir>` additionally writes the results as
+//! `farm.jsonl` / `farm.csv` artifacts; `RTSIM_FARM_GOLDENS` overrides
+//! the golden-file path.
 
 use std::process::ExitCode;
 
 use rtsim_campaign::{smoke, workers_from_env, write_campaign_outputs};
 use rtsim_farm::registry::{full_matrix, run_matrix_sharded, smoke_matrix, PolicyKind, SCENARIOS};
-use rtsim_farm::{diff, goldens_path, render, render_csv, CellResult};
-use rtsim_grid::{shards_from_env, CacheStore};
+use rtsim_farm::{diff, goldens_path, render, render_csv, Cell, CellResult};
+use rtsim_grid::{CacheStore, GridReport};
 
-fn run(cells: Vec<rtsim_farm::Cell>) -> Vec<CellResult> {
+fn matrix() -> Vec<Cell> {
+    if smoke() {
+        smoke_matrix()
+    } else {
+        full_matrix()
+    }
+}
+
+fn sweep(cells: &[Cell], shards: usize, cache: Option<CacheStore>) -> GridReport<CellResult> {
     let workers = workers_from_env();
-    let shards = shards_from_env();
-    let cache = CacheStore::from_env();
     let cached = cache.is_some();
     println!(
         "running {} cells on {workers} workers x {shards} shard(s) (registry: {} scenarios x {} policies x 2 modes)",
@@ -34,14 +45,19 @@ fn run(cells: Vec<rtsim_farm::Cell>) -> Vec<CellResult> {
         SCENARIOS.len(),
         PolicyKind::ALL.len(),
     );
-    let sweep = run_matrix_sharded(&cells, workers, shards, cache);
+    let report = run_matrix_sharded(cells, workers, shards, cache);
     if cached {
         println!(
             "cache: {} hit(s), {} miss(es)",
-            sweep.hits, sweep.misses
+            report.hits(),
+            report.misses()
         );
     }
-    let results = sweep.results;
+    report
+}
+
+fn run(cells: &[Cell]) -> Vec<CellResult> {
+    let results = sweep(cells, 1, CacheStore::from_env()).records;
     write_campaign_outputs("farm", &render(&results), &render_csv(&results));
     results
 }
@@ -81,8 +97,7 @@ fn check() -> ExitCode {
         }
     };
     let smoke_run = smoke();
-    let cells = if smoke_run { smoke_matrix() } else { full_matrix() };
-    let results = run(cells);
+    let results = run(&matrix());
     let outcome = diff(&goldens, &results, !smoke_run);
     if outcome.is_clean() {
         println!(
@@ -110,7 +125,7 @@ fn check() -> ExitCode {
 fn bless() -> ExitCode {
     // Blessing always covers the full matrix: a smoke-sized golden file
     // would make every full --check fail as incomplete.
-    let results = run(full_matrix());
+    let results = run(&full_matrix());
     let path = goldens_path();
     if let Some(parent) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
@@ -127,6 +142,66 @@ fn bless() -> ExitCode {
             eprintln!("cannot write {}: {e}", path.display());
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Cold sweep then warm sweep at a different shard count: the warm sweep
+/// must be served entirely from the cache and reproduce the merged JSONL
+/// byte-for-byte. This is the round-trip `tools/check_hermetic.sh`
+/// exercises in smoke mode.
+fn check_cache() -> ExitCode {
+    let cells = matrix();
+    // A scratch store unless the user pointed RTSIM_GRID_CACHE somewhere.
+    let (store, scratch) = match CacheStore::from_env() {
+        Some(store) => (store, None),
+        None => {
+            let dir = std::env::temp_dir().join(format!("rtsim-grid-check-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            (CacheStore::new(&dir), Some(dir))
+        }
+    };
+    let preexisting = store.len();
+    println!(
+        "check-cache: {} cells, cache at {} ({preexisting} preexisting entries)",
+        cells.len(),
+        store.dir().display(),
+    );
+    let cold = sweep(&cells, 1, Some(store.clone()));
+    // A different shard count on the warm pass proves keys are global.
+    let warm = sweep(&cells, 2, Some(store.clone()));
+    if let Some(dir) = scratch {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    let mut failures = Vec::new();
+    if preexisting == 0 && cold.hits() != 0 {
+        failures.push(format!("cold run hit {} times in a fresh cache", cold.hits()));
+    }
+    if warm.hits() != cells.len() {
+        failures.push(format!(
+            "warm run hit {}/{} (expected 100 %)",
+            warm.hits(),
+            cells.len()
+        ));
+    }
+    if warm.merged_jsonl() != cold.merged_jsonl() {
+        failures.push("warm merged JSONL differs from cold".to_owned());
+    }
+    if warm.records != cold.records {
+        failures.push("warm decoded records differ from cold".to_owned());
+    }
+    if failures.is_empty() {
+        println!(
+            "OK: warm rerun at 2 shard(s) was {}/{} hits, byte-identical",
+            warm.hits(),
+            cells.len(),
+        );
+        ExitCode::SUCCESS
+    } else {
+        for f in &failures {
+            eprintln!("FAIL: {f}");
+        }
+        ExitCode::FAILURE
     }
 }
 
@@ -147,16 +222,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         None => {
-            let cells = if smoke() { smoke_matrix() } else { full_matrix() };
-            let results = run(cells);
-            print_table(&results);
+            print_table(&run(&matrix()));
             ExitCode::SUCCESS
         }
         Some("--check") => check(),
         Some("--bless") => bless(),
         Some("--list") => list(),
+        Some("--check-cache") => check_cache(),
         Some(other) => {
-            eprintln!("unknown argument `{other}`; usage: rtsim-farm [--check|--bless|--list]");
+            eprintln!(
+                "unknown argument `{other}`; usage: rtsim-farm [--check|--bless|--list|--check-cache]"
+            );
             ExitCode::FAILURE
         }
     }

@@ -144,8 +144,8 @@ pub fn parse_line(line: &str) -> Option<CellResult> {
     })
 }
 
-/// Renders a result set as the CSV table the `rtsim-farm` and
-/// `rtsim-grid` binaries emit as campaign artifacts.
+/// Renders a result set as the CSV table the `rtsim-farm` binary emits
+/// as a campaign artifact.
 pub fn render_csv(results: &[CellResult]) -> String {
     let mut table = CsvTable::new([
         "scenario",

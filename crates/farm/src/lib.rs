@@ -25,8 +25,10 @@
 //!
 //! The `rtsim-farm` binary drives it: `rtsim-farm --check` fails with a
 //! diff when behaviour drifts, `rtsim-farm --bless` re-pins the goldens
-//! after an intentional change. `RTSIM_BENCH_SMOKE=1` shrinks `--check`
-//! to a subset so test suites can run it in seconds.
+//! after an intentional change, and `rtsim-farm --check-cache` proves the
+//! grid cache round-trips the matrix. `RTSIM_BENCH_SMOKE=1` shrinks
+//! `--check` and `--check-cache` to a subset so test suites can run them
+//! in seconds.
 
 #![warn(missing_docs)]
 
@@ -38,6 +40,6 @@ pub mod scenarios;
 pub use fingerprint::{fingerprint, Fingerprint, Fnv1a};
 pub use golden::{diff, goldens_path, parse_cell_key, parse_line, render, render_csv, DiffOutcome};
 pub use registry::{
-    run_cell, run_cell_with_mode, run_matrix, run_matrix_sharded, Cell, CellResult, MatrixRun,
-    PolicyKind, Scenario, FARM_SEED, SCENARIOS,
+    run_cell, run_cell_with_mode, run_matrix, run_matrix_sharded, Cell, CellResult, PolicyKind,
+    Scenario, FARM_SEED, SCENARIOS,
 };

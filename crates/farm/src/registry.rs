@@ -414,23 +414,11 @@ fn run_cell_inner(cell: Cell, mode: Option<ExecMode>) -> CellResult {
 /// cell results at once.
 pub const FARM_SEED: u64 = 0;
 
-/// A matrix sweep's results plus the grid's cache/shard accounting.
-#[derive(Debug, Clone)]
-pub struct MatrixRun {
-    /// Every cell's fingerprint, in cell order.
-    pub results: Vec<CellResult>,
-    /// Cells served from the `RTSIM_GRID_CACHE` store.
-    pub hits: usize,
-    /// Cells actually simulated.
-    pub misses: usize,
-    /// Shard count the sweep ran with.
-    pub shards: usize,
-}
-
 /// Runs a set of cells through the grid ([`rtsim_grid::Grid`]) with
 /// `workers` workers per shard and `shards` shards, caching per-cell
-/// results in `cache` (when given). Results come back in cell order and
-/// are bit-identical for any worker *and* shard count.
+/// results in `cache` (when given). Records come back in cell order,
+/// with the grid's cache and shard accounting, and are bit-identical
+/// for any worker *and* shard count.
 ///
 /// The per-cell cache key is the grid formula over
 /// `(FARM_SEED, cell index, cell label)` — the label covers scenario,
@@ -445,7 +433,7 @@ pub fn run_matrix_sharded(
     workers: usize,
     shards: usize,
     cache: Option<rtsim_grid::CacheStore>,
-) -> MatrixRun {
+) -> rtsim_grid::GridReport<CellResult> {
     let mut grid = rtsim_grid::Grid::new("farm", FARM_SEED)
         .workers(workers)
         .shards(shards);
@@ -453,34 +441,22 @@ pub fn run_matrix_sharded(
         Some(store) => grid.cache(store),
         None => grid.no_cache(),
     };
-    let report = grid.run(
+    grid.run(
         cells.len(),
         |index| cells[index].label(),
         |ctx| run_cell(cells[ctx.index()]),
-    );
-    MatrixRun {
-        hits: report.hits(),
-        misses: report.misses(),
-        shards: report.shards.len(),
-        results: report.records,
-    }
+    )
 }
 
 /// Runs a set of cells on the deterministic pool: the historical farm
-/// entry point, now a grid sweep honouring the `RTSIM_GRID_SHARDS` and
-/// `RTSIM_GRID_CACHE` environment knobs (1 shard, no cache when unset).
+/// entry point, now a one-shard grid sweep honouring the
+/// `RTSIM_GRID_CACHE` environment knob (no cache when unset).
 ///
 /// # Panics
 ///
 /// Panics if any cell panicked, naming the cell.
 pub fn run_matrix(cells: &[Cell], workers: usize) -> Vec<CellResult> {
-    run_matrix_sharded(
-        cells,
-        workers,
-        rtsim_grid::shards_from_env(),
-        rtsim_grid::CacheStore::from_env(),
-    )
-    .results
+    run_matrix_sharded(cells, workers, 1, rtsim_grid::CacheStore::from_env()).records
 }
 
 #[cfg(test)]

@@ -1,25 +1,15 @@
-//! End-to-end smoke of the `rtsim-grid` binary and the farm-on-grid
-//! acceptance criteria: shard-count invariance of the emitted artifacts,
-//! the `--check-cache` round-trip, and a warm `rtsim-farm --check` that
-//! is served from the cache yet still matches the committed goldens.
+//! End-to-end smoke of the farm on the grid cache: the `rtsim-farm
+//! --check-cache` round-trip, and a warm `rtsim-farm --check` that is
+//! served from the cache yet still matches the committed goldens.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-fn grid() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtsim-grid"));
+fn farm() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtsim-farm"));
     // Smoke mode everywhere: test suites must stay fast.
     cmd.env("RTSIM_BENCH_SMOKE", "1");
     cmd.env_remove("RTSIM_GRID_CACHE");
-    cmd.env_remove("RTSIM_GRID_SHARDS");
-    cmd
-}
-
-fn farm() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtsim-farm"));
-    cmd.env("RTSIM_BENCH_SMOKE", "1");
-    cmd.env_remove("RTSIM_GRID_CACHE");
-    cmd.env_remove("RTSIM_GRID_SHARDS");
     cmd
 }
 
@@ -30,51 +20,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Acceptance: merged artifacts are bit-identical across shard counts
-/// {1, 2, 4} and worker counts {1, 4, 8}.
-#[test]
-fn merged_artifacts_are_shard_and_worker_invariant() {
-    let merged = |shards: &str, workers: &str, tag: &str| {
-        let dir = scratch_dir(tag);
-        let output = grid()
-            .args(["--shards", shards, "--merge"])
-            .env("RTSIM_WORKERS", workers)
-            .env("RTSIM_CAMPAIGN_OUT", &dir)
-            .output()
-            .unwrap();
-        assert!(
-            output.status.success(),
-            "shards={shards} workers={workers}:\n{}",
-            String::from_utf8_lossy(&output.stderr)
-        );
-        let jsonl = std::fs::read_to_string(dir.join("grid.jsonl")).unwrap();
-        let csv = std::fs::read_to_string(dir.join("grid.csv")).unwrap();
-        // The per-shard slices must concatenate to the merged file.
-        let mut parts = String::new();
-        for shard in 0.. {
-            match std::fs::read_to_string(dir.join(format!("grid.shard{shard}.jsonl"))) {
-                Ok(part) => parts.push_str(&part),
-                Err(_) => break,
-            }
-        }
-        assert_eq!(parts, jsonl, "shards={shards}: slices != merged");
-        let _ = std::fs::remove_dir_all(&dir);
-        (jsonl, csv)
-    };
-    let base = merged("1", "1", "m11");
-    for (shards, workers, tag) in [("2", "4", "m24"), ("4", "8", "m48"), ("1", "8", "m18")] {
-        assert_eq!(
-            merged(shards, workers, tag),
-            base,
-            "shards={shards} workers={workers} diverged"
-        );
-    }
-}
-
 #[test]
 fn check_cache_round_trip_passes() {
     let dir = scratch_dir("roundtrip");
-    let output = grid()
+    let output = farm()
         .arg("--check-cache")
         .env("RTSIM_GRID_CACHE", &dir)
         .output()
@@ -97,35 +46,27 @@ fn check_cache_round_trip_passes() {
 #[test]
 fn warm_farm_check_is_cache_served_and_still_green() {
     let dir = scratch_dir("warmcheck");
-    let check = |shards: &str| {
+    let check = || {
         let output = farm()
             .arg("--check")
             .env("RTSIM_GRID_CACHE", &dir)
-            .env("RTSIM_GRID_SHARDS", shards)
             .output()
             .unwrap();
         assert!(
             output.status.success(),
-            "--check (shards={shards}) failed:\n{}\n{}",
+            "--check failed:\n{}\n{}",
             String::from_utf8_lossy(&output.stdout),
             String::from_utf8_lossy(&output.stderr)
         );
         String::from_utf8_lossy(&output.stdout).into_owned()
     };
-    let cold = check("2");
+    let cold = check();
     assert!(cold.contains("cache: 0 hit(s), 22 miss(es)"), "{cold}");
-    let warm = check("4");
+    let warm = check();
     assert!(
         warm.contains("cache: 22 hit(s), 0 miss(es)"),
         "warm rerun not fully cache-served:\n{warm}"
     );
     assert!(warm.contains("22 cells match"), "{warm}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn conflicting_and_malformed_flags_are_rejected() {
-    assert!(!grid().args(["--merge", "--check-cache"]).output().unwrap().status.success());
-    assert!(!grid().args(["--shards", "zero"]).output().unwrap().status.success());
-    assert!(!grid().arg("--frobnicate").output().unwrap().status.success());
 }

@@ -10,9 +10,8 @@
 //!   per-job streams are forked from the grid seed by **global** job
 //!   index ([`Campaign::first_index`](rtsim_campaign::Campaign::first_index)),
 //!   so any shard count `{1, 2, 4, …}` — and any `RTSIM_WORKERS` — yields
-//!   bit-identical merged results. Shard boundaries are invisible; a
-//!   grid can be split across processes or machines and the per-shard
-//!   JSONL simply concatenates back ([`merge_shard_jsonl`]).
+//!   bit-identical merged results ([`GridReport::merged_jsonl`]). Shard
+//!   boundaries are invisible.
 //! - **Result caching.** Each job's JSONL record is stored
 //!   content-addressed under an FNV-1a key of `(grid seed, global job
 //!   index, config fingerprint)` ([`job_key`]). Re-running a grid after
@@ -20,11 +19,10 @@
 //!   cache misses; hits decode the stored record byte-exactly
 //!   ([`Record`]). The store lives in the `RTSIM_GRID_CACHE` directory.
 //!
-//! The `rtsim-grid` binary (in `rtsim-farm`, which supplies the
-//! workload) drives the regression-farm matrix through a grid:
-//! `--shards N` splits it, `--merge` writes per-shard and merged JSONL
-//! artifacts, and `--check-cache` runs a cold/warm round-trip asserting
-//! a 100 % warm hit rate with byte-identical output.
+//! The `rtsim-farm` binary (which supplies the workload) drives the
+//! regression-farm matrix through a grid; its `--check-cache` runs a
+//! cold/warm round-trip at two shard counts asserting a 100 % warm hit
+//! rate with byte-identical output.
 //!
 //! ## Quick start
 //!
@@ -54,4 +52,4 @@ mod run;
 
 pub use cache::{job_key, CacheStore, CACHE_ENV};
 pub use record::Record;
-pub use run::{merge_shard_jsonl, shard_range, shards_from_env, Grid, GridReport, ShardSummary};
+pub use run::{shard_range, Grid, GridReport, ShardSummary};

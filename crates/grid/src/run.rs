@@ -8,15 +8,6 @@ use rtsim_campaign::{workers_from_env, Campaign, JobCtx};
 use crate::cache::{job_key, CacheStore};
 use crate::record::Record;
 
-/// Reads the shard count from `RTSIM_GRID_SHARDS`, defaulting to 1 (one
-/// campaign, no splitting). `0` means 1, like `RTSIM_WORKERS`; parsing
-/// shares [`rtsim_campaign::env_usize`] (trimmed, warns on garbage).
-pub fn shards_from_env() -> usize {
-    rtsim_campaign::env_usize("RTSIM_GRID_SHARDS")
-        .map(|n| n.max(1))
-        .unwrap_or(1)
-}
-
 /// The contiguous global-index range of shard `shard` among `shards`
 /// over `jobs` jobs: balanced front-loaded split (the first `jobs %
 /// shards` shards get one extra job).
@@ -28,25 +19,6 @@ pub fn shard_range(jobs: usize, shards: usize, shard: usize) -> std::ops::Range<
     let start = shard * base + shard.min(extra);
     let len = base + usize::from(shard < extra);
     start..start + len
-}
-
-/// Concatenates per-shard JSONL texts (in shard order) into one merged
-/// result set, normalizing each part to end in exactly one newline.
-///
-/// Because shards cover contiguous, ascending global-index ranges, the
-/// concatenation *is* the job-index-ordered merge — this is what the
-/// `rtsim-grid --merge` driver applies to shard artifacts.
-pub fn merge_shard_jsonl<S: AsRef<str>>(parts: &[S]) -> String {
-    let mut out = String::new();
-    for part in parts {
-        let trimmed = part.as_ref().trim_end_matches('\n');
-        if trimmed.is_empty() {
-            continue;
-        }
-        out.push_str(trimmed);
-        out.push('\n');
-    }
-    out
 }
 
 /// A campaign-of-campaigns over a parameter grid: splits `0..jobs` into
@@ -74,15 +46,15 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Creates a grid. Shard count defaults to `RTSIM_GRID_SHARDS`
-    /// ([`shards_from_env`]), worker count to `RTSIM_WORKERS`
-    /// ([`workers_from_env`]), and the cache to `RTSIM_GRID_CACHE`
-    /// ([`CacheStore::from_env`]; no caching when unset).
+    /// Creates a grid. Shard count defaults to 1, worker count to
+    /// `RTSIM_WORKERS` ([`workers_from_env`]), and the cache to
+    /// `RTSIM_GRID_CACHE` ([`CacheStore::from_env`]; no caching when
+    /// unset).
     pub fn new(name: &str, seed: u64) -> Self {
         Grid {
             name: name.to_owned(),
             seed,
-            shards: shards_from_env(),
+            shards: 1,
             workers: workers_from_env(),
             cache: CacheStore::from_env(),
         }
@@ -282,16 +254,18 @@ impl<T> GridReport<T> {
     }
 
     /// The merged result set as JSONL (one line per job, global
-    /// job-index order) — the artifact `rtsim-grid --merge` writes and
-    /// the byte-identity the shard-invariance property compares.
+    /// job-index order, each ending in exactly one newline) — the
+    /// byte-identity the shard-invariance property compares.
     pub fn merged_jsonl(&self) -> String {
-        merge_shard_jsonl(&self.lines)
-    }
-
-    /// The JSONL text of one shard's slice of the merged results.
-    pub fn shard_jsonl(&self, shard: usize) -> String {
-        let s = &self.shards[shard];
-        merge_shard_jsonl(&self.lines[s.start..s.start + s.jobs])
+        let mut out = String::new();
+        for line in &self.lines {
+            let line = line.trim_end_matches('\n');
+            if !line.is_empty() {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        out
     }
 }
 
@@ -363,18 +337,6 @@ mod tests {
             assert_eq!(sharded.merged_jsonl(), one.merged_jsonl(), "{shards} shards");
             assert_eq!(sharded.records, one.records);
         }
-    }
-
-    #[test]
-    fn shard_slices_reassemble_the_merged_set() {
-        let report = Grid::new("slices", 7)
-            .no_cache()
-            .workers(2)
-            .shards(3)
-            .run(8, |i| i.to_string(), draw_job);
-        let parts: Vec<String> = (0..3).map(|s| report.shard_jsonl(s)).collect();
-        assert_eq!(merge_shard_jsonl(&parts), report.merged_jsonl());
-        assert_eq!(report.shards.iter().map(|s| s.jobs).sum::<usize>(), 8);
     }
 
     #[test]

@@ -1,44 +1,31 @@
-//! Pluggable resolution of scheduler tie-breaks (choice points).
+//! Scheduler tie-breaks (choice points) and how a run stops at them.
 //!
 //! The kernel is deterministic by construction: runnable processes
 //! resume in FIFO wake order, simultaneous delta notifications fire in
 //! posting order, and same-instant timers fire in posting order. Those
 //! fixed tie-breaks pick *one* legal schedule out of many — real
 //! hardware and real RTOSes are free to serialize simultaneous work in
-//! any order. A [`ChoicePolicy`] makes the tie-break pluggable: when a
-//! policy is installed (see `Simulator::set_choice_policy`) the kernel
-//! presents every set of two-or-more simultaneously eligible actions as
-//! a [`Candidate`] slice and lets the policy pick which one happens
-//! next.
+//! any order.
 //!
-//! The `rtsim-check` crate's depth-first explorer drives this hook to
-//! enumerate *every* legal ordering and check invariants over all of
-//! them; [`StableTieBreak`] is the identity policy that reproduces the
-//! kernel's built-in order (it always picks candidate 0), used to pin
-//! that installing the hook changes nothing.
-//!
-//! With no policy installed the kernel takes its original zero-cost
-//! fast path — no candidate vectors are built and no labels are
-//! rendered.
-//!
-//! # Resumable choice points
-//!
-//! A search can also take the choice points one at a time instead of
-//! installing a policy: `Simulator::run_to_choice` runs until the next
-//! choice point and returns it as a [`ChoicePoint`]. The kernel keeps
-//! the phase it stopped in and that phase's working set (the runnable
-//! queue, the delta cycle's pending notifications, or the instant's ripe
-//! timers), so nothing has happened yet: `Simulator::candidate` names
-//! each eligible action, `Simulator::decide` picks one, and the next
+//! A search takes the choice points one at a time:
+//! `Simulator::run_to_choice` runs until the next set of two or more
+//! simultaneously eligible actions and returns it as a [`ChoicePoint`].
+//! The kernel keeps the phase it stopped in and that phase's working set
+//! (the runnable queue, the delta cycle's pending notifications, or the
+//! instant's ripe timers), so nothing has happened yet:
+//! `Simulator::candidate` names each eligible action as a
+//! [`CandidateDetail`], `Simulator::decide` picks one, and the next
 //! `run_to_choice` performs it and runs on to the following choice
-//! point. One run loop serves all three ways of resolving a tie — the
-//! decision of a stopped point, an installed policy, or the stable
-//! order.
+//! point. One run loop serves both ways of resolving a tie — the
+//! decision of a stopped point, or the stable order (candidate 0), which
+//! a run that does not stop takes with no candidate built.
 //!
-//! A simulator stopped at a choice point is at rest, so it can be
-//! copied (`Simulator::fork`): the schedule explorer keeps one copy per
-//! open choice point and resumes each sibling schedule from it instead
-//! of replaying the prefix that led there.
+//! The `rtsim-check` crate's depth-first explorer drives this to
+//! enumerate *every* legal ordering and check invariants over all of
+//! them. A simulator stopped at a choice point is at rest, so it can be
+//! copied (`Simulator::fork`): the explorer keeps one copy per open
+//! choice point and resumes each sibling schedule from it instead of
+//! replaying the prefix that led there.
 
 use std::fmt;
 
@@ -93,17 +80,6 @@ pub enum CandidateDetail {
     TimerWake(ProcessId),
 }
 
-/// One eligible action at a choice point: a stable machine-readable
-/// identity plus a human-readable label (process and event names
-/// resolved) for counterexample rendering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Candidate {
-    /// What the action is, in kernel terms.
-    pub detail: CandidateDetail,
-    /// Human-readable rendering, e.g. `dispatch Processor.Task_1 <- Clk`.
-    pub label: String,
-}
-
 impl CandidateDetail {
     /// A stable 64-bit token identifying this action, independent of
     /// allocation order and label text — the unit a state hash mixes in.
@@ -124,13 +100,6 @@ impl CandidateDetail {
     }
 }
 
-impl Candidate {
-    /// The [`CandidateDetail::hash_token`] of this candidate's action.
-    pub fn hash_token(&self) -> u64 {
-        self.detail.hash_token()
-    }
-}
-
 /// A choice point a run stopped at (see `Simulator::run_to_choice`):
 /// two or more simultaneously eligible actions, none performed yet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,50 +112,12 @@ pub struct ChoicePoint {
     pub arity: usize,
 }
 
-impl fmt::Display for Candidate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label)
-    }
-}
-
-/// A pluggable tie-break: picks which of several simultaneously
-/// eligible actions the kernel performs next.
-///
-/// The kernel only consults the policy when there is a real choice —
-/// `candidates` always holds at least two entries. The returned index
-/// must be in range (the kernel panics otherwise, naming the policy's
-/// answer). Implementations must be deterministic functions of their
-/// own state and the arguments if the run is to be reproducible.
-pub trait ChoicePolicy: Send {
-    /// Picks the index of the candidate to perform next.
-    fn choose(&mut self, now: SimTime, kind: ChoiceKind, candidates: &[Candidate]) -> usize;
-}
-
-/// The identity policy: always picks candidate 0, reproducing the
-/// kernel's built-in stable tie-break (FIFO wake order, posting order).
-///
-/// Installing `StableTieBreak` must be observationally identical to
-/// installing no policy at all — the regression pin for the choice
-/// hook itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StableTieBreak;
-
-impl ChoicePolicy for StableTieBreak {
-    fn choose(&mut self, _now: SimTime, _kind: ChoiceKind, _candidates: &[Candidate]) -> usize {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hash_tokens_distinguish_kinds_and_identities() {
-        let mk = |detail| Candidate {
-            detail,
-            label: String::new(),
-        };
         let tokens: Vec<u64> = [
             CandidateDetail::Dispatch {
                 pid: ProcessId(0),
@@ -205,24 +136,11 @@ mod tests {
             CandidateDetail::TimerWake(ProcessId(0)),
         ]
         .into_iter()
-        .map(|d| mk(d).hash_token())
+        .map(CandidateDetail::hash_token)
         .collect();
         let mut unique = tokens.clone();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), tokens.len(), "{tokens:?}");
-    }
-
-    #[test]
-    fn stable_tie_break_always_picks_zero() {
-        let c = Candidate {
-            detail: CandidateDetail::DeltaEvent(Event(3)),
-            label: "delta-notify e".to_owned(),
-        };
-        let mut p = StableTieBreak;
-        assert_eq!(
-            p.choose(SimTime::ZERO, ChoiceKind::Delta, &[c.clone(), c]),
-            0
-        );
     }
 }

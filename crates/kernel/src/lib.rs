@@ -76,9 +76,7 @@ pub mod testutil;
 pub mod time;
 pub mod world;
 
-pub use choice::{
-    Candidate, CandidateDetail, ChoiceKind, ChoicePoint, ChoicePolicy, StableTieBreak,
-};
+pub use choice::{CandidateDetail, ChoiceKind, ChoicePoint};
 pub use error::KernelError;
 pub use event::{Event, Wake};
 pub use process::{ProcessContext, ProcessId};

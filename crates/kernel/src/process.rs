@@ -20,12 +20,12 @@
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
 use crate::segment::{Notifier, SegmentCtx, WaitRequest};
-use crate::sync::{Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, WorldRef};
 

@@ -23,9 +23,10 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 
-use crate::choice::{Candidate, CandidateDetail, ChoiceKind, ChoicePoint, ChoicePolicy};
+use crate::choice::{CandidateDetail, ChoiceKind, ChoicePoint};
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{
@@ -33,7 +34,6 @@ use crate::process::{
     ProcessContext, ProcessId, ResumeMsg, YieldMsg, YieldReason,
 };
 use crate::segment::{SegStep, SegmentCtx, WaitRequest};
-use crate::sync::{unbounded, Receiver, Sender};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, World, WorldGuard};
 
@@ -123,9 +123,6 @@ pub(crate) struct Kernel {
     yield_rx: Receiver<YieldMsg>,
     alive: usize,
     max_deltas: u64,
-    /// Pluggable tie-break (see [`crate::choice`]); `None` keeps the
-    /// built-in stable order on the original fast path.
-    choice: Option<Box<dyn ChoicePolicy>>,
     phase: Phase,
     /// The delta cycle being fired: the notifications pending when it
     /// began, minus those fired or overridden since.
@@ -149,7 +146,7 @@ pub(crate) struct Kernel {
 
 impl Kernel {
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = unbounded();
+        let (yield_tx, yield_rx) = mpsc::channel();
         Kernel {
             now_ps: Arc::new(AtomicU64::new(0)),
             procs: Vec::new(),
@@ -162,7 +159,6 @@ impl Kernel {
             yield_rx,
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
-            choice: None,
             phase: Phase::Evaluate,
             pending: Vec::new(),
             ripe: Vec::new(),
@@ -176,8 +172,7 @@ impl Kernel {
     }
 
     /// A copy of this kernel at rest (between runs, or stopped at a
-    /// choice point), with its own clock and yield channel and no choice
-    /// policy. `None` if a live process is thread-backed: its state is a
+    /// choice point), with its own clock and yield channel. `None` if a live process is thread-backed: its state is a
     /// stack on another thread, which cannot be copied.
     pub fn fork(&self) -> Option<Kernel> {
         let procs = self
@@ -185,7 +180,7 @@ impl Kernel {
             .iter()
             .map(ProcHandle::fork)
             .collect::<Option<Vec<_>>>()?;
-        let (yield_tx, yield_rx) = unbounded();
+        let (yield_tx, yield_rx) = mpsc::channel();
         Some(Kernel {
             now_ps: Arc::new(AtomicU64::new(self.now_ps.load(Ordering::Acquire))),
             procs,
@@ -198,7 +193,6 @@ impl Kernel {
             yield_rx,
             alive: self.alive,
             max_deltas: self.max_deltas,
-            choice: None,
             phase: self.phase,
             pending: self.pending.clone(),
             ripe: self.ripe.clone(),
@@ -209,25 +203,6 @@ impl Kernel {
             spare_waiters: Vec::new(),
             stats: self.stats,
         })
-    }
-
-    pub fn set_choice_policy(&mut self, policy: Option<Box<dyn ChoicePolicy>>) {
-        self.choice = policy;
-    }
-
-    /// Consults the installed policy; only called with two or more
-    /// candidates (a single eligible action is not a choice).
-    fn choose(&mut self, kind: ChoiceKind, candidates: &[Candidate]) -> usize {
-        debug_assert!(candidates.len() >= 2);
-        let now = self.now();
-        let policy = self.choice.as_mut().expect("choose without a policy");
-        let idx = policy.choose(now, kind, candidates);
-        assert!(
-            idx < candidates.len(),
-            "choice policy picked index {idx} out of {} candidates",
-            candidates.len()
-        );
-        idx
     }
 
     /// The number of eligible actions of a `kind` choice: the size of
@@ -272,19 +247,6 @@ impl Kernel {
         }
     }
 
-    /// The labelled candidates of a `kind` choice.
-    fn candidates(&self, kind: ChoiceKind) -> Vec<Candidate> {
-        (0..self.arity(kind))
-            .map(|i| {
-                let detail = self.candidate_detail(kind, i);
-                Candidate {
-                    detail,
-                    label: self.candidate_label(detail),
-                }
-            })
-            .collect()
-    }
-
     /// The choice point a run stopped at (see [`Kernel::run`]), if it
     /// has not been decided yet.
     pub fn stopped(&self) -> Option<ChoicePoint> {
@@ -313,13 +275,8 @@ impl Kernel {
 
     /// Resolves a choice among two or more eligible actions: the decision
     /// taken for the point a run stopped at, else `None` to stop there
-    /// (`stop`), else the installed policy's pick, else the stable 0.
-    fn pick<'w>(
-        &mut self,
-        kind: ChoiceKind,
-        stop: bool,
-        loan: &mut Option<WorldGuard<'w>>,
-    ) -> Option<usize> {
+    /// (`stop`), else the stable 0.
+    fn pick(&mut self, kind: ChoiceKind, stop: bool) -> Option<usize> {
         if let Some(index) = self.decided.take() {
             return Some(index);
         }
@@ -330,11 +287,6 @@ impl Kernel {
                 arity: self.arity(kind),
             });
             return None;
-        }
-        if self.choice.is_some() {
-            let candidates = self.candidates(kind);
-            *loan = None;
-            return Some(self.choose(kind, &candidates));
         }
         Some(0)
     }
@@ -388,7 +340,7 @@ impl Kernel {
         F: FnOnce(&mut ProcessContext) + Send + 'static,
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
-        let (resume_tx, resume_rx) = unbounded::<ResumeMsg>();
+        let (resume_tx, resume_rx) = mpsc::channel::<ResumeMsg>();
         let join = spawn_process(
             pid,
             name,
@@ -684,13 +636,12 @@ impl Kernel {
     /// simultaneously eligible actions) and returns it; the kernel keeps
     /// the phase and its working set, so after [`Kernel::decide`] the
     /// next call resumes at that spot and performs the decided action.
-    /// Without `stop`, the installed choice policy answers each choice
-    /// point, or the stable order does, and the result is always `None`.
+    /// Without `stop`, the stable order answers each choice point, and
+    /// the result is always `None`.
     ///
     /// `world` is lent to segment dispatches: locked at the first one and
     /// kept across the next, given back only before a thread-backed
-    /// dispatch, around each choice-policy call (the policy may read
-    /// model state, such as the trace) and when the run stops.
+    /// dispatch and when the run stops.
     pub fn run(
         &mut self,
         limit: Option<SimTime>,
@@ -698,15 +649,14 @@ impl Kernel {
         stop: bool,
     ) -> Result<Option<ChoicePoint>, KernelError> {
         self.stopped = None;
-        let hooked = stop || self.choice.is_some() || self.decided.is_some();
+        let hooked = stop || self.decided.is_some();
         let mut loan: Option<WorldGuard<'_>> = None;
         loop {
             match self.phase {
                 Phase::Evaluate => {
                     loop {
                         let (pid, wake) = if hooked && self.runnable.len() >= 2 {
-                            let Some(idx) = self.pick(ChoiceKind::Dispatch, stop, &mut loan)
-                            else {
+                            let Some(idx) = self.pick(ChoiceKind::Dispatch, stop) else {
                                 return Ok(self.stopped);
                             };
                             self.runnable.remove(idx).expect("index validated")
@@ -789,7 +739,7 @@ impl Kernel {
                             break;
                         }
                         let idx = if hooked && self.pending.len() >= 2 {
-                            let Some(idx) = self.pick(ChoiceKind::Delta, stop, &mut loan) else {
+                            let Some(idx) = self.pick(ChoiceKind::Delta, stop) else {
                                 return Ok(self.stopped);
                             };
                             idx
@@ -812,7 +762,7 @@ impl Kernel {
                             break;
                         }
                         let idx = if hooked && self.ripe.len() >= 2 {
-                            let Some(idx) = self.pick(ChoiceKind::Timer, stop, &mut loan) else {
+                            let Some(idx) = self.pick(ChoiceKind::Timer, stop) else {
                                 return Ok(self.stopped);
                             };
                             idx
@@ -838,8 +788,8 @@ impl Kernel {
 
     /// Pops every heap entry ripe at `t` (valid, `time <= t`) into the
     /// empty `ripe`, in the heap's deterministic ascending `(time, stamp)`
-    /// order — the stable same-instant slice the choice hook enumerates
-    /// over. Invalid entries are discarded during the pop.
+    /// order — the stable same-instant slice a timer choice point
+    /// enumerates. Invalid entries are discarded during the pop.
     fn take_ripe(&mut self, t: SimTime) {
         debug_assert!(self.ripe.is_empty());
         while let Some(Reverse(top)) = self.timers.peek().copied() {
@@ -851,30 +801,6 @@ impl Kernel {
                 self.ripe.push(top);
             }
         }
-    }
-
-    /// The set of timer entries that would fire at the next timed
-    /// instant, as `(instant, candidates)` in the stable `(time, stamp)`
-    /// posting order — independent of heap allocation order. Returns
-    /// `None` when no valid timer is pending. Read-only: the heap is not
-    /// consumed.
-    pub fn ripe_timers(&mut self) -> Option<(SimTime, Vec<Candidate>)> {
-        let t = self.next_timer_time()?;
-        let mut entries: Vec<TimedEntry> = self
-            .timers
-            .iter()
-            .map(|Reverse(e)| *e)
-            .filter(|e| e.time == t && self.timer_valid(e))
-            .collect();
-        entries.sort_unstable();
-        let candidates = entries
-            .iter()
-            .map(|e| Candidate {
-                detail: e.detail(),
-                label: self.candidate_label(e.detail()),
-            })
-            .collect();
-        Some((t, candidates))
     }
 
     pub fn alive_processes(&self) -> usize {

@@ -201,8 +201,7 @@ impl Simulator {
     /// names the eligible actions, [`decide`](Simulator::decide) picks
     /// one, and the next `run_to_choice` (or `run_until`) performs it and
     /// carries on. Calling it again without deciding stops at the same
-    /// point. An installed [choice policy](Simulator::set_choice_policy)
-    /// is not consulted here. See [`crate::choice`].
+    /// point. See [`crate::choice`].
     ///
     /// # Errors
     ///
@@ -242,8 +241,8 @@ impl Simulator {
     }
 
     /// Candidate `index` of the choice point the simulator is stopped at,
-    /// in the kernel's stable order (index 0 is what a run without a
-    /// policy performs).
+    /// in the kernel's stable order (index 0 is what a run that does not
+    /// stop performs).
     ///
     /// # Panics
     ///
@@ -278,8 +277,8 @@ impl Simulator {
     /// A copy of this simulator at rest — between runs, or stopped at a
     /// choice point — that runs on independently: its own kernel, clock,
     /// yield channel and [`World`](crate::world::World) (every slot
-    /// copied under the same ids), every segment machine copied in its
-    /// current state, and no choice policy.
+    /// copied under the same ids), and every segment machine copied in
+    /// its current state.
     ///
     /// `None` when the copy cannot be made: a live process is
     /// thread-backed (its state is a stack on another thread), or a world
@@ -298,17 +297,6 @@ impl Simulator {
     /// The world this simulator lends to its steps.
     pub fn shared_world(&self) -> &SharedWorld {
         &self.world
-    }
-
-    /// Runs for `span` of simulated time from the current instant
-    /// (equivalent to `run_until(now() + span)`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run`](Simulator::run).
-    pub fn run_for(&mut self, span: crate::time::SimDuration) -> Result<(), KernelError> {
-        let until = self.now().saturating_add(span);
-        self.run_until(until)
     }
 
     /// Current simulation time.
@@ -378,24 +366,6 @@ impl Simulator {
     /// `run_until` that instant, repeat.
     pub fn next_activity(&mut self) -> Option<SimTime> {
         self.kernel.next_activity()
-    }
-
-    /// Installs (or with `None`, removes) a pluggable scheduler tie-break.
-    ///
-    /// See [`crate::choice`]: with a policy installed, every set of two or
-    /// more simultaneously eligible actions — runnable processes, pending
-    /// delta notifications, same-instant ripe timers — is presented to the
-    /// policy instead of being resolved by the built-in stable order.
-    pub fn set_choice_policy(&mut self, policy: Option<Box<dyn crate::choice::ChoicePolicy>>) {
-        self.kernel.set_choice_policy(policy);
-    }
-
-    /// The set of timer entries that would fire at the next timed instant,
-    /// as `(instant, candidates)` in stable posting order — the event
-    /// wheel's same-timestamp ready set exposed as a slice rather than
-    /// observed through eager pops. `None` when no valid timer is pending.
-    pub fn ripe_timers(&mut self) -> Option<(SimTime, Vec<crate::choice::Candidate>)> {
-        self.kernel.ripe_timers()
     }
 }
 

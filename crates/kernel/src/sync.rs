@@ -1,26 +1,20 @@
-//! Hermetic std-only synchronization primitives.
+//! Hermetic std-only synchronization: a poison-recovering mutex.
 //!
 //! The workspace builds with an empty cargo registry, so the external
-//! `parking_lot` and `crossbeam` crates are replaced by thin wrappers over
-//! `std::sync`:
-//!
-//! - [`Mutex`] — a newtype over [`std::sync::Mutex`] whose [`lock`]
-//!   recovers from poisoning. In this kernel a panicking simulated process
-//!   is an *expected* event (the scheduler converts it into
-//!   `KernelError::ProcessPanicked`), so a poisoned lock must not cascade
-//!   the failure into unrelated processes or tests. Every acquisition
-//!   bumps a per-thread counter ([`locks_taken`]), so tests can pin how
-//!   many locks a hot path takes.
-//! - [`unbounded`] — the `SyncChannel` handoff pair used for the
-//!   one-runner coroutine protocol between the kernel and its process
-//!   threads (the paper's Approach-A thread model), backed by
-//!   [`std::sync::mpsc`].
+//! `parking_lot` crate is replaced by [`Mutex`], a newtype over
+//! [`std::sync::Mutex`] whose [`lock`] recovers from poisoning. In this
+//! kernel a panicking simulated process is an *expected* event (the
+//! scheduler converts it into `KernelError::ProcessPanicked`), so a
+//! poisoned lock must not cascade the failure into unrelated processes or
+//! tests. Every acquisition bumps a per-thread counter ([`locks_taken`]),
+//! so tests can pin how many locks a hot path takes. The one-runner
+//! handoff between the kernel and its process threads uses
+//! [`std::sync::mpsc`] channels directly.
 //!
 //! [`lock`]: Mutex::lock
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::mpsc;
 
 thread_local! {
     static LOCKS: Cell<u64> = const { Cell::new(0) };
@@ -121,65 +115,6 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// Sending half of a [`unbounded`] channel. Clonable.
-pub struct Sender<T>(mpsc::Sender<T>);
-
-/// Receiving half of a [`unbounded`] channel.
-pub struct Receiver<T>(mpsc::Receiver<T>);
-
-/// Error returned by [`Sender::send`] when the receiver is gone; carries
-/// the unsent value.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Error returned by [`Receiver::recv`] when every sender is gone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Creates an unbounded FIFO channel (the `SyncChannel` handoff pair).
-///
-/// API-compatible with the subset of `crossbeam::channel::unbounded` the
-/// kernel uses: cloneable sender, blocking `recv`, disconnection reported
-/// as an `Err` rather than a panic.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let (tx, rx) = mpsc::channel();
-    (Sender(tx), Receiver(rx))
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        Sender(self.0.clone())
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Sender")
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Receiver")
-    }
-}
-
-impl<T> Sender<T> {
-    /// Sends `value`, failing only if the receiver was dropped.
-    #[inline]
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        self.0.send(value).map_err(|mpsc::SendError(v)| SendError(v))
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Blocks until a value arrives, failing only if all senders dropped.
-    #[inline]
-    pub fn recv(&self) -> Result<T, RecvError> {
-        self.0.recv().map_err(|_| RecvError)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,24 +134,5 @@ mod tests {
         assert_eq!(*m.lock(), 7);
         *m.lock() = 8;
         assert_eq!(*m.lock(), 8);
-    }
-
-    #[test]
-    fn channel_fifo_and_disconnect() {
-        let (tx, rx) = unbounded();
-        let tx2 = tx.clone();
-        tx.send(1).unwrap();
-        tx2.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
-        assert_eq!(rx.recv(), Ok(2));
-        drop((tx, tx2));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_to_dropped_receiver_returns_value() {
-        let (tx, rx) = unbounded();
-        drop(rx);
-        assert_eq!(tx.send(42), Err(SendError(42)));
     }
 }

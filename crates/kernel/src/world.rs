@@ -17,7 +17,7 @@
 //!   [`SegmentCtx`](crate::SegmentCtx), so a step takes no lock;
 //! - a thread-hosted step ([`ProcessContext::step`]) locks it once;
 //! - the run loop gives the loan back before each thread-backed dispatch
-//!   and around every [`ChoicePolicy`](crate::ChoicePolicy) call.
+//!   and when a run stops at a choice point.
 //!
 //! Code outside a step (testbench accessors such as a trace snapshot or a
 //! processor's statistics) locks it through

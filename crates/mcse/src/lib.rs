@@ -65,12 +65,10 @@ pub mod codegen;
 pub mod constraint;
 pub mod elaborate;
 pub mod error;
-pub mod explore;
 pub mod model;
 pub mod script;
 
 pub use codegen::{generate_freertos, GeneratedCode};
-pub use explore::{run_variants, run_variants_parallel, Variant, VariantOutcome};
 pub use constraint::{ConstraintReport, ConstraintResult, TimingConstraint};
 pub use elaborate::{ElaboratedSystem, Io, Relations};
 pub use error::ModelError;

@@ -19,12 +19,12 @@
 //!   a worker pool with bit-identical results for any `RTSIM_WORKERS`;
 //! - [`grid`] — campaign-of-campaigns over parameter grids: shard a
 //!   grid into independent campaigns (bit-identical merged results for
-//!   any `RTSIM_GRID_SHARDS`) with a content-addressed per-job result
-//!   cache (`RTSIM_GRID_CACHE`);
+//!   any shard count) with a content-addressed per-job result cache
+//!   (`RTSIM_GRID_CACHE`);
 //! - [`farm`] — the regression farm: golden-fingerprint sweeps of every
 //!   [`scenarios`] system across the whole scheduling-policy matrix,
-//!   checked against pinned goldens by the `rtsim-farm` binary and
-//!   sharded/cached by the `rtsim-grid` binary;
+//!   checked against pinned goldens (and, with `--check-cache`, through
+//!   the grid cache) by the `rtsim-farm` binary;
 //! - [`check`] — the schedule explorer: `rtsim-check` runs small
 //!   scenarios through the Segment-mode kernel while enumerating every
 //!   nondeterministic tie (dispatch, delta, timer) depth-first, forking
@@ -88,9 +88,8 @@ pub use rtsim_kernel::{
     Wake,
 };
 pub use rtsim_mcse::{
-    generate_freertos, run_variants, run_variants_parallel, ConstraintReport, ElaboratedSystem,
-    GeneratedCode, Io, Mapping, Message, ModelError, SystemModel, TimingConstraint, Variant,
-    VariantOutcome,
+    generate_freertos, ConstraintReport, ElaboratedSystem, GeneratedCode, Io, Mapping, Message,
+    ModelError, SystemModel, TimingConstraint,
 };
 pub use rtsim_trace::{
     write_csv, write_vcd, ActorId, ActorKind, CommKind, DurationSummary, Job, Measure, OverheadKind,

@@ -103,7 +103,7 @@ grid_cache="$(mktemp -d)"
 bench_out="$(mktemp -d)"
 trap 'rm -rf "$grid_cache" "$bench_out"' EXIT
 RTSIM_BENCH_SMOKE=1 RTSIM_GRID_CACHE="$grid_cache" \
-    "$repo/target/release/rtsim-grid" --check-cache
+    "$repo/target/release/rtsim-farm" --check-cache
 
 echo "== hermetic check: bench trajectory emission + self-diff =="
 # One smoke bench run must write a non-empty, parseable bench-v1
@@ -146,10 +146,13 @@ echo "== hermetic check: schedule explorer smoke + coverage baseline =="
 # model-checked on every CI run; fault_dropout explores every producer
 # interleaving under a scripted message-drop window, so the fault
 # lanes are model-checked too) and gate the explored-state trajectory
-# against the committed baseline at zero tolerance: exploration is
-# deterministic, so any drift in state/run/trace counts is a real
-# behaviour change in the kernel's choice points or the fault model,
-# not noise.
+# against the committed baseline at zero tolerance. That diff fails only
+# when a count rises; a count that falls or a case that vanishes passes
+# it. The exact gate (every count equal, no case missing or extra) is
+# the tier-1 test crates/check/tests/coverage_baseline.rs, which the
+# test suite above already ran. Exploration is deterministic, so a
+# difference is a real behaviour change in the kernel's choice points or
+# the fault model, not noise.
 RTSIM_BENCH_SMOKE=1 RTSIM_BENCH_OUT="$bench_out" \
     "$repo/target/release/rtsim-check" --budget 20000 \
     --scenario irq_races --scenario pipeline --scenario smp_migration \
