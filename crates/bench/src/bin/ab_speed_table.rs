@@ -12,12 +12,14 @@
 //! simulated process with an OS thread plus a channel handoff
 //! (`ExecMode::Thread`) or dispatch run-to-completion segments inline in
 //! the scheduler loop (`ExecMode::Segment`) — zero thread spawns, zero
-//! park/unpark. The third trajectory group, `segment_mode/*`, re-runs
-//! the procedure-call model under the segment kernel; its speedup over
-//! `procedure_call/*` (the thread-backed kernel) is the run-to-completion
-//! win. `--assert-speedup <X>` turns that ratio into a gate: the run
-//! fails unless the median per-case speedup is at least `X` (machine
-//! independent — both sides are measured in the same process).
+//! park/unpark. The `seg wall` column re-runs the procedure-call model
+//! under the segment kernel; its speedup over `B wall` (the
+//! thread-backed kernel) is the run-to-completion win.
+//! `--assert-speedup <X>` turns that ratio into a gate: the run fails
+//! unless the median per-case speedup is at least `X` (machine
+//! independent — both sides are measured in the same process). The
+//! switch counts of every row are pinned exactly by
+//! `tests/regressions.rs::ab_stress_pins`.
 //!
 //! Run with: `cargo run --release -p rtsim-bench --bin ab_speed_table`
 
@@ -25,7 +27,8 @@ use std::process::ExitCode;
 
 use rtsim::scenarios::ab_stress_system;
 use rtsim::{EngineKind, ExecMode};
-use rtsim_bench::{fmt_wall, mean_wall, smoke, wall_samples, BenchReport, CaseRecord};
+use rtsim_bench::harness::median;
+use rtsim_bench::{fmt_wall, mean_wall, smoke, wall_samples};
 
 fn run_once(engine: EngineKind, mode: ExecMode, tasks: usize, rounds: u64) -> u64 {
     let mut model = ab_stress_system(engine, tasks, rounds);
@@ -67,9 +70,8 @@ fn main() -> ExitCode {
         }
     };
     // Smoke mode (check_hermetic) takes one sample per case instead of
-    // five; the case set stays identical so trajectories stay diffable.
+    // five; the case set stays identical.
     let runs = if smoke() { 1 } else { 5 };
-    let mut report = BenchReport::new("ab_speed_table");
     println!("== §4: simulation duration, dedicated thread (A) vs procedure calls (B) ==");
     println!("== plus the segment kernel (B under ExecMode::Segment) ==\n");
     println!(
@@ -95,9 +97,6 @@ fn main() -> ExitCode {
         let samples_seg = wall_samples(runs, || {
             let _ = run_once(EngineKind::ProcedureCall, ExecMode::Segment, tasks, rounds);
         });
-        report.record_samples(&format!("dedicated_thread/{tasks}x{rounds}"), 1, &samples_a);
-        report.record_samples(&format!("procedure_call/{tasks}x{rounds}"), 1, &samples_b);
-        report.record_samples(&format!("segment_mode/{tasks}x{rounds}"), 1, &samples_seg);
         let (wall_a, wall_b, wall_seg) =
             (mean_wall(&samples_a), mean_wall(&samples_b), mean_wall(&samples_seg));
         // The kernel counts a dispatch the same way in both exec modes,
@@ -107,10 +106,9 @@ fn main() -> ExitCode {
         assert_eq!(sw_b, sw_seg, "exec modes disagree on process switches");
         // Gate on medians, not means: a single descheduling blip in the
         // thread-backed run should not inflate the claimed speedup.
-        let median = |samples: &[std::time::Duration]| {
-            CaseRecord::from_samples("median", 1, samples).median_ps
-        };
-        seg_speedups.push(median(&samples_b) as f64 / median(&samples_seg).max(1) as f64);
+        seg_speedups.push(
+            median(&samples_b).as_secs_f64() / median(&samples_seg).as_secs_f64().max(1e-12),
+        );
         println!(
             "{:>6} {:>8} | {:>12} {:>12} {:>8.2}x | {:>12} {:>8.2}x | {:>9}",
             tasks,
@@ -123,7 +121,6 @@ fn main() -> ExitCode {
             sw_b,
         );
     }
-    report.emit();
     seg_speedups.sort_by(|a, b| a.total_cmp(b));
     let median_speedup = seg_speedups[seg_speedups.len() / 2];
     println!("\n(B speedup > 1: the procedure-call model simulates faster, §4.2;");

@@ -8,13 +8,13 @@
 //! harness runs an identical two-task + interrupt workload under both
 //! engines and prints the switch counts and the overhead decomposition
 //! (context save → scheduling → context load) that Figure 5 annotates.
+//! `crates/bench/tests/bin_smoke.rs` pins the switch counts it prints.
 
 use rtsim::scenarios::ab_stress_system;
 use rtsim::{
     spawn_interrupt_at, EngineKind, OverheadKind, Overheads, Processor, ProcessorConfig,
     SimDuration, Simulator, TaskConfig, TraceRecorder, Waiter,
 };
-use rtsim_bench::{wall_samples, BenchReport};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -58,16 +58,8 @@ fn main() {
     println!("workload: TaskN computing 400 us, T1 woken by 3 HW interrupts,");
     println!("all RTOS overheads 5 us (save / scheduling / load)\n");
 
-    let mut report = BenchReport::new("fig3_fig5_switches");
     let mut rows = Vec::new();
     for engine in [EngineKind::DedicatedThread, EngineKind::ProcedureCall] {
-        report.record_samples(
-            &format!("figure/{engine}"),
-            1,
-            &wall_samples(3, || {
-                let _ = run(engine);
-            }),
-        );
         let (switches, sched_runs, trace) = run(engine);
         // Tally the overhead decomposition of Figure 5.
         let mut save = 0u64;
@@ -115,16 +107,6 @@ fn main() {
     // Larger synthetic workload for a second data point.
     println!("== scheduling-heavy stress (8 tasks x 200 rounds) ==");
     for engine in [EngineKind::DedicatedThread, EngineKind::ProcedureCall] {
-        report.record_samples(
-            &format!("stress_8x200/{engine}"),
-            1,
-            &wall_samples(3, || {
-                let mut system =
-                    ab_stress_system(engine, 8, 200).elaborate().expect("model");
-                system.run().expect("run");
-                std::hint::black_box(system.kernel_stats());
-            }),
-        );
         let mut system = ab_stress_system(engine, 8, 200).elaborate().expect("model");
         system.run().expect("run");
         println!(
@@ -133,5 +115,4 @@ fn main() {
             system.kernel_stats().process_switches
         );
     }
-    report.emit();
 }

@@ -6,20 +6,9 @@
 
 use rtsim::scenarios::figure6_system;
 use rtsim::{EngineKind, Measure, TaskState, TimelineOptions};
-use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
-    let mut report = BenchReport::new("fig6_timeline");
     for engine in [EngineKind::ProcedureCall, EngineKind::DedicatedThread] {
-        report.record_samples(
-            &format!("figure6/{engine}"),
-            1,
-            &wall_samples(3, || {
-                let mut system = figure6_system(engine).elaborate().expect("model");
-                system.run().expect("run");
-                std::hint::black_box(system.now());
-            }),
-        );
         let mut system = figure6_system(engine).elaborate().expect("model");
         system.run().expect("run");
         println!("== Figure 6 under the {engine} engine ==\n");
@@ -57,5 +46,4 @@ fn main() {
         println!("      Function_3 resume points    : {resumed:?} us");
         println!("  simulation end: {}\n", system.now());
     }
-    report.emit();
 }

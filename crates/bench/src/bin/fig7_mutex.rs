@@ -4,7 +4,6 @@
 
 use rtsim::scenarios::figure7_system;
 use rtsim::{EngineKind, LockMode, Priority, SimDuration, TaskState, TimelineOptions};
-use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
     println!("== Figure 7: SharedVar_1 blocking under four protection modes ==\n");
@@ -12,7 +11,6 @@ fn main() {
         "{:<22} {:>14} {:>16} {:>14}",
         "mode", "F2 blocked", "F2 got var at", "sim end"
     );
-    let mut report = BenchReport::new("fig7_mutex");
     let mut charts = Vec::new();
     for mode in [
         LockMode::Plain,
@@ -20,17 +18,6 @@ fn main() {
         LockMode::PriorityInheritance,
         LockMode::PriorityCeiling(Priority(4)),
     ] {
-        report.record_samples(
-            &format!("figure7/{mode}"),
-            1,
-            &wall_samples(3, || {
-                let mut system = figure7_system(EngineKind::ProcedureCall, mode)
-                    .elaborate()
-                    .expect("model");
-                system.run().expect("run");
-                std::hint::black_box(system.now());
-            }),
-        );
         let mut system = figure7_system(EngineKind::ProcedureCall, mode)
             .elaborate()
             .expect("model");
@@ -81,6 +68,5 @@ fn main() {
     for (mode, chart) in charts {
         println!("-- TimeLine, {mode} --\n{chart}");
     }
-    report.emit();
     let _ = SimDuration::ZERO;
 }

@@ -4,21 +4,8 @@
 
 use rtsim::scenarios::{figure6_system, figure7_system};
 use rtsim::{EngineKind, LockMode, Statistics};
-use rtsim_bench::{wall_samples, BenchReport};
 
 fn main() {
-    let mut report = BenchReport::new("fig8_stats");
-    report.record_samples(
-        "stats/figure6",
-        1,
-        &wall_samples(3, || {
-            let mut system = figure6_system(EngineKind::ProcedureCall)
-                .elaborate()
-                .expect("model");
-            system.run().expect("run");
-            std::hint::black_box(Statistics::from_trace(&system.trace(), system.now()));
-        }),
-    );
     let mut system = figure6_system(EngineKind::ProcedureCall)
         .elaborate()
         .expect("model");
@@ -29,17 +16,6 @@ fn main() {
 
     // The same panel for the Figure 7 run, where the waiting-for-resource
     // column (item (3)) is non-zero.
-    report.record_samples(
-        "stats/figure7",
-        1,
-        &wall_samples(3, || {
-            let mut system = figure7_system(EngineKind::ProcedureCall, LockMode::Plain)
-                .elaborate()
-                .expect("model");
-            system.run().expect("run");
-            std::hint::black_box(Statistics::from_trace(&system.trace(), system.now()));
-        }),
-    );
     let mut system = figure7_system(EngineKind::ProcedureCall, LockMode::Plain)
         .elaborate()
         .expect("model");
@@ -47,5 +23,4 @@ fn main() {
     println!("== statistics of the Figure 7 run (note the resource column) ==\n");
     let stats = Statistics::from_trace(&system.trace(), system.now());
     println!("{stats}");
-    report.emit();
 }

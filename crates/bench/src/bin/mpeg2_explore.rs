@@ -18,7 +18,7 @@
 use rtsim::grid::record::{string_field, u64_array_field, u64_field};
 use rtsim::scenarios::{mpeg2_latencies, mpeg2_system, Mpeg2Config};
 use rtsim::{EngineKind, Grid, Overheads, Record, SimDuration};
-use rtsim_bench::{fmt_wall, record_grid, report_grid, scaled, BenchReport};
+use rtsim_bench::{fmt_wall, report_grid, scaled};
 use rtsim_campaign::write_artifact;
 
 fn us(v: u64) -> SimDuration {
@@ -171,16 +171,6 @@ fn main() {
     }
     report_grid(&report);
     write_artifact("mpeg2_explore.jsonl", &report.merged_jsonl());
-    // Trajectory: one case per design point (its label flows through the
-    // JSON escaper) plus the grid total. Per-point walls are cache-probe
-    // times on warm runs — the `smoke`/`workers` fingerprint plus the
-    // grid summary line give the context to read them correctly.
-    let mut bench = BenchReport::new("mpeg2_explore");
-    for (result, wall) in report.records.iter().zip(&report.job_walls) {
-        bench.record_wall(&format!("point/{}", result.label), *wall);
-    }
-    record_grid(&mut bench, &report);
-    bench.emit();
     println!("\n(the numbers a designer extracts before committing the SoC:");
     println!("RTOS overhead stretches latency; a faster camera shortens the");
     println!("makespan but raises contention (more preemptions); queue depth is");

@@ -12,7 +12,6 @@ use rtsim::policies::PriorityPreemptive;
 use rtsim::{
     EngineKind, OverheadSpec, Overheads, SimDuration, SystemModel, TaskConfig, TimingConstraint,
 };
-use rtsim_bench::{wall_samples, BenchReport};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -56,20 +55,12 @@ fn run(overheads: Overheads) -> (String, String, u64) {
 }
 
 fn main() {
-    let mut report = BenchReport::new("overhead_sweep");
     println!("== §3.2: fixed overhead sweep (save = sched = load) ==\n");
     println!(
         "{:>10} {:>16} {:>14} {:>15}",
         "overhead", "worst response", "makespan", "scheduler runs"
     );
     for ovh_us in [0u64, 1, 2, 5, 10, 20, 50, 100] {
-        report.record_samples(
-            &format!("fixed/{ovh_us}us"),
-            1,
-            &wall_samples(3, || {
-                std::hint::black_box(run(Overheads::uniform(us(ovh_us))));
-            }),
-        );
         let (worst, end, runs) = run(Overheads::uniform(us(ovh_us)));
         println!("{:>8}us {:>16} {:>14} {:>15}", ovh_us, worst, end, runs);
     }
@@ -80,23 +71,14 @@ fn main() {
         "per-task cost", "worst response", "makespan", "scheduler runs"
     );
     for per_task_us in [0u64, 1, 2, 5, 10, 20] {
-        let overheads = || Overheads {
+        let (worst, end, runs) = run(Overheads {
             context_save: OverheadSpec::fixed(us(2)),
             scheduling: OverheadSpec::formula(move |v| us(per_task_us) * v.ready_tasks as u64),
             context_load: OverheadSpec::fixed(us(2)),
             migration: OverheadSpec::zero(),
-        };
-        report.record_samples(
-            &format!("formula/{per_task_us}us_per_ready"),
-            1,
-            &wall_samples(3, || {
-                std::hint::black_box(run(overheads()));
-            }),
-        );
-        let (worst, end, runs) = run(overheads());
+        });
         println!("{:>12}us {:>16} {:>14} {:>15}", per_task_us, worst, end, runs);
     }
-    report.emit();
     println!("\n(the formula column shows scheduling cost growing with contention,");
     println!("the capability §3.2 adds over fixed-overhead RTOS models)");
 }

@@ -23,7 +23,7 @@ use rtsim::{
     spawn_interrupt_at, DurationSummary, Processor, ProcessorConfig, SimDuration, Simulator,
     TaskConfig, TaskState, TraceRecorder, Waiter,
 };
-use rtsim_bench::{record_campaign, report_campaign, scaled, BenchReport};
+use rtsim_bench::{report_campaign, scaled};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -106,9 +106,6 @@ fn main() {
         }
     }
     report_campaign(&cmp);
-    let mut bench = BenchReport::new("quantum_error");
-    record_campaign(&mut bench, &cmp);
-    bench.emit();
     println!("\n(this is Gerstlauer/Gajski's limitation the paper's §2 cites: the");
     println!("clock-driven model's precision 'depends on the model's clock");
     println!("accuracy', while the event-driven wait-with-timeout mechanism");

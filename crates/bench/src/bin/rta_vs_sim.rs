@@ -18,7 +18,7 @@
 
 use rtsim::campaign::{json::Json, Campaign};
 use rtsim::testutil::Rng;
-use rtsim_bench::{record_campaign, report_campaign, scaled, write_campaign_outputs, BenchReport};
+use rtsim_bench::{report_campaign, scaled, write_campaign_outputs};
 use rtsim::policies::PriorityPreemptive;
 use rtsim::{
     assign_rate_monotonic, response_time_analysis, utilization, PeriodicTask, Processor,
@@ -182,9 +182,6 @@ fn main() {
     println!("highest utilization    : {worst_util:.2}");
     assert_eq!(checked, exact, "simulation disagreed with theory");
     report_campaign(&cmp);
-    let mut bench = BenchReport::new("rta_vs_sim");
-    record_campaign(&mut bench, &cmp);
-    bench.emit();
 
     let records: Vec<Json> = report
         .outcomes

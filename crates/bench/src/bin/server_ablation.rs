@@ -17,7 +17,7 @@ use rtsim::{
     spawn_polling_server, AperiodicQueue, DurationSummary, PollingServerConfig, Processor,
     ProcessorConfig, SimDuration, SimTime, Simulator, TaskConfig, TaskState, TraceRecorder,
 };
-use rtsim_bench::{record_campaign, report_campaign, scaled, BenchReport};
+use rtsim_bench::{report_campaign, scaled};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -154,9 +154,6 @@ fn main() {
         );
     }
     report_campaign(&cmp);
-    let mut bench = BenchReport::new("server_ablation");
-    record_campaign(&mut bench, &cmp);
-    bench.emit();
     println!("\n(bigger budgets serve aperiodics faster but push the periodic");
     println!("task's worst response up — the budget is the knob that trades");
     println!("event latency against deadline margin)");

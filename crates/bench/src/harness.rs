@@ -1,7 +1,7 @@
 //! A tiny in-tree benchmark harness replacing Criterion.
 //!
 //! The workspace is hermetic (offline build, no external crates), so the
-//! six `benches/*.rs` targets use this instead: each is a plain
+//! five `benches/*.rs` targets use this instead: each is a plain
 //! `harness = false` binary whose `main` builds a [`BenchGroup`], runs
 //! each case with one warm-up execution plus `sample_size` timed samples,
 //! and prints the median wall time per sample.
@@ -17,35 +17,44 @@
 //! (approach A vs B, traced vs untraced), not to chase nanosecond CIs.
 //! For even sample counts the two middle samples are interpolated
 //! (averaged); `times[len/2]` alone would silently report the *upper*
-//! median, biasing every default 10-sample case slow.
-//!
-//! Besides printing, every case feeds the group's [`BenchReport`]; when
-//! the group is dropped the report is emitted as a
-//! `bench-<name>.jsonl` trajectory artifact under `RTSIM_BENCH_OUT`
-//! (see [`crate::report`]) — no per-bench wiring required.
+//! median, biasing every default 10-sample case slow (see [`median`]).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rtsim_campaign::trajectory::summarize_sorted;
+use crate::{fmt_wall, wall_samples};
 
-use crate::fmt_wall;
-use crate::report::{BenchReport, CaseRecord};
+/// The median of a non-empty sample set; for an even count, the mean
+/// of the two middle samples.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn median(samples: &[Duration]) -> Duration {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len();
+    assert!(n > 0, "median of zero samples");
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2
+    }
+}
 
 /// A named group of benchmark cases, mirroring the Criterion
 /// `benchmark_group` shape the benches were first written against.
 #[derive(Debug)]
 pub struct BenchGroup {
+    name: String,
     samples: u32,
-    report: BenchReport,
 }
 
 impl BenchGroup {
-    /// Creates a group; cases print as `name/case-id` and the trajectory
-    /// artifact (if `RTSIM_BENCH_OUT` is set) as `bench-<name>.jsonl`.
+    /// Creates a group; cases print as `name/case-id`.
     pub fn new(name: &str) -> Self {
         BenchGroup {
+            name: name.to_owned(),
             samples: 10,
-            report: BenchReport::new(name),
         }
     }
 
@@ -56,58 +65,31 @@ impl BenchGroup {
     }
 
     /// Runs one case: a warm-up call, then `sample_size` timed calls of
-    /// `f`; prints the median sample time and records the case in the
-    /// group's trajectory report.
+    /// `f`; prints the median sample time.
     pub fn bench(&mut self, id: &str, f: impl FnMut()) {
-        self.run_case(id, 1, f);
+        let times = wall_samples(self.samples, f);
+        println!(
+            "{:<44} median {:>10}   ({} samples, min {}, max {})",
+            format!("{}/{}", self.name, id),
+            fmt_wall(median(&times)),
+            self.samples,
+            fmt_wall(*times.iter().min().expect("at least one sample")),
+            fmt_wall(*times.iter().max().expect("at least one sample")),
+        );
     }
 
     /// Like [`bench`](Self::bench) but runs `iters` calls of `f` per
     /// sample and reports the whole-batch sample time — for
     /// sub-microsecond bodies where a single call is below timer
-    /// resolution. The batch factor is recorded as `iters` in the
-    /// trajectory so consumers can normalize per call.
+    /// resolution.
     pub fn bench_batched(&mut self, id: &str, iters: u32, mut f: impl FnMut()) {
         let iters = iters.max(1);
-        self.run_case(id, iters, || {
+        self.bench(id, || {
             for _ in 0..iters {
                 f();
             }
         });
         println!("{:<44}   (batched: {iters} calls per sample)", "");
-    }
-
-    fn run_case(&mut self, id: &str, iters: u32, mut f: impl FnMut()) {
-        f(); // warm-up: first-touch allocations, thread spawns, caches
-        let mut times: Vec<Duration> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let (min, median, max) = summarize_sorted(&times);
-        println!(
-            "{:<44} median {:>10}   ({} samples, min {}, max {})",
-            format!("{}/{}", self.report.name(), id),
-            fmt_wall(median),
-            self.samples,
-            fmt_wall(min),
-            fmt_wall(max),
-        );
-        self.report.record(CaseRecord::from_samples(id, iters, &times));
-    }
-
-    /// The trajectory collected so far (emitted automatically on drop).
-    pub fn report(&self) -> &BenchReport {
-        &self.report
-    }
-}
-
-impl Drop for BenchGroup {
-    fn drop(&mut self) {
-        self.report.emit();
     }
 }
 
@@ -121,6 +103,8 @@ mod tests {
         let mut g = BenchGroup::new("test");
         g.sample_size(5).bench("counting", || count += 1);
         assert_eq!(count, 6); // 1 warm-up + 5 samples
+        g.sample_size(1).bench("single", || count += 1);
+        assert_eq!(count, 8); // 1 warm-up + 1 sample more
     }
 
     #[test]
@@ -131,35 +115,27 @@ mod tests {
         assert_eq!(count, 30); // (1 warm-up + 2 samples) * 10
     }
 
-    #[test]
-    fn cases_feed_the_trajectory_report() {
-        let mut g = BenchGroup::new("test");
-        g.sample_size(4).bench("a", || {});
-        g.sample_size(2).bench_batched("b", 3, || {});
-        let cases = g.report().cases();
-        assert_eq!(cases.len(), 2);
-        assert_eq!(cases[0].id, "a");
-        assert_eq!((cases[0].samples, cases[0].iters), (4, 1));
-        assert_eq!((cases[1].samples, cases[1].iters), (2, 3));
-        assert!(cases.iter().all(|c| c.min_ps <= c.median_ps));
-        assert!(cases.iter().all(|c| c.median_ps <= c.max_ps));
-        let jsonl = g.report().to_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.lines().all(|l| l.contains("\"schema\":\"bench-v1\"")));
+    fn ms(v: u64) -> Duration {
+        Duration::from_millis(v)
     }
 
-    /// `sample_size(1)` must survive and report the single sample as
-    /// min = median = max (the old indexing happened to work but was
-    /// never pinned; the interpolating path must not regress it).
     #[test]
-    fn single_sample_case_is_well_defined() {
-        let mut runs = 0u32;
-        let mut g = BenchGroup::new("test");
-        g.sample_size(1).bench("one", || runs += 1);
-        assert_eq!(runs, 2); // warm-up + 1 sample
-        let case = &g.report().cases()[0];
-        assert_eq!(case.samples, 1);
-        assert_eq!(case.min_ps, case.median_ps);
-        assert_eq!(case.median_ps, case.max_ps);
+    fn median_of_an_odd_count_is_the_middle_sample() {
+        assert_eq!(median(&[ms(7)]), ms(7));
+        assert_eq!(median(&[ms(3), ms(1), ms(2)]), ms(2));
+    }
+
+    /// `times[len/2]` would pick 30 ms, the upper median; the
+    /// interpolated median of {10, 20, 30, 40} is 25 ms.
+    #[test]
+    fn median_interpolates_an_even_count() {
+        assert_eq!(median(&[ms(40), ms(10), ms(30), ms(20)]), ms(25));
+        assert_eq!(median(&[ms(2), ms(1)]), Duration::from_micros(1_500));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero samples")]
+    fn median_of_no_samples_panics() {
+        let _ = median(&[]);
     }
 }

@@ -1,5 +1,5 @@
-//! Shared helpers for the `rtsim-bench` harness binaries and Criterion
-//! benches that regenerate the DATE 2004 paper's figures.
+//! Shared helpers for the `rtsim-bench` harness binaries and the
+//! in-tree benches that regenerate the DATE 2004 paper's figures.
 //!
 //! The binaries (see `src/bin/`) print, as text, the information each
 //! paper figure conveys:
@@ -16,36 +16,20 @@
 //! | `rta_vs_sim` | extension — Monte-Carlo cross-validation against exact response-time analysis |
 //! | `server_ablation` | extension — polling-server budget/period trade-off |
 //! | `quantum_error` | extension — reaction-time error of clock-driven preemption baselines |
-//! | `rtsim-bench-diff` | tooling — diffs two `bench-*.jsonl` trajectories (see [`report`]) |
 //!
-//! Every binary (and every `BenchGroup` bench target) additionally
-//! emits a machine-readable `bench-<name>.jsonl` trajectory when
-//! `RTSIM_BENCH_OUT=<dir>` is set — see the [`report`] module.
+//! Timing across commits is the job of the `rtsim-benchmark` package
+//! (see `BENCHMARK.json`). These binaries print wall times for reading;
+//! their one timing gate is a ratio measured in the same process
+//! (`ab_speed_table --assert-speedup`).
 
 pub mod harness;
-pub mod report;
 
 use std::time::{Duration, Instant};
 
-pub use report::{BenchReport, CaseRecord, EnvFingerprint, BENCH_OUT_ENV, BENCH_SCHEMA};
-
-/// Wall-clock measurement of one closure, with a warm-up run.
-///
-/// Returns the mean wall time of `runs` timed executions.
-pub fn wall_time<F: FnMut()>(runs: u32, mut f: F) -> Duration {
-    f(); // warm-up
-    let start = Instant::now();
-    for _ in 0..runs {
-        f();
-    }
-    start.elapsed() / runs
-}
-
-/// Like [`wall_time`] but keeps the individual samples, so the caller
-/// can both print a mean and feed a [`BenchReport`] case with a real
-/// min/median/max distribution.
+/// Wall-clock samples of `runs` timed executions of `f`, after one
+/// warm-up run.
 pub fn wall_samples<F: FnMut()>(runs: u32, mut f: F) -> Vec<Duration> {
-    f(); // warm-up
+    f(); // warm-up: first-touch allocations, thread spawns, caches
     (0..runs.max(1))
         .map(|_| {
             let start = Instant::now();
@@ -55,8 +39,7 @@ pub fn wall_samples<F: FnMut()>(runs: u32, mut f: F) -> Vec<Duration> {
         .collect()
 }
 
-/// Mean of a non-empty sample set (for printing next to the recorded
-/// distribution).
+/// Mean of a non-empty sample set.
 pub fn mean_wall(samples: &[Duration]) -> Duration {
     samples.iter().sum::<Duration>() / samples.len() as u32
 }
@@ -92,14 +75,6 @@ pub fn report_campaign<T>(cmp: &rtsim_campaign::Comparison<T>) {
     );
 }
 
-/// Records a campaign comparison's two wall times as trajectory cases
-/// `campaign/serial` and `campaign/parallel` — the pair whose ratio is
-/// the speedup the harness prints via [`report_campaign`].
-pub fn record_campaign<T>(report: &mut BenchReport, cmp: &rtsim_campaign::Comparison<T>) {
-    report.record_wall("campaign/serial", cmp.serial_wall);
-    report.record_wall("campaign/parallel", cmp.parallel_wall);
-}
-
 /// Prints the grid engine's shard/cache summary line for harnesses that
 /// run as a sharded, result-cached grid (see `rtsim_grid`).
 pub fn report_grid<T>(report: &rtsim_grid::GridReport<T>) {
@@ -116,25 +91,9 @@ pub fn report_grid<T>(report: &rtsim_grid::GridReport<T>) {
     );
 }
 
-/// Records a grid run's total wall as trajectory case `grid/total`.
-/// Per-job walls are *not* recorded here: under `RTSIM_GRID_CACHE` a
-/// warm job's wall is a cache probe, not a simulation — the harness
-/// decides which job walls are meaningful.
-pub fn record_grid<T>(report: &mut BenchReport, grid: &rtsim_grid::GridReport<T>) {
-    report.record_wall("grid/total", grid.wall);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wall_time_measures_something() {
-        let d = wall_time(2, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(d.as_nanos() > 0);
-    }
 
     #[test]
     fn wall_samples_counts_and_means() {

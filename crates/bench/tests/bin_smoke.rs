@@ -1,8 +1,8 @@
-//! Executes the campaign-driven harness binaries end to end under
-//! `RTSIM_BENCH_SMOKE=1`, so a bin that stops compiling, panics, or
-//! loses its determinism assertion fails the test suite instead of
-//! rotting silently. Cargo builds the package's binaries for
-//! integration tests and exposes their paths as `CARGO_BIN_EXE_*`.
+//! Executes the harness binaries end to end under `RTSIM_BENCH_SMOKE=1`,
+//! so a bin that stops compiling, panics, or loses its determinism
+//! assertion fails the test suite instead of rotting silently. Cargo
+//! builds the package's binaries for integration tests and exposes their
+//! paths as `CARGO_BIN_EXE_*`.
 
 use std::process::Command;
 
@@ -14,7 +14,6 @@ fn run_smoke(bin: &str) -> String {
         .env("RTSIM_BENCH_SMOKE", "1")
         .env("RTSIM_WORKERS", "2")
         .env_remove("RTSIM_GRID_CACHE")
-        .env_remove("RTSIM_BENCH_OUT")
         .output()
         .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
     assert!(
@@ -56,6 +55,56 @@ fn mpeg2_explore_smoke() {
     assert!(out.contains("design-space exploration (2 frames)"), "{out}");
     assert!(out.contains("grid `mpeg2_explore`: 7 jobs, seed 2004"), "{out}");
     assert!(out.contains("0 cache hit(s) / 7 miss(es)"), "{out}");
+}
+
+#[test]
+fn fig3_fig5_switches_prints_the_pinned_counts() {
+    let out = run_smoke(env!("CARGO_BIN_EXE_fig3_fig5_switches"));
+    // Per engine: the Figure 3/5 table row, whose first number is the
+    // kernel switch count, then the 8×200 stress line, which ends in it.
+    for (engine, figure, stress) in [
+        ("dedicated-thread", "61", "13254"),
+        ("procedure-call", "50", "10845"),
+    ] {
+        let rows: Vec<Vec<&str>> = out
+            .lines()
+            .filter(|l| l.starts_with(engine))
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(rows.len(), 2, "{out}");
+        assert_eq!(rows[0][1], figure, "{out}");
+        assert_eq!(rows[1].last(), Some(&stress), "{out}");
+    }
+}
+
+#[test]
+fn fig6_timeline_smoke() {
+    let out = run_smoke(env!("CARGO_BIN_EXE_fig6_timeline"));
+    for engine in ["procedure-call", "dedicated-thread"] {
+        assert!(
+            out.contains(&format!("== Figure 6 under the {engine} engine ==")),
+            "{out}"
+        );
+    }
+    // Both engines measure the same schedule.
+    for line in [
+        "(1) Clk -> Function_1 reaction : 15 us",
+        "simulation end: @780 us",
+    ] {
+        assert_eq!(out.matches(line).count(), 2, "{out}");
+    }
+}
+
+#[test]
+fn fig8_stats_smoke() {
+    let out = run_smoke(env!("CARGO_BIN_EXE_fig8_stats"));
+    assert!(
+        out.contains("== Figure 8: statistics of the Figure 6 run =="),
+        "{out}"
+    );
+    assert!(out.contains("statistics over @780 us"), "{out}");
+    assert!(out.contains("statistics of the Figure 7 run"), "{out}");
+    assert!(out.contains("statistics over @200 us"), "{out}");
 }
 
 #[test]

@@ -8,10 +8,7 @@
 //!   so a test suite can execute every binary in seconds ([`smoke`],
 //!   [`scaled`]);
 //! - `RTSIM_CAMPAIGN_OUT=<dir>` — persist machine-readable JSONL/CSV
-//!   artifacts of a campaign ([`write_campaign_outputs`]);
-//! - `RTSIM_BENCH_OUT=<dir>` — persist structured bench trajectories
-//!   (`rtsim-bench` writes `bench-<name>.jsonl` through
-//!   [`write_artifact_in`]).
+//!   artifacts of a campaign ([`write_campaign_outputs`]).
 //!
 //! All parsing is forgiving about whitespace and loud about garbage:
 //! values are trimmed first, and an unrecognizable value warns once on
@@ -93,16 +90,16 @@ pub fn scaled(full: usize, reduced: usize) -> usize {
     }
 }
 
-/// Writes one named artifact file into the directory named by the
-/// environment variable `env_var` (no-op when the variable is unset or
-/// the content is empty).
+/// Writes one named artifact file into the directory named by
+/// `RTSIM_CAMPAIGN_OUT` (no-op when the variable is unset or the content
+/// is empty).
 ///
-/// The general form behind [`write_artifact`] (`RTSIM_CAMPAIGN_OUT`)
-/// and the bench-trajectory writer (`RTSIM_BENCH_OUT`): same directory
-/// creation, same `wrote <path>` confirmation, different destination
-/// knob.
-pub fn write_artifact_in(env_var: &str, filename: &str, content: &str) {
-    let Ok(dir) = std::env::var(env_var) else {
+/// [`write_campaign_outputs`] covers the common JSONL+CSV pair; this is
+/// the general writer for everything else, such as a grid's merged
+/// result set.
+pub fn write_artifact(filename: &str, content: &str) {
+    const OUT_ENV: &str = "RTSIM_CAMPAIGN_OUT";
+    let Ok(dir) = std::env::var(OUT_ENV) else {
         return;
     };
     if content.is_empty() {
@@ -110,25 +107,14 @@ pub fn write_artifact_in(env_var: &str, filename: &str, content: &str) {
     }
     let dir = Path::new(&dir);
     if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("{env_var}: cannot create {}: {e}", dir.display());
+        eprintln!("{OUT_ENV}: cannot create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(filename);
     match fs::write(&path, content) {
         Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("{env_var}: cannot write {}: {e}", path.display()),
+        Err(e) => eprintln!("{OUT_ENV}: cannot write {}: {e}", path.display()),
     }
-}
-
-/// Writes one named artifact file into the directory named by
-/// `RTSIM_CAMPAIGN_OUT` (no-op when the variable is unset or the content
-/// is empty).
-///
-/// [`write_campaign_outputs`] covers the common JSONL+CSV pair; this is
-/// the general writer for everything else — per-shard grid outputs,
-/// merged result sets, extra tables.
-pub fn write_artifact(filename: &str, content: &str) {
-    write_artifact_in("RTSIM_CAMPAIGN_OUT", filename, content);
 }
 
 /// Writes a campaign's JSONL and CSV artifacts into the directory named

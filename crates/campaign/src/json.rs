@@ -1,15 +1,18 @@
 //! Hand-rolled JSON values, a JSONL campaign-output writer, and a
-//! minimal parser for reading artifacts back.
+//! minimal parser.
 //!
 //! The workspace builds offline with an empty registry, so `serde` is
 //! off the table; campaigns need *emission* of plain records, which
 //! this covers in under 200 lines. Rendering is deterministic: object
 //! keys keep insertion order and floats use Rust's
 //! shortest-round-trip formatting, so a campaign's JSONL is
-//! byte-comparable across runs and worker counts. The [`Json::parse`]
-//! counterpart exists for the tools that consume those artifacts —
-//! `rtsim-bench-diff` loading two bench trajectories, and the
-//! escaper's round-trip tests.
+//! byte-comparable across runs and worker counts.
+//!
+//! No rtsim binary reads files with [`Json::parse`]. It stays as the
+//! oracle of the escaper's round-trip tests (a string the writer escapes
+//! must parse back to itself, which a hand-written expected output
+//! cannot show for random or edge-case input), and `rtsim-benchmark`'s
+//! contract test reads `BENCHMARK.json` with it.
 
 use std::fmt;
 
@@ -105,33 +108,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Json::U64(v) => Some(v),
-            Json::I64(v) => u64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64` (integers widen losslessly where possible).
-    pub fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Json::U64(v) => Some(v as f64),
-            Json::I64(v) => Some(v as f64),
-            Json::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a [`Json::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -563,17 +539,15 @@ mod tests {
     fn accessors_select_fields() {
         let v = Json::parse(r#"{"id":"x","n":3,"f":2.5,"ok":true}"#).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("n").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(v.get("f").and_then(Json::as_f64), Some(2.5));
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("n"), Some(&Json::U64(3)));
+        assert_eq!(v.get("f"), Some(&Json::F64(2.5)));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("id"), None);
     }
 
-    /// The escaper round-trip the bench-trajectory layer depends on:
-    /// every bench case id flows `String` → [`write_escaped`] →
-    /// [`Json::parse`], so emit→parse must be the identity on strings.
+    /// Every string a campaign record carries flows `String` →
+    /// [`write_escaped`], so emit→parse must be the identity on strings.
     #[test]
     fn escaper_round_trips_exhaustive_edge_chars() {
         // All control chars, the two escape-worthy ASCII chars, and

@@ -52,11 +52,8 @@ pub mod hash;
 pub mod json;
 mod pool;
 mod stats;
-pub mod trajectory;
 
-pub use artifacts::{
-    env_flag, env_usize, scaled, smoke, write_artifact, write_artifact_in, write_campaign_outputs,
-};
+pub use artifacts::{env_flag, env_usize, scaled, smoke, write_artifact, write_campaign_outputs};
 pub use hash::Fnv1a;
 pub use pool::{workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Report};
 pub use stats::{nearest_rank_index, StatSummary};

@@ -14,20 +14,18 @@
 //! Each scenario's line reports the explored counts, the runs that
 //! started from a new elaboration (`fresh`: 1 when the explorer forks),
 //! the deepest stack of open choice frames and the wall-clock speed.
-//! The states/choices ratio is the pruning ratio.
+//! The states/choices ratio is the pruning ratio. Exploration is
+//! deterministic; `tests/coverage_baseline.rs` pins the counts of four
+//! scenarios under `--budget 20000` exactly.
 //!
 //! A `--replay` sequence that does not fit the scenario (a choice out of
 //! range, or choices left over) is an error: exit status 2.
-//!
-//! When `RTSIM_BENCH_OUT` is set, explored-state counts are written as
-//! a `bench-v1` trajectory (`bench-check.jsonl`) for
-//! `rtsim-bench-diff` gating.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use rtsim_check::{
-    emit, explore, scenario_by_name, try_replay, Budget, CheckScenario, Expectation, SCENARIOS,
+    explore, scenario_by_name, try_replay, Budget, CheckScenario, Expectation, SCENARIOS,
 };
 
 fn usage() -> ! {
@@ -92,7 +90,6 @@ fn main() -> ExitCode {
     };
 
     let mut failed = false;
-    let mut explorations = Vec::new();
     for scenario in targets {
         let started = Instant::now();
         let outcome = explore(scenario, &budget);
@@ -153,9 +150,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        explorations.push(outcome);
     }
-    emit::emit_coverage(&explorations);
     if failed {
         ExitCode::FAILURE
     } else {

@@ -22,13 +22,12 @@
 //! - [`scenarios`]: registered check targets, including seeded mutants
 //!   the checker MUST flag.
 //!
-//! The `rtsim-check` binary drives the registry and emits explored-state
-//! counts as a `bench-v1` trajectory, so coverage regressions gate like
-//! performance regressions.
+//! The `rtsim-check` binary drives the registry and prints each
+//! scenario's explored counts; `tests/coverage_baseline.rs` pins those
+//! counts exactly.
 
 #![warn(missing_docs)]
 
-pub mod emit;
 pub mod explore;
 pub mod oracle;
 pub mod scenarios;

@@ -9,7 +9,7 @@
 //! Every scheduling action therefore costs two extra coroutine switches
 //! (task → RTOS → task) compared with the procedure-call model — the
 //! simulation-speed penalty quantified in the paper's §4 and reproduced by
-//! the `ab_speed` benchmark.
+//! the `ab_speed_table` harness binary.
 //!
 //! Requests are carried in a queue in the processor's RTOS state rather
 //! than in the event itself, so notifications that land while the RTOS

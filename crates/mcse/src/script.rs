@@ -126,8 +126,6 @@ pub enum Instr {
     Execute(DurFn),
     /// Sleep for a duration.
     Delay(DurFn),
-    /// Sleep until an absolute instant (no-op if already past).
-    DelayUntil(TimeFn),
     /// Annotate the trace at the current instant.
     Annotate(Arc<str>),
     /// Signal an event relation.
@@ -178,7 +176,6 @@ impl std::fmt::Debug for Instr {
         match self {
             Instr::Execute(_) => f.write_str("Execute"),
             Instr::Delay(_) => f.write_str("Delay"),
-            Instr::DelayUntil(_) => f.write_str("DelayUntil"),
             Instr::Annotate(l) => write!(f, "Annotate({l})"),
             Instr::Signal(n) => write!(f, "Signal({n})"),
             Instr::AwaitEvent(n) => write!(f, "AwaitEvent({n})"),
@@ -221,11 +218,6 @@ pub fn delay(d: SimDuration) -> Instr {
 /// Register-dependent [`Instr::Delay`].
 pub fn delay_with(f: impl Fn(&Regs) -> SimDuration + Send + Sync + 'static) -> Instr {
     Instr::Delay(Arc::new(f))
-}
-
-/// Register-dependent [`Instr::DelayUntil`].
-pub fn delay_until_with(f: impl Fn(&Regs) -> SimTime + Send + Sync + 'static) -> Instr {
-    Instr::DelayUntil(Arc::new(f))
 }
 
 /// [`Instr::Annotate`].
@@ -624,16 +616,6 @@ impl ScriptProcess {
                 let d = f(&self.regs);
                 self.runner.delay(ctx.now(), d);
                 Progress::Intent
-            }
-            Instr::DelayUntil(f) => {
-                let next = f(&self.regs);
-                let now = ctx.now();
-                if next > now {
-                    self.runner.delay(now, next - now);
-                    Progress::Intent
-                } else {
-                    Progress::Continue
-                }
             }
             Instr::Annotate(label) => {
                 let mut agent = self.runner.agent(ctx);

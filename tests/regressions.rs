@@ -10,7 +10,7 @@ use rtsim::scenarios::{
     ab_stress_system, automotive_system, figure6_system, injection_latencies, mpeg2_latencies,
     mpeg2_system, AutomotiveConfig, Mpeg2Config,
 };
-use rtsim::{DurationSummary, EngineKind, SimDuration, SimTime};
+use rtsim::{DurationSummary, EngineKind, ExecMode, SimDuration, SimTime};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -71,20 +71,54 @@ fn automotive_pins() {
     assert!(report.all_satisfied(), "{report}");
 }
 
+/// §4's kernel switch counts for engine A (dedicated thread) and engine
+/// B (procedure calls) at every (tasks, rounds) point `ab_speed_table`
+/// and `fig3_fig5_switches` print, plus 6×50.
+const AB_SWITCHES: [(usize, u64, u64, u64); 9] = [
+    (2, 50, 919, 715),
+    (2, 500, 9_019, 7_015),
+    (4, 250, 9_280, 7_525),
+    (8, 125, 8_304, 6_795),
+    (8, 500, 33_054, 27_045),
+    (16, 250, 31_100, 25_710),
+    (32, 125, 29_992, 24_909),
+    (8, 200, 13_254, 10_845),
+    (6, 50, 2_188, 1_783),
+];
+
+fn ab_switches(engine: EngineKind, tasks: usize, rounds: u64, mode: Option<ExecMode>) -> u64 {
+    let mut model = ab_stress_system(engine, tasks, rounds);
+    if let Some(mode) = mode {
+        model.exec_mode(mode);
+    }
+    let mut system = model.elaborate().unwrap();
+    system.run().unwrap();
+    system.kernel_stats().process_switches
+}
+
 #[test]
 fn ab_stress_pins() {
-    let mut b = ab_stress_system(EngineKind::ProcedureCall, 6, 50)
-        .elaborate()
-        .unwrap();
-    b.run().unwrap();
-    let mut a = ab_stress_system(EngineKind::DedicatedThread, 6, 50)
-        .elaborate()
-        .unwrap();
-    a.run().unwrap();
-    // Wall-clock differs; switch counts are pinned and B's is smaller.
-    let sw_b = b.kernel_stats().process_switches;
-    let sw_a = a.kernel_stats().process_switches;
-    assert_eq!(sw_b, 1_783);
-    assert_eq!(sw_a, 2_188);
-    assert!(sw_a > sw_b);
+    // Wall-clock differs; switch counts are pinned exactly and B's is
+    // smaller. Segment mode runs each point in milliseconds; the exec
+    // mode does not change the counts (`ab_speed_table` asserts it for
+    // B), and 6×50 also runs in the environment's default mode.
+    for (tasks, rounds, want_a, want_b) in AB_SWITCHES {
+        let point = format!("{tasks}x{rounds}");
+        let sw_a = ab_switches(
+            EngineKind::DedicatedThread,
+            tasks,
+            rounds,
+            Some(ExecMode::Segment),
+        );
+        let sw_b = ab_switches(
+            EngineKind::ProcedureCall,
+            tasks,
+            rounds,
+            Some(ExecMode::Segment),
+        );
+        assert_eq!((sw_a, sw_b), (want_a, want_b), "{point}");
+        assert!(sw_a > sw_b, "{point}");
+    }
+    assert_eq!(ab_switches(EngineKind::ProcedureCall, 6, 50, None), 1_783);
+    assert_eq!(ab_switches(EngineKind::DedicatedThread, 6, 50, None), 2_188);
 }

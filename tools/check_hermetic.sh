@@ -100,65 +100,30 @@ echo "== hermetic check: grid cache round-trip (smoke subset) =="
 # Cold sweep into a scratch cache, then a warm sweep at a different
 # shard count: must be 100 % hits with byte-identical merged results.
 grid_cache="$(mktemp -d)"
-bench_out="$(mktemp -d)"
-trap 'rm -rf "$grid_cache" "$bench_out"' EXIT
+trap 'rm -rf "$grid_cache"' EXIT
 RTSIM_BENCH_SMOKE=1 RTSIM_GRID_CACHE="$grid_cache" \
     "$repo/target/release/rtsim-farm" --check-cache
 
-echo "== hermetic check: bench trajectory emission + self-diff =="
-# One smoke bench run must write a non-empty, parseable bench-v1
-# trajectory, and rtsim-bench-diff against itself must report zero
-# deltas (a zero-tolerance threshold: any nonzero delta fails).
-RTSIM_BENCH_SMOKE=1 RTSIM_BENCH_OUT="$bench_out" \
-    "$repo/target/release/fig6_timeline" > /dev/null
-trajectory="$bench_out/bench-fig6_timeline.jsonl"
-if [ ! -s "$trajectory" ]; then
-    echo "FAIL: smoke bench wrote no trajectory at $trajectory" >&2
-    exit 1
-fi
-if ! grep -q '"schema":"bench-v1"' "$trajectory"; then
-    echo "FAIL: trajectory records lack the bench-v1 schema tag" >&2
-    exit 1
-fi
-# The self-diff doubles as the parse check: rtsim-bench-diff loads and
-# validates every record of both inputs before comparing.
-"$repo/target/release/rtsim-bench-diff" --max-regress-pct 0 \
-    "$trajectory" "$trajectory"
-
-echo "== hermetic check: segment-kernel speedup gate + baseline diff =="
+echo "== hermetic check: segment-kernel speedup gate =="
 # ab_speed_table measures the thread-backed and the run-to-completion
-# kernels in the same process; the segment kernel must keep a >= 5x
-# median speedup (the ISSUE's acceptance bar — machine independent, both
-# sides share whatever noise the host has). The fresh smoke trajectory
-# is then diffed against the committed baseline: a generous threshold
-# absorbs host noise on one-sample smoke medians while still catching an
-# order-of-magnitude regression of the segment kernel itself.
-RTSIM_BENCH_SMOKE=1 RTSIM_BENCH_OUT="$bench_out" \
-    "$repo/target/release/ab_speed_table" --assert-speedup 5
-"$repo/target/release/rtsim-bench-diff" --max-regress-pct 900 \
-    "$repo/crates/bench/baselines/bench-ab_speed_table.jsonl" \
-    "$bench_out/bench-ab_speed_table.jsonl"
+# kernels in the same process, so the ratio is machine independent:
+# both sides share whatever noise the host has. The segment kernel must
+# keep a >= 25x median speedup; a slowdown of the segment kernel alone
+# trips it well before it reaches 10x. The switch counts of every row
+# are pinned exactly by tests/regressions.rs::ab_stress_pins, which the
+# test suite above already ran. A slowdown confined to the thread
+# handoff moves both sides and no same-process ratio sees it; the
+# farm_thread workload of rtsim-benchmark (BENCHMARK.json) bounds it.
+RTSIM_BENCH_SMOKE=1 "$repo/target/release/ab_speed_table" --assert-speedup 25
 
-echo "== hermetic check: schedule explorer smoke + coverage baseline =="
-# Exhaustively explore four scenarios under a smoke budget (all
-# complete well inside it — the dual-core smp_migration race needs
-# ~18k runs, so the SMP dispatch/migration machinery is fully
-# model-checked on every CI run; fault_dropout explores every producer
-# interleaving under a scripted message-drop window, so the fault
-# lanes are model-checked too) and gate the explored-state trajectory
-# against the committed baseline at zero tolerance. That diff fails only
-# when a count rises; a count that falls or a case that vanishes passes
-# it. The exact gate (every count equal, no case missing or extra) is
-# the tier-1 test crates/check/tests/coverage_baseline.rs, which the
-# test suite above already ran. Exploration is deterministic, so a
-# difference is a real behaviour change in the kernel's choice points or
-# the fault model, not noise.
-RTSIM_BENCH_SMOKE=1 RTSIM_BENCH_OUT="$bench_out" \
-    "$repo/target/release/rtsim-check" --budget 20000 \
-    --scenario irq_races --scenario pipeline --scenario smp_migration \
-    --scenario fault_dropout
-"$repo/target/release/rtsim-bench-diff" --max-regress-pct 0 \
-    "$repo/crates/bench/baselines/bench-check.jsonl" \
-    "$bench_out/bench-check.jsonl"
+echo "== hermetic check: schedule explorer =="
+# Exhaustively explore every registered scenario at the default budget
+# (about a second): each healthy scenario must hold every oracle on
+# every explored schedule, and each seeded mutant must be flagged with
+# its counterexample replay verified, or rtsim-check exits nonzero. The
+# exact run/state/trace counts are pinned by the tier-1 test
+# crates/check/tests/coverage_baseline.rs, which the test suite above
+# already ran.
+"$repo/target/release/rtsim-check"
 
 echo "hermetic check PASSED"
