@@ -9,6 +9,14 @@
 //! [`make_ready`] and [`relinquish_step`], the two operations where the
 //! approaches differ: *who runs the scheduler and consumes the RTOS
 //! overhead time*.
+//!
+//! Scheduling decisions have one implementation for every core count: a
+//! processor is a set of cores (one by default), [`RtosState::elect`]
+//! places the policy's choice on an idle core, and
+//! [`RtosState::pick_victim`] finds the occupant a fresh arrival should
+//! preempt. A one-core processor is simply the election with one core;
+//! only [`RtosState::note_core`] and the migration charge can tell a
+//! second core exists, so one-core traces carry no core records.
 
 use std::collections::VecDeque;
 
@@ -73,22 +81,16 @@ pub(crate) struct TaskEntry {
     pub run_granted: bool,
     /// A preemption was requested; consumed by the execute frame.
     pub preempt_pending: bool,
-    /// Scheduling overhead this task must consume when it wakes (set on
-    /// idle dispatch in the procedure-call engine, where the awakened
-    /// task's coroutine pays for the scheduler run — Figure 5).
-    pub wake_sched: Option<SimDuration>,
-    /// Context-load overhead to consume on wake (Figure 5: "the thread of
-    /// the task which was awaked" executes the context load).
-    pub wake_load: Option<SimDuration>,
-    /// Migration overhead to consume on wake, between the scheduling and
-    /// context-load segments (SMP only: set when the task is dispatched
-    /// on a different core than [`TaskEntry::last_core`]).
-    pub wake_migration: Option<SimDuration>,
-    /// The core this task currently occupies (SMP only; `None` while not
-    /// dispatched, and always `None` on single-core processors).
+    /// The overheads this task consumes on its own coroutine when it
+    /// wakes, in [`WAKE_ORDER`]. Only the procedure-call engine arms them
+    /// (Figure 5): scheduling on an idle dispatch, where the awakened
+    /// task pays for the scheduler run; migration when the task lands on
+    /// another core than [`TaskEntry::last_core`]; context load always
+    /// ("the thread of the task which was awaked" loads its context).
+    pub wake: [Option<SimDuration>; 3],
+    /// The core this task occupies while dispatched (`None` otherwise).
     pub core: Option<usize>,
-    /// The core this task last ran on, for migration-cost accounting
-    /// (SMP only).
+    /// The core this task last ran on, for migration-cost accounting.
     pub last_core: Option<usize>,
     pub absolute_deadline: Option<SimTime>,
     pub enqueued_at: SimTime,
@@ -111,16 +113,25 @@ impl TaskEntry {
     }
 }
 
-/// Occupancy of one core of an SMP processor.
+/// The kinds of the [`TaskEntry::wake`] overheads, in the order the
+/// acquire frame consumes them.
+pub(crate) const WAKE_ORDER: [OverheadKind; 3] = [
+    OverheadKind::Scheduling,
+    OverheadKind::Migration,
+    OverheadKind::ContextLoad,
+];
+
+/// Occupancy of one core of a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CoreSlot {
     /// No task holds the core; the next election may fill it.
     Idle,
     /// The task is dispatched on (or acquiring) the core.
     Busy(TaskId),
-    /// The previous occupant is mid-relinquish (save/scheduling overhead
-    /// window); the core is claimed and must not be elected onto until
-    /// the relinquish completes.
+    /// The previous occupant is mid-relinquish in the procedure-call
+    /// engine (save/scheduling overhead window): the core is neither
+    /// elected onto nor searched for a victim until the relinquish
+    /// completes, so arrivals meanwhile are seen by its scheduler pass.
     Electing,
 }
 
@@ -152,7 +163,8 @@ pub(crate) struct RtosState {
     pub preemption_granularity: Option<SimDuration>,
     pub preemptive: bool,
     pub lock_depth: u32,
-    /// Initial dispatch performed; before this, ready tasks only queue.
+    /// Initial dispatch performed; before this, ready tasks only queue
+    /// (procedure-call engine; approach A's coroutine queues them itself).
     pub started: bool,
     pub tasks: Vec<TaskEntry>,
     /// Ready queue in enqueue order: only [`RtosState::enqueue_ready`]
@@ -163,18 +175,10 @@ pub(crate) struct RtosState {
     /// The ready tasks as the policy sees them, refilled by each decision
     /// so that no decision allocates.
     ready_view: Vec<TaskView>,
-    /// Number of cores. `1` (the default) keeps every code path of the
-    /// original single-core model; SMP state (`core_slots`, per-task core
-    /// fields) is only consulted when `cores > 1`.
+    /// Number of cores, 1..=64.
     pub cores: usize,
-    /// Per-core occupancy, `cores` entries. Unused (length 1, always
-    /// `Idle`) on single-core processors, which track occupancy through
-    /// [`RtosState::running`].
+    /// Per-core occupancy, `cores` entries.
     pub core_slots: Vec<CoreSlot>,
-    pub running: Option<TaskId>,
-    /// The CPU is inside a save/scheduling overhead window; arrivals
-    /// queue and are seen by the pending scheduler pass.
-    pub in_overhead: bool,
     pub enqueue_counter: u64,
     /// Approach A only: requests posted to the RTOS coroutine, which
     /// `rtk_run` wakes. A queue rather than the event alone, so requests
@@ -203,8 +207,6 @@ impl Fork for RtosState {
             ready_view: self.ready_view.clone(),
             cores: self.cores,
             core_slots: self.core_slots.clone(),
-            running: self.running,
-            in_overhead: self.in_overhead,
             enqueue_counter: self.enqueue_counter,
             requests: self.requests.clone(),
             rtk_run: self.rtk_run,
@@ -239,8 +241,6 @@ impl RtosState {
             ready_view: Vec::new(),
             cores,
             core_slots: vec![CoreSlot::Idle; cores],
-            running: None,
-            in_overhead: false,
             enqueue_counter: 0,
             requests: VecDeque::new(),
             rtk_run: None,
@@ -256,21 +256,15 @@ impl RtosState {
         actor: ActorId,
     ) -> TaskId {
         let id = TaskId(u32::try_from(self.tasks.len()).expect("too many tasks"));
-        if self.cores > 1 {
-            let core_mask = if self.cores == 64 {
-                u64::MAX
-            } else {
-                (1u64 << self.cores) - 1
-            };
-            assert!(
-                config.affinity & core_mask != 0,
-                "task `{}` affinity {:#x} allows none of processor `{}`'s {} cores",
-                config.name,
-                config.affinity,
-                self.name,
-                self.cores,
-            );
-        }
+        let core_mask = u64::MAX >> (64 - self.cores);
+        assert!(
+            config.affinity & core_mask != 0,
+            "task `{}` affinity {:#x} allows none of processor `{}`'s {} cores",
+            config.name,
+            config.affinity,
+            self.name,
+            self.cores,
+        );
         self.tasks.push(TaskEntry {
             config,
             state: TaskState::Created,
@@ -278,9 +272,7 @@ impl RtosState {
             preempt_event,
             run_granted: false,
             preempt_pending: false,
-            wake_sched: None,
-            wake_load: None,
-            wake_migration: None,
+            wake: [None; 3],
             core: None,
             last_core: None,
             absolute_deadline: None,
@@ -323,11 +315,6 @@ impl RtosState {
                 .all(|w| w[0].enqueue_seq < w[1].enqueue_seq),
             "ready queue out of enqueue order"
         );
-    }
-
-    /// The running task's view (single-core).
-    fn running_view(&self) -> Option<TaskView> {
-        self.running.map(|id| self.entry(id).view(id))
     }
 
     /// Records and applies a task state change. Completing a job (entering
@@ -377,86 +364,28 @@ impl RtosState {
         self.ready.push(id);
     }
 
-    /// Runs the policy to elect the next running task, removing it from
-    /// the ready queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy returns a task that is not ready.
-    pub fn pick_next(&mut self, now: SimTime) -> Option<TaskId> {
-        if self.ready.is_empty() {
-            return None;
-        }
-        self.fill_view(|_| true);
-        let running = self.running_view();
-        let view = PolicyView {
-            now,
-            ready: &self.ready_view,
-            running: running.as_ref(),
-        };
-        let choice = self.policy.select(&view)?;
-        let pos = self
-            .ready
-            .iter()
-            .position(|&t| t == choice)
-            .unwrap_or_else(|| {
-                panic!(
-                    "policy `{}` selected {choice}, which is not ready",
-                    self.policy.name()
-                )
-            });
-        self.ready.remove(pos);
-        self.running = Some(choice);
-        self.stats.dispatches += 1;
-        Some(choice)
-    }
-
-    /// Should freshly-ready `candidate` preempt the running task? Honors
-    /// the preemptive/non-preemptive mode and critical regions.
-    pub fn preemption_check(&mut self, candidate: TaskId, now: SimTime) -> bool {
-        if !self.preemptive || self.lock_depth > 0 {
-            return false;
-        }
-        let Some(run_view) = self.running_view() else {
-            return false;
-        };
-        self.fill_view(|_| true);
-        let view = PolicyView {
-            now,
-            ready: &self.ready_view,
-            running: Some(&run_view),
-        };
-        let cand_view = self.entry(candidate).view(candidate);
-        self.policy.should_preempt(&view, &cand_view, &run_view)
-    }
-
-    /// The policy's time slice for `id`, minus what it already consumed
-    /// since dispatch.
+    /// The policy's time slice for running task `id`, minus what it
+    /// already consumed since dispatch.
     pub fn remaining_slice(&mut self, id: TaskId, now: SimTime) -> Option<SimDuration> {
         self.fill_view(|_| true);
-        let running = self.running_view();
+        let entry = self.entry(id);
+        let task = entry.view(id);
         let view = PolicyView {
             now,
             ready: &self.ready_view,
-            running: running.as_ref(),
+            running: Some(&task),
         };
-        let entry = self.entry(id);
-        let quantum = self.policy.time_slice(&view, &entry.view(id))?;
+        let quantum = self.policy.time_slice(&view, &task)?;
         Some(quantum.saturating_sub(now - entry.dispatched_at))
     }
 
-    /// Grants the CPU to `id` with optional wake-time overheads; returns
-    /// the run event to notify.
-    pub fn grant(
-        &mut self,
-        id: TaskId,
-        wake_sched: Option<SimDuration>,
-        wake_load: Option<SimDuration>,
-    ) -> Event {
+    /// Grants the CPU to `id`, whose acquire frame then consumes the
+    /// wake-time overheads `wake` (see [`TaskEntry::wake`]); returns the
+    /// run event to notify.
+    pub fn grant(&mut self, id: TaskId, wake: [Option<SimDuration>; 3]) -> Event {
         let entry = self.entry_mut(id);
         entry.run_granted = true;
-        entry.wake_sched = wake_sched;
-        entry.wake_load = wake_load;
+        entry.wake = wake;
         entry.run_event
     }
 
@@ -477,22 +406,16 @@ impl RtosState {
         self.entry(id).config.affinity & (1u64 << core) != 0
     }
 
-    /// Whether `id` currently holds a CPU — the running task on a
-    /// single-core processor, or the occupant of some core slot on SMP.
+    /// Whether `id` currently holds a core.
     pub fn is_running(&self, id: TaskId) -> bool {
-        if self.cores > 1 {
-            match self.entry(id).core {
-                Some(c) => self.core_slots[c] == CoreSlot::Busy(id),
-                None => false,
-            }
-        } else {
-            self.running == Some(id)
-        }
+        self.entry(id)
+            .core
+            .is_some_and(|c| self.core_slots[c] == CoreSlot::Busy(id))
     }
 
-    /// Records which core `id` was dispatched on (SMP only; single-core
-    /// processors record nothing, keeping their traces byte-identical to
-    /// the pre-SMP model).
+    /// Records which core `id` was dispatched on. Only a processor with
+    /// more than one core records it, which keeps one-core traces free of
+    /// core records.
     pub fn note_core(&self, log: &mut TraceLog, id: TaskId, now: SimTime) {
         if self.cores > 1 {
             if let Some(core) = self.entry(id).core {
@@ -501,16 +424,18 @@ impl RtosState {
         }
     }
 
-    /// Global SMP election: runs the policy over the ready tasks eligible
-    /// for at least one idle core and returns the winner plus its
-    /// placement. Placement prefers the winner's previous core (avoiding
-    /// a migration charge) and otherwise takes the lowest-numbered
-    /// eligible idle core.
+    /// Elects a ready task onto an idle core: runs the policy over the
+    /// ready tasks eligible for at least one idle core, places the winner
+    /// on its previous core when that core is idle (avoiding a migration
+    /// charge) or else on the lowest-numbered eligible idle core, and
+    /// claims the core — the winner leaves the ready queue and holds the
+    /// core from now on. Returns `None` when no idle core has an eligible
+    /// ready task or the policy leaves the cores idle.
     ///
     /// # Panics
     ///
     /// Panics if the policy returns a task that was not offered.
-    fn smp_select(&mut self, now: SimTime) -> Option<(TaskId, usize)> {
+    pub fn elect(&mut self, now: SimTime) -> Option<TaskId> {
         // Bit `c` set: core `c` is idle.
         let idle = (0..self.cores)
             .filter(|&c| self.core_slots[c] == CoreSlot::Idle)
@@ -528,87 +453,124 @@ impl RtosState {
             running: None,
         };
         let choice = self.policy.select(&view)?;
-        assert!(
-            self.ready_view.iter().any(|t| t.id == choice),
-            "policy `{}` selected {choice}, which was not offered",
-            self.policy.name()
-        );
-        let entry = self.entry(choice);
+        let offered = self
+            .ready
+            .iter()
+            .position(|&t| t == choice)
+            .filter(|_| self.entry(choice).config.affinity & idle != 0);
+        let Some(pos) = offered else {
+            panic!(
+                "policy `{}` selected {choice}, which was not offered",
+                self.policy.name()
+            );
+        };
+        self.ready.remove(pos);
+        let entry = self.entry_mut(choice);
         let eligible = idle & entry.config.affinity;
         let core = match entry.last_core {
             Some(c) if eligible & (1 << c) != 0 => c,
             // The lowest-numbered eligible idle core.
             _ => eligible.trailing_zeros() as usize,
         };
-        Some((choice, core))
-    }
-
-    /// Dispatches ready task `id` onto idle `core`: removes it from the
-    /// ready queue, claims the slot, and arms the wake-time overheads the
-    /// task's own coroutine will consume while acquiring — scheduling (when
-    /// the dispatch itself ran the scheduler), migration (when `core`
-    /// differs from the task's last core), then context load. Returns the
-    /// run event to notify.
-    fn smp_dispatch(
-        &mut self,
-        id: TaskId,
-        core: usize,
-        now: SimTime,
-        wake_sched: Option<SimDuration>,
-    ) -> Event {
-        let pos = self
-            .ready
-            .iter()
-            .position(|&t| t == id)
-            .expect("dispatching a task that is not ready");
-        self.ready.remove(pos);
-        self.core_slots[core] = CoreSlot::Busy(id);
-        self.stats.dispatches += 1;
-        let view = self.rtos_view(now);
-        let load = self.overheads.context_load.eval(&view);
-        let migration = match self.entry(id).last_core {
-            Some(prev) if prev != core => Some(self.overheads.migration.eval(&view)),
-            _ => None,
-        };
-        let entry = self.entry_mut(id);
         entry.core = Some(core);
-        entry.run_granted = true;
-        entry.wake_sched = wake_sched;
-        entry.wake_migration = migration;
-        entry.wake_load = Some(load);
-        entry.run_event
+        self.core_slots[core] = CoreSlot::Busy(choice);
+        self.stats.dispatches += 1;
+        Some(choice)
     }
 
     /// Fills idle cores with eligible ready tasks, one election per
-    /// dispatch, until no idle core can be matched. `charge_sched` makes
-    /// each awakened task consume a scheduling overhead (idle dispatches
-    /// and wake-ups run the scheduler; the tail of a relinquish does not,
-    /// because the relinquisher already paid for that scheduler pass).
+    /// dispatch, until no idle core can be matched (the procedure-call
+    /// engine's dispatch). Each elected task is granted the CPU with the
+    /// wake-time overheads its own coroutine consumes (Figure 5): the
+    /// scheduling duration if `charge_sched`, migration if it changed
+    /// cores, then context load. Idle dispatches and wake-ups charge the
+    /// scheduling duration; the tail of a relinquish does not, because
+    /// the relinquisher already paid for that scheduler pass. The
+    /// duration is evaluated only for a pass that elects a task, against
+    /// the ready queue the election ran on (paper §3.2: it depends "on
+    /// the number of ready tasks when the algorithm runs").
+    ///
     /// Notifies each elected task's run event through `n`, in election
     /// order (notifying only buffers the op; it never re-enters the
     /// engine).
-    pub fn smp_fill_idle(&mut self, n: &mut Notifier<'_>, charge_sched: bool) {
+    pub fn fill_idle(&mut self, n: &mut Notifier<'_>, charge_sched: bool) {
         let now = n.now();
         loop {
-            let wake_sched = if charge_sched {
-                Some(self.overheads.scheduling.eval(&self.rtos_view(now)))
-            } else {
-                None
-            };
-            let Some((task, core)) = self.smp_select(now) else {
+            let before = self.rtos_view(now);
+            let Some(task) = self.elect(now) else {
                 break;
             };
-            n.notify(self.smp_dispatch(task, core, now, wake_sched));
+            let sched = charge_sched.then(|| self.overheads.scheduling.eval(&before));
+            let view = self.rtos_view(now);
+            let load = self.overheads.context_load.eval(&view);
+            let entry = self.entry(task);
+            let migration = match (entry.last_core, entry.core) {
+                (Some(prev), Some(core)) if prev != core => {
+                    Some(self.overheads.migration.eval(&view))
+                }
+                _ => None,
+            };
+            n.notify(self.grant(task, [sched, migration, Some(load)]));
         }
     }
 
-    /// SMP preemption: among the cores `candidate` may run on, finds the
+    /// The first step of giving the CPU up, in both engines: `me` leaves
+    /// its core, which becomes `vacated`, and enters `next_state`
+    /// (requeued as Ready if `requeue`). Records and returns the
+    /// context-save duration.
+    pub fn give_up(
+        &mut self,
+        log: &mut TraceLog,
+        now: SimTime,
+        me: TaskId,
+        next_state: TaskState,
+        requeue: bool,
+        vacated: CoreSlot,
+    ) -> SimDuration {
+        self.stats.scheduler_runs += 1;
+        let entry = self.entry_mut(me);
+        let core = entry
+            .core
+            .take()
+            .expect("give-up by a task that holds no core");
+        entry.last_core = Some(core);
+        debug_assert_eq!(self.core_slots[core], CoreSlot::Busy(me));
+        self.core_slots[core] = vacated;
+        if requeue {
+            self.enqueue_ready(log, me, now, false);
+        } else {
+            self.set_task_state(log, me, now, next_state);
+        }
+        let save = self.overheads.context_save.eval(&self.rtos_view(now));
+        self.record_overhead(log, me, now, OverheadKind::ContextSave, save);
+        save
+    }
+
+    /// The scheduler pass of a give-up by `me`: records and returns its
+    /// duration, evaluated *now*, against the ready queue the algorithm
+    /// actually sees (paper §3.2: the duration "depends ... on the number
+    /// of ready tasks when the algorithm runs").
+    pub fn scheduler_pass(&self, log: &mut TraceLog, now: SimTime, me: TaskId) -> SimDuration {
+        let sched = self.overheads.scheduling.eval(&self.rtos_view(now));
+        self.record_overhead(log, me, now, OverheadKind::Scheduling, sched);
+        sched
+    }
+
+    /// Preemption: among the cores `candidate` may run on, finds the
     /// occupied core whose task the policy would preempt, preferring the
     /// least urgent such occupant (the one every other preemptible
     /// occupant would itself preempt). Marks the victim and returns its
     /// preempt event, or `None` when no occupant should yield.
-    pub fn smp_pick_victim(&mut self, candidate: TaskId, now: SimTime) -> Option<Event> {
+    pub fn pick_victim(&mut self, candidate: TaskId, now: SimTime) -> Option<Event> {
         if !self.preemptive || self.lock_depth > 0 {
+            return None;
+        }
+        // Nothing to preempt, e.g. while the only core is mid-relinquish.
+        if !self
+            .core_slots
+            .iter()
+            .any(|s| matches!(s, CoreSlot::Busy(_)))
+        {
             return None;
         }
         let cand_view = self.entry(candidate).view(candidate);
@@ -756,33 +718,24 @@ pub(crate) fn take_preempt_pending(st: &mut RtosState, me: TaskId) -> bool {
     std::mem::take(&mut st.entry_mut(me).preempt_pending)
 }
 
-/// Whether the policy's best ready candidate would preempt the caller
-/// `me` — the running task on single-core, or the occupant of `me`'s
-/// core on SMP (where only ready tasks whose affinity admits that core
-/// compete for it).
+/// Whether the policy's best ready candidate for the caller `me`'s core
+/// (only ready tasks whose affinity admits that core compete for it)
+/// would preempt `me`.
 fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool {
-    let running = if st.cores > 1 {
-        let Some(core) = st.entry(me).core else {
-            return false;
-        };
-        st.fill_view(|t| t.config.affinity & (1 << core) != 0);
-        if st.ready_view.is_empty() {
-            return false;
-        }
-        Some(st.entry(me).view(me))
-    } else {
-        st.fill_view(|_| true);
-        st.running_view()
+    let Some(core) = st.entry(me).core else {
+        return false;
     };
+    st.fill_view(|t| t.config.affinity & (1 << core) != 0);
+    if st.ready_view.is_empty() {
+        return false;
+    }
+    let running = st.entry(me).view(me);
     let view = PolicyView {
         now,
         ready: &st.ready_view,
-        running: running.as_ref(),
+        running: Some(&running),
     };
     let Some(best) = st.policy.select(&view) else {
-        return false;
-    };
-    let Some(run_view) = running.as_ref() else {
         return false;
     };
     let cand = view
@@ -791,5 +744,5 @@ fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool
         .find(|t| t.id == best)
         .copied()
         .expect("policy selected a non-ready task");
-    st.policy.should_preempt(&view, &cand, run_view)
+    st.policy.should_preempt(&view, &cand, &running)
 }

@@ -6,7 +6,7 @@ use crate::policy::{PolicyView, SchedulingPolicy, TaskView};
 use crate::task::TaskId;
 
 /// Global EDF: on an SMP processor, the earliest-deadline ready tasks run
-/// on the idle cores — one ready queue, top-K dispatch. The SMP engine
+/// on the idle cores — one ready queue, top-K dispatch. The engine
 /// provides the globality: it elects repeatedly while idle, eligible
 /// cores remain, and on every arrival asks this policy whether the new
 /// task's deadline beats the *least urgent* occupant among the cores the

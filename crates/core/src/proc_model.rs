@@ -11,10 +11,16 @@
 //!   task's `TaskRun` event;
 //! - the coroutine of the *awakened* task consumes the context-load
 //!   duration (plus the scheduling duration on an idle dispatch, where no
-//!   other coroutine is available to pay for it).
+//!   other coroutine is available to pay for it, and the migration
+//!   duration when it lands on another core than it last ran on).
 //!
 //! The only coroutine switches are between application tasks — the source
 //! of this model's simulation-speed advantage over approach A.
+//!
+//! Every decision takes the same path for any core count: the initial
+//! dispatcher, the end of a relinquish and `TaskIsReady` fill idle cores
+//! through [`RtosState::fill_idle`], and an arrival that finds none looks
+//! for a victim through [`RtosState::pick_victim`].
 //!
 //! The relinquish protocol is written as phase functions
 //! ([`relinquish_step`]): each phase mutates state and reports the wait
@@ -22,40 +28,18 @@
 //! sleeps it.
 
 use rtsim_kernel::{Notifier, SegStep, SimDuration, Simulator, WaitRequest};
-use rtsim_trace::{OverheadKind, TaskState, TraceLog};
+use rtsim_trace::{TaskState, TraceLog};
 
 use crate::engine::{CoreSlot, RelStep, Rtos, RtosState};
 use crate::task::TaskId;
 
-/// The initial dispatcher's one shot: after the t=0 registrations settle,
-/// elect the first running task.
+/// Spawns the engine's one helper process: the initial dispatcher, which
+/// waits for all t=0 registrations to settle (one zero-time step) and
+/// then fills the idle cores.
 ///
 /// Here and below, run events are notified where they are decided:
 /// [`Notifier::notify`] only buffers the op for the caller's yield and
 /// never re-enters the engine.
-fn dispatcher_fire(st: &mut RtosState, n: &mut Notifier<'_>) {
-    st.started = true;
-    if st.cores > 1 {
-        st.smp_fill_idle(n, true);
-    } else if st.running.is_none() {
-        let now = n.now();
-        // Evaluate the scheduling duration against the full ready queue,
-        // before the election removes the winner (paper §3.2: the
-        // duration depends on the number of ready tasks *when the
-        // algorithm runs*).
-        let view = st.rtos_view(now);
-        let sched = st.overheads.scheduling.eval(&view);
-        if let Some(next) = st.pick_next(now) {
-            let view = st.rtos_view(now);
-            let load = st.overheads.context_load.eval(&view);
-            n.notify(st.grant(next, Some(sched), Some(load)));
-        }
-    }
-}
-
-/// Spawns the engine's one helper process: the initial dispatcher, which
-/// waits for all t=0 registrations to settle (one zero-time step) and
-/// then elects the first running task.
 pub(crate) fn spawn_dispatcher(sim: &mut Simulator, rtos: Rtos, name: &str) {
     let mut fired = false;
     sim.spawn_segment(&format!("{name}.dispatcher"), move |ctx| {
@@ -64,7 +48,9 @@ pub(crate) fn spawn_dispatcher(sim: &mut Simulator, rtos: Rtos, name: &str) {
             return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
         }
         let (world, mut n) = ctx.split();
-        dispatcher_fire(world.get_mut(rtos.state), &mut n);
+        let st = world.get_mut(rtos.state);
+        st.started = true;
+        st.fill_idle(&mut n, true);
         SegStep::Done
     });
 }
@@ -82,69 +68,24 @@ pub(crate) fn relinquish_step(
 ) -> RelStep {
     let now = n.now();
     match phase {
-        // Phase 0: leave the Running state, pay the context save. On
-        // SMP the task vacates its core slot, which stays `Electing`
-        // (unelectable) until this relinquish's phase 2 frees it;
-        // other cores keep running and dispatching throughout.
-        0 => {
-            st.stats.scheduler_runs += 1;
-            if st.cores > 1 {
-                let core = st
-                    .entry(me)
-                    .core
-                    .expect("relinquish by a task that holds no core");
-                debug_assert_eq!(st.core_slots[core], CoreSlot::Busy(me));
-                st.core_slots[core] = CoreSlot::Electing;
-                let entry = st.entry_mut(me);
-                entry.core = None;
-                entry.last_core = Some(core);
-            } else {
-                debug_assert_eq!(st.running, Some(me), "relinquish by a non-running task");
-                st.in_overhead = true;
-                st.running = None;
-            }
-            if requeue {
-                st.enqueue_ready(log, me, now, false);
-            } else {
-                st.set_task_state(log, me, now, next_state);
-            }
-            let view = st.rtos_view(now);
-            let save = st.overheads.context_save.eval(&view);
-            st.record_overhead(log, me, now, OverheadKind::ContextSave, save);
-            RelStep::Wait(save)
-        }
-        // Phase 1: run the scheduling algorithm. Its duration is
-        // evaluated *now*, against the ready queue the algorithm
-        // actually sees (paper §3.2: the duration "depends ... on the
-        // number of ready tasks when the algorithm runs").
-        1 => {
-            let view = st.rtos_view(now);
-            let sched = st.overheads.scheduling.eval(&view);
-            st.record_overhead(log, me, now, OverheadKind::Scheduling, sched);
-            RelStep::Wait(sched)
-        }
-        // Phase 2: elect the successor; it pays its own context load
-        // when it wakes (Figure 5). On SMP the relinquisher's core is
-        // freed and every fillable idle core is dispatched; the
-        // successors skip the scheduling charge because this task
-        // already paid for the scheduler pass in phase 1.
+        // Phase 0: leave the Running state, pay the context save. The
+        // vacated core stays `Electing` (unelectable) until phase 2
+        // frees it; other cores keep running and dispatching throughout.
+        0 => RelStep::Wait(st.give_up(log, now, me, next_state, requeue, CoreSlot::Electing)),
+        // Phase 1: run the scheduling algorithm.
+        1 => RelStep::Wait(st.scheduler_pass(log, now, me)),
+        // Phase 2: free the core and fill every idle core; each
+        // successor pays its own context load when it wakes (Figure 5),
+        // but not the scheduling duration, which this task already paid
+        // for in phase 1.
         _ => {
-            if st.cores > 1 {
-                let core = st
-                    .entry(me)
-                    .last_core
-                    .expect("phase 0 recorded the vacated core");
-                debug_assert_eq!(st.core_slots[core], CoreSlot::Electing);
-                st.core_slots[core] = CoreSlot::Idle;
-                st.smp_fill_idle(n, false);
-            } else {
-                st.in_overhead = false;
-                if let Some(next) = st.pick_next(now) {
-                    let view = st.rtos_view(now);
-                    let load = st.overheads.context_load.eval(&view);
-                    n.notify(st.grant(next, None, Some(load)));
-                }
-            }
+            let core = st
+                .entry(me)
+                .last_core
+                .expect("phase 0 recorded the vacated core");
+            debug_assert_eq!(st.core_slots[core], CoreSlot::Electing);
+            st.core_slots[core] = CoreSlot::Idle;
+            st.fill_idle(n, false);
             RelStep::Done
         }
     }
@@ -164,36 +105,18 @@ pub(crate) fn make_ready(
         _ => {}
     }
     st.enqueue_ready(log, target, now, true);
-    if !st.started {
-        // The initial dispatcher will see this arrival.
-    } else if st.cores > 1 {
-        // Fill any idle core first (the arrival may slot in without
-        // disturbing anyone); if the target is still queued, look for
-        // a busy core whose occupant it should preempt.
-        st.smp_fill_idle(n, true);
-        if st.ready.contains(&target) {
-            if let Some(ev) = st.smp_pick_victim(target, now) {
+    // Before the initial dispatch, arrivals only queue for the
+    // dispatcher. After it, fill any idle core first (the arrival may
+    // slot in without disturbing anyone); if the target got no core,
+    // look for a busy core whose occupant it should preempt. A core
+    // mid-relinquish is neither: its pending scheduler pass sees the
+    // arrival.
+    if st.started {
+        st.fill_idle(n, true);
+        if st.entry(target).core.is_none() {
+            if let Some(ev) = st.pick_victim(target, now) {
                 n.notify(ev);
             }
         }
-    } else if st.in_overhead {
-        // The pending scheduler pass will see this arrival.
-    } else if let Some(running) = st.running {
-        if st.preemption_check(target, now) {
-            st.entry_mut(running).preempt_pending = true;
-            st.stats.preemptions += 1;
-            n.notify(st.entry(running).preempt_event);
-        }
-    } else {
-        // Idle processor: dispatch directly. The awakened task's
-        // coroutine consumes both the scheduling and the context-load
-        // durations. The scheduling duration sees the full ready
-        // queue, pre-election.
-        let view = st.rtos_view(now);
-        let sched = st.overheads.scheduling.eval(&view);
-        let next = st.pick_next(now).expect("ready queue is non-empty");
-        let view = st.rtos_view(now);
-        let load = st.overheads.context_load.eval(&view);
-        n.notify(st.grant(next, Some(sched), Some(load)));
     }
 }

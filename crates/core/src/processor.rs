@@ -57,13 +57,14 @@ pub struct ProcessorConfig {
     /// reaction-time error the paper's contribution removes. Kept for
     /// the baseline-comparison experiments.
     pub preemption_granularity: Option<SimDuration>,
-    /// Number of identical cores (default 1). With more than one the
-    /// processor is SMP: the policy elects onto every idle core (global
-    /// scheduling), tasks may restrict themselves to cores via
+    /// Number of identical cores (default 1). The policy elects onto
+    /// every idle core (with more than one: global scheduling), tasks may
+    /// restrict themselves to cores via
     /// [`TaskConfig::affinity`](crate::TaskConfig::affinity) (partitioned
     /// scheduling when every task is pinned), and dispatching a task on a
     /// different core than its last one charges the migration overhead.
-    /// Requires the procedure-call engine.
+    /// One core is the same election with one core to fill. More than one
+    /// requires the procedure-call engine and time-accurate preemption.
     pub cores: usize,
 }
 

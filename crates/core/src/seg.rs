@@ -24,6 +24,12 @@
 //! A runner reaches its processor's RTOS state and the trace log through
 //! the world its step lends: one borrow per [`SegTaskRunner::advance`],
 //! no lock.
+//!
+//! The frames do not depend on the engine or the core count either. The
+//! acquire frame waits for the grant, then consumes the wake-time
+//! overheads the dispatch armed, in one fixed order (scheduling,
+//! migration, context load); approach A arms none, because its RTOS
+//! coroutine consumes every overhead itself.
 
 use std::sync::Arc;
 
@@ -31,10 +37,10 @@ use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{
     Notifier, ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
 };
-use rtsim_trace::{ActorId, ActorKind, OverheadKind, TaskState, TraceLog, TraceRecorder};
+use rtsim_trace::{ActorId, ActorKind, TaskState, TraceLog, TraceRecorder};
 
 use crate::agent::{Agent, HwWaker, Waiter};
-use crate::engine::{self, RelStep, RtosState};
+use crate::engine::{self, RelStep, RtosState, WAKE_ORDER};
 use crate::processor::TaskHandle;
 use crate::task::TaskId;
 
@@ -106,17 +112,10 @@ enum Frame {
 enum AcqStage {
     /// Check/await the CPU grant.
     Poll,
-    /// The wake-time scheduling overhead wait is in flight; migration
-    /// (SMP) and context load (if any) follow.
-    Sched {
-        migration: Option<SimDuration>,
-        load: Option<SimDuration>,
-    },
-    /// The wake-time migration overhead wait is in flight (SMP only);
-    /// the context load (if any) follows.
-    Migration { load: Option<SimDuration> },
-    /// The wake-time context-load wait is in flight.
-    Load,
+    /// The CPU is granted: consume the armed wake-time overheads
+    /// ([`TaskEntry::wake`](crate::engine::TaskEntry::wake)) one wait at
+    /// a time, then enter Running.
+    Granted,
 }
 
 /// Outcome of stepping one frame. The frames a step asks for are named,
@@ -167,20 +166,6 @@ fn acquire_finish(st: &mut RtosState, log: &mut TraceLog, now: SimTime, me: Task
     FrameStep::Pop
 }
 
-/// Starts the wake-time overhead segment `kind` of duration `d`: records
-/// it and yields its wait.
-fn overhead_wait(
-    st: &RtosState,
-    log: &mut TraceLog,
-    now: SimTime,
-    me: TaskId,
-    kind: OverheadKind,
-    d: SimDuration,
-) -> FrameStep {
-    st.record_overhead(log, me, now, kind, d);
-    FrameStep::Yield(WaitRequest::time(d))
-}
-
 fn step_acquire(
     st: &mut RtosState,
     log: &mut TraceLog,
@@ -188,50 +173,23 @@ fn step_acquire(
     me: TaskId,
     stage: &mut AcqStage,
 ) -> FrameStep {
-    match stage {
-        AcqStage::Poll => {
-            let entry = st.entry_mut(me);
-            if !std::mem::take(&mut entry.run_granted) {
-                return FrameStep::Yield(WaitRequest::event(entry.run_event));
-            }
-            let sched = entry.wake_sched.take();
-            let migration = entry.wake_migration.take();
-            let load = entry.wake_load.take();
-            if let Some(d) = sched {
-                *stage = AcqStage::Sched { migration, load };
-                return overhead_wait(st, log, now, me, OverheadKind::Scheduling, d);
-            }
-            if let Some(d) = migration {
-                *stage = AcqStage::Migration { load };
-                return overhead_wait(st, log, now, me, OverheadKind::Migration, d);
-            }
-            if let Some(d) = load {
-                *stage = AcqStage::Load;
-                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
-            }
-            acquire_finish(st, log, now, me)
+    let entry = st.entry_mut(me);
+    if let AcqStage::Poll = stage {
+        if !std::mem::take(&mut entry.run_granted) {
+            return FrameStep::Yield(WaitRequest::event(entry.run_event));
         }
-        AcqStage::Sched { migration, load } => {
-            let migration = migration.take();
-            let load = load.take();
-            if let Some(d) = migration {
-                *stage = AcqStage::Migration { load };
-                return overhead_wait(st, log, now, me, OverheadKind::Migration, d);
-            }
-            if let Some(d) = load {
-                *stage = AcqStage::Load;
-                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
-            }
-            acquire_finish(st, log, now, me)
+        *stage = AcqStage::Granted;
+    }
+    let next = WAKE_ORDER
+        .into_iter()
+        .zip(&mut entry.wake)
+        .find_map(|(kind, d)| Some((kind, d.take()?)));
+    match next {
+        Some((kind, d)) => {
+            st.record_overhead(log, me, now, kind, d);
+            FrameStep::Yield(WaitRequest::time(d))
         }
-        AcqStage::Migration { load } => {
-            if let Some(d) = load.take() {
-                *stage = AcqStage::Load;
-                return overhead_wait(st, log, now, me, OverheadKind::ContextLoad, d);
-            }
-            acquire_finish(st, log, now, me)
-        }
-        AcqStage::Load => acquire_finish(st, log, now, me),
+        None => acquire_finish(st, log, now, me),
     }
 }
 

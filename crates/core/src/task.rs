@@ -84,9 +84,10 @@ pub struct TaskConfig {
     /// deadline is set to `now + relative_deadline`. Used by EDF.
     pub relative_deadline: Option<SimDuration>,
     /// Core-affinity bitmask: bit `c` set means the task may run on core
-    /// `c` of an SMP processor. Defaults to all-ones (any core); ignored
-    /// by single-core processors. Partitioned scheduling pins each task
-    /// to one core with [`TaskConfig::pin_to_core`].
+    /// `c` of its processor. Defaults to all-ones (any core); a mask that
+    /// admits none of the processor's cores is rejected when the task is
+    /// spawned, whatever the core count. Partitioned scheduling pins each
+    /// task to one core with [`TaskConfig::pin_to_core`].
     pub affinity: u64,
 }
 

@@ -18,11 +18,15 @@
 //! The coroutine is a step machine ([`RtosPhase`]) spawned through
 //! [`Simulator::spawn_segment`], so the execution mode decides only
 //! whether it runs on its own thread or inline in the scheduler loop.
+//!
+//! It decides with the same election as the procedure-call engine
+//! ([`RtosState::elect`], [`RtosState::pick_victim`]), over the one core
+//! approach A supports (`Processor::new` rejects more).
 
 use rtsim_kernel::{Event, Notifier, SegStep, SimDuration, SimTime, Simulator, WaitRequest};
 use rtsim_trace::{OverheadKind, TaskState, TraceLog};
 
-use crate::engine::{Rtos, RtosState};
+use crate::engine::{CoreSlot, Rtos, RtosState};
 use crate::task::TaskId;
 
 /// A message from a task (or hardware function) to the RTOS coroutine.
@@ -62,12 +66,8 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                 RtosPhase::Boot => {
                     // Let all t=0 activations register before the first
                     // election.
-                    phase = RtosPhase::Start;
-                    return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
-                }
-                RtosPhase::Start => {
-                    st.started = true;
                     phase = RtosPhase::Main;
+                    return SegStep::Yield(WaitRequest::time(SimDuration::ZERO));
                 }
                 RtosPhase::Main => match st.requests.pop_front() {
                     Some(Request::Ready(t)) => apply_ready(st, log, &mut n, t),
@@ -76,15 +76,18 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                         next_state,
                         requeue,
                     }) => {
-                        let save = give_up_begin(st, log, n.now(), me, next_state, requeue);
+                        // The core is free at once: only this coroutine
+                        // elects, after the save and scheduling waits.
+                        let save =
+                            st.give_up(log, n.now(), me, next_state, requeue, CoreSlot::Idle);
                         phase = RtosPhase::AfterSave { me };
                         return SegStep::Yield(WaitRequest::time(save));
                     }
                     None => {
-                        if st.started && st.running.is_none() && !st.ready.is_empty() {
+                        if st.core_slots.contains(&CoreSlot::Idle) && !st.ready.is_empty() {
                             // Idle with work queued: the scheduling
                             // duration is back-attributed to the elected
-                            // task once known (see `elect`).
+                            // task once known (see `load_context`).
                             let start = n.now();
                             let sched = st.overheads.scheduling.eval(&st.rtos_view(start));
                             phase = RtosPhase::AfterSched {
@@ -96,14 +99,15 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                     }
                 }
                 RtosPhase::AfterSave { me } => {
-                    let sched = give_up_sched(st, log, n.now(), me);
+                    let sched = st.scheduler_pass(log, n.now(), me);
                     phase = RtosPhase::AfterSched { attr: None };
                     return SegStep::Yield(WaitRequest::time(sched));
                 }
                 RtosPhase::AfterSched { attr } => {
                     drain_ready_requests(st, log, &mut n);
-                    match elect(st, log, n.now(), attr) {
-                        Some((next, load)) => {
+                    match st.elect(n.now()) {
+                        Some(next) => {
+                            let load = load_context(st, log, n.now(), next, attr);
                             phase = RtosPhase::AfterLoad { next };
                             return SegStep::Yield(WaitRequest::time(load));
                         }
@@ -111,7 +115,8 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                     }
                 }
                 RtosPhase::AfterLoad { next } => {
-                    n.notify(st.grant(next, None, None));
+                    // Every overhead was consumed on this coroutine.
+                    n.notify(st.grant(next, [None; 3]));
                     phase = RtosPhase::Main;
                 }
             }
@@ -125,8 +130,6 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
 enum RtosPhase {
     /// Not yet yielded the t=0 settling wait.
     Boot,
-    /// The settling wait elapsed; mark the RTOS started.
-    Start,
     /// Top of the request loop.
     Main,
     /// Context-save wait of a give-up elapsed.
@@ -148,12 +151,8 @@ fn apply_ready(st: &mut RtosState, log: &mut TraceLog, n: &mut Notifier<'_>, tar
         _ => {}
     }
     st.enqueue_ready(log, target, now, true);
-    if let Some(running) = st.running {
-        if st.preemption_check(target, now) {
-            st.entry_mut(running).preempt_pending = true;
-            st.stats.preemptions += 1;
-            n.notify(st.entry(running).preempt_event);
-        }
+    if let Some(ev) = st.pick_victim(target, now) {
+        n.notify(ev);
     }
 }
 
@@ -168,54 +167,21 @@ fn drain_ready_requests(st: &mut RtosState, log: &mut TraceLog, n: &mut Notifier
     }
 }
 
-/// First half of a give-up: leave Running, record + return the
-/// context-save duration (Figure 3, on the RTOS timeline).
-fn give_up_begin(
-    st: &mut RtosState,
+/// Records the overhead segments of elected task `next`: `sched_attr`
+/// back-attributes an already consumed scheduling segment to it, then
+/// the context load is recorded and returned, to be consumed on the RTOS
+/// timeline before granting.
+fn load_context(
+    st: &RtosState,
     log: &mut TraceLog,
     now: SimTime,
-    me: TaskId,
-    next_state: TaskState,
-    requeue: bool,
-) -> SimDuration {
-    debug_assert_eq!(st.running, Some(me), "give-up from a non-running task");
-    st.stats.scheduler_runs += 1;
-    st.running = None;
-    if requeue {
-        st.enqueue_ready(log, me, now, false);
-    } else {
-        st.set_task_state(log, me, now, next_state);
-    }
-    let view = st.rtos_view(now);
-    let save = st.overheads.context_save.eval(&view);
-    st.record_overhead(log, me, now, OverheadKind::ContextSave, save);
-    save
-}
-
-/// Second half of a give-up: record + return the scheduling duration.
-fn give_up_sched(st: &RtosState, log: &mut TraceLog, now: SimTime, me: TaskId) -> SimDuration {
-    let view = st.rtos_view(now);
-    let sched = st.overheads.scheduling.eval(&view);
-    st.record_overhead(log, me, now, OverheadKind::Scheduling, sched);
-    sched
-}
-
-/// Elects the next task and records its overhead segments. `sched_attr`
-/// back-attributes an already consumed scheduling segment to the elected
-/// task. Returns the winner and the context-load duration to consume on
-/// the RTOS timeline before granting.
-fn elect(
-    st: &mut RtosState,
-    log: &mut TraceLog,
-    now: SimTime,
+    next: TaskId,
     sched_attr: Option<(SimTime, SimDuration)>,
-) -> Option<(TaskId, SimDuration)> {
-    let next = st.pick_next(now)?;
+) -> SimDuration {
     if let Some((at, d)) = sched_attr {
         st.record_overhead(log, next, at, OverheadKind::Scheduling, d);
     }
-    let view = st.rtos_view(now);
-    let load = st.overheads.context_load.eval(&view);
+    let load = st.overheads.context_load.eval(&st.rtos_view(now));
     st.record_overhead(log, next, now, OverheadKind::ContextLoad, load);
-    Some((next, load))
+    load
 }

@@ -695,6 +695,19 @@ fn smp_migration_is_charged_on_core_change() {
 }
 
 #[test]
+#[should_panic(expected = "affinity 0x2 allows none of processor `CPU`'s 1 cores")]
+fn affinity_beyond_a_one_core_processor_is_rejected() {
+    // A one-core processor elects like any other: a task pinned to a
+    // core it lacks could never run, so registering it fails at once.
+    let mut sim = Simulator::new();
+    let rec = TraceRecorder::new();
+    let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
+    cpu.spawn_task(&mut sim, TaskConfig::new("A").pin_to_core(1), |t| {
+        t.execute(us(10))
+    });
+}
+
+#[test]
 fn set_preemptive_at_runtime() {
     for engine in ENGINES {
         let mut sim = Simulator::new();

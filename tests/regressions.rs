@@ -6,11 +6,12 @@
 //! stamped. Update a pin only together with an explanation of which
 //! semantic change moved it.
 
+use rtsim::farm::fingerprint;
 use rtsim::scenarios::{
-    ab_stress_system, automotive_system, figure6_system, injection_latencies, mpeg2_latencies,
-    mpeg2_system, AutomotiveConfig, Mpeg2Config,
+    ab_stress_system, automotive_system, figure6_system, figure7_system, injection_latencies,
+    mpeg2_latencies, mpeg2_system, AutomotiveConfig, Mpeg2Config,
 };
-use rtsim::{DurationSummary, EngineKind, ExecMode, SimDuration, SimTime};
+use rtsim::{DurationSummary, EngineKind, ExecMode, LockMode, SimDuration, SimTime, SystemModel};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -121,4 +122,59 @@ fn ab_stress_pins() {
     }
     assert_eq!(ab_switches(EngineKind::ProcedureCall, 6, 50, None), 1_783);
     assert_eq!(ab_switches(EngineKind::DedicatedThread, 6, 50, None), 2_188);
+}
+
+/// A system, its farm fingerprint, and its (events, dispatches,
+/// preemptions).
+type FingerprintPin = (&'static str, fn() -> SystemModel, &'static str, [u64; 3]);
+
+/// Approach A's traces. Every golden cell builds the procedure-call
+/// engine, so the dedicated-thread engine's trace bytes are pinned here:
+/// the fingerprint of each system run to 500 ms, in both exec modes.
+#[test]
+fn approach_a_fingerprint_pins() {
+    const A: EngineKind = EngineKind::DedicatedThread;
+    let systems: [FingerprintPin; 5] = [
+        ("fig6", || figure6_system(A), "d09ecb4310571de0", [73, 9, 2]),
+        (
+            "fig7/plain",
+            || figure7_system(A, LockMode::Plain),
+            "0d0b7251ed58cfd0",
+            [65, 8, 2],
+        ),
+        (
+            "fig7/masked",
+            || figure7_system(A, LockMode::PreemptionMasked),
+            "2ba883d6e8650eff",
+            [54, 6, 1],
+        ),
+        (
+            "fig7/inheritance",
+            || figure7_system(A, LockMode::PriorityInheritance),
+            "0d0b7251ed58cfd0",
+            [65, 8, 2],
+        ),
+        (
+            "ab_stress/8x200",
+            || ab_stress_system(A, 8, 200),
+            "e2eea0cbee1a2a1a",
+            [11_327, 1_942, 334],
+        ),
+    ];
+    for (name, build, hash, counts) in systems {
+        for mode in [ExecMode::Thread, ExecMode::Segment] {
+            let mut model = build();
+            model.exec_mode(mode);
+            let mut system = model.elaborate().unwrap();
+            system
+                .run_until(SimTime::ZERO + SimDuration::from_ms(500))
+                .unwrap();
+            let fp = fingerprint(&system);
+            assert_eq!(
+                (fp.hash_hex(), [fp.events, fp.dispatches, fp.preemptions]),
+                (hash.to_owned(), counts),
+                "{name} in {mode} mode"
+            );
+        }
+    }
 }
