@@ -9,17 +9,21 @@
 //! scheduling actions.
 //!
 //! The same optimization exists one layer down: the kernel can back each
-//! simulated process with an OS thread plus a channel handoff
-//! (`ExecMode::Thread`) or dispatch run-to-completion segments inline in
-//! the scheduler loop (`ExecMode::Segment`) — zero thread spawns, zero
-//! park/unpark. The `seg wall` column re-runs the procedure-call model
-//! under the segment kernel; its speedup over `B wall` (the
-//! thread-backed kernel) is the run-to-completion win.
-//! `--assert-speedup <X>` turns that ratio into a gate: the run fails
-//! unless the median per-case speedup is at least `X` (machine
-//! independent — both sides are measured in the same process). The
-//! switch counts of every row are pinned exactly by
-//! `tests/regressions.rs::ab_stress_pins`.
+//! simulated process with an OS thread that is handed the kernel
+//! (`ExecMode::Thread`: one OS switch for each dispatch of a process
+//! other than the one that yielded, none when a process resumes itself)
+//! or dispatch run-to-completion segments inline in the scheduler loop
+//! (`ExecMode::Segment`: zero thread spawns, zero OS switches). The
+//! `seg wall` column re-runs the procedure-call model under the segment
+//! kernel; its speedup over `B wall` (the thread-backed kernel) is the
+//! run-to-completion win.
+//!
+//! `--assert-speedup <X>` turns the ratios into gates, each on the
+//! median over the cases of the per-case ratio of median walls (machine
+//! independent: both sides are measured in the same process). The run
+//! fails unless `B wall / seg wall` reaches `X` and `A wall / B wall`,
+//! the paper's own claim, reaches 1.1. The switch counts of every row
+//! are pinned exactly by `tests/regressions.rs::ab_stress_pins`.
 //!
 //! Run with: `cargo run --release -p rtsim-bench --bin ab_speed_table`
 
@@ -29,6 +33,11 @@ use rtsim::scenarios::ab_stress_system;
 use rtsim::{EngineKind, ExecMode};
 use rtsim_bench::harness::median;
 use rtsim_bench::{fmt_wall, mean_wall, smoke, wall_samples};
+
+/// The least median `A wall / B wall` that `--assert-speedup` accepts:
+/// the paper's §4 claim that the procedure-call model simulates faster.
+/// Single cases dip below 1x, so the gate takes the median.
+const B_OVER_A_FLOOR: f64 = 1.1;
 
 fn run_once(engine: EngineKind, mode: ExecMode, tasks: usize, rounds: u64) -> u64 {
     let mut model = ab_stress_system(engine, tasks, rounds);
@@ -61,6 +70,12 @@ fn parse_args() -> Result<Option<f64>, String> {
     Ok(assert_speedup)
 }
 
+/// The median of per-case ratios.
+fn median_ratio(mut ratios: Vec<f64>) -> f64 {
+    ratios.sort_by(|a, b| a.total_cmp(b));
+    ratios[ratios.len() / 2]
+}
+
 fn main() -> ExitCode {
     let assert_speedup = match parse_args() {
         Ok(threshold) => threshold,
@@ -79,6 +94,7 @@ fn main() -> ExitCode {
         "tasks", "rounds", "A wall", "B wall", "B speedup", "seg wall", "seg/B", "switches"
     );
     let mut seg_speedups = Vec::new();
+    let mut b_speedups = Vec::new();
     for (tasks, rounds) in [
         (2usize, 50u64),
         (2, 500),
@@ -104,11 +120,12 @@ fn main() -> ExitCode {
         let sw_b = run_once(EngineKind::ProcedureCall, ExecMode::Thread, tasks, rounds);
         let sw_seg = run_once(EngineKind::ProcedureCall, ExecMode::Segment, tasks, rounds);
         assert_eq!(sw_b, sw_seg, "exec modes disagree on process switches");
-        // Gate on medians, not means: a single descheduling blip in the
-        // thread-backed run should not inflate the claimed speedup.
-        seg_speedups.push(
-            median(&samples_b).as_secs_f64() / median(&samples_seg).as_secs_f64().max(1e-12),
-        );
+        // Gate on medians, not means: a single descheduling blip in a
+        // thread-backed run should not inflate a claimed speedup.
+        let median_a = median(&samples_a).as_secs_f64();
+        let median_b = median(&samples_b).as_secs_f64();
+        seg_speedups.push(median_b / median(&samples_seg).as_secs_f64().max(1e-12));
+        b_speedups.push(median_a / median_b.max(1e-12));
         println!(
             "{:>6} {:>8} | {:>12} {:>12} {:>8.2}x | {:>12} {:>8.2}x | {:>9}",
             tasks,
@@ -121,21 +138,34 @@ fn main() -> ExitCode {
             sw_b,
         );
     }
-    seg_speedups.sort_by(|a, b| a.total_cmp(b));
-    let median_speedup = seg_speedups[seg_speedups.len() / 2];
+    let seg_speedup = median_ratio(seg_speedups);
+    let b_speedup = median_ratio(b_speedups);
     println!("\n(B speedup > 1: the procedure-call model simulates faster, §4.2;");
     println!(" seg/B > 1: the run-to-completion kernel beats the thread-backed one)");
-    println!(
-        "median segment-kernel speedup over the thread-backed kernel: {median_speedup:.2}x"
-    );
+    println!("median procedure-call speedup over the dedicated thread: {b_speedup:.2}x");
+    println!("median segment-kernel speedup over the thread-backed kernel: {seg_speedup:.2}x");
     if let Some(threshold) = assert_speedup {
-        if median_speedup < threshold {
+        let mut failed = false;
+        if seg_speedup < threshold {
             eprintln!(
-                "FAIL: median segment speedup {median_speedup:.2}x is below the required {threshold}x"
+                "FAIL: median segment speedup {seg_speedup:.2}x is below the required {threshold}x"
             );
+            failed = true;
+        }
+        if b_speedup < B_OVER_A_FLOOR {
+            eprintln!(
+                "FAIL: median procedure-call speedup {b_speedup:.2}x is below the \
+                 required {B_OVER_A_FLOOR}x"
+            );
+            failed = true;
+        }
+        if failed {
             return ExitCode::from(1);
         }
-        println!("ok: median segment speedup meets the required {threshold}x");
+        println!(
+            "ok: median segment speedup meets the required {threshold}x, \
+             median procedure-call speedup the required {B_OVER_A_FLOOR}x"
+        );
     }
     ExitCode::SUCCESS
 }

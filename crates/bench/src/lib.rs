@@ -19,7 +19,7 @@
 //!
 //! Timing across commits is the job of the `rtsim-benchmark` package
 //! (see `BENCHMARK.json`). These binaries print wall times for reading;
-//! their one timing gate is a ratio measured in the same process
+//! their timing gates are ratios measured in the same process
 //! (`ab_speed_table --assert-speedup`).
 
 pub mod harness;

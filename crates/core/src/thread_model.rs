@@ -111,7 +111,15 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                             phase = RtosPhase::AfterLoad { next };
                             return SegStep::Yield(WaitRequest::time(load));
                         }
-                        None => phase = RtosPhase::Main,
+                        None => {
+                            // A policy may leave the core idle with tasks
+                            // ready: elect again only after the next
+                            // request, as the procedure-call engine does.
+                            phase = RtosPhase::Main;
+                            if st.requests.is_empty() {
+                                return SegStep::Yield(WaitRequest::event(rtk_run));
+                            }
+                        }
                     }
                 }
                 RtosPhase::AfterLoad { next } => {

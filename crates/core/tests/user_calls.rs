@@ -7,12 +7,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rtsim_core::policies::{EarliestDeadlineFirst, PriorityPreemptive, RoundRobin};
+use rtsim_core::policies::{from_fn, EarliestDeadlineFirst, PriorityPreemptive, RoundRobin};
 use rtsim_core::{
     EngineKind, OverheadSpec, Overheads, PolicyView, Processor, ProcessorConfig, SchedulingPolicy,
     TaskConfig, TaskId, TaskView,
 };
-use rtsim_kernel::{SimDuration, SimTime, Simulator};
+use rtsim_kernel::{ExecMode, SimDuration, SimTime, Simulator};
 use rtsim_trace::{OverheadKind, Trace, TraceData, TraceRecorder};
 
 const A: EngineKind = EngineKind::DedicatedThread;
@@ -263,5 +263,52 @@ fn scheduling_formula_is_evaluated_once_per_charged_pass() {
             charged,
             "{engine} on {cores} core(s): formula evaluations vs `O scheduling` records"
         );
+    }
+}
+
+/// A policy may leave the core idle while a task is ready (`select`
+/// returns `None`). Both engines then ask again only at the next request
+/// (a task becomes ready or gives its core up), so on this probe, where
+/// none comes, each asks once, with overheads or without, in both exec
+/// modes, and the run returns. A re-election at once would ask every
+/// overhead period (100 times over 100 µs with 1 µs overheads) and never
+/// let a zero-overhead run pass its first instant; the policy fails the
+/// run when asked 1,000 times, so that shows as a failure, not a hang.
+#[test]
+fn a_policy_that_elects_nothing_is_asked_again_only_at_the_next_request() {
+    for mode in [ExecMode::Segment, ExecMode::Thread] {
+        for overhead in [us(1), SimDuration::ZERO] {
+            for engine in [B, A] {
+                let selects = Arc::new(AtomicU64::new(0));
+                let counter = Arc::clone(&selects);
+                let policy = from_fn(
+                    "idle-until-100us",
+                    move |view: &PolicyView<'_>| {
+                        let asked = counter.fetch_add(1, Ordering::Relaxed) + 1;
+                        assert!(asked < 1_000, "select asked {asked} times");
+                        (view.now >= SimTime::ZERO + us(100))
+                            .then(|| view.ready.first().map(|t| t.id))
+                            .flatten()
+                    },
+                    |_, _, _| false,
+                );
+                let config = ProcessorConfig::new("CPU")
+                    .policy(policy)
+                    .overheads(Overheads::uniform(overhead))
+                    .engine(engine);
+                let mut sim = Simulator::with_mode(mode);
+                let rec = TraceRecorder::disabled();
+                let cpu = Processor::new(&mut sim, &rec, config);
+                cpu.spawn_task(&mut sim, TaskConfig::new("ready"), |task| {
+                    task.execute(us(10));
+                });
+                sim.run_until(SimTime::ZERO + us(1_000)).unwrap();
+                assert_eq!(
+                    selects.load(Ordering::Relaxed),
+                    1,
+                    "{engine} in {mode} mode with {overhead} overheads"
+                );
+            }
+        }
     }
 }

@@ -11,11 +11,12 @@
 //! - events with immediate / delta / timed notification and the IEEE 1666
 //!   single-pending-notification override rules ([`Event`]);
 //! - cooperative processes written as plain closures, backed by OS threads
-//!   under a strict one-runner handoff ([`ProcessContext`]);
+//!   that hand the kernel straight to one another, so only the thread
+//!   holding it runs ([`ProcessContext`]);
 //! - **segment** processes — step machines ([`SegmentCtx`]) that
 //!   [`ExecMode`] either dispatches inline in the scheduler with no
 //!   backing thread (the paper's approach-B cost profile) or hosts on a
-//!   thread that blocks at each yield;
+//!   thread of their own;
 //! - waits with timeouts ([`ProcessContext::wait_event_for`]), the
 //!   primitive from which the RTOS model builds time-accurate preemption;
 //! - a deterministic scheduler with delta cycles and an event wheel
@@ -55,10 +56,10 @@
 //!
 //! # Determinism
 //!
-//! Although processes run on OS threads, exactly one thread (kernel or a
-//! single process) executes at any moment, and all queues are FIFO with
-//! stable tie-breaking — so every run of the same model produces the
-//! identical event schedule. This is what makes trace-based assertions in
+//! Although processes run on OS threads, exactly one thread — the one
+//! holding the kernel — executes at any moment, and all queues are FIFO
+//! with stable tie-breaking — so every run of the same model produces
+//! the identical event schedule. This is what makes trace-based assertions in
 //! the higher layers possible.
 
 #![warn(missing_docs)]

@@ -2,32 +2,40 @@
 //!
 //! A simulation process (the analogue of a SystemC `SC_THREAD`) is an
 //! ordinary Rust closure running on its own OS thread, but under a strict
-//! *one-runner* protocol: at any instant either the kernel scheduler or
-//! exactly one process thread is executing. Control is handed over through
-//! channels:
+//! *one-runner* protocol: the kernel itself travels from thread to
+//! thread, and only the thread holding it executes.
 //!
-//! - the kernel resumes a process by sending it a resume message;
-//! - the process runs until it calls one of the `wait_*` methods on its
-//!   [`ProcessContext`], which sends a yield message (carrying any buffered
-//!   event notifications plus the wait request) back to the kernel and
-//!   blocks until resumed again.
+//! - A run starts on the caller's thread. When the run loop dispatches a
+//!   thread-backed process, it sends the kernel to that process's thread
+//!   in a resume message and waits for it to come home.
+//! - The process runs until it calls one of the `wait_*` methods on its
+//!   [`ProcessContext`]. Its own thread then applies the yield (buffered
+//!   event notifications, then the wait) to the kernel it holds and
+//!   drives the run loop to the next dispatch. If it is its own
+//!   successor, it carries on with no OS switch at all. Otherwise it
+//!   sends the kernel to the next thread-backed process (one resume
+//!   message, one OS switch) and blocks until resumed again. Only when
+//!   the run ends (its limit, starvation, a choice-point stop or an
+//!   error) does the kernel go home to the caller of `run`.
 //!
-//! This is semantically identical to SystemC's cooperative coroutines, and
-//! because the handoff is a real thread switch, the *relative* cost of
-//! process switches — the quantity the DATE 2004 paper's approach-A versus
-//! approach-B experiment measures — is faithfully reproduced.
+//! This is SystemC's own scheme: `sc_switch_thread` passes control from
+//! one thread process straight to the next runnable one, with no trip
+//! through a scheduler coroutine. Because a handoff to another process
+//! is a real thread switch, the *relative* cost of process switches — the
+//! quantity the DATE 2004 paper's approach-A versus approach-B
+//! experiment measures — is faithfully reproduced.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
+use crate::scheduler::{Kernel, Next};
 use crate::segment::{Notifier, SegmentCtx, WaitRequest};
 use crate::time::{SimDuration, SimTime};
-use crate::world::{SharedWorld, WorldRef};
+use crate::world::WorldRef;
 
 /// A lightweight, copyable handle to a simulation process.
 ///
@@ -51,7 +59,7 @@ impl fmt::Display for ProcessId {
     }
 }
 
-/// Buffered notification operation, applied by the kernel in program order
+/// Buffered notification operation, applied to the kernel in program order
 /// when the issuing process yields.
 ///
 /// Because only one process runs at a time, deferring the application to
@@ -71,14 +79,14 @@ pub(crate) enum NotifyOp {
 
 /// Why a process yielded control back to the kernel.
 #[derive(Debug)]
-pub(crate) enum YieldReason {
+pub(crate) enum YieldReason<'a> {
     /// A timed sleep or a single-event wait — the same plain value a
     /// segment yields.
     Wait(WaitRequest),
     /// Block on any of several events, optionally bounded by a timeout
     /// (the blocking `wait_any`/`wait_any_for` only).
     WaitAny {
-        events: Vec<Event>,
+        events: &'a [Event],
         timeout: Option<SimDuration>,
     },
     /// The process body returned normally.
@@ -87,23 +95,11 @@ pub(crate) enum YieldReason {
     Panicked(String),
 }
 
-/// Message sent from a process thread to the kernel at each yield point.
-#[derive(Debug)]
-pub(crate) struct YieldMsg {
-    pub pid: ProcessId,
-    pub ops: Vec<NotifyOp>,
-    pub reason: YieldReason,
-}
-
-/// Message sent from the kernel to a process thread to resume it.
-#[derive(Debug)]
-pub(crate) enum ResumeMsg {
-    /// Continue execution; `Wake` says what ended the previous wait, and
-    /// the world is the simulator's current one.
-    Wake(Wake, SharedWorld),
-    /// The simulator is being torn down; unwind quietly.
-    Shutdown,
-}
+/// The message that resumes a thread-backed process: what ended its
+/// wait, and the kernel itself, which the process holds until it yields.
+/// A process thread whose resume channel disconnects (the kernel is
+/// being dropped) unwinds quietly.
+pub(crate) type ResumeMsg = (Wake, Box<Kernel>);
 
 /// Panic payload used to unwind process threads during simulator teardown.
 struct ShutdownToken;
@@ -127,8 +123,9 @@ fn install_shutdown_hook() {
 ///
 /// A `ProcessContext` is handed to each process body and is the *only* way
 /// process code interacts with simulated time: reading the clock, waiting,
-/// and notifying events. All waits are cooperative — the underlying OS
-/// thread blocks until the kernel hands control back.
+/// and notifying events. All waits are cooperative: at a wait, this
+/// process's thread runs the kernel on to the next dispatch, and blocks
+/// only if that is another process.
 ///
 /// # Examples
 ///
@@ -149,12 +146,15 @@ fn install_shutdown_hook() {
 /// ```
 pub struct ProcessContext {
     pid: ProcessId,
-    now_ps: Arc<AtomicU64>,
-    yield_tx: Sender<YieldMsg>,
+    /// The kernel, held from this process's resume to its next yield:
+    /// whenever the body runs.
+    kernel: Option<Box<Kernel>>,
     resume_rx: Receiver<ResumeMsg>,
     pending: Vec<NotifyOp>,
-    world: SharedWorld,
 }
+
+/// What a process body may rely on whenever it runs.
+const RUNNING: &str = "a running process holds the kernel";
 
 impl fmt::Debug for ProcessContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -169,11 +169,11 @@ impl fmt::Debug for ProcessContext {
 impl ProcessContext {
     /// Returns the current simulation time.
     ///
-    /// Time only advances while the kernel is in control, so within one
-    /// uninterrupted run slice the value is stable.
+    /// Time only advances inside the run loop, between this process's
+    /// yield and its resume, so within one run slice the value is stable.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_ps(self.now_ps.load(Ordering::Acquire))
+        self.kernel.as_deref().expect(RUNNING).now()
     }
 
     /// Returns this process's id.
@@ -226,8 +226,9 @@ impl ProcessContext {
     /// Together with [`wait`](ProcessContext::wait) this hosts a step
     /// machine on a thread: step, perform the yielded wait, step again.
     pub fn step<R>(&mut self, wake: Wake, f: impl FnOnce(&mut SegmentCtx<'_>) -> R) -> R {
-        let now = self.now();
-        let mut world = self.world.lock_for("ProcessContext::step");
+        let kernel = self.kernel.as_deref().expect(RUNNING);
+        let now = kernel.now();
+        let mut world = kernel.world().lock_for("ProcessContext::step");
         let mut ctx = SegmentCtx {
             pid: self.pid,
             now,
@@ -242,8 +243,9 @@ impl ProcessContext {
     /// into this process's buffer (see
     /// [`KernelHandle::split`](crate::KernelHandle::split)).
     pub fn split(&mut self) -> (WorldRef<'_>, Notifier<'_>) {
-        let now = self.now();
-        let world = self.world.lock_for("ProcessContext::world");
+        let kernel = self.kernel.as_deref().expect(RUNNING);
+        let now = kernel.now();
+        let world = kernel.world().lock_for("ProcessContext::world");
         (
             WorldRef::Locked(world),
             Notifier::ops(now, &mut self.pending),
@@ -258,7 +260,7 @@ impl ProcessContext {
     pub fn wait_any(&mut self, events: &[Event]) -> Event {
         assert!(!events.is_empty(), "wait_any on an empty event set");
         let wake = self.suspend(YieldReason::WaitAny {
-            events: events.to_vec(),
+            events,
             timeout: None,
         });
         match wake {
@@ -275,7 +277,7 @@ impl ProcessContext {
     pub fn wait_any_for(&mut self, events: &[Event], timeout: SimDuration) -> Wake {
         assert!(!events.is_empty(), "wait_any_for on an empty event set");
         self.suspend(YieldReason::WaitAny {
-            events: events.to_vec(),
+            events,
             timeout: Some(timeout),
         })
     }
@@ -315,24 +317,46 @@ impl ProcessContext {
         self.pending.push(NotifyOp::Cancel(event));
     }
 
-    /// Hands control to the kernel and blocks until resumed.
-    fn suspend(&mut self, reason: YieldReason) -> Wake {
-        let msg = YieldMsg {
-            pid: self.pid,
-            ops: std::mem::take(&mut self.pending),
-            reason,
-        };
-        if self.yield_tx.send(msg).is_err() {
-            // Kernel is gone: tear this thread down quietly.
-            panic::panic_any(ShutdownToken);
+    /// Yields, and returns once this process is dispatched again: at
+    /// once if it is its own successor, else when another thread hands
+    /// it the kernel.
+    fn suspend(&mut self, reason: YieldReason<'_>) -> Wake {
+        if let Some(wake) = self.hand_on(reason) {
+            return wake;
         }
         match self.resume_rx.recv() {
-            Ok(ResumeMsg::Wake(wake, world)) => {
-                self.world = world;
+            Ok((wake, kernel)) => {
+                self.kernel = Some(kernel);
                 wake
             }
-            Ok(ResumeMsg::Shutdown) | Err(_) => panic::panic_any(ShutdownToken),
+            // The kernel is being dropped: tear this thread down quietly.
+            Err(_) => panic::panic_any(ShutdownToken),
         }
+    }
+
+    /// Applies this process's yield to the kernel it holds and runs the
+    /// loop to the next dispatch. Returns the wake if that dispatch is
+    /// this process; otherwise the kernel has gone on, to the next
+    /// thread-backed process or home to the run's caller, and `None`.
+    ///
+    /// A panic in the kernel code (not in the body) does not unwind this
+    /// thread: the kernel goes home with it, and the caller resumes it.
+    fn hand_on(&mut self, reason: YieldReason<'_>) -> Option<Wake> {
+        let Some(mut kernel) = self.kernel.take() else {
+            // Not running, so not holding the kernel: only a body that
+            // swallowed its own teardown unwind gets here.
+            panic::panic_any(ShutdownToken)
+        };
+        let (pid, pending) = (self.pid, &mut self.pending);
+        let next = panic::catch_unwind(AssertUnwindSafe(|| kernel.yielded(pid, pending, reason)));
+        if let Ok(Ok(Next::Dispatch(next, wake))) = next {
+            if next == pid {
+                self.kernel = Some(kernel);
+                return Some(wake);
+            }
+        }
+        kernel.pass(next);
+        None
     }
 }
 
@@ -364,12 +388,12 @@ pub(crate) type SegBody = Box<dyn SegMachine>;
 /// How one process is executed: the coroutine-style thread handoff, or a
 /// run-to-completion state machine dispatched inside the scheduler loop.
 pub(crate) enum ProcBackend {
-    /// An OS thread under the one-runner channel handoff.
+    /// An OS thread that is handed the kernel to run.
     Thread {
-        /// Kernel-to-process resume channel.
+        /// The channel that hands this process the kernel.
         resume_tx: Sender<ResumeMsg>,
-        /// Join handle, taken at teardown.
-        join: Option<JoinHandle<()>>,
+        /// Join handle, for teardown.
+        join: JoinHandle<()>,
     },
     /// A state machine called directly by the scheduler. `None` only
     /// transiently while a dispatch is in flight, and permanently once the
@@ -466,12 +490,10 @@ pub(crate) fn describe_panic_payload(payload: &(dyn std::any::Any + Send)) -> St
 
 /// Spawns the OS thread backing one simulation process.
 ///
-/// The returned handle is parked until the kernel sends the first resume.
+/// The returned handle is parked until the kernel is first handed to it.
 pub(crate) fn spawn_process<F>(
     pid: ProcessId,
     name: &str,
-    now_ps: Arc<AtomicU64>,
-    yield_tx: Sender<YieldMsg>,
     resume_rx: Receiver<ResumeMsg>,
     body: F,
 ) -> JoinHandle<()>
@@ -480,22 +502,19 @@ where
 {
     install_shutdown_hook();
     let thread_name = format!("rtsim:{name}");
-    let yield_tx_outer = yield_tx.clone();
     std::thread::Builder::new()
         .name(thread_name)
         .spawn(move || {
-            // Wait for the kernel to start us.
-            let world = match resume_rx.recv() {
-                Ok(ResumeMsg::Wake(_, world)) => world,
-                Ok(ResumeMsg::Shutdown) | Err(_) => return,
+            // Wait for the kernel to start us; a kernel dropped first
+            // disconnects instead.
+            let Ok((_, kernel)) = resume_rx.recv() else {
+                return;
             };
             let mut ctx = ProcessContext {
                 pid,
-                now_ps,
-                yield_tx,
+                kernel: Some(kernel),
                 resume_rx,
                 pending: Vec::new(),
-                world,
             };
             let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
             let reason = match result {
@@ -507,11 +526,10 @@ where
                     YieldReason::Panicked(describe_panic_payload(payload.as_ref()))
                 }
             };
-            let _ = yield_tx_outer.send(YieldMsg {
-                pid,
-                ops: std::mem::take(&mut ctx.pending),
-                reason,
-            });
+            // The final yield passes the kernel on: a finished process is
+            // never its own successor.
+            let resumed = ctx.hand_on(reason);
+            debug_assert!(resumed.is_none(), "a finished process was dispatched");
         })
         .expect("failed to spawn simulation process thread")
 }

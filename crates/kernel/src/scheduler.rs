@@ -19,23 +19,34 @@
 //! notifications, the instant's ripe timers) and its phase live in the
 //! [`Kernel`], so a run can stop at a choice point and resume at the same
 //! spot, and a kernel at rest can be copied (see [`crate::choice`]).
+//!
+//! The loop runs on whichever thread holds the kernel. A run starts on
+//! its caller's thread, which dispatches segment processes inline. A
+//! thread-backed dispatch sends the kernel itself to that process's
+//! thread; at its next yield, that thread applies the yield and runs the
+//! loop on, carrying on itself if it is its own successor and sending the
+//! kernel to the next thread-backed process otherwise. The kernel goes
+//! home to the caller, through a channel made for the run, only when the
+//! run ends (see [`crate::process`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::ops::{Deref, DerefMut};
+use std::panic;
+use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::Arc;
+use std::thread;
 
 use crate::choice::{CandidateDetail, ChoiceKind, ChoicePoint};
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{
     describe_panic_payload, spawn_process, NotifyOp, ProcBackend, ProcHandle, ProcState,
-    ProcessContext, ProcessId, ResumeMsg, YieldMsg, YieldReason,
+    ProcessContext, ProcessId, ResumeMsg, YieldReason,
 };
 use crate::segment::{SegStep, SegmentCtx, WaitRequest};
 use crate::time::{SimDuration, SimTime};
-use crate::world::{SharedWorld, World, WorldGuard};
+use crate::world::{SharedWorld, World};
 
 /// Default bound on consecutive delta cycles at one instant before the
 /// kernel declares a zero-time livelock.
@@ -98,6 +109,47 @@ pub struct KernelStats {
     pub event_wakes: u64,
 }
 
+/// What a run returns: the choice point it stopped at, if it did.
+pub(crate) type RunResult = Result<Option<ChoicePoint>, KernelError>;
+
+/// A run's outcome on its way home from a process thread: the kernel, and
+/// the run's result or the panic of the kernel code that ended it there
+/// (resumed on the caller's thread).
+type Homecoming = (Box<Kernel>, thread::Result<RunResult>);
+
+/// What the run loop comes to next (see [`Kernel::advance`]).
+#[derive(Debug)]
+pub(crate) enum Next {
+    /// Dispatch a thread-backed process: hand it the kernel.
+    Dispatch(ProcessId, Wake),
+    /// The run is over, stopped at this choice point or at none.
+    Stop(Option<ChoicePoint>),
+}
+
+/// The run in progress: its parameters, the world it lends, and its way
+/// home once a thread-backed dispatch has taken the kernel away.
+struct Run {
+    limit: Option<SimTime>,
+    stop: bool,
+    /// Whether choices go through [`Kernel::pick`]: a stopping run, or
+    /// one resuming a decided choice point.
+    hooked: bool,
+    world: SharedWorld,
+    /// Set by the caller's first thread-backed dispatch.
+    home: Option<Sender<Homecoming>>,
+}
+
+/// How often the kernel changed threads, for tests of the handoff
+/// protocol.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Handoffs {
+    /// Resume messages sent: one per thread-backed dispatch, except that
+    /// of a process right after its own yield.
+    pub resumes: u64,
+    /// Runs that ended away from their caller and sent the kernel home.
+    pub homecomings: u64,
+}
+
 /// Where the run loop stands. Kept in the kernel, with the working set
 /// of each phase, so a run stopped at a choice point resumes there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,15 +164,13 @@ enum Phase {
 }
 
 pub(crate) struct Kernel {
-    now_ps: Arc<AtomicU64>,
+    now: SimTime,
     procs: Vec<ProcHandle>,
     events: Vec<EventEntry>,
     runnable: VecDeque<(ProcessId, Wake)>,
     delta_events: Vec<Event>,
     timers: BinaryHeap<Reverse<TimedEntry>>,
     stamp: u64,
-    yield_tx: Sender<YieldMsg>,
-    yield_rx: Receiver<YieldMsg>,
     alive: usize,
     max_deltas: u64,
     phase: Phase,
@@ -141,22 +191,22 @@ pub(crate) struct Kernel {
     /// between uses.
     spare_ops: Vec<NotifyOp>,
     spare_waiters: Vec<(ProcessId, u64)>,
+    /// The run in progress; `None` at rest.
+    run: Option<Run>,
+    pub handoffs: Handoffs,
     pub stats: KernelStats,
 }
 
 impl Kernel {
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = mpsc::channel();
         Kernel {
-            now_ps: Arc::new(AtomicU64::new(0)),
+            now: SimTime::ZERO,
             procs: Vec::new(),
             events: Vec::new(),
             runnable: VecDeque::new(),
             delta_events: Vec::new(),
             timers: BinaryHeap::new(),
             stamp: 0,
-            yield_tx,
-            yield_rx,
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
             phase: Phase::Evaluate,
@@ -167,30 +217,30 @@ impl Kernel {
             decided: None,
             spare_ops: Vec::new(),
             spare_waiters: Vec::new(),
+            run: None,
+            handoffs: Handoffs::default(),
             stats: KernelStats::default(),
         }
     }
 
     /// A copy of this kernel at rest (between runs, or stopped at a
-    /// choice point), with its own clock and yield channel. `None` if a live process is thread-backed: its state is a
-    /// stack on another thread, which cannot be copied.
+    /// choice point). `None` if a live process is thread-backed: its
+    /// state is a stack on another thread, which cannot be copied.
     pub fn fork(&self) -> Option<Kernel> {
+        debug_assert!(self.run.is_none(), "fork of a kernel in a run");
         let procs = self
             .procs
             .iter()
             .map(ProcHandle::fork)
             .collect::<Option<Vec<_>>>()?;
-        let (yield_tx, yield_rx) = mpsc::channel();
         Some(Kernel {
-            now_ps: Arc::new(AtomicU64::new(self.now_ps.load(Ordering::Acquire))),
+            now: self.now,
             procs,
             events: self.events.clone(),
             runnable: self.runnable.clone(),
             delta_events: self.delta_events.clone(),
             timers: self.timers.clone(),
             stamp: self.stamp,
-            yield_tx,
-            yield_rx,
             alive: self.alive,
             max_deltas: self.max_deltas,
             phase: self.phase,
@@ -201,6 +251,8 @@ impl Kernel {
             decided: self.decided,
             spare_ops: Vec::new(),
             spare_waiters: Vec::new(),
+            run: None,
+            handoffs: self.handoffs,
             stats: self.stats,
         })
     }
@@ -297,11 +349,24 @@ impl Kernel {
 
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_ps(self.now_ps.load(Ordering::Acquire))
+        self.now
     }
 
     fn set_now(&mut self, t: SimTime) {
-        self.now_ps.store(t.as_ps(), Ordering::Release);
+        self.now = t;
+    }
+
+    /// The world the run in progress lends to its steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a run.
+    pub fn world(&self) -> &SharedWorld {
+        &self
+            .run
+            .as_ref()
+            .expect("the world is lent inside a run")
+            .world
     }
 
     fn next_stamp(&mut self) -> u64 {
@@ -341,20 +406,10 @@ impl Kernel {
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
         let (resume_tx, resume_rx) = mpsc::channel::<ResumeMsg>();
-        let join = spawn_process(
-            pid,
-            name,
-            Arc::clone(&self.now_ps),
-            self.yield_tx.clone(),
-            resume_rx,
-            body,
-        );
+        let join = spawn_process(pid, name, resume_rx, body);
         self.procs.push(ProcHandle {
             name: Arc::from(name),
-            backend: ProcBackend::Thread {
-                resume_tx,
-                join: Some(join),
-            },
+            backend: ProcBackend::Thread { resume_tx, join },
             state: ProcState::Runnable,
             wait_seq: 0,
         });
@@ -449,15 +504,6 @@ impl Kernel {
         self.runnable.push_back((pid, wake));
     }
 
-    /// Applies a yield's ops in program order, then keeps the drained
-    /// `Vec` as the spare for the next segment dispatch.
-    fn apply_ops(&mut self, mut ops: Vec<NotifyOp>) {
-        for op in ops.drain(..) {
-            self.apply_op(op);
-        }
-        self.spare_ops = ops;
-    }
-
     /// Applies one notification op.
     pub(crate) fn apply_op(&mut self, op: NotifyOp) {
         match op {
@@ -521,13 +567,13 @@ impl Kernel {
         }
     }
 
-    fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason) -> Result<(), KernelError> {
+    fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason<'_>) -> Result<(), KernelError> {
         match reason {
             YieldReason::Wait(WaitRequest::Time(d)) => self.park(pid, &[], Some(d)),
             YieldReason::Wait(WaitRequest::Event { event, timeout }) => {
                 self.park(pid, &[event], timeout)
             }
-            YieldReason::WaitAny { events, timeout } => self.park(pid, &events, timeout),
+            YieldReason::WaitAny { events, timeout } => self.park(pid, events, timeout),
             YieldReason::Terminated => {
                 self.procs[pid.index()].state = ProcState::Dead;
                 self.alive -= 1;
@@ -560,48 +606,15 @@ impl Kernel {
         timer_valid(&self.events, &self.procs, entry)
     }
 
-    /// Runs `pid` for one slice and returns its yield.
-    ///
-    /// Thread backend: channel handoff to the process thread (one resume
-    /// send, one yield recv — two OS context switches); the run loop has
-    /// given its world loan back, and the thread locks the world for its
-    /// step. Segment backend: a direct call to the state machine on the
-    /// kernel's own thread, lending it `world` (taken once, by `lend`,
-    /// and kept across consecutive segment dispatches). Either way the
-    /// returned [`YieldMsg`] is applied identically, which is what makes
-    /// the two modes produce the same schedule.
-    fn dispatch<'w>(
-        &mut self,
-        pid: ProcessId,
-        wake: Wake,
-        shared: &'w SharedWorld,
-        loan: &mut Option<WorldGuard<'w>>,
-    ) -> YieldMsg {
-        match &mut self.procs[pid.index()].backend {
-            ProcBackend::Thread { resume_tx, .. } => {
-                *loan = None;
-                resume_tx
-                    .send(ResumeMsg::Wake(wake, shared.clone()))
-                    .expect("process thread vanished");
-                self.yield_rx
-                    .recv()
-                    .expect("process thread hung up without yielding")
-            }
-            ProcBackend::Segment { body } => {
-                let machine = body.take().expect("segment process re-entered");
-                let world = loan.get_or_insert_with(|| shared.lock_for("Simulator::run"));
-                self.step_segment(pid, wake, machine, world)
-            }
-        }
-    }
-
+    /// Runs segment process `pid`'s step inline, lending it `world`, and
+    /// applies the notifications it buffered; returns what it yielded.
     fn step_segment(
         &mut self,
         pid: ProcessId,
         wake: Wake,
         mut machine: crate::process::SegBody,
         world: &mut World,
-    ) -> YieldMsg {
+    ) -> YieldReason<'static> {
         let now = self.now();
         let mut ops = std::mem::take(&mut self.spare_ops);
         let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -625,39 +638,51 @@ impl Kernel {
             Ok(SegStep::Done) => YieldReason::Terminated,
             Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
         };
-        YieldMsg { pid, ops, reason }
+        // Apply in program order; the drained `Vec` is the next spare.
+        for op in ops.drain(..) {
+            self.apply_op(op);
+        }
+        self.spare_ops = ops;
+        reason
     }
 
-    /// Runs until event starvation or (if given) until simulated time
-    /// would pass `limit`. Events scheduled exactly at `limit` are
-    /// processed.
-    ///
-    /// With `stop`, the run stops at the first choice point (two or more
-    /// simultaneously eligible actions) and returns it; the kernel keeps
-    /// the phase and its working set, so after [`Kernel::decide`] the
-    /// next call resumes at that spot and performs the decided action.
-    /// Without `stop`, the stable order answers each choice point, and
-    /// the result is always `None`.
-    ///
-    /// `world` is lent to segment dispatches: locked at the first one and
-    /// kept across the next, given back only before a thread-backed
-    /// dispatch and when the run stops.
-    pub fn run(
+    /// Applies the yield of thread-backed `pid`, whose thread holds this
+    /// kernel: its buffered notifications in program order, then its wait
+    /// or its end. Then runs the loop on to what comes next.
+    pub(crate) fn yielded(
         &mut self,
-        limit: Option<SimTime>,
-        world: &SharedWorld,
-        stop: bool,
-    ) -> Result<Option<ChoicePoint>, KernelError> {
-        self.stopped = None;
-        let hooked = stop || self.decided.is_some();
-        let mut loan: Option<WorldGuard<'_>> = None;
+        pid: ProcessId,
+        ops: &mut Vec<NotifyOp>,
+        reason: YieldReason<'_>,
+    ) -> Result<Next, KernelError> {
+        for op in ops.drain(..) {
+            self.apply_op(op);
+        }
+        self.apply_reason(pid, reason)?;
+        self.advance()
+    }
+
+    /// Runs the loop of the run in progress until it dispatches a
+    /// thread-backed process, or until the run ends: starvation, or
+    /// simulated time would pass the run's limit (events scheduled exactly
+    /// at the limit are processed), or a choice point when the run stops
+    /// at them.
+    ///
+    /// Segment processes are dispatched inline, on this thread, lending
+    /// them the run's world: locked at the first of them, kept across the
+    /// next, and given back on return.
+    fn advance(&mut self) -> Result<Next, KernelError> {
+        let run = self.run.as_ref().expect("the loop advances inside a run");
+        let (limit, stop, hooked) = (run.limit, run.stop, run.hooked);
+        let shared = run.world.clone();
+        let mut loan = None;
         loop {
             match self.phase {
                 Phase::Evaluate => {
                     loop {
                         let (pid, wake) = if hooked && self.runnable.len() >= 2 {
                             let Some(idx) = self.pick(ChoiceKind::Dispatch, stop) else {
-                                return Ok(self.stopped);
+                                return Ok(Next::Stop(self.stopped));
                             };
                             self.runnable.remove(idx).expect("index validated")
                         } else {
@@ -668,10 +693,14 @@ impl Kernel {
                         };
                         debug_assert_eq!(self.procs[pid.index()].state, ProcState::Runnable);
                         self.stats.process_switches += 1;
-                        let msg = self.dispatch(pid, wake, world, &mut loan);
-                        debug_assert_eq!(msg.pid, pid, "yield from a process that was not running");
-                        self.apply_ops(msg.ops);
-                        self.apply_reason(msg.pid, msg.reason)?;
+                        let ProcBackend::Segment { body } = &mut self.procs[pid.index()].backend
+                        else {
+                            return Ok(Next::Dispatch(pid, wake));
+                        };
+                        let machine = body.take().expect("segment process re-entered");
+                        let world = loan.get_or_insert_with(|| shared.lock_for("Simulator::run"));
+                        let reason = self.step_segment(pid, wake, machine, world);
+                        self.apply_reason(pid, reason)?;
                     }
 
                     // -- delta phase start ---------------------------------
@@ -702,12 +731,12 @@ impl Kernel {
                                 self.set_now(end);
                             }
                         }
-                        return Ok(None);
+                        return Ok(Next::Stop(None));
                     };
                     if let Some(end) = limit {
                         if t > end {
                             self.set_now(end);
-                            return Ok(None);
+                            return Ok(Next::Stop(None));
                         }
                     }
                     if t > self.now() {
@@ -740,7 +769,7 @@ impl Kernel {
                         }
                         let idx = if hooked && self.pending.len() >= 2 {
                             let Some(idx) = self.pick(ChoiceKind::Delta, stop) else {
-                                return Ok(self.stopped);
+                                return Ok(Next::Stop(self.stopped));
                             };
                             idx
                         } else {
@@ -763,7 +792,7 @@ impl Kernel {
                         }
                         let idx = if hooked && self.ripe.len() >= 2 {
                             let Some(idx) = self.pick(ChoiceKind::Timer, stop) else {
-                                return Ok(self.stopped);
+                                return Ok(Next::Stop(self.stopped));
                             };
                             idx
                         } else {
@@ -783,6 +812,53 @@ impl Kernel {
                     self.phase = Phase::Evaluate;
                 }
             }
+        }
+    }
+
+    /// Sends the kernel where `next` says: to the thread of the process
+    /// it dispatches, or home to the run's caller with the run's outcome.
+    pub(crate) fn pass(self: Box<Self>, next: thread::Result<Result<Next, KernelError>>) {
+        match next {
+            Ok(Ok(Next::Dispatch(pid, wake))) => self.hand_to(pid, wake),
+            Ok(Ok(Next::Stop(point))) => self.go_home(Ok(Ok(point))),
+            Ok(Err(error)) => self.go_home(Ok(Err(error))),
+            Err(payload) => self.go_home(Err(payload)),
+        }
+    }
+
+    /// Hands the kernel to thread-backed `pid`: one resume message.
+    fn hand_to(mut self: Box<Self>, pid: ProcessId, wake: Wake) {
+        let ProcBackend::Thread { resume_tx, .. } = &self.procs[pid.index()].backend else {
+            unreachable!("the loop hands the kernel only to thread-backed processes")
+        };
+        let resume_tx = resume_tx.clone();
+        self.handoffs.resumes += 1;
+        if let Err(SendError((_, kernel))) = resume_tx.send((wake, self)) {
+            // The process's thread is gone, though it never reported its
+            // end. The kernel comes back with the message: end the run.
+            let process = kernel.procs[pid.index()].name.to_string();
+            kernel.go_home(Ok(Err(KernelError::ProcessPanicked {
+                process,
+                message: "its thread exited without yielding".into(),
+            })));
+        }
+    }
+
+    /// Ends the run away from its caller: sends the kernel home with the
+    /// run's outcome.
+    fn go_home(mut self: Box<Self>, outcome: thread::Result<RunResult>) {
+        self.handoffs.homecomings += 1;
+        let sent = match self.run.take().and_then(|run| run.home) {
+            Some(home) => home
+                .send((self, outcome))
+                .map_err(|SendError((kernel, _))| kernel),
+            None => Err(self),
+        };
+        if let Err(kernel) = sent {
+            // Unreachable: a run's first handoff opens its way home, and
+            // the caller waits there until the kernel arrives. Dropping
+            // the kernel here would join this very thread.
+            std::mem::forget(kernel);
         }
     }
 
@@ -833,22 +909,191 @@ fn timer_valid(events: &[EventEntry], procs: &[ProcHandle], entry: &TimedEntry) 
 
 impl Drop for Kernel {
     fn drop(&mut self) {
-        // Only thread backends need a teardown handshake; segment state
-        // machines are plain owned values dropped with the handle.
-        for proc in &mut self.procs {
-            if proc.state == ProcState::Dead {
-                continue;
-            }
-            if let ProcBackend::Thread { resume_tx, .. } = &proc.backend {
-                let _ = resume_tx.send(ResumeMsg::Shutdown);
-            }
+        // A thread process whose resume channel disconnects unwinds
+        // quietly (segment state machines are plain owned values dropped
+        // with their handles); then wait for every thread to end.
+        let joins: Vec<_> = self
+            .procs
+            .drain(..)
+            .filter_map(|proc| match proc.backend {
+                ProcBackend::Thread { join, .. } => Some(join),
+                ProcBackend::Segment { .. } => None,
+            })
+            .collect();
+        for join in joins {
+            let _ = join.join();
         }
-        for proc in &mut self.procs {
-            if let ProcBackend::Thread { join, .. } = &mut proc.backend {
-                if let Some(handle) = join.take() {
-                    let _ = handle.join();
+    }
+}
+
+/// The simulator's hold on its kernel. Between runs the kernel is here.
+/// A run that dispatches a thread-backed process sends it away, from
+/// thread to thread, and [`Home::run`] returns once it is back.
+pub(crate) struct Home(Option<Box<Kernel>>);
+
+/// What the simulator relies on outside [`Home::run`].
+const AT_HOME: &str = "the kernel is home between runs";
+
+impl Home {
+    pub fn new(kernel: Kernel) -> Self {
+        Home(Some(Box::new(kernel)))
+    }
+
+    /// Runs until event starvation or (if given) until simulated time
+    /// would pass `limit`. Events scheduled exactly at `limit` are
+    /// processed.
+    ///
+    /// With `stop`, the run stops at the first choice point (two or more
+    /// simultaneously eligible actions) and returns it; the kernel keeps
+    /// the phase and its working set, so after [`Kernel::decide`] the
+    /// next call resumes at that spot and performs the decided action.
+    /// Without `stop`, the stable order answers each choice point, and
+    /// the result is always `None`.
+    ///
+    /// The loop starts on this thread, lending `world` to segment
+    /// dispatches. At the first thread-backed dispatch the kernel leaves,
+    /// and this thread waits for it to come home with the run's outcome.
+    /// A panic of the kernel code on a process thread is resumed here.
+    pub fn run(&mut self, limit: Option<SimTime>, world: &SharedWorld, stop: bool) -> RunResult {
+        let kernel: &mut Kernel = self;
+        kernel.stopped = None;
+        kernel.run = Some(Run {
+            limit,
+            stop,
+            hooked: stop || kernel.decided.is_some(),
+            world: world.clone(),
+            home: None,
+        });
+        let (pid, wake) = match kernel.advance() {
+            Ok(Next::Dispatch(pid, wake)) => (pid, wake),
+            Ok(Next::Stop(point)) => {
+                kernel.run = None;
+                return Ok(point);
+            }
+            Err(error) => {
+                kernel.run = None;
+                return Err(error);
+            }
+        };
+        let (home_tx, home_rx) = mpsc::channel();
+        kernel.run.as_mut().expect("set above").home = Some(home_tx);
+        self.0.take().expect(AT_HOME).hand_to(pid, wake);
+        let (kernel, outcome) = home_rx
+            .recv()
+            .expect("the kernel comes home when the run ends");
+        self.0 = Some(kernel);
+        outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+}
+
+impl Deref for Home {
+    type Target = Kernel;
+    fn deref(&self) -> &Kernel {
+        self.0.as_deref().expect(AT_HOME)
+    }
+}
+
+impl DerefMut for Home {
+    fn deref_mut(&mut self) -> &mut Kernel {
+        self.0.as_deref_mut().expect(AT_HOME)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use super::*;
+
+    type Log = Arc<Mutex<Vec<usize>>>;
+
+    /// The handoffs a run of `home` makes, given the processes it
+    /// dispatched in order (`slice`): one resume for its first dispatch
+    /// (from the caller) and for each dispatch of a process other than the
+    /// one before, and one homecoming if it dispatched any.
+    fn expected(slice: &[usize]) -> Handoffs {
+        let changes = slice.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        match slice {
+            [] => Handoffs::default(),
+            _ => Handoffs {
+                resumes: 1 + changes,
+                homecomings: 1,
+            },
+        }
+    }
+
+    #[test]
+    fn a_process_that_is_its_own_successor_sends_no_message() {
+        let mut home = Home::new(Kernel::new());
+        home.spawn("lone", |ctx| {
+            for _ in 0..1_000 {
+                ctx.wait_for(SimDuration::from_ns(1));
+            }
+        });
+        home.run(None, &SharedWorld::new(), false).unwrap();
+        assert_eq!(home.stats.process_switches, 1_001);
+        assert_eq!(
+            home.handoffs,
+            Handoffs {
+                resumes: 1,
+                homecomings: 1
+            }
+        );
+    }
+
+    #[test]
+    fn one_resume_per_dispatch_of_another_process_one_homecoming_per_run() {
+        let mut home = Home::new(Kernel::new());
+        let log: Log = Arc::default();
+        let ping = home.create_event("ping");
+        // p0 pings every fourth step; p1 never does.
+        for (pid, step_ns, steps, every) in [(0, 2, 12, 4), (1, 7, 5, u64::MAX)] {
+            let log = Arc::clone(&log);
+            home.spawn(&format!("p{pid}"), move |ctx| {
+                for k in 1..=steps {
+                    log.lock().unwrap().push(pid);
+                    if k % every == 0 {
+                        ctx.notify(ping);
+                    }
+                    ctx.wait_for(SimDuration::from_ns(step_ns));
                 }
-            }
+                log.lock().unwrap().push(pid);
+            });
         }
+        let waiter = Arc::clone(&log);
+        home.spawn("p2", move |ctx| loop {
+            waiter.lock().unwrap().push(2);
+            ctx.wait_event(ping);
+        });
+
+        let world = SharedWorld::new();
+        let mut seen = 0;
+        let mut total = Handoffs::default();
+        // Slices of 5 ns, then one past the end: a run that dispatches
+        // nothing hands nothing off.
+        for end_ns in (5..=40).step_by(5) {
+            let before = home.handoffs;
+            home.run(Some(SimTime::from_ps(end_ns * 1_000)), &world, false)
+                .unwrap();
+            let log = log.lock().unwrap();
+            let made = Handoffs {
+                resumes: home.handoffs.resumes - before.resumes,
+                homecomings: home.handoffs.homecomings - before.homecomings,
+            };
+            assert_eq!(made, expected(&log[seen..]), "run ending at {end_ns} ns");
+            seen = log.len();
+            total.resumes += made.resumes;
+            total.homecomings += made.homecomings;
+        }
+        assert_eq!(home.handoffs, total);
+        let log = log.lock().unwrap();
+        assert_eq!(log.len() as u64, home.stats.process_switches);
+        // Both kinds of dispatch happened: the pin is not vacuous.
+        let selfs = log.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(
+            selfs > 0 && total.resumes > 8,
+            "{selfs} self-resumes, {total:?}"
+        );
+        assert!(total.homecomings < 8, "a run with no dispatch came home");
     }
 }

@@ -11,11 +11,13 @@
 //!
 //! [`ExecMode`] picks where step machines run. In `Segment` mode the
 //! scheduler calls them *directly* inside its evaluation loop: zero
-//! thread spawns, zero park/unpark, no channels on the hot path. In
+//! thread spawns, zero OS switches, no channels on the hot path. In
 //! `Thread` mode each one runs on its own OS thread, which performs
-//! every yielded wait as a blocking [`ProcessContext::wait`]. The
-//! machine and the scheduling protocol are the same in both, so both
-//! produce the bit-identical event schedule.
+//! every yielded wait as a blocking [`ProcessContext::wait`]: the thread
+//! runs the kernel on to the next dispatch, carries on if that is
+//! itself, and otherwise hands the kernel to the next process's thread
+//! (one OS switch). The machine and the scheduling protocol are the same
+//! in both, so both produce the bit-identical event schedule.
 //!
 //! Every step receives the simulation [`World`] on loan through its
 //! [`SegmentCtx`]: inline steps share the run loop's one loan, and a
@@ -32,14 +34,15 @@ use crate::world::{World, WorldRef};
 ///
 /// This mirrors the paper's two modeling approaches at the substrate
 /// level: `Thread` is the coroutine-style handoff (every process an OS
-/// thread, approach A's cost profile), `Segment` is run-to-completion
-/// dispatch inside the scheduler loop (approach B's cost profile). The
-/// mode chooses only the host of one step machine, so both produce
-/// identical simulated behaviour; they differ only in host cost.
+/// thread, one OS switch for each dispatch of a process other than the
+/// one that yielded), `Segment` is run-to-completion dispatch inside the
+/// scheduler loop (no OS switch at all). The mode chooses only the host
+/// of one step machine, so both produce identical simulated behaviour;
+/// they differ only in host cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
-    /// Every step machine runs on its own OS thread, which blocks at each
-    /// yield.
+    /// Every step machine runs on its own OS thread, which blocks at a
+    /// yield unless it is its own successor.
     #[default]
     Thread,
     /// Step machines are dispatched inline by the scheduler.

@@ -3,7 +3,7 @@
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{ProcessContext, ProcessId};
-use crate::scheduler::{Kernel, KernelStats};
+use crate::scheduler::{Home, Kernel, KernelStats};
 use crate::segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, WorldRef};
@@ -50,7 +50,7 @@ use crate::world::{SharedWorld, WorldRef};
 /// # }
 /// ```
 pub struct Simulator {
-    kernel: Kernel,
+    kernel: Home,
     mode: ExecMode,
     world: SharedWorld,
     /// A world was attached (see [`Simulator::attach_world`]).
@@ -70,7 +70,7 @@ impl Simulator {
     /// this to stay immune to env races.
     pub fn with_mode(mode: ExecMode) -> Self {
         Simulator {
-            kernel: Kernel::new(),
+            kernel: Home::new(Kernel::new()),
             mode,
             world: SharedWorld::new(),
             attached: false,
@@ -136,10 +136,11 @@ impl Simulator {
     /// The [execution mode](Simulator::exec_mode) picks the host. In
     /// [`ExecMode::Segment`] the scheduler calls the machine inline, with
     /// no backing OS thread. In [`ExecMode::Thread`] a thread process
-    /// runs it, stepping it and blocking at each yield, so every dispatch
-    /// pays the thread handoff (the paper's approach-A cost). The machine
-    /// is the same either way, and so are scheduling order, statistics
-    /// and event semantics.
+    /// runs it, stepping it and waiting at each yield: a dispatch of this
+    /// process right after another's costs one OS switch (the thread is
+    /// handed the kernel), and one right after its own yield costs none.
+    /// The machine is the same either way, and so are scheduling order,
+    /// statistics and event semantics.
     ///
     /// The machine must be `Clone`: a simulator copies it, in its current
     /// state, when it is [forked](Simulator::fork). A machine therefore
@@ -171,6 +172,10 @@ impl Simulator {
 
     /// Runs until event starvation (no runnable process and no pending
     /// notification).
+    ///
+    /// The run starts on this thread. Thread-backed processes hand the
+    /// kernel on to one another, and it comes back here when the run
+    /// ends.
     ///
     /// # Errors
     ///
@@ -275,8 +280,8 @@ impl Simulator {
     }
 
     /// A copy of this simulator at rest — between runs, or stopped at a
-    /// choice point — that runs on independently: its own kernel, clock,
-    /// yield channel and [`World`](crate::world::World) (every slot
+    /// choice point — that runs on independently: its own kernel, clock
+    /// and [`World`](crate::world::World) (every slot
     /// copied under the same ids), and every segment machine copied in
     /// its current state.
     ///
@@ -287,7 +292,7 @@ impl Simulator {
         let kernel = self.kernel.fork()?;
         let world = self.world.fork()?;
         Some(Simulator {
-            kernel,
+            kernel: Home::new(kernel),
             mode: self.mode,
             world,
             attached: self.attached,

@@ -7,9 +7,9 @@
 //! scheduler converts it into `KernelError::ProcessPanicked`), so a
 //! poisoned lock must not cascade the failure into unrelated processes or
 //! tests. Every acquisition bumps a per-thread counter ([`locks_taken`]),
-//! so tests can pin how many locks a hot path takes. The one-runner
-//! handoff between the kernel and its process threads uses
-//! [`std::sync::mpsc`] channels directly.
+//! so tests can pin how many locks a hot path takes. Thread mode hands
+//! the kernel itself from process thread to process thread, and home to
+//! the caller of a run, through [`std::sync::mpsc`] channels directly.
 //!
 //! [`lock`]: Mutex::lock
 

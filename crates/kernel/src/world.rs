@@ -16,8 +16,8 @@
 //!   and hands `&mut World` to every inline step through
 //!   [`SegmentCtx`](crate::SegmentCtx), so a step takes no lock;
 //! - a thread-hosted step ([`ProcessContext::step`]) locks it once;
-//! - the run loop gives the loan back before each thread-backed dispatch
-//!   and when a run stops at a choice point.
+//! - the run loop, on whichever thread holds the kernel, gives its loan
+//!   back before each thread-backed dispatch and when a run ends.
 //!
 //! Code outside a step (testbench accessors such as a trace snapshot or a
 //! processor's statistics) locks it through

@@ -203,9 +203,10 @@ impl SystemModel {
     /// [`crate::script`]) rather than a closure.
     ///
     /// A scripted function is a step machine, so the execution mode only
-    /// picks its host — a kernel thread that blocks at each yield in
-    /// [`ExecMode::Thread`], inline dispatch with no OS thread at all in
-    /// [`ExecMode::Segment`] — and its traces are bit-identical in both.
+    /// picks its host — a thread of its own, handed the kernel when it is
+    /// dispatched, in [`ExecMode::Thread`], inline dispatch with no OS
+    /// thread at all in [`ExecMode::Segment`] — and its traces are
+    /// bit-identical in both.
     /// Map it with [`map`](SystemModel::map) before elaboration.
     ///
     /// # Panics

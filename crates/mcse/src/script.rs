@@ -10,8 +10,8 @@
 //! [`SegStep::Yield`](rtsim_kernel::SegStep).
 //!
 //! This is the only script interpreter. The execution mode decides only
-//! where it runs: inline in the scheduler loop, or on a thread that
-//! blocks at each yield (see
+//! where it runs: inline in the scheduler loop, or on a thread of its
+//! own that is handed the kernel when it is dispatched (see
 //! [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment)).
 //! So a scripted model produces bit-identical canonical traces in either
 //! mode — the property the regression farm's cross-mode differential
