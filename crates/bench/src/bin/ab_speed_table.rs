@@ -64,7 +64,11 @@ fn parse_args() -> Result<Option<f64>, String> {
                         .ok_or(format!("--assert-speedup {value:?} is not a ratio >= 1"))?,
                 );
             }
-            _ => return Err(format!("usage: ab_speed_table [--assert-speedup <X>], got {arg:?}")),
+            _ => {
+                return Err(format!(
+                    "usage: ab_speed_table [--assert-speedup <X>], got {arg:?}"
+                ))
+            }
         }
     }
     Ok(assert_speedup)
@@ -113,8 +117,11 @@ fn main() -> ExitCode {
         let samples_seg = wall_samples(runs, || {
             let _ = run_once(EngineKind::ProcedureCall, ExecMode::Segment, tasks, rounds);
         });
-        let (wall_a, wall_b, wall_seg) =
-            (mean_wall(&samples_a), mean_wall(&samples_b), mean_wall(&samples_seg));
+        let (wall_a, wall_b, wall_seg) = (
+            mean_wall(&samples_a),
+            mean_wall(&samples_b),
+            mean_wall(&samples_seg),
+        );
         // The kernel counts a dispatch the same way in both exec modes,
         // so one switch count describes both B columns.
         let sw_b = run_once(EngineKind::ProcedureCall, ExecMode::Thread, tasks, rounds);

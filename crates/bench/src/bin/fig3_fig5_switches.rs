@@ -42,15 +42,14 @@ fn run(engine: EngineKind) -> (u64, u64, rtsim::Trace) {
         t.execute(us(400));
     });
     for (i, at) in [100u64, 200, 300].into_iter().enumerate() {
-        spawn_interrupt_at(
-            &mut sim,
-            &format!("hw_irq{i}"),
-            us(at),
-            Waiter::Task(t1),
-        );
+        spawn_interrupt_at(&mut sim, &format!("hw_irq{i}"), us(at), Waiter::Task(t1));
     }
     sim.run().expect("run");
-    (sim.stats().process_switches, cpu.stats().scheduler_runs, rec.snapshot())
+    (
+        sim.stats().process_switches,
+        cpu.stats().scheduler_runs,
+        rec.snapshot(),
+    )
 }
 
 fn main() {

@@ -77,7 +77,10 @@ fn main() {
             context_load: OverheadSpec::fixed(us(2)),
             migration: OverheadSpec::zero(),
         });
-        println!("{:>12}us {:>16} {:>14} {:>15}", per_task_us, worst, end, runs);
+        println!(
+            "{:>12}us {:>16} {:>14} {:>15}",
+            per_task_us, worst, end, runs
+        );
     }
     println!("\n(the formula column shows scheduling cost growing with contention,");
     println!("the capability §3.2 adds over fixed-overhead RTOS models)");

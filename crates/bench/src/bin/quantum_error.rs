@@ -88,8 +88,7 @@ fn main() {
     );
     for (column, (label, quantum)) in CONFIGS.into_iter().enumerate() {
         let quantum = quantum.map(us);
-        let errors: Vec<SimDuration> =
-            cmp.report.values().map(|row| row[column]).collect();
+        let errors: Vec<SimDuration> = cmp.report.values().map(|row| row[column]).collect();
         let summary = DurationSummary::from_durations(errors).expect("samples");
         println!(
             "{:<22} {:>10} {:>10} {:>10} {:>10}",
@@ -100,7 +99,11 @@ fn main() {
             summary.max.to_string()
         );
         if quantum.is_none() {
-            assert_eq!(summary.max, SimDuration::ZERO, "accurate model must be exact");
+            assert_eq!(
+                summary.max,
+                SimDuration::ZERO,
+                "accurate model must be exact"
+            );
         } else if let Some(q) = quantum {
             assert!(summary.max < q, "error bounded by one quantum");
         }

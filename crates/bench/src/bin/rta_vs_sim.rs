@@ -17,13 +17,13 @@
 //! Run with: `cargo run --release -p rtsim-bench --bin rta_vs_sim`
 
 use rtsim::campaign::{json::Json, Campaign};
-use rtsim::testutil::Rng;
-use rtsim_bench::{report_campaign, scaled, write_campaign_outputs};
 use rtsim::policies::PriorityPreemptive;
+use rtsim::testutil::Rng;
 use rtsim::{
     assign_rate_monotonic, response_time_analysis, utilization, PeriodicTask, Processor,
     ProcessorConfig, SimDuration, TaskConfig, TaskState, TraceRecorder,
 };
+use rtsim_bench::{report_campaign, scaled, write_campaign_outputs};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -78,9 +78,9 @@ fn simulate(tasks: &[PeriodicTask]) -> Vec<SimDuration> {
                     rtsim::trace::TraceData::State(TaskState::Ready) if activation.is_none() => {
                         activation = Some(r.at)
                     }
-                    rtsim::trace::TraceData::State(
-                        TaskState::Waiting | TaskState::Terminated,
-                    ) => return r.at - activation.expect("activated"),
+                    rtsim::trace::TraceData::State(TaskState::Waiting | TaskState::Terminated) => {
+                        return r.at - activation.expect("activated")
+                    }
                     _ => {}
                 }
             }

@@ -26,12 +26,7 @@ fn us(v: u64) -> SimDuration {
 /// Random aperiodic arrivals: (time, cost) pairs over a 100 ms run.
 fn arrivals(rng: &mut Rng, count: usize) -> Vec<(SimDuration, SimDuration)> {
     (0..count)
-        .map(|_| {
-            (
-                us(rng.gen_range(0..100_000)),
-                us(rng.gen_range(20..200)),
-            )
-        })
+        .map(|_| (us(rng.gen_range(0..100_000)), us(rng.gen_range(20..200))))
         .collect()
 }
 
@@ -43,7 +38,11 @@ struct Outcome {
 
 /// Periodic task under test: 1 ms period, 300 µs cost, 100 jobs. Returns
 /// its worst observed response and the aperiodic latencies.
-fn run(arrivals: &[(SimDuration, SimDuration)], period: SimDuration, budget: SimDuration) -> Outcome {
+fn run(
+    arrivals: &[(SimDuration, SimDuration)],
+    period: SimDuration,
+    budget: SimDuration,
+) -> Outcome {
     let mut sim = Simulator::new();
     let rec = TraceRecorder::new();
     let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
@@ -63,16 +62,20 @@ fn run(arrivals: &[(SimDuration, SimDuration)], period: SimDuration, budget: Sim
     );
 
     // The periodic workload whose deadlines the server protects.
-    cpu.spawn_task(&mut sim, TaskConfig::new("periodic").priority(5), move |t| {
-        for k in 1..=100u64 {
-            t.execute(us(300));
-            let next = SimTime::ZERO + us(1_000) * k;
-            let now = t.now();
-            if next > now {
-                t.delay(next - now);
+    cpu.spawn_task(
+        &mut sim,
+        TaskConfig::new("periodic").priority(5),
+        move |t| {
+            for k in 1..=100u64 {
+                t.execute(us(300));
+                let next = SimTime::ZERO + us(1_000) * k;
+                let now = t.now();
+                if next > now {
+                    t.delay(next - now);
+                }
             }
-        }
-    });
+        },
+    );
 
     // Aperiodic stimulus.
     let stim = queue.clone();

@@ -53,7 +53,10 @@ fn mpeg2_explore_smoke() {
     // cache every design point is a miss.
     let out = run_smoke(env!("CARGO_BIN_EXE_mpeg2_explore"));
     assert!(out.contains("design-space exploration (2 frames)"), "{out}");
-    assert!(out.contains("grid `mpeg2_explore`: 7 jobs, seed 2004"), "{out}");
+    assert!(
+        out.contains("grid `mpeg2_explore`: 7 jobs, seed 2004"),
+        "{out}"
+    );
     assert!(out.contains("0 cache hit(s) / 7 miss(es)"), "{out}");
 }
 

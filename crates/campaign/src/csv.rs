@@ -46,7 +46,11 @@ impl CsvTable {
     /// Panics if the field count differs from the header's.
     pub fn row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, fields: I) {
         let n = self.push_row(fields);
-        assert_eq!(n, self.columns, "row has {n} fields, header has {}", self.columns);
+        assert_eq!(
+            n, self.columns,
+            "row has {n} fields, header has {}",
+            self.columns
+        );
     }
 
     fn push_row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, fields: I) -> usize {

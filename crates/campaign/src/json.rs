@@ -275,13 +275,11 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("lone low surrogate"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("lone low surrogate"))?
                             };
                             out.push(c);
                         }
@@ -501,8 +499,17 @@ mod tests {
     #[test]
     fn parse_rejects_malformed() {
         for bad in [
-            "", "{", "[1,", "tru", "\"abc", "{\"k\" 1}", "1 2", "\"\\q\"", "\"\u{1}\"",
-            "\"\\ud800\"", "nan",
+            "",
+            "{",
+            "[1,",
+            "tru",
+            "\"abc",
+            "{\"k\" 1}",
+            "1 2",
+            "\"\\q\"",
+            "\"\u{1}\"",
+            "\"\\ud800\"",
+            "nan",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -554,7 +561,18 @@ mod tests {
         // multi-byte UTF-8 from 2, 3 and 4-byte ranges (incl. chars
         // that need surrogate pairs in \u form).
         let mut pool: Vec<char> = (0u32..0x20).filter_map(char::from_u32).collect();
-        pool.extend(['"', '\\', '/', 'a', 'é', 'ß', '→', '中', '\u{1F600}', '\u{10FFFF}']);
+        pool.extend([
+            '"',
+            '\\',
+            '/',
+            'a',
+            'é',
+            'ß',
+            '→',
+            '中',
+            '\u{1F600}',
+            '\u{10FFFF}',
+        ]);
         for &c in &pool {
             let s = c.to_string();
             let emitted = Json::from(s.as_str()).to_string();

@@ -56,7 +56,8 @@ impl StatSummary {
         let sum: f64 = sorted.iter().sum();
         let mean = sum / count as f64;
         let var = sorted.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
-        let rank = |q_num: u64, q_den: u64| -> f64 { sorted[nearest_rank_index(q_num, q_den, count)] };
+        let rank =
+            |q_num: u64, q_den: u64| -> f64 { sorted[nearest_rank_index(q_num, q_den, count)] };
         Some(StatSummary {
             count,
             min: sorted[0],
@@ -159,8 +160,7 @@ mod tests {
             128,
             |rng| {
                 let count = rng.gen_range(1usize..500);
-                let mut values =
-                    rng.gen_vec(count..count + 1, |r| r.gen_range(0u64..1_000) as f64);
+                let mut values = rng.gen_vec(count..count + 1, |r| r.gen_range(0u64..1_000) as f64);
                 values.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
                 values
             },
@@ -172,10 +172,7 @@ mod tests {
                 // p50 = lower median: index ceil(n/2) - 1.
                 assert_eq!(nearest_rank_index(50, 100, n), n.div_ceil(2) - 1);
                 // 1/2 and 50/100 must agree (same quantile, different form).
-                assert_eq!(
-                    nearest_rank_index(1, 2, n),
-                    nearest_rank_index(50, 100, n)
-                );
+                assert_eq!(nearest_rank_index(1, 2, n), nearest_rank_index(50, 100, n));
                 // Via the summary: the selected samples are min/median/max.
                 let s = StatSummary::from_values(sorted.iter().copied()).unwrap();
                 assert_eq!(s.min, sorted[0]);

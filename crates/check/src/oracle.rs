@@ -96,17 +96,13 @@ impl Oracle for NoLostMessage {
             if final_depth != 0 {
                 violations.push(Violation {
                     oracle: self.name(),
-                    message: format!(
-                        "queue `{name}` ends with {final_depth} unread message(s)"
-                    ),
+                    message: format!("queue `{name}` ends with {final_depth} unread message(s)"),
                 });
             }
             if writes != reads {
                 violations.push(Violation {
                     oracle: self.name(),
-                    message: format!(
-                        "queue `{name}` saw {writes} write(s) but {reads} read(s)"
-                    ),
+                    message: format!("queue `{name}` saw {writes} write(s) but {reads} read(s)"),
                 });
             }
         }
@@ -226,11 +222,7 @@ impl Oracle for CriticalSectionExclusion {
                     "cs_enter" => open = Some(r.at),
                     "cs_exit" => {
                         if let Some(start) = open.take() {
-                            sections.push((
-                                trace.actor_name(actor).to_owned(),
-                                start,
-                                r.at,
-                            ));
+                            sections.push((trace.actor_name(actor).to_owned(), start, r.at));
                         }
                     }
                     _ => {}

@@ -71,7 +71,10 @@ fn rivals_system() -> SystemModel {
     for (name, exec) in [("Worker_A", 7), ("Worker_B", 8), ("Worker_C", 9)] {
         model.function_script(
             TaskConfig::new(name),
-            vec![s::repeat(4, vec![s::await_event("Tick"), s::exec(us(exec))])],
+            vec![s::repeat(
+                4,
+                vec![s::await_event("Tick"), s::exec(us(exec))],
+            )],
         );
         model.map(name, Mapping::Hardware);
     }
@@ -92,7 +95,10 @@ fn burst_queue_system() -> SystemModel {
             TaskConfig::new(name),
             vec![s::repeat(
                 2,
-                vec![s::delay(us(20)), s::q_write("Q", move |_| Message::new(id, 4))],
+                vec![
+                    s::delay(us(20)),
+                    s::q_write("Q", move |_| Message::new(id, 4)),
+                ],
             )],
         );
         model.map(name, Mapping::Hardware);
@@ -146,7 +152,11 @@ fn var_ceiling_system() -> SystemModel {
     model.map("Clock", Mapping::Hardware);
     model.function_script(
         TaskConfig::new("Hi").priority(5),
-        vec![s::await_event("Go"), s::var_read("V", us(10)), s::exec(us(5))],
+        vec![
+            s::await_event("Go"),
+            s::var_read("V", us(10)),
+            s::exec(us(5)),
+        ],
     );
     model.function_script(
         TaskConfig::new("Mid").priority(3),
@@ -213,10 +223,7 @@ fn pipeline_system() -> SystemModel {
 fn smp_migration_system() -> SystemModel {
     let mut model = SystemModel::new("smp_migration");
     model.event("Go", EventPolicy::Fugitive);
-    model.software_processor(
-        "CPU",
-        rtsim_core::Overheads::zero().with_migration(us(5)),
-    );
+    model.software_processor("CPU", rtsim_core::Overheads::zero().with_migration(us(5)));
     model.processor_cores("CPU", 2);
     model.function_script(
         TaskConfig::new("Clock"),
@@ -266,7 +273,10 @@ fn fault_dropout_system() -> SystemModel {
             TaskConfig::new(name),
             vec![s::repeat(
                 3,
-                vec![s::delay(us(20)), s::q_write("Q", move |_| Message::new(id, 4))],
+                vec![
+                    s::delay(us(20)),
+                    s::q_write("Q", move |_| Message::new(id, 4)),
+                ],
             )],
         );
         model.map(name, Mapping::Hardware);

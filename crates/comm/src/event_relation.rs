@@ -159,7 +159,11 @@ impl RtEvent {
     /// Runs `f` on the event state, locking the world (code outside a
     /// step only).
     fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut EvState) -> R) -> R {
-        f(self.recorder.world().lock_for(accessor).get_mut(self.ids.state))
+        f(self
+            .recorder
+            .world()
+            .lock_for(accessor)
+            .get_mut(self.ids.state))
     }
 
     /// The relation's name.

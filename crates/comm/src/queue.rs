@@ -184,7 +184,11 @@ impl<T: Clone + Send + 'static> MessageQueue<T> {
     /// Runs `f` on the queue state, locking the world (code outside a
     /// step only).
     fn with_state<R>(&self, accessor: &'static str, f: impl FnOnce(&mut QState<T>) -> R) -> R {
-        f(self.recorder.world().lock_for(accessor).get_mut(self.ids.state))
+        f(self
+            .recorder
+            .world()
+            .lock_for(accessor)
+            .get_mut(self.ids.state))
     }
 
     /// The relation's name.

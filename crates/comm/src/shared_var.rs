@@ -347,7 +347,11 @@ impl<T: Clone + Send + 'static> VarRef<T> {
     /// Runs `body` with the lock held, giving it the agent and the value.
     /// The body may consume CPU time (`agent.execute(..)`) to model the
     /// access duration.
-    pub fn with_lock<R>(&self, agent: &mut dyn Agent, body: impl FnOnce(&mut dyn Agent, &mut T) -> R) -> R {
+    pub fn with_lock<R>(
+        &self,
+        agent: &mut dyn Agent,
+        body: impl FnOnce(&mut dyn Agent, &mut T) -> R,
+    ) -> R {
         self.acquire(agent);
         // The kernel's one-runner discipline makes this safe: no other
         // agent can touch the value while we hold the model lock.

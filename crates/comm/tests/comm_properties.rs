@@ -147,23 +147,31 @@ fn counter_event_token_conservation() {
             let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
             let ev = RtEvent::new(&rec, "ev", EventPolicy::Counter);
             let tx = ev.clone();
-            cpu.spawn_task(&mut sim, TaskConfig::new("producer").priority(2), move |t| {
-                for _ in 0..signals {
-                    tx.signal(t);
-                }
-            });
+            cpu.spawn_task(
+                &mut sim,
+                TaskConfig::new("producer").priority(2),
+                move |t| {
+                    for _ in 0..signals {
+                        tx.signal(t);
+                    }
+                },
+            );
             let ev_wait = ev.clone();
             let count = Arc::clone(&consumed);
-            cpu.spawn_task(&mut sim, TaskConfig::new("consumer").priority(1), move |t| {
-                for _ in 0..waits {
-                    if !ev_wait.try_wait(t) {
-                        // Avoid blocking forever when tokens run out: poll
-                        // with try_wait after giving the producer a chance.
-                        break;
+            cpu.spawn_task(
+                &mut sim,
+                TaskConfig::new("consumer").priority(1),
+                move |t| {
+                    for _ in 0..waits {
+                        if !ev_wait.try_wait(t) {
+                            // Avoid blocking forever when tokens run out: poll
+                            // with try_wait after giving the producer a chance.
+                            break;
+                        }
+                        *count.lock().unwrap() += 1;
                     }
-                    *count.lock().unwrap() += 1;
-                }
-            });
+                },
+            );
             sim.run().unwrap();
             let consumed = *consumed.lock().unwrap();
             assert_eq!(consumed, signals.min(waits));

@@ -41,19 +41,27 @@ fn boolean_event_memorizes_one_signal() {
         // Producer signals twice *before* the consumer ever waits: boolean
         // memorization collapses them into one.
         let tx = ev.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("producer").priority(9), move |t| {
-            tx.signal(t);
-            tx.signal(t);
-            t.execute(us(10));
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("producer").priority(9),
+            move |t| {
+                tx.signal(t);
+                tx.signal(t);
+                t.execute(us(10));
+            },
+        );
         let done = Arc::clone(&finish);
-        cpu.spawn_task(&mut sim, TaskConfig::new("consumer").priority(1), move |t| {
-            ev.wait(t); // satisfied from memory, at ~10 (after producer)
-            let first = t.now().as_us();
-            ev.wait(t); // never signalled again: blocks forever
-            let _ = first;
-            done.store(1, Ordering::Relaxed);
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("consumer").priority(1),
+            move |t| {
+                ev.wait(t); // satisfied from memory, at ~10 (after producer)
+                let first = t.now().as_us();
+                ev.wait(t); // never signalled again: blocks forever
+                let _ = first;
+                done.store(1, Ordering::Relaxed);
+            },
+        );
         sim.run_until(SimTime::ZERO + us(1_000)).unwrap();
         // The consumer's second wait never completes: only one signal was
         // memorized.
@@ -71,18 +79,26 @@ fn counter_event_memorizes_all_signals() {
         let consumed = Arc::new(AtomicU64::new(0));
 
         let tx = ev.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("producer").priority(9), move |t| {
-            for _ in 0..3 {
-                tx.signal(t);
-            }
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("producer").priority(9),
+            move |t| {
+                for _ in 0..3 {
+                    tx.signal(t);
+                }
+            },
+        );
         let counter = Arc::clone(&consumed);
-        cpu.spawn_task(&mut sim, TaskConfig::new("consumer").priority(1), move |t| {
-            for _ in 0..3 {
-                ev.wait(t);
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("consumer").priority(1),
+            move |t| {
+                for _ in 0..3 {
+                    ev.wait(t);
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+        );
         sim.run().unwrap();
         assert_eq!(consumed.load(Ordering::Relaxed), 3, "{engine}");
     }
@@ -152,19 +168,27 @@ fn queue_delivers_fifo_and_blocks_reader() {
         let order = Arc::new(rtsim_kernel::sync::Mutex::new(Vec::new()));
 
         let tx = q.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("producer").priority(1), move |t| {
-            for v in 0..5 {
-                t.execute(us(10));
-                tx.write(t, v);
-            }
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("producer").priority(1),
+            move |t| {
+                for v in 0..5 {
+                    t.execute(us(10));
+                    tx.write(t, v);
+                }
+            },
+        );
         let sink = Arc::clone(&order);
-        cpu.spawn_task(&mut sim, TaskConfig::new("consumer").priority(9), move |t| {
-            for _ in 0..5 {
-                let v = q.read(t);
-                sink.lock().push((v, t.now().as_us()));
-            }
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("consumer").priority(9),
+            move |t| {
+                for _ in 0..5 {
+                    let v = q.read(t);
+                    sink.lock().push((v, t.now().as_us()));
+                }
+            },
+        );
         sim.run().unwrap();
         let order = order.lock();
         assert_eq!(
@@ -184,18 +208,26 @@ fn full_queue_blocks_writer_until_read() {
         let q: MessageQueue<u32> = MessageQueue::new(&rec, "q", 2);
 
         let tx = q.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("producer").priority(9), move |t| {
-            for v in 0..4 {
-                tx.write(t, v); // 3rd write blocks until the consumer reads
-            }
-            assert_eq!(t.now().as_us(), 100);
-        });
-        cpu.spawn_task(&mut sim, TaskConfig::new("consumer").priority(1), move |t| {
-            t.delay(us(100));
-            for _ in 0..4 {
-                let _ = q.read(t);
-            }
-        });
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("producer").priority(9),
+            move |t| {
+                for v in 0..4 {
+                    tx.write(t, v); // 3rd write blocks until the consumer reads
+                }
+                assert_eq!(t.now().as_us(), 100);
+            },
+        );
+        cpu.spawn_task(
+            &mut sim,
+            TaskConfig::new("consumer").priority(1),
+            move |t| {
+                t.delay(us(100));
+                for _ in 0..4 {
+                    let _ = q.read(t);
+                }
+            },
+        );
         sim.run().unwrap();
     }
 }
@@ -448,7 +480,10 @@ fn figure7_priority_inheritance_bounds_the_inversion() {
         // (high's arrival consumed zero CPU), releases and is restored to
         // priority 1; high reads 50..55.
         assert_eq!(high_done, 55, "{engine}");
-        assert_eq!(times_us(&trace, "high", TaskState::WaitingResource), vec![10]);
+        assert_eq!(
+            times_us(&trace, "high", TaskState::WaitingResource),
+            vec![10]
+        );
         // mid ran only after high: the inversion is bounded by low's
         // critical section alone.
         assert_eq!(times_us(&trace, "mid", TaskState::Running), vec![0, 55]);
@@ -514,7 +549,11 @@ fn resource_wait_state_is_traced_for_statistics() {
     let high = trace.actor_by_name("high").unwrap();
     let s = stats.task(high).unwrap();
     // Blocked on the resource 10..80 = 70% of the 100 µs horizon.
-    assert!((s.resource_ratio - 0.70).abs() < 1e-9, "{}", s.resource_ratio);
+    assert!(
+        (s.resource_ratio - 0.70).abs() < 1e-9,
+        "{}",
+        s.resource_ratio
+    );
     let var = trace.actor_by_name("SharedVar_1").unwrap();
     let rs = stats.relation(var).unwrap();
     assert!(rs.held_ratio > 0.5);

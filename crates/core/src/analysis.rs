@@ -124,8 +124,8 @@ pub fn partition_first_fit(tasks: &[PeriodicTask], cores: usize) -> Option<Vec<V
     let mut load = vec![0f64; cores];
     for (i, task) in tasks.iter().enumerate() {
         let u = task.utilization();
-        let slot = (0..cores)
-            .find(|&c| load[c] + u <= liu_layland_bound(bins[c].len() + 1) + 1e-12)?;
+        let slot =
+            (0..cores).find(|&c| load[c] + u <= liu_layland_bound(bins[c].len() + 1) + 1e-12)?;
         bins[slot].push(i);
         load[slot] += u;
     }
@@ -394,8 +394,7 @@ mod tests {
             },
             |(tasks, perm)| {
                 let direct = assign_rate_monotonic(tasks.clone());
-                let shuffled: Vec<PeriodicTask> =
-                    perm.iter().map(|&i| tasks[i].clone()).collect();
+                let shuffled: Vec<PeriodicTask> = perm.iter().map(|&i| tasks[i].clone()).collect();
                 let permuted = assign_rate_monotonic(shuffled);
                 for t in &direct {
                     let other = permuted

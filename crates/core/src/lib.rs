@@ -84,11 +84,11 @@ pub mod task;
 mod thread_model;
 
 pub use agent::{spawn_hw_function, Agent, HwCtx, HwWaker, Waiter};
-pub use engine::{EngineKind, SchedulerStats};
 pub use analysis::{
     assign_rate_monotonic, liu_layland_bound, partition_first_fit, response_time_analysis,
     schedulable, utilization, PeriodicTask, ResponseTime,
 };
+pub use engine::{EngineKind, SchedulerStats};
 pub use interrupt::{spawn_interrupt_at, spawn_interrupt_schedule, spawn_periodic_interrupt};
 pub use overhead::{OverheadSpec, Overheads, RtosView};
 pub use policy::{PolicyView, SchedulingPolicy, TaskView};

@@ -187,7 +187,8 @@ mod tests {
 
     #[test]
     fn formula_sees_ready_count() {
-        let s = OverheadSpec::formula(|v: &RtosView| SimDuration::from_ns(10) * v.ready_tasks as u64);
+        let s =
+            OverheadSpec::formula(|v: &RtosView| SimDuration::from_ns(10) * v.ready_tasks as u64);
         assert_eq!(s.eval(&view(4)), SimDuration::from_ns(40));
     }
 

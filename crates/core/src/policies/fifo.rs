@@ -34,7 +34,10 @@ impl SchedulingPolicy for Fifo {
     }
 
     fn select(&mut self, view: &PolicyView<'_>) -> Option<TaskId> {
-        view.ready.iter().min_by_key(|t| t.enqueue_seq).map(|t| t.id)
+        view.ready
+            .iter()
+            .min_by_key(|t| t.enqueue_seq)
+            .map(|t| t.id)
     }
 
     fn should_preempt(

@@ -68,7 +68,9 @@ impl<S, P> FnPolicy<S, P> {
 
 impl<S, P> fmt::Debug for FnPolicy<S, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FnPolicy").field("name", &self.name).finish()
+        f.debug_struct("FnPolicy")
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -143,7 +145,12 @@ mod tests {
     fn time_slice_attachment() {
         let policy = from_fn(
             "rr-ish",
-            |view: &PolicyView<'_>| view.ready.iter().min_by_key(|t| t.enqueue_seq).map(|t| t.id),
+            |view: &PolicyView<'_>| {
+                view.ready
+                    .iter()
+                    .min_by_key(|t| t.enqueue_seq)
+                    .map(|t| t.id)
+            },
             |_v, _c, _r| false,
         )
         .with_time_slice(SimDuration::from_us(7));
@@ -160,7 +167,10 @@ mod tests {
             enqueued_at: rtsim_kernel::SimTime::ZERO,
             enqueue_seq: 0,
         };
-        assert_eq!(policy.time_slice(&view, &probe), Some(SimDuration::from_us(7)));
+        assert_eq!(
+            policy.time_slice(&view, &probe),
+            Some(SimDuration::from_us(7))
+        );
         assert!(format!("{policy:?}").contains("rr-ish"));
     }
 }

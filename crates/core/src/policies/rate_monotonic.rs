@@ -43,7 +43,10 @@ impl SchedulingPolicy for RateMonotonic {
     }
 
     fn select(&mut self, view: &PolicyView<'_>) -> Option<TaskId> {
-        view.ready.iter().min_by_key(|t| period_key(t)).map(|t| t.id)
+        view.ready
+            .iter()
+            .min_by_key(|t| period_key(t))
+            .map(|t| t.id)
     }
 
     fn should_preempt(
@@ -52,8 +55,7 @@ impl SchedulingPolicy for RateMonotonic {
         candidate: &TaskView,
         running: &TaskView,
     ) -> bool {
-        candidate.period.unwrap_or(SimDuration::MAX)
-            < running.period.unwrap_or(SimDuration::MAX)
+        candidate.period.unwrap_or(SimDuration::MAX) < running.period.unwrap_or(SimDuration::MAX)
     }
 }
 

@@ -53,7 +53,10 @@ impl SchedulingPolicy for RoundRobin {
     }
 
     fn select(&mut self, view: &PolicyView<'_>) -> Option<TaskId> {
-        view.ready.iter().min_by_key(|t| t.enqueue_seq).map(|t| t.id)
+        view.ready
+            .iter()
+            .min_by_key(|t| t.enqueue_seq)
+            .map(|t| t.id)
     }
 
     fn should_preempt(

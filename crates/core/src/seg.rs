@@ -412,14 +412,20 @@ impl SegTaskRunner {
         } else {
             TaskState::Waiting
         };
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         push_resume(&mut self.stack, state, false);
     }
 
     /// Intent: terminate the task. After the final relinquish completes,
     /// [`advance`](SegTaskRunner::advance) reports `Finished`.
     pub fn finish(&mut self) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.done = true;
         self.stack.push(Frame::Relinquish {
             next_state: TaskState::Terminated,
@@ -464,12 +470,18 @@ impl SegTaskRunner {
     }
 
     fn push_intent(&mut self, frame: Frame) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.stack.push(frame);
     }
 
     fn push_intent_pair(&mut self) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         push_resume(&mut self.stack, TaskState::Ready, true);
     }
 
@@ -617,19 +629,28 @@ impl SegHwRunner {
 
     /// Intent: consume `d` of (concurrent) computation time.
     pub fn execute(&mut self, d: SimDuration) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.stack.push(HwFrame::Execute { d, slept: false });
     }
 
     /// Intent: sleep for `d`.
     pub fn delay(&mut self, d: SimDuration) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.stack.push(HwFrame::Delay { d, slept: false });
     }
 
     /// Intent: block until woken through this function's [`Waiter`].
     pub fn suspend(&mut self, resource: bool) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.stack.push(HwFrame::Suspend {
             resource,
             announced: false,
@@ -638,7 +659,10 @@ impl SegHwRunner {
 
     /// Intent: the function's body is over; record Termination.
     pub fn finish(&mut self) {
-        debug_assert!(self.stack.is_empty(), "intent while an operation is in flight");
+        debug_assert!(
+            self.stack.is_empty(),
+            "intent while an operation is in flight"
+        );
         self.done = true;
     }
 
@@ -745,6 +769,8 @@ impl Agent for SegAgent<'_, '_> {
 
 impl std::fmt::Debug for SegAgent<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SegAgent").field("actor", &self.actor).finish()
+        f.debug_struct("SegAgent")
+            .field("actor", &self.actor)
+            .finish()
     }
 }

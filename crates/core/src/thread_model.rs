@@ -97,7 +97,7 @@ pub(crate) fn spawn_rtos(sim: &mut Simulator, rtos: Rtos, name: &str) -> Event {
                         }
                         return SegStep::Yield(WaitRequest::event(rtk_run));
                     }
-                }
+                },
                 RtosPhase::AfterSave { me } => {
                     let sched = st.scheduler_pass(log, n.now(), me);
                     phase = RtosPhase::AfterSched { attr: None };

@@ -142,7 +142,10 @@ fn dynamic_priority_change_takes_effect_at_next_decision() {
     // The demotion applied before the first election, so the rival runs
     // first and the victim only gets the CPU when the rival is done.
     assert_eq!(times_us(&trace, "rival", TaskState::Running), vec![0]);
-    assert_eq!(times_us(&trace, "victim", TaskState::Running), vec![100, 140]);
+    assert_eq!(
+        times_us(&trace, "victim", TaskState::Running),
+        vec![100, 140]
+    );
 }
 
 #[test]
@@ -188,7 +191,10 @@ fn policy_sees_ready_queue_in_enqueue_order_with_running_context() {
             let seqs: Vec<u64> = view.ready.iter().map(|t| t.enqueue_seq).collect();
             log.lock().push((seqs, view.running.map(|r| r.id)));
             // Plain FIFO election.
-            view.ready.iter().min_by_key(|t| t.enqueue_seq).map(|t| t.id)
+            view.ready
+                .iter()
+                .min_by_key(|t| t.enqueue_seq)
+                .map(|t| t.id)
         },
         |_v, _c, _r| false,
     );

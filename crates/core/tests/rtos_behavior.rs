@@ -5,11 +5,11 @@
 //! model's possibilities".
 
 use rtsim_core::agent::Waiter;
+use rtsim_core::policies::{EarliestDeadlineFirst, Fifo, RateMonotonic, RoundRobin};
 use rtsim_core::{
     spawn_interrupt_at, spawn_periodic_interrupt, EngineKind, OverheadSpec, Overheads, Processor,
     ProcessorConfig, TaskConfig, TaskState,
 };
-use rtsim_core::policies::{EarliestDeadlineFirst, Fifo, RateMonotonic, RoundRobin};
 use rtsim_kernel::{SimDuration, SimTime, Simulator};
 use rtsim_trace::{Trace, TraceRecorder};
 
@@ -115,7 +115,10 @@ fn interrupt_preemption_is_time_accurate() {
         assert_eq!(times_us(&trace, "bg", TaskState::Running), vec![0, 40]);
         assert_eq!(times_us(&trace, "bg", TaskState::Terminated), vec![107]);
         // isr ran 33..40.
-        assert_eq!(times_us(&trace, "isr", TaskState::Running).last(), Some(&33));
+        assert_eq!(
+            times_us(&trace, "isr", TaskState::Running).last(),
+            Some(&33)
+        );
         assert_eq!(sim.now(), t_us(107), "{engine}");
     }
 }
@@ -370,9 +373,21 @@ fn round_robin_rotates_synchronously_at_exact_quantum_expiry() {
         sim.run().unwrap();
         let trace = rec.snapshot();
         // A: 0-10 (expired), B: 10-20, A: 20-30.
-        assert_eq!(times_us(&trace, "A", TaskState::Running), vec![0, 20], "{engine}");
-        assert_eq!(times_us(&trace, "B", TaskState::Running), vec![10], "{engine}");
-        assert_eq!(times_us(&trace, "A", TaskState::Ready).last(), Some(&10), "{engine}");
+        assert_eq!(
+            times_us(&trace, "A", TaskState::Running),
+            vec![0, 20],
+            "{engine}"
+        );
+        assert_eq!(
+            times_us(&trace, "B", TaskState::Running),
+            vec![10],
+            "{engine}"
+        );
+        assert_eq!(
+            times_us(&trace, "A", TaskState::Ready).last(),
+            Some(&10),
+            "{engine}"
+        );
         assert_eq!(sim.now(), t_us(30), "{engine}");
         // Only A's mid-job expiry counts: B finishes exactly at its
         // slice end (completion wins over expiry), as does A's tail.
@@ -388,7 +403,9 @@ fn fifo_ignores_priorities_and_never_preempts() {
         let cpu = Processor::new(
             &mut sim,
             &rec,
-            ProcessorConfig::new("CPU").engine(engine).policy(Fifo::new()),
+            ProcessorConfig::new("CPU")
+                .engine(engine)
+                .policy(Fifo::new()),
         );
         let late_hi = cpu.spawn_task(&mut sim, TaskConfig::new("late_hi").priority(9), |t| {
             t.suspend(false);
@@ -420,21 +437,13 @@ fn edf_dispatches_earliest_deadline_and_preempts() {
         );
         // tight becomes ready at 10 with deadline 10+30=40; loose starts
         // at 0 with deadline 200 and gets preempted.
-        let tight = cpu.spawn_task(
-            &mut sim,
-            TaskConfig::new("tight").deadline(us(30)),
-            |t| {
-                t.suspend(false);
-                t.execute(us(5));
-            },
-        );
-        cpu.spawn_task(
-            &mut sim,
-            TaskConfig::new("loose").deadline(us(200)),
-            |t| {
-                t.execute(us(50));
-            },
-        );
+        let tight = cpu.spawn_task(&mut sim, TaskConfig::new("tight").deadline(us(30)), |t| {
+            t.suspend(false);
+            t.execute(us(5));
+        });
+        cpu.spawn_task(&mut sim, TaskConfig::new("loose").deadline(us(200)), |t| {
+            t.execute(us(50));
+        });
         spawn_interrupt_at(&mut sim, "irq", us(10), Waiter::Task(tight));
         sim.run().unwrap();
         let trace = rec.snapshot();
@@ -484,7 +493,9 @@ fn overhead_formula_sees_ready_count() {
         let cpu = Processor::new(
             &mut sim,
             &rec,
-            ProcessorConfig::new("CPU").engine(engine).overheads(overheads),
+            ProcessorConfig::new("CPU")
+                .engine(engine)
+                .overheads(overheads),
         );
         cpu.spawn_task(&mut sim, TaskConfig::new("A").priority(5), |t| {
             t.execute(us(10));
@@ -617,8 +628,12 @@ fn smp_two_cores_run_two_tasks_in_parallel() {
     let mut sim = Simulator::new();
     let rec = TraceRecorder::new();
     let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU").cores(2));
-    cpu.spawn_task(&mut sim, TaskConfig::new("A").priority(2), |t| t.execute(us(100)));
-    cpu.spawn_task(&mut sim, TaskConfig::new("B").priority(1), |t| t.execute(us(100)));
+    cpu.spawn_task(&mut sim, TaskConfig::new("A").priority(2), |t| {
+        t.execute(us(100))
+    });
+    cpu.spawn_task(&mut sim, TaskConfig::new("B").priority(1), |t| {
+        t.execute(us(100))
+    });
     sim.run().unwrap();
     // Both tasks start at t=0 on their own core: the makespan is one
     // task's compute, not two.

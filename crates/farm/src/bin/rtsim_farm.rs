@@ -175,7 +175,10 @@ fn check_cache() -> ExitCode {
 
     let mut failures = Vec::new();
     if preexisting == 0 && cold.hits() != 0 {
-        failures.push(format!("cold run hit {} times in a fresh cache", cold.hits()));
+        failures.push(format!(
+            "cold run hit {} times in a fresh cache",
+            cold.hits()
+        ));
     }
     if warm.hits() != cells.len() {
         failures.push(format!(

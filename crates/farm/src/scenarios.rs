@@ -89,9 +89,15 @@ pub fn figure6_system(engine: EngineKind) -> SystemModel {
     );
     model.function_script(
         TaskConfig::new("Function_2").priority(3),
-        vec![s::repeat(2, vec![s::await_event("Event_1"), s::exec(us(30))])],
+        vec![s::repeat(
+            2,
+            vec![s::await_event("Event_1"), s::exec(us(30))],
+        )],
     );
-    model.function_script(TaskConfig::new("Function_3").priority(2), vec![s::exec(us(500))]);
+    model.function_script(
+        TaskConfig::new("Function_3").priority(2),
+        vec![s::exec(us(500))],
+    );
     model.map("Clock", Mapping::Hardware);
     for f in ["Function_1", "Function_2", "Function_3"] {
         model.map_to_processor(f, "Processor");
@@ -196,7 +202,10 @@ pub fn quickstart_system() -> SystemModel {
         TaskConfig::new("irq_handler").priority(9),
         vec![s::repeat(4, vec![s::await_event("Irq"), s::exec(us(20))])],
     );
-    model.function_script(TaskConfig::new("background").priority(1), vec![s::exec(us(600))]);
+    model.function_script(
+        TaskConfig::new("background").priority(1),
+        vec![s::exec(us(600))],
+    );
     model.map("timer", Mapping::Hardware);
     model.map_to_processor("irq_handler", "CPU0");
     model.map_to_processor("background", "CPU0");
@@ -215,9 +224,14 @@ pub fn quickstart_system() -> SystemModel {
 pub fn policy_sweep_system() -> SystemModel {
     let mut model = SystemModel::new("policy_sweep");
     model.software_processor("CPU", Overheads::uniform(us(5)));
-    for (i, (period_us, cost_us)) in [(1_000u64, 200u64), (2_000, 500), (4_000, 900), (8_000, 1_500)]
-        .iter()
-        .enumerate()
+    for (i, (period_us, cost_us)) in [
+        (1_000u64, 200u64),
+        (2_000, 500),
+        (4_000, 900),
+        (8_000, 1_500),
+    ]
+    .iter()
+    .enumerate()
     {
         let name = format!("task{i}");
         let cfg = TaskConfig::new(&name)
@@ -329,8 +343,20 @@ pub fn mpeg2_system(config: &Mpeg2Config) -> SystemModel {
     let mut model = SystemModel::new("mpeg2_soc");
 
     for q in [
-        "q_raw", "q_pre", "q_me", "q_dct_in", "q_dct_out", "q_quant", "q_vlc", "q_stream",
-        "q_rx", "q_vld", "q_idct_in", "q_idct_out", "q_mc", "q_display",
+        "q_raw",
+        "q_pre",
+        "q_me",
+        "q_dct_in",
+        "q_dct_out",
+        "q_quant",
+        "q_vlc",
+        "q_stream",
+        "q_rx",
+        "q_vld",
+        "q_idct_in",
+        "q_idct_out",
+        "q_mc",
+        "q_display",
     ] {
         model.queue(q, cap);
     }
@@ -388,7 +414,11 @@ pub fn mpeg2_system(config: &Mpeg2Config) -> SystemModel {
         TaskConfig::new("video_out"),
         vec![s::repeat(
             frames,
-            vec![s::q_read("q_display"), s::note("frame_out"), s::exec(us(50))],
+            vec![
+                s::q_read("q_display"),
+                s::note("frame_out"),
+                s::exec(us(50)),
+            ],
         )],
     );
     // ---- CPU0: encoder front-end (6 software functions) -------------
@@ -469,7 +499,13 @@ pub fn mpeg2_system(config: &Mpeg2Config) -> SystemModel {
     );
 
     // ---- mapping -----------------------------------------------------
-    for hw in ["video_in", "dct_accel", "idct_accel", "net_loop", "video_out"] {
+    for hw in [
+        "video_in",
+        "dct_accel",
+        "idct_accel",
+        "net_loop",
+        "video_out",
+    ] {
         model.map(hw, Mapping::Hardware);
     }
     for f in [
@@ -490,7 +526,6 @@ pub fn mpeg2_system(config: &Mpeg2Config) -> SystemModel {
     }
     model
 }
-
 
 /// Configuration of the [`automotive_system`] case study (extension: a
 /// second domain example beyond the paper's MPEG-2 SoC).
@@ -606,9 +641,7 @@ pub fn automotive_system(config: &AutomotiveConfig) -> SystemModel {
         )],
     );
     model.function_script(
-        TaskConfig::new("injection")
-            .priority(9)
-            .deadline(us(500)),
+        TaskConfig::new("injection").priority(9).deadline(us(500)),
         vec![s::repeat(
             pulses,
             vec![
@@ -672,7 +705,13 @@ pub fn automotive_system(config: &AutomotiveConfig) -> SystemModel {
     for hw in ["crank_sensor", "can_bus"] {
         model.map(hw, Mapping::Hardware);
     }
-    for f in ["crank_isr", "injection", "knock_monitor", "can_tx", "diagnostics"] {
+    for f in [
+        "crank_isr",
+        "injection",
+        "knock_monitor",
+        "can_tx",
+        "diagnostics",
+    ] {
         model.map_to_processor(f, "ECU_engine");
     }
     model.map_to_processor("dash_update", "ECU_dash");
@@ -935,10 +974,7 @@ pub fn injection_latencies(trace: &rtsim_trace::Trace) -> Vec<SimDuration> {
 pub fn mpeg2_latencies(trace: &rtsim_trace::Trace) -> Vec<SimDuration> {
     let ins = trace.annotation_times("frame_in");
     let outs = trace.annotation_times("frame_out");
-    ins.iter()
-        .zip(outs.iter())
-        .map(|(&i, &o)| o - i)
-        .collect()
+    ins.iter().zip(outs.iter()).map(|(&i, &o)| o - i).collect()
 }
 
 #[cfg(test)]
@@ -948,7 +984,9 @@ mod tests {
 
     #[test]
     fn figure6_runs_to_780us() {
-        let mut system = figure6_system(EngineKind::ProcedureCall).elaborate().unwrap();
+        let mut system = figure6_system(EngineKind::ProcedureCall)
+            .elaborate()
+            .unwrap();
         system.run().unwrap();
         assert_eq!(system.now(), SimTime::ZERO + us(780));
     }
@@ -1014,8 +1052,7 @@ mod tests {
         system.run().unwrap();
         let latencies = injection_latencies(&system.trace());
         assert_eq!(latencies.len(), 25);
-        let summary =
-            rtsim_trace::DurationSummary::from_durations(latencies).expect("latencies");
+        let summary = rtsim_trace::DurationSummary::from_durations(latencies).expect("latencies");
         assert!(summary.max <= us(500), "{summary}");
     }
 

@@ -92,7 +92,10 @@ fn contended_queue_model(overheads: Overheads, cores: usize) -> SystemModel {
                 .deadline(us(400)),
             vec![s::repeat(
                 3,
-                vec![s::exec(us(2)), s::q_write("Q", move |_| Message::new(id, 4))],
+                vec![
+                    s::exec(us(2)),
+                    s::q_write("Q", move |_| Message::new(id, 4)),
+                ],
             )],
         );
         model.map_to_processor(name, "CPU");

@@ -19,9 +19,8 @@ fn fingerprints_are_identical_across_worker_counts() {
 
 #[test]
 fn smoke_subset_matches_the_committed_goldens() {
-    let goldens = std::fs::read_to_string(goldens_path()).expect(
-        "tests/goldens/farm.jsonl missing — run `cargo run --bin rtsim-farm -- --bless`",
-    );
+    let goldens = std::fs::read_to_string(goldens_path())
+        .expect("tests/goldens/farm.jsonl missing — run `cargo run --bin rtsim-farm -- --bless`");
     let results = run_matrix(&smoke_matrix(), 2);
     let outcome = diff(&goldens, &results, false);
     assert!(
@@ -68,7 +67,12 @@ fn perturbed_golden_is_caught_and_named() {
                 let marker = "\"hash\":\"";
                 let start = line.find(marker).unwrap() + marker.len();
                 // Overwrite the 16 hex digits with a hash no run produces.
-                format!("{}{}{}", &line[..start], "f".repeat(16), &line[start + 16..])
+                format!(
+                    "{}{}{}",
+                    &line[..start],
+                    "f".repeat(16),
+                    &line[start + 16..]
+                )
             } else {
                 line.to_owned()
             }
@@ -83,7 +87,11 @@ fn perturbed_golden_is_caught_and_named() {
         "diff does not name the drifted cell: {}",
         outcome.messages[0]
     );
-    assert!(outcome.messages[0].contains("hash"), "{}", outcome.messages[0]);
+    assert!(
+        outcome.messages[0].contains("hash"),
+        "{}",
+        outcome.messages[0]
+    );
 }
 
 #[test]

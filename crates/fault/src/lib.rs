@@ -196,7 +196,14 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `den` is zero or the scale shrinks cost (`num < den`).
-    pub fn burst(mut self, task: &str, from: SimTime, until: SimTime, num: u64, den: u64) -> FaultPlan {
+    pub fn burst(
+        mut self,
+        task: &str,
+        from: SimTime,
+        until: SimTime,
+        num: u64,
+        den: u64,
+    ) -> FaultPlan {
         assert!(den > 0, "burst denominator must be positive");
         assert!(num >= den, "a burst scales cost up, not down");
         self.bursts.push(BurstSpec {
@@ -280,7 +287,9 @@ impl ChannelLane {
     pub fn should_drop(&mut self, now: SimTime) -> bool {
         let drop = match &self.mode {
             DropMode::Probability(p) => self.rng.gen_bool(*p),
-            DropMode::Windows(windows) => windows.iter().any(|(from, until)| now >= *from && now < *until),
+            DropMode::Windows(windows) => windows
+                .iter()
+                .any(|(from, until)| now >= *from && now < *until),
         };
         self.drops += u64::from(drop);
         drop
@@ -344,7 +353,11 @@ impl FaultInjector {
         for spec in &plan.dropouts {
             lanes.insert(
                 spec.channel.clone(),
-                world.insert(ChannelLane::new(plan.seed, &spec.channel, spec.mode.clone())),
+                world.insert(ChannelLane::new(
+                    plan.seed,
+                    &spec.channel,
+                    spec.mode.clone(),
+                )),
             );
         }
         let mut monitors = BTreeMap::new();
@@ -559,10 +572,16 @@ mod tests {
     fn burst_scales_inside_window_only() {
         let plan = FaultPlan::new(0).burst("decoder", at(100), at(200), 3, 2);
         let (_, inj) = runtime(&plan);
-        assert_eq!(inj.burst_extra("decoder", at(99), us(10)), SimDuration::ZERO);
+        assert_eq!(
+            inj.burst_extra("decoder", at(99), us(10)),
+            SimDuration::ZERO
+        );
         assert_eq!(inj.burst_extra("decoder", at(100), us(10)), us(5));
         assert_eq!(inj.burst_extra("decoder", at(199), us(10)), us(5));
-        assert_eq!(inj.burst_extra("decoder", at(200), us(10)), SimDuration::ZERO);
+        assert_eq!(
+            inj.burst_extra("decoder", at(200), us(10)),
+            SimDuration::ZERO
+        );
         assert_eq!(inj.burst_extra("other", at(150), us(10)), SimDuration::ZERO);
         assert!(inj.burst_active("decoder", at(150)));
         assert!(!inj.burst_active("decoder", at(250)));
@@ -587,24 +606,38 @@ mod tests {
         let v = tick(false);
         assert_eq!(v.change, Some(ModeChange::Recover));
         assert!(!v.degraded);
-        assert!(inj.degraded_tick(&mut world, "other", at(0), true).is_none());
+        assert!(inj
+            .degraded_tick(&mut world, "other", at(0), true)
+            .is_none());
     }
 
     #[test]
     fn degraded_counts_watched_channel_drops() {
-        let plan = FaultPlan::new(0)
-            .drop_window("q", at(10), at(20))
-            .degraded("ctrl", &["q"], 1, 1, us(900));
+        let plan = FaultPlan::new(0).drop_window("q", at(10), at(20)).degraded(
+            "ctrl",
+            &["q"],
+            1,
+            1,
+            us(900),
+        );
         let (mut world, inj) = runtime(&plan);
         let lane = inj.lane("q").unwrap();
         // No drops yet: healthy.
-        assert!(!inj.degraded_tick(&mut world, "ctrl", at(5), false).unwrap().degraded);
+        assert!(
+            !inj.degraded_tick(&mut world, "ctrl", at(5), false)
+                .unwrap()
+                .degraded
+        );
         // A drop on the watched channel faults the next activation.
         assert!(world.get_mut(lane).should_drop(at(15)));
-        let v = inj.degraded_tick(&mut world, "ctrl", at(16), false).unwrap();
+        let v = inj
+            .degraded_tick(&mut world, "ctrl", at(16), false)
+            .unwrap();
         assert_eq!(v.change, Some(ModeChange::EnterDegraded));
         // No further drops: recovery after one healthy activation.
-        let v = inj.degraded_tick(&mut world, "ctrl", at(30), false).unwrap();
+        let v = inj
+            .degraded_tick(&mut world, "ctrl", at(30), false)
+            .unwrap();
         assert_eq!(v.change, Some(ModeChange::Recover));
     }
 

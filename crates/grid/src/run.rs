@@ -299,10 +299,8 @@ mod tests {
     }
 
     fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "rtsim-grid-run-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("rtsim-grid-run-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -334,7 +332,11 @@ mod tests {
         assert_eq!(one.records[4].index, 4);
         for shards in [2, 4, 11, 64] {
             let sharded = run(shards);
-            assert_eq!(sharded.merged_jsonl(), one.merged_jsonl(), "{shards} shards");
+            assert_eq!(
+                sharded.merged_jsonl(),
+                one.merged_jsonl(),
+                "{shards} shards"
+            );
             assert_eq!(sharded.records, one.records);
         }
     }
@@ -370,7 +372,13 @@ mod tests {
                 .shards(1)
                 .run(
                     4,
-                    move |i| if i == 2 { format!("{tag}{i}") } else { format!("v{i}") },
+                    move |i| {
+                        if i == 2 {
+                            format!("{tag}{i}")
+                        } else {
+                            format!("v{i}")
+                        }
+                    },
                     draw_job,
                 )
         };
@@ -386,10 +394,11 @@ mod tests {
         let dir = scratch("corrupt");
         let store = CacheStore::new(&dir);
         let run = || {
-            Grid::new("corrupt", 3)
-                .cache(store.clone())
-                .workers(1)
-                .run(2, |i| i.to_string(), draw_job)
+            Grid::new("corrupt", 3).cache(store.clone()).workers(1).run(
+                2,
+                |i| i.to_string(),
+                draw_job,
+            )
         };
         let cold = run();
         let key = job_key(3, 0, "0");
@@ -402,7 +411,10 @@ mod tests {
 
     #[test]
     fn empty_grid_is_an_empty_report() {
-        let report = Grid::new("empty", 1).no_cache().shards(4).run(0, |_| String::new(), draw_job);
+        let report = Grid::new("empty", 1)
+            .no_cache()
+            .shards(4)
+            .run(0, |_| String::new(), draw_job);
         assert_eq!(report.jobs, 0);
         assert!(report.records.is_empty());
         assert_eq!(report.merged_jsonl(), "");

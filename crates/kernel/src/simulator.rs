@@ -258,7 +258,11 @@ impl Simulator {
             .kernel
             .stopped()
             .expect("candidate: the simulator is not stopped at a choice point");
-        assert!(index < point.arity, "candidate: index {index} out of {}", point.arity);
+        assert!(
+            index < point.arity,
+            "candidate: index {index} out of {}",
+            point.arity
+        );
         self.kernel.candidate_detail(point.kind, index)
     }
 

@@ -139,11 +139,7 @@ impl Rng {
 
     /// Generates a vector whose length is drawn from `len` and whose
     /// elements come from `gen` — the `prop::collection::vec` analogue.
-    pub fn gen_vec<T>(
-        &mut self,
-        len: Range<usize>,
-        mut gen: impl FnMut(&mut Rng) -> T,
-    ) -> Vec<T> {
+    pub fn gen_vec<T>(&mut self, len: Range<usize>, mut gen: impl FnMut(&mut Rng) -> T) -> Vec<T> {
         let n = self.gen_range(len);
         (0..n).map(|_| gen(self)).collect()
     }

@@ -427,10 +427,7 @@ mod tests {
 
     #[test]
     fn saturating_and_checked() {
-        assert_eq!(
-            SimDuration::MAX.checked_add(SimDuration::from_ps(1)),
-            None
-        );
+        assert_eq!(SimDuration::MAX.checked_add(SimDuration::from_ps(1)), None);
         assert_eq!(
             SimDuration::ZERO.saturating_sub(SimDuration::from_ps(5)),
             SimDuration::ZERO
@@ -463,10 +460,7 @@ mod tests {
 
     #[test]
     fn sum_of_durations() {
-        let total: SimDuration = [1u64, 2, 3]
-            .iter()
-            .map(|&n| SimDuration::from_ns(n))
-            .sum();
+        let total: SimDuration = [1u64, 2, 3].iter().map(|&n| SimDuration::from_ns(n)).sum();
         assert_eq!(total, SimDuration::from_ns(6));
     }
 

@@ -449,7 +449,10 @@ mod tests {
         assert_eq!((w.get(a).len(), copy.get(a).len()), (1, 2));
         assert_eq!(copy.get(b), &Refuses(true));
         w.insert_fork(Refuses(false));
-        assert!(w.fork().is_none(), "a refusing slot makes the world unforkable");
+        assert!(
+            w.fork().is_none(),
+            "a refusing slot makes the world unforkable"
+        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Segment processes: substrate-level equivalence with thread-backed
 //! processes in both hosts, plus the stale-wake regression audit.
 
-use rtsim_kernel::{
-    ExecMode, SegStep, SimDuration, SimTime, Simulator, Wake, WaitRequest,
-};
+use rtsim_kernel::{ExecMode, SegStep, SimDuration, SimTime, Simulator, WaitRequest, Wake};
 
 fn us(n: u64) -> SimDuration {
     SimDuration::from_us(n)

@@ -401,7 +401,10 @@ fn delta_livelock_is_detected() {
         ctx.notify_delta(b);
     });
     let err = sim.run().unwrap_err();
-    assert!(matches!(err, KernelError::DeltaCycleOverflow { limit: 100, .. }));
+    assert!(matches!(
+        err,
+        KernelError::DeltaCycleOverflow { limit: 100, .. }
+    ));
 }
 
 #[test]

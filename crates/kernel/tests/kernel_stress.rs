@@ -149,10 +149,8 @@ fn notification_churn_settles_deterministically() {
                         1 => ctx.notify_delta(target),
                         _ => ctx.notify_after(target, SimDuration::from_ps(k)),
                     }
-                    let w = ctx.wait_event_for(
-                        events[i],
-                        SimDuration::from_ps(3 + (k * i as u64) % 11),
-                    );
+                    let w = ctx
+                        .wait_event_for(events[i], SimDuration::from_ps(3 + (k * i as u64) % 11));
                     if matches!(w, Wake::Event(_)) {
                         hits.fetch_add(1, Ordering::Relaxed);
                     }

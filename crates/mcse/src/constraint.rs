@@ -219,7 +219,11 @@ fn check_one(
                 satisfied: ratio >= *min_ratio,
                 worst: None,
                 checked: 1,
-                detail: format!("activity {:.1}% (min {:.1}%)", ratio * 100.0, min_ratio * 100.0),
+                detail: format!(
+                    "activity {:.1}% (min {:.1}%)",
+                    ratio * 100.0,
+                    min_ratio * 100.0
+                ),
             }
         }
     }

@@ -75,7 +75,9 @@ impl FaultCtx {
 
 impl std::fmt::Debug for FaultCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultCtx").field("task", &self.task).finish()
+        f.debug_struct("FaultCtx")
+            .field("task", &self.task)
+            .finish()
     }
 }
 
@@ -737,7 +739,9 @@ impl ScriptProcess {
                 if let Some(fc) = self.fctx.as_mut() {
                     let now = ctx.now();
                     let locally = fc.locally_faulted(now, self.regs.k);
-                    let verdict = fc.injector.degraded_tick(ctx.world(), &fc.task, now, locally);
+                    let verdict = fc
+                        .injector
+                        .degraded_tick(ctx.world(), &fc.task, now, locally);
                     if let Some(v) = verdict {
                         // Deadline changes go through the task handle;
                         // hardware functions have no deadline, so for them

@@ -235,7 +235,12 @@ mod tests {
         let t = rec.register("T one", ActorKind::Task);
         let q = rec.register("Q", ActorKind::Relation);
         rec.state(t, SimTime::from_ps(1), TaskState::Ready);
-        rec.overhead(t, SimTime::from_ps(2), OverheadKind::Scheduling, SimDuration::from_ps(5));
+        rec.overhead(
+            t,
+            SimTime::from_ps(2),
+            OverheadKind::Scheduling,
+            SimDuration::from_ps(5),
+        );
         rec.comm(t, SimTime::from_ps(3), q, CommKind::Write);
         rec.queue_depth(q, SimTime::from_ps(3), 1, 4);
         rec.resource_held(q, SimTime::from_ps(4), true);

@@ -108,9 +108,7 @@ impl<'a> Measure<'a> {
     /// Terminated — i.e. completes its current processing.
     pub fn completion_after(&self, actor: ActorId, activation: SimTime) -> Option<SimTime> {
         self.trace.records_for(actor).find_map(|r| match r.data {
-            TraceData::State(TaskState::Waiting | TaskState::Terminated)
-                if r.at > activation =>
-            {
+            TraceData::State(TaskState::Waiting | TaskState::Terminated) if r.at > activation => {
                 Some(r.at)
             }
             _ => None,
@@ -144,9 +142,7 @@ impl<'a> Measure<'a> {
                 matches!(s, TaskState::Waiting | TaskState::Terminated).then_some(t)
             });
             let started = seq[i + 1..].iter().find_map(|&(t, s)| {
-                (s == TaskState::Running
-                    && completed.is_none_or(|c| t <= c))
-                .then_some(t)
+                (s == TaskState::Running && completed.is_none_or(|c| t <= c)).then_some(t)
             });
             jobs.push(Job {
                 activated: at,

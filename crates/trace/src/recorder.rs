@@ -7,7 +7,9 @@ use std::sync::Arc;
 use rtsim_kernel::world::{SharedWorld, Slot};
 use rtsim_kernel::{SimDuration, SimTime};
 
-use crate::record::{ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData};
+use crate::record::{
+    ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData,
+};
 
 /// The record buffer itself: a slot of the simulation
 /// [`World`](rtsim_kernel::World).
@@ -521,8 +523,16 @@ mod tests {
             iv,
             vec![
                 (SimTime::from_ps(0), SimTime::from_ps(5), TaskState::Ready),
-                (SimTime::from_ps(5), SimTime::from_ps(15), TaskState::Running),
-                (SimTime::from_ps(15), SimTime::from_ps(20), TaskState::Waiting),
+                (
+                    SimTime::from_ps(5),
+                    SimTime::from_ps(15),
+                    TaskState::Running
+                ),
+                (
+                    SimTime::from_ps(15),
+                    SimTime::from_ps(20),
+                    TaskState::Waiting
+                ),
             ]
         );
     }

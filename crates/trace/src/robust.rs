@@ -113,8 +113,8 @@ impl RobustnessSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::TraceRecorder;
     use crate::record::TaskState;
+    use crate::recorder::TraceRecorder;
 
     #[test]
     fn empty_trace_is_all_zero() {

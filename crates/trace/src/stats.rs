@@ -427,7 +427,12 @@ mod tests {
         let rec = TraceRecorder::new();
         let t = rec.register("T", ActorKind::Task);
         rec.state(t, ps(0), TaskState::Running);
-        rec.overhead(t, ps(10), OverheadKind::ContextSave, SimDuration::from_ps(5));
+        rec.overhead(
+            t,
+            ps(10),
+            OverheadKind::ContextSave,
+            SimDuration::from_ps(5),
+        );
         rec.overhead(t, ps(15), OverheadKind::Scheduling, SimDuration::from_ps(5));
         let stats = Statistics::from_trace(&rec.snapshot(), ps(100));
         assert_eq!(stats.task(t).unwrap().overhead, SimDuration::from_ps(10));
@@ -494,7 +499,11 @@ mod tests {
         let s = stats.task(t).unwrap();
         // Window is 100 ps long: waiting 100..150 (50%), running 150..200.
         assert!((s.waiting_ratio - 0.5).abs() < 1e-12, "{}", s.waiting_ratio);
-        assert!((s.activity_ratio - 0.5).abs() < 1e-12, "{}", s.activity_ratio);
+        assert!(
+            (s.activity_ratio - 0.5).abs() < 1e-12,
+            "{}",
+            s.activity_ratio
+        );
     }
 
     #[test]
@@ -550,8 +559,9 @@ mod tests {
     fn duration_summary_agrees_with_campaign_summary() {
         use rtsim_campaign::StatSummary;
         for count in 1..=32u64 {
-            let durations: Vec<SimDuration> =
-                (0..count).map(|k| SimDuration::from_us(3 * k + 1)).collect();
+            let durations: Vec<SimDuration> = (0..count)
+                .map(|k| SimDuration::from_us(3 * k + 1))
+                .collect();
             let floats = durations.iter().map(|d| d.as_ps() as f64);
             let ours = DurationSummary::from_durations(durations.clone()).unwrap();
             let theirs = StatSummary::from_values(floats).unwrap();

@@ -79,9 +79,10 @@ pub fn render(trace: &Trace, options: &TimelineOptions) -> String {
         ((off as u128 * width as u128) / span as u128) as usize
     };
 
-    let actors: Vec<ActorId> = options.actors.clone().unwrap_or_else(|| {
-        trace.actors_of_kind(ActorKind::Task).collect()
-    });
+    let actors: Vec<ActorId> = options
+        .actors
+        .clone()
+        .unwrap_or_else(|| trace.actors_of_kind(ActorKind::Task).collect());
     let label_width = actors
         .iter()
         .map(|&a| trace.actor_name(a).len())
@@ -224,7 +225,12 @@ mod tests {
         let t = rec.register("T", ActorKind::Task);
         let q = rec.register("Q", ActorKind::Relation);
         rec.state(t, ps(0), TaskState::Running);
-        rec.overhead(t, ps(40), OverheadKind::Scheduling, SimDuration::from_ps(20));
+        rec.overhead(
+            t,
+            ps(40),
+            OverheadKind::Scheduling,
+            SimDuration::from_ps(20),
+        );
         rec.comm(t, ps(90), q, CommKind::Write);
         let chart = render(
             &rec.snapshot(),
@@ -265,7 +271,12 @@ mod tests {
         rec.state(t, ps(0), TaskState::Running);
         // 1 ps overhead in a 100 ps window rounds to zero columns but must
         // stay visible.
-        rec.overhead(t, ps(50), OverheadKind::ContextSave, SimDuration::from_ps(1));
+        rec.overhead(
+            t,
+            ps(50),
+            OverheadKind::ContextSave,
+            SimDuration::from_ps(1),
+        );
         let chart = render(
             &rec.snapshot(),
             &TimelineOptions {

@@ -60,8 +60,7 @@ fn statistics_ratios_are_bounded() {
                 ] {
                     assert!((0.0..=1.0 + 1e-9).contains(&ratio), "{ratio}");
                 }
-                let sum =
-                    t.activity_ratio + t.preempted_ratio + t.waiting_ratio + t.resource_ratio;
+                let sum = t.activity_ratio + t.preempted_ratio + t.waiting_ratio + t.resource_ratio;
                 assert!(sum <= 1.0 + 1e-9, "{sum}");
             }
         },

@@ -9,8 +9,8 @@
 //!
 //! Run with: `cargo run --release --example automotive_ecu`
 
-use rtsim::testutil::Rng;
 use rtsim::scenarios::{automotive_system, injection_latencies, AutomotiveConfig};
+use rtsim::testutil::Rng;
 use rtsim::{DurationSummary, EngineKind, Overheads, SimDuration, TimelineOptions};
 
 /// Crank pulse gaps for an engine at `rpm` with ±3 % cycle-to-cycle
@@ -51,7 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             summary.median.to_string(),
             summary.p95.to_string(),
             summary.max.to_string(),
-            if report.all_satisfied() { "all PASS" } else { "VIOLATED" },
+            if report.all_satisfied() {
+                "all PASS"
+            } else {
+                "VIOLATED"
+            },
         );
     }
 

@@ -95,14 +95,20 @@ fn main() {
             "priority-preemptive",
             Box::new(|| Box::new(PriorityPreemptive::new())),
         ),
-        ("aging-priority (custom)", Box::new(|| Box::new(AgingPriority))),
+        (
+            "aging-priority (custom)",
+            Box::new(|| Box::new(AgingPriority)),
+        ),
         (
             "lowest-seq closure",
             Box::new(|| {
                 Box::new(policies::from_fn(
                     "lowest-seq",
                     |view: &PolicyView<'_>| {
-                        view.ready.iter().min_by_key(|t| t.enqueue_seq).map(|t| t.id)
+                        view.ready
+                            .iter()
+                            .min_by_key(|t| t.enqueue_seq)
+                            .map(|t| t.id)
                     },
                     |_v, c: &TaskView, r: &TaskView| c.priority > r.priority,
                 ))

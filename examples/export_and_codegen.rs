@@ -47,7 +47,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     write_csv(&trace, fs::File::create(&csv_path)?)?;
 
     println!("\nsimulated to {}; exported:", system.now());
-    println!("  {} ({} records)", vcd_path.display(), trace.records().len());
+    println!(
+        "  {} ({} records)",
+        vcd_path.display(),
+        trace.records().len()
+    );
     println!("  {}", csv_path.display());
     println!("\nopen the VCD in any waveform viewer: each task is a 3-bit");
     println!("state register (0 created, 1 ready, 2 running, 3 waiting,");

@@ -9,9 +9,7 @@
 //! Run with: `cargo run --example mpeg2_soc`
 
 use rtsim::scenarios::{mpeg2_latencies, mpeg2_system, Mpeg2Config};
-use rtsim::{
-    EngineKind, Overheads, SimDuration, Statistics, TimelineOptions, TimingConstraint,
-};
+use rtsim::{EngineKind, Overheads, SimDuration, Statistics, TimelineOptions, TimingConstraint};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = Mpeg2Config {
@@ -57,7 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Per-processor RTOS statistics.
-    println!("{:<6} {:>11} {:>12} {:>15}", "CPU", "dispatches", "preemptions", "scheduler runs");
+    println!(
+        "{:<6} {:>11} {:>12} {:>15}",
+        "CPU", "dispatches", "preemptions", "scheduler runs"
+    );
     for cpu in ["CPU0", "CPU1", "CPU2"] {
         let s = system.processor_stats(cpu).expect("declared processor");
         println!(

@@ -62,8 +62,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Machine-readable export of the whole TimeLine.
     let mut csv = Vec::new();
     rtsim::write_csv(&trace, &mut csv)?;
-    println!("\n(trace: {} records, {} bytes of CSV — use write_csv to save it)",
-        trace.records().len(), csv.len());
+    println!(
+        "\n(trace: {} records, {} bytes of CSV — use write_csv to save it)",
+        trace.records().len(),
+        csv.len()
+    );
 
     let _ = SimDuration::ZERO;
     Ok(())

@@ -10,7 +10,10 @@ use rtsim::{EngineKind, LockMode, Measure, SimDuration, TimelineOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (mode, label) in [
-        (LockMode::Plain, "plain mutual exclusion (the paper's Figure 7)"),
+        (
+            LockMode::Plain,
+            "plain mutual exclusion (the paper's Figure 7)",
+        ),
         (
             LockMode::PreemptionMasked,
             "preemption disabled during access (the paper's proposed fix)",

@@ -60,28 +60,27 @@
 
 pub use rtsim_campaign as campaign;
 pub use rtsim_check as check;
-pub use rtsim_farm as farm;
-pub use rtsim_grid as grid;
-pub use rtsim_farm::scenarios;
 pub use rtsim_comm as comm;
 pub use rtsim_core as core;
+pub use rtsim_farm as farm;
+pub use rtsim_farm::scenarios;
+pub use rtsim_grid as grid;
 pub use rtsim_kernel as kernel;
 pub use rtsim_mcse as mcse;
 pub use rtsim_trace as trace;
 
 pub use rtsim_campaign::{Campaign, JobCtx, StatSummary};
-pub use rtsim_grid::{CacheStore, Grid, GridReport, Record};
 pub use rtsim_comm::{EventPolicy, LockMode, MessageQueue, Rendezvous, RtEvent, SharedVar};
+pub use rtsim_core::policies;
 pub use rtsim_core::{
     assign_rate_monotonic, liu_layland_bound, partition_first_fit, response_time_analysis,
-    schedulable,
-    spawn_hw_function, spawn_interrupt_at, spawn_interrupt_schedule, spawn_periodic_interrupt,
-    spawn_polling_server, utilization, Agent, AperiodicQueue, CompletedRequest, EngineKind,
-    OverheadSpec, Overheads, PeriodicTask, PollingServerConfig, Priority, Processor,
-    ProcessorConfig, ResponseTime, SchedulerStats, SchedulingPolicy, TaskConfig, TaskCtx,
-    TaskHandle, TaskId, TaskState, Waiter,
+    schedulable, spawn_hw_function, spawn_interrupt_at, spawn_interrupt_schedule,
+    spawn_periodic_interrupt, spawn_polling_server, utilization, Agent, AperiodicQueue,
+    CompletedRequest, EngineKind, OverheadSpec, Overheads, PeriodicTask, PollingServerConfig,
+    Priority, Processor, ProcessorConfig, ResponseTime, SchedulerStats, SchedulingPolicy,
+    TaskConfig, TaskCtx, TaskHandle, TaskId, TaskState, Waiter,
 };
-pub use rtsim_core::policies;
+pub use rtsim_grid::{CacheStore, Grid, GridReport, Record};
 pub use rtsim_kernel::testutil;
 pub use rtsim_kernel::{
     Event, ExecMode, KernelError, KernelStats, ProcessContext, SimDuration, SimTime, Simulator,
@@ -92,6 +91,6 @@ pub use rtsim_mcse::{
     ModelError, SystemModel, TimingConstraint,
 };
 pub use rtsim_trace::{
-    write_csv, write_vcd, ActorId, ActorKind, CommKind, DurationSummary, Job, Measure, OverheadKind,
-    Statistics, TimelineOptions, Trace, TraceRecorder,
+    write_csv, write_vcd, ActorId, ActorKind, CommKind, DurationSummary, Job, Measure,
+    OverheadKind, Statistics, TimelineOptions, Trace, TraceRecorder,
 };

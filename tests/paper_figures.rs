@@ -6,9 +6,8 @@
 
 use rtsim::policies::PriorityPreemptive;
 use rtsim::{
-    EngineKind, EventPolicy, LockMode, Mapping, Measure, Message, Overheads, SimDuration,
-    SimTime, Statistics, SystemModel, TaskConfig, TaskState, TimelineOptions, TimingConstraint,
-    Trace,
+    EngineKind, EventPolicy, LockMode, Mapping, Measure, Message, Overheads, SimDuration, SimTime,
+    Statistics, SystemModel, TaskConfig, TaskState, TimelineOptions, TimingConstraint, Trace,
 };
 
 const ENGINES: [EngineKind; 2] = [EngineKind::ProcedureCall, EngineKind::DedicatedThread];
@@ -149,7 +148,9 @@ fn figure6_timeline_reproduces_the_paper_schedule() {
 
 #[test]
 fn figure6_timeline_chart_renders_the_lanes() {
-    let mut system = figure6_model(EngineKind::ProcedureCall).elaborate().unwrap();
+    let mut system = figure6_model(EngineKind::ProcedureCall)
+        .elaborate()
+        .unwrap();
     system.run().unwrap();
     let chart = system.timeline(&TimelineOptions {
         width: 120,
@@ -194,26 +195,42 @@ fn figure6_constraints_verify_the_reaction_time() {
 
 #[test]
 fn figure8_statistics_match_hand_computed_ratios() {
-    let mut system = figure6_model(EngineKind::ProcedureCall).elaborate().unwrap();
+    let mut system = figure6_model(EngineKind::ProcedureCall)
+        .elaborate()
+        .unwrap();
     system.run().unwrap();
     let horizon = SimTime::ZERO + us(780);
     let stats = system.statistics(horizon);
     let trace = system.trace();
 
     // Function_3 ran 500 of 780 µs: activity ratio 64.1%.
-    let f3 = stats.task(trace.actor_by_name("Function_3").unwrap()).unwrap();
-    assert!((f3.activity_ratio - 500.0 / 780.0).abs() < 1e-9, "{}", f3.activity_ratio);
+    let f3 = stats
+        .task(trace.actor_by_name("Function_3").unwrap())
+        .unwrap();
+    assert!(
+        (f3.activity_ratio - 500.0 / 780.0).abs() < 1e-9,
+        "{}",
+        f3.activity_ratio
+    );
     // Function_3 sat preempted/ready 40 + 115 + 115 = 270 µs: 34.6%.
-    assert!((f3.preempted_ratio - 270.0 / 780.0).abs() < 1e-9, "{}", f3.preempted_ratio);
+    assert!(
+        (f3.preempted_ratio - 270.0 / 780.0).abs() < 1e-9,
+        "{}",
+        f3.preempted_ratio
+    );
     assert_eq!(f3.preemptions, 2);
 
     // Function_1 ran 2 × 40 µs.
-    let f1 = stats.task(trace.actor_by_name("Function_1").unwrap()).unwrap();
+    let f1 = stats
+        .task(trace.actor_by_name("Function_1").unwrap())
+        .unwrap();
     assert!((f1.activity_ratio - 80.0 / 780.0).abs() < 1e-9);
 
     // Relation utilization (Figure 8 item (4)): Event_1 was signalled
     // twice and consumed twice.
-    let e1 = stats.relation(trace.actor_by_name("Event_1").unwrap()).unwrap();
+    let e1 = stats
+        .relation(trace.actor_by_name("Event_1").unwrap())
+        .unwrap();
     assert_eq!(e1.signals, 2);
     assert_eq!(e1.reads, 2);
 
@@ -305,7 +322,9 @@ fn figure7_mutual_exclusion_blocking_through_the_model_layer() {
 
 #[test]
 fn figure6_exports_csv_and_vcd() {
-    let mut system = figure6_model(EngineKind::ProcedureCall).elaborate().unwrap();
+    let mut system = figure6_model(EngineKind::ProcedureCall)
+        .elaborate()
+        .unwrap();
     system.run().unwrap();
     let trace = system.trace();
     let mut csv = Vec::new();
@@ -358,5 +377,8 @@ fn statistics_respect_engine_equivalence() {
             })
             .collect()
     }
-    assert_eq!(ratios(EngineKind::ProcedureCall), ratios(EngineKind::DedicatedThread));
+    assert_eq!(
+        ratios(EngineKind::ProcedureCall),
+        ratios(EngineKind::DedicatedThread)
+    );
 }

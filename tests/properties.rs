@@ -10,8 +10,8 @@
 use rtsim::policies::PriorityPreemptive;
 use rtsim::testutil::check;
 use rtsim::{
-    response_time_analysis, EngineKind, MessageQueue, Overheads, PeriodicTask, Priority,
-    Processor, ProcessorConfig, SimDuration, SimTime, TaskConfig, TaskState, Trace, TraceRecorder,
+    response_time_analysis, EngineKind, MessageQueue, Overheads, PeriodicTask, Priority, Processor,
+    ProcessorConfig, SimDuration, SimTime, TaskConfig, TaskState, Trace, TraceRecorder,
 };
 
 fn us(v: u64) -> SimDuration {
@@ -228,24 +228,32 @@ fn queue_conservation_across_processors() {
             let received = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
 
             let tx = q.clone();
-            cpu_a.spawn_task(&mut sim, TaskConfig::new("producer").priority(1), move |t| {
-                for k in 0..count {
-                    if producer_gap > 0 {
-                        t.delay(us(producer_gap));
+            cpu_a.spawn_task(
+                &mut sim,
+                TaskConfig::new("producer").priority(1),
+                move |t| {
+                    for k in 0..count {
+                        if producer_gap > 0 {
+                            t.delay(us(producer_gap));
+                        }
+                        tx.write(t, k);
                     }
-                    tx.write(t, k);
-                }
-            });
+                },
+            );
             let sink = std::sync::Arc::clone(&received);
-            cpu_b.spawn_task(&mut sim, TaskConfig::new("consumer").priority(1), move |t| {
-                for _ in 0..count {
-                    let k = q.read(t);
-                    if consumer_cost > 0 {
-                        t.execute(us(consumer_cost));
+            cpu_b.spawn_task(
+                &mut sim,
+                TaskConfig::new("consumer").priority(1),
+                move |t| {
+                    for _ in 0..count {
+                        let k = q.read(t);
+                        if consumer_cost > 0 {
+                            t.execute(us(consumer_cost));
+                        }
+                        sink.lock().unwrap().push(k);
                     }
-                    sink.lock().unwrap().push(k);
-                }
-            });
+                },
+            );
             sim.run().unwrap();
             let received = received.lock().unwrap();
             assert_eq!(&*received, &(0..count).collect::<Vec<_>>());
@@ -297,7 +305,13 @@ fn full_stack_determinism() {
                     let summary: Vec<(u64, u32, String)> = trace
                         .records()
                         .iter()
-                        .map(|r| (r.at.as_ps(), r.actor.index() as u32, format!("{:?}", r.data)))
+                        .map(|r| {
+                            (
+                                r.at.as_ps(),
+                                r.actor.index() as u32,
+                                format!("{:?}", r.data),
+                            )
+                        })
                         .collect();
                     (summary, sim.now())
                 };
