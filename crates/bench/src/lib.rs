@@ -1,5 +1,5 @@
-//! Shared helpers for the `rtsim-bench` harness binaries and the
-//! in-tree benches that regenerate the DATE 2004 paper's figures.
+//! Shared helpers for the `rtsim-bench` harness binaries that
+//! regenerate the DATE 2004 paper's figures.
 //!
 //! The binaries (see `src/bin/`) print, as text, the information each
 //! paper figure conveys:

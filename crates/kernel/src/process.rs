@@ -455,14 +455,14 @@ pub(crate) enum ProcState {
     Dead,
 }
 
-/// Renders a panic payload for [`YieldReason::Panicked`].
+/// Renders a panic payload as a message: the one renderer for a
+/// panicked process and for a panicked campaign job.
 ///
 /// `&str` and `String` payloads pass through verbatim. Anything else is
 /// probed against the common primitive payload types, and failing that is
-/// reported with its `TypeId` — enough for farm/campaign panic isolation
-/// to say *which* payload type was lost instead of a bare
-/// "non-string panic payload".
-pub(crate) fn describe_panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
+/// reported with its `TypeId` — enough to say *which* payload type was
+/// lost instead of a bare "non-string panic payload".
+pub fn describe_panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_owned();
     }

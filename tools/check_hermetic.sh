@@ -59,6 +59,11 @@ cargo build --release --offline --workspace --all-targets
 echo "== hermetic check: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== hermetic check: rustfmt (the tree is formatted) =="
+# One style for every line: a change formats its own lines with
+# `cargo fmt --all` instead of leaving them, or reformatting others'.
+cargo fmt --all --check
+
 echo "== hermetic check: docs (rustdoc warnings are errors) =="
 # A dangling intra-doc link, e.g. one left behind when an item is
 # deleted, fails here instead of rotting in the rendered docs.
@@ -76,7 +81,7 @@ cargo test -q --offline --workspace
 
 echo "== hermetic check: regression farm goldens (full matrix, both exec modes) =="
 # The release build above already produced the farm binary; sweep the
-# whole 224-cell matrix (single- and multi-core cells, fault-injection
+# whole 196-cell matrix (single- and multi-core cells, fault-injection
 # cells) against tests/goldens/farm.jsonl so behavioural drift is caught
 # here too. Re-pin intentional changes with `rtsim-farm --bless`. The
 # sweep runs once per kernel execution mode: the thread-backed kernel
