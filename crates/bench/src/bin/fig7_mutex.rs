@@ -3,7 +3,7 @@
 //! inheritance / priority-ceiling), tabulating how long the high-priority task is delayed.
 
 use rtsim::scenarios::figure7_system;
-use rtsim::{EngineKind, LockMode, Priority, SimDuration, TaskState, TimelineOptions};
+use rtsim::{EngineKind, LockMode, Measure, Priority, TaskState, TimelineOptions};
 
 fn main() {
     println!("== Figure 7: SharedVar_1 blocking under four protection modes ==\n");
@@ -43,16 +43,8 @@ fn main() {
         // mode: Function_2 visibly waiting on the resource.
         if mode == LockMode::Plain {
             let f2 = trace.actor_by_name("Function_2").expect("F2");
-            let resource_waits: Vec<_> = trace
-                .records_for(f2)
-                .filter(|r| {
-                    matches!(
-                        r.data,
-                        rtsim::trace::TraceData::State(TaskState::WaitingResource)
-                    )
-                })
-                .map(|r| r.at)
-                .collect();
+            let resource_waits =
+                Measure::new(&trace).transitions_to(f2, TaskState::WaitingResource);
             assert!(!resource_waits.is_empty(), "F2 must block on the resource");
         }
     }
@@ -68,5 +60,4 @@ fn main() {
     for (mode, chart) in charts {
         println!("-- TimeLine, {mode} --\n{chart}");
     }
-    let _ = SimDuration::ZERO;
 }

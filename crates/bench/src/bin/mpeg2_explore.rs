@@ -15,7 +15,7 @@
 //!
 //! Run with: `cargo run --release -p rtsim-bench --bin mpeg2_explore`
 
-use rtsim::grid::record::{string_field, u64_array_field, u64_field};
+use rtsim::campaign::json::Json;
 use rtsim::scenarios::{mpeg2_latencies, mpeg2_system, Mpeg2Config};
 use rtsim::{EngineKind, Grid, Overheads, Record, SimDuration};
 use rtsim_bench::{fmt_wall, report_grid, scaled};
@@ -43,21 +43,27 @@ struct PointResult {
 
 impl Record for PointResult {
     fn encode(&self) -> String {
-        let lat: Vec<String> = self.latencies_ps.iter().map(u64::to_string).collect();
-        format!(
-            r#"{{"label":"{}","latencies_ps":[{}],"makespan_ps":{},"preemptions":{}}}"#,
-            self.label,
-            lat.join(","),
-            self.makespan_ps,
-            self.preemptions,
-        )
+        Json::obj([
+            ("label", Json::from(self.label.as_str())),
+            (
+                "latencies_ps",
+                Json::from_iter(self.latencies_ps.iter().copied()),
+            ),
+            ("makespan_ps", Json::from(self.makespan_ps)),
+            ("preemptions", Json::from(self.preemptions)),
+        ])
+        .to_string()
     }
     fn decode(line: &str) -> Option<Self> {
+        let line = Json::parse(line).ok()?;
+        let Json::Arr(latencies) = line.get("latencies_ps")? else {
+            return None;
+        };
         Some(PointResult {
-            label: string_field(line, "label")?,
-            latencies_ps: u64_array_field(line, "latencies_ps")?,
-            makespan_ps: u64_field(line, "makespan_ps")?,
-            preemptions: u64_field(line, "preemptions")?,
+            label: line.get("label")?.as_str()?.to_owned(),
+            latencies_ps: latencies.iter().map(Json::as_u64).collect::<Option<_>>()?,
+            makespan_ps: line.get("makespan_ps")?.as_u64()?,
+            preemptions: line.get("preemptions")?.as_u64()?,
         })
     }
 }

@@ -20,8 +20,8 @@
 
 use rtsim::campaign::Campaign;
 use rtsim::{
-    spawn_interrupt_at, DurationSummary, Processor, ProcessorConfig, SimDuration, Simulator,
-    TaskConfig, TaskState, TraceRecorder, Waiter,
+    spawn_interrupt_at, DurationSummary, Measure, Processor, ProcessorConfig, SimDuration,
+    Simulator, TaskConfig, TaskState, TraceRecorder, Waiter,
 };
 use rtsim_bench::{report_campaign, scaled};
 
@@ -50,12 +50,8 @@ fn reaction_delay(at: SimDuration, quantum: Option<SimDuration>) -> SimDuration 
     sim.run().unwrap();
     let trace = rec.snapshot();
     let actor = trace.actor_by_name("isr").expect("isr");
-    let started = trace
-        .records_for(actor)
-        .filter_map(|r| match r.data {
-            rtsim::trace::TraceData::State(TaskState::Running) => Some(r.at),
-            _ => None,
-        })
+    let started = *Measure::new(&trace)
+        .transitions_to(actor, TaskState::Running)
         .last()
         .expect("handler ran");
     started.since_start() - at

@@ -20,8 +20,8 @@ use rtsim::campaign::{json::Json, Campaign};
 use rtsim::policies::PriorityPreemptive;
 use rtsim::testutil::Rng;
 use rtsim::{
-    assign_rate_monotonic, response_time_analysis, utilization, PeriodicTask, Processor,
-    ProcessorConfig, SimDuration, TaskConfig, TaskState, TraceRecorder,
+    assign_rate_monotonic, response_time_analysis, utilization, Measure, PeriodicTask, Processor,
+    ProcessorConfig, SimDuration, TaskConfig, TraceRecorder,
 };
 use rtsim_bench::{report_campaign, scaled, write_campaign_outputs};
 
@@ -68,23 +68,13 @@ fn simulate(tasks: &[PeriodicTask]) -> Vec<SimDuration> {
     }
     sim.run().expect("run");
     let trace = rec.snapshot();
+    let measure = Measure::new(&trace);
     tasks
         .iter()
         .map(|task| {
             let actor = trace.actor_by_name(&task.name).expect("actor");
-            let mut activation = None;
-            for r in trace.records_for(actor) {
-                match r.data {
-                    rtsim::trace::TraceData::State(TaskState::Ready) if activation.is_none() => {
-                        activation = Some(r.at)
-                    }
-                    rtsim::trace::TraceData::State(TaskState::Waiting | TaskState::Terminated) => {
-                        return r.at - activation.expect("activated")
-                    }
-                    _ => {}
-                }
-            }
-            unreachable!("job completed")
+            let first = measure.response_times(actor).first().copied();
+            first.expect("first job completed")
         })
         .collect()
 }

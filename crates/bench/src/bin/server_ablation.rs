@@ -14,8 +14,8 @@
 use rtsim::campaign::Campaign;
 use rtsim::testutil::Rng;
 use rtsim::{
-    spawn_polling_server, AperiodicQueue, DurationSummary, PollingServerConfig, Processor,
-    ProcessorConfig, SimDuration, SimTime, Simulator, TaskConfig, TaskState, TraceRecorder,
+    spawn_polling_server, AperiodicQueue, DurationSummary, Measure, PollingServerConfig, Processor,
+    ProcessorConfig, SimDuration, SimTime, Simulator, TaskConfig, TraceRecorder,
 };
 use rtsim_bench::{report_campaign, scaled};
 
@@ -99,24 +99,10 @@ fn run(
     // Periodic worst response (activation = k ms).
     let trace = rec.snapshot();
     let actor = trace.actor_by_name("periodic").expect("actor");
-    let mut worst = 0u64;
-    let mut activation: Option<SimTime> = Some(SimTime::ZERO);
-    for r in trace.records_for(actor) {
-        match r.data {
-            rtsim::trace::TraceData::State(TaskState::Waiting | TaskState::Terminated) => {
-                if let Some(a) = activation.take() {
-                    worst = worst.max((r.at - a).as_us());
-                }
-            }
-            rtsim::trace::TraceData::State(TaskState::Ready) if activation.is_none() => {
-                activation = Some(r.at);
-            }
-            _ => {}
-        }
-    }
+    let worst = Measure::new(&trace).response_times(actor).into_iter().max();
     Outcome {
         aperiodic,
-        periodic_worst_us: worst,
+        periodic_worst_us: worst.map_or(0, |w| w.as_us()),
     }
 }
 

@@ -26,24 +26,54 @@ fn run_smoke(bin: &str) -> String {
     String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
+/// Asserts that `rows` appear in `out` as consecutive whole lines.
+fn assert_rows(out: &str, rows: &[&str]) {
+    let lines: Vec<&str> = out.lines().collect();
+    assert!(
+        lines.windows(rows.len()).any(|w| w == rows),
+        "missing rows {rows:#?} in\n{out}"
+    );
+}
+
 #[test]
 fn rta_vs_sim_smoke() {
     let out = run_smoke(env!("CARGO_BIN_EXE_rta_vs_sim"));
-    assert!(out.contains("exact agreements"), "{out}");
+    assert_rows(
+        &out,
+        &["task responses checked : 40", "exact agreements       : 40"],
+    );
     assert!(out.contains("results identical"), "{out}");
 }
 
 #[test]
 fn quantum_error_smoke() {
     let out = run_smoke(env!("CARGO_BIN_EXE_quantum_error"));
-    assert!(out.contains("time-accurate (paper)"), "{out}");
+    assert_rows(
+        &out,
+        &[
+            "time-accurate (paper)         0 s        0 s        0 s        0 s",
+            "quantum 1us                   0 s        0 s        0 s        0 s",
+            "quantum 10us                  0 s       2 us       4 us       4 us",
+            "quantum 100us               23 us   50750 ns      84 us      84 us",
+            "quantum 1000us              41 us  350750 ns     744 us     744 us",
+        ],
+    );
     assert!(out.contains("results identical"), "{out}");
 }
 
 #[test]
 fn server_ablation_smoke() {
     let out = run_smoke(env!("CARGO_BIN_EXE_server_ablation"));
-    assert!(out.contains("polling 1ms/100us"), "{out}");
+    assert_rows(
+        &out,
+        &[
+            "polling 1ms/100us                     2664 us        2664 us            400us",
+            "polling 1ms/300us                     1057 us        1057 us            479us",
+            "polling 1ms/500us                     1057 us        1057 us            479us",
+            "polling 5ms/1500us                    5057 us        5057 us            641us",
+            "polling 10ms/5000us                  10057 us       10057 us            661us",
+        ],
+    );
     assert!(out.contains("results identical"), "{out}");
 }
 
@@ -105,9 +135,35 @@ fn fig8_stats_smoke() {
         out.contains("== Figure 8: statistics of the Figure 6 run =="),
         "{out}"
     );
-    assert!(out.contains("statistics over @780 us"), "{out}");
+    assert_rows(
+        &out,
+        &[
+            "statistics over @780 us :",
+            "task              activity  preempted   waiting   resource   overhead   #pre",
+            "Clock                 0.0%       0.0%     51.3%       0.0%       0.0%      0",
+            "Function_1           10.3%       5.1%     42.9%       0.0%       6.4%      0",
+            "Function_2            7.7%      12.2%     44.2%       0.0%       5.8%      0",
+            "Function_3           64.1%      34.6%      0.0%       0.0%       5.8%      2",
+            "relation          reads writes signals  utilization       held",
+            "Clk                   2      0       2         0.0%       0.0%",
+            "Event_1               2      0       2         0.0%       0.0%",
+        ],
+    );
     assert!(out.contains("statistics of the Figure 7 run"), "{out}");
-    assert!(out.contains("statistics over @200 us"), "{out}");
+    assert_rows(
+        &out,
+        &[
+            "statistics over @200 us :",
+            "task              activity  preempted   waiting   resource   overhead   #pre",
+            "Clock                 0.0%       0.0%     25.0%       0.0%       0.0%      0",
+            "Function_1           15.0%       0.0%     25.0%       0.0%       0.0%      0",
+            "Function_2           10.0%      10.0%     30.0%      25.0%       0.0%      0",
+            "Function_3           75.0%      25.0%      0.0%       0.0%       0.0%      2",
+            "relation          reads writes signals  utilization       held",
+            "Clk                   1      0       1         0.0%       0.0%",
+            "SharedVar_1           2      0       0         0.0%      70.0%",
+        ],
+    );
 }
 
 #[test]

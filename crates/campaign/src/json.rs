@@ -8,11 +8,11 @@
 //! shortest-round-trip formatting, so a campaign's JSONL is
 //! byte-comparable across runs and worker counts.
 //!
-//! No rtsim binary reads files with [`Json::parse`]. It stays as the
-//! oracle of the escaper's round-trip tests (a string the writer escapes
-//! must parse back to itself, which a hand-written expected output
-//! cannot show for random or edge-case input), and `rtsim-benchmark`'s
-//! contract test reads `BENCHMARK.json` with it.
+//! [`Json::parse`] is the workspace's one JSON reader. It reads back
+//! what the workspace wrote: golden lines and grid-cache entries
+//! (`rtsim_farm::golden::parse_line`), `mpeg2_explore`'s cached design
+//! points, and `rtsim-benchmark`'s `BENCHMARK.json`. It is strict, so a
+//! damaged line is an error as a whole, never a partly read record.
 
 use std::fmt;
 
@@ -108,6 +108,15 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer, if this is a [`Json::U64`] (what [`Json::parse`]
+    /// makes of every non-negative integer that fits).
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Json::U64(v) => Some(v),
             _ => None,
         }
     }
@@ -547,6 +556,9 @@ mod tests {
         let v = Json::parse(r#"{"id":"x","n":3,"f":2.5,"ok":true}"#).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("n"), Some(&Json::U64(3)));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some(3));
+        assert_eq!(v.get("f").and_then(Json::as_u64), None);
+        assert_eq!(v.get("id").and_then(Json::as_u64), None);
         assert_eq!(v.get("f"), Some(&Json::F64(2.5)));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(v.get("missing"), None);

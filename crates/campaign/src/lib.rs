@@ -51,9 +51,7 @@ pub mod csv;
 pub mod hash;
 pub mod json;
 mod pool;
-mod stats;
 
 pub use artifacts::{env_flag, env_usize, scaled, smoke, write_artifact, write_campaign_outputs};
 pub use hash::Fnv1a;
 pub use pool::{workers_from_env, Campaign, Comparison, JobCtx, JobOutcome, JobPanic, Report};
-pub use stats::{nearest_rank_index, StatSummary};

@@ -68,35 +68,31 @@ use crate::oracle::{Oracle, Violation};
 use crate::scenarios::CheckScenario;
 
 /// Search limits. Every limit is a truncation, not an error: tripping
-/// one marks the exploration incomplete (`complete = false`).
+/// one marks the exploration incomplete (`complete = false`). Besides
+/// the run cap, the visited set holds at most 1,000,000 states and a run
+/// branches at most 4,096 choice points deep (deeper ones take the
+/// stable order without forking).
 #[derive(Debug, Clone, Copy)]
 pub struct Budget {
     /// Maximum scenario replays (leaves visited).
     pub max_runs: u64,
-    /// Maximum distinct hashed states in the visited set.
-    pub max_states: usize,
-    /// Maximum branching depth per run; deeper choice points take the
-    /// stable order without forking.
-    pub max_depth: usize,
 }
+
+/// Maximum distinct hashed states in the visited set.
+const MAX_STATES: usize = 1_000_000;
+/// Maximum branching depth per run.
+const MAX_DEPTH: usize = 4_096;
 
 impl Default for Budget {
     fn default() -> Self {
-        Budget {
-            max_runs: 100_000,
-            max_states: 1_000_000,
-            max_depth: 4_096,
-        }
+        Budget { max_runs: 100_000 }
     }
 }
 
 impl Budget {
-    /// A budget capped at `runs` replays (states and depth defaulted).
+    /// A budget capped at `runs` replays.
     pub fn runs(runs: u64) -> Self {
-        Budget {
-            max_runs: runs,
-            ..Budget::default()
-        }
+        Budget { max_runs: runs }
     }
 }
 
@@ -230,7 +226,6 @@ struct Search<'s> {
     prune: bool,
     /// Whether to snapshot choice points (`false`: replay every run).
     fork: bool,
-    max_depth: usize,
     /// The branching choice points of the current path, shallowest first.
     frames: Vec<Frame>,
     /// Every choice of the current run, including non-branching ones;
@@ -252,13 +247,12 @@ struct Search<'s> {
 }
 
 impl<'s> Search<'s> {
-    fn new(scenario: &'s CheckScenario, prune: bool, fork: bool, max_depth: usize) -> Self {
+    fn new(scenario: &'s CheckScenario, prune: bool, fork: bool) -> Self {
         Search {
             scenario,
             oracles: (scenario.oracles)(),
             prune,
             fork,
-            max_depth,
             frames: Vec::new(),
             path: Vec::new(),
             visited: HashSet::new(),
@@ -348,7 +342,7 @@ impl<'s> Search<'s> {
     /// A fresh choice point (past the forced prefix): push a frame for
     /// it unless the depth cap or the visited set says otherwise.
     fn branch(&mut self, live: &mut Live, point: ChoicePoint) {
-        if self.frames.len() >= self.max_depth {
+        if self.frames.len() >= MAX_DEPTH {
             self.truncated = true;
             return;
         }
@@ -430,7 +424,7 @@ impl<'s> Search<'s> {
         let mut complete = false;
         let mut ever_truncated = false;
         let mut start: Option<Live> = None;
-        while runs < budget.max_runs && self.visited.len() < budget.max_states {
+        while runs < budget.max_runs && self.visited.len() < MAX_STATES {
             runs += 1;
             let (trace, hash, kernel_violation) = self.run(start.take());
             distinct.insert(hash);
@@ -518,7 +512,7 @@ pub fn explore(scenario: &CheckScenario, budget: &Budget) -> Exploration {
 /// the full choice tree, the reference the pruning property test
 /// compares against.
 pub fn explore_with(scenario: &CheckScenario, budget: &Budget, prune: bool) -> Exploration {
-    Search::new(scenario, prune, true, budget.max_depth).explore(budget)
+    Search::new(scenario, prune, true).explore(budget)
 }
 
 /// [`explore_with`] without forking: every run rebuilds the scenario and
@@ -526,7 +520,7 @@ pub fn explore_with(scenario: &CheckScenario, budget: &Budget, prune: bool) -> E
 /// The reference the fork tests compare against.
 #[doc(hidden)]
 pub fn explore_replaying(scenario: &CheckScenario, budget: &Budget, prune: bool) -> Exploration {
-    Search::new(scenario, prune, false, budget.max_depth).explore(budget)
+    Search::new(scenario, prune, false).explore(budget)
 }
 
 /// Why a choice sequence does not replay through a scenario.

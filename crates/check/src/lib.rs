@@ -13,7 +13,7 @@
 //! every reachable schedule.
 //!
 //! - [`explore`](mod@explore): the DFS itself, with canonical-trace FNV-1a state
-//!   hashing to prune revisits, a run/state/depth [`Budget`], and a
+//!   hashing to prune revisits, a run [`Budget`], and a
 //!   deterministic [`Counterexample`] (the exact choice stack) on
 //!   violation, which [`replay`] (or [`try_replay`]) reproduces.
 //! - [`oracle`]: the invariant trait and built-ins — no missed

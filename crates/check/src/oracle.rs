@@ -68,31 +68,35 @@ impl Oracle for NoLostMessage {
     }
 
     fn check(&self, trace: &Trace) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        for actor in trace.actors_of_kind(ActorKind::Relation) {
-            let mut final_depth = None;
-            for r in trace.records_for(actor) {
-                if let TraceData::QueueDepth { depth, .. } = r.data {
-                    final_depth = Some(depth);
+        // Per relation actor: its last reported depth and the writes and
+        // reads that name it.
+        let mut queues = per_actor(trace, ActorKind::Relation, (None, 0u64, 0u64));
+        for r in trace.records() {
+            match r.data {
+                TraceData::QueueDepth { depth, .. } => {
+                    if let Some(Some(queue)) = queues.get_mut(r.actor.index()) {
+                        queue.0 = Some(depth);
+                    }
                 }
-            }
-            let Some(final_depth) = final_depth else {
-                continue; // not a queue (no depth reports)
-            };
-            let mut writes = 0u64;
-            let mut reads = 0u64;
-            for r in trace.records() {
-                if let TraceData::Comm { relation, kind } = r.data {
-                    if relation == actor {
+                TraceData::Comm { relation, kind } => {
+                    if let Some(Some(queue)) = queues.get_mut(relation.index()) {
                         match kind {
-                            CommKind::Write => writes += 1,
-                            CommKind::Read => reads += 1,
+                            CommKind::Write => queue.1 += 1,
+                            CommKind::Read => queue.2 += 1,
                             CommKind::Signal => {}
                         }
                     }
                 }
+                _ => {}
             }
-            let name = trace.actor_name(actor);
+        }
+        let mut violations = Vec::new();
+        for (queue, actor) in queues.into_iter().zip(trace.actors()) {
+            // Not a queue unless it reported a depth.
+            let Some((Some(final_depth), writes, reads)) = queue else {
+                continue;
+            };
+            let name = &actor.name;
             if final_depth != 0 {
                 violations.push(Violation {
                     oracle: self.name(),
@@ -122,28 +126,28 @@ impl Oracle for AllTasksTerminate {
     }
 
     fn check(&self, trace: &Trace) -> Vec<Violation> {
-        let mut violations = Vec::new();
-        for actor in trace.actors_of_kind(ActorKind::Task) {
-            let last = trace
-                .records_for(actor)
-                .filter_map(|r| match r.data {
-                    TraceData::State(s) => Some(s),
-                    _ => None,
-                })
-                .last();
-            if let Some(state) = last {
-                if state != TaskState::Terminated {
-                    violations.push(Violation {
-                        oracle: self.name(),
-                        message: format!(
-                            "task `{}` ends the horizon in state {state} (lost wake?)",
-                            trace.actor_name(actor)
-                        ),
-                    });
+        // Per task actor: the last state it entered.
+        let mut last = per_actor(trace, ActorKind::Task, None);
+        for r in trace.records() {
+            if let TraceData::State(state) = r.data {
+                if let Some(Some(task)) = last.get_mut(r.actor.index()) {
+                    *task = Some(state);
                 }
             }
         }
-        violations
+        last.into_iter()
+            .zip(trace.actors())
+            .filter_map(|(last, actor)| match last {
+                Some(Some(state)) if state != TaskState::Terminated => Some(Violation {
+                    oracle: self.name(),
+                    message: format!(
+                        "task `{}` ends the horizon in state {state} (lost wake?)",
+                        actor.name
+                    ),
+                }),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -159,36 +163,41 @@ impl Oracle for MutexExclusion {
     }
 
     fn check(&self, trace: &Trace) -> Vec<Violation> {
+        // Per relation actor: whether it is held, and its breaches in
+        // trace order.
+        let mut resources = per_actor(trace, ActorKind::Relation, (false, Vec::new()));
+        for r in trace.records() {
+            let TraceData::ResourceHeld(h) = r.data else {
+                continue;
+            };
+            let Some(Some((held, breaches))) = resources.get_mut(r.actor.index()) else {
+                continue;
+            };
+            if h == *held {
+                breaches.push(format!(
+                    "resource `{}` {} twice in a row at {}ps",
+                    trace.actor_name(r.actor),
+                    if h { "acquired" } else { "released" },
+                    r.at.as_ps()
+                ));
+            }
+            *held = h;
+        }
         let mut violations = Vec::new();
-        for actor in trace.actors_of_kind(ActorKind::Relation) {
-            let mut held = false;
-            let mut seen_any = false;
-            for r in trace.records_for(actor) {
-                if let TraceData::ResourceHeld(h) = r.data {
-                    seen_any = true;
-                    if h == held {
-                        violations.push(Violation {
-                            oracle: self.name(),
-                            message: format!(
-                                "resource `{}` {} twice in a row at {}ps",
-                                trace.actor_name(actor),
-                                if h { "acquired" } else { "released" },
-                                r.at.as_ps()
-                            ),
-                        });
-                    }
-                    held = h;
-                }
+        for (resource, actor) in resources.into_iter().zip(trace.actors()) {
+            let Some((held, mut breaches)) = resource else {
+                continue;
+            };
+            if held {
+                breaches.push(format!(
+                    "resource `{}` still held at end of horizon",
+                    actor.name
+                ));
             }
-            if seen_any && held {
-                violations.push(Violation {
-                    oracle: self.name(),
-                    message: format!(
-                        "resource `{}` still held at end of horizon",
-                        trace.actor_name(actor)
-                    ),
-                });
-            }
+            violations.extend(breaches.into_iter().map(|message| Violation {
+                oracle: self.name(),
+                message,
+            }));
         }
         violations
     }
@@ -209,34 +218,43 @@ impl Oracle for CriticalSectionExclusion {
     }
 
     fn check(&self, trace: &Trace) -> Vec<Violation> {
-        // Gather per-actor [enter, exit) intervals.
-        let mut sections: Vec<(String, SimTime, SimTime)> = Vec::new();
-        let mut violations = Vec::new();
-        for actor in trace.actors_of_kind(ActorKind::Task) {
-            let mut open: Option<SimTime> = None;
-            for r in trace.records_for(actor) {
-                let TraceData::Annotation(label) = &r.data else {
-                    continue;
-                };
-                match label.as_str() {
-                    "cs_enter" => open = Some(r.at),
-                    "cs_exit" => {
-                        if let Some(start) = open.take() {
-                            sections.push((trace.actor_name(actor).to_owned(), start, r.at));
-                        }
+        // Per task actor: the open section's entry, if any, and its
+        // closed [enter, exit) intervals.
+        let mut tasks = per_actor(trace, ActorKind::Task, (None, Vec::new()));
+        for r in trace.records() {
+            let TraceData::Annotation(label) = &r.data else {
+                continue;
+            };
+            let Some(Some((open, closed))) = tasks.get_mut(r.actor.index()) else {
+                continue;
+            };
+            match label.as_str() {
+                "cs_enter" => *open = Some(r.at),
+                "cs_exit" => {
+                    if let Some(start) = open.take() {
+                        closed.push((start, r.at));
                     }
-                    _ => {}
                 }
+                _ => {}
             }
+        }
+        let mut violations = Vec::new();
+        let mut sections = Vec::new();
+        for (task, actor) in tasks.into_iter().zip(trace.actors()) {
+            let Some((open, closed)) = task else {
+                continue;
+            };
             if open.is_some() {
                 violations.push(Violation {
                     oracle: self.name(),
-                    message: format!(
-                        "task `{}` never exits its critical section",
-                        trace.actor_name(actor)
-                    ),
+                    message: format!("task `{}` never exits its critical section", actor.name),
                 });
             }
+            sections.extend(
+                closed
+                    .into_iter()
+                    .map(|(start, end)| (&actor.name, start, end)),
+            );
         }
         for (i, (a_name, a_start, a_end)) in sections.iter().enumerate() {
             for (b_name, b_start, b_end) in &sections[i + 1..] {
@@ -332,6 +350,17 @@ impl Oracle for PriorityInversionBound {
             Vec::new()
         }
     }
+}
+
+/// One `init` per actor of `kind` and `None` for every other actor: the
+/// per-actor state of a one-pass oracle, indexed by
+/// [`ActorId::index`](rtsim_trace::ActorId::index).
+fn per_actor<T: Clone>(trace: &Trace, kind: ActorKind, init: T) -> Vec<Option<T>> {
+    trace
+        .actors()
+        .iter()
+        .map(|a| (a.kind == kind).then(|| init.clone()))
+        .collect()
 }
 
 /// The default oracle suite: every scenario-independent built-in.

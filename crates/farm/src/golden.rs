@@ -9,17 +9,16 @@
 //! ```
 //!
 //! so the file diffs line-per-cell in version control. Because the
-//! writer is in-tree and deterministic, the checker never needs a JSON
-//! parser: cells are matched by their `"scenario"/"policy"/"mode"` keys
-//! and compared as whole lines, with per-field extraction only to phrase
-//! the drift message.
+//! writer is in-tree and deterministic, cells are matched by their
+//! `"scenario"/"policy"/"mode"` keys and compared as whole lines; lines
+//! are read with [`Json::parse`] only to find those keys, to decode a
+//! cached result, and to phrase the drift message.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use rtsim_campaign::csv::CsvTable;
 use rtsim_campaign::json::Json;
-use rtsim_grid::record::{string_field, u64_field};
 
 use crate::fingerprint::Fingerprint;
 use crate::registry::{scenario_by_name, Cell, CellResult, PolicyKind};
@@ -83,23 +82,19 @@ pub fn render(results: &[CellResult]) -> String {
 
 /// Parses the `(scenario, policy, mode, cores)` identity of a golden
 /// line. Lines without a `"cores"` field are single-core (the pre-SMP
-/// format). Returns `None` on lines that are not well-formed cell
-/// records.
-///
-/// Field extraction is the grid's flat-record scanning
-/// ([`rtsim_grid::record`]); none of the values the farm writes contain
-/// escapes, so the plain scan suffices.
+/// format). Returns `None` on lines that are not JSON cell records.
 pub fn parse_cell_key(line: &str) -> Option<(String, String, String, u8)> {
-    let cores = match u64_field(line, "cores") {
-        Some(c) => u8::try_from(c).ok()?,
+    cell_key(&Json::parse(line).ok()?)
+}
+
+/// The `(scenario, policy, mode, cores)` identity of a parsed line.
+fn cell_key(line: &Json) -> Option<(String, String, String, u8)> {
+    let text = |key| Some(line.get(key)?.as_str()?.to_owned());
+    let cores = match line.get("cores") {
+        Some(c) => u8::try_from(c.as_u64()?).ok()?,
         None => 1,
     };
-    Some((
-        string_field(line, "scenario")?,
-        string_field(line, "policy")?,
-        string_field(line, "mode")?,
-        cores,
-    ))
+    Some((text("scenario")?, text("policy")?, text("mode")?, cores))
 }
 
 /// Formats a parsed cell key the way [`Cell::label`] would.
@@ -116,7 +111,8 @@ fn key_label(key: &(String, String, String, u8)) -> String {
 /// (`parse_line(render_line(r)) == Some(r)`). Returns `None` on
 /// malformed lines or unknown scenario/policy/mode keys.
 pub fn parse_line(line: &str) -> Option<CellResult> {
-    let (scenario, policy, mode, cores) = parse_cell_key(line)?;
+    let line = Json::parse(line).ok()?;
+    let (scenario, policy, mode, cores) = cell_key(&line)?;
     let scenario = scenario_by_name(&scenario)?.name;
     let policy = PolicyKind::from_key(&policy)?;
     let preemptive = match mode.as_str() {
@@ -124,6 +120,7 @@ pub fn parse_line(line: &str) -> Option<CellResult> {
         "cooperative" => false,
         _ => return None,
     };
+    let count = |key| line.get(key)?.as_u64();
     Some(CellResult {
         cell: Cell {
             scenario,
@@ -132,14 +129,14 @@ pub fn parse_line(line: &str) -> Option<CellResult> {
             cores,
         },
         fingerprint: Fingerprint {
-            hash: u64::from_str_radix(&string_field(line, "hash")?, 16).ok()?,
-            events: u64_field(line, "events")?,
-            makespan_ps: u64_field(line, "makespan_ps")?,
-            dispatches: u64_field(line, "dispatches")?,
-            preemptions: u64_field(line, "preemptions")?,
-            deadline_misses: u64_field(line, "deadline_misses")?,
+            hash: u64::from_str_radix(line.get("hash")?.as_str()?, 16).ok()?,
+            events: count("events")?,
+            makespan_ps: count("makespan_ps")?,
+            dispatches: count("dispatches")?,
+            preemptions: count("preemptions")?,
+            deadline_misses: count("deadline_misses")?,
             // Absent on fault-free lines (the whole pre-fault file).
-            faults: u64_field(line, "faults").unwrap_or(0),
+            faults: line.get("faults").map_or(Some(0), Json::as_u64)?,
         },
     })
 }
@@ -196,7 +193,8 @@ impl DiffOutcome {
     }
 }
 
-const FIELDS: [&str; 6] = [
+const FIELDS: [&str; 7] = [
+    "hash",
     "events",
     "makespan_ps",
     "dispatches",
@@ -206,13 +204,15 @@ const FIELDS: [&str; 6] = [
 ];
 
 fn describe_drift(cell: &str, expected: &str, actual: &str) -> String {
+    let (expected, actual) = (Json::parse(expected).ok(), Json::parse(actual).ok());
     let mut changes = Vec::new();
-    match (string_field(expected, "hash"), string_field(actual, "hash")) {
-        (Some(e), Some(a)) if e != a => changes.push(format!("hash {e} -> {a}")),
-        _ => {}
-    }
     for field in FIELDS {
-        match (u64_field(expected, field), u64_field(actual, field)) {
+        // The hash is a string; print it without its quotes.
+        let value = |line: &Option<Json>| match line.as_ref()?.get(field)? {
+            Json::Str(s) => Some(s.clone()),
+            other => Some(other.to_string()),
+        };
+        match (value(&expected), value(&actual)) {
             (Some(e), Some(a)) if e != a => changes.push(format!("{field} {e} -> {a}")),
             _ => {}
         }
@@ -321,9 +321,16 @@ mod tests {
         // A single-core line never carries a "cores" field: the pre-SMP
         // golden format is preserved byte-for-byte.
         assert!(!line.contains("cores"), "{line}");
-        assert_eq!(string_field(&line, "hash").unwrap(), "00000000deadbeef");
-        assert_eq!(u64_field(&line, "events"), Some(73));
-        assert_eq!(u64_field(&line, "makespan_ps"), Some(780_000_000));
+        let json = Json::parse(&line).unwrap();
+        assert_eq!(
+            json.get("hash").and_then(Json::as_str),
+            Some("00000000deadbeef")
+        );
+        assert_eq!(json.get("events").and_then(Json::as_u64), Some(73));
+        assert_eq!(
+            json.get("makespan_ps").and_then(Json::as_u64),
+            Some(780_000_000)
+        );
     }
 
     #[test]
@@ -338,6 +345,11 @@ mod tests {
         );
         assert_eq!(
             parse_line(&render_line(&result).replace("preemptive", "sometimes")),
+            None
+        );
+        // A damaged number is not read as its leading digits.
+        assert_eq!(
+            parse_line(&render_line(&result).replace("\"events\":73", "\"events\":7O")),
             None
         );
     }

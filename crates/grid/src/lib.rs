@@ -27,14 +27,15 @@
 //! ## Quick start
 //!
 //! ```
+//! use rtsim_campaign::json::Json;
 //! use rtsim_grid::{Grid, Record};
 //!
 //! #[derive(Debug, PartialEq)]
 //! struct Sample(u64);
 //! impl Record for Sample {
-//!     fn encode(&self) -> String { format!(r#"{{"v":{}}}"#, self.0) }
+//!     fn encode(&self) -> String { Json::obj([("v", Json::from(self.0))]).to_string() }
 //!     fn decode(line: &str) -> Option<Self> {
-//!         rtsim_grid::record::u64_field(line, "v").map(Sample)
+//!         Json::parse(line).ok()?.get("v")?.as_u64().map(Sample)
 //!     }
 //! }
 //!

@@ -272,6 +272,7 @@ impl<T> GridReport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtsim_campaign::json::Json;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Rec {
@@ -284,9 +285,10 @@ mod tests {
             format!(r#"{{"index":{},"draw":{}}}"#, self.index, self.draw)
         }
         fn decode(line: &str) -> Option<Self> {
+            let record = Json::parse(line).ok()?;
             Some(Rec {
-                index: crate::record::u64_field(line, "index")?,
-                draw: crate::record::u64_field(line, "draw")?,
+                index: record.get("index")?.as_u64()?,
+                draw: record.get("draw")?.as_u64()?,
             })
         }
     }
@@ -402,10 +404,15 @@ mod tests {
         };
         let cold = run();
         let key = job_key(3, 0, "0");
-        store.store(key, "not json at all").unwrap();
-        let warm = run();
-        assert_eq!((warm.hits(), warm.misses()), (1, 1));
-        assert_eq!(warm.merged_jsonl(), cold.merged_jsonl());
+        // Not JSON at all, and not JSON although every field still scans
+        // as a number: both are misses, re-simulated and overwritten.
+        for damaged in ["not json at all", r#"{"index":0,"draw":1x}"#] {
+            store.store(key, damaged).unwrap();
+            let warm = run();
+            assert_eq!((warm.hits(), warm.misses()), (1, 1), "{damaged}");
+            assert_eq!(warm.merged_jsonl(), cold.merged_jsonl(), "{damaged}");
+            assert_eq!(store.load(key).as_deref(), Some(cold.lines[0].as_str()));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,6 +7,7 @@
 //! 2. cache transparency — a second (warm) run is 100 % cache hits and
 //!    produces byte-identical JSONL, even under a different shard count.
 
+use rtsim_campaign::json::Json;
 use rtsim_campaign::JobCtx;
 use rtsim_grid::{CacheStore, Grid, Record};
 use rtsim_kernel::testutil::check;
@@ -31,10 +32,14 @@ impl Record for Draws {
         )
     }
     fn decode(line: &str) -> Option<Self> {
+        let record = Json::parse(line).ok()?;
+        let Json::Arr(draws) = record.get("draws")? else {
+            return None;
+        };
         Some(Draws {
-            label: rtsim_grid::record::string_field(line, "label")?,
-            index: rtsim_grid::record::u64_field(line, "index")?,
-            draws: rtsim_grid::record::u64_array_field(line, "draws")?,
+            label: record.get("label")?.as_str()?.to_owned(),
+            index: record.get("index")?.as_u64()?,
+            draws: draws.iter().map(Json::as_u64).collect::<Option<_>>()?,
         })
     }
 }

@@ -29,11 +29,9 @@
 //!
 //! The format has exactly one writer: [`canonical_actor_into`] and
 //! [`canonical_record_into`] append one line's bytes to a `Vec<u8>`.
-//! [`canonical`], [`canonical_record`] and [`write_canonical`] wrap them,
-//! and the farm's fingerprint and the explorer's state hash feed their
-//! output straight into FNV-1a without building a `String`.
-
-use std::fmt;
+//! [`canonical`] wraps them, and the farm's fingerprint and the
+//! explorer's state hash feed their output straight into FNV-1a without
+//! building a `String`.
 
 use crate::record::{ActorInfo, Record, TraceData};
 use crate::recorder::Trace;
@@ -144,12 +142,6 @@ pub fn canonical_record_into(out: &mut Vec<u8>, r: &Record) {
     }
 }
 
-/// The writer only ever emits ASCII and whole `str`s, so its bytes are
-/// always UTF-8.
-fn into_text(bytes: Vec<u8>) -> String {
-    String::from_utf8(bytes).expect("canonical text is UTF-8")
-}
-
 /// Renders the canonical form of `trace` into a string.
 ///
 /// The output covers the full actor table and every record (states,
@@ -180,46 +172,8 @@ pub fn canonical(trace: &Trace) -> String {
         canonical_record_into(&mut out, r);
         out.push(b'\n');
     }
-    into_text(out)
-}
-
-/// Renders one record's canonical line, exactly as it would appear in
-/// [`canonical`] output (without the trailing newline).
-///
-/// This is the incremental face of the canonical format: a consumer that
-/// hashes records as they are appended gets the same byte stream as
-/// hashing [`canonical`]'s record section at the end. Hot loops should
-/// call [`canonical_record_into`] with a reused buffer instead.
-pub fn canonical_record(r: &Record) -> String {
-    let mut out = Vec::new();
-    canonical_record_into(&mut out, r);
-    into_text(out)
-}
-
-/// Streams the canonical form of `trace` to a [`fmt::Write`] sink, one
-/// line at a time.
-///
-/// # Errors
-///
-/// Propagates the sink's formatting errors.
-pub fn write_canonical<W: fmt::Write>(trace: &Trace, out: &mut W) -> fmt::Result {
-    let mut line = Vec::new();
-    let mut emit = |line: &mut Vec<u8>| {
-        line.push(b'\n');
-        let text = std::str::from_utf8(line).expect("canonical text is UTF-8");
-        let written = out.write_str(text);
-        line.clear();
-        written
-    };
-    for (index, info) in trace.actors().iter().enumerate() {
-        canonical_actor_into(&mut line, index, info);
-        emit(&mut line)?;
-    }
-    for r in trace.records() {
-        canonical_record_into(&mut line, r);
-        emit(&mut line)?;
-    }
-    Ok(())
+    // The writer only ever emits ASCII and whole `str`s.
+    String::from_utf8(out).expect("canonical text is UTF-8")
 }
 
 #[cfg(test)]
@@ -282,17 +236,6 @@ mod tests {
             canonical(&rec.snapshot())
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn write_canonical_matches_canonical() {
-        let rec = TraceRecorder::new();
-        let t = rec.register("T", ActorKind::Task);
-        rec.state(t, SimTime::ZERO, TaskState::Running);
-        let trace = rec.snapshot();
-        let mut sink = String::new();
-        write_canonical(&trace, &mut sink).unwrap();
-        assert_eq!(sink, canonical(&trace));
     }
 
     #[test]

@@ -42,11 +42,9 @@ pub mod stats;
 pub mod timeline;
 pub mod vcd;
 
-pub use canon::{
-    canonical, canonical_actor_into, canonical_record, canonical_record_into, write_canonical,
-};
+pub use canon::{canonical, canonical_actor_into, canonical_record_into};
 pub use csv::write_csv;
-pub use measure::{Job, JobFold, Measure};
+pub use measure::{Job, JobEdge, JobFold, Measure};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
 };

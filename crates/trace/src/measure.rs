@@ -103,52 +103,40 @@ impl<'a> Measure<'a> {
             .sum()
     }
 
-    /// Response time of one activation: given the instant a task became
-    /// Ready (or Running), the time until it next enters Waiting or
-    /// Terminated — i.e. completes its current processing.
-    pub fn completion_after(&self, actor: ActorId, activation: SimTime) -> Option<SimTime> {
-        self.trace.records_for(actor).find_map(|r| match r.data {
-            TraceData::State(TaskState::Waiting | TaskState::Terminated) if r.at > activation => {
-                Some(r.at)
-            }
-            _ => None,
-        })
-    }
-
-    /// Splits a task's trace into *jobs*: a job starts when the task
-    /// becomes Ready out of a synchronization wait (or at creation) and
-    /// completes at the next Waiting/Terminated record. Preemptions and
-    /// resource waits are within-job.
+    /// Splits a task's trace into *jobs* by folding its state changes
+    /// through [`JobFold`], the one rule for where a job starts and
+    /// ends: a job starts when the task becomes Ready out of a
+    /// synchronization wait (or at creation) and completes at the next
+    /// Waiting/Terminated record. Preemptions and resource waits are
+    /// within-job; a job has started at its first Running in between.
     pub fn jobs(&self, actor: ActorId) -> Vec<Job> {
-        let seq: Vec<(SimTime, TaskState)> = self
-            .trace
-            .records_for(actor)
-            .filter_map(|r| match r.data {
-                TraceData::State(s) => Some((r.at, s)),
-                _ => None,
-            })
-            .collect();
-        let mut jobs = Vec::new();
-        for (i, &(at, state)) in seq.iter().enumerate() {
-            let activation = state == TaskState::Ready
-                && matches!(
-                    seq.get(i.wrapping_sub(1)).map(|&(_, s)| s),
-                    None | Some(TaskState::Created | TaskState::Waiting)
-                );
-            if !activation {
+        let mut fold = JobFold::default();
+        let mut jobs: Vec<Job> = Vec::new();
+        // `jobs[open..]` are the jobs not completed yet.
+        let mut open = 0;
+        for r in self.trace.records_for(actor) {
+            let TraceData::State(state) = r.data else {
                 continue;
+            };
+            match fold.observe(r.at, state) {
+                Some(JobEdge::Opened) => jobs.push(Job {
+                    activated: r.at,
+                    started: None,
+                    completed: None,
+                }),
+                Some(JobEdge::Completed) => {
+                    for job in &mut jobs[open..] {
+                        job.completed = Some(r.at);
+                    }
+                    open = jobs.len();
+                }
+                None if state == TaskState::Running => {
+                    for job in &mut jobs[open..] {
+                        job.started.get_or_insert(r.at);
+                    }
+                }
+                None => {}
             }
-            let completed = seq[i + 1..].iter().find_map(|&(t, s)| {
-                matches!(s, TaskState::Waiting | TaskState::Terminated).then_some(t)
-            });
-            let started = seq[i + 1..].iter().find_map(|&(t, s)| {
-                (s == TaskState::Running && completed.is_none_or(|c| t <= c)).then_some(t)
-            });
-            jobs.push(Job {
-                activated: at,
-                started,
-                completed,
-            });
         }
         jobs
     }
@@ -191,17 +179,18 @@ impl Job {
     }
 }
 
-/// One task's [`Measure::response_times`], folded one state record at a
-/// time into a count and the min, total and max: the one-pass form the
-/// farm fingerprint uses instead of collecting records and jobs.
+/// The job rule: one task's state changes, folded one record at a time
+/// into its jobs' response times (a count and the min, total and max).
 ///
-/// Feed it the task's state changes in trace order. As in
-/// [`Measure::jobs`], a job opens at every activation (a `Ready` whose
-/// previous state is none, `Created` or `Waiting`), every open job
-/// completes at the next `Waiting` or `Terminated`, and jobs still open
-/// at the end are left out. Open jobs are kept as a count plus their
-/// earliest, latest and summed activation times — exact, because trace
-/// times never decrease.
+/// Feed it the task's state changes in trace order. A job opens at
+/// every activation (a `Ready` whose previous state is none, `Created`
+/// or `Waiting`), every open job completes at the next `Waiting` or
+/// `Terminated`, and jobs still open at the end are left out.
+/// [`observe`](JobFold::observe) reports each opening and completion,
+/// which is how [`Measure::jobs`] splits a trace into [`Job`]s; the
+/// farm fingerprint keeps only the summary. Open jobs are kept as a
+/// count plus their earliest, latest and summed activation times —
+/// exact, because trace times never decrease.
 ///
 /// # Examples
 ///
@@ -228,11 +217,22 @@ pub struct JobFold {
     max: u64,
 }
 
+/// What one state change did to a task's jobs, as
+/// [`JobFold::observe`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobEdge {
+    /// The change activated a job.
+    Opened,
+    /// The change completed every open job.
+    Completed,
+}
+
 impl JobFold {
-    /// Folds in the task's next state change.
-    pub fn observe(&mut self, at: SimTime, state: TaskState) {
+    /// Folds in the task's next state change and reports whether it
+    /// opened a job or completed the open ones.
+    pub fn observe(&mut self, at: SimTime, state: TaskState) -> Option<JobEdge> {
         let at = at.as_ps();
-        match state {
+        let edge = match state {
             TaskState::Ready
                 if matches!(
                     self.prev,
@@ -245,6 +245,7 @@ impl JobFold {
                 self.open += 1;
                 self.open_last = at;
                 self.open_sum += u128::from(at);
+                Some(JobEdge::Opened)
             }
             TaskState::Waiting | TaskState::Terminated if self.open > 0 => {
                 let (shortest, longest) = (at - self.open_last, at - self.open_first);
@@ -258,10 +259,12 @@ impl JobFold {
                 self.total += u128::from(self.open) * u128::from(at) - self.open_sum;
                 self.open = 0;
                 self.open_sum = 0;
+                Some(JobEdge::Completed)
             }
-            _ => {}
-        }
+            _ => None,
+        };
         self.prev = Some(state);
+        edge
     }
 
     /// Completed jobs so far.
@@ -397,18 +400,5 @@ mod tests {
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].response(), None);
         assert!(m.response_times(t).is_empty());
-    }
-
-    #[test]
-    fn completion_after_activation() {
-        let rec = TraceRecorder::new();
-        let t = rec.register("T", ActorKind::Task);
-        rec.state(t, ps(0), TaskState::Ready);
-        rec.state(t, ps(5), TaskState::Running);
-        rec.state(t, ps(50), TaskState::Waiting);
-        let trace = rec.snapshot();
-        let m = Measure::new(&trace);
-        assert_eq!(m.completion_after(t, ps(0)), Some(ps(50)));
-        assert_eq!(m.completion_after(t, ps(60)), None);
     }
 }

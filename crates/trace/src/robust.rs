@@ -15,7 +15,7 @@
 
 use rtsim_kernel::SimTime;
 
-use crate::measure::Measure;
+use crate::measure::JobFold;
 use crate::record::{ActorKind, FaultKind, TraceData};
 use crate::recorder::Trace;
 
@@ -66,7 +66,19 @@ impl RobustnessSummary {
         };
         // Per-actor degraded-entry instant, for recovery spans.
         let mut degraded_since: Vec<(u32, SimTime)> = Vec::new();
+        // Each task's jobs (`None` for other actors), for the worst
+        // response.
+        let mut jobs: Vec<Option<JobFold>> = trace
+            .actors()
+            .iter()
+            .map(|a| (a.kind == ActorKind::Task).then(JobFold::default))
+            .collect();
         for r in trace.records() {
+            if let TraceData::State(state) = r.data {
+                if let Some(Some(fold)) = jobs.get_mut(r.actor.index()) {
+                    fold.observe(r.at, state);
+                }
+            }
             let TraceData::Fault { kind, magnitude_ps } = &r.data else {
                 continue;
             };
@@ -100,12 +112,12 @@ impl RobustnessSummary {
                 }
             }
         }
-        let measure = Measure::new(trace);
-        for actor in trace.actors_of_kind(ActorKind::Task) {
-            for response in measure.response_times(actor) {
-                summary.worst_response_ps = summary.worst_response_ps.max(response.as_ps());
-            }
-        }
+        summary.worst_response_ps = jobs
+            .iter()
+            .flatten()
+            .map(JobFold::max_ps)
+            .max()
+            .unwrap_or(0);
         summary
     }
 }

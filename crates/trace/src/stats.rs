@@ -92,97 +92,96 @@ pub struct Statistics {
 }
 
 impl Statistics {
-    /// Computes statistics over `[0, horizon]`.
+    /// Computes statistics over `[0, horizon]` in one pass over the
+    /// records. Time in each state, overheads, accesses and relation
+    /// levels count up to `horizon`; the preemption and state-change
+    /// counts cover the whole trace.
     ///
     /// # Panics
     ///
     /// Panics if `horizon` is zero (no interval to form ratios over).
     pub fn from_trace(trace: &Trace, horizon: SimTime) -> Self {
-        Statistics::over_window(trace, SimTime::ZERO, horizon)
-    }
-
-    /// Computes statistics over the window `[from, until]` — e.g. the
-    /// steady-state portion of a run, excluding startup transients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty.
-    pub fn over_window(trace: &Trace, from: SimTime, until: SimTime) -> Self {
-        assert!(until > from, "statistics over an empty window");
-        let horizon = until;
-        let horizon_ps = (until - from).as_ps() as f64;
-        let mut tasks = BTreeMap::new();
-        let mut names = BTreeMap::new();
-
-        for actor in trace.actors_of_kind(ActorKind::Task) {
-            let mut ts = TaskStats::default();
-            for (start, end, state) in trace.state_intervals(actor, horizon) {
-                let start = start.clamp(from, until);
-                let end = end.clamp(from, until);
-                let span = end - start;
-                match state {
-                    TaskState::Running => ts.running += span,
-                    TaskState::Ready => ts.ready += span,
-                    TaskState::Waiting => ts.waiting += span,
-                    TaskState::WaitingResource => ts.waiting_resource += span,
-                    TaskState::Created | TaskState::Terminated => {}
-                }
-            }
-            let seq = trace.state_sequence(actor);
-            ts.state_changes = seq.len() as u64;
-            ts.preemptions = seq
-                .windows(2)
-                .filter(|w| w[0] == TaskState::Running && w[1] == TaskState::Ready)
-                .count() as u64;
-            ts.overhead = trace
-                .records_for(actor)
-                .filter_map(|r| match r.data {
-                    TraceData::Overhead { duration, .. } if r.at >= from && r.at < until => {
-                        Some(duration)
+        assert!(horizon > SimTime::ZERO, "statistics over an empty window");
+        let actors = trace.actors();
+        let mut tasks: Vec<Option<TaskFold>> = actors
+            .iter()
+            .map(|a| (a.kind == ActorKind::Task).then(TaskFold::default))
+            .collect();
+        let mut relations: Vec<Option<RelationFold>> = actors
+            .iter()
+            .map(|a| (a.kind == ActorKind::Relation).then(RelationFold::default))
+            .collect();
+        for r in trace.records() {
+            let actor = r.actor.index();
+            match r.data {
+                TraceData::State(state) => {
+                    if let Some(Some(task)) = tasks.get_mut(actor) {
+                        task.change(r.at, state, horizon);
                     }
-                    _ => None,
-                })
-                .sum();
-            ts.activity_ratio = ts.running.as_ps() as f64 / horizon_ps;
-            ts.preempted_ratio = ts.ready.as_ps() as f64 / horizon_ps;
-            ts.waiting_ratio = ts.waiting.as_ps() as f64 / horizon_ps;
-            ts.resource_ratio = ts.waiting_resource.as_ps() as f64 / horizon_ps;
-            ts.overhead_ratio = ts.overhead.as_ps() as f64 / horizon_ps;
-            names.insert(actor, trace.actor_name(actor).to_owned());
-            tasks.insert(actor, ts);
-        }
-
-        let mut relations = BTreeMap::new();
-        for actor in trace.actors_of_kind(ActorKind::Relation) {
-            let mut rs = RelationStats::default();
-            // Access counts come from Comm records on *task* actors that
-            // reference this relation.
-            for rec in trace.records() {
-                if rec.at < from || rec.at >= until {
-                    continue;
                 }
-                if let TraceData::Comm { relation, kind } = rec.data {
-                    if relation == actor {
+                TraceData::Overhead { duration, .. } if r.at < horizon => {
+                    if let Some(Some(task)) = tasks.get_mut(actor) {
+                        task.stats.overhead += duration;
+                    }
+                }
+                // Access counts come from Comm records on *task* actors
+                // that reference the relation.
+                TraceData::Comm { relation, kind } if r.at < horizon => {
+                    if let Some(Some(rel)) = relations.get_mut(relation.index()) {
                         match kind {
-                            CommKind::Read => rs.reads += 1,
-                            CommKind::Write => rs.writes += 1,
-                            CommKind::Signal => rs.signals += 1,
+                            CommKind::Read => rel.stats.reads += 1,
+                            CommKind::Write => rel.stats.writes += 1,
+                            CommKind::Signal => rel.stats.signals += 1,
                         }
                     }
                 }
+                TraceData::QueueDepth { depth, capacity } => {
+                    if let Some(Some(rel)) = relations.get_mut(actor) {
+                        let fill = if capacity == 0 {
+                            0.0
+                        } else {
+                            depth as f64 / capacity as f64
+                        };
+                        rel.depth.step(r.at, horizon, fill);
+                    }
+                }
+                TraceData::ResourceHeld(held) => {
+                    if let Some(Some(rel)) = relations.get_mut(actor) {
+                        rel.held.step(r.at, horizon, if held { 1.0 } else { 0.0 });
+                    }
+                }
+                _ => {}
             }
-            rs.utilization = integrate_depth(trace, actor, from, until);
-            rs.held_ratio = integrate_held(trace, actor, from, until);
-            names.insert(actor, trace.actor_name(actor).to_owned());
-            relations.insert(actor, rs);
         }
 
-        Statistics {
+        let ratio = |d: SimDuration| d.as_ps() as f64 / horizon.as_ps() as f64;
+        let mut stats = Statistics {
             horizon,
-            tasks,
-            relations,
-            names,
+            tasks: BTreeMap::new(),
+            relations: BTreeMap::new(),
+            names: BTreeMap::new(),
+        };
+        for (index, (task, relation)) in tasks.into_iter().zip(relations).enumerate() {
+            let id = ActorId(index as u32);
+            if let Some(mut task) = task {
+                task.close(horizon, horizon);
+                let ts = &mut task.stats;
+                ts.activity_ratio = ratio(ts.running);
+                ts.preempted_ratio = ratio(ts.ready);
+                ts.waiting_ratio = ratio(ts.waiting);
+                ts.resource_ratio = ratio(ts.waiting_resource);
+                ts.overhead_ratio = ratio(ts.overhead);
+                stats.tasks.insert(id, task.stats);
+            } else if let Some(mut rel) = relation {
+                rel.stats.utilization = rel.depth.mean(horizon);
+                rel.stats.held_ratio = rel.held.mean(horizon);
+                stats.relations.insert(id, rel.stats);
+            } else {
+                continue;
+            }
+            stats.names.insert(id, actors[index].name.clone());
         }
+        stats
     }
 
     /// The horizon the ratios are relative to.
@@ -302,11 +301,8 @@ impl DurationSummary {
         sorted.sort_unstable();
         let count = sorted.len();
         let total_ps: u128 = sorted.iter().map(|d| u128::from(d.as_ps())).sum();
-        // The workspace-wide nearest-rank formula (ceil(q*n) - 1,
-        // clamped, overflow-safe) — shared with `StatSummary` so the
-        // two summaries can never disagree on what "p95" means.
         let rank = |q_num: u64, q_den: u64| -> SimDuration {
-            sorted[rtsim_campaign::nearest_rank_index(q_num, q_den, count)]
+            sorted[nearest_rank_index(q_num, q_den, count)]
         };
         Some(DurationSummary {
             count,
@@ -319,6 +315,30 @@ impl DurationSummary {
     }
 }
 
+/// Index of the nearest-rank `q_num/q_den` quantile among `count` sorted
+/// samples: `ceil(q * count) - 1`, clamped to `0..count`.
+///
+/// Computed in `u128` so `q_num * count` cannot overflow even for counts
+/// near `usize::MAX` (on 64-bit, `95 * count` overflows for counts
+/// beyond `usize::MAX / 95`). By construction `p0` is index 0 (the
+/// minimum), `p50` the *lower* median, and `p100` index `count - 1`
+/// (the maximum) — property-tested below.
+///
+/// # Examples
+///
+/// ```
+/// use rtsim_trace::stats::nearest_rank_index;
+///
+/// assert_eq!(nearest_rank_index(1, 2, 10), 4); // lower median
+/// assert_eq!(nearest_rank_index(95, 100, 100), 94);
+/// ```
+pub fn nearest_rank_index(q_num: u64, q_den: u64, count: usize) -> usize {
+    let idx = (u128::from(q_num) * count as u128)
+        .div_ceil(u128::from(q_den))
+        .saturating_sub(1);
+    idx.min((count - 1) as u128) as usize
+}
+
 impl fmt::Display for DurationSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -329,66 +349,78 @@ impl fmt::Display for DurationSummary {
     }
 }
 
-/// Time-weighted mean of `depth/capacity` over `[from, until]`.
-fn integrate_depth(trace: &Trace, actor: ActorId, from: SimTime, until: SimTime) -> f64 {
-    let mut last_t = from;
-    let mut last_frac = 0.0f64;
-    let mut acc = 0.0f64;
-    let mut saw_any = false;
-    for rec in trace.records_for(actor) {
-        if let TraceData::QueueDepth { depth, capacity } = rec.data {
-            saw_any = true;
-            let frac = if capacity == 0 {
-                0.0
-            } else {
-                depth as f64 / capacity as f64
-            };
-            if rec.at <= from {
-                // Establishes the level at the window start.
-                last_frac = frac;
-                continue;
-            }
-            let t = rec.at.min(until);
-            acc += last_frac * (t - last_t).as_ps() as f64;
-            last_t = t;
-            last_frac = frac;
-        }
-    }
-    if !saw_any {
-        return 0.0;
-    }
-    acc += last_frac * (until - last_t.min(until)).as_ps() as f64;
-    acc / (until - from).as_ps() as f64
+/// One task's totals while [`Statistics::from_trace`] walks the trace.
+#[derive(Default)]
+struct TaskFold {
+    stats: TaskStats,
+    /// The state the task is in, and since when.
+    current: Option<(SimTime, TaskState)>,
 }
 
-/// Fraction of `[from, until]` during which the resource was held.
-fn integrate_held(trace: &Trace, actor: ActorId, from: SimTime, until: SimTime) -> f64 {
-    let mut last_t = from;
-    let mut held = false;
-    let mut acc = SimDuration::ZERO;
-    let mut saw_any = false;
-    for rec in trace.records_for(actor) {
-        if let TraceData::ResourceHeld(h) = rec.data {
-            saw_any = true;
-            if rec.at <= from {
-                held = h;
-                continue;
-            }
-            let t = rec.at.min(until);
-            if held {
-                acc += t - last_t;
-            }
-            last_t = t;
-            held = h;
+impl TaskFold {
+    /// Ends the current state at `until`, counting its time up to
+    /// `horizon`.
+    fn close(&mut self, until: SimTime, horizon: SimTime) {
+        let Some((since, state)) = self.current else {
+            return;
+        };
+        let span = until.max(since).min(horizon) - since.min(horizon);
+        match state {
+            TaskState::Running => self.stats.running += span,
+            TaskState::Ready => self.stats.ready += span,
+            TaskState::Waiting => self.stats.waiting += span,
+            TaskState::WaitingResource => self.stats.waiting_resource += span,
+            TaskState::Created | TaskState::Terminated => {}
         }
     }
-    if !saw_any {
-        return 0.0;
+
+    fn change(&mut self, at: SimTime, state: TaskState, horizon: SimTime) {
+        self.close(at, horizon);
+        if state == TaskState::Ready && matches!(self.current, Some((_, TaskState::Running))) {
+            self.stats.preemptions += 1;
+        }
+        self.stats.state_changes += 1;
+        self.current = Some((at, state));
     }
-    if held {
-        acc += until - last_t.min(until);
+}
+
+/// One relation's totals while [`Statistics::from_trace`] walks the
+/// trace.
+#[derive(Default)]
+struct RelationFold {
+    stats: RelationStats,
+    /// Queue fill, `depth / capacity`.
+    depth: Level,
+    /// Resource hold: 1 while held, 0 while free.
+    held: Level,
+}
+
+/// A piecewise-constant level a relation reports, integrated over time
+/// up to the statistics horizon.
+#[derive(Default)]
+struct Level {
+    since: SimTime,
+    value: f64,
+    area: f64,
+    reported: bool,
+}
+
+impl Level {
+    /// The level becomes `value` at `at`.
+    fn step(&mut self, at: SimTime, horizon: SimTime, value: f64) {
+        let at = at.min(horizon);
+        self.area += self.value * (at - self.since).as_ps() as f64;
+        (self.since, self.value, self.reported) = (at, value, true);
     }
-    acc.as_ps() as f64 / (until - from).as_ps() as f64
+
+    /// Time-weighted mean over `[0, horizon]` (0 if never reported).
+    fn mean(&self, horizon: SimTime) -> f64 {
+        if !self.reported {
+            return 0.0;
+        }
+        let tail = self.value * (horizon - self.since).as_ps() as f64;
+        (self.area + tail) / horizon.as_ps() as f64
+    }
 }
 
 #[cfg(test)]
@@ -487,46 +519,61 @@ mod tests {
         let _ = Statistics::from_trace(&rec.snapshot(), SimTime::ZERO);
     }
 
+    /// Time in each state counts inside `[0, horizon]` only; the
+    /// preemption and state-change counts cover the whole trace.
     #[test]
     fn window_statistics_exclude_outside_activity() {
         let rec = TraceRecorder::new();
         let t = rec.register("T", ActorKind::Task);
-        rec.state(t, ps(0), TaskState::Running); // 0..50 outside
-        rec.state(t, ps(50), TaskState::Waiting); // inside: waiting 50..150
-        rec.state(t, ps(150), TaskState::Running); // inside: running 150..200
-        rec.state(t, ps(250), TaskState::Waiting); // 200.. outside
-        let stats = Statistics::over_window(&rec.snapshot(), ps(100), ps(200));
+        rec.state(t, ps(0), TaskState::Running); // running 0..50
+        rec.state(t, ps(50), TaskState::Waiting); // waiting 50..100 inside
+        rec.state(t, ps(150), TaskState::Running); // past the horizon
+        rec.state(t, ps(180), TaskState::Ready);
+        let stats = Statistics::from_trace(&rec.snapshot(), ps(100));
         let s = stats.task(t).unwrap();
-        // Window is 100 ps long: waiting 100..150 (50%), running 150..200.
-        assert!((s.waiting_ratio - 0.5).abs() < 1e-12, "{}", s.waiting_ratio);
-        assert!(
-            (s.activity_ratio - 0.5).abs() < 1e-12,
-            "{}",
-            s.activity_ratio
-        );
+        assert_eq!(s.running, SimDuration::from_ps(50));
+        assert_eq!(s.waiting, SimDuration::from_ps(50));
+        assert_eq!(s.ready, SimDuration::ZERO);
+        assert!((s.activity_ratio - 0.5).abs() < 1e-12);
+        assert_eq!((s.preemptions, s.state_changes), (1, 4));
     }
 
+    /// A level reported at time zero holds from the window start, and a
+    /// level still up at the horizon counts to it.
     #[test]
     fn window_held_ratio_uses_level_at_window_start() {
         let rec = TraceRecorder::new();
         let v = rec.register("V", ActorKind::Relation);
-        rec.resource_held(v, ps(10), true); // held from 10
-        rec.resource_held(v, ps(150), false); // released at 150
-        let stats = Statistics::over_window(&rec.snapshot(), ps(100), ps(200));
-        // Held 100..150 of a 100 ps window.
-        assert!((stats.relation(v).unwrap().held_ratio - 0.5).abs() < 1e-12);
+        let q = rec.register("Q", ActorKind::Relation);
+        rec.resource_held(v, ps(0), true); // held from 0
+        rec.queue_depth(q, ps(0), 2, 2); // full from 0
+        rec.queue_depth(q, ps(50), 0, 2);
+        rec.resource_held(v, ps(150), false); // released past the horizon
+        let stats = Statistics::from_trace(&rec.snapshot(), ps(100));
+        assert!((stats.relation(v).unwrap().held_ratio - 1.0).abs() < 1e-12);
+        assert!((stats.relation(q).unwrap().utilization - 0.5).abs() < 1e-12);
     }
 
+    /// Accesses and overheads at or past the horizon fall outside the
+    /// statistics window `[0, horizon)`.
     #[test]
     fn window_comm_counts_are_clipped() {
         let rec = TraceRecorder::new();
         let t = rec.register("T", ActorKind::Task);
         let q = rec.register("Q", ActorKind::Relation);
-        rec.comm(t, ps(50), q, CommKind::Write); // before window
-        rec.comm(t, ps(150), q, CommKind::Write); // inside
-        rec.comm(t, ps(250), q, CommKind::Write); // after
-        let stats = Statistics::over_window(&rec.snapshot(), ps(100), ps(200));
-        assert_eq!(stats.relation(q).unwrap().writes, 1);
+        rec.comm(t, ps(50), q, CommKind::Write); // inside
+        rec.overhead(t, ps(50), OverheadKind::Scheduling, SimDuration::from_ps(5));
+        rec.comm(t, ps(100), q, CommKind::Write); // at the horizon
+        rec.overhead(
+            t,
+            ps(100),
+            OverheadKind::Scheduling,
+            SimDuration::from_ps(5),
+        );
+        rec.comm(t, ps(250), q, CommKind::Read); // after
+        let stats = Statistics::from_trace(&rec.snapshot(), ps(100));
+        assert_eq!(stats.relation(q).unwrap().accesses(), 1);
+        assert_eq!(stats.task(t).unwrap().overhead, SimDuration::from_ps(5));
     }
 
     #[test]
@@ -551,27 +598,6 @@ mod tests {
         assert_eq!(s.p95, SimDuration::from_ns(7));
     }
 
-    /// Both summary types rank through the one shared nearest-rank
-    /// implementation, so median/p95 must agree between them on the
-    /// same samples — for every count, including the even-count case
-    /// whose two formulas once drifted.
-    #[test]
-    fn duration_summary_agrees_with_campaign_summary() {
-        use rtsim_campaign::StatSummary;
-        for count in 1..=32u64 {
-            let durations: Vec<SimDuration> = (0..count)
-                .map(|k| SimDuration::from_us(3 * k + 1))
-                .collect();
-            let floats = durations.iter().map(|d| d.as_ps() as f64);
-            let ours = DurationSummary::from_durations(durations.clone()).unwrap();
-            let theirs = StatSummary::from_values(floats).unwrap();
-            assert_eq!(ours.median.as_ps() as f64, theirs.median, "count {count}");
-            assert_eq!(ours.p95.as_ps() as f64, theirs.p95, "count {count}");
-            assert_eq!(ours.min.as_ps() as f64, theirs.min, "count {count}");
-            assert_eq!(ours.max.as_ps() as f64, theirs.max, "count {count}");
-        }
-    }
-
     #[test]
     fn intervals_past_horizon_are_clipped() {
         let rec = TraceRecorder::new();
@@ -581,5 +607,61 @@ mod tests {
         let stats = Statistics::from_trace(&rec.snapshot(), ps(100));
         assert_eq!(stats.task(t).unwrap().running, SimDuration::from_ps(100));
         assert_eq!(stats.task(t).unwrap().waiting, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn nearest_rank_survives_extreme_counts() {
+        // `95 * count` would overflow usize for counts past
+        // usize::MAX / 95; the u128 arithmetic must not.
+        let count = usize::MAX;
+        assert_eq!(nearest_rank_index(1, 2, count), count.div_ceil(2) - 1);
+        assert_eq!(nearest_rank_index(100, 100, count), count - 1);
+        let p95 = nearest_rank_index(95, 100, count);
+        assert!(p95 < count && p95 > count / 2);
+        // Small-count sanity: ranks match the closure they replaced.
+        assert_eq!(nearest_rank_index(1, 2, 100), 49);
+        assert_eq!(nearest_rank_index(95, 100, 100), 94);
+        assert_eq!(nearest_rank_index(95, 100, 1), 0);
+    }
+
+    /// The anchor identities of the rank formula: on any sorted input,
+    /// p0 is the minimum, p50 the lower median, p100 the maximum.
+    #[test]
+    fn nearest_rank_anchors_hold_for_all_counts() {
+        use rtsim_kernel::testutil::check;
+        check(
+            128,
+            |rng| {
+                let count = rng.gen_range(1usize..500);
+                let mut values = rng.gen_vec(count..count + 1, |r| r.gen_range(0u64..1_000));
+                values.sort_unstable();
+                values
+            },
+            |sorted| {
+                let n = sorted.len();
+                // p0 = min, p100 = max, exactly.
+                assert_eq!(nearest_rank_index(0, 100, n), 0);
+                assert_eq!(nearest_rank_index(100, 100, n), n - 1);
+                // p50 = lower median: index ceil(n/2) - 1.
+                assert_eq!(nearest_rank_index(50, 100, n), n.div_ceil(2) - 1);
+                // 1/2 and 50/100 must agree (same quantile, different form).
+                assert_eq!(nearest_rank_index(1, 2, n), nearest_rank_index(50, 100, n));
+                // Via the summary: the selected samples are min/median/max.
+                let s = DurationSummary::from_durations(
+                    sorted.iter().map(|&v| SimDuration::from_ps(v)),
+                )
+                .unwrap();
+                assert_eq!(s.min.as_ps(), sorted[0]);
+                assert_eq!(s.max.as_ps(), sorted[n - 1]);
+                assert_eq!(s.median.as_ps(), sorted[n.div_ceil(2) - 1]);
+                // Monotonicity across the whole percentile range.
+                let mut last = 0usize;
+                for p in 0..=100u64 {
+                    let idx = nearest_rank_index(p, 100, n);
+                    assert!(idx >= last && idx < n);
+                    last = idx;
+                }
+            },
+        );
     }
 }

@@ -69,7 +69,7 @@ pub use rtsim_kernel as kernel;
 pub use rtsim_mcse as mcse;
 pub use rtsim_trace as trace;
 
-pub use rtsim_campaign::{Campaign, JobCtx, StatSummary};
+pub use rtsim_campaign::{Campaign, JobCtx};
 pub use rtsim_comm::{EventPolicy, LockMode, MessageQueue, Rendezvous, RtEvent, SharedVar};
 pub use rtsim_core::policies;
 pub use rtsim_core::{

@@ -76,6 +76,12 @@ echo "== hermetic check: the benchmark package still compiles =="
 # the benchmark is next run.
 cargo check --offline --all-targets --manifest-path rtsim-benchmark/Cargo.toml
 
+echo "== hermetic check: the benchmark package's own tests =="
+# Its oracles decode every golden line with `farm::parse_line` and its
+# probe times `Measure::response_times`; only its own tests execute
+# them, so a change to either must pass here too.
+cargo test --release --offline --manifest-path rtsim-benchmark/Cargo.toml
+
 echo "== hermetic check: offline test suite =="
 cargo test -q --offline --workspace
 
