@@ -18,9 +18,9 @@
 //!    the same poison-recovery philosophy as `rtsim_kernel::sync`.
 //!
 //! The workspace is hermetic (offline build, empty registry), so the
-//! pool is plain `std::thread` plus `std::sync::mpsc` — no rayon, no
-//! crossbeam — and the [`json`]/[`csv`] output writers are
-//! hand-rolled.
+//! pool is plain scoped `std::thread`s that take job indices from one
+//! shared `AtomicUsize` counter — no rayon, no crossbeam — and the
+//! [`json`]/[`csv`] output writers are hand-rolled.
 //!
 //! ## Quick start
 //!

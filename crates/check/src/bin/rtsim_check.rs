@@ -15,8 +15,8 @@
 //! started from a new elaboration (`fresh`: 1 when the explorer forks),
 //! the deepest stack of open choice frames and the wall-clock speed.
 //! The states/choices ratio is the pruning ratio. Exploration is
-//! deterministic; `tests/coverage_baseline.rs` pins the counts of four
-//! scenarios under `--budget 20000` exactly.
+//! deterministic; `tests/coverage_baseline.rs` pins the counts of every
+//! healthy scenario under the default budget exactly.
 //!
 //! A `--replay` sequence that does not fit the scenario (a choice out of
 //! range, or choices left over) is an error: exit status 2.

@@ -11,9 +11,8 @@
 //! 2. Run it with [`Simulator::run_to_choice`](rtsim_kernel::Simulator::run_to_choice),
 //!    which stops before each choice point (two or more simultaneously
 //!    eligible actions). At a choice point not seen before, push a frame
-//!    recording the arity and labels, store a fork of the system stopped
-//!    there (plus the running state hash), and decide `0` (the stable
-//!    order).
+//!    recording the arity, store a fork of the system stopped there (plus
+//!    the running state hash), and decide `0` (the stable order).
 //! 3. When the run finishes, evaluate the scenario's oracles on the
 //!    final trace, then backtrack: pop exhausted frames, increment the
 //!    deepest frame with a remaining sibling, and resume that sibling
@@ -38,31 +37,41 @@
 //! Two runs that reach the same instant with the same trace prefix and
 //! the same candidate set are in the same simulator state — the trace is
 //! deliberately exhaustive (that is what makes golden fingerprints
-//! sound), so the canonical-record stream doubles as a state identity.
-//! A running FNV-1a hash, seeded with the canonical actor header lines,
-//! folds the records appended since the previous fold (via
-//! [`rtsim_trace::canonical_record_into`] over the recorder's borrowed
-//! records, byte-identical to the whole-trace canonical form). Each
-//! fresh choice point folds the new records and mixes the current time,
-//! the choice kind and every candidate's identity token into a copy —
-//! its state hash. A hit in the visited set answers `0` without pushing
-//! a frame: the subtree rooted there was already explored from an
-//! identical state, so its sibling orderings would replay
-//! already-visited traces. The `prune` flag turns this off for
-//! brute-force comparison runs (see the pruning property test).
+//! sound), so the record stream doubles as a state identity. It is
+//! hashed field by field, never rendered to text: a running
+//! word-at-a-time hash, seeded with the actor header, takes each record's
+//! derived [`Hash`] (instant, sequence number, actor and payload) with
+//! one 64-bit mix per integer, over the recorder's borrowed records.
+//! Each fresh choice point folds the records appended since the previous
+//! fold and mixes the current instant, the choice kind and every
+//! candidate's identity token into a copy — its state hash. A hit in the
+//! visited set answers `0` without pushing a frame: the subtree rooted
+//! there was already explored from an identical state, so its sibling
+//! orderings would replay already-visited traces. The `prune` flag turns
+//! this off for brute-force comparison runs (see the pruning property
+//! test).
 //!
 //! The distinct-trace hash of a leaf is that same running hash, finished
-//! over the records not yet folded: it equals FNV-1a of
-//! [`canonical`]`(&trace)` without rendering the trace to text.
+//! over the records not yet folded; the replay search hashes the whole
+//! trace from scratch, the reference the fork tests compare it against.
+//! Both are identities within one process, not fingerprints: the farm's
+//! goldens and the grid's cache keys hash the canonical text.
+//!
+//! # Counterexamples
+//!
+//! Candidate labels are text that only [`Counterexample::render`] reads,
+//! so the search makes none. When a violation ends the search, the
+//! explorer replays the violating path once from a new elaboration and
+//! labels the counterexample's frames.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use rtsim_campaign::Fnv1a;
 use rtsim_kernel::choice::{ChoiceKind, ChoicePoint};
 use rtsim_kernel::{ExecMode, SimTime};
 use rtsim_mcse::ElaboratedSystem;
-use rtsim_trace::{canonical, canonical_actor_into, canonical_record_into, Record, Trace};
+use rtsim_trace::{ActorInfo, Record, Trace};
 
 use crate::oracle::{Oracle, Violation};
 use crate::scenarios::CheckScenario;
@@ -111,7 +120,9 @@ pub struct ChoiceFrame {
     pub kind: ChoiceKind,
     /// Simulated instant of the choice.
     pub at: SimTime,
-    /// The candidate labels, in the kernel's stable order.
+    /// The candidate labels, in the kernel's stable order. Filled on a
+    /// [`Counterexample`]'s frames only (by replaying its choices); empty
+    /// while the search runs.
     pub options: Vec<String>,
 }
 
@@ -184,10 +195,13 @@ pub struct Exploration {
     /// Total choice points answered across all runs, counting each run's
     /// whole choice sequence — also the prefix a resumed run inherits.
     pub choice_points: u64,
-    /// Distinct final canonical traces seen (distinct interleavings).
+    /// Distinct final traces seen (distinct interleavings).
     pub distinct_traces: usize,
-    /// The FNV-1a hashes of those distinct final traces, sorted — the
-    /// pruning property test compares pruned vs brute-force sets.
+    /// The hashes of those distinct final traces, sorted — the pruning
+    /// property test compares pruned vs brute-force sets. They are
+    /// identities within one process (derived [`Hash`] over the records),
+    /// not stable across builds: compare them only with hashes from the
+    /// same process.
     pub trace_hashes: BTreeSet<u64>,
     /// Whether the whole choice tree was covered (no budget tripped).
     pub complete: bool,
@@ -201,13 +215,33 @@ pub struct Exploration {
     pub max_frames: usize,
 }
 
-/// A system partway through a run, with the running hash of the
-/// canonical lines it has recorded: the actor header, then `hashed`
-/// records.
+/// A system partway through a run, with the running hash of what it has
+/// recorded: the actor header, then its first `hashed` records.
 struct Live {
     system: ElaboratedSystem,
-    running: Fnv1a,
+    running: Mix,
     hashed: usize,
+}
+
+impl Live {
+    /// Folds the records not yet hashed into the running hash, then mixes
+    /// the choice-point identity (instant, kind, candidate tokens) into a
+    /// copy — the state hash of "about to decide this choice".
+    fn state_hash(&mut self, point: ChoicePoint) -> u64 {
+        let (running, hashed) = (&mut self.running, &mut self.hashed);
+        self.system.recorder().with_records(|_, records| {
+            Record::hash_slice(&records[*hashed..], running);
+            *hashed = records.len();
+        });
+        let mut h = self.running;
+        h.write_u64(point.at.as_ps());
+        point.kind.hash(&mut h);
+        let sim = self.system.simulator_mut();
+        for i in 0..point.arity {
+            h.write_u64(sim.candidate(i).hash_token());
+        }
+        h.finish()
+    }
 }
 
 /// One open choice point of the current path.
@@ -237,11 +271,9 @@ struct Search<'s> {
     choice_points: u64,
     /// Whether the depth cap fired this run.
     truncated: bool,
-    /// FNV-1a over the scenario's canonical actor header lines, and how
-    /// many actors it covers (set by the first elaboration).
-    header: Option<(Fnv1a, usize)>,
-    /// Scratch buffer for the canonical lines of newly hashed records.
-    lines: Vec<u8>,
+    /// The hash of the scenario's actor header, and how many actors it
+    /// covers (set by the first elaboration).
+    header: Option<(Mix, usize)>,
     fresh: u64,
     max_frames: usize,
 }
@@ -259,7 +291,6 @@ impl<'s> Search<'s> {
             choice_points: 0,
             truncated: false,
             header: None,
-            lines: Vec::new(),
             fresh: 0,
             max_frames: 0,
         }
@@ -268,20 +299,11 @@ impl<'s> Search<'s> {
     /// Builds and elaborates the scenario in Segment mode, with its
     /// running hash seeded by the actor header.
     fn elaborate(&mut self) -> Live {
-        let mut model = (self.scenario.build)();
-        model.exec_mode(ExecMode::Segment);
-        let system = model.elaborate().expect("check scenario elaborates");
+        let system = build(self.scenario);
         let (running, _) = *self.header.get_or_insert_with(|| {
-            system.recorder().with_records(|actors, _| {
-                let mut lines = Vec::new();
-                for (index, info) in actors.iter().enumerate() {
-                    canonical_actor_into(&mut lines, index, info);
-                    lines.push(b'\n');
-                }
-                let mut h = Fnv1a::new();
-                h.write(&lines);
-                (h, actors.len())
-            })
+            system
+                .recorder()
+                .with_records(|actors, _| (header(actors), actors.len()))
         });
         self.fresh += 1;
         Live {
@@ -346,18 +368,11 @@ impl<'s> Search<'s> {
             self.truncated = true;
             return;
         }
-        if self.prune {
-            let state = self.state_hash(live, point);
-            if !self.visited.insert(state) {
-                // Seen this exact state before: its subtree (including
-                // all sibling orderings) was already explored.
-                return;
-            }
+        if self.prune && !self.visited.insert(live.state_hash(point)) {
+            // Seen this exact state before: its subtree (including all
+            // sibling orderings) was already explored.
+            return;
         }
-        let sim = live.system.simulator_mut();
-        let options = (0..point.arity)
-            .map(|i| sim.candidate_label(sim.candidate(i)))
-            .collect();
         let snapshot = if self.fork {
             live.system.fork().map(|system| Live {
                 system,
@@ -374,45 +389,22 @@ impl<'s> Search<'s> {
                 arity: point.arity,
                 kind: point.kind,
                 at: point.at,
-                options,
+                options: Vec::new(),
             },
             snapshot,
         });
         self.max_frames = self.max_frames.max(self.frames.len());
     }
 
-    /// Folds the records not yet hashed into the running hash, then mixes
-    /// the choice-point identity (instant, kind, candidate tokens) into a
-    /// copy — the state hash of "about to decide this choice".
-    fn state_hash(&mut self, live: &mut Live, point: ChoicePoint) -> u64 {
-        let (lines, hashed) = (&mut self.lines, &mut live.hashed);
-        live.system.recorder().with_records(|_, records| {
-            fold(lines, &records[*hashed..]);
-            *hashed = records.len();
-        });
-        live.running.write(&self.lines);
-        let mut h = live.running;
-        h.write(&point.at.as_ps().to_le_bytes());
-        h.write(point.kind.key().as_bytes());
-        let sim = live.system.simulator_mut();
-        for i in 0..point.arity {
-            h.write(&sim.candidate(i).hash_token().to_le_bytes());
-        }
-        h.finish()
-    }
-
-    /// FNV-1a of `canonical(trace)`: the running hash finished over the
-    /// records it has not folded yet. The replay search renders the
-    /// trace instead, as the reference for that shortcut; so does a run
-    /// that registered an actor after elaboration.
-    fn trace_hash(&mut self, trace: &Trace, mut running: Fnv1a, hashed: usize) -> u64 {
+    /// The distinct-trace hash: the running hash finished over the
+    /// records it has not folded yet. The replay search hashes the whole
+    /// trace from scratch instead, as the reference for that shortcut; so
+    /// does a run that registered an actor after elaboration.
+    fn trace_hash(&self, trace: &Trace, mut running: Mix, mut hashed: usize) -> u64 {
         if !self.fork || self.header.map(|(_, actors)| actors) != Some(trace.actors().len()) {
-            running = Fnv1a::new();
-            running.write(canonical(trace).as_bytes());
-            return running.finish();
+            (running, hashed) = (header(trace.actors()), 0);
         }
-        fold(&mut self.lines, &trace.records()[hashed..]);
-        running.write(&self.lines);
+        Record::hash_slice(&trace.records()[hashed..], &mut running);
         running.finish()
     }
 
@@ -430,10 +422,12 @@ impl<'s> Search<'s> {
             distinct.insert(hash);
             let violations = judge(&self.oracles, &trace, kernel_violation);
             if !violations.is_empty() {
+                let mut frames: Vec<_> = self.frames.iter().map(|f| f.info.clone()).collect();
+                label(self.scenario, &self.path, &mut frames);
                 counterexample = Some(Counterexample {
                     scenario: self.scenario.name.to_owned(),
                     choices: self.path.clone(),
-                    frames: self.frames.iter().map(|f| f.info.clone()).collect(),
+                    frames,
                     violations,
                 });
                 break;
@@ -480,12 +474,99 @@ impl<'s> Search<'s> {
     }
 }
 
-/// Replaces `lines` with the canonical lines of `records`.
-fn fold(lines: &mut Vec<u8>, records: &[Record]) {
-    lines.clear();
-    for r in records {
-        canonical_record_into(lines, r);
-        lines.push(b'\n');
+/// The explorer's record identity: a word-at-a-time [`Hasher`] that
+/// applies one bijective 64-bit mix (murmur3's `fmix64`) to `h ^ w` per
+/// integer `w` written, so changing any one word changes the result. A
+/// byte string writes its length, then its 8-byte chunks (the last one
+/// zero-padded). What a derived [`Hash`] writes is not promised stable
+/// across builds, so these hashes never leave the process.
+#[derive(Debug, Clone, Copy)]
+struct Mix(u64);
+
+impl Mix {
+    /// Any non-zero start: `fmix64` maps 0 to itself.
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn word(&mut self, w: u64) {
+        let mut k = self.0 ^ w;
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^= k >> 33;
+        self.0 = k;
+    }
+}
+
+impl Hasher for Mix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.word(i.into());
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.word(i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.word(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+}
+
+/// The running hash seeded with the actor header.
+fn header(actors: &[ActorInfo]) -> Mix {
+    let mut h = Mix(Mix::SEED);
+    ActorInfo::hash_slice(actors, &mut h);
+    h
+}
+
+/// Builds `scenario`'s model and elaborates it in Segment mode.
+fn build(scenario: &CheckScenario) -> ElaboratedSystem {
+    let mut model = (scenario.build)();
+    model.exec_mode(ExecMode::Segment);
+    model.elaborate().expect("check scenario elaborates")
+}
+
+/// Fills in the candidate labels of a counterexample's `frames` by
+/// replaying its choice `path` once from a new elaboration.
+fn label(scenario: &CheckScenario, path: &[usize], frames: &mut [ChoiceFrame]) {
+    let mut system = build(scenario);
+    let horizon = SimTime::ZERO + scenario.horizon;
+    let mut frames = frames.iter_mut().peekable();
+    for (index, &choice) in path.iter().enumerate() {
+        if frames.peek().is_none() {
+            break;
+        }
+        let Ok(Some(point)) = system.simulator_mut().run_to_choice(horizon) else {
+            break;
+        };
+        let sim = system.simulator_mut();
+        if let Some(frame) = frames.next_if(|f| f.path_index == index) {
+            frame.options = (0..point.arity)
+                .map(|i| sim.candidate_label(sim.candidate(i)))
+                .collect();
+        }
+        sim.decide(choice);
     }
 }
 
@@ -580,9 +661,7 @@ pub fn try_replay(
     scenario: &CheckScenario,
     choices: &[usize],
 ) -> Result<(Trace, Vec<Violation>), ReplayError> {
-    let mut model = (scenario.build)();
-    model.exec_mode(ExecMode::Segment);
-    let mut system = model.elaborate().expect("check scenario elaborates");
+    let mut system = build(scenario);
     let horizon = SimTime::ZERO + scenario.horizon;
     let mut depth = 0;
     let mut kernel_violation = None;
@@ -628,4 +707,81 @@ pub fn try_replay(
 /// Panics ("replay diverged: …") if the sequence does not replay.
 pub fn replay(scenario: &CheckScenario, choices: &[usize]) -> (Trace, Vec<Violation>) {
     try_replay(scenario, choices).unwrap_or_else(|e| panic!("replay diverged: {e}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtsim_kernel::SimDuration;
+    use rtsim_trace::CommKind::{Read, Write};
+    use rtsim_trace::FaultKind::{Burst, Jitter};
+    use rtsim_trace::OverheadKind::{ContextSave, Scheduling};
+    use rtsim_trace::TraceData::{self, Annotation, Core, ResourceHeld, State};
+    use rtsim_trace::{ActorKind, TaskState, TraceRecorder};
+
+    fn hash(record: &Record) -> u64 {
+        let mut h = Mix(Mix::SEED);
+        record.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_record_hash_is_as_fine_as_its_canonical_line() {
+        let rec = TraceRecorder::new();
+        let task = rec.register("T", ActorKind::Task);
+        let queue = rec.register("Q", ActorKind::Relation);
+        let event = rec.register("E", ActorKind::Relation);
+        let record = |at, seq, actor, data| Record {
+            at: SimTime::from_ps(at),
+            seq,
+            actor,
+            data,
+        };
+        let overhead = |kind, ps| TraceData::Overhead {
+            kind,
+            duration: SimDuration::from_ps(ps),
+        };
+        let comm = |relation, kind| TraceData::Comm { relation, kind };
+        let depth = |depth, capacity| TraceData::QueueDepth { depth, capacity };
+        let fault = |kind, magnitude_ps| TraceData::Fault { kind, magnitude_ps };
+        let label = |text: &str| Annotation(text.to_owned());
+        // One payload of each variant, then each of its fields changed.
+        let variants = [
+            (State(TaskState::Ready), vec![State(TaskState::Running)]),
+            (
+                overhead(ContextSave, 5),
+                vec![overhead(Scheduling, 5), overhead(ContextSave, 6)],
+            ),
+            (
+                comm(queue, Read),
+                vec![comm(event, Read), comm(queue, Write)],
+            ),
+            (depth(1, 4), vec![depth(2, 4), depth(1, 5)]),
+            (ResourceHeld(true), vec![ResourceHeld(false)]),
+            (label("ab"), vec![label("ab\0"), label("ba")]),
+            (Core(1), vec![Core(0)]),
+            (fault(Jitter, 9), vec![fault(Burst, 9), fault(Jitter, 10)]),
+        ];
+        let mut bases = HashSet::new();
+        for (data, changed) in variants {
+            let base = record(7, 3, task, data.clone());
+            // Equal records, built apart, hash equal.
+            assert_eq!(hash(&base), hash(&record(7, 3, task, data.clone())));
+            assert!(bases.insert(hash(&base)), "{base:?} aliases a variant");
+            let mut others = vec![
+                record(8, 3, task, data.clone()),
+                record(7, 4, task, data.clone()),
+                record(7, 3, event, data),
+            ];
+            others.extend(changed.into_iter().map(|d| record(7, 3, task, d)));
+            for other in others {
+                assert_ne!(hash(&base), hash(&other), "{base:?} vs {other:?}");
+            }
+        }
+        // Labels that differ only past their first 8-byte chunk.
+        assert_ne!(
+            hash(&record(7, 3, task, label("deadline_miss"))),
+            hash(&record(7, 3, task, label("deadline_mist")))
+        );
+    }
 }

@@ -12,9 +12,9 @@
 //! there to resume each alternative, and evaluates invariant oracles on
 //! every reachable schedule.
 //!
-//! - [`explore`](mod@explore): the DFS itself, with canonical-trace FNV-1a state
-//!   hashing to prune revisits, a run [`Budget`], and a
-//!   deterministic [`Counterexample`] (the exact choice stack) on
+//! - [`explore`](mod@explore): the DFS itself, with state hashing over
+//!   the trace records' fields to prune revisits, a run [`Budget`], and
+//!   a deterministic [`Counterexample`] (the exact choice stack) on
 //!   violation, which [`replay`] (or [`try_replay`]) reproduces.
 //! - [`oracle`]: the invariant trait and built-ins — no missed
 //!   deadline, no lost message, all tasks terminate, mutex exclusion,

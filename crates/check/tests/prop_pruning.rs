@@ -1,12 +1,13 @@
 //! Property: visited-state pruning never skips a distinct schedule.
 //!
-//! The pruned DFS cuts a subtree whenever the incremental canonical-
-//! trace hash says "this exact state was explored before". If the hash
+//! The pruned DFS cuts a subtree whenever the incremental state hash
+//! (over the trace records' fields, the instant, the choice kind and the
+//! candidates) says "this exact state was explored before". If the hash
 //! ever aliased two genuinely different states, some reachable final
 //! trace would exist in the brute-force enumeration but not in the
 //! pruned one. This property drives both explorers over the toy
 //! broadcast scenario at randomized sizes and requires the *sets* of
-//! distinct final canonical traces to be identical.
+//! distinct final trace hashes to be identical.
 
 use rtsim_check::explore::{explore_with, Budget};
 use rtsim_check::scenarios::toy_scenario;

@@ -2,11 +2,19 @@
 //! panic or a silent success: `try_replay` names the out-of-range choice
 //! (its depth and the choice point's arity) or counts the surplus, and
 //! `rtsim-check --replay` prints that and exits 2. A counterexample the
-//! explorer found still replays to its violation.
+//! explorer found still replays to its violation, and one found past the
+//! stable order names the candidates of its own schedule.
 
 use std::process::Command;
 
-use rtsim_check::{explore, replay, scenario_by_name, try_replay, Budget, ReplayError};
+use rtsim_check::scenarios::toy_scenario;
+use rtsim_check::{
+    explore, replay, scenario_by_name, try_replay, Budget, CheckScenario, Oracle, ReplayError,
+    Violation,
+};
+use rtsim_trace::CommKind::Read;
+use rtsim_trace::Trace;
+use rtsim_trace::TraceData::Comm;
 
 #[test]
 fn an_out_of_range_choice_names_its_depth_and_arity() {
@@ -61,6 +69,74 @@ fn a_mutant_counterexample_still_replays() {
             "{name}: the witness no longer violates"
         );
     }
+}
+
+/// Flags a toy run in which `W1` takes a tick before `W0` does. The
+/// stable order dispatches `W0` first at every tie, so only a schedule
+/// past it violates this.
+struct TickOrder;
+
+impl Oracle for TickOrder {
+    fn name(&self) -> &'static str {
+        "tick-order"
+    }
+
+    fn check(&self, trace: &Trace) -> Vec<Violation> {
+        let reads = |name| {
+            let actor = trace.actor_by_name(name).expect("toy worker");
+            trace
+                .records_for(actor)
+                .filter(|r| matches!(r.data, Comm { kind: Read, .. }))
+                .map(|r| r.seq)
+                .collect::<Vec<_>>()
+        };
+        reads("W0")
+            .iter()
+            .zip(&reads("W1"))
+            .enumerate()
+            .filter(|(_, (w0, w1))| w1 < w0)
+            .map(|(round, _)| Violation {
+                oracle: "tick-order",
+                message: format!("round {}: `W1` took the tick before `W0`", round + 1),
+            })
+            .collect()
+    }
+}
+
+fn tick_order() -> Vec<Box<dyn Oracle>> {
+    vec![Box::new(TickOrder)]
+}
+
+#[test]
+fn a_counterexample_past_the_stable_order_labels_its_own_schedule() {
+    let scenario = CheckScenario {
+        oracles: tick_order,
+        ..toy_scenario(2, 2)
+    };
+    let outcome = explore(&scenario, &Budget::default());
+    let cx = outcome.counterexample.expect("the second round is raced");
+    // Found on a schedule resumed from a fork, not on the first run.
+    assert_eq!((outcome.runs, outcome.fresh), (5, 1));
+    // From frame #5 on, the labels are those of the run that took `W1`
+    // first, not of the stable order that first branched there.
+    assert_eq!(
+        cx.render(),
+        "counterexample for `toy`:
+  violated [tick-order]: round 2: `W1` took the tick before `W0`
+  choice stack (8 decisions, 8 branching):
+    #0 @0ps dispatch: took [0] dispatch Clock <- timeout (of 3)
+    #1 @0ps dispatch: took [0] dispatch W0 <- timeout (of 2)
+    #2 @50000000ps dispatch: took [0] dispatch W0 <- W0.hw_wake (of 2)
+    #3 @55000000ps timer: took [0] timer-wake W0 (of 2)
+    #4 @55000000ps dispatch: took [0] dispatch W0 <- timeout (of 2)
+    #5 @100000000ps dispatch: took [1] dispatch W1 <- W1.hw_wake (of 2)
+    #6 @105000000ps timer: took [0] timer-wake W1 (of 2)
+    #7 @105000000ps dispatch: took [0] dispatch W1 <- timeout (of 2)
+  replay: rtsim-check --replay toy:0,0,0,0,0,1,0,0
+"
+    );
+    let (_, violations) = replay(&scenario, &cx.choices);
+    assert_eq!(violations.len(), 1, "{violations:?}");
 }
 
 fn rtsim_check(args: &[&str]) -> (Option<i32>, String) {

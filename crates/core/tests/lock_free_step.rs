@@ -279,8 +279,8 @@ fn segment_mode_run_takes_one_lock_the_loan() {
         .records_for(q)
         .any(|r| matches!(r.data, TraceData::QueueDepth { depth: 2, .. })));
     assert!(trace.actors_of_kind(ActorKind::Task).any(|t| trace
-        .state_sequence(t)
-        .contains(&TaskState::WaitingResource)));
+        .records_for(t)
+        .any(|r| r.data == TraceData::State(TaskState::WaitingResource))));
     assert!(trace.records().iter().any(|r| matches!(
         r.data,
         TraceData::Comm { relation, kind: CommKind::Read } if relation == ev

@@ -35,9 +35,16 @@ fn times_us(trace: &Trace, task: &str, state: TaskState) -> Vec<u64> {
         .collect()
 }
 
+/// The states `task` went through, in order.
 fn states(trace: &Trace, task: &str) -> Vec<TaskState> {
     let actor = trace.actor_by_name(task).expect("actor");
-    trace.state_sequence(actor)
+    trace
+        .records_for(actor)
+        .filter_map(|r| match r.data {
+            rtsim_trace::TraceData::State(s) => Some(s),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]

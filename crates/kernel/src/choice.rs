@@ -46,7 +46,7 @@ pub enum ChoiceKind {
 
 impl ChoiceKind {
     /// Short stable key (`dispatch` / `delta` / `timer`), used in
-    /// counterexample rendering and state hashing.
+    /// counterexample rendering.
     pub const fn key(self) -> &'static str {
         match self {
             ChoiceKind::Dispatch => "dispatch",

@@ -29,9 +29,10 @@
 //!
 //! The format has exactly one writer: [`canonical_actor_into`] and
 //! [`canonical_record_into`] append one line's bytes to a `Vec<u8>`.
-//! [`canonical`] wraps them, and the farm's fingerprint and the
-//! explorer's state hash feed their output straight into FNV-1a without
-//! building a `String`.
+//! [`canonical`] wraps them, and the farm's fingerprint feeds their
+//! output straight into FNV-1a without building a `String`. (The
+//! schedule explorer's state hash, which never leaves its process, hashes
+//! the record fields instead and renders nothing.)
 
 use crate::record::{ActorInfo, Record, TraceData};
 use crate::recorder::Trace;

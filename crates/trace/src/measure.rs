@@ -282,11 +282,6 @@ impl JobFold {
         self.max
     }
 
-    /// Sum of all response times in picoseconds.
-    pub fn total_ps(&self) -> u128 {
-        self.total
-    }
-
     /// Mean response time in picoseconds, rounded down (0 without jobs).
     pub fn mean_ps(&self) -> u64 {
         match self.jobs {

@@ -224,7 +224,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// Payload of one trace record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum TraceData {
     /// The actor (a task) entered `state`.
     State(TaskState),
@@ -272,7 +272,7 @@ pub enum TraceData {
 }
 
 /// One timestamped trace record.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Record {
     /// When it happened.
     pub at: SimTime,
@@ -285,7 +285,7 @@ pub struct Record {
 }
 
 /// Static description of one registered actor.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ActorInfo {
     /// Display name (task/function/relation name).
     pub name: String,

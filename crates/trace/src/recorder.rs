@@ -449,17 +449,6 @@ impl Trace {
         intervals
     }
 
-    /// The sequence of states a task actor went through, without times —
-    /// convenient for exact transition-order assertions.
-    pub fn state_sequence(&self, actor: ActorId) -> Vec<TaskState> {
-        self.records_for(actor)
-            .filter_map(|r| match r.data {
-                TraceData::State(s) => Some(s),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Times at which annotation `label` was recorded (any actor).
     pub fn annotation_times(&self, label: &str) -> Vec<SimTime> {
         self.records

@@ -102,8 +102,8 @@ pub fn render(trace: &Trace, options: &TimelineOptions) -> String {
 
     for &actor in &actors {
         let mut lane = vec![' '; width];
-        // Paint state intervals first (instantaneous states paint nothing;
-        // use `Trace::state_sequence` for transition-order assertions)...
+        // Paint state intervals first (instantaneous states paint
+        // nothing)...
         for (start, end, state) in trace.state_intervals(actor, until) {
             if end <= from || start >= until {
                 continue;

@@ -238,7 +238,6 @@ fn fold_matches_measure(histories: &[History]) -> Vec<u64> {
             );
             let folded = (fold.jobs(), fold.min_ps(), fold.mean_ps(), fold.max_ps());
             assert_eq!(folded, expected, "task {task}: {responses:?}");
-            assert_eq!(fold.total_ps(), total);
             fold.jobs()
         })
         .collect()

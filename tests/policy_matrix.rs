@@ -8,6 +8,7 @@
 
 use rtsim::policies::{EarliestDeadlineFirst, Fifo, PriorityPreemptive, RateMonotonic, RoundRobin};
 use rtsim::scenarios::contended_system;
+use rtsim::trace::TraceData;
 use rtsim::{
     assign_rate_monotonic, partition_first_fit, ActorKind, Measure, Overheads, PeriodicTask,
     Priority, SchedulingPolicy, SimDuration, SimTime, SystemModel, TaskConfig, TaskState,
@@ -181,9 +182,16 @@ fn non_preemptive_mode_never_records_a_preemption() {
         let trace = system.trace();
         for task in ["urgent", "mid0", "mid1", "bg"] {
             let actor = trace.actor_by_name(task).unwrap();
+            let last = trace
+                .records_for(actor)
+                .filter_map(|r| match r.data {
+                    TraceData::State(s) => Some(s),
+                    _ => None,
+                })
+                .last();
             assert_eq!(
-                trace.state_sequence(actor).last(),
-                Some(&TaskState::Terminated),
+                last,
+                Some(TaskState::Terminated),
                 "cooperative {name}: {task} never finished"
             );
         }
