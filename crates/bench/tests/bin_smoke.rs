@@ -78,6 +78,37 @@ fn server_ablation_smoke() {
 }
 
 #[test]
+fn overhead_sweep_prints_the_pinned_rows() {
+    let out = run_smoke(env!("CARGO_BIN_EXE_overhead_sweep"));
+    assert_rows(
+        &out,
+        &[
+            "  overhead   worst response       makespan  scheduler runs",
+            "       0us            40 us      @88475 us             228",
+            "       1us            43 us      @88508 us             232",
+            "       2us            46 us      @88541 us             233",
+            "       5us            55 us      @88710 us             242",
+            "      10us            70 us      @88905 us             238",
+            "      20us           120 us      @89470 us             247",
+            "      50us           235 us     @116150 us             244",
+            "     100us           405 us     @132925 us             235",
+        ],
+    );
+    assert_rows(
+        &out,
+        &[
+            " per-task cost   worst response       makespan  scheduler runs",
+            "           0us            44 us      @88517 us             233",
+            "           1us            52 us      @88573 us             231",
+            "           2us            62 us      @88687 us             236",
+            "           5us            92 us      @88870 us             234",
+            "          10us           142 us      @89215 us             245",
+            "          20us           242 us      @90310 us             226",
+        ],
+    );
+}
+
+#[test]
 fn mpeg2_explore_smoke() {
     // mpeg2_explore runs as a sharded, result-cached grid: without a
     // cache every design point is a miss.

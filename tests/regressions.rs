@@ -70,6 +70,12 @@ fn automotive_pins() {
     assert_eq!(summary.max, us(200));
     let report = system.verify_constraints();
     assert!(report.all_satisfied(), "{report}");
+    assert_eq!(
+        report.to_string(),
+        "[PASS] crank-to-injection-start — worst reaction 50 us (bound 200 us), 20 stimuli, 0 unanswered
+[PASS] injection-deadline — worst response 200 us over 21 activations (bound 500 us)
+"
+    );
 }
 
 /// §4's kernel switch counts for engine A (dedicated thread) and engine
