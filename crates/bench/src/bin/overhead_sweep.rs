@@ -9,9 +9,7 @@
 //! Run with: `cargo run --release -p rtsim-bench --bin overhead_sweep`
 
 use rtsim::policies::PriorityPreemptive;
-use rtsim::{
-    EngineKind, OverheadSpec, Overheads, SimDuration, SystemModel, TaskConfig, TimingConstraint,
-};
+use rtsim::{EngineKind, Measure, OverheadSpec, Overheads, SimDuration, SystemModel, TaskConfig};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -35,20 +33,18 @@ fn workload(overheads: Overheads) -> SystemModel {
         model.periodic_function(cfg, period, cost, 20);
         model.map_to_processor(&name, "CPU");
     }
-    model.constraint(TimingConstraint::CompletionWithin {
-        name: "task0-response".into(),
-        function: "task0".into(),
-        bound: us(1_000),
-    });
     model
 }
 
 fn run(overheads: Overheads) -> (String, String, u64) {
     let mut system = workload(overheads).elaborate().expect("model");
     system.run().expect("run");
-    let report = system.verify_constraints();
-    let worst = report.results[0]
-        .worst
+    let trace = system.trace();
+    let task0 = trace.actor_by_name("task0").expect("task0");
+    let worst = Measure::new(&trace)
+        .response_times(task0)
+        .into_iter()
+        .max()
         .map_or_else(|| "n/a".into(), |w| w.to_string());
     let stats = system.processor_stats("CPU").expect("cpu");
     (worst, system.now().to_string(), stats.scheduler_runs)

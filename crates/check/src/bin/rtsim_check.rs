@@ -6,7 +6,8 @@
 //! ```
 //!
 //! With no `--scenario`, every registered target runs. Healthy
-//! scenarios must hold every oracle over every explored schedule;
+//! scenarios must hold every property their model declares (timing
+//! constraints and oracles) over every explored schedule;
 //! mutant scenarios must be flagged (and their counterexample is
 //! verified by replay before the run counts as a pass). Exit status is
 //! nonzero on any unexpected outcome.
@@ -145,7 +146,7 @@ fn main() -> ExitCode {
                 } else {
                     println!(
                         "  flagged as expected: [{}] {} (replay verified)",
-                        cx.violations[0].oracle, cx.violations[0].message
+                        cx.violations[0].property, cx.violations[0].message
                     );
                 }
             }
@@ -190,7 +191,7 @@ fn run_replay(spec: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         for v in &violations {
-            println!("violated [{}]: {}", v.oracle, v.message);
+            println!("violated [{}]: {}", v.property, v.message);
         }
         ExitCode::FAILURE
     }

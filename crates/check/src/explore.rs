@@ -13,12 +13,13 @@
 //!    eligible actions). At a choice point not seen before, push a frame
 //!    recording the arity, store a fork of the system stopped there (plus
 //!    the running state hash), and decide `0` (the stable order).
-//! 3. When the run finishes, evaluate the scenario's oracles on the
-//!    final trace, then backtrack: pop exhausted frames, increment the
-//!    deepest frame with a remaining sibling, and resume that sibling
-//!    from the frame's snapshot — a further fork of it, or the snapshot
-//!    itself for the last sibling — so each schedule simulates only its
-//!    own suffix. At most one snapshot per open frame is alive.
+//! 3. When the run finishes, check the properties its model declares
+//!    (timing constraints and oracles alike) on the final trace, then
+//!    backtrack: pop exhausted frames, increment the deepest frame with
+//!    a remaining sibling, and resume that sibling from the frame's
+//!    snapshot — a further fork of it, or the snapshot itself for the
+//!    last sibling — so each schedule simulates only its own suffix. At
+//!    most one snapshot per open frame is alive.
 //!
 //! A system that cannot fork (a closure body runs on a thread, or a
 //! custom scheduling policy cannot copy itself) is explored the original
@@ -69,12 +70,11 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use rtsim_kernel::choice::{ChoiceKind, ChoicePoint};
-use rtsim_kernel::{ExecMode, SimTime};
+use rtsim_kernel::{ExecMode, KernelError, SimTime};
 use rtsim_mcse::ElaboratedSystem;
-use rtsim_trace::{ActorInfo, Record, Trace};
+use rtsim_trace::{ActorInfo, Finding, Record, Trace};
 
-use crate::oracle::{Oracle, Violation};
-use crate::scenarios::CheckScenario;
+use crate::scenarios::{scenario_by_name, CheckScenario};
 
 /// Search limits. Every limit is a truncation, not an error: tripping
 /// one marks the exploration incomplete (`complete = false`). Besides
@@ -137,18 +137,22 @@ pub struct Counterexample {
     pub choices: Vec<usize>,
     /// The branching choice points along the violating run.
     pub frames: Vec<ChoiceFrame>,
-    /// What the oracles reported on the violating trace.
-    pub violations: Vec<Violation>,
+    /// The findings that did not hold on the violating trace: a kernel
+    /// error first, if any, then the model's properties in declaration
+    /// order.
+    pub violations: Vec<Finding>,
 }
 
 impl Counterexample {
-    /// Renders the counterexample as a human-readable report.
+    /// Renders the counterexample as a human-readable report. Its last
+    /// line replays the schedule: through `rtsim-check --replay` for a
+    /// registered scenario, else as the choice list for [`replay`].
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "counterexample for `{}`:", self.scenario);
         for v in &self.violations {
-            let _ = writeln!(out, "  violated [{}]: {}", v.oracle, v.message);
+            let _ = writeln!(out, "  violated [{}]: {}", v.property, v.message);
         }
         let _ = writeln!(
             out,
@@ -168,16 +172,21 @@ impl Counterexample {
                 f.arity
             );
         }
-        let _ = writeln!(
-            out,
-            "  replay: rtsim-check --replay {}:{}",
-            self.scenario,
-            self.choices
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        );
+        let _ = if scenario_by_name(&self.scenario).is_some() {
+            let choices: Vec<_> = self.choices.iter().map(|c| c.to_string()).collect();
+            writeln!(
+                out,
+                "  replay: rtsim-check --replay {}:{}",
+                self.scenario,
+                choices.join(",")
+            )
+        } else {
+            writeln!(
+                out,
+                "  replay: rtsim_check::replay(&scenario, &{:?})",
+                self.choices
+            )
+        };
         out
     }
 }
@@ -256,7 +265,6 @@ struct Frame {
 /// The depth-first search over one scenario's choice tree.
 struct Search<'s> {
     scenario: &'s CheckScenario,
-    oracles: Vec<Box<dyn Oracle>>,
     prune: bool,
     /// Whether to snapshot choice points (`false`: replay every run).
     fork: bool,
@@ -282,7 +290,6 @@ impl<'s> Search<'s> {
     fn new(scenario: &'s CheckScenario, prune: bool, fork: bool) -> Self {
         Search {
             scenario,
-            oracles: (scenario.oracles)(),
             prune,
             fork,
             frames: Vec::new(),
@@ -316,8 +323,8 @@ impl<'s> Search<'s> {
     /// Runs one schedule to its end: from a new elaboration following the
     /// prefix in `path` (`start = None`), or from a snapshot stopped at
     /// the choice point the last entry of `path` decides. Returns the
-    /// final trace, its distinct-trace hash and any kernel error.
-    fn run(&mut self, start: Option<Live>) -> (Trace, u64, Option<Violation>) {
+    /// final trace's distinct-trace hash and what the run violated.
+    fn run(&mut self, start: Option<Live>) -> (u64, Vec<Finding>) {
         self.truncated = false;
         let (mut live, mut depth) = match start {
             None => (self.elaborate(), 0),
@@ -330,16 +337,13 @@ impl<'s> Search<'s> {
             }
         };
         let horizon = SimTime::ZERO + self.scenario.horizon;
-        let mut kernel_violation = None;
+        let mut error = None;
         loop {
             let point = match live.system.simulator_mut().run_to_choice(horizon) {
                 Ok(Some(point)) => point,
                 Ok(None) => break,
                 Err(e) => {
-                    kernel_violation = Some(Violation {
-                        oracle: "kernel",
-                        message: e.to_string(),
-                    });
+                    error = Some(e);
                     break;
                 }
             };
@@ -356,9 +360,8 @@ impl<'s> Search<'s> {
             live.system.simulator_mut().decide(choice);
         }
         let (running, hashed) = (live.running, live.hashed);
-        let trace = live.system.into_trace();
-        let hash = self.trace_hash(&trace, running, hashed);
-        (trace, hash, kernel_violation)
+        let (trace, violations) = finish(live.system, error);
+        (self.trace_hash(&trace, running, hashed), violations)
     }
 
     /// A fresh choice point (past the forced prefix): push a frame for
@@ -418,9 +421,8 @@ impl<'s> Search<'s> {
         let mut start: Option<Live> = None;
         while runs < budget.max_runs && self.visited.len() < MAX_STATES {
             runs += 1;
-            let (trace, hash, kernel_violation) = self.run(start.take());
+            let (hash, violations) = self.run(start.take());
             distinct.insert(hash);
-            let violations = judge(&self.oracles, &trace, kernel_violation);
             if !violations.is_empty() {
                 let mut frames: Vec<_> = self.frames.iter().map(|f| f.info.clone()).collect();
                 label(self.scenario, &self.path, &mut frames);
@@ -570,17 +572,21 @@ fn label(scenario: &CheckScenario, path: &[usize], frames: &mut [ChoiceFrame]) {
     }
 }
 
-/// Evaluates the oracles (plus any kernel error) on a trace.
-fn judge(
-    oracles: &[Box<dyn Oracle>],
-    trace: &Trace,
-    kernel_violation: Option<Violation>,
-) -> Vec<Violation> {
-    let mut violations: Vec<Violation> = kernel_violation.into_iter().collect();
-    for oracle in oracles {
-        violations.extend(oracle.check(trace));
-    }
-    violations
+/// Ends a run: its trace and what it violated — the kernel `error` it
+/// stopped on, if any, then every finding of the system's report that
+/// does not hold.
+fn finish(system: ElaboratedSystem, error: Option<KernelError>) -> (Trace, Vec<Finding>) {
+    let (trace, report) = system.finish();
+    let kernel = error.map(|e| Finding {
+        property: "kernel".to_owned(),
+        holds: false,
+        message: e.to_string(),
+    });
+    let violations = kernel
+        .into_iter()
+        .chain(report.findings.into_iter().filter(|f| !f.holds))
+        .collect();
+    (trace, violations)
 }
 
 /// Depth-first exploration of every schedule of `scenario`, with
@@ -648,9 +654,9 @@ impl fmt::Display for ReplayError {
 impl std::error::Error for ReplayError {}
 
 /// Replays one exact choice sequence through a scenario and returns the
-/// final trace plus whatever the oracles say about it — the consumer
-/// side of [`Counterexample::choices`]. Choice points past the end of
-/// the sequence take the stable order.
+/// final trace plus the findings of its model's properties that do not
+/// hold on it — the consumer side of [`Counterexample::choices`].
+/// Choice points past the end of the sequence take the stable order.
 ///
 /// # Errors
 ///
@@ -660,20 +666,17 @@ impl std::error::Error for ReplayError {}
 pub fn try_replay(
     scenario: &CheckScenario,
     choices: &[usize],
-) -> Result<(Trace, Vec<Violation>), ReplayError> {
+) -> Result<(Trace, Vec<Finding>), ReplayError> {
     let mut system = build(scenario);
     let horizon = SimTime::ZERO + scenario.horizon;
     let mut depth = 0;
-    let mut kernel_violation = None;
+    let mut error = None;
     loop {
         let point = match system.simulator_mut().run_to_choice(horizon) {
             Ok(Some(point)) => point,
             Ok(None) => break,
             Err(e) => {
-                kernel_violation = Some(Violation {
-                    oracle: "kernel",
-                    message: e.to_string(),
-                });
+                error = Some(e);
                 break;
             }
         };
@@ -694,9 +697,7 @@ pub fn try_replay(
             surplus: choices.len() - depth,
         });
     }
-    let trace = system.into_trace();
-    let violations = judge(&(scenario.oracles)(), &trace, kernel_violation);
-    Ok((trace, violations))
+    Ok(finish(system, error))
 }
 
 /// [`try_replay`] for a sequence known to fit the scenario, such as a
@@ -705,7 +706,7 @@ pub fn try_replay(
 /// # Panics
 ///
 /// Panics ("replay diverged: …") if the sequence does not replay.
-pub fn replay(scenario: &CheckScenario, choices: &[usize]) -> (Trace, Vec<Violation>) {
+pub fn replay(scenario: &CheckScenario, choices: &[usize]) -> (Trace, Vec<Finding>) {
     try_replay(scenario, choices).unwrap_or_else(|e| panic!("replay diverged: {e}"))
 }
 

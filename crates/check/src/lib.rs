@@ -9,18 +9,19 @@
 //! stopping at every nondeterministic choice point — same-timestamp
 //! event dispatch order, ready ties, interrupt-arrival windows — with
 //! [`rtsim_kernel::Simulator::run_to_choice`], forking the simulation
-//! there to resume each alternative, and evaluates invariant oracles on
-//! every reachable schedule.
+//! there to resume each alternative, and checks every property the
+//! model declares — its timing constraints and invariant oracles, all
+//! [`Property`](rtsim_trace::Property) — on every reachable schedule.
 //!
 //! - [`explore`](mod@explore): the DFS itself, with state hashing over
 //!   the trace records' fields to prune revisits, a run [`Budget`], and
 //!   a deterministic [`Counterexample`] (the exact choice stack) on
 //!   violation, which [`replay`] (or [`try_replay`]) reproduces.
-//! - [`oracle`]: the invariant trait and built-ins — no missed
-//!   deadline, no lost message, all tasks terminate, mutex exclusion,
+//! - [`oracle`]: the built-in invariant oracles — no missed deadline, no
+//!   lost message, all tasks terminate, mutex exclusion,
 //!   critical-section exclusion, priority-inversion bound.
-//! - [`scenarios`]: registered check targets, including seeded mutants
-//!   the checker MUST flag.
+//! - [`scenarios`]: registered check targets, each model declaring its
+//!   oracles, including seeded mutants the checker MUST flag.
 //!
 //! The `rtsim-check` binary drives the registry and prints each
 //! scenario's explored counts; `tests/coverage_baseline.rs` pins those
@@ -38,6 +39,6 @@ pub use explore::{
 };
 pub use oracle::{
     built_ins, AllTasksTerminate, CriticalSectionExclusion, MutexExclusion, NoLostMessage,
-    NoMissedDeadline, Oracle, PriorityInversionBound, Violation,
+    NoMissedDeadline, PriorityInversionBound,
 };
 pub use scenarios::{scenario_by_name, CheckScenario, Expectation, SCENARIOS};

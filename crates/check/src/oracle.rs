@@ -1,36 +1,21 @@
-//! Invariant oracles: predicates over a finished run's trace.
+//! Invariant oracles: [properties](Property) that report one failing
+//! [`Finding`] per breach, and none when the invariant holds.
 //!
-//! An oracle inspects the final [`Trace`] of one explored schedule and
-//! reports zero or more [`Violation`]s. The explorer evaluates every
-//! registered oracle on every leaf of the choice tree, so an invariant
-//! holding means it holds over *all* enumerated interleavings, not just
-//! the stable one the regression farm pins.
+//! A model declares its oracles with [`SystemModel::constraint`], next
+//! to its timing constraints. The explorer checks every declared
+//! property on every leaf of the choice tree, so an invariant holding
+//! means it holds over *all* enumerated interleavings, not just the
+//! stable one the regression farm pins.
 //!
-//! The built-ins cover the checks the ISSUE names: no missed deadline,
-//! no lost queue message, no lost task (a fugitive event swallowed while
-//! nobody was waiting strands its waiter forever), mutual exclusion on
-//! shared resources, critical-section exclusion by annotation, and a
-//! priority-inversion bound.
+//! The built-ins: no missed deadline, no lost queue message, no lost
+//! task (a fugitive event swallowed while nobody was waiting strands its
+//! waiter forever), mutual exclusion on shared resources,
+//! critical-section exclusion by annotation, and a priority-inversion
+//! bound.
 
 use rtsim_kernel::{SimDuration, SimTime};
-use rtsim_trace::{ActorKind, CommKind, TaskState, Trace, TraceData};
-
-/// One invariant breach on one trace.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Which oracle (or `"kernel"` for a kernel error) reported it.
-    pub oracle: &'static str,
-    /// Human-readable description of the breach.
-    pub message: String,
-}
-
-/// A trace invariant.
-pub trait Oracle: Send {
-    /// Stable oracle name used in reports and counterexamples.
-    fn name(&self) -> &'static str;
-    /// Checks `trace`; an empty vec means the invariant holds.
-    fn check(&self, trace: &Trace) -> Vec<Violation>;
-}
+use rtsim_mcse::SystemModel;
+use rtsim_trace::{ActorKind, CommKind, Finding, Property, TaskState, Trace, TraceData};
 
 /// No task ever completes past its deadline: the trace must not carry a
 /// `deadline_miss` annotation (the RTOS engine stamps one on every
@@ -38,19 +23,16 @@ pub trait Oracle: Send {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoMissedDeadline;
 
-impl Oracle for NoMissedDeadline {
-    fn name(&self) -> &'static str {
+impl Property for NoMissedDeadline {
+    fn name(&self) -> &str {
         "no-missed-deadline"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         trace
             .annotation_times("deadline_miss")
             .into_iter()
-            .map(|at| Violation {
-                oracle: self.name(),
-                message: format!("deadline missed at {}ps", at.as_ps()),
-            })
+            .map(|at| self.finding(false, format!("deadline missed at {}ps", at.as_ps())))
             .collect()
     }
 }
@@ -62,12 +44,12 @@ impl Oracle for NoMissedDeadline {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoLostMessage;
 
-impl Oracle for NoLostMessage {
-    fn name(&self) -> &'static str {
+impl Property for NoLostMessage {
+    fn name(&self) -> &str {
         "no-lost-message"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         // Per relation actor: its last reported depth and the writes and
         // reads that name it.
         let mut queues = per_actor(trace, ActorKind::Relation, (None, 0u64, 0u64));
@@ -98,16 +80,16 @@ impl Oracle for NoLostMessage {
             };
             let name = &actor.name;
             if final_depth != 0 {
-                violations.push(Violation {
-                    oracle: self.name(),
-                    message: format!("queue `{name}` ends with {final_depth} unread message(s)"),
-                });
+                violations.push(self.finding(
+                    false,
+                    format!("queue `{name}` ends with {final_depth} unread message(s)"),
+                ));
             }
             if writes != reads {
-                violations.push(Violation {
-                    oracle: self.name(),
-                    message: format!("queue `{name}` saw {writes} write(s) but {reads} read(s)"),
-                });
+                violations.push(self.finding(
+                    false,
+                    format!("queue `{name}` saw {writes} write(s) but {reads} read(s)"),
+                ));
             }
         }
         violations
@@ -120,12 +102,12 @@ impl Oracle for NoLostMessage {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllTasksTerminate;
 
-impl Oracle for AllTasksTerminate {
-    fn name(&self) -> &'static str {
+impl Property for AllTasksTerminate {
+    fn name(&self) -> &str {
         "all-tasks-terminate"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         // Per task actor: the last state it entered.
         let mut last = per_actor(trace, ActorKind::Task, None);
         for r in trace.records() {
@@ -138,13 +120,13 @@ impl Oracle for AllTasksTerminate {
         last.into_iter()
             .zip(trace.actors())
             .filter_map(|(last, actor)| match last {
-                Some(Some(state)) if state != TaskState::Terminated => Some(Violation {
-                    oracle: self.name(),
-                    message: format!(
+                Some(Some(state)) if state != TaskState::Terminated => Some(self.finding(
+                    false,
+                    format!(
                         "task `{}` ends the horizon in state {state} (lost wake?)",
                         actor.name
                     ),
-                }),
+                )),
                 _ => None,
             })
             .collect()
@@ -157,12 +139,12 @@ impl Oracle for AllTasksTerminate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MutexExclusion;
 
-impl Oracle for MutexExclusion {
-    fn name(&self) -> &'static str {
+impl Property for MutexExclusion {
+    fn name(&self) -> &str {
         "mutex-exclusion"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         // Per relation actor: whether it is held, and its breaches in
         // trace order.
         let mut resources = per_actor(trace, ActorKind::Relation, (false, Vec::new()));
@@ -194,10 +176,11 @@ impl Oracle for MutexExclusion {
                     actor.name
                 ));
             }
-            violations.extend(breaches.into_iter().map(|message| Violation {
-                oracle: self.name(),
-                message,
-            }));
+            violations.extend(
+                breaches
+                    .into_iter()
+                    .map(|message| self.finding(false, message)),
+            );
         }
         violations
     }
@@ -212,12 +195,12 @@ impl Oracle for MutexExclusion {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CriticalSectionExclusion;
 
-impl Oracle for CriticalSectionExclusion {
-    fn name(&self) -> &'static str {
+impl Property for CriticalSectionExclusion {
+    fn name(&self) -> &str {
         "critical-section-exclusion"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         // Per task actor: the open section's entry, if any, and its
         // closed [enter, exit) intervals.
         let mut tasks = per_actor(trace, ActorKind::Task, (None, Vec::new()));
@@ -245,10 +228,10 @@ impl Oracle for CriticalSectionExclusion {
                 continue;
             };
             if open.is_some() {
-                violations.push(Violation {
-                    oracle: self.name(),
-                    message: format!("task `{}` never exits its critical section", actor.name),
-                });
+                violations.push(self.finding(
+                    false,
+                    format!("task `{}` never exits its critical section", actor.name),
+                ));
             }
             sections.extend(
                 closed
@@ -262,16 +245,16 @@ impl Oracle for CriticalSectionExclusion {
                     continue;
                 }
                 if a_start < b_end && b_start < a_end {
-                    violations.push(Violation {
-                        oracle: self.name(),
-                        message: format!(
+                    violations.push(self.finding(
+                        false,
+                        format!(
                             "critical sections overlap: `{a_name}` [{}..{}ps] and `{b_name}` [{}..{}ps]",
                             a_start.as_ps(),
                             a_end.as_ps(),
                             b_start.as_ps(),
                             b_end.as_ps()
                         ),
-                    });
+                    ));
                 }
             }
         }
@@ -280,7 +263,8 @@ impl Oracle for CriticalSectionExclusion {
 }
 
 /// Bounded priority inversion: the total time `victim` spends Ready
-/// while `offender` runs must not exceed `bound`. Pin it on a scenario
+/// while `offender` runs must not exceed `bound`, with the last
+/// intervals closed at [`Trace::horizon`]. Pin it on a scenario
 /// with an inversion-avoidance protocol (priority inheritance /
 /// preemption masking) to verify the protocol holds under *every*
 /// schedule, not just the stable one.
@@ -294,24 +278,24 @@ pub struct PriorityInversionBound {
     pub bound: SimDuration,
 }
 
-impl Oracle for PriorityInversionBound {
-    fn name(&self) -> &'static str {
+impl Property for PriorityInversionBound {
+    fn name(&self) -> &str {
         "priority-inversion-bound"
     }
 
-    fn check(&self, trace: &Trace) -> Vec<Violation> {
+    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
         let horizon = trace.horizon();
         let (Some(victim), Some(offender)) = (
             trace.actor_by_name(&self.victim),
             trace.actor_by_name(&self.offender),
         ) else {
-            return vec![Violation {
-                oracle: self.name(),
-                message: format!(
+            return vec![self.finding(
+                false,
+                format!(
                     "tasks `{}`/`{}` not present in trace",
                     self.victim, self.offender
                 ),
-            }];
+            )];
         };
         let blocked: Vec<(SimTime, SimTime)> = trace
             .state_intervals(victim, horizon)
@@ -336,16 +320,16 @@ impl Oracle for PriorityInversionBound {
             }
         }
         if overlap_ps > self.bound.as_ps() {
-            vec![Violation {
-                oracle: self.name(),
-                message: format!(
+            vec![self.finding(
+                false,
+                format!(
                     "`{}` blocked {}ps while `{}` ran (bound {}ps)",
                     self.victim,
                     overlap_ps,
                     self.offender,
                     self.bound.as_ps()
                 ),
-            }]
+            )]
         } else {
             Vec::new()
         }
@@ -363,13 +347,13 @@ fn per_actor<T: Clone>(trace: &Trace, kind: ActorKind, init: T) -> Vec<Option<T>
         .collect()
 }
 
-/// The default oracle suite: every scenario-independent built-in.
-pub fn built_ins() -> Vec<Box<dyn Oracle>> {
-    vec![
-        Box::new(NoMissedDeadline),
-        Box::new(NoLostMessage),
-        Box::new(AllTasksTerminate),
-        Box::new(MutexExclusion),
-        Box::new(CriticalSectionExclusion),
-    ]
+/// Declares the default oracle suite on `model`: every
+/// scenario-independent built-in.
+pub fn built_ins(model: &mut SystemModel) -> &mut SystemModel {
+    model
+        .constraint(NoMissedDeadline)
+        .constraint(NoLostMessage)
+        .constraint(AllTasksTerminate)
+        .constraint(MutexExclusion)
+        .constraint(CriticalSectionExclusion)
 }

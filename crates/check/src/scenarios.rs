@@ -6,7 +6,8 @@
 //! engineered to have thousands of legal interleavings through
 //! same-instant signals, colliding timers and racing queue clients;
 //! mutant scenarios (`Expectation::Violate`) carry a seeded bug that the
-//! oracles MUST flag, so the checker is itself checked.
+//! oracles MUST flag, so the checker is itself checked. Each model
+//! declares the oracles it is checked against.
 
 use rtsim_comm::EventPolicy;
 use rtsim_comm::LockMode;
@@ -16,8 +17,7 @@ use rtsim_mcse::script as s;
 use rtsim_mcse::{FaultPlan, Mapping, Message, SystemModel};
 
 use crate::oracle::{
-    built_ins, CriticalSectionExclusion, NoLostMessage, NoMissedDeadline, Oracle,
-    PriorityInversionBound,
+    built_ins, CriticalSectionExclusion, NoLostMessage, NoMissedDeadline, PriorityInversionBound,
 };
 
 fn us(v: u64) -> SimDuration {
@@ -27,7 +27,7 @@ fn us(v: u64) -> SimDuration {
 /// Whether a scenario's invariants are expected to survive exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
-    /// Every interleaving must satisfy every oracle.
+    /// Every interleaving must satisfy every declared property.
     Hold,
     /// At least one interleaving must be flagged (a seeded mutant).
     Violate,
@@ -37,12 +37,11 @@ pub enum Expectation {
 pub struct CheckScenario {
     /// Registry key.
     pub name: &'static str,
-    /// Builds the (un-elaborated) model.
+    /// Builds the (un-elaborated) model, with the properties checked on
+    /// every leaf declared on it.
     pub build: fn() -> SystemModel,
     /// Hang-guard horizon for each replay.
     pub horizon: SimDuration,
-    /// Builds the oracle suite to evaluate on every leaf.
-    pub oracles: fn() -> Vec<Box<dyn Oracle>>,
     /// Healthy target or seeded mutant.
     pub expect: Expectation,
 }
@@ -79,6 +78,7 @@ fn rivals_system() -> SystemModel {
         model.map(name, Mapping::Hardware);
     }
     model.map("Clock", Mapping::Hardware);
+    built_ins(&mut model);
     model
 }
 
@@ -108,6 +108,7 @@ fn burst_queue_system() -> SystemModel {
         vec![s::repeat(6, vec![s::q_read("Q")])],
     );
     model.map("Consumer", Mapping::Hardware);
+    built_ins(&mut model);
     model
 }
 
@@ -132,6 +133,7 @@ fn irq_races_system() -> SystemModel {
         );
         model.map(hname, Mapping::Hardware);
     }
+    built_ins(&mut model);
     model
 }
 
@@ -169,6 +171,11 @@ fn var_ceiling_system() -> SystemModel {
     for f in ["Hi", "Mid", "Lo"] {
         model.map_to_processor(f, "CPU");
     }
+    built_ins(&mut model).constraint(PriorityInversionBound {
+        victim: "Hi".to_owned(),
+        offender: "Mid".to_owned(),
+        bound: us(60),
+    });
     model
 }
 
@@ -211,6 +218,7 @@ fn pipeline_system() -> SystemModel {
         vec![s::repeat(6, vec![s::q_read("Q_out")])],
     );
     model.map("Sink", Mapping::Hardware);
+    built_ins(&mut model);
     model
 }
 
@@ -252,6 +260,7 @@ fn smp_migration_system() -> SystemModel {
         );
         model.map_to_processor(name, "CPU");
     }
+    built_ins(&mut model);
     model
 }
 
@@ -291,6 +300,7 @@ fn fault_dropout_system() -> SystemModel {
         SimTime::ZERO + us(35),
         SimTime::ZERO + us(45),
     ));
+    built_ins(&mut model);
     model
 }
 
@@ -304,6 +314,7 @@ fn mutant_deadline_system() -> SystemModel {
         vec![s::exec(us(100))],
     );
     model.map_to_processor("Late", "CPU");
+    model.constraint(NoMissedDeadline);
     model
 }
 
@@ -325,6 +336,7 @@ fn mutant_lost_system() -> SystemModel {
     );
     model.map("Prod", Mapping::Hardware);
     model.map("Cons", Mapping::Hardware);
+    model.constraint(NoLostMessage);
     model
 }
 
@@ -362,29 +374,8 @@ fn mutant_mutex_system() -> SystemModel {
     for f in ["Init", "Honest", "Rogue"] {
         model.map(f, Mapping::Hardware);
     }
+    model.constraint(CriticalSectionExclusion);
     model
-}
-
-fn var_ceiling_oracles() -> Vec<Box<dyn Oracle>> {
-    let mut oracles = built_ins();
-    oracles.push(Box::new(PriorityInversionBound {
-        victim: "Hi".to_owned(),
-        offender: "Mid".to_owned(),
-        bound: us(60),
-    }));
-    oracles
-}
-
-fn deadline_only() -> Vec<Box<dyn Oracle>> {
-    vec![Box::new(NoMissedDeadline)]
-}
-
-fn lost_only() -> Vec<Box<dyn Oracle>> {
-    vec![Box::new(NoLostMessage)]
-}
-
-fn cs_only() -> Vec<Box<dyn Oracle>> {
-    vec![Box::new(CriticalSectionExclusion)]
 }
 
 /// Every registered check target, healthy scenarios first.
@@ -393,70 +384,60 @@ pub static SCENARIOS: &[CheckScenario] = &[
         name: "rivals",
         build: rivals_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "burst_queue",
         build: burst_queue_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "irq_races",
         build: irq_races_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "var_ceiling",
         build: var_ceiling_system,
         horizon: SimDuration::from_ms(10),
-        oracles: var_ceiling_oracles,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "pipeline",
         build: pipeline_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "smp_migration",
         build: smp_migration_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "fault_dropout",
         build: fault_dropout_system,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     },
     CheckScenario {
         name: "mutant_deadline",
         build: mutant_deadline_system,
         horizon: SimDuration::from_ms(10),
-        oracles: deadline_only,
         expect: Expectation::Violate,
     },
     CheckScenario {
         name: "mutant_lost",
         build: mutant_lost_system,
         horizon: SimDuration::from_ms(10),
-        oracles: lost_only,
         expect: Expectation::Violate,
     },
     CheckScenario {
         name: "mutant_mutex",
         build: mutant_mutex_system,
         horizon: SimDuration::from_ms(10),
-        oracles: cs_only,
         expect: Expectation::Violate,
     },
 ];
@@ -468,7 +449,8 @@ pub fn scenario_by_name(name: &str) -> Option<&'static CheckScenario> {
 
 /// A parameterizable toy for the pruning property test: `tasks` equal
 /// hardware workers all woken by one broadcast tick, all with the SAME
-/// exec time (so completion timers tie too), for `rounds` rounds.
+/// exec time (so completion timers tie too), for `rounds` rounds, with
+/// the built-in oracles declared.
 pub fn toy_system(tasks: usize, rounds: u64) -> SystemModel {
     let mut model = SystemModel::new("toy");
     model.event("Tick", EventPolicy::Fugitive);
@@ -488,11 +470,12 @@ pub fn toy_system(tasks: usize, rounds: u64) -> SystemModel {
         );
         model.map(&name, Mapping::Hardware);
     }
+    built_ins(&mut model);
     model
 }
 
-/// A [`CheckScenario`] wrapping [`toy_system`] (built-in oracles,
-/// expected to hold) — what the pruning property test explores.
+/// A [`CheckScenario`] wrapping [`toy_system`] (expected to hold) —
+/// what the pruning property test explores.
 pub fn toy_scenario(tasks: usize, rounds: u64) -> CheckScenario {
     // fn-pointer registry fields can't capture, so the toy sizes are
     // threaded through a small fixed table instead.
@@ -508,7 +491,6 @@ pub fn toy_scenario(tasks: usize, rounds: u64) -> CheckScenario {
         name: "toy",
         build,
         horizon: SimDuration::from_ms(10),
-        oracles: built_ins,
         expect: Expectation::Hold,
     }
 }

@@ -20,7 +20,7 @@ use rtsim_check::explore::explore_replaying;
 use rtsim_check::scenarios::toy_scenario;
 use rtsim_check::{
     explore_with, replay, scenario_by_name, Budget, CheckScenario, Expectation, Exploration,
-    Oracle, SCENARIOS,
+    SCENARIOS,
 };
 use rtsim_core::{
     EngineKind, Overheads, PolicyView, SchedulingPolicy, TaskConfig, TaskId, TaskView,
@@ -175,15 +175,10 @@ fn lossy_system() -> SystemModel {
     model
 }
 
-fn no_oracles() -> Vec<Box<dyn Oracle>> {
-    Vec::new()
-}
-
 const LOSSY: CheckScenario = CheckScenario {
     name: "lossy",
     build: lossy_system,
     horizon: SimDuration::from_us(200),
-    oracles: no_oracles,
     expect: Expectation::Hold,
 };
 
@@ -377,7 +372,6 @@ const UNCOPYABLE: CheckScenario = CheckScenario {
     name: "uncopyable",
     build: uncopyable_system,
     horizon: SimDuration::from_us(100),
-    oracles: no_oracles,
     expect: Expectation::Hold,
 };
 

@@ -218,9 +218,9 @@ pub fn quickstart_system() -> SystemModel {
 /// deadlines, 16 activations each.
 ///
 /// The `task0-deadline` timing constraint pins the most urgent task's
-/// period as its completion bound, so
+/// period as its completion bound, which
 /// [`verify_constraints`](rtsim_mcse::ElaboratedSystem::verify_constraints)
-/// reports its worst response directly.
+/// checks.
 pub fn policy_sweep_system() -> SystemModel {
     let mut model = SystemModel::new("policy_sweep");
     model.software_processor("CPU", Overheads::uniform(us(5)));

@@ -1,16 +1,17 @@
-//! Timing constraints and their post-simulation verification.
+//! Timing constraints and the report of a model's properties.
 //!
 //! The paper closes with: *"Another improvement we can imagine now is
 //! automatic verification of timing constraints by simulation after
 //! setting these constraints in the initial system model."* This module
-//! implements that improvement: constraints are declared on the
-//! [`SystemModel`](crate::SystemModel) and checked against the recorded
-//! trace after a run.
+//! implements that improvement: a [`TimingConstraint`] is a
+//! [`Property`] declared on the [`SystemModel`](crate::SystemModel), and
+//! [`ConstraintReport`] collects what a model's properties find on a
+//! trace, after a plain run or on each schedule the explorer reaches.
 
 use std::fmt;
 
 use rtsim_kernel::{SimDuration, SimTime};
-use rtsim_trace::{Measure, TaskState, Trace};
+use rtsim_trace::{Finding, Job, Measure, Property, TaskState, Trace};
 
 /// A declarative timing requirement on the modeled system.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,189 +54,132 @@ pub enum TimingConstraint {
 }
 
 impl TimingConstraint {
-    /// The constraint's report name.
-    pub fn name(&self) -> &str {
+    /// Whether `trace` satisfies the constraint over `[0, horizon]`, and
+    /// the detail the report prints.
+    fn verdict(&self, trace: &Trace, horizon: SimTime) -> (bool, String) {
+        let (TimingConstraint::ReactionWithin {
+            reactor: function, ..
+        }
+        | TimingConstraint::CompletionWithin { function, .. }
+        | TimingConstraint::MinActivity { function, .. }) = self;
+        let Some(actor) = trace.actor_by_name(function) else {
+            return (
+                false,
+                format!("function `{function}` not present in the trace"),
+            );
+        };
+        let measure = Measure::new(trace);
+        match self {
+            TimingConstraint::ReactionWithin {
+                stimulus, bound, ..
+            } => {
+                let latencies = measure.reaction_times(stimulus, actor);
+                let stimuli = trace.annotation_times(stimulus).len();
+                let unanswered = stimuli - latencies.len();
+                match latencies.into_iter().max() {
+                    Some(w) => (
+                        unanswered == 0 && w <= *bound,
+                        format!(
+                            "worst reaction {w} (bound {bound}), {stimuli} stimuli, {unanswered} unanswered"
+                        ),
+                    ),
+                    None => (stimuli == 0, format!("{stimuli} stimuli, none answered")),
+                }
+            }
+            TimingConstraint::CompletionWithin { bound, .. } => {
+                // Job segmentation (activation out of a synchronization
+                // wait, completion at the next block) comes from
+                // `Measure::jobs`. A job still open at the horizon is
+                // violated once its bound has expired.
+                let jobs = measure.jobs(actor);
+                let holds = jobs.iter().all(|job| match job.response() {
+                    Some(response) => response <= *bound,
+                    None => job.activated.saturating_add(*bound) >= horizon,
+                });
+                let worst = jobs.iter().filter_map(Job::response).max();
+                (
+                    holds,
+                    format!(
+                        "worst response {} over {} activations (bound {bound})",
+                        worst.map_or_else(|| "n/a".to_owned(), |w| w.to_string()),
+                        jobs.len()
+                    ),
+                )
+            }
+            TimingConstraint::MinActivity { min_ratio, .. } => {
+                let running =
+                    measure.time_in_state(actor, TaskState::Running, SimTime::ZERO, horizon);
+                let ratio = running.as_ps() as f64 / horizon.as_ps().max(1) as f64;
+                (
+                    ratio >= *min_ratio,
+                    format!(
+                        "activity {:.1}% (min {:.1}%)",
+                        ratio * 100.0,
+                        min_ratio * 100.0
+                    ),
+                )
+            }
+        }
+    }
+}
+
+/// A timing constraint reports exactly one finding, pass or fail.
+impl Property for TimingConstraint {
+    fn name(&self) -> &str {
         match self {
             TimingConstraint::ReactionWithin { name, .. }
             | TimingConstraint::CompletionWithin { name, .. }
             | TimingConstraint::MinActivity { name, .. } => name,
         }
     }
+
+    fn check(&self, trace: &Trace, horizon: SimTime) -> Vec<Finding> {
+        let (holds, message) = self.verdict(trace, horizon);
+        vec![self.finding(holds, message)]
+    }
 }
 
-/// Outcome of checking one constraint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConstraintResult {
-    /// The constraint's name.
-    pub name: String,
-    /// Whether the trace satisfies it.
-    pub satisfied: bool,
-    /// Worst observed value (latency / response time), when applicable.
-    pub worst: Option<SimDuration>,
-    /// Number of occurrences checked.
-    pub checked: u64,
-    /// Human-readable explanation.
-    pub detail: String,
-}
-
-/// The verification report over all declared constraints.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// What a model's properties found on one trace.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConstraintReport {
-    /// Per-constraint outcomes, in declaration order.
-    pub results: Vec<ConstraintResult>,
+    /// Every property's findings, in declaration order.
+    pub findings: Vec<Finding>,
 }
 
 impl ConstraintReport {
-    /// `true` when every constraint is satisfied.
-    pub fn all_satisfied(&self) -> bool {
-        self.results.iter().all(|r| r.satisfied)
+    /// Checks `properties` against `trace` over `[0, horizon]`.
+    pub(crate) fn new(properties: &[Box<dyn Property>], trace: &Trace, horizon: SimTime) -> Self {
+        ConstraintReport {
+            findings: properties
+                .iter()
+                .flat_map(|p| p.check(trace, horizon))
+                .collect(),
+        }
     }
 
-    /// Constraints that failed.
-    pub fn violations(&self) -> impl Iterator<Item = &ConstraintResult> + '_ {
-        self.results.iter().filter(|r| !r.satisfied)
+    /// `true` when every finding holds.
+    pub fn all_satisfied(&self) -> bool {
+        self.findings.iter().all(|f| f.holds)
+    }
+
+    /// The findings that do not hold.
+    pub fn violations(&self) -> impl Iterator<Item = &Finding> + '_ {
+        self.findings.iter().filter(|f| !f.holds)
     }
 }
 
 impl fmt::Display for ConstraintReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in &self.results {
+        for finding in &self.findings {
             writeln!(
                 f,
                 "[{}] {} — {}",
-                if r.satisfied { "PASS" } else { "FAIL" },
-                r.name,
-                r.detail
+                if finding.holds { "PASS" } else { "FAIL" },
+                finding.property,
+                finding.message
             )?;
         }
         Ok(())
-    }
-}
-
-/// Checks `constraints` against `trace` over `[0, horizon]`.
-pub fn verify(
-    constraints: &[TimingConstraint],
-    trace: &Trace,
-    horizon: SimTime,
-) -> ConstraintReport {
-    let measure = Measure::new(trace);
-    let results = constraints
-        .iter()
-        .map(|c| check_one(c, trace, &measure, horizon))
-        .collect();
-    ConstraintReport { results }
-}
-
-fn check_one(
-    constraint: &TimingConstraint,
-    trace: &Trace,
-    measure: &Measure<'_>,
-    horizon: SimTime,
-) -> ConstraintResult {
-    match constraint {
-        TimingConstraint::ReactionWithin {
-            name,
-            stimulus,
-            reactor,
-            bound,
-        } => {
-            let Some(actor) = trace.actor_by_name(reactor) else {
-                return missing_actor(name, reactor);
-            };
-            let latencies = measure.reaction_times(stimulus, actor);
-            let stimuli = trace.annotation_times(stimulus).len() as u64;
-            let unanswered = stimuli - latencies.len() as u64;
-            let worst = latencies.iter().copied().max();
-            let satisfied = unanswered == 0 && worst.is_none_or(|w| w <= *bound);
-            ConstraintResult {
-                name: name.clone(),
-                satisfied,
-                worst,
-                checked: stimuli,
-                detail: match worst {
-                    Some(w) => format!(
-                        "worst reaction {w} (bound {bound}), {stimuli} stimuli, {unanswered} unanswered"
-                    ),
-                    None => format!("{stimuli} stimuli, none answered"),
-                },
-            }
-        }
-        TimingConstraint::CompletionWithin {
-            name,
-            function,
-            bound,
-        } => {
-            let Some(actor) = trace.actor_by_name(function) else {
-                return missing_actor(name, function);
-            };
-            // Job segmentation (activation out of a synchronization wait,
-            // completion at the next block) comes from `Measure::jobs`.
-            let jobs = measure.jobs(actor);
-            let mut worst: Option<SimDuration> = None;
-            let checked = jobs.len() as u64;
-            let mut satisfied = true;
-            for job in jobs {
-                match job.response() {
-                    Some(response) => {
-                        if worst.is_none_or(|w| response > w) {
-                            worst = Some(response);
-                        }
-                        if response > *bound {
-                            satisfied = false;
-                        }
-                    }
-                    None => {
-                        // Still incomplete at the horizon: violated if the
-                        // bound already expired.
-                        if job.activated.saturating_add(*bound) < horizon {
-                            satisfied = false;
-                        }
-                    }
-                }
-            }
-            ConstraintResult {
-                name: name.clone(),
-                satisfied,
-                worst,
-                checked,
-                detail: format!(
-                    "worst response {} over {checked} activations (bound {bound})",
-                    worst.map_or_else(|| "n/a".to_owned(), |w| w.to_string())
-                ),
-            }
-        }
-        TimingConstraint::MinActivity {
-            name,
-            function,
-            min_ratio,
-        } => {
-            let Some(actor) = trace.actor_by_name(function) else {
-                return missing_actor(name, function);
-            };
-            let running = measure.time_in_state(actor, TaskState::Running, SimTime::ZERO, horizon);
-            let ratio = running.as_ps() as f64 / horizon.as_ps().max(1) as f64;
-            ConstraintResult {
-                name: name.clone(),
-                satisfied: ratio >= *min_ratio,
-                worst: None,
-                checked: 1,
-                detail: format!(
-                    "activity {:.1}% (min {:.1}%)",
-                    ratio * 100.0,
-                    min_ratio * 100.0
-                ),
-            }
-        }
-    }
-}
-
-fn missing_actor(name: &str, actor: &str) -> ConstraintResult {
-    ConstraintResult {
-        name: name.to_owned(),
-        satisfied: false,
-        worst: None,
-        checked: 0,
-        detail: format!("function `{actor}` not present in the trace"),
     }
 }
 
@@ -248,6 +192,38 @@ mod tests {
         SimTime::from_ps(v)
     }
 
+    /// The one finding `constraint` reports on `trace` over `[0, horizon]`.
+    fn check(constraint: TimingConstraint, trace: &Trace, horizon: u64) -> Finding {
+        let mut findings = constraint.check(trace, ps(horizon));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        findings.remove(0)
+    }
+
+    fn reaction(bound: u64) -> TimingConstraint {
+        TimingConstraint::ReactionWithin {
+            name: "c1".into(),
+            stimulus: "tick".into(),
+            reactor: "F".into(),
+            bound: SimDuration::from_ps(bound),
+        }
+    }
+
+    fn completion(bound: u64) -> TimingConstraint {
+        TimingConstraint::CompletionWithin {
+            name: "deadline".into(),
+            function: "F".into(),
+            bound: SimDuration::from_ps(bound),
+        }
+    }
+
+    fn activity(function: &str, min_ratio: f64) -> TimingConstraint {
+        TimingConstraint::MinActivity {
+            name: "busy".into(),
+            function: function.into(),
+            min_ratio,
+        }
+    }
+
     #[test]
     fn reaction_constraint_pass_and_fail() {
         let rec = TraceRecorder::new();
@@ -256,30 +232,15 @@ mod tests {
         rec.annotate(clk, ps(100), "tick");
         rec.state(f, ps(130), TaskState::Running);
         let trace = rec.snapshot();
-        let pass = verify(
-            &[TimingConstraint::ReactionWithin {
-                name: "c1".into(),
-                stimulus: "tick".into(),
-                reactor: "F".into(),
-                bound: SimDuration::from_ps(50),
-            }],
-            &trace,
-            ps(1_000),
+        let pass = check(reaction(50), &trace, 1_000);
+        assert!(pass.holds, "{pass:?}");
+        assert_eq!(pass.property, "c1");
+        let fail = check(reaction(10), &trace, 1_000);
+        assert!(!fail.holds);
+        assert_eq!(
+            fail.message,
+            "worst reaction 30 ps (bound 10 ps), 1 stimuli, 0 unanswered"
         );
-        assert!(pass.all_satisfied(), "{pass}");
-        let fail = verify(
-            &[TimingConstraint::ReactionWithin {
-                name: "c1".into(),
-                stimulus: "tick".into(),
-                reactor: "F".into(),
-                bound: SimDuration::from_ps(10),
-            }],
-            &trace,
-            ps(1_000),
-        );
-        assert!(!fail.all_satisfied());
-        assert_eq!(fail.violations().count(), 1);
-        assert_eq!(fail.results[0].worst, Some(SimDuration::from_ps(30)));
     }
 
     #[test]
@@ -288,18 +249,9 @@ mod tests {
         let clk = rec.register("clk", ActorKind::Task);
         let _f = rec.register("F", ActorKind::Task);
         rec.annotate(clk, ps(100), "tick");
-        let trace = rec.snapshot();
-        let report = verify(
-            &[TimingConstraint::ReactionWithin {
-                name: "c".into(),
-                stimulus: "tick".into(),
-                reactor: "F".into(),
-                bound: SimDuration::from_ps(10),
-            }],
-            &trace,
-            ps(1_000),
-        );
-        assert!(!report.all_satisfied());
+        let finding = check(reaction(10), &rec.snapshot(), 1_000);
+        assert!(!finding.holds);
+        assert_eq!(finding.message, "1 stimuli, none answered");
     }
 
     #[test]
@@ -316,28 +268,13 @@ mod tests {
         rec.state(f, ps(130), TaskState::Running);
         rec.state(f, ps(190), TaskState::Terminated); // response 90
         let trace = rec.snapshot();
-        let report = verify(
-            &[TimingConstraint::CompletionWithin {
-                name: "deadline".into(),
-                function: "F".into(),
-                bound: SimDuration::from_ps(95),
-            }],
-            &trace,
-            ps(1_000),
+        let finding = check(completion(95), &trace, 1_000);
+        assert!(finding.holds, "{finding:?}");
+        assert_eq!(
+            finding.message,
+            "worst response 90 ps over 2 activations (bound 95 ps)"
         );
-        assert!(report.all_satisfied(), "{report}");
-        assert_eq!(report.results[0].checked, 2);
-        assert_eq!(report.results[0].worst, Some(SimDuration::from_ps(90)));
-        let tight = verify(
-            &[TimingConstraint::CompletionWithin {
-                name: "deadline".into(),
-                function: "F".into(),
-                bound: SimDuration::from_ps(60),
-            }],
-            &trace,
-            ps(1_000),
-        );
-        assert!(!tight.all_satisfied());
+        assert!(!check(completion(60), &trace, 1_000).holds);
     }
 
     #[test]
@@ -347,16 +284,9 @@ mod tests {
         rec.state(f, ps(0), TaskState::Ready);
         rec.state(f, ps(10), TaskState::Running); // never completes
         let trace = rec.snapshot();
-        let report = verify(
-            &[TimingConstraint::CompletionWithin {
-                name: "d".into(),
-                function: "F".into(),
-                bound: SimDuration::from_ps(100),
-            }],
-            &trace,
-            ps(10_000),
-        );
-        assert!(!report.all_satisfied());
+        assert!(!check(completion(100), &trace, 10_000).holds);
+        // Still within its bound at the horizon: not (yet) violated.
+        assert!(check(completion(100), &trace, 100).holds);
     }
 
     #[test]
@@ -366,42 +296,17 @@ mod tests {
         rec.state(f, ps(0), TaskState::Running);
         rec.state(f, ps(300), TaskState::Waiting);
         let trace = rec.snapshot();
-        let report = verify(
-            &[TimingConstraint::MinActivity {
-                name: "busy".into(),
-                function: "F".into(),
-                min_ratio: 0.25,
-            }],
-            &trace,
-            ps(1_000),
-        );
-        assert!(report.all_satisfied());
-        let report = verify(
-            &[TimingConstraint::MinActivity {
-                name: "busy".into(),
-                function: "F".into(),
-                min_ratio: 0.5,
-            }],
-            &trace,
-            ps(1_000),
-        );
-        assert!(!report.all_satisfied());
+        assert!(check(activity("F", 0.25), &trace, 1_000).holds);
+        let fail = check(activity("F", 0.5), &trace, 1_000);
+        assert!(!fail.holds);
+        assert_eq!(fail.message, "activity 30.0% (min 50.0%)");
     }
 
     #[test]
     fn missing_actor_fails_gracefully() {
-        let rec = TraceRecorder::new();
-        let trace = rec.snapshot();
-        let report = verify(
-            &[TimingConstraint::MinActivity {
-                name: "x".into(),
-                function: "ghost".into(),
-                min_ratio: 0.1,
-            }],
-            &trace,
-            ps(100),
-        );
-        assert!(!report.all_satisfied());
-        assert!(report.results[0].detail.contains("ghost"));
+        let trace = TraceRecorder::new().snapshot();
+        let finding = check(activity("ghost", 0.1), &trace, 100);
+        assert!(!finding.holds);
+        assert_eq!(finding.message, "function `ghost` not present in the trace");
     }
 }

@@ -14,9 +14,9 @@ use rtsim_core::{
     register_seg_hw, spawn_hw_function, Processor, ProcessorConfig, SchedulerStats, TaskHandle,
 };
 use rtsim_kernel::{KernelError, KernelStats, SimTime, Simulator};
-use rtsim_trace::{Statistics, TimelineOptions, Trace, TraceRecorder};
+use rtsim_trace::{Property, Statistics, TimelineOptions, Trace, TraceRecorder};
 
-use crate::constraint::{verify, ConstraintReport, TimingConstraint};
+use crate::constraint::ConstraintReport;
 use crate::error::ModelError;
 use crate::model::{Body, Mapping, Message, RelationDecl, SystemModel};
 use crate::script::{FaultCtx, ScriptProcess};
@@ -152,7 +152,7 @@ pub struct ElaboratedSystem {
 }
 
 /// What elaboration fixed about a system: names, placement and
-/// constraints. It holds no world state, so forks share it.
+/// declared properties. It holds no world state, so forks share it.
 struct Layout {
     name: String,
     /// processor name → index into `ElaboratedSystem::processors`.
@@ -160,7 +160,7 @@ struct Layout {
     tasks: BTreeMap<String, TaskHandle>,
     /// function name → software processor name.
     task_placement: BTreeMap<String, String>,
-    constraints: Vec<TimingConstraint>,
+    constraints: Vec<Box<dyn Property>>,
 }
 
 impl ElaboratedSystem {
@@ -341,10 +341,15 @@ impl ElaboratedSystem {
         })
     }
 
-    /// The trace of a run that is over, moved out of the system without a
-    /// copy.
-    pub fn into_trace(self) -> Trace {
-        self.recorder.take()
+    /// Ends a run that is over: its trace, moved out of the system without
+    /// a copy, and what the model's declared properties find on it over
+    /// `[0, now]` — the report [`verify_constraints`](Self::verify_constraints)
+    /// gives.
+    pub fn finish(self) -> (Trace, ConstraintReport) {
+        let now = self.now();
+        let trace = self.recorder.take();
+        let report = ConstraintReport::new(&self.layout.constraints, &trace, now);
+        (trace, report)
     }
 
     /// The processor called `name`.
@@ -411,9 +416,10 @@ impl ElaboratedSystem {
         rtsim_trace::timeline::render(&self.trace(), options)
     }
 
-    /// Verifies the declared timing constraints against the trace so far.
+    /// Checks every property declared on the model — its timing
+    /// constraints and any oracle — against the trace so far.
     pub fn verify_constraints(&self) -> ConstraintReport {
-        verify(&self.layout.constraints, &self.trace(), self.now())
+        ConstraintReport::new(&self.layout.constraints, &self.trace(), self.now())
     }
 
     /// The task handle of a software-mapped function.

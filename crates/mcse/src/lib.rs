@@ -12,8 +12,13 @@
 //! 3. **generate** the executable simulation
 //!    ([`SystemModel::elaborate`] → [`ElaboratedSystem`]);
 //! 4. **observe**: TimeLine charts, statistics, and — the paper's stated
-//!    future work, implemented here — automatic verification of declared
-//!    [timing constraints](TimingConstraint).
+//!    future work, implemented here — automatic verification of the
+//!    properties declared on the model: its
+//!    [timing constraints](TimingConstraint) and any other
+//!    [`Property`](rtsim_trace::Property). The same report is read after
+//!    a run ([`ElaboratedSystem::verify_constraints`]) and on every
+//!    schedule the `rtsim-check` explorer reaches
+//!    ([`ElaboratedSystem::finish`]).
 //!
 //! Because function bodies are written against
 //! [`Agent`](rtsim_core::Agent), remapping a function between hardware
@@ -69,7 +74,7 @@ pub mod model;
 pub mod script;
 
 pub use codegen::{generate_freertos, GeneratedCode};
-pub use constraint::{ConstraintReport, ConstraintResult, TimingConstraint};
+pub use constraint::{ConstraintReport, TimingConstraint};
 pub use elaborate::{ElaboratedSystem, Io, Relations};
 pub use error::ModelError;
 pub use model::{FunctionBody, Mapping, Message, SystemModel};

@@ -17,8 +17,8 @@ use rtsim_core::agent::Agent;
 use rtsim_core::{EngineKind, Overheads, SchedulingPolicy, TaskConfig};
 use rtsim_fault::FaultPlan;
 use rtsim_kernel::{ExecMode, SimDuration};
+use rtsim_trace::Property;
 
-use crate::constraint::TimingConstraint;
 use crate::elaborate::{ElaboratedSystem, Io};
 use crate::error::ModelError;
 use crate::script::{self, Instr};
@@ -146,7 +146,7 @@ pub struct SystemModel {
     pub(crate) processors: BTreeMap<String, ProcessorDecl>,
     pub(crate) processor_order: Vec<String>,
     pub(crate) relations: BTreeMap<String, RelationDecl>,
-    pub(crate) constraints: Vec<TimingConstraint>,
+    pub(crate) constraints: Vec<Box<dyn Property>>,
     pub(crate) exec_mode: Option<ExecMode>,
     pub(crate) fault_plan: Option<FaultPlan>,
 }
@@ -413,13 +413,15 @@ impl SystemModel {
         self
     }
 
-    /// Adds a timing constraint, verified after simulation by
-    /// [`ElaboratedSystem::verify_constraints`] (the paper's stated
-    /// future work: "automatic verification of timing constraints by
-    /// simulation after setting these constraints in the initial system
-    /// model").
-    pub fn constraint(&mut self, constraint: TimingConstraint) -> &mut Self {
-        self.constraints.push(constraint);
+    /// Declares a property of the system — a
+    /// [`TimingConstraint`](crate::TimingConstraint) or any other
+    /// [`Property`] — checked after a run by
+    /// [`ElaboratedSystem::verify_constraints`] and on every schedule the
+    /// explorer reaches (the paper's stated future work: "automatic
+    /// verification of timing constraints by simulation after setting
+    /// these constraints in the initial system model").
+    pub fn constraint(&mut self, property: impl Property + 'static) -> &mut Self {
+        self.constraints.push(Box::new(property));
         self
     }
 

@@ -14,6 +14,8 @@
 //!   utilization (Figure 8);
 //! - [`Measure`] — cursor-style measurements such as external-event-to-
 //!   reaction latency;
+//! - [`Property`] — a named check over a trace, reporting [`Finding`]s:
+//!   what timing constraints and the schedule explorer's oracles share;
 //! - [`write_csv`] — machine-readable export.
 //!
 //! ```
@@ -35,6 +37,7 @@
 pub mod canon;
 pub mod csv;
 pub mod measure;
+pub mod property;
 pub mod record;
 pub mod recorder;
 pub mod robust;
@@ -45,6 +48,7 @@ pub mod vcd;
 pub use canon::{canonical, canonical_actor_into, canonical_record_into};
 pub use csv::write_csv;
 pub use measure::{Job, JobEdge, JobFold, Measure};
+pub use property::{Finding, Property};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
 };

@@ -11,7 +11,7 @@
 
 use rtsim::policies::{EarliestDeadlineFirst, Fifo, PriorityPreemptive, RoundRobin};
 use rtsim::scenarios::{mpeg2_latencies, mpeg2_system, policy_sweep_system, Mpeg2Config};
-use rtsim::{EngineKind, Overheads, SchedulingPolicy, SimDuration};
+use rtsim::{EngineKind, Measure, Overheads, SchedulingPolicy, SimDuration};
 
 /// Runs the full MPEG-2 SoC with uniform RTOS overheads of `overhead_us`
 /// and returns (average latency, max latency, total preemptions).
@@ -82,9 +82,12 @@ fn main() {
         model.override_schedulers(true, |_| make());
         let mut system = model.elaborate().expect("valid model");
         system.run().expect("run");
-        let report = system.verify_constraints();
-        let worst = report.results[0]
-            .worst
+        let trace = system.trace();
+        let task0 = trace.actor_by_name("task0").expect("task0");
+        let worst = Measure::new(&trace)
+            .response_times(task0)
+            .into_iter()
+            .max()
             .map_or_else(|| "n/a".to_owned(), |w| w.to_string());
         let stats = system.processor_stats("CPU").expect("cpu");
         println!(

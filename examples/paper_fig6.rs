@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example paper_fig6`
 
 use rtsim::scenarios::figure6_system;
-use rtsim::{EngineKind, Measure, SimDuration, TaskState, TimelineOptions};
+use rtsim::{EngineKind, Measure, TaskState, TimelineOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut system = figure6_system(EngineKind::ProcedureCall).elaborate()?;
@@ -68,6 +68,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         csv.len()
     );
 
-    let _ = SimDuration::ZERO;
     Ok(())
 }

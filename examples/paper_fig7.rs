@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example paper_fig7`
 
 use rtsim::scenarios::figure7_system;
-use rtsim::{EngineKind, LockMode, Measure, SimDuration, TimelineOptions};
+use rtsim::{EngineKind, LockMode, TimelineOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (mode, label) in [
@@ -26,7 +26,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut system = figure7_system(EngineKind::ProcedureCall, mode).elaborate()?;
         system.run()?;
         let trace = system.trace();
-        let measure = Measure::new(&trace);
 
         println!("== SharedVar_1 protected by: {label} ==\n");
         println!(
@@ -46,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 g - w
             );
         }
-        let _ = measure;
         println!("simulation end: {}\n", system.now());
     }
 
@@ -54,6 +52,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Function_3's critical section AND by Function_1's preemption of it;");
     println!("masking preemption or priority inheritance bound that delay to the");
     println!("critical section alone — exactly the trade-off the paper discusses.");
-    let _ = SimDuration::ZERO;
     Ok(())
 }

@@ -56,6 +56,17 @@ echo "ok: no external dependencies declared"
 echo "== hermetic check: offline release build (all targets) =="
 cargo build --release --offline --workspace --all-targets
 
+echo "== hermetic check: every example runs =="
+# The examples are the only programs that print constraint reports. The
+# build above compiles them; running each once (about 75 ms for all)
+# fails the gate on one that panics or exits nonzero. They run from the
+# repo root, so export_and_codegen writes under target/.
+for example in "$repo"/examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "-- $name --"
+    "$repo/target/release/examples/$name" > /dev/null
+done
+
 echo "== hermetic check: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
