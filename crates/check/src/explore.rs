@@ -14,7 +14,8 @@
 //!    recording the arity, store a fork of the system stopped there (plus
 //!    the running state hash), and decide `0` (the stable order).
 //! 3. When the run finishes, check the properties its model declares
-//!    (timing constraints and oracles alike) on the final trace, then
+//!    (timing constraints and oracles alike) on the final trace (a run
+//!    that reaches an explored state ends there instead, see below), then
 //!    backtrack: pop exhausted frames, increment the deepest frame with
 //!    a remaining sibling, and resume that sibling from the frame's
 //!    snapshot — a further fork of it, or the snapshot itself for the
@@ -46,11 +47,19 @@
 //! Each fresh choice point folds the records appended since the previous
 //! fold and mixes the current instant, the choice kind and every
 //! candidate's identity token into a copy — its state hash. A hit in the
-//! visited set answers `0` without pushing a frame: the subtree rooted
-//! there was already explored from an identical state, so its sibling
-//! orderings would replay already-visited traces. The `prune` flag turns
-//! this off for brute-force comparison runs (see the pruning property
-//! test).
+//! visited set ends the run there, as Spin backtracks at a visited state:
+//! the subtree rooted there was already explored from an identical state,
+//! so its sibling orderings would replay already-visited traces, and its
+//! stable continuation is the run that found the state — already
+//! simulated, checked and hashed. The visited set keeps, per state, the
+//! number of choice points that continuation answers (the state's own
+//! included), filled in when the run that found the state ends; a run
+//! that ends early adds it to [`Exploration::choice_points`] and counts
+//! as [`Exploration::merged`], so every other count is what running on to
+//! the end would give. A state the current run found itself has no count
+//! yet: it answers `0` without pushing a frame, and the run goes on. The
+//! `prune` flag turns all this off for brute-force comparison runs (see
+//! the pruning property test).
 //!
 //! The distinct-trace hash of a leaf is that same running hash, finished
 //! over the records not yet folded; the replay search hashes the whole
@@ -65,7 +74,8 @@
 //! explorer replays the violating path once from a new elaboration and
 //! labels the counterexample's frames.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -141,12 +151,16 @@ pub struct Counterexample {
     /// error first, if any, then the model's properties in declaration
     /// order.
     pub violations: Vec<Finding>,
+    /// Whether the explored scenario is the registry entry of its name,
+    /// which `rtsim-check --replay` replays; not merely one sharing it.
+    registered: bool,
 }
 
 impl Counterexample {
     /// Renders the counterexample as a human-readable report. Its last
     /// line replays the schedule: through `rtsim-check --replay` for a
-    /// registered scenario, else as the choice list for [`replay`].
+    /// scenario of the registry itself, else as the choice list for
+    /// [`replay`].
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -172,7 +186,7 @@ impl Counterexample {
                 f.arity
             );
         }
-        let _ = if scenario_by_name(&self.scenario).is_some() {
+        let _ = if self.registered {
             let choices: Vec<_> = self.choices.iter().map(|c| c.to_string()).collect();
             writeln!(
                 out,
@@ -196,13 +210,19 @@ impl Counterexample {
 pub struct Exploration {
     /// Scenario name.
     pub scenario: String,
-    /// Schedules run to their end (leaves visited), whether resumed from
-    /// a fork or replayed from a new elaboration.
+    /// Schedules explored, whether resumed from a fork or replayed from a
+    /// new elaboration: each runs to its end (a leaf), or to a state an
+    /// earlier run explored ([`merged`](Exploration::merged)).
     pub runs: u64,
+    /// Runs that ended at a state an earlier run explored: that run's
+    /// stable continuation from there stands for theirs (always 0 when
+    /// pruning is off).
+    pub merged: u64,
     /// Distinct hashed states in the visited set (0 when pruning off).
     pub states: usize,
     /// Total choice points answered across all runs, counting each run's
-    /// whole choice sequence — also the prefix a resumed run inherits.
+    /// whole choice sequence — also the prefix a resumed run inherits, and
+    /// for a merged run the stable continuation that stands for its rest.
     pub choice_points: u64,
     /// Distinct final traces seen (distinct interleavings).
     pub distinct_traces: usize,
@@ -256,6 +276,9 @@ impl Live {
 /// One open choice point of the current path.
 struct Frame {
     info: ChoiceFrame,
+    /// The state hash it was filed under in the visited set (0 when
+    /// pruning is off).
+    state: u64,
     /// The system stopped at this choice point, undecided, from which
     /// the remaining siblings resume; `None` when it could not fork (the
     /// siblings replay).
@@ -273,8 +296,10 @@ struct Search<'s> {
     /// Every choice of the current run, including non-branching ones;
     /// before a run starts, the prefix it must follow.
     path: Vec<usize>,
-    /// Visited state hashes (whole search; only grows).
-    visited: HashSet<u64>,
+    /// Visited state hashes (whole search; only grows), each with the
+    /// number of choice points its stable continuation answers, its own
+    /// included: filled in when the run that found it ends, 0 until then.
+    visited: HashMap<u64, u64>,
     /// Total choice points answered across all runs.
     choice_points: u64,
     /// Whether the depth cap fired this run.
@@ -294,7 +319,7 @@ impl<'s> Search<'s> {
             fork,
             frames: Vec::new(),
             path: Vec::new(),
-            visited: HashSet::new(),
+            visited: HashMap::new(),
             choice_points: 0,
             truncated: false,
             header: None,
@@ -320,12 +345,14 @@ impl<'s> Search<'s> {
         }
     }
 
-    /// Runs one schedule to its end: from a new elaboration following the
-    /// prefix in `path` (`start = None`), or from a snapshot stopped at
-    /// the choice point the last entry of `path` decides. Returns the
-    /// final trace's distinct-trace hash and what the run violated.
-    fn run(&mut self, start: Option<Live>) -> (u64, Vec<Finding>) {
+    /// Runs one schedule: from a new elaboration following the prefix in
+    /// `path` (`start = None`), or from a snapshot stopped at the choice
+    /// point the last entry of `path` decides. Returns the final trace's
+    /// distinct-trace hash and what the run violated, or `None` if the
+    /// run merged into a state an earlier run explored.
+    fn run(&mut self, start: Option<Live>) -> Option<(u64, Vec<Finding>)> {
         self.truncated = false;
+        let first = self.path.len();
         let (mut live, mut depth) = match start {
             None => (self.elaborate(), 0),
             Some(mut live) => {
@@ -347,34 +374,53 @@ impl<'s> Search<'s> {
                     break;
                 }
             };
-            self.choice_points += 1;
             let choice = match self.path.get(depth) {
                 Some(&forced) => forced,
                 None => {
-                    self.branch(&mut live, point);
+                    if let Some(rest) = self.branch(&mut live, point) {
+                        // The run that explored this state answered the
+                        // rest of this one's choices, and ran on to the
+                        // same trace: the run ends here.
+                        self.choice_points += rest;
+                        self.settle(first, depth as u64 + rest);
+                        return None;
+                    }
                     self.path.push(0);
                     0
                 }
             };
+            self.choice_points += 1;
             depth += 1;
             live.system.simulator_mut().decide(choice);
         }
+        self.settle(first, depth as u64);
         let (running, hashed) = (live.running, live.hashed);
         let (trace, violations) = finish(live.system, error);
-        (self.trace_hash(&trace, running, hashed), violations)
+        Some((self.trace_hash(&trace, running, hashed), violations))
     }
 
     /// A fresh choice point (past the forced prefix): push a frame for
-    /// it unless the depth cap or the visited set says otherwise.
-    fn branch(&mut self, live: &mut Live, point: ChoicePoint) {
+    /// it unless the depth cap or the visited set says otherwise. Returns
+    /// the choice points of the state's stable continuation if an earlier
+    /// run explored it.
+    fn branch(&mut self, live: &mut Live, point: ChoicePoint) -> Option<u64> {
         if self.frames.len() >= MAX_DEPTH {
             self.truncated = true;
-            return;
+            return None;
         }
-        if self.prune && !self.visited.insert(live.state_hash(point)) {
-            // Seen this exact state before: its subtree (including all
-            // sibling orderings) was already explored.
-            return;
+        let mut state = 0;
+        if self.prune {
+            state = live.state_hash(point);
+            match self.visited.entry(state) {
+                // Seen this exact state before: its subtree (including all
+                // sibling orderings) was already explored. A count of 0
+                // means the run that found it has not settled it (this
+                // run, or one the depth cap truncated): carry on as it did.
+                Entry::Occupied(seen) => return Some(*seen.get()).filter(|&rest| rest > 0),
+                Entry::Vacant(slot) => {
+                    slot.insert(0);
+                }
+            }
         }
         let snapshot = if self.fork {
             live.system.fork().map(|system| Live {
@@ -394,9 +440,44 @@ impl<'s> Search<'s> {
                 at: point.at,
                 options: Vec::new(),
             },
+            state,
             snapshot,
         });
         self.max_frames = self.max_frames.max(self.frames.len());
+        None
+    }
+
+    /// The counterexample the current run is: its choices, and its frames
+    /// labelled by one replay.
+    fn counterexample(&self, violations: Vec<Finding>) -> Counterexample {
+        let mut frames: Vec<_> = self.frames.iter().map(|f| f.info.clone()).collect();
+        label(self.scenario, &self.path, &mut frames);
+        Counterexample {
+            scenario: self.scenario.name.to_owned(),
+            choices: self.path.clone(),
+            frames,
+            violations,
+            registered: scenario_by_name(self.scenario.name)
+                .is_some_and(|entry| std::ptr::eq(entry, self.scenario)),
+        }
+    }
+
+    /// Files the states the run found (its frames from path index `first`
+    /// on) under the choice points of their stable continuation: the
+    /// run's `total` choice points less the ones before them. A run the
+    /// depth cap truncated leaves them unfiled, since its continuation
+    /// skipped states a later run through them would branch at.
+    fn settle(&mut self, first: usize, total: u64) {
+        if !self.prune || self.truncated {
+            return;
+        }
+        for frame in self.frames.iter().rev() {
+            if frame.info.path_index < first {
+                break;
+            }
+            let rest = self.visited.get_mut(&frame.state);
+            *rest.expect("a frame's state is visited") = total - frame.info.path_index as u64;
+        }
     }
 
     /// The distinct-trace hash: the running hash finished over the
@@ -414,6 +495,7 @@ impl<'s> Search<'s> {
     /// The whole depth-first search.
     fn explore(mut self, budget: &Budget) -> Exploration {
         let mut runs: u64 = 0;
+        let mut merged: u64 = 0;
         let mut distinct = BTreeSet::new();
         let mut counterexample = None;
         let mut complete = false;
@@ -421,18 +503,15 @@ impl<'s> Search<'s> {
         let mut start: Option<Live> = None;
         while runs < budget.max_runs && self.visited.len() < MAX_STATES {
             runs += 1;
-            let (hash, violations) = self.run(start.take());
-            distinct.insert(hash);
-            if !violations.is_empty() {
-                let mut frames: Vec<_> = self.frames.iter().map(|f| f.info.clone()).collect();
-                label(self.scenario, &self.path, &mut frames);
-                counterexample = Some(Counterexample {
-                    scenario: self.scenario.name.to_owned(),
-                    choices: self.path.clone(),
-                    frames,
-                    violations,
-                });
-                break;
+            match self.run(start.take()) {
+                None => merged += 1,
+                Some((hash, violations)) => {
+                    distinct.insert(hash);
+                    if !violations.is_empty() {
+                        counterexample = Some(self.counterexample(violations));
+                        break;
+                    }
+                }
             }
             ever_truncated |= self.truncated;
             while self
@@ -464,6 +543,7 @@ impl<'s> Search<'s> {
         Exploration {
             scenario: self.scenario.name.to_owned(),
             runs,
+            merged,
             states: self.visited.len(),
             choice_points: self.choice_points,
             distinct_traces: distinct.len(),
@@ -712,6 +792,8 @@ pub fn replay(scenario: &CheckScenario, choices: &[usize]) -> (Trace, Vec<Findin
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use rtsim_kernel::SimDuration;
     use rtsim_trace::CommKind::{Read, Write};

@@ -38,11 +38,14 @@ fn us(v: u64) -> SimDuration {
 /// compared just as exactly.
 const BRUTE_RUNS: u64 = 1_500;
 
-/// The toy sizes the pruning property test draws from.
+/// Toy sizes to compare: the three whose brute-force trees complete
+/// (the pruning property test checks each), and (3, 2), whose searches
+/// the run cap cuts off.
 const TOY_SIZES: &[(usize, u64)] = &[(2, 1), (2, 2), (3, 1), (3, 2)];
 
 fn assert_same(fork: &Exploration, replay: &Exploration, what: &str) {
     assert_eq!(fork.runs, replay.runs, "{what}: runs");
+    assert_eq!(fork.merged, replay.merged, "{what}: merged runs");
     assert_eq!(fork.states, replay.states, "{what}: states");
     assert_eq!(
         fork.choice_points, replay.choice_points,
@@ -79,6 +82,10 @@ fn compare(scenario: &CheckScenario, budget: &Budget, prune: bool, what: &str) {
     let fork = explore_with(scenario, budget, prune);
     let replay = explore_replaying(scenario, budget, prune);
     assert_same(&fork, &replay, what);
+    if !prune {
+        // Without a visited set, no run can end at an explored state.
+        assert_eq!(fork.merged, 0, "{what}: a brute-force run merged");
+    }
 }
 
 /// Pruned (default budget) and brute-force searches of one registered

@@ -1,53 +1,50 @@
-//! Property: visited-state pruning never skips a distinct schedule.
+//! Visited-state pruning never skips a distinct schedule.
 //!
-//! The pruned DFS cuts a subtree whenever the incremental state hash
-//! (over the trace records' fields, the instant, the choice kind and the
-//! candidates) says "this exact state was explored before". If the hash
-//! ever aliased two genuinely different states, some reachable final
-//! trace would exist in the brute-force enumeration but not in the
-//! pruned one. This property drives both explorers over the toy
-//! broadcast scenario at randomized sizes and requires the *sets* of
-//! distinct final trace hashes to be identical.
+//! The pruned DFS cuts a subtree, and ends the run, whenever the
+//! incremental state hash (over the trace records' fields, the instant,
+//! the choice kind and the candidates) says "this exact state was
+//! explored before". If the hash ever aliased two genuinely different
+//! states, some reachable final trace would exist in the brute-force
+//! enumeration but not in the pruned one. This drives both explorers over
+//! the toy broadcast scenario at every size whose brute-force tree
+//! completes within the run cap, and requires the *sets* of distinct
+//! final trace hashes to be identical. (At (3, 2) neither search
+//! completes within it.)
 
 use rtsim_check::explore::{explore_with, Budget};
 use rtsim_check::scenarios::toy_scenario;
-use rtsim_kernel::testutil::check;
 
 #[test]
 fn pruning_preserves_the_set_of_distinct_traces() {
-    // The supported toy sizes small enough to brute-force: up to three
-    // equal tasks racing on a broadcast tick with tying completions.
-    const SIZES: &[(usize, u64)] = &[(2, 1), (2, 2), (3, 1), (3, 2)];
-    check(
-        6,
-        |rng| SIZES[rng.gen_range(0..SIZES.len() as u64) as usize],
-        |&(tasks, rounds)| {
-            let scenario = toy_scenario(tasks, rounds);
-            let budget = Budget::runs(100_000);
-            let pruned = explore_with(&scenario, &budget, true);
-            let brute = explore_with(&scenario, &budget, false);
-            assert!(pruned.complete, "pruned exploration must finish in budget");
-            assert!(brute.complete, "brute force must finish in budget");
-            assert!(
-                pruned.counterexample.is_none() && brute.counterexample.is_none(),
-                "toy scenario must hold its invariants"
-            );
-            assert_eq!(
-                pruned.trace_hashes, brute.trace_hashes,
-                "pruning lost or invented a distinct schedule at \
-                 ({tasks} tasks, {rounds} rounds): pruned {} vs brute {}",
-                pruned.distinct_traces, brute.distinct_traces
-            );
-            // Pruning must actually prune on the tying toy: strictly
-            // fewer replays than the unpruned tree walks (for any size
-            // with at least one revisit) — without this, the test would
-            // pass even if pruning were a no-op.
-            assert!(
-                pruned.runs <= brute.runs,
-                "pruned runs {} exceed brute-force runs {}",
-                pruned.runs,
-                brute.runs
-            );
-        },
-    );
+    // Two or three equal tasks racing on a broadcast tick with tying
+    // completions.
+    const SIZES: [(usize, u64); 3] = [(2, 1), (2, 2), (3, 1)];
+    for (tasks, rounds) in SIZES {
+        let scenario = toy_scenario(tasks, rounds);
+        let budget = Budget::runs(100_000);
+        let pruned = explore_with(&scenario, &budget, true);
+        let brute = explore_with(&scenario, &budget, false);
+        assert!(pruned.complete, "pruned exploration must finish in budget");
+        assert!(brute.complete, "brute force must finish in budget");
+        assert!(
+            pruned.counterexample.is_none() && brute.counterexample.is_none(),
+            "toy scenario must hold its invariants"
+        );
+        assert_eq!(
+            pruned.trace_hashes, brute.trace_hashes,
+            "pruning lost or invented a distinct schedule at \
+             ({tasks} tasks, {rounds} rounds): pruned {} vs brute {}",
+            pruned.distinct_traces, brute.distinct_traces
+        );
+        // Pruning must actually prune on the tying toy: strictly fewer
+        // replays than the unpruned tree walks (for any size with at least
+        // one revisit) — without this, the test would pass even if pruning
+        // were a no-op.
+        assert!(
+            pruned.runs <= brute.runs,
+            "pruned runs {} exceed brute-force runs {}",
+            pruned.runs,
+            brute.runs
+        );
+    }
 }

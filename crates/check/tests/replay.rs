@@ -4,8 +4,8 @@
 //! `rtsim-check --replay` prints that and exits 2. A counterexample the
 //! explorer found still replays to its violation, one found past the
 //! stable order names the candidates of its own schedule, and the replay
-//! line it prints works: the CLI's for a registered scenario, the
-//! library's for any other.
+//! line it prints works: the CLI's for a scenario of the registry, the
+//! library's for any other, even one that shares a registered name.
 
 use std::process::Command;
 
@@ -147,6 +147,31 @@ fn a_counterexample_past_the_stable_order_labels_its_own_schedule() {
     );
     let (_, violations) = replay(&scenario, &cx.choices);
     assert_eq!(violations.len(), 1, "{violations:?}");
+}
+
+/// A scenario that only shares a registered name is not what
+/// `rtsim-check --replay` of that name replays: its counterexample prints
+/// the library's replay line.
+#[test]
+fn a_scenario_sharing_a_registered_name_prints_the_library_replay_line() {
+    let scenario = CheckScenario {
+        name: "mutant_lost",
+        ..*scenario_by_name("mutant_deadline").unwrap()
+    };
+    let cx = explore(&scenario, &Budget::default())
+        .counterexample
+        .expect("the deadline mutant is flagged under another name");
+    assert_eq!(
+        cx.render(),
+        "counterexample for `mutant_lost`:
+  violated [no-missed-deadline]: deadline missed at 100000000ps
+  choice stack (1 decisions, 1 branching):
+    #0 @0ps dispatch: took [0] dispatch CPU.dispatcher <- timeout (of 2)
+  replay: rtsim_check::replay(&scenario, &[0])
+"
+    );
+    let (_, violations) = replay(&scenario, &cx.choices);
+    assert_eq!(violations, cx.violations);
 }
 
 /// Runs the CLI: its exit status, stdout and stderr.

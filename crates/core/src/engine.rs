@@ -26,7 +26,7 @@ use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceLog};
 
 use crate::overhead::{Overheads, RtosView};
 use crate::policy::{PolicyView, SchedulingPolicy, TaskView};
-use crate::task::{TaskConfig, TaskId};
+use crate::task::{Priority, TaskConfig, TaskId};
 use crate::thread_model::Request;
 use crate::{proc_model, thread_model};
 
@@ -70,10 +70,15 @@ pub struct SchedulerStats {
     pub deadline_misses: u64,
 }
 
-/// Kernel-facing bookkeeping for one task.
+/// Kernel-facing bookkeeping for one task: the scheduling parameters of
+/// its [`TaskConfig`] (the priority and the relative deadline may change
+/// at run time) and its run state. Its name is its trace actor's.
 #[derive(Clone)]
 pub(crate) struct TaskEntry {
-    pub config: TaskConfig,
+    pub priority: Priority,
+    pub period: Option<SimDuration>,
+    pub relative_deadline: Option<SimDuration>,
+    pub affinity: u64,
     pub state: TaskState,
     pub run_event: Event,
     pub preempt_event: Event,
@@ -104,8 +109,8 @@ impl TaskEntry {
     fn view(&self, id: TaskId) -> TaskView {
         TaskView {
             id,
-            priority: self.config.priority,
-            period: self.config.period,
+            priority: self.priority,
+            period: self.period,
             absolute_deadline: self.absolute_deadline,
             enqueued_at: self.enqueued_at,
             enqueue_seq: self.enqueue_seq,
@@ -151,9 +156,9 @@ impl Rtos {
     }
 }
 
-/// The mutable RTOS state shared by all tasks of one processor.
+/// The mutable RTOS state shared by all tasks of one processor. Its name
+/// is its [`Processor`](crate::Processor)'s.
 pub(crate) struct RtosState {
-    pub name: String,
     /// Which of the paper's two implementations runs this processor.
     pub kind: EngineKind,
     pub policy: Box<dyn SchedulingPolicy>,
@@ -194,7 +199,6 @@ pub(crate) struct RtosState {
 impl Fork for RtosState {
     fn fork(&self) -> Option<Self> {
         Some(RtosState {
-            name: self.name.clone(),
             kind: self.kind,
             policy: self.policy.fork()?,
             overheads: self.overheads.clone(),
@@ -217,7 +221,6 @@ impl Fork for RtosState {
 
 impl RtosState {
     pub fn new(
-        name: &str,
         kind: EngineKind,
         policy: Box<dyn SchedulingPolicy>,
         overheads: Overheads,
@@ -228,7 +231,6 @@ impl RtosState {
         assert!(cores >= 1, "a processor needs at least one core");
         assert!(cores <= 64, "affinity masks cover at most 64 cores");
         RtosState {
-            name: name.to_owned(),
             kind,
             policy,
             overheads,
@@ -248,9 +250,11 @@ impl RtosState {
         }
     }
 
+    /// Adds a task of `processor` (its name, for the panic message).
     pub fn add_task(
         &mut self,
-        config: TaskConfig,
+        processor: &str,
+        config: &TaskConfig,
         run_event: Event,
         preempt_event: Event,
         actor: ActorId,
@@ -259,14 +263,16 @@ impl RtosState {
         let core_mask = u64::MAX >> (64 - self.cores);
         assert!(
             config.affinity & core_mask != 0,
-            "task `{}` affinity {:#x} allows none of processor `{}`'s {} cores",
+            "task `{}` affinity {:#x} allows none of processor `{processor}`'s {} cores",
             config.name,
             config.affinity,
-            self.name,
             self.cores,
         );
         self.tasks.push(TaskEntry {
-            config,
+            priority: config.priority,
+            period: config.period,
+            relative_deadline: config.relative_deadline,
+            affinity: config.affinity,
             state: TaskState::Created,
             run_event,
             preempt_event,
@@ -357,7 +363,7 @@ impl RtosState {
         entry.enqueued_at = now;
         entry.enqueue_seq = seq;
         if refresh_deadline {
-            if let Some(rd) = entry.config.relative_deadline {
+            if let Some(rd) = entry.relative_deadline {
                 entry.absolute_deadline = Some(now + rd);
             }
         }
@@ -403,7 +409,7 @@ impl RtosState {
 
     /// Whether `id`'s affinity mask admits `core`.
     pub fn affinity_allows(&self, id: TaskId, core: usize) -> bool {
-        self.entry(id).config.affinity & (1u64 << core) != 0
+        self.entry(id).affinity & (1u64 << core) != 0
     }
 
     /// Whether `id` currently holds a core.
@@ -443,7 +449,7 @@ impl RtosState {
         if idle == 0 {
             return None;
         }
-        self.fill_view(|t| t.config.affinity & idle != 0);
+        self.fill_view(|t| t.affinity & idle != 0);
         if self.ready_view.is_empty() {
             return None;
         }
@@ -457,7 +463,7 @@ impl RtosState {
             .ready
             .iter()
             .position(|&t| t == choice)
-            .filter(|_| self.entry(choice).config.affinity & idle != 0);
+            .filter(|_| self.entry(choice).affinity & idle != 0);
         let Some(pos) = offered else {
             panic!(
                 "policy `{}` selected {choice}, which was not offered",
@@ -466,7 +472,7 @@ impl RtosState {
         };
         self.ready.remove(pos);
         let entry = self.entry_mut(choice);
-        let eligible = idle & entry.config.affinity;
+        let eligible = idle & entry.affinity;
         let core = match entry.last_core {
             Some(c) if eligible & (1 << c) != 0 => c,
             // The lowest-numbered eligible idle core.
@@ -725,7 +731,7 @@ fn best_candidate_preempts(st: &mut RtosState, me: TaskId, now: SimTime) -> bool
     let Some(core) = st.entry(me).core else {
         return false;
     };
-    st.fill_view(|t| t.config.affinity & (1 << core) != 0);
+    st.fill_view(|t| t.affinity & (1 << core) != 0);
     if st.ready_view.is_empty() {
         return false;
     }

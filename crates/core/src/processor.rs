@@ -181,7 +181,6 @@ impl Processor {
         sim.attach_world(recorder.world());
         let actor = recorder.register(&config.name, ActorKind::Processor);
         let state = RtosState::new(
-            &config.name,
             config.engine,
             config.policy,
             config.overheads,
@@ -260,19 +259,19 @@ impl Processor {
     /// `rtsim-mcse`), or [`spawn_task`](Processor::spawn_task) drives it
     /// from a closure body.
     pub fn register_seg_task(&self, sim: &mut Simulator, config: TaskConfig) -> SegTaskRunner {
-        let task_name = config.name.clone();
+        let task_name = &config.name;
         let run_event = sim.event(&format!("{}.{}.TaskRun", self.name, task_name));
         let preempt_event = sim.event(&format!("{}.{}.TaskPreempt", self.name, task_name));
-        let actor = self.recorder.register(&task_name, ActorKind::Task);
+        let actor = self.recorder.register(task_name, ActorKind::Task);
         let id = self.with_state("Processor::register_seg_task", |st| {
-            st.add_task(config, run_event, preempt_event, actor)
+            st.add_task(&self.name, &config, run_event, preempt_event, actor)
         });
         let handle = TaskHandle {
             rtos: self.rtos,
             id,
             actor,
         };
-        SegTaskRunner::new(handle, &task_name)
+        SegTaskRunner::new(handle, task_name)
     }
 
     /// This processor in a forked simulation whose trace recorder is
@@ -373,33 +372,33 @@ impl TaskHandle {
         world.get(self.rtos.state).entry(self.id)
     }
 
-    fn config_mut<'w>(&self, world: &'w mut World) -> &'w mut TaskConfig {
-        &mut world.get_mut(self.rtos.state).entry_mut(self.id).config
+    fn entry_mut<'w>(&self, world: &'w mut World) -> &'w mut crate::engine::TaskEntry {
+        world.get_mut(self.rtos.state).entry_mut(self.id)
     }
 
     /// The task's current (possibly boosted) priority, read from `world`.
     pub fn priority_in(&self, world: &World) -> Priority {
-        self.entry(world).config.priority
+        self.entry(world).priority
     }
 
     /// Changes the task's priority in `world`. Takes effect at the next
     /// scheduling decision — the mechanism behind priority-inheritance
     /// resource protocols (see `rtsim-comm`).
     pub fn set_priority_in(&self, world: &mut World, priority: Priority) {
-        self.config_mut(world).priority = priority;
+        self.entry_mut(world).priority = priority;
     }
 
     /// The task's current relative deadline in `world`, if one is
     /// configured.
     pub fn relative_deadline_in(&self, world: &World) -> Option<SimDuration> {
-        self.entry(world).config.relative_deadline
+        self.entry(world).relative_deadline
     }
 
     /// Changes the task's relative deadline in `world`. Takes effect at
     /// the next activation — the running job keeps the absolute deadline
     /// it was released under.
     pub fn set_relative_deadline_in(&self, world: &mut World, deadline: Option<SimDuration>) {
-        self.config_mut(world).relative_deadline = deadline;
+        self.entry_mut(world).relative_deadline = deadline;
     }
 
     /// The task's current (possibly boosted) priority.
@@ -493,7 +492,7 @@ impl TaskCtx<'_> {
     /// This task's current (possibly boosted) priority.
     pub fn priority(&self) -> Priority {
         let id = self.id();
-        self.with_state("TaskCtx::priority", |st| st.entry(id).config.priority)
+        self.with_state("TaskCtx::priority", |st| st.entry(id).priority)
     }
 
     /// A handle for waking this task from elsewhere.

@@ -28,7 +28,7 @@
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
@@ -406,7 +406,6 @@ pub(crate) enum ProcBackend {
 
 /// Kernel-side record of one spawned process.
 pub(crate) struct ProcHandle {
-    pub name: Arc<str>,
     pub backend: ProcBackend,
     pub state: ProcState,
     /// Monotonic wait generation: bumped every time the process is woken,
@@ -429,7 +428,6 @@ impl ProcHandle {
             ProcBackend::Thread { .. } => return None,
         };
         Some(ProcHandle {
-            name: Arc::clone(&self.name),
             backend,
             state: self.state,
             wait_seq: self.wait_seq,

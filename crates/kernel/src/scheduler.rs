@@ -62,7 +62,6 @@ enum Pending {
 
 #[derive(Clone)]
 struct EventEntry {
-    name: Arc<str>,
     /// `(pid, wait_seq)` pairs; stale entries are skipped lazily.
     waiters: Vec<(ProcessId, u64)>,
     pending: Pending,
@@ -163,10 +162,20 @@ enum Phase {
     Timed,
 }
 
+/// The names of a kernel's events and processes, by index. Fixed at
+/// elaboration, so forks share one table; a fork that creates an event or
+/// a process copies it first.
+#[derive(Clone, Default)]
+struct Names {
+    events: Vec<Box<str>>,
+    procs: Vec<Box<str>>,
+}
+
 pub(crate) struct Kernel {
     now: SimTime,
     procs: Vec<ProcHandle>,
     events: Vec<EventEntry>,
+    names: Arc<Names>,
     runnable: VecDeque<(ProcessId, Wake)>,
     delta_events: Vec<Event>,
     timers: BinaryHeap<Reverse<TimedEntry>>,
@@ -203,6 +212,7 @@ impl Kernel {
             now: SimTime::ZERO,
             procs: Vec::new(),
             events: Vec::new(),
+            names: Arc::default(),
             runnable: VecDeque::new(),
             delta_events: Vec::new(),
             timers: BinaryHeap::new(),
@@ -237,6 +247,7 @@ impl Kernel {
             now: self.now,
             procs,
             events: self.events.clone(),
+            names: Arc::clone(&self.names),
             runnable: self.runnable.clone(),
             delta_events: self.delta_events.clone(),
             timers: self.timers.clone(),
@@ -282,8 +293,8 @@ impl Kernel {
     /// The human-readable rendering of a candidate, process and event
     /// names resolved.
     pub fn candidate_label(&self, detail: CandidateDetail) -> String {
-        let proc = |pid: ProcessId| &*self.procs[pid.index()].name;
-        let event = |e: Event| &*self.events[e.index()].name;
+        let proc = |pid: ProcessId| self.process_name(pid);
+        let event = |e: Event| self.event_name(e);
         match detail {
             CandidateDetail::Dispatch {
                 pid,
@@ -377,15 +388,15 @@ impl Kernel {
     pub fn create_event(&mut self, name: &str) -> Event {
         let id = Event(u32::try_from(self.events.len()).expect("too many events"));
         self.events.push(EventEntry {
-            name: Arc::from(name),
             waiters: Vec::new(),
             pending: Pending::None,
         });
+        Arc::make_mut(&mut self.names).events.push(name.into());
         id
     }
 
     pub fn event_name(&self, event: Event) -> &str {
-        &self.events[event.index()].name
+        &self.names.events[event.index()]
     }
 
     pub fn event_count(&self) -> usize {
@@ -397,7 +408,7 @@ impl Kernel {
     }
 
     pub fn process_name(&self, pid: ProcessId) -> &str {
-        &self.procs[pid.index()].name
+        &self.names.procs[pid.index()]
     }
 
     pub fn spawn<F>(&mut self, name: &str, body: F) -> ProcessId
@@ -408,11 +419,11 @@ impl Kernel {
         let (resume_tx, resume_rx) = mpsc::channel::<ResumeMsg>();
         let join = spawn_process(pid, name, resume_rx, body);
         self.procs.push(ProcHandle {
-            name: Arc::from(name),
             backend: ProcBackend::Thread { resume_tx, join },
             state: ProcState::Runnable,
             wait_seq: 0,
         });
+        Arc::make_mut(&mut self.names).procs.push(name.into());
         self.alive += 1;
         // New processes start in the next evaluation phase, like SC_THREADs
         // at elaboration.
@@ -429,13 +440,13 @@ impl Kernel {
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
         self.procs.push(ProcHandle {
-            name: Arc::from(name),
             backend: ProcBackend::Segment {
                 body: Some(Box::new(body)),
             },
             state: ProcState::Runnable,
             wait_seq: 0,
         });
+        Arc::make_mut(&mut self.names).procs.push(name.into());
         self.alive += 1;
         self.runnable.push_back((pid, Wake::Timeout));
         pid
@@ -582,7 +593,7 @@ impl Kernel {
                 self.procs[pid.index()].state = ProcState::Dead;
                 self.alive -= 1;
                 return Err(KernelError::ProcessPanicked {
-                    process: self.procs[pid.index()].name.to_string(),
+                    process: self.process_name(pid).to_owned(),
                     message,
                 });
             }
@@ -836,7 +847,7 @@ impl Kernel {
         if let Err(SendError((_, kernel))) = resume_tx.send((wake, self)) {
             // The process's thread is gone, though it never reported its
             // end. The kernel comes back with the message: end the run.
-            let process = kernel.procs[pid.index()].name.to_string();
+            let process = kernel.process_name(pid).to_owned();
             kernel.go_home(Ok(Err(KernelError::ProcessPanicked {
                 process,
                 message: "its thread exited without yielding".into(),

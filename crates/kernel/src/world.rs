@@ -128,9 +128,8 @@ fn copy_fork<T: Any + Send + Fork>(value: &(dyn Any + Send)) -> Option<Box<dyn A
 /// ```
 #[derive(Default)]
 pub struct World {
-    slots: Vec<Box<dyn Any + Send>>,
-    /// How to copy each slot, by index.
-    copies: Vec<CopyFn>,
+    /// Each slot's value, and how to copy it.
+    slots: Vec<(Box<dyn Any + Send>, CopyFn)>,
     loans: u64,
 }
 
@@ -154,8 +153,7 @@ impl World {
 
     fn push<T: Any + Send>(&mut self, value: T, copy: CopyFn) -> Slot<T> {
         let index = u32::try_from(self.slots.len()).expect("too many world slots");
-        self.slots.push(Box::new(value));
-        self.copies.push(copy);
+        self.slots.push((Box::new(value), copy));
         Slot {
             index,
             marker: PhantomData,
@@ -168,12 +166,10 @@ impl World {
         let slots = self
             .slots
             .iter()
-            .zip(&self.copies)
-            .map(|(value, copy)| copy(value.as_ref()))
+            .map(|(value, copy)| Some((copy(value.as_ref())?, *copy)))
             .collect::<Option<Vec<_>>>()?;
         Some(World {
             slots,
-            copies: self.copies.clone(),
             loans: self.loans,
         })
     }
@@ -203,6 +199,7 @@ impl World {
     #[inline]
     pub fn get<T: Any>(&self, slot: Slot<T>) -> &T {
         self.slots[slot.index()]
+            .0
             .downcast_ref()
             .expect("slot of another world")
     }
@@ -215,6 +212,7 @@ impl World {
     #[inline]
     pub fn get_mut<T: Any>(&mut self, slot: Slot<T>) -> &mut T {
         self.slots[slot.index()]
+            .0
             .downcast_mut()
             .expect("slot of another world")
     }
@@ -233,8 +231,8 @@ impl World {
             .get_disjoint_mut([a.index(), b.index()])
             .expect("two distinct slots of this world");
         (
-            x.downcast_mut().expect("slot of another world"),
-            y.downcast_mut().expect("slot of another world"),
+            x.0.downcast_mut().expect("slot of another world"),
+            y.0.downcast_mut().expect("slot of another world"),
         )
     }
 }

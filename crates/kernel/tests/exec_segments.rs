@@ -1,7 +1,9 @@
 //! Segment processes: substrate-level equivalence with thread-backed
 //! processes in both hosts, plus the stale-wake regression audit.
 
-use rtsim_kernel::{ExecMode, SegStep, SimDuration, SimTime, Simulator, WaitRequest, Wake};
+use rtsim_kernel::{
+    ExecMode, SegStep, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
+};
 
 fn us(n: u64) -> SimDuration {
     SimDuration::from_us(n)
@@ -184,4 +186,46 @@ fn stale_timer_discarded_in_segment_mode() {
     });
     sim.run().unwrap();
     assert_eq!(sim.now().as_us(), 510);
+}
+
+/// Forks share the names events and processes were given before the
+/// fork. One that creates an event or spawns a process afterwards gets
+/// names of its own: the other side's counts and names stay as they were,
+/// whichever side adds, and each reads its own name under the same id.
+#[test]
+fn names_added_after_a_fork_stay_on_their_side() {
+    fn done(_: &mut SegmentCtx<'_>) -> SegStep {
+        SegStep::Done
+    }
+    let counts = |sim: &Simulator| (sim.event_count(), sim.process_count());
+    let mut parent = Simulator::with_mode(ExecMode::Segment);
+    let tick = parent.event("tick");
+    let worker = parent.spawn_segment("worker", done);
+
+    // The fork adds.
+    let mut fork = parent.fork().expect("a segment simulator forks");
+    let fork_event = fork.event("fork_event");
+    let fork_proc = fork.spawn_segment("fork_proc", done);
+    assert_eq!((counts(&parent), counts(&fork)), ((1, 1), (2, 2)));
+
+    // The parent adds, under the same ids the fork used.
+    let child = parent.fork().expect("a segment simulator forks");
+    let parent_event = parent.event("parent_event");
+    let parent_proc = parent.spawn_segment("parent_proc", done);
+    assert_eq!((parent_event, parent_proc), (fork_event, fork_proc));
+    assert_eq!((counts(&parent), counts(&child)), ((2, 2), (1, 1)));
+
+    for (sim, event, proc) in [
+        (&parent, "parent_event", "parent_proc"),
+        (&fork, "fork_event", "fork_proc"),
+    ] {
+        assert_eq!(sim.event_name(tick), "tick");
+        assert_eq!(sim.process_name(worker), "worker");
+        assert_eq!(sim.event_name(fork_event), event);
+        assert_eq!(sim.process_name(fork_proc), proc);
+    }
+    assert_eq!(
+        (child.event_name(tick), child.process_name(worker)),
+        ("tick", "worker")
+    );
 }
