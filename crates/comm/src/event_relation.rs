@@ -19,10 +19,12 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use rtsim_core::agent::{Agent, Waiter};
+use rtsim_core::agent::{Agent, Party, Waiter};
 use rtsim_fault::ChannelLane;
 use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorId, ActorKind, CommKind, FaultKind, TraceLog, TraceRecorder};
+
+use crate::op::Op;
 
 /// Memorization policy of an [`RtEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -54,19 +56,6 @@ struct EvState {
     waiters: VecDeque<Waiter>,
     /// Installed by a fault plan: consulted once per signal.
     lane: Option<Slot<ChannelLane>>,
-}
-
-/// Outcome of one [`EventRef::wait_attempt`] step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvWait {
-    /// A token was consumed; the wait is over.
-    Ready,
-    /// The agent's waiter was registered; suspend and (for memorized
-    /// policies) attempt again, or (fugitive) finish after the wake.
-    Registered {
-        /// Whether the event is fugitive — the wake itself is the signal.
-        fugitive: bool,
-    },
 }
 
 /// A synchronization event between MCSE functions, usable across
@@ -202,7 +191,7 @@ impl EventRef {
     /// Fugitive: wakes every current waiter, remembers nothing. Boolean:
     /// sets the flag (saturating) and wakes one waiter. Counter: adds a
     /// token and wakes one waiter.
-    pub fn signal(&self, agent: &mut dyn Agent) {
+    pub fn signal(&self, agent: &mut dyn Party) {
         let (now, me, log) = (agent.now(), agent.trace_actor(), self.log);
         let fugitive = {
             let mut world = agent.kernel().world();
@@ -253,76 +242,42 @@ impl EventRef {
         }
     }
 
-    /// Non-blocking step of [`wait`](EventRef::wait). On
-    /// [`EvWait::Registered`] the caller must suspend; after the wake, a
-    /// fugitive wait completes via
-    /// [`finish_fugitive_wait`](EventRef::finish_fugitive_wait) (the wake
-    /// *is* the signal), while memorized policies must attempt again —
-    /// another task may have consumed the token between the wake and the
-    /// dispatch. Used directly by the script interpreter.
-    pub fn wait_attempt(&self, agent: &mut dyn Agent) -> EvWait {
-        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
-        let mut world = agent.kernel().world();
+    /// Consumes a token and records the read; with no token, registers
+    /// the party's waiter when given `registered` (a blocking wait,
+    /// [`Op::wait`]) and returns `false`. A memorized wait attempts again
+    /// after the wake, since another task may have consumed the token in
+    /// between; a fugitive wait, once `registered`, is over at the wake
+    /// (the wake *is* the signal) and records its read then.
+    pub(crate) fn consume(&self, party: &mut dyn Party, registered: Option<&mut bool>) -> bool {
+        let (now, me, waiter) = (party.now(), party.trace_actor(), party.waiter());
+        let mut world = party.kernel().world();
         let (st, log) = world.pair_mut(self.state, self.log);
-        match st.policy {
-            EventPolicy::Fugitive => {
-                st.waiters.push_back(waiter);
-                EvWait::Registered { fugitive: true }
+        let fugitive = st.policy == EventPolicy::Fugitive;
+        if fugitive && registered.as_deref() == Some(&true) || !fugitive && st.tokens > 0 {
+            if !fugitive {
+                st.tokens -= 1;
             }
-            EventPolicy::Boolean | EventPolicy::Counter => {
-                if st.tokens > 0 {
-                    st.tokens -= 1;
-                    log.comm(me, now, self.actor, CommKind::Read);
-                    EvWait::Ready
-                } else {
-                    st.waiters.push_back(waiter);
-                    EvWait::Registered { fugitive: false }
-                }
-            }
+            log.comm(me, now, self.actor, CommKind::Read);
+            return true;
         }
-    }
-
-    /// Completes a fugitive wait after the wake: records the consumption.
-    pub fn finish_fugitive_wait(&self, agent: &mut dyn Agent) {
-        let (now, me) = (agent.now(), agent.trace_actor());
-        agent
-            .kernel()
-            .world()
-            .get_mut(self.log)
-            .comm(me, now, self.actor, CommKind::Read);
+        if let Some(registered) = registered {
+            st.waiters.push_back(waiter);
+            *registered = true;
+        }
+        false
     }
 
     /// Blocks `agent` until the event is signalled (consuming one token
     /// for memorized policies). Returns immediately if a token is already
     /// memorized.
     pub fn wait(&self, agent: &mut dyn Agent) {
-        loop {
-            match self.wait_attempt(agent) {
-                EvWait::Ready => return,
-                EvWait::Registered { fugitive } => {
-                    agent.suspend(false);
-                    if fugitive {
-                        self.finish_fugitive_wait(agent);
-                        return;
-                    }
-                }
-            }
-        }
+        Op::<()>::wait(self).run(agent);
     }
 
     /// Consumes a token without blocking; `true` on success. Always
     /// `false` for fugitive events (they cannot be polled).
-    pub fn try_wait(&self, agent: &mut dyn Agent) -> bool {
-        let (now, me) = (agent.now(), agent.trace_actor());
-        let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.log);
-        if st.policy != EventPolicy::Fugitive && st.tokens > 0 {
-            st.tokens -= 1;
-            log.comm(me, now, self.actor, CommKind::Read);
-            true
-        } else {
-            false
-        }
+    pub fn try_wait(&self, agent: &mut dyn Party) -> bool {
+        self.consume(agent, None)
     }
 }
 

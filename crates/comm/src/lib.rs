@@ -14,10 +14,16 @@
 //!   preemption-masked (the paper's priority-inversion fix),
 //!   priority-inheritance and immediate-priority-ceiling protection modes.
 //!
-//! All relations are written against [`rtsim_core::Agent`], so the same
-//! relation connects software tasks (blocking through the RTOS, possibly
-//! preempting on wake) and hardware functions, on one processor or across
-//! several.
+//! Each blocking operation (event wait, queue write and read,
+//! shared-variable read and write) is written once, as an [`Op`] that
+//! steps through a non-blocking [`rtsim_core::Party`] and names each
+//! [`Need`] (suspend, execute under the lock, leave the critical region,
+//! reschedule) for its caller to perform. A closure body's blocking
+//! calls perform them on its [`rtsim_core::Agent`]; a script feeds them
+//! to its step machine. So the same relation connects software tasks
+//! (blocking through the RTOS, possibly preempting on wake) and hardware
+//! functions, on one processor or across several, whichever way their
+//! bodies are written. Rendezvous transfers stay closure-only.
 //!
 //! ```
 //! use rtsim_comm::MessageQueue;
@@ -53,14 +59,16 @@
 #![warn(missing_docs)]
 
 pub mod event_relation;
+pub mod op;
 pub mod queue;
 pub mod rendezvous;
 pub mod shared_var;
 
-pub use event_relation::{EvWait, EventPolicy, EventRef, RtEvent};
+pub use event_relation::{EventPolicy, EventRef, RtEvent};
+pub use op::{Need, Op};
 pub use queue::{MessageQueue, QueueRef};
 pub use rendezvous::Rendezvous;
-pub use shared_var::{LockMode, ReleaseFollowup, SharedVar, VarRef};
+pub use shared_var::{LockMode, SharedVar, VarRef};
 
 // Re-exported so `LockMode::PriorityCeiling` can be constructed without
 // importing rtsim-core directly.

@@ -12,10 +12,12 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use rtsim_core::agent::{Agent, Waiter};
+use rtsim_core::agent::{Agent, Party, Waiter};
 use rtsim_fault::ChannelLane;
 use rtsim_kernel::world::Slot;
 use rtsim_trace::{ActorId, ActorKind, CommKind, FaultKind, TraceLog, TraceRecorder};
+
+use crate::op::Op;
 
 #[derive(Clone)]
 struct QState<T> {
@@ -229,75 +231,86 @@ impl<T: Clone + Send + 'static> QueueRef<T> {
         self.actor
     }
 
-    /// Appends `message` if there is room, recording the write, and
-    /// returns the reader to wake; on a full queue registers `waiter` (a
-    /// blocked writer, when given) and hands the message back.
+    /// Appends `message` if there is room, recording the write and waking
+    /// the first blocked reader; on a full queue hands the message back,
+    /// after registering the agent's waiter as a blocked writer when given
+    /// its seniority ticket (`blocked`).
+    ///
+    /// The ticket threads through every retry of the *same* write: the
+    /// queue stores the waiter's seniority there on first registration,
+    /// and a retry that loses the freed slot to a barging task re-queues
+    /// at its original FIFO position instead of the back.
     fn put(
         &self,
-        agent: &mut dyn Agent,
+        agent: &mut dyn Party,
         message: T,
         blocked: Option<&mut Option<u64>>,
-    ) -> Result<Option<Waiter>, T> {
+    ) -> Result<(), T> {
         let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
-        let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.log);
-        if st.buffer.len() >= st.capacity {
-            if let Some(ticket) = blocked {
-                let t = st.ticket(ticket);
-                enqueue_waiter(&mut st.writers, t, waiter);
+        let reader = {
+            let mut world = agent.kernel().world();
+            let (st, log) = world.pair_mut(self.state, self.log);
+            if st.buffer.len() >= st.capacity {
+                if let Some(ticket) = blocked {
+                    let t = st.ticket(ticket);
+                    enqueue_waiter(&mut st.writers, t, waiter);
+                }
+                return Err(message);
             }
-            return Err(message);
-        }
-        st.buffer.push_back(message);
-        log.comm(me, now, self.actor, CommKind::Write);
-        log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
-        Ok(st.readers.pop_front().map(|(_, w)| w))
-    }
-
-    /// Removes the oldest message, recording the read, and returns it
-    /// with the writer to wake; on an empty queue registers the agent's
-    /// waiter (a blocked reader, when given).
-    fn take(
-        &self,
-        agent: &mut dyn Agent,
-        blocked: Option<&mut Option<u64>>,
-    ) -> Option<(T, Option<Waiter>)> {
-        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
-        let mut world = agent.kernel().world();
-        let (st, log) = world.pair_mut(self.state, self.log);
-        let Some(message) = st.buffer.pop_front() else {
-            if let Some(ticket) = blocked {
-                let t = st.ticket(ticket);
-                enqueue_waiter(&mut st.readers, t, waiter);
-            }
-            return None;
+            st.buffer.push_back(message);
+            log.comm(me, now, self.actor, CommKind::Write);
+            log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+            st.readers.pop_front()
         };
-        log.comm(me, now, self.actor, CommKind::Read);
-        log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
-        Some((message, st.writers.pop_front().map(|(_, w)| w)))
+        if let Some((_, w)) = reader {
+            w.wake(agent.kernel());
+        }
+        Ok(())
     }
 
-    /// Non-blocking step of [`write`](QueueRef::write): appends the
-    /// message, or — on a full queue — registers the agent's waiter (the
-    /// next read will wake it) and hands the message back. The caller
-    /// must then suspend and retry, threading `ticket` through every
-    /// retry of the *same* write: the queue stores the waiter's
-    /// seniority there on first registration, and a retry that loses the
-    /// freed slot to a barging task re-queues at its original FIFO
-    /// position instead of the back. Used directly by the script
-    /// interpreter; [`write`](QueueRef::write) is the blocking
-    /// wrapper.
-    pub fn write_attempt(
+    /// Removes the oldest message, recording the read and waking the
+    /// first blocked writer; on an empty queue registers the agent's
+    /// waiter as a blocked reader when given its seniority ticket
+    /// (`blocked`, threaded as in [`put`](QueueRef::put)).
+    pub(crate) fn take(
         &self,
-        agent: &mut dyn Agent,
+        agent: &mut dyn Party,
+        blocked: Option<&mut Option<u64>>,
+    ) -> Option<T> {
+        let (now, me, waiter) = (agent.now(), agent.trace_actor(), agent.waiter());
+        let (message, writer) = {
+            let mut world = agent.kernel().world();
+            let (st, log) = world.pair_mut(self.state, self.log);
+            let Some(message) = st.buffer.pop_front() else {
+                if let Some(ticket) = blocked {
+                    let t = st.ticket(ticket);
+                    enqueue_waiter(&mut st.readers, t, waiter);
+                }
+                return None;
+            };
+            log.comm(me, now, self.actor, CommKind::Read);
+            log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+            (message, st.writers.pop_front())
+        };
+        if let Some((_, w)) = writer {
+            w.wake(agent.kernel());
+        }
+        Some(message)
+    }
+
+    /// One attempt of a write ([`Op::write`]): decides the message's
+    /// fault-lane fate on the first attempt (a retry after blocking is
+    /// the same message), then [`put`](QueueRef::put)s it as a blocked
+    /// writer.
+    pub(crate) fn write_step(
+        &self,
+        party: &mut dyn Party,
         message: T,
         ticket: &mut Option<u64>,
     ) -> Result<(), T> {
-        // Fault lane: decide each message's fate exactly once, on its
-        // first attempt — a retry after blocking is the same message.
         if ticket.is_none() {
-            let now = agent.now();
-            let mut world = agent.kernel().world();
+            let now = party.now();
+            let mut world = party.kernel().world();
             if let Some(lane) = world.get(self.state).lane {
                 if world.get_mut(lane).should_drop(now) {
                     world
@@ -307,66 +320,29 @@ impl<T: Clone + Send + 'static> QueueRef<T> {
                 }
             }
         }
-        if let Some(w) = self.put(agent, message, Some(ticket))? {
-            w.wake(agent.kernel());
-        }
-        Ok(())
+        self.put(party, message, Some(ticket))
     }
 
     /// Appends `message`, blocking while the queue is full.
     pub fn write(&self, agent: &mut dyn Agent, message: T) {
-        let mut message = message;
-        let mut ticket = None;
-        loop {
-            match self.write_attempt(agent, message, &mut ticket) {
-                Ok(()) => return,
-                Err(m) => {
-                    message = m;
-                    agent.suspend(false);
-                }
-            }
-        }
-    }
-
-    /// Non-blocking step of [`read`](QueueRef::read): removes the
-    /// oldest message, or — on an empty queue — registers the agent's
-    /// waiter and returns `None`; the caller must suspend and retry,
-    /// threading `ticket` exactly as in
-    /// [`write_attempt`](QueueRef::write_attempt).
-    pub fn read_attempt(&self, agent: &mut dyn Agent, ticket: &mut Option<u64>) -> Option<T> {
-        let (message, wake) = self.take(agent, Some(ticket))?;
-        if let Some(w) = wake {
-            w.wake(agent.kernel());
-        }
-        Some(message)
+        Op::write(self, message).run(agent);
     }
 
     /// Removes the oldest message, blocking while the queue is empty.
     pub fn read(&self, agent: &mut dyn Agent) -> T {
-        let mut ticket = None;
-        loop {
-            match self.read_attempt(agent, &mut ticket) {
-                Some(m) => return m,
-                None => agent.suspend(false),
-            }
-        }
+        Op::read(self)
+            .run(agent)
+            .expect("a queue read gets a message")
     }
 
     /// Appends without blocking; returns the message back on a full queue.
-    pub fn try_write(&self, agent: &mut dyn Agent, message: T) -> Result<(), T> {
-        if let Some(w) = self.put(agent, message, None)? {
-            w.wake(agent.kernel());
-        }
-        Ok(())
+    pub fn try_write(&self, agent: &mut dyn Party, message: T) -> Result<(), T> {
+        self.put(agent, message, None)
     }
 
     /// Removes the oldest message without blocking.
-    pub fn try_read(&self, agent: &mut dyn Agent) -> Option<T> {
-        let (message, wake) = self.take(agent, None)?;
-        if let Some(w) = wake {
-            w.wake(agent.kernel());
-        }
-        Some(message)
+    pub fn try_read(&self, agent: &mut dyn Party) -> Option<T> {
+        self.take(agent, None)
     }
 }
 

@@ -18,11 +18,13 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use rtsim_core::agent::{Agent, Waiter};
+use rtsim_core::agent::{Agent, Party, Waiter};
 use rtsim_core::{Priority, TaskHandle};
 use rtsim_kernel::world::Slot;
 use rtsim_kernel::SimDuration;
 use rtsim_trace::{ActorId, ActorKind, CommKind, TraceLog, TraceRecorder};
+
+use crate::op::{Need, Op};
 
 /// How a [`SharedVar`] protects its critical sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -66,19 +68,6 @@ struct VState<T> {
     owner: Option<TaskHandle>,
     owner_base_priority: Option<Priority>,
     waiters: VecDeque<Waiter>,
-}
-
-/// What the caller must do after
-/// [`VarRef::release_attempt`] — the mode-dependent scheduling action
-/// that may yield the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReleaseFollowup {
-    /// Nothing to do.
-    None,
-    /// Leave the critical region (`unlock_preemption`).
-    UnlockPreemption,
-    /// Force a scheduling decision (`reschedule`).
-    Reschedule,
 }
 
 /// A shared variable with mutual exclusion, connecting MCSE functions.
@@ -209,13 +198,12 @@ impl<T: Clone + Send + 'static> VarRef<T> {
         self.mode
     }
 
-    /// Non-blocking acquisition attempt: takes the lock (applying the
-    /// ceiling boost, the held record and the preemption mask) and
-    /// returns `true`, or registers the agent's waiter (applying the
-    /// inheritance boost) and returns `false` — the caller must then
-    /// suspend in the waiting-for-resource state and retry. Used directly
-    /// by the script interpreter.
-    pub fn acquire_attempt(&self, agent: &mut dyn Agent) -> bool {
+    /// One acquisition attempt: takes the lock (applying the ceiling
+    /// boost, the held record and the preemption mask) and returns
+    /// `true`, or registers the party's waiter (applying the inheritance
+    /// boost) and returns `false` — the caller must then suspend in the
+    /// waiting-for-resource state and attempt again.
+    pub(crate) fn acquire_step(&self, agent: &mut dyn Party) -> bool {
         let (now, me) = (agent.now(), agent.waiter());
         {
             let mut world = agent.kernel().world();
@@ -262,18 +250,10 @@ impl<T: Clone + Send + 'static> VarRef<T> {
         true
     }
 
-    /// Acquires the lock, blocking in the waiting-for-resource state if
-    /// another agent holds it.
-    fn acquire(&self, agent: &mut dyn Agent) {
-        while !self.acquire_attempt(agent) {
-            agent.suspend(true);
-        }
-    }
-
-    /// Non-blocking release: frees the lock, restores the owner's base
-    /// priority, wakes the next waiter, and reports the mode's follow-up
-    /// action — which the caller must perform (it may yield the CPU).
-    pub fn release_attempt(&self, agent: &mut dyn Agent) -> ReleaseFollowup {
+    /// Releases the lock: restores the owner's base priority, wakes the
+    /// next waiter, and returns the mode's follow-up — which the caller
+    /// must perform (it may yield the CPU).
+    pub(crate) fn release_step(&self, agent: &mut dyn Party) -> Option<Need> {
         let now = agent.now();
         let next = {
             let mut world = agent.kernel().world();
@@ -302,40 +282,27 @@ impl<T: Clone + Send + 'static> VarRef<T> {
         match self.mode {
             // Leaving the critical region may preempt the caller on the
             // spot if the woken waiter outranks it.
-            LockMode::PreemptionMasked => ReleaseFollowup::UnlockPreemption,
+            LockMode::PreemptionMasked => Some(Need::UnlockPreemption),
             // The caller just dropped back to its base priority: a ready
             // task it was shielding may now outrank it.
-            LockMode::PriorityCeiling(_) => ReleaseFollowup::Reschedule,
-            LockMode::Plain | LockMode::PriorityInheritance => ReleaseFollowup::None,
+            LockMode::PriorityCeiling(_) => Some(Need::Reschedule),
+            LockMode::Plain | LockMode::PriorityInheritance => None,
         }
     }
 
-    /// Releases the lock and wakes the next waiter.
-    fn release(&self, agent: &mut dyn Agent) {
-        match self.release_attempt(agent) {
-            ReleaseFollowup::UnlockPreemption => agent.unlock_preemption(),
-            ReleaseFollowup::Reschedule => agent.reschedule(),
-            ReleaseFollowup::None => {}
-        }
-    }
-
-    /// Clones the value. Meaningful only while `agent` holds the model
-    /// lock (between a successful
-    /// [`acquire_attempt`](VarRef::acquire_attempt) and the release) —
-    /// plumbing for the script interpreter.
-    pub fn locked_get(&self, agent: &mut dyn Agent) -> T {
+    /// Clones the value. Meaningful only while `agent` holds the lock.
+    pub(crate) fn get(&self, agent: &mut dyn Party) -> T {
         agent.kernel().world().get(self.state).value.clone()
     }
 
-    /// Stores a value. Same locking contract as
-    /// [`locked_get`](VarRef::locked_get).
-    pub fn locked_set(&self, agent: &mut dyn Agent, value: T) {
+    /// Stores a value. Meaningful only while `agent` holds the lock.
+    pub(crate) fn set(&self, agent: &mut dyn Party, value: T) {
         agent.kernel().world().get_mut(self.state).value = value;
     }
 
     /// Records a completed access (the `CommKind::Read`/`Write` record
-    /// the blocking wrappers emit after release) — interpreter plumbing.
-    pub fn record_access(&self, agent: &mut dyn Agent, kind: CommKind) {
+    /// that follows the release).
+    pub(crate) fn record(&self, agent: &mut dyn Party, kind: CommKind) {
         let (now, me) = (agent.now(), agent.trace_actor());
         agent
             .kernel()
@@ -352,13 +319,17 @@ impl<T: Clone + Send + 'static> VarRef<T> {
         agent: &mut dyn Agent,
         body: impl FnOnce(&mut dyn Agent, &mut T) -> R,
     ) -> R {
-        self.acquire(agent);
+        while !self.acquire_step(agent) {
+            agent.suspend(true);
+        }
         // The kernel's one-runner discipline makes this safe: no other
         // agent can touch the value while we hold the model lock.
-        let mut value = self.locked_get(agent);
+        let mut value = self.get(agent);
         let result = body(agent, &mut value);
-        self.locked_set(agent, value);
-        self.release(agent);
+        self.set(agent, value);
+        if let Some(need) = self.release_step(agent) {
+            need.perform(agent);
+        }
         result
     }
 
@@ -371,14 +342,9 @@ impl<T: Clone + Send + 'static> VarRef<T> {
     /// Reads the value, consuming `duration` of CPU time while holding
     /// the lock — the shape of the paper's Figure 7 read operation.
     pub fn read_for(&self, agent: &mut dyn Agent, duration: SimDuration) -> T {
-        let value = self.with_lock(agent, |agent, value| {
-            if !duration.is_zero() {
-                agent.execute(duration);
-            }
-            value.clone()
-        });
-        self.record_access(agent, CommKind::Read);
-        value
+        Op::read_for(self, duration)
+            .run(agent)
+            .expect("a shared-variable read gets the value")
     }
 
     /// Writes the value instantaneously (still subject to mutual
@@ -390,13 +356,7 @@ impl<T: Clone + Send + 'static> VarRef<T> {
     /// Writes the value, consuming `duration` of CPU time while holding
     /// the lock.
     pub fn write_for(&self, agent: &mut dyn Agent, duration: SimDuration, value: T) {
-        self.with_lock(agent, |agent, slot| {
-            if !duration.is_zero() {
-                agent.execute(duration);
-            }
-            *slot = value;
-        });
-        self.record_access(agent, CommKind::Write);
+        Op::write_for(self, duration, value).run(agent);
     }
 }
 

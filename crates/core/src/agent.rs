@@ -8,9 +8,13 @@
 //! `&mut dyn Agent` makes the body mapping-agnostic: `execute` costs
 //! preemptible CPU time on a SW processor but plain wall simulation time
 //! in hardware, `suspend`/wake go through the RTOS or through a raw
-//! kernel event, and so on. The `rtsim-comm` relations are written against
-//! this trait, so a queue can connect a HW producer to a SW consumer
-//! unchanged.
+//! kernel event, and so on, so a `rtsim-comm` queue connects a HW
+//! producer to a SW consumer unchanged.
+//!
+//! [`Party`] holds the calls that never block and [`Agent`] adds the
+//! blocking ones: a relation operation steps through a `Party`, and a
+//! step machine's [`SegAgent`](crate::SegAgent), only a `Party`, cannot
+//! reach a blocking call.
 
 use std::fmt;
 
@@ -73,24 +77,12 @@ impl HwWaker {
     }
 }
 
-/// A behaviour's runtime context, independent of HW/SW mapping.
-///
-/// Implemented by [`TaskCtx`] (software task under the RTOS) and
-/// [`HwCtx`] (concurrent hardware function).
-pub trait Agent {
+/// The calls of a behaviour's runtime context that never block: what a
+/// relation operation steps through. Implemented by every [`Agent`] and
+/// by a step machine's [`SegAgent`](crate::SegAgent).
+pub trait Party {
     /// Current simulation time.
     fn now(&self) -> SimTime;
-
-    /// Consumes `d` of computation time (preemptible on a SW processor;
-    /// plain elapsed time in hardware).
-    fn execute(&mut self, d: SimDuration);
-
-    /// Sleeps for `d` (releasing the CPU on a SW processor).
-    fn delay(&mut self, d: SimDuration);
-
-    /// Blocks until woken through this agent's [`Waiter`]. `resource`
-    /// selects the waiting-for-resource trace state.
-    fn suspend(&mut self, resource: bool);
 
     /// How other processes wake this agent.
     fn waiter(&self) -> Waiter;
@@ -99,7 +91,7 @@ pub trait Agent {
     fn trace_actor(&self) -> ActorId;
 
     /// The slot of the trace log this agent records into: reach it
-    /// through [`kernel`](Agent::kernel)`().world()`.
+    /// through [`kernel`](Party::kernel)`().world()`.
     fn log(&self) -> Slot<TraceLog>;
 
     /// The raw kernel handle (for notifications issued on this agent's
@@ -110,6 +102,34 @@ pub trait Agent {
 
     /// Enters a critical region (no-op in hardware).
     fn lock_preemption(&mut self) {}
+
+    /// Annotates the trace at the current instant — the anchor for
+    /// TimeLine measurements and reaction-time constraints.
+    fn annotate(&mut self, label: &str) {
+        let (now, actor, log) = (self.now(), self.trace_actor(), self.log());
+        self.kernel()
+            .world()
+            .get_mut(log)
+            .annotate(actor, now, label);
+    }
+}
+
+/// A behaviour's runtime context, independent of HW/SW mapping: the
+/// [`Party`] calls plus the blocking ones.
+///
+/// Implemented by [`TaskCtx`] (software task under the RTOS) and
+/// [`HwCtx`] (concurrent hardware function).
+pub trait Agent: Party {
+    /// Consumes `d` of computation time (preemptible on a SW processor;
+    /// plain elapsed time in hardware).
+    fn execute(&mut self, d: SimDuration);
+
+    /// Sleeps for `d` (releasing the CPU on a SW processor).
+    fn delay(&mut self, d: SimDuration);
+
+    /// Blocks until woken through this agent's [`Waiter`]. `resource`
+    /// selects the waiting-for-resource trace state.
+    fn suspend(&mut self, resource: bool);
 
     /// Leaves a critical region (no-op in hardware).
     fn unlock_preemption(&mut self) {}
@@ -130,33 +150,11 @@ pub trait Agent {
     fn set_relative_deadline(&mut self, deadline: Option<SimDuration>) {
         let _ = deadline;
     }
-
-    /// Annotates the trace at the current instant — the anchor for
-    /// TimeLine measurements and reaction-time constraints.
-    fn annotate(&mut self, label: &str) {
-        let (now, actor, log) = (self.now(), self.trace_actor(), self.log());
-        self.kernel()
-            .world()
-            .get_mut(log)
-            .annotate(actor, now, label);
-    }
 }
 
-impl Agent for TaskCtx<'_> {
+impl Party for TaskCtx<'_> {
     fn now(&self) -> SimTime {
         TaskCtx::now(self)
-    }
-
-    fn execute(&mut self, d: SimDuration) {
-        TaskCtx::execute(self, d);
-    }
-
-    fn delay(&mut self, d: SimDuration) {
-        TaskCtx::delay(self, d);
-    }
-
-    fn suspend(&mut self, resource: bool) {
-        TaskCtx::suspend(self, resource);
     }
 
     fn waiter(&self) -> Waiter {
@@ -177,6 +175,20 @@ impl Agent for TaskCtx<'_> {
 
     fn lock_preemption(&mut self) {
         TaskCtx::lock_preemption(self);
+    }
+}
+
+impl Agent for TaskCtx<'_> {
+    fn execute(&mut self, d: SimDuration) {
+        TaskCtx::execute(self, d);
+    }
+
+    fn delay(&mut self, d: SimDuration) {
+        TaskCtx::delay(self, d);
+    }
+
+    fn suspend(&mut self, resource: bool) {
+        TaskCtx::suspend(self, resource);
     }
 
     fn unlock_preemption(&mut self) {
@@ -212,7 +224,7 @@ pub struct HwCtx<'a> {
 impl HwCtx<'_> {
     /// Annotates the trace at the current instant.
     pub fn annotate(&mut self, label: &str) {
-        Agent::annotate(self, label);
+        Party::annotate(self, label);
     }
 
     /// Drives the runner until the fed intent completes (or, after
@@ -231,25 +243,9 @@ impl fmt::Debug for HwCtx<'_> {
     }
 }
 
-impl Agent for HwCtx<'_> {
+impl Party for HwCtx<'_> {
     fn now(&self) -> SimTime {
         self.kctx.now()
-    }
-
-    fn execute(&mut self, d: SimDuration) {
-        // Hardware is fully concurrent: computing is just elapsed time.
-        self.runner.execute(d);
-        self.drive();
-    }
-
-    fn delay(&mut self, d: SimDuration) {
-        self.runner.delay(d);
-        self.drive();
-    }
-
-    fn suspend(&mut self, resource: bool) {
-        self.runner.suspend(resource);
-        self.drive();
     }
 
     fn waiter(&self) -> Waiter {
@@ -266,6 +262,24 @@ impl Agent for HwCtx<'_> {
 
     fn kernel(&mut self) -> &mut dyn KernelHandle {
         self.kctx
+    }
+}
+
+impl Agent for HwCtx<'_> {
+    fn execute(&mut self, d: SimDuration) {
+        // Hardware is fully concurrent: computing is just elapsed time.
+        self.runner.execute(d);
+        self.drive();
+    }
+
+    fn delay(&mut self, d: SimDuration) {
+        self.runner.delay(d);
+        self.drive();
+    }
+
+    fn suspend(&mut self, resource: bool) {
+        self.runner.suspend(resource);
+        self.drive();
     }
 }
 

@@ -83,7 +83,7 @@ pub mod server;
 pub mod task;
 mod thread_model;
 
-pub use agent::{spawn_hw_function, Agent, HwCtx, HwWaker, Waiter};
+pub use agent::{spawn_hw_function, Agent, HwCtx, HwWaker, Party, Waiter};
 pub use analysis::{
     assign_rate_monotonic, liu_layland_bound, partition_first_fit, response_time_analysis,
     schedulable, utilization, PeriodicTask, ResponseTime,

@@ -13,7 +13,7 @@ use rtsim_kernel::world::World;
 use rtsim_kernel::{KernelHandle, ProcessContext, SimDuration, SimTime, Simulator};
 use rtsim_trace::{ActorId, ActorKind, TaskState, TraceRecorder};
 
-use crate::agent::Agent;
+use crate::agent::Party;
 use crate::engine::{self, EngineKind, Rtos, RtosState, SchedulerStats};
 use crate::overhead::Overheads;
 use crate::policies::PriorityPreemptive;
@@ -541,13 +541,6 @@ impl TaskCtx<'_> {
         self.drive();
     }
 
-    /// Voluntary preemption point: yields if a preemption is pending (the
-    /// paper's "between two RTOS calls" rule).
-    pub fn preemption_point(&mut self) {
-        self.runner.preemption_point(&mut self.kctx.world());
-        self.drive();
-    }
-
     /// Forces a scheduling decision now: yields if the policy's best
     /// ready candidate outranks this task — needed after operations that
     /// change priorities without waking anyone (e.g. restoring a
@@ -579,7 +572,7 @@ impl TaskCtx<'_> {
     /// Annotates the trace at the current instant (anchor for TimeLine
     /// measurements).
     pub fn annotate(&mut self, label: &str) {
-        Agent::annotate(self, label);
+        Party::annotate(self, label);
     }
 
     /// This task's current state as known to the RTOS.

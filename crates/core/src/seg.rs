@@ -39,7 +39,7 @@ use rtsim_kernel::{
 };
 use rtsim_trace::{ActorId, ActorKind, TaskState, TraceLog, TraceRecorder};
 
-use crate::agent::{Agent, HwWaker, Waiter};
+use crate::agent::{HwWaker, Party, Waiter};
 use crate::engine::{self, RelStep, RtosState, WAKE_ORDER};
 use crate::processor::TaskHandle;
 use crate::task::TaskId;
@@ -461,14 +461,6 @@ impl SegTaskRunner {
         }
     }
 
-    /// Voluntary preemption point: yields the CPU if a preemption is
-    /// pending.
-    pub fn preemption_point(&mut self, world: &mut World) {
-        if engine::take_preempt_pending(self.rtos(world), self.handle.id) {
-            self.push_intent_pair();
-        }
-    }
-
     fn push_intent(&mut self, frame: Frame) {
         debug_assert!(
             self.stack.is_empty(),
@@ -500,16 +492,14 @@ impl SegTaskRunner {
         &self.name
     }
 
-    /// An [`Agent`] view over this task for the *non-blocking* operations
-    /// (communication attempts). Blocking `Agent` calls on it panic —
-    /// those are expressed as intents on the runner instead.
+    /// A [`Party`] view over this task for the non-blocking operations
+    /// (relation steps); what blocks is fed to the runner as an intent.
     pub fn agent<'c, 'a>(&self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'c, 'a> {
         SegAgent {
             ctx,
             waiter: Waiter::Task(self.handle),
             actor: self.handle.actor,
             log: self.handle.rtos.log,
-            lock_target: Some(self.handle),
         }
     }
 }
@@ -676,15 +666,14 @@ impl SegHwRunner {
         self.actor
     }
 
-    /// An [`Agent`] view over this function for the non-blocking
-    /// operations (communication attempts).
+    /// A [`Party`] view over this function for the non-blocking
+    /// operations (relation steps).
     pub fn agent<'c, 'a>(&self, ctx: &'c mut SegmentCtx<'a>) -> SegAgent<'c, 'a> {
         SegAgent {
             ctx,
             waiter: Waiter::Hw(self.waker),
             actor: self.actor,
             log: self.log,
-            lock_target: None,
         }
     }
 }
@@ -699,37 +688,20 @@ impl std::fmt::Debug for SegHwRunner {
     }
 }
 
-/// The [`Agent`] view of a task or hardware function inside a step.
-///
-/// Supports exactly the non-blocking subset of [`Agent`] that the
-/// communication *attempt* functions use: time, notifications, the lent
-/// world, waiter, tracing and preemption locks. The blocking calls
-/// (`execute`, `delay`, `suspend`, `unlock_preemption`, `reschedule`)
-/// panic — a step machine feeds those to the runner as intents between
-/// attempts.
+/// The [`Party`] view of a task or hardware function inside a step:
+/// time, notifications, the lent world, waiter, tracing and the
+/// preemption lock. It has no blocking call; a step machine feeds those
+/// to the runner as intents between relation steps.
 pub struct SegAgent<'c, 'a> {
     ctx: &'c mut SegmentCtx<'a>,
     waiter: Waiter,
     actor: ActorId,
     log: Slot<TraceLog>,
-    lock_target: Option<TaskHandle>,
 }
 
-impl Agent for SegAgent<'_, '_> {
+impl Party for SegAgent<'_, '_> {
     fn now(&self) -> SimTime {
         self.ctx.now()
-    }
-
-    fn execute(&mut self, _d: SimDuration) {
-        panic!("blocking Agent::execute on a run-to-completion segment");
-    }
-
-    fn delay(&mut self, _d: SimDuration) {
-        panic!("blocking Agent::delay on a run-to-completion segment");
-    }
-
-    fn suspend(&mut self, _resource: bool) {
-        panic!("blocking Agent::suspend on a run-to-completion segment");
     }
 
     fn waiter(&self) -> Waiter {
@@ -749,20 +721,8 @@ impl Agent for SegAgent<'_, '_> {
     }
 
     fn lock_preemption(&mut self) {
-        if let Some(task) = self.lock_target {
+        if let Waiter::Task(task) = self.waiter {
             engine::lock_preemption(self.ctx.world().get_mut(task.rtos.state), task.id);
-        }
-    }
-
-    fn unlock_preemption(&mut self) {
-        if self.lock_target.is_some() {
-            panic!("blocking Agent::unlock_preemption on a run-to-completion segment");
-        }
-    }
-
-    fn reschedule(&mut self) {
-        if self.lock_target.is_some() {
-            panic!("blocking Agent::reschedule on a run-to-completion segment");
         }
     }
 }

@@ -66,7 +66,7 @@ use rtsim_kernel::world::Slot;
 use rtsim_kernel::{KernelHandle, SimDuration, SimTime, Simulator};
 use rtsim_trace::TraceRecorder;
 
-use crate::agent::{Agent, Waiter};
+use crate::agent::{Party, Waiter};
 use crate::processor::{Processor, TaskHandle};
 use crate::task::TaskConfig;
 

@@ -11,9 +11,7 @@
 //! record, per RTOS frame or per relation access makes the Segment-mode
 //! count fail.
 
-use rtsim_comm::{
-    EvWait, EventPolicy, LockMode, MessageQueue, ReleaseFollowup, RtEvent, SharedVar,
-};
+use rtsim_comm::{EventPolicy, LockMode, MessageQueue, Need, Op, RtEvent, SharedVar};
 use rtsim_core::policies::RoundRobin;
 use rtsim_core::{
     Overheads, Processor, ProcessorConfig, SchedulerStats, SegControl, SegTaskRunner, TaskConfig,
@@ -28,7 +26,7 @@ fn us(n: u64) -> SimDuration {
 
 /// One step of a task's endless program.
 #[derive(Debug, Clone, Copy)]
-enum Op {
+enum Step {
     /// Compute for this many µs.
     Exec(u64),
     /// Sleep until the next release, this many µs after the previous one.
@@ -37,7 +35,8 @@ enum Op {
     Write,
     /// Blocking read of one message from the queue.
     Read,
-    /// Hold the shared variable while computing for this many µs.
+    /// Write the shared variable while computing for this many µs under
+    /// its lock.
     Hold(u64),
     /// Signal the counter event.
     Signal,
@@ -53,140 +52,77 @@ struct Relations {
     event: RtEvent,
 }
 
-/// A task running `ops` in a loop, driving its runner the way the script
-/// interpreter does: attempts through the step's agent, suspending and
-/// retrying the same op while it blocks.
+/// A task running `steps` in a loop, driving its runner the way the
+/// script interpreter does: a blocking step starts the relation's `Op`,
+/// each need the op returns is fed to the runner as an intent, and the
+/// op steps again at the next idle.
 #[derive(Clone)]
 struct Program {
     runner: SegTaskRunner,
     rel: Relations,
-    ops: Vec<Op>,
+    steps: Vec<Step>,
     pc: usize,
     release: SimTime,
-    ticket: Option<u64>,
-    /// `Hold` has the variable and is computing under it.
-    holding: bool,
+    op: Option<Op<u32>>,
 }
 
 impl Program {
-    /// Feeds ops until one hands the runner work.
+    /// Feeds steps until one hands the runner work.
     fn feed(&mut self, ctx: &mut SegmentCtx<'_>) {
         loop {
-            let (intent, done) = self.op(ctx, self.ops[self.pc]);
-            if done {
-                self.pc = (self.pc + 1) % self.ops.len();
-            }
-            if intent {
-                return;
-            }
-        }
-    }
-
-    /// Runs one op: `(fed the runner an intent, op finished)`.
-    fn op(&mut self, ctx: &mut SegmentCtx<'_>, op: Op) -> (bool, bool) {
-        match op {
-            Op::Exec(n) => {
-                self.runner.execute(us(n));
-                (true, true)
-            }
-            Op::Release(period) => {
-                self.release += us(period);
-                let now = ctx.now();
-                let sleep = if self.release > now {
-                    self.release - now
-                } else {
-                    SimDuration::ZERO
-                };
-                self.runner.delay(now, sleep);
-                (true, true)
-            }
-            Op::Write => {
-                let mut agent = self.runner.agent(ctx);
-                match self
-                    .rel
-                    .queue
-                    .write_attempt(&mut agent, 1, &mut self.ticket)
-                {
-                    Ok(()) => {
-                        self.ticket = None;
-                        (false, true)
+            if self.op.is_none() {
+                let step = self.steps[self.pc];
+                self.pc = (self.pc + 1) % self.steps.len();
+                self.op = Some(match step {
+                    Step::Exec(n) => return self.runner.execute(us(n)),
+                    Step::Release(period) => {
+                        self.release += us(period);
+                        let now = ctx.now();
+                        let sleep = if self.release > now {
+                            self.release - now
+                        } else {
+                            SimDuration::ZERO
+                        };
+                        return self.runner.delay(now, sleep);
                     }
-                    Err(_) => {
-                        self.runner.suspend(false);
-                        (true, false)
+                    Step::Signal => {
+                        self.rel.event.signal(&mut self.runner.agent(ctx));
+                        continue;
                     }
-                }
+                    Step::Write => Op::write(&self.rel.queue, 1),
+                    Step::Read => Op::read(&self.rel.queue),
+                    Step::Hold(n) => Op::write_for(&self.rel.var, us(n), 1),
+                    Step::Await => Op::wait(&self.rel.event),
+                });
             }
-            Op::Read => {
-                let mut agent = self.runner.agent(ctx);
-                match self.rel.queue.read_attempt(&mut agent, &mut self.ticket) {
-                    Some(_) => {
-                        self.ticket = None;
-                        (false, true)
-                    }
-                    None => {
-                        self.runner.suspend(false);
-                        (true, false)
-                    }
-                }
-            }
-            Op::Hold(_) if self.holding => {
-                self.holding = false;
-                let mut agent = self.runner.agent(ctx);
-                let followup = self.rel.var.release_attempt(&mut agent);
-                assert_eq!(followup, ReleaseFollowup::None);
-                self.rel.var.record_access(&mut agent, CommKind::Write);
-                (false, true)
-            }
-            Op::Hold(n) => {
-                let mut agent = self.runner.agent(ctx);
-                if self.rel.var.acquire_attempt(&mut agent) {
-                    let v = self.rel.var.locked_get(&mut agent);
-                    self.rel.var.locked_set(&mut agent, v + 1);
-                    self.holding = true;
-                    self.runner.execute(us(n));
-                } else {
-                    self.runner.suspend(true);
-                }
-                (true, false)
-            }
-            Op::Signal => {
-                let mut agent = self.runner.agent(ctx);
-                self.rel.event.signal(&mut agent);
-                (false, true)
-            }
-            Op::Await => {
-                let mut agent = self.runner.agent(ctx);
-                match self.rel.event.wait_attempt(&mut agent) {
-                    EvWait::Ready => (false, true),
-                    EvWait::Registered { .. } => {
-                        self.runner.suspend(false);
-                        (true, false)
-                    }
-                }
+            let op = self.op.as_mut().expect("an op in flight");
+            match op.step(&mut self.runner.agent(ctx)) {
+                Ok(_) => self.op = None,
+                Err(Need::Suspend { resource }) => return self.runner.suspend(resource),
+                Err(Need::Execute(d)) => return self.runner.execute(d),
+                Err(need) => panic!("a priority-inheritance variable needs no {need:?}"),
             }
         }
     }
 }
 
-/// Registers a task running `ops` forever on `cpu`.
+/// Registers a task running `steps` forever on `cpu`.
 fn task(
     sim: &mut Simulator,
     cpu: &Processor,
     rel: &Relations,
     name: &str,
     priority: u32,
-    ops: &[Op],
+    steps: &[Step],
 ) {
     let runner = cpu.register_seg_task(sim, TaskConfig::new(name).priority(priority));
     let mut program = Program {
         runner,
         rel: rel.clone(),
-        ops: ops.to_vec(),
+        steps: steps.to_vec(),
         pc: 0,
         release: SimTime::ZERO,
-        ticket: None,
-        holding: false,
+        op: None,
     };
     sim.spawn_segment(name, move |ctx| loop {
         match program.runner.advance(ctx) {
@@ -199,7 +135,7 @@ fn task(
 
 /// The scenario, built on `rec` in `mode`.
 fn system(mode: ExecMode, rec: &TraceRecorder) -> (Simulator, Processor, Processor) {
-    use Op::*;
+    use Step::*;
     let mut sim = Simulator::with_mode(mode);
     let rel = Relations {
         queue: MessageQueue::new(rec, "q", 2),

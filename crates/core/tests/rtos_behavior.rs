@@ -775,7 +775,7 @@ fn scheduler_stats_are_populated() {
 
 #[test]
 fn hardware_and_software_tasks_coexist() {
-    use rtsim_core::{spawn_hw_function, Agent};
+    use rtsim_core::{spawn_hw_function, Agent, Party};
     for engine in ENGINES {
         let mut sim = Simulator::new();
         let rec = TraceRecorder::new();

@@ -19,7 +19,7 @@ use rtsim_trace::{Property, Statistics, TimelineOptions, Trace, TraceRecorder};
 use crate::constraint::ConstraintReport;
 use crate::error::ModelError;
 use crate::model::{Body, Mapping, Message, RelationDecl, SystemModel};
-use crate::script::{FaultCtx, ScriptProcess};
+use crate::script::{FaultCtx, Instr, ScriptProcess};
 
 /// The relations visible to a function body, looked up by name.
 ///
@@ -139,6 +139,53 @@ impl fmt::Debug for Io {
     }
 }
 
+/// Checks that every relation `script` names, nested bodies included, is
+/// declared in `relations` with the kind its instruction needs.
+fn check_relations(
+    relations: &BTreeMap<String, RelationDecl>,
+    function: &str,
+    script: &[Instr],
+) -> Result<(), ModelError> {
+    for instr in script {
+        let (kind, name) = match instr {
+            Instr::Signal(name) | Instr::AwaitEvent(name) => ("event", name),
+            Instr::QueueWrite(name, _)
+            | Instr::QueueRead(name)
+            | Instr::QueueTryWrite(name, _)
+            | Instr::QueueTryRead(name) => ("queue", name),
+            Instr::VarRead(name, _) | Instr::VarWrite(name, _, _) => ("shared-variable", name),
+            Instr::Repeat(_, body) | Instr::Forever(body) | Instr::IfNowPast(_, body) => {
+                check_relations(relations, function, body)?;
+                continue;
+            }
+            Instr::IfFlag(first, second) | Instr::DegradedGate(first, second) => {
+                check_relations(relations, function, first)?;
+                check_relations(relations, function, second)?;
+                continue;
+            }
+            Instr::Execute(_)
+            | Instr::Delay(_)
+            | Instr::Annotate(_)
+            | Instr::PeriodicRelease(_)
+            | Instr::Return => continue,
+        };
+        let declared = relations.get(&**name).map(|decl| match decl {
+            RelationDecl::Event(_) => "event",
+            RelationDecl::Queue { .. } => "queue",
+            RelationDecl::Rendezvous => "rendezvous",
+            RelationDecl::Var { .. } => "shared-variable",
+        });
+        if declared != Some(kind) {
+            return Err(ModelError::UnknownRelation {
+                function: function.to_owned(),
+                relation: name.to_string(),
+                kind,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A fully instantiated, runnable system.
 ///
 /// A system built from scripts alone can be [forked](ElaboratedSystem::fork)
@@ -165,8 +212,12 @@ struct Layout {
 
 impl ElaboratedSystem {
     pub(crate) fn build(model: SystemModel) -> Result<Self, ModelError> {
-        // Validate the mapping before creating anything.
+        // Validate the mapping and the scripts' relation names before
+        // creating anything.
         for (fname, decl) in &model.functions {
+            if let Body::Script(script) = &decl.body {
+                check_relations(&model.relations, fname, script)?;
+            }
             match &decl.mapping {
                 None => {
                     return Err(ModelError::UnmappedFunction {

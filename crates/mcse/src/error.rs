@@ -19,6 +19,17 @@ pub enum ModelError {
         /// The missing processor's name.
         processor: String,
     },
+    /// A script names a relation the model does not declare, or declares
+    /// with another kind.
+    UnknownRelation {
+        /// The function's name.
+        function: String,
+        /// The relation's name.
+        relation: String,
+        /// The kind the instruction needs: `event`, `queue` or
+        /// `shared-variable`.
+        kind: &'static str,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -33,6 +44,14 @@ impl fmt::Display for ModelError {
             } => write!(
                 f,
                 "function `{function}` is mapped to undeclared processor `{processor}`"
+            ),
+            ModelError::UnknownRelation {
+                function,
+                relation,
+                kind,
+            } => write!(
+                f,
+                "function `{function}` names no declared {kind} relation `{relation}`"
             ),
         }
     }

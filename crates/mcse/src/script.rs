@@ -4,10 +4,12 @@
 //! blocks, so it needs a thread of its own. A **script** expresses the
 //! same behaviour as data — a list of [`Instr`] steps over a tiny
 //! register file ([`Regs`]) — and [`ScriptProcess`] interprets it as a
-//! step machine over a [`SegTaskRunner`]/[`SegHwRunner`], using the
-//! communication relations' non-blocking *attempt* entry points and
-//! feeding waits back to the kernel as
-//! [`SegStep::Yield`](rtsim_kernel::SegStep).
+//! step machine over a [`SegTaskRunner`]/[`SegHwRunner`], feeding waits
+//! back to the kernel as [`SegStep::Yield`](rtsim_kernel::SegStep). A
+//! blocking relation instruction starts the relation's [`Op`] (the one
+//! implementation a closure body's blocking call runs too), feeds each
+//! [`Need`] it returns to the runner as an intent, and steps it again at
+//! the next idle.
 //!
 //! This is the only script interpreter. The execution mode decides only
 //! where it runs: inline in the scheduler loop, or on a thread of its
@@ -22,12 +24,11 @@
 
 use std::sync::Arc;
 
-use rtsim_comm::{EvWait, ReleaseFollowup};
-use rtsim_core::{Agent, SegControl, SegHwRunner, SegTaskRunner};
+use rtsim_comm::{Need, Op};
+use rtsim_core::{Party, SegControl, SegHwRunner, SegTaskRunner};
 use rtsim_fault::{FaultInjector, ModeChange};
-use rtsim_kernel::world::World;
 use rtsim_kernel::{SegStep, SegmentCtx, SimDuration, SimTime};
-use rtsim_trace::{CommKind, FaultKind};
+use rtsim_trace::FaultKind;
 
 use crate::elaborate::Relations;
 use crate::model::Message;
@@ -355,13 +356,6 @@ impl Runner {
         }
     }
 
-    fn suspend(&mut self, resource: bool) {
-        match self {
-            Runner::Task(r) => r.suspend(resource),
-            Runner::Hw(r) => r.suspend(resource),
-        }
-    }
-
     fn finish(&mut self) {
         match self {
             Runner::Task(r) => r.finish(),
@@ -369,22 +363,19 @@ impl Runner {
         }
     }
 
-    /// Performs the release follow-up of a shared-variable access.
-    /// Returns `true` when the follow-up goes through the RTOS and the
-    /// access record must wait for it to complete (hardware functions
-    /// treat both follow-ups as no-ops, exactly like
-    /// [`HwCtx`](rtsim_core::HwCtx)).
-    fn followup(&mut self, f: ReleaseFollowup, world: &mut World, now: SimTime) -> bool {
-        match (self, f) {
-            (Runner::Task(r), ReleaseFollowup::UnlockPreemption) => {
-                r.unlock_preemption(world, now);
-                true
-            }
-            (Runner::Task(r), ReleaseFollowup::Reschedule) => {
-                r.reschedule(world, now);
-                true
-            }
-            _ => false,
+    /// Feeds a relation operation's need as an intent. A hardware
+    /// function's follow-ups are no-ops, as on
+    /// [`HwCtx`](rtsim_core::HwCtx): it feeds nothing, and the next idle
+    /// steps the operation on.
+    fn feed(&mut self, need: Need, ctx: &mut SegmentCtx<'_>) {
+        let now = ctx.now();
+        match (self, need) {
+            (Runner::Task(r), Need::Suspend { resource }) => r.suspend(resource),
+            (Runner::Hw(r), Need::Suspend { resource }) => r.suspend(resource),
+            (runner, Need::Execute(d)) => runner.execute(d),
+            (Runner::Task(r), Need::UnlockPreemption) => r.unlock_preemption(ctx.world(), now),
+            (Runner::Task(r), Need::Reschedule) => r.reschedule(ctx.world(), now),
+            (Runner::Hw(_), Need::UnlockPreemption | Need::Reschedule) => {}
         }
     }
 
@@ -417,36 +408,6 @@ enum FrameKind {
     Forever,
 }
 
-/// A shared-variable access in flight (the segment decomposition of
-/// `read_for`/`write_for`).
-#[derive(Clone)]
-struct VarAccess {
-    name: Arc<str>,
-    dur: SimDuration,
-    /// `Some(value)` for a write, `None` for a read.
-    write: Option<Message>,
-}
-
-/// What the interpreter must do when the runner next reports idle.
-#[derive(Clone)]
-enum Pending {
-    /// Re-attempt a memorized-event wait after a wake.
-    EventRetry(Arc<str>),
-    /// Complete a fugitive-event wait (the wake was the signal).
-    EventFinish(Arc<str>),
-    /// Re-attempt a blocked queue write (carrying the message and the
-    /// seniority ticket back).
-    QueueWrite(Arc<str>, Message, Option<u64>),
-    /// Re-attempt a blocked queue read (carrying the seniority ticket).
-    QueueRead(Arc<str>, Option<u64>),
-    /// Re-attempt a shared-variable acquisition.
-    VarAcquire(VarAccess),
-    /// The under-lock compute finished: store, release, follow up.
-    VarHold(VarAccess),
-    /// The release follow-up finished: record the access.
-    VarRecord(VarAccess),
-}
-
 /// Did an instruction feed work to the runner (yield soon) or complete
 /// instantaneously?
 enum Progress {
@@ -459,18 +420,24 @@ enum Progress {
 /// [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment).
 ///
 /// Plain data and slot ids (the runner, the [`Relations`] ids, the
-/// registers and control stack): a clone is the same script at the same
-/// point, which is how a forked simulation gets its own.
+/// registers, the control stack and the operation in flight): a clone is
+/// the same script at the same point, which is how a forked simulation
+/// gets its own.
 #[derive(Clone)]
 pub struct ScriptProcess {
     runner: Runner,
     io: Arc<Relations>,
     ctl: Vec<CtlFrame>,
     regs: Regs,
-    pending: Option<Pending>,
+    /// The blocking relation operation in flight, stepped at each idle,
+    /// and where the value a read gets lands.
+    op: Option<(Op<Message>, Land)>,
     begun: bool,
     fctx: Option<FaultCtx>,
 }
+
+/// Stores the value a completed read got into its register.
+type Land = fn(&mut Regs, Message);
 
 impl ScriptProcess {
     /// Binds a script to an RTOS task runner (see
@@ -507,7 +474,7 @@ impl ScriptProcess {
             io,
             ctl,
             regs: Regs::initial(SimTime::ZERO),
-            pending: None,
+            op: None,
             begun: false,
             fctx: None,
         }
@@ -531,11 +498,11 @@ impl ScriptProcess {
         }
     }
 
-    /// The runner is idle: resolve any in-flight operation, then feed
+    /// The runner is idle: step the operation in flight, then feed
     /// instructions until one hands the runner work or the script ends.
     fn on_idle(&mut self, ctx: &mut SegmentCtx<'_>) {
-        if let Some(p) = self.pending.take() {
-            if let Progress::Intent = self.resume(ctx, p) {
+        if let Some((op, land)) = self.op.take() {
+            if let Progress::Intent = self.step_op(ctx, op, land) {
                 return;
             }
         }
@@ -629,12 +596,18 @@ impl ScriptProcess {
                 self.io.event_ref(&name).signal(&mut agent);
                 Progress::Continue
             }
-            Instr::AwaitEvent(name) => self.event_wait(ctx, name),
-            Instr::QueueWrite(name, f) => {
-                let msg = f(&self.regs);
-                self.queue_write(ctx, name, msg, None)
+            Instr::AwaitEvent(name) => {
+                let op = Op::wait(self.io.event_ref(&name));
+                self.step_op(ctx, op, |_, _| {})
             }
-            Instr::QueueRead(name) => self.queue_read(ctx, name, None),
+            Instr::QueueWrite(name, f) => {
+                let op = Op::write(self.io.queue_ref(&name), f(&self.regs));
+                self.step_op(ctx, op, |_, _| {})
+            }
+            Instr::QueueRead(name) => {
+                let op = Op::read(self.io.queue_ref(&name));
+                self.step_op(ctx, op, |regs, m| regs.msg = m)
+            }
             Instr::QueueTryWrite(name, f) => {
                 let msg = f(&self.regs);
                 let ok = {
@@ -659,27 +632,12 @@ impl ScriptProcess {
                 Progress::Continue
             }
             Instr::VarRead(name, f) => {
-                let dur = f(&self.regs);
-                self.var_begin(
-                    ctx,
-                    VarAccess {
-                        name,
-                        dur,
-                        write: None,
-                    },
-                )
+                let op = Op::read_for(self.io.var_ref(&name), f(&self.regs));
+                self.step_op(ctx, op, |regs, m| regs.var = m)
             }
             Instr::VarWrite(name, df, mf) => {
-                let dur = df(&self.regs);
-                let msg = mf(&self.regs);
-                self.var_begin(
-                    ctx,
-                    VarAccess {
-                        name,
-                        dur,
-                        write: Some(msg),
-                    },
-                )
+                let op = Op::write_for(self.io.var_ref(&name), df(&self.regs), mf(&self.regs));
+                self.step_op(ctx, op, |_, _| {})
             }
             Instr::Repeat(n, body) => {
                 if n > 0 {
@@ -788,139 +746,22 @@ impl ScriptProcess {
         }
     }
 
-    fn resume(&mut self, ctx: &mut SegmentCtx<'_>, pending: Pending) -> Progress {
-        match pending {
-            Pending::EventRetry(name) => self.event_wait(ctx, name),
-            Pending::EventFinish(name) => {
-                let mut agent = self.runner.agent(ctx);
-                self.io.event_ref(&name).finish_fugitive_wait(&mut agent);
-                Progress::Continue
-            }
-            Pending::QueueWrite(name, msg, ticket) => self.queue_write(ctx, name, msg, ticket),
-            Pending::QueueRead(name, ticket) => self.queue_read(ctx, name, ticket),
-            Pending::VarAcquire(acc) => self.var_begin(ctx, acc),
-            Pending::VarHold(acc) => self.var_release(ctx, acc),
-            Pending::VarRecord(acc) => {
-                self.var_record(ctx, &acc);
-                Progress::Continue
-            }
-        }
-    }
-
-    fn event_wait(&mut self, ctx: &mut SegmentCtx<'_>, name: Arc<str>) -> Progress {
-        let wait = {
-            let mut agent = self.runner.agent(ctx);
-            self.io.event_ref(&name).wait_attempt(&mut agent)
-        };
-        match wait {
-            EvWait::Ready => Progress::Continue,
-            EvWait::Registered { fugitive } => {
-                self.runner.suspend(false);
-                self.pending = Some(if fugitive {
-                    Pending::EventFinish(name)
-                } else {
-                    Pending::EventRetry(name)
-                });
+    /// Steps a blocking relation operation: feeds its need to the runner
+    /// and keeps it in flight, or completes it, `land`ing a read's value.
+    fn step_op(&mut self, ctx: &mut SegmentCtx<'_>, mut op: Op<Message>, land: Land) -> Progress {
+        match op.step(&mut self.runner.agent(ctx)) {
+            Err(need) => {
+                self.runner.feed(need, ctx);
+                self.op = Some((op, land));
                 Progress::Intent
             }
-        }
-    }
-
-    fn queue_write(
-        &mut self,
-        ctx: &mut SegmentCtx<'_>,
-        name: Arc<str>,
-        msg: Message,
-        mut ticket: Option<u64>,
-    ) -> Progress {
-        let res = {
-            let mut agent = self.runner.agent(ctx);
-            self.io
-                .queue_ref(&name)
-                .write_attempt(&mut agent, msg, &mut ticket)
-        };
-        match res {
-            Ok(()) => Progress::Continue,
-            Err(m) => {
-                self.runner.suspend(false);
-                self.pending = Some(Pending::QueueWrite(name, m, ticket));
-                Progress::Intent
-            }
-        }
-    }
-
-    fn queue_read(
-        &mut self,
-        ctx: &mut SegmentCtx<'_>,
-        name: Arc<str>,
-        mut ticket: Option<u64>,
-    ) -> Progress {
-        let got = {
-            let mut agent = self.runner.agent(ctx);
-            self.io
-                .queue_ref(&name)
-                .read_attempt(&mut agent, &mut ticket)
-        };
-        match got {
-            Some(m) => {
-                self.regs.msg = m;
+            Ok(got) => {
+                if let Some(m) = got {
+                    land(&mut self.regs, m);
+                }
                 Progress::Continue
             }
-            None => {
-                self.runner.suspend(false);
-                self.pending = Some(Pending::QueueRead(name, ticket));
-                Progress::Intent
-            }
         }
-    }
-
-    fn var_begin(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let var = self.io.var_ref(&acc.name);
-        let mut agent = self.runner.agent(ctx);
-        if !var.acquire_attempt(&mut agent) {
-            self.runner.suspend(true);
-            self.pending = Some(Pending::VarAcquire(acc));
-            return Progress::Intent;
-        }
-        // Lock acquired: take the value snapshot (exactly where a closure
-        // body's `with_lock` clones it), then compute under the lock.
-        if acc.write.is_none() {
-            self.regs.var = var.locked_get(&mut agent);
-        }
-        if !acc.dur.is_zero() {
-            self.runner.execute(acc.dur);
-            self.pending = Some(Pending::VarHold(acc));
-            return Progress::Intent;
-        }
-        self.var_release(ctx, acc)
-    }
-
-    fn var_release(&mut self, ctx: &mut SegmentCtx<'_>, acc: VarAccess) -> Progress {
-        let followup = {
-            let var = self.io.var_ref(&acc.name);
-            let mut agent = self.runner.agent(ctx);
-            if let Some(m) = acc.write {
-                var.locked_set(&mut agent, m);
-            }
-            var.release_attempt(&mut agent)
-        };
-        let now = ctx.now();
-        if self.runner.followup(followup, ctx.world(), now) {
-            self.pending = Some(Pending::VarRecord(acc));
-            return Progress::Intent;
-        }
-        self.var_record(ctx, &acc);
-        Progress::Continue
-    }
-
-    fn var_record(&mut self, ctx: &mut SegmentCtx<'_>, acc: &VarAccess) {
-        let kind = if acc.write.is_some() {
-            CommKind::Write
-        } else {
-            CommKind::Read
-        };
-        let mut agent = self.runner.agent(ctx);
-        self.io.var_ref(&acc.name).record_access(&mut agent, kind);
     }
 }
 
@@ -929,7 +770,7 @@ impl std::fmt::Debug for ScriptProcess {
         f.debug_struct("ScriptProcess")
             .field("frames", &self.ctl.len())
             .field("regs", &self.regs)
-            .field("pending", &self.pending.is_some())
+            .field("op", &self.op.as_ref().map(|(op, _)| op))
             .finish()
     }
 }

@@ -3,13 +3,13 @@
 //! a realistic model, constraint reporting, and closure bodies against
 //! scripts.
 
-use rtsim_comm::{EventPolicy, LockMode};
+use rtsim_comm::{EventPolicy, LockMode, Priority};
 use rtsim_core::{EngineKind, Overheads, TaskConfig};
 use rtsim_kernel::{ExecMode, SimDuration, SimTime};
 use rtsim_mcse::script::{
-    await_event, delay, exec, q_read, q_write, repeat, signal, var_read, var_write,
+    await_event, delay, exec, q_read, q_write, repeat, signal, var_read, var_write, Instr,
 };
-use rtsim_mcse::{generate_freertos, Mapping, Message, SystemModel, TimingConstraint};
+use rtsim_mcse::{generate_freertos, Mapping, Message, ModelError, SystemModel, TimingConstraint};
 
 fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
@@ -276,19 +276,77 @@ fn io_lookup_of_unknown_relation_panics_inside_the_run() {
     assert!(message.contains("mistyped_event"), "{message}");
 }
 
+/// The error elaborating a model whose one task runs `script`, with an
+/// event `Tick`, a queue `q` and a shared variable `v` declared.
+fn script_error(script: Vec<Instr>) -> ModelError {
+    let mut model = SystemModel::new("names");
+    model.software_processor("CPU", Overheads::zero());
+    model.event("Tick", EventPolicy::Counter);
+    model.queue("q", 1);
+    model.shared_var("v", Message::new(0, 1), LockMode::Plain);
+    model.function_script(TaskConfig::new("T"), script);
+    model.map_to_processor("T", "CPU");
+    model.elaborate().unwrap_err()
+}
+
+#[test]
+fn a_script_naming_an_undeclared_relation_fails_at_elaborate() {
+    let err = script_error(vec![delay(us(5)), q_read("Nope")]);
+    assert_eq!(
+        err,
+        ModelError::UnknownRelation {
+            function: "T".into(),
+            relation: "Nope".into(),
+            kind: "queue",
+        }
+    );
+    assert_eq!(
+        err.to_string(),
+        "function `T` names no declared queue relation `Nope`"
+    );
+    // A declared name of another kind.
+    let err = script_error(vec![delay(us(5)), q_read("Tick")]);
+    assert_eq!(
+        err,
+        ModelError::UnknownRelation {
+            function: "T".into(),
+            relation: "Tick".into(),
+            kind: "queue",
+        }
+    );
+    // A name nested in a loop body.
+    let err = script_error(vec![repeat(
+        2,
+        vec![await_event("Tick"), var_write("w", us(1), |r| r.msg)],
+    )]);
+    assert_eq!(
+        err,
+        ModelError::UnknownRelation {
+            function: "T".into(),
+            relation: "w".into(),
+            kind: "shared-variable",
+        }
+    );
+}
+
 /// One model, its bodies written as closures or as scripts: a hardware
-/// source writes a capacity-1 queue and signals a counter event twice per
+/// source writes a capacity-1 queue and signals an event twice per
 /// period; two prioritized tasks on a processor with 2 µs overheads wait
-/// on the event, compute, and read or write a priority-inheritance shared
-/// variable (the high-priority writer also drains the queue, and blocks
-/// on the variable while the low-priority reader holds it).
-fn closure_or_script_model(scripted: bool, mode: ExecMode) -> SystemModel {
+/// on the event, compute, and read or write a shared variable (the
+/// high-priority writer also drains the queue, and may block on the
+/// variable while the low-priority reader holds it).
+fn closure_or_script_model(
+    scripted: bool,
+    mode: ExecMode,
+    lock: LockMode,
+    policy: EventPolicy,
+) -> SystemModel {
     const N: u64 = 4;
     let mut model = SystemModel::new("closure_or_script");
     model.exec_mode(mode);
     model.queue("q", 1);
-    model.event("tick", EventPolicy::Counter);
-    model.shared_var("v", Message::new(0, 1), LockMode::PriorityInheritance);
+    model.event("tick", policy);
+    model.shared_var("v", Message::new(0, 1), lock);
     model.software_processor("CPU", Overheads::uniform(us(2)));
     let (src, hi, lo) = (
         TaskConfig::new("src"),
@@ -361,33 +419,128 @@ fn closure_or_script_model(scripted: bool, mode: ExecMode) -> SystemModel {
     model
 }
 
-/// Closure bodies and scripts drive the same step machines, so the same
-/// behaviour written either way gives the same canonical trace and the
-/// same kernel counters — closures on threads, scripts on threads, and
-/// scripts inline.
+/// Closure bodies and scripts drive the same step machines and the same
+/// relation operations, so the same behaviour written either way gives
+/// the same canonical trace and the same kernel counters — closures on
+/// threads, scripts on threads, and scripts inline — under every lock
+/// mode (the ceiling above `hi`'s priority) and every event policy.
 #[test]
 fn closure_and_script_bodies_agree_in_both_exec_modes() {
-    let run = |scripted, mode| {
-        let mut system = closure_or_script_model(scripted, mode).elaborate().unwrap();
-        system.run().unwrap();
-        let trace = system.trace();
-        let v = trace.actor_by_name("v").unwrap();
-        let stats = rtsim_trace::Statistics::from_trace(&trace, system.now());
-        let var = stats.relation(v).unwrap();
-        assert_eq!((var.writes, var.reads), (4, 4), "every job ran");
-        (rtsim_trace::canonical(&trace), system.kernel_stats())
-    };
-    let (closures, closure_stats) = run(false, ExecMode::Thread);
-    assert!(
-        closures.contains("waiting-resource"),
-        "the model never contends for the shared variable:\n{closures}"
-    );
-    for (label, scripted, mode) in [
-        ("scripts/thread", true, ExecMode::Thread),
-        ("scripts/segment", true, ExecMode::Segment),
+    const LOCKS: [LockMode; 4] = [
+        LockMode::Plain,
+        LockMode::PreemptionMasked,
+        LockMode::PriorityInheritance,
+        LockMode::PriorityCeiling(Priority(9)),
+    ];
+    const POLICIES: [EventPolicy; 3] = [
+        EventPolicy::Fugitive,
+        EventPolicy::Boolean,
+        EventPolicy::Counter,
+    ];
+    for lock in LOCKS {
+        for policy in POLICIES {
+            let run = |scripted, mode| {
+                let mut system = closure_or_script_model(scripted, mode, lock, policy)
+                    .elaborate()
+                    .unwrap();
+                system.run().unwrap();
+                let trace = system.trace();
+                let v = trace.actor_by_name("v").unwrap();
+                let stats = rtsim_trace::Statistics::from_trace(&trace, system.now());
+                let var = stats.relation(v).unwrap();
+                // A fugitive or boolean tick can be lost; a counted one
+                // releases every job.
+                if policy == EventPolicy::Counter {
+                    assert_eq!((var.writes, var.reads), (4, 4), "[{lock}] every job ran");
+                }
+                (rtsim_trace::canonical(&trace), system.kernel_stats())
+            };
+            let (closures, closure_stats) = run(false, ExecMode::Thread);
+            let contended = matches!(lock, LockMode::Plain | LockMode::PriorityInheritance);
+            if contended && policy == EventPolicy::Counter {
+                assert!(
+                    closures.contains("waiting-resource"),
+                    "[{lock}] the model never contends for the shared variable:\n{closures}"
+                );
+            }
+            for (label, scripted, mode) in [
+                ("scripts/thread", true, ExecMode::Thread),
+                ("scripts/segment", true, ExecMode::Segment),
+            ] {
+                let (trace, stats) = run(scripted, mode);
+                assert_eq!(
+                    trace, closures,
+                    "[{lock}, {policy}] {label}: canonical trace"
+                );
+                assert_eq!(
+                    stats, closure_stats,
+                    "[{lock}, {policy}] {label}: kernel statistics"
+                );
+            }
+        }
+    }
+}
+
+/// A hardware function writing a variable whose release has a follow-up
+/// (leave the critical region, reschedule): hardware has no RTOS, so the
+/// follow-up does nothing, whether the body is a closure (a no-op
+/// `Agent` call) or a script (no intent fed).
+#[test]
+fn a_hardware_release_follow_up_does_nothing_in_either_body() {
+    for lock in [
+        LockMode::PreemptionMasked,
+        LockMode::PriorityCeiling(Priority(9)),
     ] {
-        let (trace, stats) = run(scripted, mode);
-        assert_eq!(trace, closures, "{label}: canonical trace");
-        assert_eq!(stats, closure_stats, "{label}: kernel statistics");
+        let run = |scripted, mode| {
+            let mut model = SystemModel::new("hw_follow_up");
+            model.exec_mode(mode);
+            model.event("go", EventPolicy::Counter);
+            model.shared_var("v", Message::new(0, 1), lock);
+            model.software_processor("CPU", Overheads::uniform(us(2)));
+            let (hw, t) = (TaskConfig::new("hw"), TaskConfig::new("t").priority(3));
+            if scripted {
+                let write = var_write("v", us(5), |r| Message::new(r.k, 1));
+                model.function_script(hw, vec![repeat(3, vec![delay(us(7)), write, signal("go")])]);
+                model.function_script(
+                    t,
+                    vec![repeat(3, vec![await_event("go"), var_read("v", us(4))])],
+                );
+            } else {
+                model.function(hw, |agent, io| {
+                    let (v, go) = (io.var("v"), io.event("go"));
+                    for k in 0..3 {
+                        agent.delay(us(7));
+                        v.write_for(agent, us(5), Message::new(k, 1));
+                        go.signal(agent);
+                    }
+                });
+                model.function(t, |agent, io| {
+                    let (v, go) = (io.var("v"), io.event("go"));
+                    for _ in 0..3 {
+                        go.wait(agent);
+                        let _ = v.read_for(agent, us(4));
+                    }
+                });
+            }
+            model.map("hw", Mapping::Hardware);
+            model.map_to_processor("t", "CPU");
+            let mut system = model.elaborate().unwrap();
+            system.run().unwrap();
+            (
+                rtsim_trace::canonical(&system.trace()),
+                system.kernel_stats(),
+            )
+        };
+        let closures = run(false, ExecMode::Thread);
+        assert_eq!(
+            run(true, ExecMode::Thread),
+            closures,
+            "[{lock}] scripts/thread"
+        );
+        assert_eq!(
+            run(true, ExecMode::Segment),
+            closures,
+            "[{lock}] scripts/segment"
+        );
     }
 }

@@ -76,9 +76,9 @@ pub use rtsim_core::{
     assign_rate_monotonic, liu_layland_bound, partition_first_fit, response_time_analysis,
     schedulable, spawn_hw_function, spawn_interrupt_at, spawn_interrupt_schedule,
     spawn_periodic_interrupt, spawn_polling_server, utilization, Agent, AperiodicQueue,
-    CompletedRequest, EngineKind, OverheadSpec, Overheads, PeriodicTask, PollingServerConfig,
-    Priority, Processor, ProcessorConfig, ResponseTime, SchedulerStats, SchedulingPolicy,
-    TaskConfig, TaskCtx, TaskHandle, TaskId, TaskState, Waiter,
+    CompletedRequest, EngineKind, OverheadSpec, Overheads, Party, PeriodicTask,
+    PollingServerConfig, Priority, Processor, ProcessorConfig, ResponseTime, SchedulerStats,
+    SchedulingPolicy, TaskConfig, TaskCtx, TaskHandle, TaskId, TaskState, Waiter,
 };
 pub use rtsim_grid::{CacheStore, Grid, GridReport, Record};
 pub use rtsim_kernel::testutil;
