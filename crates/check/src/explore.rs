@@ -81,7 +81,7 @@ use std::hash::{Hash, Hasher};
 
 use rtsim_kernel::choice::{ChoiceKind, ChoicePoint};
 use rtsim_kernel::{ExecMode, KernelError, SimTime};
-use rtsim_mcse::ElaboratedSystem;
+use rtsim_mcse::{ConstraintReport, ElaboratedSystem};
 use rtsim_trace::{ActorInfo, Finding, Record, Trace};
 
 use crate::scenarios::{scenario_by_name, CheckScenario};
@@ -253,6 +253,21 @@ struct Live {
 }
 
 impl Live {
+    /// A fork of this system with its running hash, written over a spare
+    /// system when `spares` has one left; `None` if the system cannot
+    /// fork.
+    fn fork(&self, spares: &mut Vec<ElaboratedSystem>) -> Option<Live> {
+        let system = match spares.pop() {
+            Some(mut spare) => self.system.fork_into(&mut spare).then_some(spare),
+            None => self.system.fork(),
+        }?;
+        Some(Live {
+            system,
+            running: self.running,
+            hashed: self.hashed,
+        })
+    }
+
     /// Folds the records not yet hashed into the running hash, then mixes
     /// the choice-point identity (instant, kind, candidate tokens) into a
     /// copy — the state hash of "about to decide this choice".
@@ -309,6 +324,9 @@ struct Search<'s> {
     header: Option<(Mix, usize)>,
     fresh: u64,
     max_frames: usize,
+    /// The systems of runs that are over, each forked over again by a
+    /// later snapshot or sibling (see [`Live::fork`]).
+    spares: Vec<ElaboratedSystem>,
 }
 
 impl<'s> Search<'s> {
@@ -325,6 +343,18 @@ impl<'s> Search<'s> {
             header: None,
             fresh: 0,
             max_frames: 0,
+            spares: Vec::new(),
+        }
+    }
+
+    /// Keeps the system of a run that is over as a spare for a later
+    /// fork. Forks only ever need as many systems at once as the deepest
+    /// stack had snapshots, plus the run's own, so the pool never holds
+    /// more; past that (a system that cannot fork, whose runs replay),
+    /// the system is dropped.
+    fn recycle(&mut self, system: ElaboratedSystem) {
+        if self.fork && self.spares.len() <= self.max_frames {
+            self.spares.push(system);
         }
     }
 
@@ -383,6 +413,7 @@ impl<'s> Search<'s> {
                         // same trace: the run ends here.
                         self.choice_points += rest;
                         self.settle(first, depth as u64 + rest);
+                        self.recycle(live.system);
                         return None;
                     }
                     self.path.push(0);
@@ -394,9 +425,10 @@ impl<'s> Search<'s> {
             live.system.simulator_mut().decide(choice);
         }
         self.settle(first, depth as u64);
-        let (running, hashed) = (live.running, live.hashed);
-        let (trace, violations) = finish(live.system, error);
-        Some((self.trace_hash(&trace, running, hashed), violations))
+        let report = live.system.finish();
+        let hash = self.trace_hash(&live);
+        self.recycle(live.system);
+        Some((hash, violations(error, report)))
     }
 
     /// A fresh choice point (past the forced prefix): push a frame for
@@ -423,11 +455,7 @@ impl<'s> Search<'s> {
             }
         }
         let snapshot = if self.fork {
-            live.system.fork().map(|system| Live {
-                system,
-                running: live.running,
-                hashed: live.hashed,
-            })
+            live.fork(&mut self.spares)
         } else {
             None
         };
@@ -484,12 +512,15 @@ impl<'s> Search<'s> {
     /// records it has not folded yet. The replay search hashes the whole
     /// trace from scratch instead, as the reference for that shortcut; so
     /// does a run that registered an actor after elaboration.
-    fn trace_hash(&self, trace: &Trace, mut running: Mix, mut hashed: usize) -> u64 {
-        if !self.fork || self.header.map(|(_, actors)| actors) != Some(trace.actors().len()) {
-            (running, hashed) = (header(trace.actors()), 0);
-        }
-        Record::hash_slice(&trace.records()[hashed..], &mut running);
-        running.finish()
+    fn trace_hash(&self, live: &Live) -> u64 {
+        let (mut running, mut hashed) = (live.running, live.hashed);
+        live.system.recorder().with_records(|actors, records| {
+            if !self.fork || self.header.map(|(_, n)| n) != Some(actors.len()) {
+                (running, hashed) = (header(actors), 0);
+            }
+            Record::hash_slice(&records[hashed..], &mut running);
+            running.finish()
+        })
     }
 
     /// The whole depth-first search.
@@ -531,10 +562,9 @@ impl<'s> Search<'s> {
             // The last sibling takes the snapshot itself; earlier ones a
             // fork of it. Without a snapshot the sibling replays.
             start = if frame.info.chosen + 1 < frame.info.arity {
-                frame.snapshot.as_ref().map(|snap| Live {
-                    system: snap.system.fork().expect("a forked system forks again"),
-                    running: snap.running,
-                    hashed: snap.hashed,
+                frame.snapshot.as_ref().map(|snap| {
+                    snap.fork(&mut self.spares)
+                        .expect("a forked system forks again")
                 })
             } else {
                 frame.snapshot.take()
@@ -652,21 +682,18 @@ fn label(scenario: &CheckScenario, path: &[usize], frames: &mut [ChoiceFrame]) {
     }
 }
 
-/// Ends a run: its trace and what it violated — the kernel `error` it
-/// stopped on, if any, then every finding of the system's report that
-/// does not hold.
-fn finish(system: ElaboratedSystem, error: Option<KernelError>) -> (Trace, Vec<Finding>) {
-    let (trace, report) = system.finish();
+/// What a run violated: the kernel `error` it stopped on, if any, then
+/// every finding of its system's `report` that does not hold.
+fn violations(error: Option<KernelError>, report: ConstraintReport) -> Vec<Finding> {
     let kernel = error.map(|e| Finding {
         property: "kernel".to_owned(),
         holds: false,
         message: e.to_string(),
     });
-    let violations = kernel
+    kernel
         .into_iter()
         .chain(report.findings.into_iter().filter(|f| !f.holds))
-        .collect();
-    (trace, violations)
+        .collect()
 }
 
 /// Depth-first exploration of every schedule of `scenario`, with
@@ -777,7 +804,8 @@ pub fn try_replay(
             surplus: choices.len() - depth,
         });
     }
-    Ok(finish(system, error))
+    let report = system.finish();
+    Ok((system.trace(), violations(error, report)))
 }
 
 /// [`try_replay`] for a sequence known to fit the scenario, such as a

@@ -14,7 +14,10 @@
 //! - a fork adds no handle to its parent's world — every step machine
 //!   holds slot ids, not a world — and a fault plan's lanes are copied
 //!   with the world, not shared;
-//! - a system that cannot fork says so, and the explorer replays it.
+//! - a system that cannot fork says so, and the explorer replays it;
+//! - a fork written over a spare system — one whose run is over, as the
+//!   explorer recycles them, or one of another scenario — runs exactly
+//!   as a fresh fork does.
 
 use rtsim_check::explore::explore_replaying;
 use rtsim_check::scenarios::toy_scenario;
@@ -23,7 +26,8 @@ use rtsim_check::{
     SCENARIOS,
 };
 use rtsim_core::{
-    EngineKind, Overheads, PolicyView, SchedulingPolicy, TaskConfig, TaskId, TaskView,
+    EngineKind, Overheads, PolicyView, SchedulerStats, SchedulingPolicy, TaskConfig, TaskId,
+    TaskView,
 };
 use rtsim_kernel::{ChoicePoint, ExecMode, KernelStats, SimDuration, SimTime};
 use rtsim_mcse::{script as s, ElaboratedSystem, FaultPlan, Mapping, Message, SystemModel};
@@ -412,4 +416,89 @@ fn a_thread_backed_task_or_an_uncopyable_policy_cannot_fork() {
             &replayed.trace_hashes
         )
     );
+}
+
+/// Runs `system` to the horizon, taking the stable order at every choice
+/// point, the one it is stopped at included.
+fn run_out(system: &mut ElaboratedSystem, until: SimTime) {
+    while let Some(_point) = system
+        .simulator_mut()
+        .run_to_choice(until)
+        .expect("the run stays healthy")
+    {
+        system.simulator_mut().decide(0);
+    }
+}
+
+/// What a run leaves: its canonical trace, kernel and processor
+/// counters, and how often its world was lent.
+type Outcome = (String, KernelStats, Vec<Option<SchedulerStats>>, u64);
+
+fn outcome(system: &ElaboratedSystem) -> Outcome {
+    let processors = system
+        .processor_names()
+        .map(|name| system.processor_stats(name))
+        .collect();
+    let loans = system.recorder().world().lock_for("outcome").loans();
+    (
+        canonical(&system.trace()),
+        system.kernel_stats(),
+        processors,
+        loans,
+    )
+}
+
+/// At every choice point of each healthy scenario's stable run, the
+/// system is forked three ways: fresh, over a spare of the same
+/// elaboration that ran to its horizon from the choice point before (or
+/// from rest), and over a finished system of the next scenario. Each
+/// copy then runs to the horizon in the stable order, and all three must
+/// end alike: a field the copy into a spare left as the spare had it
+/// would show in the trace or the counters.
+#[test]
+fn a_fork_into_a_spare_is_a_fork() {
+    let healthy: Vec<&CheckScenario> = SCENARIOS
+        .iter()
+        .filter(|s| s.expect == Expectation::Hold)
+        .collect();
+    for (i, scenario) in healthy.iter().enumerate() {
+        let other = healthy[(i + 1) % healthy.len()];
+        let (name, until) = (scenario.name, horizon(scenario));
+        let mut parent = elaborate(scenario);
+        let mut spare = parent.fork().expect("a script system forks");
+        run_out(&mut spare, until);
+        let mut point = 0;
+        while let Some(_point) = parent
+            .simulator_mut()
+            .run_to_choice(until)
+            .expect("the run stays healthy")
+        {
+            let mut fresh = parent.fork().expect("a script system forks");
+            let mut stranger = elaborate(other);
+            run_out(&mut stranger, horizon(other));
+            assert!(parent.fork_into(&mut spare), "{name}: into a spare");
+            assert!(
+                parent.fork_into(&mut stranger),
+                "{name}: into a system of {}",
+                other.name
+            );
+            for system in [&mut fresh, &mut spare, &mut stranger] {
+                run_out(system, until);
+            }
+            let want = outcome(&fresh);
+            assert!(
+                outcome(&spare) == want,
+                "{name}: at choice point {point}, the fork into a spare ended unlike a fresh fork"
+            );
+            assert!(
+                outcome(&stranger) == want,
+                "{name}: at choice point {point}, the fork into a system of {} ended unlike a \
+                 fresh fork",
+                other.name
+            );
+            parent.simulator_mut().decide(0);
+            point += 1;
+        }
+        assert!(point > 0, "{name}: the stable run met no choice point");
+    }
 }

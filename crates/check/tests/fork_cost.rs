@@ -1,6 +1,6 @@
-//! What a fork costs, counted: forking and dropping each healthy check
-//! scenario at every choice point of its stable run makes exactly the
-//! pinned number of allocations.
+//! What a fork costs, counted: forking each healthy check scenario at
+//! every choice point of its stable run makes exactly the pinned number
+//! of allocations, fresh or into a spare, and so does a whole search.
 //!
 //! The explorer resumes every sibling schedule from a fork, so this is
 //! the cost of a run's start. A fork copies run state only: what
@@ -10,16 +10,25 @@
 //! name again, or anything else per event, process, slot or task, moves
 //! these counts.
 //!
+//! The explorer writes most forks over the system of a run that is over
+//! (`ElaboratedSystem::fork_into`), reusing its buffers: such a fork
+//! allocates only where the copy needs more room than the spare has, and
+//! for what a slot cannot copy in place (each processor's scheduling
+//! policy box). A type that stops writing into its own buffers (a
+//! derived `Clone` where a hand-written `clone_from` was), or a machine
+//! spawned as a closure again, moves those counts.
+//!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]` over `System`. Counting is per thread and only
-//! switched on around each fork and its drop, so the test harness's own
-//! threads never show up.
+//! switched on around what is counted, so the test harness's own threads
+//! never show up.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rtsim_check::{scenario_by_name, CheckScenario, Expectation, SCENARIOS};
+use rtsim_check::{explore, Budget, CheckScenario, Expectation, SCENARIOS};
 use rtsim_kernel::{ExecMode, SimTime};
+use rtsim_mcse::ElaboratedSystem;
 
 struct Counting;
 
@@ -79,59 +88,146 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 /// Per healthy scenario: the choice points of its stable run, and the
 /// allocations of forking and dropping the system at all of them.
 const PINS: [(&str, u64, u64); 7] = [
-    ("rivals", 11, 281),
-    ("burst_queue", 13, 341),
-    ("irq_races", 15, 422),
-    ("var_ceiling", 4, 121),
-    ("pipeline", 6, 164),
-    ("smp_migration", 19, 562),
-    ("fault_dropout", 10, 247),
+    ("rivals", 11, 270),
+    ("burst_queue", 13, 328),
+    ("irq_races", 15, 407),
+    ("var_ceiling", 4, 113),
+    ("pipeline", 6, 158),
+    ("smp_migration", 19, 528),
+    ("fault_dropout", 10, 227),
 ];
 
-/// Runs `scenario` in the stable order, forking and dropping it at each
-/// choice point: the choice points met and the allocations of the forks.
-fn fork_allocations(scenario: &CheckScenario) -> (u64, u64) {
+/// Per healthy scenario: the allocations of forking the system into one
+/// spare of the same elaboration at every choice point of its stable
+/// run, on the spare's first pass over them and on its second.
+const SPARE_PINS: [(&str, u64, u64); 7] = [
+    ("rivals", 16, 0),
+    ("burst_queue", 18, 0),
+    ("irq_races", 19, 0),
+    ("var_ceiling", 6, 0),
+    ("pipeline", 19, 0),
+    ("smp_migration", 14, 0),
+    ("fault_dropout", 15, 0),
+];
+
+/// Runs and allocations of exploring every healthy scenario under the
+/// default budget, one after the other.
+const EXPLORE_PIN: (u64, u64) = (84_836, 263_757);
+
+/// The healthy scenarios, checked against the names of a pin table.
+fn healthy(pinned: impl Iterator<Item = &'static str>) -> Vec<&'static CheckScenario> {
+    let healthy: Vec<&CheckScenario> = SCENARIOS
+        .iter()
+        .filter(|s| s.expect == Expectation::Hold)
+        .collect();
+    assert_eq!(
+        pinned.collect::<Vec<_>>(),
+        healthy.iter().map(|s| s.name).collect::<Vec<_>>(),
+        "the healthy registry changed: update the pins"
+    );
+    healthy
+}
+
+fn elaborate(scenario: &CheckScenario) -> ElaboratedSystem {
     let mut model = (scenario.build)();
     model.exec_mode(ExecMode::Segment);
-    let mut system = model.elaborate().expect("check scenario elaborates");
-    let until = SimTime::ZERO + scenario.horizon;
-    let (mut points, mut allocs) = (0, 0);
+    model.elaborate().expect("check scenario elaborates")
+}
+
+/// Runs `system` in the stable order, calling `at_choice` at each choice
+/// point; returns the choice points met.
+fn stable_run(
+    system: &mut ElaboratedSystem,
+    until: SimTime,
+    mut at_choice: impl FnMut(&ElaboratedSystem),
+) -> u64 {
+    let mut points = 0;
     while system
         .simulator_mut()
         .run_to_choice(until)
         .expect("a healthy run stays healthy")
         .is_some()
     {
-        allocs += allocations_in(|| drop(system.fork().expect("a script system forks")));
+        at_choice(system);
         points += 1;
         system.simulator_mut().decide(0);
     }
+    points
+}
+
+/// Runs `scenario` in the stable order, forking and dropping it at each
+/// choice point: the choice points met and the allocations of the forks.
+fn fork_allocations(scenario: &CheckScenario) -> (u64, u64) {
+    let mut system = elaborate(scenario);
+    let mut allocs = 0;
+    let points = stable_run(&mut system, SimTime::ZERO + scenario.horizon, |system| {
+        allocs += allocations_in(|| drop(system.fork().expect("a script system forks")));
+    });
     (points, allocs)
+}
+
+/// Runs two copies of one elaboration of `scenario`, taken before either
+/// ran, in the stable order one after the other, forking each into the
+/// same spare at every choice point: the allocations of those forks on
+/// the first run and on the second.
+fn spare_allocations(scenario: &CheckScenario) -> (u64, u64) {
+    let origin = elaborate(scenario);
+    let mut spare = origin.fork().expect("a script system forks");
+    let mut passes = [0; 2];
+    for allocs in &mut passes {
+        let mut system = origin.fork().expect("a script system forks");
+        stable_run(&mut system, SimTime::ZERO + scenario.horizon, |system| {
+            *allocs += allocations_in(|| assert!(system.fork_into(&mut spare)));
+        });
+    }
+    (passes[0], passes[1])
+}
+
+/// The pins that `counted` does not reproduce, one line each.
+fn drift(
+    pins: &[(&'static str, u64, u64)],
+    what: &str,
+    counted: impl Fn(&CheckScenario) -> (u64, u64),
+) -> Vec<String> {
+    let scenarios = healthy(pins.iter().map(|pin| pin.0));
+    pins.iter()
+        .zip(scenarios)
+        .filter_map(|(&(name, a, b), scenario)| {
+            let got = counted(scenario);
+            (got != (a, b)).then(|| format!("{name}: {what} pinned {:?}, counted {got:?}", (a, b)))
+        })
+        .collect()
 }
 
 #[test]
 fn a_fork_makes_the_pinned_allocations() {
-    let healthy: Vec<&str> = SCENARIOS
-        .iter()
-        .filter(|s| s.expect == Expectation::Hold)
-        .map(|s| s.name)
-        .collect();
-    assert_eq!(
-        PINS.map(|pin| pin.0).to_vec(),
-        healthy,
-        "the healthy registry changed: update PINS"
-    );
-    let problems: Vec<String> = PINS
-        .iter()
-        .filter_map(|&(name, points, allocs)| {
-            let got = fork_allocations(scenario_by_name(name).expect("registered"));
-            (got != (points, allocs)).then(|| {
-                format!(
-                    "{name}: pinned {allocs} allocations over {points} forks, counted {} over {}",
-                    got.1, got.0
-                )
-            })
-        })
-        .collect();
+    let problems = drift(&PINS, "(forks, allocations)", fork_allocations);
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn a_fork_into_a_spare_makes_the_pinned_allocations() {
+    let problems = drift(
+        &SPARE_PINS,
+        "(first pass, second pass) allocations",
+        spare_allocations,
+    );
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// What the benchmark's `alloc.count_per_item` reads on `explore`, pinned
+/// as a whole: every allocation of a default-budget search of each
+/// healthy scenario, elaboration, visited set and leaf checks included.
+#[test]
+fn an_exploration_makes_the_pinned_allocations() {
+    let (mut runs, mut allocs) = (0, 0);
+    for scenario in healthy(PINS.iter().map(|pin| pin.0)) {
+        allocs += allocations_in(|| runs += explore(scenario, &Budget::default()).runs);
+    }
+    assert!(
+        (runs, allocs) == EXPLORE_PIN,
+        "(runs, allocations) pinned {EXPLORE_PIN:?}, counted {:?}: {:.2} per run",
+        (runs, allocs),
+        allocs as f64 / runs as f64
+    );
 }

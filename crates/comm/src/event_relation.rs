@@ -49,13 +49,32 @@ impl fmt::Display for EventPolicy {
     }
 }
 
-#[derive(Clone)]
 struct EvState {
     policy: EventPolicy,
     tokens: u64,
     waiters: VecDeque<Waiter>,
     /// Installed by a fault plan: consulted once per signal.
     lane: Option<Slot<ChannelLane>>,
+}
+
+/// By hand, so that a fork into another simulation's world reuses its
+/// wait list.
+impl Clone for EvState {
+    fn clone(&self) -> Self {
+        EvState {
+            policy: self.policy,
+            tokens: self.tokens,
+            waiters: self.waiters.clone(),
+            lane: self.lane,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.policy = source.policy;
+        self.tokens = source.tokens;
+        self.waiters.clone_from(&source.waiters);
+        self.lane = source.lane;
+    }
 }
 
 /// A synchronization event between MCSE functions, usable across

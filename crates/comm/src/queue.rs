@@ -19,7 +19,6 @@ use rtsim_trace::{ActorId, ActorKind, CommKind, FaultKind, TraceLog, TraceRecord
 
 use crate::op::Op;
 
-#[derive(Clone)]
 struct QState<T> {
     buffer: VecDeque<T>,
     capacity: usize,
@@ -35,6 +34,30 @@ struct QState<T> {
     /// wait lists stay ordered by who blocked first — not by who
     /// happened to retry last.
     next_ticket: u64,
+}
+
+/// By hand, so that a fork into another simulation's world reuses the
+/// buffer and the wait lists.
+impl<T: Clone> Clone for QState<T> {
+    fn clone(&self) -> Self {
+        QState {
+            buffer: self.buffer.clone(),
+            capacity: self.capacity,
+            readers: self.readers.clone(),
+            writers: self.writers.clone(),
+            lane: self.lane,
+            next_ticket: self.next_ticket,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.buffer.clone_from(&source.buffer);
+        self.capacity = source.capacity;
+        self.readers.clone_from(&source.readers);
+        self.writers.clone_from(&source.writers);
+        self.lane = source.lane;
+        self.next_ticket = source.next_ticket;
+    }
 }
 
 impl<T> QState<T> {

@@ -61,13 +61,34 @@ impl fmt::Display for LockMode {
     }
 }
 
-#[derive(Clone)]
 struct VState<T> {
     value: T,
     held: bool,
     owner: Option<TaskHandle>,
     owner_base_priority: Option<Priority>,
     waiters: VecDeque<Waiter>,
+}
+
+/// By hand, so that a fork into another simulation's world reuses the
+/// wait list.
+impl<T: Clone> Clone for VState<T> {
+    fn clone(&self) -> Self {
+        VState {
+            value: self.value.clone(),
+            held: self.held,
+            owner: self.owner,
+            owner_base_priority: self.owner_base_priority,
+            waiters: self.waiters.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.value.clone_from(&source.value);
+        self.held = source.held;
+        self.owner = source.owner;
+        self.owner_base_priority = source.owner_base_priority;
+        self.waiters.clone_from(&source.waiters);
+    }
 }
 
 /// A shared variable with mutual exclusion, connecting MCSE functions.

@@ -195,7 +195,8 @@ pub(crate) struct RtosState {
 
 /// A forked simulation gets a copy of the tables; the policy copies
 /// itself through [`SchedulingPolicy::fork`], and one that cannot makes
-/// the processor, and so the simulation, unforkable.
+/// the processor, and so the simulation, unforkable. The decision scratch
+/// `ready_view` is refilled before each use, so it is never copied.
 impl Fork for RtosState {
     fn fork(&self) -> Option<Self> {
         Some(RtosState {
@@ -208,7 +209,7 @@ impl Fork for RtosState {
             started: self.started,
             tasks: self.tasks.clone(),
             ready: self.ready.clone(),
-            ready_view: self.ready_view.clone(),
+            ready_view: Vec::new(),
             cores: self.cores,
             core_slots: self.core_slots.clone(),
             enqueue_counter: self.enqueue_counter,
@@ -216,6 +217,29 @@ impl Fork for RtosState {
             rtk_run: self.rtk_run,
             stats: self.stats,
         })
+    }
+
+    /// Writes the tables into the ones `self` already has.
+    fn fork_from(&mut self, source: &Self) -> bool {
+        let Some(policy) = source.policy.fork() else {
+            return false;
+        };
+        self.kind = source.kind;
+        self.policy = policy;
+        self.overheads.clone_from(&source.overheads);
+        self.preemption_granularity = source.preemption_granularity;
+        self.preemptive = source.preemptive;
+        self.lock_depth = source.lock_depth;
+        self.started = source.started;
+        self.tasks.clone_from(&source.tasks);
+        self.ready.clone_from(&source.ready);
+        self.cores = source.cores;
+        self.core_slots.clone_from(&source.core_slots);
+        self.enqueue_counter = source.enqueue_counter;
+        self.requests.clone_from(&source.requests);
+        self.rtk_run = source.rtk_run;
+        self.stats = source.stats;
+        true
     }
 }
 

@@ -316,13 +316,31 @@ fn step_delay(
 /// [`advance`](SegTaskRunner::advance).
 ///
 /// Plain data and slot ids: cloning it copies the task's machine, which
-/// is how a forked simulation gets its own.
-#[derive(Clone)]
+/// is how a forked simulation gets its own, and `clone_from` writes the
+/// frames into the stack the target already has.
 pub struct SegTaskRunner {
     pub(crate) handle: TaskHandle,
     name: Arc<str>,
     stack: Vec<Frame>,
     done: bool,
+}
+
+impl Clone for SegTaskRunner {
+    fn clone(&self) -> Self {
+        SegTaskRunner {
+            handle: self.handle,
+            name: Arc::clone(&self.name),
+            stack: self.stack.clone(),
+            done: self.done,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.handle = source.handle;
+        self.name.clone_from(&source.name);
+        self.stack.clone_from(&source.stack);
+        self.done = source.done;
+    }
 }
 
 impl SegTaskRunner {
@@ -526,8 +544,7 @@ enum HwFrame {
 /// stack: the operations behind [`HwCtx`](crate::HwCtx).
 ///
 /// Created by [`register_seg_hw`]. Plain data and slot ids, like
-/// [`SegTaskRunner`].
-#[derive(Clone)]
+/// [`SegTaskRunner`], and copied into a target's stack the same way.
 pub struct SegHwRunner {
     waker: HwWaker,
     actor: ActorId,
@@ -535,6 +552,28 @@ pub struct SegHwRunner {
     stack: Vec<HwFrame>,
     started: bool,
     done: bool,
+}
+
+impl Clone for SegHwRunner {
+    fn clone(&self) -> Self {
+        SegHwRunner {
+            waker: self.waker,
+            actor: self.actor,
+            log: self.log,
+            stack: self.stack.clone(),
+            started: self.started,
+            done: self.done,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.waker = source.waker;
+        self.actor = source.actor;
+        self.log = source.log;
+        self.stack.clone_from(&source.stack);
+        self.started = source.started;
+        self.done = source.done;
+    }
 }
 
 /// Registers a hardware function: creates its trace actor, wake event

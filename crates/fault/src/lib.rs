@@ -42,6 +42,7 @@
 //! no-fault runs, which is what keeps pre-fault goldens stable.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rtsim_campaign::hash::Fnv1a;
 use rtsim_kernel::testutil::Rng;
@@ -269,7 +270,8 @@ impl FaultPlan {
 /// probability lanes replay bit-exactly.
 #[derive(Debug, Clone)]
 pub struct ChannelLane {
-    mode: DropMode,
+    /// Plan data, shared by the lane's copies in forked worlds.
+    mode: Arc<DropMode>,
     rng: Rng,
     drops: u64,
 }
@@ -277,7 +279,7 @@ pub struct ChannelLane {
 impl ChannelLane {
     fn new(seed: u64, channel: &str, mode: DropMode) -> ChannelLane {
         ChannelLane {
-            mode,
+            mode: Arc::new(mode),
             rng: Rng::seed_from_u64(seed).fork(stream_id("drop", channel)),
             drops: 0,
         }
@@ -285,7 +287,7 @@ impl ChannelLane {
 
     /// Decides the fate of one delivery at `now`; counts drops.
     pub fn should_drop(&mut self, now: SimTime) -> bool {
-        let drop = match &self.mode {
+        let drop = match &*self.mode {
             DropMode::Probability(p) => self.rng.gen_bool(*p),
             DropMode::Windows(windows) => windows
                 .iter()

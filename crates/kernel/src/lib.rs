@@ -82,7 +82,7 @@ pub use error::KernelError;
 pub use event::{Event, Wake};
 pub use process::{ProcessContext, ProcessId};
 pub use scheduler::KernelStats;
-pub use segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx, WaitRequest};
+pub use segment::{ExecMode, KernelHandle, Notifier, SegMachine, SegStep, SegmentCtx, WaitRequest};
 pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};
 pub use world::{Fork, SharedWorld, Slot, World, WorldRef};

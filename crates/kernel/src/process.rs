@@ -25,6 +25,7 @@
 //! quantity the DATE 2004 paper's approach-A versus approach-B
 //! experiment measures — is faithfully reproduced.
 
+use std::any::Any;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
@@ -33,7 +34,7 @@ use std::thread::JoinHandle;
 
 use crate::event::{Event, Wake};
 use crate::scheduler::{Kernel, Next};
-use crate::segment::{Notifier, SegmentCtx, WaitRequest};
+use crate::segment::{Notifier, SegMachine, SegStep, SegmentCtx, WaitRequest};
 use crate::time::{SimDuration, SimTime};
 use crate::world::WorldRef;
 
@@ -360,30 +361,42 @@ impl ProcessContext {
     }
 }
 
-/// A segment-process body: a step machine the scheduler calls inline,
-/// and copies when the simulator is forked.
-pub(crate) trait SegMachine: Send {
+/// A segment-process body as the kernel holds it: a boxed
+/// [`SegMachine`] it calls inline and copies when the simulator is
+/// forked.
+pub(crate) trait Machine: Send {
     /// Runs one step.
-    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> crate::segment::SegStep;
-    /// A copy of the machine in its current state.
-    fn fork(&self) -> SegBody;
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep;
+    /// Writes a copy of the machine in its current state over `into`: in
+    /// place when that is a machine of the same type, else into a new
+    /// box.
+    fn fork_into(&self, into: &mut Option<SegBody>);
+    /// The machine as [`Any`], to tell its type.
+    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<F> SegMachine for F
-where
-    F: FnMut(&mut SegmentCtx<'_>) -> crate::segment::SegStep + Clone + Send + 'static,
-{
-    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> crate::segment::SegStep {
-        self(ctx)
+impl<M: SegMachine> Machine for M {
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep {
+        SegMachine::step(self, ctx)
     }
 
-    fn fork(&self) -> SegBody {
-        Box::new(self.clone())
+    fn fork_into(&self, into: &mut Option<SegBody>) {
+        match into
+            .as_mut()
+            .and_then(|b| b.as_any_mut().downcast_mut::<M>())
+        {
+            Some(machine) => machine.clone_from(self),
+            None => *into = Some(Box::new(self.clone())),
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
-/// A boxed [`SegMachine`].
-pub(crate) type SegBody = Box<dyn SegMachine>;
+/// A boxed [`Machine`].
+pub(crate) type SegBody = Box<dyn Machine>;
 
 /// How one process is executed: the coroutine-style thread handoff, or a
 /// run-to-completion state machine dispatched inside the scheduler loop.
@@ -395,9 +408,10 @@ pub(crate) enum ProcBackend {
         /// Join handle, for teardown.
         join: JoinHandle<()>,
     },
-    /// A state machine called directly by the scheduler. `None` only
-    /// transiently while a dispatch is in flight, and permanently once the
-    /// segment is done or has panicked.
+    /// A state machine called directly by the scheduler. `None` while a
+    /// dispatch is in flight, and once the segment has panicked. A done
+    /// segment keeps its machine, never stepped again, so that a fork
+    /// into this kernel can write a live copy over it in place.
     Segment {
         /// The state machine.
         body: Option<SegBody>,
@@ -414,24 +428,40 @@ pub(crate) struct ProcHandle {
 }
 
 impl ProcHandle {
-    /// A copy of this process for a forked kernel: a segment's machine
-    /// is copied in its current state, and a dead thread process becomes
-    /// a finished segment. `None` for a live thread process.
-    pub fn fork(&self) -> Option<ProcHandle> {
-        let backend = match &self.backend {
-            ProcBackend::Segment { body } => ProcBackend::Segment {
-                body: body.as_ref().map(|machine| machine.fork()),
-            },
-            ProcBackend::Thread { .. } if self.state == ProcState::Dead => {
-                ProcBackend::Segment { body: None }
-            }
-            ProcBackend::Thread { .. } => return None,
+    /// A finished segment process: what a fork writes a process over
+    /// when its kernel has none at that id yet.
+    pub fn finished() -> ProcHandle {
+        ProcHandle {
+            backend: ProcBackend::Segment { body: None },
+            state: ProcState::Dead,
+            wait_seq: 0,
+        }
+    }
+
+    /// Writes a copy of this process over `into`, a segment process of a
+    /// forked kernel: a live segment's machine is copied in its current
+    /// state (in place when `into` holds one of the same type), and a dead
+    /// process of either kind is a dead segment, whose machine, if
+    /// `into` has one, is left for a later fork to write over. `false`
+    /// for a live thread process, whose state is a stack on another
+    /// thread.
+    pub fn fork_into(&self, into: &mut ProcHandle) -> bool {
+        let ProcBackend::Segment { body } = &mut into.backend else {
+            unreachable!("a kernel is forked into segment processes only")
         };
-        Some(ProcHandle {
-            backend,
-            state: self.state,
-            wait_seq: self.wait_seq,
-        })
+        match &self.backend {
+            _ if self.state == ProcState::Dead => {}
+            ProcBackend::Segment {
+                body: Some(machine),
+            } => machine.fork_into(body),
+            ProcBackend::Segment { body: None } => {
+                unreachable!("a live segment at rest has its machine")
+            }
+            ProcBackend::Thread { .. } => return false,
+        }
+        into.state = self.state;
+        into.wait_seq = self.wait_seq;
+        true
     }
 
     /// Whether the process is still blocked in wait generation `seq`:

@@ -34,7 +34,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::panic;
 use std::sync::mpsc::{self, SendError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::thread;
 
 use crate::choice::{CandidateDetail, ChoiceKind, ChoicePoint};
@@ -44,7 +44,7 @@ use crate::process::{
     describe_panic_payload, spawn_process, NotifyOp, ProcBackend, ProcHandle, ProcState,
     ProcessContext, ProcessId, ResumeMsg, YieldReason,
 };
-use crate::segment::{SegStep, SegmentCtx, WaitRequest};
+use crate::segment::{SegMachine, SegStep, SegmentCtx, WaitRequest};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, World};
 
@@ -60,11 +60,25 @@ enum Pending {
     Timed { time: SimTime, stamp: u64 },
 }
 
-#[derive(Clone)]
 struct EventEntry {
     /// `(pid, wait_seq)` pairs; stale entries are skipped lazily.
     waiters: Vec<(ProcessId, u64)>,
     pending: Pending,
+}
+
+/// By hand, so that a fork into another kernel reuses its wait lists.
+impl Clone for EventEntry {
+    fn clone(&self) -> Self {
+        EventEntry {
+            waiters: self.waiters.clone(),
+            pending: self.pending,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.waiters.clone_from(&source.waiters);
+        self.pending = source.pending;
+    }
 }
 
 /// Action carried by a timer-wheel entry.
@@ -208,11 +222,14 @@ pub(crate) struct Kernel {
 
 impl Kernel {
     pub fn new() -> Self {
+        /// The names of a kernel that has none yet: one table every new
+        /// kernel shares, so making one (a fresh fork's) allocates none.
+        static NO_NAMES: LazyLock<Arc<Names>> = LazyLock::new(Arc::default);
         Kernel {
             now: SimTime::ZERO,
             procs: Vec::new(),
             events: Vec::new(),
-            names: Arc::default(),
+            names: Arc::clone(&NO_NAMES),
             runnable: VecDeque::new(),
             delta_events: Vec::new(),
             timers: BinaryHeap::new(),
@@ -233,39 +250,52 @@ impl Kernel {
         }
     }
 
-    /// A copy of this kernel at rest (between runs, or stopped at a
-    /// choice point). `None` if a live process is thread-backed: its
-    /// state is a stack on another thread, which cannot be copied.
-    pub fn fork(&self) -> Option<Kernel> {
-        debug_assert!(self.run.is_none(), "fork of a kernel in a run");
-        let procs = self
+    /// Writes a copy of this kernel at rest (between runs, or stopped at
+    /// a choice point) over `into`, reusing `into`'s buffers and, where it
+    /// runs a machine of the same type at the same id, that machine.
+    /// `false` if a live process is thread-backed: its state is a stack
+    /// on another thread, which cannot be copied. `into` is then partly
+    /// written, and a later fork into it still writes every field.
+    pub fn fork_into(&self, into: &mut Kernel) -> bool {
+        debug_assert!(
+            self.run.is_none() && into.run.is_none(),
+            "fork of a kernel in a run"
+        );
+        if into
             .procs
             .iter()
-            .map(ProcHandle::fork)
-            .collect::<Option<Vec<_>>>()?;
-        Some(Kernel {
-            now: self.now,
-            procs,
-            events: self.events.clone(),
-            names: Arc::clone(&self.names),
-            runnable: self.runnable.clone(),
-            delta_events: self.delta_events.clone(),
-            timers: self.timers.clone(),
-            stamp: self.stamp,
-            alive: self.alive,
-            max_deltas: self.max_deltas,
-            phase: self.phase,
-            pending: self.pending.clone(),
-            ripe: self.ripe.clone(),
-            deltas_at_instant: self.deltas_at_instant,
-            stopped: self.stopped,
-            decided: self.decided,
-            spare_ops: Vec::new(),
-            spare_waiters: Vec::new(),
-            run: None,
-            handoffs: self.handoffs,
-            stats: self.stats,
-        })
+            .any(|p| matches!(p.backend, ProcBackend::Thread { .. }))
+        {
+            // Dropping `into` as it was joins its threads.
+            *into = Kernel::new();
+        }
+        into.procs.truncate(self.procs.len());
+        into.procs
+            .resize_with(self.procs.len(), ProcHandle::finished);
+        for (proc, copy) in self.procs.iter().zip(&mut into.procs) {
+            if !proc.fork_into(copy) {
+                return false;
+            }
+        }
+        into.now = self.now;
+        into.events.clone_from(&self.events);
+        into.names.clone_from(&self.names);
+        into.runnable.clone_from(&self.runnable);
+        into.delta_events.clone_from(&self.delta_events);
+        into.timers.clone_from(&self.timers);
+        into.stamp = self.stamp;
+        into.alive = self.alive;
+        into.max_deltas = self.max_deltas;
+        into.phase = self.phase;
+        into.pending.clone_from(&self.pending);
+        into.ripe.clone_from(&self.ripe);
+        into.deltas_at_instant = self.deltas_at_instant;
+        into.stopped = self.stopped;
+        into.decided = self.decided;
+        // The scratch buffers are empty at rest: `into` keeps its own.
+        into.handoffs = self.handoffs;
+        into.stats = self.stats;
+        true
     }
 
     /// The number of eligible actions of a `kind` choice: the size of
@@ -434,10 +464,7 @@ impl Kernel {
     /// Spawns a run-to-completion segment process: no OS thread, the body
     /// is dispatched inline by the run loop. Scheduling-wise it is
     /// indistinguishable from a thread-backed process.
-    pub fn spawn_segment<F>(&mut self, name: &str, body: F) -> ProcessId
-    where
-        F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Clone + Send + 'static,
-    {
+    pub fn spawn_segment(&mut self, name: &str, body: impl SegMachine) -> ProcessId {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
         self.procs.push(ProcHandle {
             backend: ProcBackend::Segment {
@@ -639,14 +666,17 @@ impl Kernel {
             machine.step(&mut ctx)
         }));
         let reason = match step {
-            Ok(SegStep::Yield(req)) => {
-                // Not done: park the state machine for the next wake.
+            Ok(step) => {
+                // Park the state machine: for the next wake, or, once it
+                // is done, for a fork into this kernel to write over.
                 if let ProcBackend::Segment { body } = &mut self.procs[pid.index()].backend {
                     *body = Some(machine);
                 }
-                YieldReason::Wait(req)
+                match step {
+                    SegStep::Yield(req) => YieldReason::Wait(req),
+                    SegStep::Done => YieldReason::Terminated,
+                }
             }
-            Ok(SegStep::Done) => YieldReason::Terminated,
             Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
         };
         // Apply in program order; the drained `Vec` is the next spare.

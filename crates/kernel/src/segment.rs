@@ -4,7 +4,8 @@
 //! services as plain procedure calls on the caller's thread instead of
 //! coroutine switches. This module brings the same idea to the kernel
 //! substrate itself: a **segment process** is a step machine
-//! (`FnMut(&mut SegmentCtx) -> SegStep`). Each call runs one segment to
+//! ([`SegMachine`], such as a closure `FnMut(&mut SegmentCtx) -> SegStep`).
+//! Each call runs one segment to
 //! completion and returns either [`SegStep::Yield`] with a
 //! [`WaitRequest`] (the analogue of a `wait_*` call on
 //! [`ProcessContext`]) or [`SegStep::Done`].
@@ -129,6 +130,33 @@ pub enum SegStep {
     Yield(WaitRequest),
     /// The process body has finished; the state machine is dropped.
     Done,
+}
+
+/// The body of a segment process: a step machine the kernel calls once
+/// per dispatch (see
+/// [`Simulator::spawn_machine`](crate::Simulator::spawn_machine)).
+/// Every closure `FnMut(&mut SegmentCtx) -> SegStep` that is `Clone`
+/// is one.
+///
+/// A machine is `Clone` because a fork of its simulator copies it in its
+/// current state: a fresh fork with `clone`, a fork into another
+/// simulator's machine of the same type with
+/// [`clone_from`](Clone::clone_from). A machine that holds buffers, such
+/// as a stack of frames, should be a named type whose `clone_from` writes
+/// into the buffers it already has; a closure's `clone_from` cannot, it
+/// clones and assigns.
+pub trait SegMachine: Clone + Send + 'static {
+    /// Runs one segment: the wait to perform next, or the end.
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep;
+}
+
+impl<F> SegMachine for F
+where
+    F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Clone + Send + 'static,
+{
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep {
+        self(ctx)
+    }
 }
 
 /// The per-dispatch view of the kernel handed to a segment state machine.

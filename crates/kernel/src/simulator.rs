@@ -4,7 +4,7 @@ use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{ProcessContext, ProcessId};
 use crate::scheduler::{Home, Kernel, KernelStats};
-use crate::segment::{ExecMode, KernelHandle, Notifier, SegStep, SegmentCtx};
+use crate::segment::{ExecMode, KernelHandle, Notifier, SegMachine, SegStep, SegmentCtx};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, WorldRef};
 
@@ -145,18 +145,33 @@ impl Simulator {
     /// The machine must be `Clone`: a simulator copies it, in its current
     /// state, when it is [forked](Simulator::fork). A machine therefore
     /// holds plain data and slot ids of the simulation world, never a
-    /// handle to the world itself.
-    pub fn spawn_segment<F>(&mut self, name: &str, mut body: F) -> ProcessId
+    /// handle to the world itself. A closure is spawned as it is (see
+    /// [`spawn_machine`](Simulator::spawn_machine)); the bound is spelled
+    /// out here so that the closure's argument types are inferred.
+    pub fn spawn_segment<F>(&mut self, name: &str, body: F) -> ProcessId
     where
         F: FnMut(&mut SegmentCtx<'_>) -> SegStep + Clone + Send + 'static,
     {
+        self.spawn_machine(name, body)
+    }
+
+    /// Spawns a segment process whose body is any [`SegMachine`], such as
+    /// a named type; [`spawn_segment`](Simulator::spawn_segment) spawns a
+    /// closure through here. Hosted as the execution mode decides, like
+    /// every segment process.
+    ///
+    /// A fork into another simulator ([`fork_into`](Simulator::fork_into))
+    /// writes the machine over that simulator's machine of the same type
+    /// with `clone_from`, so a machine whose state has buffers should be a
+    /// named type that reuses them there; a closure clones them anew.
+    pub fn spawn_machine(&mut self, name: &str, mut body: impl SegMachine) -> ProcessId {
         match self.mode {
             ExecMode::Segment => self.kernel.spawn_segment(name, body),
             ExecMode::Thread => self.kernel.spawn(name, move |ctx| {
                 // Like an inline segment, the first dispatch reports a
                 // timeout wake.
                 let mut wake = Wake::Timeout;
-                while let SegStep::Yield(request) = ctx.step(wake, &mut body) {
+                while let SegStep::Yield(request) = ctx.step(wake, |c| body.step(c)) {
                     wake = ctx.wait(request);
                 }
             }),
@@ -287,20 +302,34 @@ impl Simulator {
     /// choice point — that runs on independently: its own kernel, clock
     /// and [`World`](crate::world::World) (every slot
     /// copied under the same ids), and every segment machine copied in
-    /// its current state.
+    /// its current state. It is [`fork_into`](Simulator::fork_into) a new,
+    /// empty simulator.
     ///
     /// `None` when the copy cannot be made: a live process is
     /// thread-backed (its state is a stack on another thread), or a world
     /// slot refuses to copy (see [`Fork`](crate::world::Fork)).
     pub fn fork(&self) -> Option<Simulator> {
-        let kernel = self.kernel.fork()?;
-        let world = self.world.fork()?;
-        Some(Simulator {
-            kernel: Home::new(kernel),
-            mode: self.mode,
-            world,
-            attached: self.attached,
-        })
+        let mut fork = Simulator::with_mode(self.mode);
+        self.fork_into(&mut fork).then_some(fork)
+    }
+
+    /// Writes a [fork](Simulator::fork) of this simulator over `into`,
+    /// which keeps its world handle, so whatever reaches `into`'s world
+    /// reaches the copy. Buffers, machines and world slots of `into` that
+    /// match this simulator's in type are written in place: forking into
+    /// a simulator of the same elaboration allocates next to nothing.
+    ///
+    /// `false` when the copy cannot be made (see [`fork`](Simulator::fork));
+    /// `into` is then partly written, and a later fork into it still
+    /// writes all of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both simulators lend the same world.
+    pub fn fork_into(&self, into: &mut Simulator) -> bool {
+        into.mode = self.mode;
+        into.attached = self.attached;
+        self.kernel.fork_into(&mut into.kernel) && self.world.fork_into(&into.world)
     }
 
     /// The world this simulator lends to its steps.

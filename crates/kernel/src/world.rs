@@ -29,9 +29,11 @@
 //! copy itself, because [`World::insert`] takes a `Clone` value and
 //! [`World::insert_fork`] a value implementing [`Fork`]. That is what
 //! lets a simulator be copied at a choice point (see
-//! [`Simulator::fork`](crate::Simulator::fork)). Step machines and the
-//! handles they carry therefore hold slot ids, never a world: the ids
-//! mean the same slots in the fork.
+//! [`Simulator::fork`](crate::Simulator::fork)). A fork can also be
+//! written over another world of the same layout ([`World::fork_into`]),
+//! slot by slot in place, so copying into a spare allocates next to
+//! nothing. Step machines and the handles they carry therefore hold slot
+//! ids, never a world: the ids mean the same slots in the fork.
 //!
 //! [`ProcessContext::step`]: crate::ProcessContext::step
 
@@ -93,22 +95,50 @@ impl<T> fmt::Debug for Slot<T> {
 /// A value that can be copied when its world is forked, but may refuse
 /// (say, because it holds a user-supplied trait object that cannot copy
 /// itself). `Clone` values go through [`World::insert`] instead.
+///
+/// A fresh fork of the world calls [`fork`](Fork::fork); a fork into
+/// another world of the same layout ([`World::fork_into`]) calls
+/// [`fork_from`](Fork::fork_from) on that world's value, the way a
+/// `Clone` slot is written with [`Clone::clone_from`].
 pub trait Fork: Sized {
     /// A copy of `self`, or `None` if this value cannot be copied.
     fn fork(&self) -> Option<Self>;
+
+    /// Writes a copy of `source` over `self`; `false` if `source` cannot
+    /// be copied, leaving `self` partly written. The default forks anew
+    /// and assigns; a value with buffers should override it to write into
+    /// its own.
+    fn fork_from(&mut self, source: &Self) -> bool {
+        source.fork().map(|copy| *self = copy).is_some()
+    }
 }
 
-/// Copies one type-erased slot (monomorphised per slot type at insert).
-type CopyFn = fn(&(dyn Any + Send)) -> Option<Box<dyn Any + Send>>;
+/// Copies one type-erased slot over another (monomorphised per slot type
+/// at insert): in place when `into` holds the same type, else into a new
+/// box. `false` if the value refuses to copy (see [`Fork`]).
+type CopyFn = fn(&(dyn Any + Send), &mut Box<dyn Any + Send>) -> bool;
 
-fn copy_clone<T: Any + Send + Clone>(value: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
+fn copy_clone<T: Any + Send + Clone>(
+    value: &(dyn Any + Send),
+    into: &mut Box<dyn Any + Send>,
+) -> bool {
     let value: &T = value.downcast_ref().expect("slot holds its inserted type");
-    Some(Box::new(value.clone()))
+    match into.downcast_mut::<T>() {
+        Some(into) => into.clone_from(value),
+        None => *into = Box::new(value.clone()),
+    }
+    true
 }
 
-fn copy_fork<T: Any + Send + Fork>(value: &(dyn Any + Send)) -> Option<Box<dyn Any + Send>> {
+fn copy_fork<T: Any + Send + Fork>(
+    value: &(dyn Any + Send),
+    into: &mut Box<dyn Any + Send>,
+) -> bool {
     let value: &T = value.downcast_ref().expect("slot holds its inserted type");
-    Some(Box::new(value.fork()?))
+    match into.downcast_mut::<T>() {
+        Some(into) => into.fork_from(value),
+        None => value.fork().map(|copy| *into = Box::new(copy)).is_some(),
+    }
 }
 
 /// The slot arena holding a simulation's mutable model state.
@@ -140,13 +170,17 @@ impl World {
     }
 
     /// Stores `value` and returns its slot. A fork of this world gets a
-    /// clone of the value.
+    /// clone of the value; a fork into another world writes it over that
+    /// world's value with [`Clone::clone_from`]. A derived `Clone` does
+    /// that by cloning anew, so a type whose buffers are non-empty when
+    /// its world is forked should write `clone_from` by hand.
     pub fn insert<T: Any + Send + Clone>(&mut self, value: T) -> Slot<T> {
         self.push(value, copy_clone::<T>)
     }
 
     /// Stores `value` and returns its slot. A fork of this world gets
-    /// `value.fork()`; if that is `None`, the world cannot be forked.
+    /// `value.fork()`, a fork into another world [`Fork::fork_from`]; if
+    /// that refuses, the world cannot be forked.
     pub fn insert_fork<T: Any + Send + Fork>(&mut self, value: T) -> Slot<T> {
         self.push(value, copy_fork::<T>)
     }
@@ -161,17 +195,34 @@ impl World {
     }
 
     /// A copy of every slot, under the same slot ids; `None` if some slot
-    /// cannot be copied (see [`Fork`]). The loan count carries over.
+    /// cannot be copied (see [`Fork`]). The loan count carries over. It is
+    /// [`fork_into`](World::fork_into) an empty world.
     pub fn fork(&self) -> Option<World> {
-        let slots = self
-            .slots
-            .iter()
-            .map(|(value, copy)| Some((copy(value.as_ref())?, *copy)))
-            .collect::<Option<Vec<_>>>()?;
-        Some(World {
-            slots,
-            loans: self.loans,
-        })
+        let mut fork = World::new();
+        self.fork_into(&mut fork).then_some(fork)
+    }
+
+    /// Writes a [fork](World::fork) of this world over `into`: each slot
+    /// in place where `into` holds a value of the same type under its id
+    /// (a world of the same layout: no allocation but what the values'
+    /// own copies make), else into a new box. `false` if some slot cannot
+    /// be copied; `into` is then partly written, and a later fork into it
+    /// still writes every slot.
+    pub fn fork_into(&self, into: &mut World) -> bool {
+        let World { slots, loans } = self;
+        // A placeholder a slot's copy replaces; a box of `()` allocates
+        // nothing.
+        into.slots.truncate(slots.len());
+        into.slots
+            .resize_with(slots.len(), || (Box::new(()), copy_clone::<()>));
+        for ((value, copy), (target, target_copy)) in slots.iter().zip(&mut into.slots) {
+            if !copy(value.as_ref(), target) {
+                return false;
+            }
+            *target_copy = *copy;
+        }
+        into.loans = *loans;
+        true
     }
 
     /// Number of slots.
@@ -277,11 +328,18 @@ impl SharedWorld {
         Arc::strong_count(&self.0)
     }
 
-    /// A new world holding a [`World::fork`] of this one (`None` if some
-    /// slot cannot be copied).
-    pub fn fork(&self) -> Option<SharedWorld> {
-        let copy = self.lock_for("SharedWorld::fork").fork()?;
-        Some(SharedWorld(Arc::new(Mutex::new(copy))))
+    /// Writes a [`World::fork`] of this world over `into`'s world (see
+    /// [`World::fork_into`]). A fork is not a loan: it counts in neither
+    /// world, so every fork of a world at rest starts from its count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both handles designate the same world.
+    pub fn fork_into(&self, into: &SharedWorld) -> bool {
+        assert!(!self.same(into), "a world cannot be forked into itself");
+        let source = self.hold("SharedWorld::fork_into");
+        let mut target = into.hold("SharedWorld::fork_into");
+        source.fork_into(&mut target)
     }
 
     fn address(&self) -> usize {
@@ -297,6 +355,13 @@ impl SharedWorld {
     /// which would otherwise deadlock. Inside a step, reach the state
     /// through the step's [`KernelHandle::world`](crate::KernelHandle::world).
     pub fn lock_for(&self, accessor: &'static str) -> WorldGuard<'_> {
+        let mut guard = self.hold(accessor);
+        guard.loans += 1;
+        guard
+    }
+
+    /// [`lock_for`](SharedWorld::lock_for) without counting a loan.
+    fn hold(&self, accessor: &'static str) -> WorldGuard<'_> {
         let addr = self.address();
         let guard = match self.0.try_lock() {
             Some(guard) => guard,
@@ -306,12 +371,10 @@ impl SharedWorld {
             ),
             None => self.0.lock(),
         };
-        let mut guard = WorldGuard {
+        WorldGuard {
             guard,
             previous: HELD.replace(addr),
-        };
-        guard.loans += 1;
-        guard
+        }
     }
 }
 
@@ -457,7 +520,8 @@ mod tests {
     fn a_shared_fork_is_a_world_of_its_own() {
         let shared = SharedWorld::new();
         let slot = shared.lock_for("test").insert(0u8);
-        let fork = shared.fork().unwrap();
+        let fork = SharedWorld::new();
+        assert!(shared.fork_into(&fork));
         *fork.lock_for("test").get_mut(slot) = 7;
         assert!(!fork.same(&shared));
         assert_eq!((shared.handles(), fork.handles()), (1, 1));

@@ -229,3 +229,50 @@ fn names_added_after_a_fork_stay_on_their_side() {
         ("tick", "worker")
     );
 }
+
+/// A fork written over a simulator with thread-backed processes, one of
+/// them still blocked, replaces that simulator's kernel (joining its
+/// threads) instead of writing over it, and the copy runs on exactly as
+/// a fresh fork does.
+#[test]
+fn a_fork_into_a_simulator_with_threads_replaces_them() {
+    let mut source = Simulator::with_mode(ExecMode::Segment);
+    let tick = source.event("tick");
+    let mut left = 3;
+    source.spawn_segment("ticker", move |ctx| {
+        if left == 0 {
+            return SegStep::Done;
+        }
+        left -= 1;
+        ctx.notify(tick);
+        SegStep::Yield(WaitRequest::time(us(10)))
+    });
+    source.spawn_segment("listener", move |_ctx| {
+        SegStep::Yield(WaitRequest::event(tick))
+    });
+    source.run_until(SimTime::ZERO + us(15)).unwrap();
+
+    let mut into = Simulator::with_mode(ExecMode::Thread);
+    let never = into.event("never");
+    into.spawn("finished", |_ctx| {});
+    into.spawn("blocked", move |ctx| ctx.wait_event(never));
+    into.run().unwrap();
+    assert_eq!(into.alive_processes(), 1);
+
+    let mut fresh = source.fork().expect("segment processes copy");
+    assert!(source.fork_into(&mut into));
+    for sim in [&mut fresh, &mut into] {
+        sim.run().unwrap();
+    }
+    let observe = |sim: &Simulator| {
+        (
+            sim.now(),
+            sim.stats(),
+            sim.alive_processes(),
+            sim.exec_mode(),
+            sim.event_name(tick).to_owned(),
+        )
+    };
+    assert_eq!(observe(&into), observe(&fresh));
+    assert_eq!(observe(&fresh).0, SimTime::ZERO + us(30));
+}

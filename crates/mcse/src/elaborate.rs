@@ -139,9 +139,10 @@ impl fmt::Debug for Io {
     }
 }
 
-/// Checks that every relation `script` names, nested bodies included, is
-/// declared in `relations` with the kind its instruction needs.
-fn check_relations(
+/// Checks `script`, nested bodies included: every relation it names is
+/// declared in `relations` with the kind its instruction needs, and no
+/// `Forever` body is empty.
+fn check_script(
     relations: &BTreeMap<String, RelationDecl>,
     function: &str,
     script: &[Instr],
@@ -154,13 +155,18 @@ fn check_relations(
             | Instr::QueueTryWrite(name, _)
             | Instr::QueueTryRead(name) => ("queue", name),
             Instr::VarRead(name, _) | Instr::VarWrite(name, _, _) => ("shared-variable", name),
+            Instr::Forever(body) if body.is_empty() => {
+                return Err(ModelError::EmptyForever {
+                    function: function.to_owned(),
+                })
+            }
             Instr::Repeat(_, body) | Instr::Forever(body) | Instr::IfNowPast(_, body) => {
-                check_relations(relations, function, body)?;
+                check_script(relations, function, body)?;
                 continue;
             }
             Instr::IfFlag(first, second) | Instr::DegradedGate(first, second) => {
-                check_relations(relations, function, first)?;
-                check_relations(relations, function, second)?;
+                check_script(relations, function, first)?;
+                check_script(relations, function, second)?;
                 continue;
             }
             Instr::Execute(_)
@@ -212,11 +218,10 @@ struct Layout {
 
 impl ElaboratedSystem {
     pub(crate) fn build(model: SystemModel) -> Result<Self, ModelError> {
-        // Validate the mapping and the scripts' relation names before
-        // creating anything.
+        // Validate the mapping and the scripts before creating anything.
         for (fname, decl) in &model.functions {
             if let Body::Script(script) = &decl.body {
-                check_relations(&model.relations, fname, script)?;
+                check_script(&model.relations, fname, script)?;
             }
             match &decl.mapping {
                 None => {
@@ -334,8 +339,8 @@ impl ElaboratedSystem {
                 }
                 (Mapping::Hardware, Body::Script(script)) => {
                     let runner = register_seg_hw(&mut sim, &recorder, fname);
-                    let mut process = ScriptProcess::hw(runner, relations, script).with_fault(fctx);
-                    sim.spawn_segment(fname, move |ctx| process.poll(ctx));
+                    let process = ScriptProcess::hw(runner, relations, script).with_fault(fctx);
+                    sim.spawn_machine(fname, process);
                 }
                 (Mapping::Software(pname), Body::Closure(body)) => {
                     let processor = processors.get(&pname).expect("validated above");
@@ -348,9 +353,8 @@ impl ElaboratedSystem {
                     let runner = processor.register_seg_task(&mut sim, decl.config);
                     let handle = runner.handle();
                     let process_name = format!("{}.{}", processor.name(), fname);
-                    let mut process =
-                        ScriptProcess::task(runner, relations, script).with_fault(fctx);
-                    sim.spawn_segment(&process_name, move |ctx| process.poll(ctx));
+                    let process = ScriptProcess::task(runner, relations, script).with_fault(fctx);
+                    sim.spawn_machine(&process_name, process);
                     tasks.insert(fname.clone(), handle);
                     task_placement.insert(fname.clone(), pname);
                 }
@@ -374,13 +378,15 @@ impl ElaboratedSystem {
     /// A copy of this system at rest — between runs, or stopped at a
     /// choice point of [`simulator_mut`](ElaboratedSystem::simulator_mut)
     /// — that runs on independently of it: its own simulator and world,
-    /// its recorder and processors reaching that world. See
-    /// [`Simulator::fork`] for when this is `None` (a closure body, which
-    /// runs on a thread, or a policy that cannot copy itself).
+    /// its recorder and processors reaching that world. It is
+    /// [`fork_into`](ElaboratedSystem::fork_into) a new, empty system of
+    /// this elaboration. See [`Simulator::fork`] for when this is `None`
+    /// (a closure body, which runs on a thread, or a policy that cannot
+    /// copy itself).
     pub fn fork(&self) -> Option<ElaboratedSystem> {
-        let sim = self.sim.fork()?;
+        let sim = Simulator::with_mode(self.sim.exec_mode());
         let recorder = self.recorder.rebind(sim.shared_world());
-        Some(ElaboratedSystem {
+        let mut fork = ElaboratedSystem {
             processors: self
                 .processors
                 .iter()
@@ -389,18 +395,41 @@ impl ElaboratedSystem {
             sim,
             recorder,
             layout: Arc::clone(&self.layout),
-        })
+        };
+        self.fork_into(&mut fork).then_some(fork)
     }
 
-    /// Ends a run that is over: its trace, moved out of the system without
-    /// a copy, and what the model's declared properties find on it over
-    /// `[0, now]` — the report [`verify_constraints`](Self::verify_constraints)
-    /// gives.
-    pub fn finish(self) -> (Trace, ConstraintReport) {
+    /// Writes a [fork](ElaboratedSystem::fork) of this system over `into`.
+    /// A system of the same elaboration (a fork of it, or one it was
+    /// forked from) keeps its recorder and processors, which reach its
+    /// world, and gets the copy written into its own kernel, machines and
+    /// world slots (see [`Simulator::fork_into`]): a schedule explorer
+    /// that recycles finished runs this way forks without allocating,
+    /// near enough. Any other system is replaced by a fresh fork, so the
+    /// two are never mixed.
+    ///
+    /// `false` when this system cannot be copied (see
+    /// [`fork`](ElaboratedSystem::fork)); `into` is then partly written,
+    /// and only a later fork into it makes it whole again.
+    pub fn fork_into(&self, into: &mut ElaboratedSystem) -> bool {
+        if !Arc::ptr_eq(&self.layout, &into.layout) {
+            return self.fork().map(|fork| *into = fork).is_some();
+        }
+        self.sim.fork_into(&mut into.sim)
+    }
+
+    /// Checks the model's declared properties on the trace of a run that
+    /// is over, over `[0, now]` — the report
+    /// [`verify_constraints`](Self::verify_constraints) gives — without
+    /// copying the trace. The system stays whole: the record buffer is
+    /// lent to the properties and given back to the log, so reading the
+    /// trace afterwards (say, to hash it) still works, and a later fork
+    /// into this system writes its records into that buffer.
+    pub fn finish(&mut self) -> ConstraintReport {
         let now = self.now();
-        let trace = self.recorder.take();
-        let report = ConstraintReport::new(&self.layout.constraints, &trace, now);
-        (trace, report)
+        let constraints = &self.layout.constraints;
+        self.recorder
+            .with_trace(|trace| ConstraintReport::new(constraints, trace, now))
     }
 
     /// The processor called `name`.

@@ -30,6 +30,12 @@ pub enum ModelError {
         /// `shared-variable`.
         kind: &'static str,
     },
+    /// A script has a `Forever` loop with an empty body, which could never
+    /// make progress.
+    EmptyForever {
+        /// The function's name.
+        function: String,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -53,6 +59,12 @@ impl fmt::Display for ModelError {
                 f,
                 "function `{function}` names no declared {kind} relation `{relation}`"
             ),
+            ModelError::EmptyForever { function } => {
+                write!(
+                    f,
+                    "function `{function}` has a `Forever` with an empty body"
+                )
+            }
         }
     }
 }

@@ -14,7 +14,7 @@
 //! This is the only script interpreter. The execution mode decides only
 //! where it runs: inline in the scheduler loop, or on a thread of its
 //! own that is handed the kernel when it is dispatched (see
-//! [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment)).
+//! [`Simulator::spawn_machine`](rtsim_kernel::Simulator::spawn_machine)).
 //! So a scripted model produces bit-identical canonical traces in either
 //! mode — the property the regression farm's cross-mode differential
 //! suite asserts.
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use rtsim_comm::{Need, Op};
 use rtsim_core::{Party, SegControl, SegHwRunner, SegTaskRunner};
 use rtsim_fault::{FaultInjector, ModeChange};
-use rtsim_kernel::{SegStep, SegmentCtx, SimDuration, SimTime};
+use rtsim_kernel::{SegMachine, SegStep, SegmentCtx, SimDuration, SimTime};
 use rtsim_trace::FaultKind;
 
 use crate::elaborate::Relations;
@@ -321,10 +321,27 @@ pub fn ret() -> Instr {
 // ---------------------------------------------------------------------
 
 /// The two step-machine runners a script can sit on.
-#[derive(Clone)]
 enum Runner {
     Task(SegTaskRunner),
     Hw(SegHwRunner),
+}
+
+/// By hand, so that a runner of the same kind is written in place.
+impl Clone for Runner {
+    fn clone(&self) -> Self {
+        match self {
+            Runner::Task(r) => Runner::Task(r.clone()),
+            Runner::Hw(r) => Runner::Hw(r.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Runner::Task(r), Runner::Task(s)) => r.clone_from(s),
+            (Runner::Hw(r), Runner::Hw(s)) => r.clone_from(s),
+            (runner, source) => *runner = source.clone(),
+        }
+    }
 }
 
 impl Runner {
@@ -416,14 +433,15 @@ enum Progress {
 }
 
 /// A script bound to a step-machine runner — the script interpreter,
-/// embeddable directly in
-/// [`Simulator::spawn_segment`](rtsim_kernel::Simulator::spawn_segment).
+/// spawned as it is with
+/// [`Simulator::spawn_machine`](rtsim_kernel::Simulator::spawn_machine).
 ///
 /// Plain data and slot ids (the runner, the [`Relations`] ids, the
 /// registers, the control stack and the operation in flight): a clone is
 /// the same script at the same point, which is how a forked simulation
-/// gets its own.
-#[derive(Clone)]
+/// gets its own. It is spawned as a named [`SegMachine`], so a fork into
+/// another simulation writes it with `clone_from`, into the control and
+/// frame stacks that simulation's script already has.
 pub struct ScriptProcess {
     runner: Runner,
     io: Arc<Relations>,
@@ -438,6 +456,50 @@ pub struct ScriptProcess {
 
 /// Stores the value a completed read got into its register.
 type Land = fn(&mut Regs, Message);
+
+impl Clone for ScriptProcess {
+    fn clone(&self) -> Self {
+        ScriptProcess {
+            runner: self.runner.clone(),
+            io: Arc::clone(&self.io),
+            ctl: self.ctl.clone(),
+            regs: self.regs,
+            op: self.op.clone(),
+            begun: self.begun,
+            fctx: self.fctx.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.runner.clone_from(&source.runner);
+        self.io.clone_from(&source.io);
+        self.ctl.clone_from(&source.ctl);
+        self.regs = source.regs;
+        self.op.clone_from(&source.op);
+        self.begun = source.begun;
+        self.fctx.clone_from(&source.fctx);
+    }
+}
+
+impl SegMachine for ScriptProcess {
+    /// One kernel dispatch: advances the runner, feeding script steps
+    /// whenever it goes idle, until it yields a wait or terminates.
+    fn step(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep {
+        loop {
+            match self.runner.advance(ctx) {
+                SegControl::Yield(req) => return SegStep::Yield(req),
+                SegControl::Finished => return SegStep::Done,
+                SegControl::Idle => {
+                    if !self.begun {
+                        self.begun = true;
+                        self.regs.started = ctx.now();
+                    }
+                    self.on_idle(ctx);
+                }
+            }
+        }
+    }
+}
 
 impl ScriptProcess {
     /// Binds a script to an RTOS task runner (see
@@ -477,24 +539,6 @@ impl ScriptProcess {
             op: None,
             begun: false,
             fctx: None,
-        }
-    }
-
-    /// One kernel dispatch: advances the runner, feeding script steps
-    /// whenever it goes idle, until it yields a wait or terminates.
-    pub fn poll(&mut self, ctx: &mut SegmentCtx<'_>) -> SegStep {
-        loop {
-            match self.runner.advance(ctx) {
-                SegControl::Yield(req) => return SegStep::Yield(req),
-                SegControl::Finished => return SegStep::Done,
-                SegControl::Idle => {
-                    if !self.begun {
-                        self.begun = true;
-                        self.regs.started = ctx.now();
-                    }
-                    self.on_idle(ctx);
-                }
-            }
         }
     }
 

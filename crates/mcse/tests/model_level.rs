@@ -329,6 +329,24 @@ fn a_script_naming_an_undeclared_relation_fails_at_elaborate() {
     );
 }
 
+#[test]
+fn an_empty_forever_body_fails_at_elaborate() {
+    // Built directly: the `forever` helper already refuses an empty body.
+    let empty = || Instr::Forever(Vec::new().into());
+    let want = ModelError::EmptyForever {
+        function: "T".into(),
+    };
+    assert_eq!(script_error(vec![delay(us(5)), empty()]), want);
+    assert_eq!(
+        script_error(vec![repeat(2, vec![delay(us(5)), empty()])]),
+        want
+    );
+    assert_eq!(
+        want.to_string(),
+        "function `T` has a `Forever` with an empty body"
+    );
+}
+
 /// One model, its bodies written as closures or as scripts: a hardware
 /// source writes a capacity-1 queue and signals an event twice per
 /// period; two prioritized tasks on a processor with 2 µs overheads wait

@@ -21,12 +21,32 @@ use crate::record::{
 ///
 /// The actor table is registered before a run and shared, not copied,
 /// by the logs of forked simulations and by snapshots.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TraceLog {
     actors: Arc<Vec<ActorInfo>>,
     records: Vec<Record>,
     seq: u64,
     enabled: bool,
+}
+
+/// By hand, so that a fork into another simulation's world writes the
+/// records into the record buffer that log already has.
+impl Clone for TraceLog {
+    fn clone(&self) -> Self {
+        TraceLog {
+            actors: Arc::clone(&self.actors),
+            records: self.records.clone(),
+            seq: self.seq,
+            enabled: self.enabled,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.actors.clone_from(&source.actors);
+        self.records.clone_from(&source.records);
+        self.seq = source.seq;
+        self.enabled = source.enabled;
+    }
 }
 
 impl TraceLog {
@@ -298,13 +318,24 @@ impl TraceRecorder {
         })
     }
 
-    /// Moves everything recorded so far out into a [`Trace`], leaving the
-    /// log's record buffer empty — for a run that is over, whose trace is
-    /// wanted without a copy.
-    pub fn take(&self) -> Trace {
-        self.with_log("TraceRecorder::take", |log| Trace {
-            actors: Arc::clone(&log.actors),
-            records: std::mem::take(&mut log.records),
+    /// Runs `f` over everything recorded so far as a [`Trace`], without
+    /// copying it: the log's record buffer is moved into the trace for
+    /// the call and back into the log after it, with the world locked
+    /// throughout. The zero-copy alternative to
+    /// [`snapshot`](TraceRecorder::snapshot) for code that reads a
+    /// `&Trace`, such as a property check.
+    ///
+    /// `f` must not use this recorder (or any clone of it), which panics.
+    /// If `f` panics, the log keeps no records.
+    pub fn with_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
+        self.with_log("TraceRecorder::with_trace", |log| {
+            let trace = Trace {
+                actors: Arc::clone(&log.actors),
+                records: std::mem::take(&mut log.records),
+            };
+            let out = f(&trace);
+            log.records = trace.records;
+            out
         })
     }
 
