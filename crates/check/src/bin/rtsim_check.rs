@@ -14,6 +14,7 @@
 //!
 //! Each scenario's line reports the explored counts, the runs that
 //! started from a new elaboration (`fresh`: 1 when the explorer forks),
+//! the runs that ended at a state an earlier run explored (`merged`),
 //! the deepest stack of open choice frames and the wall-clock speed.
 //! The states/choices ratio is the pruning ratio. Exploration is
 //! deterministic; `tests/coverage_baseline.rs` pins the counts of every
@@ -97,13 +98,14 @@ fn main() -> ExitCode {
         let runs_per_s = outcome.runs as f64 / started.elapsed().as_secs_f64().max(1e-9);
         println!(
             "{:16} runs {:>7}  states {:>8}  traces {:>7}  choices {:>8}  \
-             fresh {:>5}  depth {:>3}  {:>9.0} runs/s  {}",
+             fresh {:>5}  merged {:>7}  depth {:>3}  {:>9.0} runs/s  {}",
             outcome.scenario,
             outcome.runs,
             outcome.states,
             outcome.distinct_traces,
             outcome.choice_points,
             outcome.fresh,
+            outcome.merged,
             outcome.max_frames,
             runs_per_s,
             if outcome.counterexample.is_some() {

@@ -1,22 +1,27 @@
 //! Simulation processes and the cooperative handoff protocol.
 //!
 //! A simulation process (the analogue of a SystemC `SC_THREAD`) is an
-//! ordinary Rust closure running on its own OS thread, but under a strict
+//! ordinary Rust closure running on an OS thread, but under a strict
 //! *one-runner* protocol: the kernel itself travels from thread to
 //! thread, and only the thread holding it executes.
 //!
 //! - A run starts on the caller's thread. When the run loop dispatches a
-//!   thread-backed process, it sends the kernel to that process's thread
-//!   in a resume message and waits for it to come home.
+//!   thread-backed process, it posts the kernel to that process's thread
+//!   and waits for it to come home.
 //! - The process runs until it calls one of the `wait_*` methods on its
 //!   [`ProcessContext`]. Its own thread then applies the yield (buffered
 //!   event notifications, then the wait) to the kernel it holds and
 //!   drives the run loop to the next dispatch. If it is its own
 //!   successor, it carries on with no OS switch at all. Otherwise it
-//!   sends the kernel to the next thread-backed process (one resume
-//!   message, one OS switch) and blocks until resumed again. Only when
-//!   the run ends (its limit, starvation, a choice-point stop or an
-//!   error) does the kernel go home to the caller of `run`.
+//!   posts the kernel to the next thread-backed process (one letter, one
+//!   OS switch) and parks until resumed again. Only when the run ends
+//!   (its limit, starvation, a choice-point stop or an error) does the
+//!   kernel go home to the caller of `run`.
+//!
+//! Every handoff is a letter in a one-slot mailbox
+//! ([`crate::sync`]): the receiver parks on it with
+//! [`std::thread::park`], and the sender wakes it with
+//! [`Thread::unpark`](std::thread::Thread::unpark).
 //!
 //! This is SystemC's own scheme: `sc_switch_thread` passes control from
 //! one thread process straight to the next runnable one, with no trip
@@ -24,17 +29,41 @@
 //! is a real thread switch, the *relative* cost of process switches — the
 //! quantity the DATE 2004 paper's approach-A versus approach-B
 //! experiment measures — is faithfully reproduced.
+//!
+//! # Process threads outlive their kernel
+//!
+//! SystemC creates its thread processes once, at elaboration. Here a
+//! process thread runs one body after another, one kernel at a time, so
+//! a thread that builds system after system creates few threads:
+//!
+//! - Dropping a kernel unwinds each body that has started and not
+//!   ended, on its own thread, and waits until every one has unwound and
+//!   dropped its captures.
+//! - It then parks the kernel's threads in the dropping thread's pool.
+//!   The pool keeps exactly the threads of the last kernel with process
+//!   threads that this thread dropped: the ones parked before are told
+//!   to exit and are joined.
+//! - Spawning a thread process
+//!   ([`Simulator::spawn`](crate::Simulator::spawn)) takes a thread from
+//!   the pool of the thread calling it before it creates one.
+//! - A thread's pool is retired, its threads told to exit and joined,
+//!   when the thread exits.
+//!
+//! A process thread therefore does not carry its process's name; a
+//! panicking body is still reported by name
+//! ([`KernelError::ProcessPanicked`](crate::KernelError::ProcessPanicked)).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Once;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Once};
+use std::thread::{self, JoinHandle};
 
 use crate::event::{Event, Wake};
 use crate::scheduler::{Kernel, Next};
 use crate::segment::{Notifier, SegMachine, SegStep, SegmentCtx, WaitRequest};
+use crate::sync::{Latch, Mailbox};
 use crate::time::{SimDuration, SimTime};
 use crate::world::WorldRef;
 
@@ -96,13 +125,24 @@ pub(crate) enum YieldReason<'a> {
     Panicked(String),
 }
 
-/// The message that resumes a thread-backed process: what ended its
-/// wait, and the kernel itself, which the process holds until it yields.
-/// A process thread whose resume channel disconnects (the kernel is
-/// being dropped) unwinds quietly.
-pub(crate) type ResumeMsg = (Wake, Box<Kernel>);
+/// A process body as its thread runs it.
+pub(crate) type Body = Box<dyn FnOnce(&mut ProcessContext) + Send>;
 
-/// Panic payload used to unwind process threads during simulator teardown.
+/// A letter to a process thread.
+pub(crate) enum Letter {
+    /// The process's first dispatch: run `body` as process `pid`, holding
+    /// the kernel.
+    Start(ProcessId, Body, Box<Kernel>),
+    /// A later dispatch: what ended the body's wait, and the kernel
+    /// itself, which the body holds until it yields.
+    Resume(Wake, Box<Kernel>),
+    /// The kernel is being dropped: unwind the body, then count down.
+    Shutdown(Arc<Latch>),
+    /// The thread is retired from its pool: it ends.
+    Exit,
+}
+
+/// Panic payload used to unwind the bodies of a kernel being dropped.
 struct ShutdownToken;
 
 static SHUTDOWN_HOOK: Once = Once::new();
@@ -150,8 +190,12 @@ pub struct ProcessContext {
     /// The kernel, held from this process's resume to its next yield:
     /// whenever the body runs.
     kernel: Option<Box<Kernel>>,
-    resume_rx: Receiver<ResumeMsg>,
+    /// This thread's mailbox, where the kernel comes back to the body.
+    mailbox: Arc<Mailbox<Letter>>,
     pending: Vec<NotifyOp>,
+    /// Set when the kernel is dropped instead: counted down once the body
+    /// has unwound.
+    teardown: Option<Arc<Latch>>,
 }
 
 /// What a process body may rely on whenever it runs.
@@ -325,13 +369,19 @@ impl ProcessContext {
         if let Some(wake) = self.hand_on(reason) {
             return wake;
         }
-        match self.resume_rx.recv() {
-            Ok((wake, kernel)) => {
+        match self.mailbox.take() {
+            Letter::Resume(wake, kernel) => {
                 self.kernel = Some(kernel);
                 wake
             }
-            // The kernel is being dropped: tear this thread down quietly.
-            Err(_) => panic::panic_any(ShutdownToken),
+            // The kernel is being dropped: unwind the body quietly.
+            Letter::Shutdown(done) => {
+                self.teardown = Some(done);
+                panic::panic_any(ShutdownToken)
+            }
+            Letter::Start(..) | Letter::Exit => {
+                unreachable!("a process thread starts a body or exits only between bodies")
+            }
         }
     }
 
@@ -403,10 +453,10 @@ pub(crate) type SegBody = Box<dyn Machine>;
 pub(crate) enum ProcBackend {
     /// An OS thread that is handed the kernel to run.
     Thread {
-        /// The channel that hands this process the kernel.
-        resume_tx: Sender<ResumeMsg>,
-        /// Join handle, for teardown.
-        join: JoinHandle<()>,
+        /// The thread, hired for this kernel.
+        worker: Worker,
+        /// The body, until the first dispatch starts it on the thread.
+        body: Option<Body>,
     },
     /// A state machine called directly by the scheduler. `None` while a
     /// dispatch is in flight, and once the segment has panicked. A done
@@ -479,7 +529,8 @@ pub(crate) enum ProcState {
     Runnable,
     /// Blocked in one of the `wait_*` calls.
     Waiting,
-    /// Body returned (or panicked); the OS thread has exited.
+    /// Body returned (or panicked); its thread idles until the kernel is
+    /// dropped.
     Dead,
 }
 
@@ -516,50 +567,153 @@ pub fn describe_panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     )
 }
 
-/// Spawns the OS thread backing one simulation process.
-///
-/// The returned handle is parked until the kernel is first handed to it.
-pub(crate) fn spawn_process<F>(
-    pid: ProcessId,
-    name: &str,
-    resume_rx: Receiver<ResumeMsg>,
-    body: F,
-) -> JoinHandle<()>
-where
-    F: FnOnce(&mut ProcessContext) + Send + 'static,
-{
-    install_shutdown_hook();
-    let thread_name = format!("rtsim:{name}");
-    std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            // Wait for the kernel to start us; a kernel dropped first
-            // disconnects instead.
-            let Ok((_, kernel)) = resume_rx.recv() else {
-                return;
-            };
-            let mut ctx = ProcessContext {
-                pid,
-                kernel: Some(kernel),
-                resume_rx,
-                pending: Vec::new(),
-            };
-            let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-            let reason = match result {
-                Ok(()) => YieldReason::Terminated,
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownToken>().is_some() {
-                        return; // intentional teardown
-                    }
-                    YieldReason::Panicked(describe_panic_payload(payload.as_ref()))
-                }
-            };
-            // The final yield passes the kernel on: a finished process is
-            // never its own successor.
-            let resumed = ctx.hand_on(reason);
-            debug_assert!(resumed.is_none(), "a finished process was dispatched");
-        })
-        .expect("failed to spawn simulation process thread")
+/// An OS thread that runs process bodies, one after another, for one
+/// kernel at a time (see the [module docs](self)).
+pub(crate) struct Worker {
+    mailbox: Arc<Mailbox<Letter>>,
+    /// `None` only once joined, as the worker is dropped.
+    thread: Option<JoinHandle<()>>,
+}
+
+thread_local! {
+    /// This thread's pool of parked process threads.
+    static POOL: RefCell<Pool> = RefCell::default();
+}
+
+/// The process threads a thread keeps parked, and how many it has
+/// created and taken from here (for the tests of the pool).
+#[derive(Default)]
+struct Pool {
+    parked: Vec<Worker>,
+    created: u64,
+    taken: u64,
+}
+
+/// What this thread's pool has done, for the tests of the pool.
+#[cfg(test)]
+pub(crate) struct PoolCounts {
+    /// Process threads this thread has created.
+    pub created: u64,
+    /// Process threads it has taken from its pool.
+    pub taken: u64,
+    /// The mailboxes of the threads parked in its pool: each lives until
+    /// its thread is retired.
+    pub parked: Vec<std::sync::Weak<Mailbox<Letter>>>,
+}
+
+/// This thread's [`PoolCounts`].
+#[cfg(test)]
+pub(crate) fn pool_counts() -> PoolCounts {
+    POOL.with_borrow(|pool| PoolCounts {
+        created: pool.created,
+        taken: pool.taken,
+        parked: pool
+            .parked
+            .iter()
+            .map(|worker| Arc::downgrade(&worker.mailbox))
+            .collect(),
+    })
+}
+
+impl Worker {
+    /// A thread for a new process: one parked in this thread's pool if
+    /// there is one, else a new thread.
+    pub fn hire() -> Worker {
+        let parked = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            let worker = pool.parked.pop();
+            match worker {
+                Some(_) => pool.taken += 1,
+                None => pool.created += 1,
+            }
+            worker
+        });
+        parked.ok().flatten().unwrap_or_else(Worker::spawn)
+    }
+
+    fn spawn() -> Worker {
+        install_shutdown_hook();
+        let mailbox = Arc::new(Mailbox::new());
+        let letters = Arc::clone(&mailbox);
+        let thread = thread::Builder::new()
+            .name("rtsim-process".into())
+            .spawn(move || serve(&letters))
+            .expect("failed to spawn a simulation process thread");
+        mailbox.read_by(thread.thread().clone());
+        Worker {
+            mailbox,
+            thread: Some(thread),
+        }
+    }
+
+    /// The thread's mailbox.
+    pub fn mailbox(&self) -> &Arc<Mailbox<Letter>> {
+        &self.mailbox
+    }
+
+    /// Parks `workers`, the threads of a kernel being dropped, in this
+    /// thread's pool, and retires the threads parked there before. With
+    /// no pool left (this thread is exiting), retires `workers` too.
+    pub fn park_all(workers: Vec<Worker>) {
+        let before =
+            POOL.try_with(|pool| std::mem::replace(&mut pool.borrow_mut().parked, workers));
+        // Retired here, outside the pool's borrow.
+        drop(before);
+    }
+}
+
+/// Retires the thread: tells it to exit and joins it.
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.mailbox.post(Letter::Exit);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The loop of a process thread: runs one body after another, each from
+/// its first dispatch to its end, until the thread is retired.
+fn serve(mailbox: &Arc<Mailbox<Letter>>) {
+    loop {
+        match mailbox.take() {
+            Letter::Start(pid, body, kernel) => run_body(mailbox, pid, body, kernel),
+            // The kernel never applied the body's last yield (its own code
+            // panicked there): the body has ended already.
+            Letter::Shutdown(done) => done.count_down(),
+            Letter::Exit => return,
+            Letter::Resume(..) => unreachable!("a process thread between bodies was dispatched"),
+        }
+    }
+}
+
+/// Runs `body` as process `pid` from its first dispatch, which handed it
+/// `kernel`, to its end: its final yield, or its unwind when the kernel
+/// is dropped first.
+fn run_body(mailbox: &Arc<Mailbox<Letter>>, pid: ProcessId, body: Body, kernel: Box<Kernel>) {
+    let mut ctx = ProcessContext {
+        pid,
+        kernel: Some(kernel),
+        mailbox: Arc::clone(mailbox),
+        pending: Vec::new(),
+        teardown: None,
+    };
+    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+    if let Some(done) = ctx.teardown.take() {
+        // The body has unwound, or swallowed the unwind and returned: its
+        // captures are dropped either way.
+        drop(result);
+        done.count_down();
+        return;
+    }
+    let reason = match result {
+        Ok(()) => YieldReason::Terminated,
+        Err(payload) => YieldReason::Panicked(describe_panic_payload(payload.as_ref())),
+    };
+    // The final yield passes the kernel on: a finished process is never
+    // its own successor.
+    let resumed = ctx.hand_on(reason);
+    debug_assert!(resumed.is_none(), "a finished process was dispatched");
 }
 
 #[cfg(test)]

@@ -22,18 +22,20 @@
 //!
 //! The loop runs on whichever thread holds the kernel. A run starts on
 //! its caller's thread, which dispatches segment processes inline. A
-//! thread-backed dispatch sends the kernel itself to that process's
-//! thread; at its next yield, that thread applies the yield and runs the
-//! loop on, carrying on itself if it is its own successor and sending the
-//! kernel to the next thread-backed process otherwise. The kernel goes
-//! home to the caller, through a channel made for the run, only when the
-//! run ends (see [`crate::process`]).
+//! thread-backed dispatch posts the kernel itself to that process's
+//! thread, in the thread's one-slot mailbox; at its next yield, that
+//! thread applies the yield and runs the loop on, carrying on itself if it
+//! is its own successor and posting the kernel to the next thread-backed
+//! process otherwise. The kernel goes home to the caller, through a
+//! mailbox the caller reads, only when the run ends. Dropping a kernel
+//! unwinds its live bodies and parks its process threads in the dropping
+//! thread's pool, for the next kernel built there (see
+//! [`crate::process`]).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::panic;
-use std::sync::mpsc::{self, SendError, Sender};
 use std::sync::{Arc, LazyLock};
 use std::thread;
 
@@ -41,10 +43,11 @@ use crate::choice::{CandidateDetail, ChoiceKind, ChoicePoint};
 use crate::error::KernelError;
 use crate::event::{Event, Wake};
 use crate::process::{
-    describe_panic_payload, spawn_process, NotifyOp, ProcBackend, ProcHandle, ProcState,
-    ProcessContext, ProcessId, ResumeMsg, YieldReason,
+    describe_panic_payload, Letter, NotifyOp, ProcBackend, ProcHandle, ProcState, ProcessContext,
+    ProcessId, Worker, YieldReason,
 };
 use crate::segment::{SegMachine, SegStep, SegmentCtx, WaitRequest};
+use crate::sync::{Latch, Mailbox};
 use crate::time::{SimDuration, SimTime};
 use crate::world::{SharedWorld, World};
 
@@ -148,15 +151,15 @@ struct Run {
     /// one resuming a decided choice point.
     hooked: bool,
     world: SharedWorld,
-    /// Set by the caller's first thread-backed dispatch.
-    home: Option<Sender<Homecoming>>,
+    /// The caller's mailbox, set by its first thread-backed dispatch.
+    home: Option<Arc<Mailbox<Homecoming>>>,
 }
 
 /// How often the kernel changed threads, for tests of the handoff
 /// protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Handoffs {
-    /// Resume messages sent: one per thread-backed dispatch, except that
+    /// Resume letters posted: one per thread-backed dispatch, except that
     /// of a process right after its own yield.
     pub resumes: u64,
     /// Runs that ended away from their caller and sent the kernel home.
@@ -266,7 +269,7 @@ impl Kernel {
             .iter()
             .any(|p| matches!(p.backend, ProcBackend::Thread { .. }))
         {
-            // Dropping `into` as it was joins its threads.
+            // Dropping `into` as it was parks its threads.
             *into = Kernel::new();
         }
         into.procs.truncate(self.procs.len());
@@ -446,10 +449,11 @@ impl Kernel {
         F: FnOnce(&mut ProcessContext) + Send + 'static,
     {
         let pid = ProcessId(u32::try_from(self.procs.len()).expect("too many processes"));
-        let (resume_tx, resume_rx) = mpsc::channel::<ResumeMsg>();
-        let join = spawn_process(pid, name, resume_rx, body);
         self.procs.push(ProcHandle {
-            backend: ProcBackend::Thread { resume_tx, join },
+            backend: ProcBackend::Thread {
+                worker: Worker::hire(),
+                body: Some(Box::new(body)),
+            },
             state: ProcState::Runnable,
             wait_seq: 0,
         });
@@ -867,40 +871,29 @@ impl Kernel {
         }
     }
 
-    /// Hands the kernel to thread-backed `pid`: one resume message.
+    /// Hands the kernel to thread-backed `pid`: one letter, which starts
+    /// the body at its first dispatch.
     fn hand_to(mut self: Box<Self>, pid: ProcessId, wake: Wake) {
-        let ProcBackend::Thread { resume_tx, .. } = &self.procs[pid.index()].backend else {
+        let ProcBackend::Thread { worker, body } = &mut self.procs[pid.index()].backend else {
             unreachable!("the loop hands the kernel only to thread-backed processes")
         };
-        let resume_tx = resume_tx.clone();
+        let (mailbox, body) = (Arc::clone(worker.mailbox()), body.take());
         self.handoffs.resumes += 1;
-        if let Err(SendError((_, kernel))) = resume_tx.send((wake, self)) {
-            // The process's thread is gone, though it never reported its
-            // end. The kernel comes back with the message: end the run.
-            let process = kernel.process_name(pid).to_owned();
-            kernel.go_home(Ok(Err(KernelError::ProcessPanicked {
-                process,
-                message: "its thread exited without yielding".into(),
-            })));
-        }
+        mailbox.post(match body {
+            Some(body) => Letter::Start(pid, body, self),
+            None => Letter::Resume(wake, self),
+        });
     }
 
     /// Ends the run away from its caller: sends the kernel home with the
     /// run's outcome.
     fn go_home(mut self: Box<Self>, outcome: thread::Result<RunResult>) {
         self.handoffs.homecomings += 1;
-        let sent = match self.run.take().and_then(|run| run.home) {
-            Some(home) => home
-                .send((self, outcome))
-                .map_err(|SendError((kernel, _))| kernel),
-            None => Err(self),
-        };
-        if let Err(kernel) = sent {
-            // Unreachable: a run's first handoff opens its way home, and
-            // the caller waits there until the kernel arrives. Dropping
-            // the kernel here would join this very thread.
-            std::mem::forget(kernel);
-        }
+        let home = self.run.take().and_then(|run| run.home);
+        // A run's first handoff opens its way home, and the caller waits
+        // there until the kernel arrives.
+        home.expect("a run away from its caller has a way home")
+            .post((self, outcome));
     }
 
     /// Pops every heap entry ripe at `t` (valid, `time <= t`) into the
@@ -949,20 +942,38 @@ fn timer_valid(events: &[EventEntry], procs: &[ProcHandle], entry: &TimedEntry) 
 }
 
 impl Drop for Kernel {
+    /// Unwinds every body that has started and not ended, each on its own
+    /// thread, and waits until all have dropped their captures. Then parks
+    /// the process threads in this thread's pool. Segment state machines,
+    /// and bodies never dispatched, are plain values dropped with their
+    /// handles.
     fn drop(&mut self) {
-        // A thread process whose resume channel disconnects unwinds
-        // quietly (segment state machines are plain owned values dropped
-        // with their handles); then wait for every thread to end.
-        let joins: Vec<_> = self
+        let running = || {
+            self.procs.iter().filter_map(|proc| match &proc.backend {
+                ProcBackend::Thread { worker, body: None } if proc.state != ProcState::Dead => {
+                    Some(worker)
+                }
+                _ => None,
+            })
+        };
+        let live = running().count();
+        if live > 0 {
+            let done = Arc::new(Latch::new(live));
+            for worker in running() {
+                worker.mailbox().post(Letter::Shutdown(Arc::clone(&done)));
+            }
+            done.wait();
+        }
+        let workers: Vec<Worker> = self
             .procs
             .drain(..)
             .filter_map(|proc| match proc.backend {
-                ProcBackend::Thread { join, .. } => Some(join),
+                ProcBackend::Thread { worker, .. } => Some(worker),
                 ProcBackend::Segment { .. } => None,
             })
             .collect();
-        for join in joins {
-            let _ = join.join();
+        if !workers.is_empty() {
+            Worker::park_all(workers);
         }
     }
 }
@@ -1016,12 +1027,11 @@ impl Home {
                 return Err(error);
             }
         };
-        let (home_tx, home_rx) = mpsc::channel();
-        kernel.run.as_mut().expect("set above").home = Some(home_tx);
+        let home = Arc::new(Mailbox::new());
+        home.read_by(thread::current());
+        kernel.run.as_mut().expect("set above").home = Some(Arc::clone(&home));
         self.0.take().expect(AT_HOME).hand_to(pid, wake);
-        let (kernel, outcome) = home_rx
-            .recv()
-            .expect("the kernel comes home when the run ends");
+        let (kernel, outcome) = home.take();
         self.0 = Some(kernel);
         outcome.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
@@ -1045,6 +1055,8 @@ mod tests {
     use std::sync::Mutex;
 
     use super::*;
+    use crate::process::pool_counts;
+    use crate::{ExecMode, Simulator};
 
     type Log = Arc<Mutex<Vec<usize>>>;
 
@@ -1136,5 +1148,80 @@ mod tests {
             "{selfs} self-resumes, {total:?}"
         );
         assert!(total.homecomings < 8, "a run with no dispatch came home");
+    }
+
+    /// Builds `n` processes in `mode`, where process `i` ends after `i`
+    /// steps of 1 ns, runs them to 2 ns, and drops the system with
+    /// processes 0 to 2 ended and the others blocked. Returns the run's
+    /// statistics.
+    fn run_and_drop(mode: ExecMode, n: u32) -> KernelStats {
+        let mut sim = Simulator::with_mode(mode);
+        for i in 0..n {
+            let mut left = i;
+            sim.spawn_segment(&format!("p{i}"), move |_| {
+                if left == 0 {
+                    return SegStep::Done;
+                }
+                left -= 1;
+                SegStep::Yield(WaitRequest::time(SimDuration::from_ns(1)))
+            });
+        }
+        sim.run_until(SimTime::from_ps(2_000)).unwrap();
+        assert_eq!(sim.alive_processes(), n.saturating_sub(3) as usize);
+        sim.stats()
+    }
+
+    /// Runs `f` on a thread of its own, whose pool starts empty.
+    fn on_a_new_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        thread::spawn(f).join().unwrap()
+    }
+
+    #[test]
+    fn a_thread_runs_system_after_system_on_the_threads_of_the_last() {
+        on_a_new_thread(|| {
+            let stats = [(); 3].map(|()| run_and_drop(ExecMode::Thread, 4));
+            assert!(stats.iter().all(|s| *s == stats[0]), "{stats:?}");
+            let pool = pool_counts();
+            assert_eq!((pool.created, pool.taken), (4, 8), "4 threads, not 12");
+            assert_eq!(pool.parked.len(), 4);
+        });
+    }
+
+    #[test]
+    fn the_pool_keeps_exactly_the_threads_of_the_last_system_dropped() {
+        on_a_new_thread(|| {
+            run_and_drop(ExecMode::Thread, 4);
+            run_and_drop(ExecMode::Thread, 2);
+            let pool = pool_counts();
+            assert_eq!((pool.created, pool.taken), (4, 2));
+            assert_eq!(
+                pool.parked.len(),
+                2,
+                "the 2 threads the 2-process system left"
+            );
+        });
+    }
+
+    #[test]
+    fn a_thread_that_ends_retires_its_pool() {
+        let parked = on_a_new_thread(|| {
+            run_and_drop(ExecMode::Thread, 3);
+            pool_counts().parked
+        });
+        assert_eq!(parked.len(), 3);
+        // Each mailbox lives while its thread is parked.
+        assert!(
+            parked.iter().all(|mailbox| mailbox.upgrade().is_none()),
+            "a thread that ended left process threads parked"
+        );
+    }
+
+    #[test]
+    fn a_segment_mode_system_creates_no_thread() {
+        on_a_new_thread(|| {
+            run_and_drop(ExecMode::Segment, 4);
+            let pool = pool_counts();
+            assert_eq!((pool.created, pool.taken, pool.parked.len()), (0, 0, 0));
+        });
     }
 }

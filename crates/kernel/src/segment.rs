@@ -12,7 +12,7 @@
 //!
 //! [`ExecMode`] picks where step machines run. In `Segment` mode the
 //! scheduler calls them *directly* inside its evaluation loop: zero
-//! thread spawns, zero OS switches, no channels on the hot path. In
+//! process threads, zero OS switches, no mailboxes on the hot path. In
 //! `Thread` mode each one runs on its own OS thread, which performs
 //! every yielded wait as a blocking [`ProcessContext::wait`]: the thread
 //! runs the kernel on to the next dispatch, carries on if that is

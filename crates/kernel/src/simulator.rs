@@ -119,6 +119,14 @@ impl Simulator {
     /// Spawns a simulation process. The body starts executing (at the
     /// current simulation time) on the next `run`/`run_until` call.
     ///
+    /// The body runs on an OS thread: one parked in this thread's pool,
+    /// where dropping a simulator leaves its process threads, or else a
+    /// new one. The thread is not named after the process; a panic in
+    /// the body is reported by the process's name
+    /// ([`KernelError::ProcessPanicked`]). Dropping the simulator unwinds
+    /// every body still running and returns once each has dropped its
+    /// captures.
+    ///
     /// Processes may be spawned before the first run or between runs, but
     /// not from inside another process.
     pub fn spawn<F>(&mut self, name: &str, body: F) -> ProcessId
@@ -136,9 +144,11 @@ impl Simulator {
     /// The [execution mode](Simulator::exec_mode) picks the host. In
     /// [`ExecMode::Segment`] the scheduler calls the machine inline, with
     /// no backing OS thread. In [`ExecMode::Thread`] a thread process
-    /// runs it, stepping it and waiting at each yield: a dispatch of this
-    /// process right after another's costs one OS switch (the thread is
-    /// handed the kernel), and one right after its own yield costs none.
+    /// (see [`spawn`](Simulator::spawn)) runs it, stepping it and waiting
+    /// at each yield: a dispatch of this process right after another's
+    /// costs one OS switch (the kernel is posted to the thread's one-slot
+    /// mailbox, and the thread unparked), and one right after its own
+    /// yield costs none.
     /// The machine is the same either way, and so are scheduling order,
     /// statistics and event semantics.
     ///

@@ -182,3 +182,155 @@ fn a_kernel_panic_on_a_process_thread_resumes_on_the_callers_thread() {
         drop(sim);
     });
 }
+
+/// A system of three thread processes that, at any run limit, are all
+/// blocked: on an event, on a timer, and on a long sleep.
+fn all_blocked(log: &Log) -> Simulator {
+    let mut sim = Simulator::with_mode(ExecMode::Thread);
+    let go = sim.event("go");
+    let l = Arc::clone(log);
+    sim.spawn("waiter", move |ctx| loop {
+        l.lock()
+            .unwrap()
+            .push(format!("waiter@{}", ctx.now().as_ps()));
+        ctx.wait_event(go);
+    });
+    let l = Arc::clone(log);
+    sim.spawn("ticker", move |ctx| loop {
+        l.lock()
+            .unwrap()
+            .push(format!("ticker@{}", ctx.now().as_ps()));
+        ctx.wait_for(ns(3));
+        ctx.notify(go);
+    });
+    let l = Arc::clone(log);
+    sim.spawn("sleeper", move |ctx| {
+        l.lock()
+            .unwrap()
+            .push(format!("sleeper@{}", ctx.now().as_ps()));
+        ctx.wait_for(ns(1_000));
+        l.lock().unwrap().push("sleeper woke".into());
+    });
+    sim
+}
+
+/// The ping-pong of the first test, logging each pong and each bystander
+/// wake: `ponger` panics once there are five lines.
+fn ping_pong(log: &Log) -> Simulator {
+    let mut sim = Simulator::with_mode(ExecMode::Thread);
+    let ping = sim.event("ping");
+    let pong = sim.event("pong");
+    let l = Arc::clone(log);
+    sim.spawn("pinger", move |ctx| loop {
+        ctx.wait_for(ns(1));
+        ctx.notify(ping);
+        ctx.wait_event(pong);
+        l.lock()
+            .unwrap()
+            .push(format!("pong@{}", ctx.now().as_ps()));
+    });
+    let l = Arc::clone(log);
+    sim.spawn("ponger", move |ctx| loop {
+        ctx.wait_event(ping);
+        assert!(l.lock().unwrap().len() < 5, "ponger gives up");
+        ctx.notify(pong);
+    });
+    let l = Arc::clone(log);
+    sim.spawn("bystander", move |ctx| loop {
+        ctx.wait_for(ns(3));
+        l.lock()
+            .unwrap()
+            .push(format!("bystander@{}", ctx.now().as_ps()));
+    });
+    sim
+}
+
+/// Builds and runs system `k` of [`all_blocked`] (dropped mid-run),
+/// [`ping_pong`] and [`system`], drops it, and returns its log with the
+/// run's outcome and statistics. Every body holds a
+/// clone of the log, so the log's own count shows whether dropping the
+/// simulator dropped every body's captures.
+fn turn(k: usize) -> Vec<String> {
+    let log: Log = Arc::default();
+    let (sim, outcome) = match k {
+        0 => {
+            let mut sim = all_blocked(&log);
+            let outcome = sim.run_until(SimTime::ZERO + ns(10));
+            (sim, outcome)
+        }
+        1 => {
+            let mut sim = ping_pong(&log);
+            let outcome = sim.run();
+            (sim, outcome)
+        }
+        _ => {
+            let mut sim = system(ExecMode::Thread, &log);
+            let outcome = sim.run_until(SimTime::ZERO + ns(60));
+            (sim, outcome)
+        }
+    };
+    let stats = sim.stats();
+    let alive = sim.alive_processes();
+    drop(sim);
+    assert_eq!(
+        Arc::strong_count(&log),
+        1,
+        "[system {k}] the simulator dropped before its bodies' captures"
+    );
+    let mut log = Arc::into_inner(log).unwrap().into_inner().unwrap();
+    log.push(format!("{outcome:?} {stats:?} alive {alive}"));
+    log
+}
+
+#[test]
+fn process_threads_reused_across_systems_change_nothing() {
+    let fresh = Arc::new(Mutex::new(Vec::new()));
+    for k in 0..3 {
+        let fresh = Arc::clone(&fresh);
+        within_a_minute(move || fresh.lock().unwrap().push(turn(k)));
+    }
+    let in_turn = Arc::new(Mutex::new(Vec::new()));
+    let logs = Arc::clone(&in_turn);
+    // One thread: each system after the first runs on the process
+    // threads the one before left parked.
+    within_a_minute(move || logs.lock().unwrap().extend((0..3).map(turn)));
+    let (fresh, in_turn) = (fresh.lock().unwrap(), in_turn.lock().unwrap());
+    assert_eq!(*in_turn, *fresh);
+    // The three systems did what they are for.
+    assert!(
+        fresh[0].last().unwrap().ends_with("alive 3"),
+        "{:?}",
+        fresh[0]
+    );
+    assert!(
+        fresh[1].last().unwrap().contains("ponger gives up"),
+        "{:?}",
+        fresh[1]
+    );
+    assert!(fresh[2].len() >= 30, "{:?}", fresh[2]);
+}
+
+#[test]
+fn a_kernel_panic_at_a_bodys_last_yield_still_lets_the_simulator_drop() {
+    within_a_minute(|| {
+        let mut other = Simulator::with_mode(ExecMode::Thread);
+        let foreign = (0..4).map(|i| other.event(&format!("e{i}"))).last();
+        let foreign = foreign.expect("four events");
+        for _ in 0..2 {
+            // The body ends right after its notification, so the kernel
+            // code panics in its final yield, which never takes effect.
+            let mut sim = Simulator::with_mode(ExecMode::Thread);
+            sim.spawn("steady", |ctx| loop {
+                ctx.wait_for(ns(1));
+            });
+            sim.spawn("stray", move |ctx| {
+                ctx.wait_for(ns(2));
+                ctx.notify(foreign);
+            });
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            assert!(outcome.is_err(), "the run must panic here, got {outcome:?}");
+            assert_eq!(sim.alive_processes(), 2);
+            drop(sim);
+        }
+    });
+}

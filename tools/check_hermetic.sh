@@ -109,6 +109,11 @@ for exec_mode in thread segment; do
     echo "-- exec mode: $exec_mode --"
     RTSIM_EXEC_MODE="$exec_mode" "$repo/target/release/rtsim-farm" --check
 done
+# Once more in Thread mode on one pool worker: each cell then runs on the
+# process threads the cell before it left parked, so one thread pool
+# serves all 196 cells in turn.
+echo "-- exec mode: thread, one worker --"
+RTSIM_EXEC_MODE=thread RTSIM_WORKERS=1 "$repo/target/release/rtsim-farm" --check
 
 echo "== hermetic check: grid cache round-trip (smoke subset) =="
 # Cold sweep into a scratch cache, then a warm sweep at a different
