@@ -11,16 +11,19 @@
 //! 2. Run it with [`Simulator::run_to_choice`](rtsim_kernel::Simulator::run_to_choice),
 //!    which stops before each choice point (two or more simultaneously
 //!    eligible actions). At a choice point not seen before, push a frame
-//!    recording the arity, store a fork of the system stopped there (plus
-//!    the running state hash), and decide `0` (the stable order).
-//! 3. When the run finishes, check the properties its model declares
-//!    (timing constraints and oracles alike) on the final trace (a run
-//!    that reaches an explored state ends there instead, see below), then
-//!    backtrack: pop exhausted frames, increment the deepest frame with
-//!    a remaining sibling, and resume that sibling from the frame's
-//!    snapshot — a further fork of it, or the snapshot itself for the
-//!    last sibling — so each schedule simulates only its own suffix. At
-//!    most one snapshot per open frame is alive.
+//!    recording the arity, fold the records so far into the monitors of
+//!    the properties its model declares, store a fork of the system
+//!    stopped there (plus the running state hash), and decide `0` (the
+//!    stable order).
+//! 3. When the run finishes, check those properties (timing constraints
+//!    and oracles alike): fold the records the run added since its last
+//!    snapshot and finish the monitors (a run that reaches an explored
+//!    state ends there instead, see below). Then backtrack: pop exhausted
+//!    frames, increment the deepest frame with a remaining sibling, and
+//!    resume that sibling from the frame's snapshot — a further fork of
+//!    it, or the snapshot itself for the last sibling — so each schedule
+//!    simulates, and checks, only its own suffix. At most one snapshot
+//!    per open frame is alive.
 //!
 //! A system that cannot fork (a closure body runs on a thread, or a
 //! custom scheduling policy cannot copy itself) is explored the original
@@ -77,7 +80,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use rtsim_kernel::choice::{ChoiceKind, ChoicePoint};
 use rtsim_kernel::{ExecMode, KernelError, SimTime};
@@ -314,7 +317,7 @@ struct Search<'s> {
     /// Visited state hashes (whole search; only grows), each with the
     /// number of choice points its stable continuation answers, its own
     /// included: filled in when the run that found it ends, 0 until then.
-    visited: HashMap<u64, u64>,
+    visited: HashMap<u64, u64, BuildHasherDefault<Mixed>>,
     /// Total choice points answered across all runs.
     choice_points: u64,
     /// Whether the depth cap fired this run.
@@ -337,7 +340,7 @@ impl<'s> Search<'s> {
             fork,
             frames: Vec::new(),
             path: Vec::new(),
-            visited: HashMap::new(),
+            visited: HashMap::default(),
             choice_points: 0,
             truncated: false,
             header: None,
@@ -425,7 +428,7 @@ impl<'s> Search<'s> {
             live.system.simulator_mut().decide(choice);
         }
         self.settle(first, depth as u64);
-        let report = live.system.finish();
+        let report = live.system.verify_constraints();
         let hash = self.trace_hash(&live);
         self.recycle(live.system);
         Some((hash, violations(error, report)))
@@ -455,6 +458,9 @@ impl<'s> Search<'s> {
             }
         }
         let snapshot = if self.fork {
+            // The snapshot's monitors have folded the prefix, so each run
+            // resumed from it folds only its own records.
+            live.system.fold();
             live.fork(&mut self.spares)
         } else {
             None
@@ -527,7 +533,7 @@ impl<'s> Search<'s> {
     fn explore(mut self, budget: &Budget) -> Exploration {
         let mut runs: u64 = 0;
         let mut merged: u64 = 0;
-        let mut distinct = BTreeSet::new();
+        let mut distinct = Vec::new();
         let mut counterexample = None;
         let mut complete = false;
         let mut ever_truncated = false;
@@ -537,7 +543,7 @@ impl<'s> Search<'s> {
             match self.run(start.take()) {
                 None => merged += 1,
                 Some((hash, violations)) => {
-                    distinct.insert(hash);
+                    distinct.push(hash);
                     if !violations.is_empty() {
                         counterexample = Some(self.counterexample(violations));
                         break;
@@ -570,6 +576,8 @@ impl<'s> Search<'s> {
                 frame.snapshot.take()
             };
         }
+        distinct.sort_unstable();
+        distinct.dedup();
         Exploration {
             scenario: self.scenario.name.to_owned(),
             runs,
@@ -577,7 +585,7 @@ impl<'s> Search<'s> {
             states: self.visited.len(),
             choice_points: self.choice_points,
             distinct_traces: distinct.len(),
-            trace_hashes: distinct,
+            trace_hashes: distinct.into_iter().collect(),
             complete,
             counterexample,
             fresh: self.fresh,
@@ -642,6 +650,25 @@ impl Hasher for Mix {
 
     fn write_usize(&mut self, i: usize) {
         self.word(i as u64);
+    }
+}
+
+/// The visited set's hasher: its keys are [`Mix`] hashes already, so it
+/// passes the one `u64` written through.
+#[derive(Default)]
+struct Mixed(u64);
+
+impl Hasher for Mixed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the visited set's keys are u64 state hashes");
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = i;
     }
 }
 
@@ -804,7 +831,7 @@ pub fn try_replay(
             surplus: choices.len() - depth,
         });
     }
-    let report = system.finish();
+    let report = system.verify_constraints();
     Ok((system.trace(), violations(error, report)))
 }
 

@@ -7,6 +7,12 @@
 //! means it holds over *all* enumerated interleavings, not just the
 //! stable one the regression farm pins.
 //!
+//! Each oracle is a monitor: it folds records into a plain-data state,
+//! most often an [`ActorTable`] sized to the actors, and reads its
+//! findings off that state when the run ends. The explorer folds at
+//! every choice point it snapshots, so a leaf folds only the records
+//! its own run added.
+//!
 //! The built-ins: no missed deadline, no lost queue message, no lost
 //! task (a fugitive event swallowed while nobody was waiting strands its
 //! waiter forever), mutual exclusion on shared resources,
@@ -15,7 +21,10 @@
 
 use rtsim_kernel::{SimDuration, SimTime};
 use rtsim_mcse::SystemModel;
-use rtsim_trace::{ActorKind, CommKind, Finding, Property, TaskState, Trace, TraceData};
+use rtsim_trace::{
+    ActorId, ActorInfo, ActorKind, ActorTable, CommKind, Finding, Property, Record, TaskState,
+    TraceData,
+};
 
 /// No task ever completes past its deadline: the trace must not carry a
 /// `deadline_miss` annotation (the RTOS engine stamps one on every
@@ -24,14 +33,23 @@ use rtsim_trace::{ActorKind, CommKind, Finding, Property, TaskState, Trace, Trac
 pub struct NoMissedDeadline;
 
 impl Property for NoMissedDeadline {
+    /// The instants of the misses, in trace order.
+    type State = Vec<SimTime>;
+
     fn name(&self) -> &str {
         "no-missed-deadline"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        trace
-            .annotation_times("deadline_miss")
-            .into_iter()
+    fn observe(&self, misses: &mut Vec<SimTime>, _actors: &[ActorInfo], records: &[Record]) {
+        misses.extend(records.iter().filter_map(|r| match &r.data {
+            TraceData::Annotation(label) if label == "deadline_miss" => Some(r.at),
+            _ => None,
+        }));
+    }
+
+    fn finish(&self, misses: &Vec<SimTime>, _: &[ActorInfo], _: SimTime) -> Vec<Finding> {
+        misses
+            .iter()
             .map(|at| self.finding(false, format!("deadline missed at {}ps", at.as_ps())))
             .collect()
     }
@@ -44,27 +62,36 @@ impl Property for NoMissedDeadline {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoLostMessage;
 
+/// What [`NoLostMessage`] keeps of one actor: its last reported queue
+/// depth, and the writes and reads that name it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct QueueTally {
+    depth: Option<usize>,
+    writes: u64,
+    reads: u64,
+}
+
 impl Property for NoLostMessage {
+    type State = ActorTable<QueueTally>;
+
     fn name(&self) -> &str {
         "no-lost-message"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        // Per relation actor: its last reported depth and the writes and
-        // reads that name it.
-        let mut queues = per_actor(trace, ActorKind::Relation, (None, 0u64, 0u64));
-        for r in trace.records() {
+    fn observe(&self, state: &mut Self::State, actors: &[ActorInfo], records: &[Record]) {
+        state.fit(actors);
+        for r in records {
             match r.data {
                 TraceData::QueueDepth { depth, .. } => {
-                    if let Some(Some(queue)) = queues.get_mut(r.actor.index()) {
-                        queue.0 = Some(depth);
+                    if let Some(queue) = state.rows.get_mut(r.actor.index()) {
+                        queue.depth = Some(depth);
                     }
                 }
                 TraceData::Comm { relation, kind } => {
-                    if let Some(Some(queue)) = queues.get_mut(relation.index()) {
+                    if let Some(queue) = state.rows.get_mut(relation.index()) {
                         match kind {
-                            CommKind::Write => queue.1 += 1,
-                            CommKind::Read => queue.2 += 1,
+                            CommKind::Write => queue.writes += 1,
+                            CommKind::Read => queue.reads += 1,
                             CommKind::Signal => {}
                         }
                     }
@@ -72,10 +99,13 @@ impl Property for NoLostMessage {
                 _ => {}
             }
         }
+    }
+
+    fn finish(&self, state: &Self::State, actors: &[ActorInfo], _: SimTime) -> Vec<Finding> {
         let mut violations = Vec::new();
-        for (queue, actor) in queues.into_iter().zip(trace.actors()) {
-            // Not a queue unless it reported a depth.
-            let Some((Some(final_depth), writes, reads)) = queue else {
+        for (queue, actor) in state.rows.iter().zip(actors) {
+            // Not a queue unless it is a relation that reported a depth.
+            let (ActorKind::Relation, Some(final_depth)) = (actor.kind, queue.depth) else {
                 continue;
             };
             let name = &actor.name;
@@ -85,10 +115,13 @@ impl Property for NoLostMessage {
                     format!("queue `{name}` ends with {final_depth} unread message(s)"),
                 ));
             }
-            if writes != reads {
+            if queue.writes != queue.reads {
                 violations.push(self.finding(
                     false,
-                    format!("queue `{name}` saw {writes} write(s) but {reads} read(s)"),
+                    format!(
+                        "queue `{name}` saw {} write(s) but {} read(s)",
+                        queue.writes, queue.reads
+                    ),
                 ));
             }
         }
@@ -103,30 +136,39 @@ impl Property for NoLostMessage {
 pub struct AllTasksTerminate;
 
 impl Property for AllTasksTerminate {
+    /// Per actor: the last state it entered.
+    type State = ActorTable<Option<TaskState>>;
+
     fn name(&self) -> &str {
         "all-tasks-terminate"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        // Per task actor: the last state it entered.
-        let mut last = per_actor(trace, ActorKind::Task, None);
-        for r in trace.records() {
-            if let TraceData::State(state) = r.data {
-                if let Some(Some(task)) = last.get_mut(r.actor.index()) {
-                    *task = Some(state);
+    fn observe(&self, state: &mut Self::State, actors: &[ActorInfo], records: &[Record]) {
+        state.fit(actors);
+        for r in records {
+            if let TraceData::State(entered) = r.data {
+                if let Some(task) = state.rows.get_mut(r.actor.index()) {
+                    *task = Some(entered);
                 }
             }
         }
-        last.into_iter()
-            .zip(trace.actors())
-            .filter_map(|(last, actor)| match last {
-                Some(Some(state)) if state != TaskState::Terminated => Some(self.finding(
-                    false,
-                    format!(
-                        "task `{}` ends the horizon in state {state} (lost wake?)",
-                        actor.name
-                    ),
-                )),
+    }
+
+    fn finish(&self, state: &Self::State, actors: &[ActorInfo], _: SimTime) -> Vec<Finding> {
+        state
+            .rows
+            .iter()
+            .zip(actors)
+            .filter_map(|(last, actor)| match (actor.kind, last) {
+                (ActorKind::Task, Some(state)) if *state != TaskState::Terminated => {
+                    Some(self.finding(
+                        false,
+                        format!(
+                            "task `{}` ends the horizon in state {state} (lost wake?)",
+                            actor.name
+                        ),
+                    ))
+                }
                 _ => None,
             })
             .collect()
@@ -139,48 +181,65 @@ impl Property for AllTasksTerminate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MutexExclusion;
 
+/// A repeated acquire (`held`) or release of a resource, noted by
+/// [`MutexExclusion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Breach {
+    resource: ActorId,
+    at: SimTime,
+    held: bool,
+}
+
 impl Property for MutexExclusion {
+    /// Per actor: whether it is held; the breaches in trace order.
+    type State = ActorTable<bool, Breach>;
+
     fn name(&self) -> &str {
         "mutex-exclusion"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        // Per relation actor: whether it is held, and its breaches in
-        // trace order.
-        let mut resources = per_actor(trace, ActorKind::Relation, (false, Vec::new()));
-        for r in trace.records() {
+    fn observe(&self, state: &mut Self::State, actors: &[ActorInfo], records: &[Record]) {
+        state.fit(actors);
+        for r in records {
             let TraceData::ResourceHeld(h) = r.data else {
                 continue;
             };
-            let Some(Some((held, breaches))) = resources.get_mut(r.actor.index()) else {
+            if !is(actors, r.actor, ActorKind::Relation) {
                 continue;
-            };
+            }
+            let held = &mut state.rows[r.actor.index()];
             if h == *held {
-                breaches.push(format!(
-                    "resource `{}` {} twice in a row at {}ps",
-                    trace.actor_name(r.actor),
-                    if h { "acquired" } else { "released" },
-                    r.at.as_ps()
-                ));
+                state.notes.push(Breach {
+                    resource: r.actor,
+                    at: r.at,
+                    held: h,
+                });
             }
             *held = h;
         }
+    }
+
+    fn finish(&self, state: &Self::State, actors: &[ActorInfo], _: SimTime) -> Vec<Finding> {
         let mut violations = Vec::new();
-        for (resource, actor) in resources.into_iter().zip(trace.actors()) {
-            let Some((held, mut breaches)) = resource else {
-                continue;
-            };
-            if held {
-                breaches.push(format!(
-                    "resource `{}` still held at end of horizon",
-                    actor.name
+        for (i, actor) in actors.iter().enumerate() {
+            let name = &actor.name;
+            let breaches = state.notes.iter().filter(|b| b.resource.index() == i);
+            violations.extend(breaches.map(|b| {
+                self.finding(
+                    false,
+                    format!(
+                        "resource `{name}` {} twice in a row at {}ps",
+                        if b.held { "acquired" } else { "released" },
+                        b.at.as_ps()
+                    ),
+                )
+            }));
+            if state.rows.get(i) == Some(&true) {
+                violations.push(self.finding(
+                    false,
+                    format!("resource `{name}` still held at end of horizon"),
                 ));
             }
-            violations.extend(
-                breaches
-                    .into_iter()
-                    .map(|message| self.finding(false, message)),
-            );
         }
         violations
     }
@@ -195,64 +254,78 @@ impl Property for MutexExclusion {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CriticalSectionExclusion;
 
+/// One closed `[enter, exit)` critical section of a task, noted by
+/// [`CriticalSectionExclusion`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Section {
+    task: ActorId,
+    enter: SimTime,
+    exit: SimTime,
+}
+
 impl Property for CriticalSectionExclusion {
+    /// Per actor: the open section's entry, if any; the closed sections
+    /// by task, each task's in closing order.
+    type State = ActorTable<Option<SimTime>, Section>;
+
     fn name(&self) -> &str {
         "critical-section-exclusion"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        // Per task actor: the open section's entry, if any, and its
-        // closed [enter, exit) intervals.
-        let mut tasks = per_actor(trace, ActorKind::Task, (None, Vec::new()));
-        for r in trace.records() {
+    fn observe(&self, state: &mut Self::State, actors: &[ActorInfo], records: &[Record]) {
+        state.fit(actors);
+        for r in records {
             let TraceData::Annotation(label) = &r.data else {
                 continue;
             };
-            let Some(Some((open, closed))) = tasks.get_mut(r.actor.index()) else {
+            if !is(actors, r.actor, ActorKind::Task) {
                 continue;
-            };
+            }
+            let open = &mut state.rows[r.actor.index()];
             match label.as_str() {
                 "cs_enter" => *open = Some(r.at),
                 "cs_exit" => {
-                    if let Some(start) = open.take() {
-                        closed.push((start, r.at));
+                    if let Some(enter) = open.take() {
+                        let after = state.notes.partition_point(|s| s.task <= r.actor);
+                        let section = Section {
+                            task: r.actor,
+                            enter,
+                            exit: r.at,
+                        };
+                        state.notes.insert(after, section);
                     }
                 }
                 _ => {}
             }
         }
-        let mut violations = Vec::new();
-        let mut sections = Vec::new();
-        for (task, actor) in tasks.into_iter().zip(trace.actors()) {
-            let Some((open, closed)) = task else {
-                continue;
-            };
-            if open.is_some() {
-                violations.push(self.finding(
+    }
+
+    fn finish(&self, state: &Self::State, actors: &[ActorInfo], _: SimTime) -> Vec<Finding> {
+        let mut violations: Vec<Finding> = state
+            .rows
+            .iter()
+            .zip(actors)
+            .filter(|(open, _)| open.is_some())
+            .map(|(_, actor)| {
+                self.finding(
                     false,
                     format!("task `{}` never exits its critical section", actor.name),
-                ));
-            }
-            sections.extend(
-                closed
-                    .into_iter()
-                    .map(|(start, end)| (&actor.name, start, end)),
-            );
-        }
-        for (i, (a_name, a_start, a_end)) in sections.iter().enumerate() {
-            for (b_name, b_start, b_end) in &sections[i + 1..] {
-                if a_name == b_name {
-                    continue;
-                }
-                if a_start < b_end && b_start < a_end {
+                )
+            })
+            .collect();
+        let name = |s: &Section| &actors[s.task.index()].name;
+        for (i, a) in state.notes.iter().enumerate() {
+            for b in &state.notes[i + 1..] {
+                let (a_name, b_name) = (name(a), name(b));
+                if a_name != b_name && a.enter < b.exit && b.enter < a.exit {
                     violations.push(self.finding(
                         false,
                         format!(
                             "critical sections overlap: `{a_name}` [{}..{}ps] and `{b_name}` [{}..{}ps]",
-                            a_start.as_ps(),
-                            a_end.as_ps(),
-                            b_start.as_ps(),
-                            b_end.as_ps()
+                            a.enter.as_ps(),
+                            a.exit.as_ps(),
+                            b.enter.as_ps(),
+                            b.exit.as_ps()
                         ),
                     ));
                 }
@@ -264,7 +337,7 @@ impl Property for CriticalSectionExclusion {
 
 /// Bounded priority inversion: the total time `victim` spends Ready
 /// while `offender` runs must not exceed `bound`, with the last
-/// intervals closed at [`Trace::horizon`]. Pin it on a scenario
+/// intervals closed at the trace's last record. Pin it on a scenario
 /// with an inversion-avoidance protocol (priority inheritance /
 /// preemption masking) to verify the protocol holds under *every*
 /// schedule, not just the stable one.
@@ -278,17 +351,60 @@ pub struct PriorityInversionBound {
     pub bound: SimDuration,
 }
 
+/// What [`PriorityInversionBound`] keeps of a run: each of the two
+/// tasks once registered, whether the victim waits and the offender
+/// runs since the last change of either, the overlap before it, and the
+/// last record's instant.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct InversionTally {
+    victim: Option<ActorId>,
+    offender: Option<ActorId>,
+    blocked: bool,
+    running: bool,
+    since: SimTime,
+    overlap_ps: u64,
+    last: SimTime,
+}
+
 impl Property for PriorityInversionBound {
+    type State = InversionTally;
+
     fn name(&self) -> &str {
         "priority-inversion-bound"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        let horizon = trace.horizon();
-        let (Some(victim), Some(offender)) = (
-            trace.actor_by_name(&self.victim),
-            trace.actor_by_name(&self.offender),
-        ) else {
+    fn observe(&self, tally: &mut InversionTally, actors: &[ActorInfo], records: &[Record]) {
+        tally.victim = tally.victim.or_else(|| ActorId::find(actors, &self.victim));
+        tally.offender = tally
+            .offender
+            .or_else(|| ActorId::find(actors, &self.offender));
+        for r in records {
+            tally.last = tally.last.max(r.at);
+            let TraceData::State(state) = r.data else {
+                continue;
+            };
+            let (victim, offender) = (
+                Some(r.actor) == tally.victim,
+                Some(r.actor) == tally.offender,
+            );
+            if !victim && !offender {
+                continue;
+            }
+            if tally.blocked && tally.running {
+                tally.overlap_ps += r.at.as_ps() - tally.since.as_ps();
+            }
+            tally.since = r.at;
+            if victim {
+                tally.blocked = matches!(state, TaskState::Ready | TaskState::WaitingResource);
+            }
+            if offender {
+                tally.running = state == TaskState::Running;
+            }
+        }
+    }
+
+    fn finish(&self, tally: &InversionTally, _: &[ActorInfo], _: SimTime) -> Vec<Finding> {
+        if tally.victim.is_none() || tally.offender.is_none() {
             return vec![self.finding(
                 false,
                 format!(
@@ -296,28 +412,10 @@ impl Property for PriorityInversionBound {
                     self.victim, self.offender
                 ),
             )];
-        };
-        let blocked: Vec<(SimTime, SimTime)> = trace
-            .state_intervals(victim, horizon)
-            .into_iter()
-            .filter(|(_, _, s)| matches!(s, TaskState::Ready | TaskState::WaitingResource))
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        let running: Vec<(SimTime, SimTime)> = trace
-            .state_intervals(offender, horizon)
-            .into_iter()
-            .filter(|(_, _, s)| *s == TaskState::Running)
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        let mut overlap_ps: u64 = 0;
-        for &(a0, a1) in &blocked {
-            for &(b0, b1) in &running {
-                let lo = a0.max(b0);
-                let hi = a1.min(b1);
-                if lo < hi {
-                    overlap_ps += hi.as_ps() - lo.as_ps();
-                }
-            }
+        }
+        let mut overlap_ps = tally.overlap_ps;
+        if tally.blocked && tally.running {
+            overlap_ps += tally.last.as_ps() - tally.since.as_ps();
         }
         if overlap_ps > self.bound.as_ps() {
             vec![self.finding(
@@ -336,15 +434,9 @@ impl Property for PriorityInversionBound {
     }
 }
 
-/// One `init` per actor of `kind` and `None` for every other actor: the
-/// per-actor state of a one-pass oracle, indexed by
-/// [`ActorId::index`](rtsim_trace::ActorId::index).
-fn per_actor<T: Clone>(trace: &Trace, kind: ActorKind, init: T) -> Vec<Option<T>> {
-    trace
-        .actors()
-        .iter()
-        .map(|a| (a.kind == kind).then(|| init.clone()))
-        .collect()
+/// Whether `actor` is registered in `actors` as a `kind`.
+fn is(actors: &[ActorInfo], actor: ActorId, kind: ActorKind) -> bool {
+    actors.get(actor.index()).is_some_and(|a| a.kind == kind)
 }
 
 /// Declares the default oracle suite on `model`: every

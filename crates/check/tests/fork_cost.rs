@@ -1,6 +1,7 @@
 //! What a fork costs, counted: forking each healthy check scenario at
 //! every choice point of its stable run makes exactly the pinned number
-//! of allocations, fresh or into a spare, and so does a whole search.
+//! of allocations, fresh or into a spare, and so does a whole search; a
+//! leaf's property check makes none.
 //!
 //! The explorer resumes every sibling schedule from a fork, so this is
 //! the cost of a run's start. A fork copies run state only: what
@@ -8,15 +9,22 @@
 //! slot's copy function, the processors' and tasks' names — is shared or
 //! kept elsewhere, never copied. A change that makes a fork copy such a
 //! name again, or anything else per event, process, slot or task, moves
-//! these counts.
+//! these counts. A fresh fork does copy the monitor state of each
+//! property the model declares: a box per property and the buffers of
+//! its actor table.
 //!
 //! The explorer writes most forks over the system of a run that is over
 //! (`ElaboratedSystem::fork_into`), reusing its buffers: such a fork
 //! allocates only where the copy needs more room than the spare has, and
 //! for what a slot cannot copy in place (each processor's scheduling
 //! policy box). A type that stops writing into its own buffers (a
-//! derived `Clone` where a hand-written `clone_from` was), or a machine
-//! spawned as a closure again, moves those counts.
+//! derived `Clone` where a hand-written `clone_from` was, in a world slot,
+//! a machine or a property's monitor state), or a machine spawned as a
+//! closure again, moves those counts.
+//!
+//! The properties are monitors: the explorer folds each run's records
+//! into them at every choice point it snapshots, so a leaf folds only
+//! its own suffix and reads the findings off the monitors.
 //!
 //! This is its own test binary because it installs a counting
 //! `#[global_allocator]` over `System`. Counting is per thread and only
@@ -88,13 +96,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 /// Per healthy scenario: the choice points of its stable run, and the
 /// allocations of forking and dropping the system at all of them.
 const PINS: [(&str, u64, u64); 7] = [
-    ("rivals", 11, 270),
-    ("burst_queue", 13, 328),
-    ("irq_races", 15, 407),
-    ("var_ceiling", 4, 113),
-    ("pipeline", 6, 158),
-    ("smp_migration", 19, 528),
-    ("fault_dropout", 10, 227),
+    ("rivals", 11, 380),
+    ("burst_queue", 13, 458),
+    ("irq_races", 15, 557),
+    ("var_ceiling", 4, 157),
+    ("pipeline", 6, 218),
+    ("smp_migration", 19, 718),
+    ("fault_dropout", 10, 327),
 ];
 
 /// Per healthy scenario: the allocations of forking the system into one
@@ -112,7 +120,7 @@ const SPARE_PINS: [(&str, u64, u64); 7] = [
 
 /// Runs and allocations of exploring every healthy scenario under the
 /// default budget, one after the other.
-const EXPLORE_PIN: (u64, u64) = (84_836, 263_757);
+const EXPLORE_PIN: (u64, u64) = (84_836, 10_299);
 
 /// The healthy scenarios, checked against the names of a pin table.
 fn healthy(pinned: impl Iterator<Item = &'static str>) -> Vec<&'static CheckScenario> {
@@ -213,6 +221,21 @@ fn a_fork_into_a_spare_makes_the_pinned_allocations() {
         spare_allocations,
     );
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// A leaf's check, as the explorer makes it: the stable run of each
+/// healthy scenario, its monitors folded at every choice point, then
+/// `verify_constraints`, which folds the rest of the trace and finishes
+/// the monitors.
+#[test]
+fn a_healthy_leaf_finishes_without_allocating() {
+    for scenario in healthy(PINS.iter().map(|pin| pin.0)) {
+        let mut system = elaborate(scenario);
+        let until = SimTime::ZERO + scenario.horizon;
+        stable_run(&mut system, until, ElaboratedSystem::fold);
+        let allocs = allocations_in(|| assert!(system.verify_constraints().all_satisfied()));
+        assert_eq!(allocs, 0, "{}: a leaf's check allocated", scenario.name);
+    }
 }
 
 /// What the benchmark's `alloc.count_per_item` reads on `explore`, pinned

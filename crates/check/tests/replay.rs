@@ -18,7 +18,7 @@ use rtsim_kernel::SimTime;
 use rtsim_mcse::SystemModel;
 use rtsim_trace::CommKind::Read;
 use rtsim_trace::TraceData::Comm;
-use rtsim_trace::{Finding, Property, Trace};
+use rtsim_trace::{ActorInfo, Finding, Property, Record};
 
 #[test]
 fn an_out_of_range_choice_names_its_depth_and_arity() {
@@ -80,29 +80,46 @@ fn a_mutant_counterexample_still_replays() {
 /// past it violates this.
 struct TickOrder;
 
+/// The ticks `W0` and `W1` have read, and the rounds `W1` read first.
+#[derive(Clone, Default, Hash)]
+struct Ticks {
+    reads: [usize; 2],
+    late: Vec<usize>,
+}
+
 impl Property for TickOrder {
+    type State = Ticks;
+
     fn name(&self) -> &str {
         "tick-order"
     }
 
-    fn check(&self, trace: &Trace, _horizon: SimTime) -> Vec<Finding> {
-        let reads = |name| {
-            let actor = trace.actor_by_name(name).expect("toy worker");
-            trace
-                .records_for(actor)
-                .filter(|r| matches!(r.data, Comm { kind: Read, .. }))
-                .map(|r| r.seq)
-                .collect::<Vec<_>>()
-        };
-        reads("W0")
+    fn observe(&self, ticks: &mut Ticks, actors: &[ActorInfo], records: &[Record]) {
+        for r in records {
+            if !matches!(r.data, Comm { kind: Read, .. }) {
+                continue;
+            }
+            match actors[r.actor.index()].name.as_str() {
+                "W0" => {
+                    ticks.reads[0] += 1;
+                    if ticks.reads[0] <= ticks.reads[1] {
+                        ticks.late.push(ticks.reads[0]);
+                    }
+                }
+                "W1" => ticks.reads[1] += 1,
+                _ => {}
+            }
+        }
+    }
+
+    fn finish(&self, ticks: &Ticks, _: &[ActorInfo], _: SimTime) -> Vec<Finding> {
+        ticks
+            .late
             .iter()
-            .zip(&reads("W1"))
-            .enumerate()
-            .filter(|(_, (w0, w1))| w1 < w0)
-            .map(|(round, _)| {
+            .map(|round| {
                 self.finding(
                     false,
-                    format!("round {}: `W1` took the tick before `W0`", round + 1),
+                    format!("round {round}: `W1` took the tick before `W0`"),
                 )
             })
             .collect()

@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use rtsim_kernel::world::{Slot, World};
+use rtsim_kernel::world::{share, Slot, World};
 use rtsim_kernel::{
     Notifier, ProcessContext, SegmentCtx, SimDuration, SimTime, Simulator, WaitRequest, Wake,
 };
@@ -337,7 +337,7 @@ impl Clone for SegTaskRunner {
 
     fn clone_from(&mut self, source: &Self) {
         self.handle = source.handle;
-        self.name.clone_from(&source.name);
+        share(&mut self.name, &source.name);
         self.stack.clone_from(&source.stack);
         self.done = source.done;
     }

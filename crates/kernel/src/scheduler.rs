@@ -49,7 +49,7 @@ use crate::process::{
 use crate::segment::{SegMachine, SegStep, SegmentCtx, WaitRequest};
 use crate::sync::{Latch, Mailbox};
 use crate::time::{SimDuration, SimTime};
-use crate::world::{SharedWorld, World};
+use crate::world::{share, SharedWorld, World};
 
 /// Default bound on consecutive delta cycles at one instant before the
 /// kernel declares a zero-time livelock.
@@ -282,7 +282,7 @@ impl Kernel {
         }
         into.now = self.now;
         into.events.clone_from(&self.events);
-        into.names.clone_from(&self.names);
+        share(&mut into.names, &self.names);
         into.runnable.clone_from(&self.runnable);
         into.delta_events.clone_from(&self.delta_events);
         into.timers.clone_from(&self.timers);

@@ -113,6 +113,17 @@ pub trait Fork: Sized {
     }
 }
 
+/// Points `into` at `source`'s value, as `into.clone_from(source)` does,
+/// but leaves both counts alone when they already share it: an `Arc`'s
+/// `clone_from` clones and assigns, an atomic increment and decrement
+/// even then. What a fork copies and elaboration fixed (names, scripts)
+/// is shared this way.
+pub fn share<T: ?Sized>(into: &mut Arc<T>, source: &Arc<T>) {
+    if !Arc::ptr_eq(into, source) {
+        *into = Arc::clone(source);
+    }
+}
+
 /// Copies one type-erased slot over another (monomorphised per slot type
 /// at insert): in place when `into` holds the same type, else into a new
 /// box. `false` if the value refuses to copy (see [`Fork`]).

@@ -7,11 +7,17 @@
 //! [`Property`] declared on the [`SystemModel`](crate::SystemModel), and
 //! [`ConstraintReport`] collects what a model's properties find on a
 //! trace, after a plain run or on each schedule the explorer reaches.
+//! An elaborated system keeps one state per declared property in its
+//! world, where a fork copies it like any model state, and folds its
+//! trace into them as it grows.
 
 use std::fmt;
 
+use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{SimDuration, SimTime};
-use rtsim_trace::{Finding, Job, Measure, Property, TaskState, Trace};
+use rtsim_trace::{
+    ActorId, ActorInfo, Finding, JobFold, Property, Record, TaskState, TraceData, TraceLog,
+};
 
 /// A declarative timing requirement on the modeled system.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,7 +25,8 @@ pub enum TimingConstraint {
     /// Every occurrence of the trace annotation `stimulus` must be
     /// followed by `reactor` entering Running within `bound` — the
     /// external-event-to-reaction latency the paper measures on the
-    /// TimeLine chart.
+    /// TimeLine chart. A Running entered at the stimulus's own instant
+    /// answers it, recorded before it or after.
     ReactionWithin {
         /// Constraint name for the report.
         name: String,
@@ -53,30 +60,43 @@ pub enum TimingConstraint {
     },
 }
 
+/// What a [`TimingConstraint`] keeps of a run: its function once
+/// registered, and the tallies of its kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct ConstraintTally {
+    function: Option<ActorId>,
+    /// Stimuli seen, and how many of them wait for the reactor.
+    stimuli: u64,
+    pending: u64,
+    /// The oldest waiting stimulus.
+    pending_since: SimTime,
+    /// The worst latency of an answered stimulus.
+    worst: Option<SimDuration>,
+    /// When the function last entered Running, and whether it still runs.
+    ran_at: Option<SimTime>,
+    running: bool,
+    /// The function's completed Running time before `ran_at`.
+    running_ps: u64,
+    /// The function's jobs.
+    jobs: JobFold,
+}
+
 impl TimingConstraint {
-    /// Whether `trace` satisfies the constraint over `[0, horizon]`, and
-    /// the detail the report prints.
-    fn verdict(&self, trace: &Trace, horizon: SimTime) -> (bool, String) {
-        let (TimingConstraint::ReactionWithin {
-            reactor: function, ..
-        }
-        | TimingConstraint::CompletionWithin { function, .. }
-        | TimingConstraint::MinActivity { function, .. }) = self;
-        let Some(actor) = trace.actor_by_name(function) else {
-            return (
-                false,
-                format!("function `{function}` not present in the trace"),
-            );
-        };
-        let measure = Measure::new(trace);
+    /// The constrained function's name.
+    fn function(&self) -> &str {
+        let (TimingConstraint::ReactionWithin { reactor: f, .. }
+        | TimingConstraint::CompletionWithin { function: f, .. }
+        | TimingConstraint::MinActivity { function: f, .. }) = self;
+        f
+    }
+
+    /// Whether the run folded into `tally` satisfies the constraint over
+    /// `[0, horizon]`, and the detail the report prints.
+    fn verdict(&self, tally: &ConstraintTally, horizon: SimTime) -> (bool, String) {
         match self {
-            TimingConstraint::ReactionWithin {
-                stimulus, bound, ..
-            } => {
-                let latencies = measure.reaction_times(stimulus, actor);
-                let stimuli = trace.annotation_times(stimulus).len();
-                let unanswered = stimuli - latencies.len();
-                match latencies.into_iter().max() {
+            TimingConstraint::ReactionWithin { bound, .. } => {
+                let (stimuli, unanswered) = (tally.stimuli, tally.pending);
+                match tally.worst {
                     Some(w) => (
                         unanswered == 0 && w <= *bound,
                         format!(
@@ -87,29 +107,29 @@ impl TimingConstraint {
                 }
             }
             TimingConstraint::CompletionWithin { bound, .. } => {
-                // Job segmentation (activation out of a synchronization
-                // wait, completion at the next block) comes from
-                // `Measure::jobs`. A job still open at the horizon is
-                // violated once its bound has expired.
-                let jobs = measure.jobs(actor);
-                let holds = jobs.iter().all(|job| match job.response() {
-                    Some(response) => response <= *bound,
-                    None => job.activated.saturating_add(*bound) >= horizon,
-                });
-                let worst = jobs.iter().filter_map(Job::response).max();
+                // A job still open at the horizon is violated once its
+                // bound has expired.
+                let jobs = &tally.jobs;
+                let worst = (jobs.jobs() > 0).then(|| SimDuration::from_ps(jobs.max_ps()));
+                let holds = worst.is_none_or(|w| w <= *bound)
+                    && jobs.oldest_open_ps().is_none_or(|activated| {
+                        SimTime::from_ps(activated).saturating_add(*bound) >= horizon
+                    });
                 (
                     holds,
                     format!(
                         "worst response {} over {} activations (bound {bound})",
                         worst.map_or_else(|| "n/a".to_owned(), |w| w.to_string()),
-                        jobs.len()
+                        jobs.jobs() + jobs.open_jobs()
                     ),
                 )
             }
             TimingConstraint::MinActivity { min_ratio, .. } => {
-                let running =
-                    measure.time_in_state(actor, TaskState::Running, SimTime::ZERO, horizon);
-                let ratio = running.as_ps() as f64 / horizon.as_ps().max(1) as f64;
+                let mut running = tally.running_ps;
+                if let (true, Some(since)) = (tally.running, tally.ran_at) {
+                    running += horizon.as_ps().saturating_sub(since.as_ps());
+                }
+                let ratio = running as f64 / horizon.as_ps().max(1) as f64;
                 (
                     ratio >= *min_ratio,
                     format!(
@@ -125,6 +145,8 @@ impl TimingConstraint {
 
 /// A timing constraint reports exactly one finding, pass or fail.
 impl Property for TimingConstraint {
+    type State = ConstraintTally;
+
     fn name(&self) -> &str {
         match self {
             TimingConstraint::ReactionWithin { name, .. }
@@ -133,9 +155,96 @@ impl Property for TimingConstraint {
         }
     }
 
-    fn check(&self, trace: &Trace, horizon: SimTime) -> Vec<Finding> {
-        let (holds, message) = self.verdict(trace, horizon);
+    fn observe(&self, tally: &mut ConstraintTally, actors: &[ActorInfo], records: &[Record]) {
+        tally.function = tally
+            .function
+            .or_else(|| ActorId::find(actors, self.function()));
+        let stimulus = match self {
+            TimingConstraint::ReactionWithin { stimulus, .. } => Some(stimulus.as_str()),
+            _ => None,
+        };
+        for r in records {
+            match &r.data {
+                TraceData::Annotation(label) if Some(label.as_str()) == stimulus => {
+                    tally.stimuli += 1;
+                    if tally.ran_at == Some(r.at) {
+                        tally.worst = tally.worst.max(Some(SimDuration::ZERO));
+                    } else {
+                        if tally.pending == 0 {
+                            tally.pending_since = r.at;
+                        }
+                        tally.pending += 1;
+                    }
+                }
+                &TraceData::State(state) if Some(r.actor) == tally.function => {
+                    tally.jobs.observe(r.at, state);
+                    if let (true, Some(since)) = (tally.running, tally.ran_at) {
+                        tally.running_ps += r.at.as_ps() - since.as_ps();
+                    }
+                    tally.running = state == TaskState::Running;
+                    if tally.running {
+                        tally.ran_at = Some(r.at);
+                        if tally.pending > 0 {
+                            let latency = r.at - tally.pending_since;
+                            tally.worst = tally.worst.max(Some(latency));
+                            tally.pending = 0;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn finish(&self, tally: &ConstraintTally, _: &[ActorInfo], horizon: SimTime) -> Vec<Finding> {
+        let (holds, message) = if tally.function.is_some() {
+            self.verdict(tally, horizon)
+        } else {
+            let function = self.function();
+            (
+                false,
+                format!("function `{function}` not present in the trace"),
+            )
+        };
         vec![self.finding(holds, message)]
+    }
+}
+
+/// A declared [`Property`], its type erased: how a model keeps
+/// properties of every kind side by side until elaboration.
+pub(crate) trait Declared: Send + Sync {
+    /// Puts an empty state of the property in `world`, where a fork of
+    /// the world copies it with `clone_from` like any model state, and
+    /// returns the property bound to it.
+    fn install(self: Box<Self>, world: &mut World) -> Box<dyn Monitor>;
+}
+
+impl<P: Property> Declared for P {
+    fn install(self: Box<Self>, world: &mut World) -> Box<dyn Monitor> {
+        let state = world.insert(P::State::default());
+        Box::new((*self, state))
+    }
+}
+
+/// A property of an elaborated system, bound to its state's world slot.
+/// One dynamic call folds a whole slice of records.
+pub(crate) trait Monitor: Send + Sync {
+    /// Folds `log`'s records from `from` on into the state.
+    fn fold(&self, world: &mut World, log: Slot<TraceLog>, from: usize);
+
+    /// The findings on the state, for a run over `[0, horizon]`.
+    fn report(&self, world: &World, log: Slot<TraceLog>, horizon: SimTime) -> Vec<Finding>;
+}
+
+impl<P: Property> Monitor for (P, Slot<P::State>) {
+    fn fold(&self, world: &mut World, log: Slot<TraceLog>, from: usize) {
+        let (log, state) = world.pair_mut(log, self.1);
+        self.0.observe(state, log.actors(), &log.records()[from..]);
+    }
+
+    fn report(&self, world: &World, log: Slot<TraceLog>, horizon: SimTime) -> Vec<Finding> {
+        let actors = world.get(log).actors();
+        self.0.finish(world.get(self.1), actors, horizon)
     }
 }
 
@@ -147,12 +256,21 @@ pub struct ConstraintReport {
 }
 
 impl ConstraintReport {
-    /// Checks `properties` against `trace` over `[0, horizon]`.
-    pub(crate) fn new(properties: &[Box<dyn Property>], trace: &Trace, horizon: SimTime) -> Self {
+    /// Folds the records of `log` not folded yet (the `folded` first are)
+    /// into the `monitors`' states in `world`, and finishes them for a run
+    /// over `[0, horizon]`.
+    pub(crate) fn new(
+        monitors: &[Box<dyn Monitor>],
+        folded: Slot<usize>,
+        log: Slot<TraceLog>,
+        world: &mut World,
+        horizon: SimTime,
+    ) -> Self {
+        fold(monitors, folded, log, world);
         ConstraintReport {
-            findings: properties
+            findings: monitors
                 .iter()
-                .flat_map(|p| p.check(trace, horizon))
+                .flat_map(|m| m.report(world, log, horizon))
                 .collect(),
         }
     }
@@ -166,6 +284,21 @@ impl ConstraintReport {
     pub fn violations(&self) -> impl Iterator<Item = &Finding> + '_ {
         self.findings.iter().filter(|f| !f.holds)
     }
+}
+
+/// Folds the records of `log` not folded yet (the `folded` first are)
+/// into the `monitors`' states in `world`: one call per property.
+pub(crate) fn fold(
+    monitors: &[Box<dyn Monitor>],
+    folded: Slot<usize>,
+    log: Slot<TraceLog>,
+    world: &mut World,
+) {
+    let from = *world.get(folded);
+    for monitor in monitors {
+        monitor.fold(world, log, from);
+    }
+    *world.get_mut(folded) = world.get(log).records().len();
 }
 
 impl fmt::Display for ConstraintReport {
@@ -186,7 +319,7 @@ impl fmt::Display for ConstraintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtsim_trace::{ActorKind, TraceRecorder};
+    use rtsim_trace::{ActorKind, Trace, TraceRecorder};
 
     fn ps(v: u64) -> SimTime {
         SimTime::from_ps(v)

@@ -13,10 +13,11 @@ use rtsim_comm::{EventRef, MessageQueue, QueueRef, Rendezvous, RtEvent, SharedVa
 use rtsim_core::{
     register_seg_hw, spawn_hw_function, Processor, ProcessorConfig, SchedulerStats, TaskHandle,
 };
+use rtsim_kernel::world::Slot;
 use rtsim_kernel::{KernelError, KernelStats, SimTime, Simulator};
-use rtsim_trace::{Property, Statistics, TimelineOptions, Trace, TraceRecorder};
+use rtsim_trace::{Statistics, TimelineOptions, Trace, TraceRecorder};
 
-use crate::constraint::ConstraintReport;
+use crate::constraint::{fold, ConstraintReport, Monitor};
 use crate::error::ModelError;
 use crate::model::{Body, Mapping, Message, RelationDecl, SystemModel};
 use crate::script::{FaultCtx, Instr, ScriptProcess};
@@ -205,7 +206,9 @@ pub struct ElaboratedSystem {
 }
 
 /// What elaboration fixed about a system: names, placement and
-/// declared properties. It holds no world state, so forks share it.
+/// declared properties. It holds no world state, so forks share it: the
+/// properties' states and the count of records they have folded are
+/// world slots.
 struct Layout {
     name: String,
     /// processor name → index into `ElaboratedSystem::processors`.
@@ -213,7 +216,8 @@ struct Layout {
     tasks: BTreeMap<String, TaskHandle>,
     /// function name → software processor name.
     task_placement: BTreeMap<String, String>,
-    constraints: Vec<Box<dyn Property>>,
+    monitors: Vec<Box<dyn Monitor>>,
+    folded: Slot<usize>,
 }
 
 impl ElaboratedSystem {
@@ -361,6 +365,18 @@ impl ElaboratedSystem {
             }
         }
 
+        let (monitors, folded) = {
+            let mut world = recorder.world().lock_for("elaborate");
+            let monitors: Vec<_> = model
+                .constraints
+                .into_iter()
+                .map(|p| p.install(&mut world))
+                .collect();
+            let folded = world.insert(0);
+            // Sizes the monitors' actor tables.
+            fold(&monitors, folded, recorder.log(), &mut world);
+            (monitors, folded)
+        };
         Ok(ElaboratedSystem {
             sim,
             recorder,
@@ -369,7 +385,8 @@ impl ElaboratedSystem {
                 processors: processors.keys().cloned().zip(0..).collect(),
                 tasks,
                 task_placement,
-                constraints: model.constraints,
+                monitors,
+                folded,
             }),
             processors: processors.into_values().collect(),
         })
@@ -418,18 +435,18 @@ impl ElaboratedSystem {
         self.sim.fork_into(&mut into.sim)
     }
 
-    /// Checks the model's declared properties on the trace of a run that
-    /// is over, over `[0, now]` — the report
-    /// [`verify_constraints`](Self::verify_constraints) gives — without
-    /// copying the trace. The system stays whole: the record buffer is
-    /// lent to the properties and given back to the log, so reading the
-    /// trace afterwards (say, to hash it) still works, and a later fork
-    /// into this system writes its records into that buffer.
-    pub fn finish(&mut self) -> ConstraintReport {
-        let now = self.now();
-        let constraints = &self.layout.constraints;
-        self.recorder
-            .with_trace(|trace| ConstraintReport::new(constraints, trace, now))
+    /// Folds the records recorded since the last fold into the states
+    /// of the model's declared properties. A fork copies those states,
+    /// so the schedule explorer folds at each choice point it snapshots,
+    /// and every run resumed from there folds only its own records.
+    pub fn fold(&self) {
+        let mut world = self.recorder.world().lock_for("ElaboratedSystem::fold");
+        fold(
+            &self.layout.monitors,
+            self.layout.folded,
+            self.recorder.log(),
+            &mut world,
+        );
     }
 
     /// The processor called `name`.
@@ -497,9 +514,24 @@ impl ElaboratedSystem {
     }
 
     /// Checks every property declared on the model — its timing
-    /// constraints and any oracle — against the trace so far.
+    /// constraints and any oracle — against the trace so far, over
+    /// `[0, now]`: folds the records not folded yet into the properties'
+    /// states and finishes those. It neither copies nor takes the trace,
+    /// so the schedule explorer checks each leaf this way and then
+    /// hashes the trace, and a later fork into this system writes its
+    /// records and states into the buffers it has.
     pub fn verify_constraints(&self) -> ConstraintReport {
-        ConstraintReport::new(&self.layout.constraints, &self.trace(), self.now())
+        let layout = &self.layout;
+        ConstraintReport::new(
+            &layout.monitors,
+            layout.folded,
+            self.recorder.log(),
+            &mut self
+                .recorder
+                .world()
+                .lock_for("ElaboratedSystem::verify_constraints"),
+            self.now(),
+        )
     }
 
     /// The task handle of a software-mapped function.

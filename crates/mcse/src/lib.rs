@@ -15,10 +15,10 @@
 //!    future work, implemented here — automatic verification of the
 //!    properties declared on the model: its
 //!    [timing constraints](TimingConstraint) and any other
-//!    [`Property`](rtsim_trace::Property). The same report is read after
-//!    a run ([`ElaboratedSystem::verify_constraints`]) and on every
-//!    schedule the `rtsim-check` explorer reaches
-//!    ([`ElaboratedSystem::finish`]).
+//!    [`Property`](rtsim_trace::Property), each a monitor folded as the
+//!    trace grows. The same report
+//!    ([`ElaboratedSystem::verify_constraints`]) is read after a run and
+//!    on every schedule the `rtsim-check` explorer reaches.
 //!
 //! Because function bodies are written against
 //! [`Agent`](rtsim_core::Agent), remapping a function between hardware

@@ -19,6 +19,7 @@ use rtsim_fault::FaultPlan;
 use rtsim_kernel::{ExecMode, SimDuration};
 use rtsim_trace::Property;
 
+use crate::constraint::Declared;
 use crate::elaborate::{ElaboratedSystem, Io};
 use crate::error::ModelError;
 use crate::script::{self, Instr};
@@ -146,7 +147,7 @@ pub struct SystemModel {
     pub(crate) processors: BTreeMap<String, ProcessorDecl>,
     pub(crate) processor_order: Vec<String>,
     pub(crate) relations: BTreeMap<String, RelationDecl>,
-    pub(crate) constraints: Vec<Box<dyn Property>>,
+    pub(crate) constraints: Vec<Box<dyn Declared>>,
     pub(crate) exec_mode: Option<ExecMode>,
     pub(crate) fault_plan: Option<FaultPlan>,
 }
@@ -420,7 +421,7 @@ impl SystemModel {
     /// explorer reaches (the paper's stated future work: "automatic
     /// verification of timing constraints by simulation after setting
     /// these constraints in the initial system model").
-    pub fn constraint(&mut self, property: impl Property + 'static) -> &mut Self {
+    pub fn constraint(&mut self, property: impl Property) -> &mut Self {
         self.constraints.push(Box::new(property));
         self
     }

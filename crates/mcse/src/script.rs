@@ -27,6 +27,7 @@ use std::sync::Arc;
 use rtsim_comm::{Need, Op};
 use rtsim_core::{Party, SegControl, SegHwRunner, SegTaskRunner};
 use rtsim_fault::{FaultInjector, ModeChange};
+use rtsim_kernel::world::share;
 use rtsim_kernel::{SegMachine, SegStep, SegmentCtx, SimDuration, SimTime};
 use rtsim_trace::FaultKind;
 
@@ -41,13 +42,29 @@ use crate::model::Message;
 ///
 /// The injector is immutable plan data (its lanes and monitors live in
 /// the simulation world), so a clone shares it.
-#[derive(Clone)]
 pub struct FaultCtx {
     injector: Arc<FaultInjector>,
     task: Arc<str>,
     /// The nominal relative deadline, saved on entering degraded mode
     /// and restored on recovery.
     saved_deadline: Option<Option<SimDuration>>,
+}
+
+/// By hand, so that a fork leaves the shared names' counts alone.
+impl Clone for FaultCtx {
+    fn clone(&self) -> Self {
+        FaultCtx {
+            injector: Arc::clone(&self.injector),
+            task: Arc::clone(&self.task),
+            saved_deadline: self.saved_deadline,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        share(&mut self.injector, &source.injector);
+        share(&mut self.task, &source.task);
+        self.saved_deadline = source.saved_deadline;
+    }
 }
 
 impl FaultCtx {
@@ -408,14 +425,30 @@ impl Runner {
 }
 
 /// One control-stack entry: a list being walked, with loop bookkeeping.
-#[derive(Clone)]
 struct CtlFrame {
     list: Arc<[Instr]>,
     idx: usize,
     kind: FrameKind,
 }
 
-#[derive(Clone)]
+/// By hand, so that a fork leaves the shared list's count alone.
+impl Clone for CtlFrame {
+    fn clone(&self) -> Self {
+        CtlFrame {
+            list: Arc::clone(&self.list),
+            idx: self.idx,
+            kind: self.kind,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        share(&mut self.list, &source.list);
+        self.idx = source.idx;
+        self.kind = source.kind;
+    }
+}
+
+#[derive(Clone, Copy)]
 enum FrameKind {
     /// Plain sequence (an `If` body): pop when exhausted.
     Seq,
@@ -426,10 +459,14 @@ enum FrameKind {
 }
 
 /// Did an instruction feed work to the runner (yield soon) or complete
-/// instantaneously?
-enum Progress {
+/// instantaneously, and what does the control stack do next?
+enum Progress<'i> {
     Intent,
     Continue,
+    /// Walk `body` next.
+    Enter(&'i Arc<[Instr]>, FrameKind),
+    /// End the script.
+    Return,
 }
 
 /// A script bound to a step-machine runner — the script interpreter,
@@ -472,7 +509,7 @@ impl Clone for ScriptProcess {
 
     fn clone_from(&mut self, source: &Self) {
         self.runner.clone_from(&source.runner);
-        self.io.clone_from(&source.io);
+        share(&mut self.io, &source.io);
         self.ctl.clone_from(&source.ctl);
         self.regs = source.regs;
         self.op.clone_from(&source.op);
@@ -544,72 +581,34 @@ impl ScriptProcess {
 
     /// The runner is idle: step the operation in flight, then feed
     /// instructions until one hands the runner work or the script ends.
+    /// The control stack is taken out for the walk, so that each
+    /// instruction runs where it lies in its list.
     fn on_idle(&mut self, ctx: &mut SegmentCtx<'_>) {
         if let Some((op, land)) = self.op.take() {
             if let Progress::Intent = self.step_op(ctx, op, land) {
                 return;
             }
         }
+        let mut ctl = std::mem::take(&mut self.ctl);
         loop {
-            let Some(instr) = self.fetch() else {
+            let Some(instr) = fetch(&mut ctl, &mut self.regs.k) else {
                 self.runner.finish();
-                return;
+                break;
             };
-            if let Progress::Intent = self.exec(ctx, instr) {
-                return;
+            match self.exec(ctx, instr) {
+                Progress::Intent => break,
+                Progress::Continue => {}
+                Progress::Enter(body, kind) => {
+                    let list = Arc::clone(body);
+                    ctl.push(CtlFrame { list, idx: 0, kind });
+                }
+                Progress::Return => ctl.clear(),
             }
         }
+        self.ctl = ctl;
     }
 
-    /// Advances the control stack to the next instruction, unwinding and
-    /// rewinding loops.
-    fn fetch(&mut self) -> Option<Instr> {
-        enum Wrap {
-            Pop(Option<u64>),
-            Again,
-        }
-        loop {
-            let wrap = {
-                let frame = self.ctl.last_mut()?;
-                if frame.idx < frame.list.len() {
-                    let instr = frame.list[frame.idx].clone();
-                    frame.idx += 1;
-                    return Some(instr);
-                }
-                match &mut frame.kind {
-                    FrameKind::Seq => Wrap::Pop(None),
-                    FrameKind::Repeat { left, saved_k } => {
-                        *left -= 1;
-                        if *left == 0 {
-                            Wrap::Pop(Some(*saved_k))
-                        } else {
-                            frame.idx = 0;
-                            Wrap::Again
-                        }
-                    }
-                    FrameKind::Forever => {
-                        frame.idx = 0;
-                        Wrap::Again
-                    }
-                }
-            };
-            match wrap {
-                Wrap::Pop(k) => {
-                    self.ctl.pop();
-                    if let Some(k) = k {
-                        self.regs.k = k;
-                    }
-                }
-                Wrap::Again => self.regs.k += 1,
-            }
-        }
-    }
-
-    fn push_body(&mut self, list: Arc<[Instr]>, kind: FrameKind) {
-        self.ctl.push(CtlFrame { list, idx: 0, kind });
-    }
-
-    fn exec(&mut self, ctx: &mut SegmentCtx<'_>, instr: Instr) -> Progress {
+    fn exec<'i>(&mut self, ctx: &mut SegmentCtx<'_>, instr: &'i Instr) -> Progress<'i> {
         match instr {
             Instr::Execute(f) => {
                 let mut d = f(&self.regs);
@@ -632,31 +631,31 @@ impl ScriptProcess {
             }
             Instr::Annotate(label) => {
                 let mut agent = self.runner.agent(ctx);
-                agent.annotate(&label);
+                agent.annotate(label);
                 Progress::Continue
             }
             Instr::Signal(name) => {
                 let mut agent = self.runner.agent(ctx);
-                self.io.event_ref(&name).signal(&mut agent);
+                self.io.event_ref(name).signal(&mut agent);
                 Progress::Continue
             }
             Instr::AwaitEvent(name) => {
-                let op = Op::wait(self.io.event_ref(&name));
+                let op = Op::wait(self.io.event_ref(name));
                 self.step_op(ctx, op, |_, _| {})
             }
             Instr::QueueWrite(name, f) => {
-                let op = Op::write(self.io.queue_ref(&name), f(&self.regs));
+                let op = Op::write(self.io.queue_ref(name), f(&self.regs));
                 self.step_op(ctx, op, |_, _| {})
             }
             Instr::QueueRead(name) => {
-                let op = Op::read(self.io.queue_ref(&name));
+                let op = Op::read(self.io.queue_ref(name));
                 self.step_op(ctx, op, |regs, m| regs.msg = m)
             }
             Instr::QueueTryWrite(name, f) => {
                 let msg = f(&self.regs);
                 let ok = {
                     let mut agent = self.runner.agent(ctx);
-                    self.io.queue_ref(&name).try_write(&mut agent, msg).is_ok()
+                    self.io.queue_ref(name).try_write(&mut agent, msg).is_ok()
                 };
                 self.regs.flag = ok;
                 Progress::Continue
@@ -664,7 +663,7 @@ impl ScriptProcess {
             Instr::QueueTryRead(name) => {
                 let got = {
                     let mut agent = self.runner.agent(ctx);
-                    self.io.queue_ref(&name).try_read(&mut agent)
+                    self.io.queue_ref(name).try_read(&mut agent)
                 };
                 match got {
                     Some(m) => {
@@ -676,47 +675,37 @@ impl ScriptProcess {
                 Progress::Continue
             }
             Instr::VarRead(name, f) => {
-                let op = Op::read_for(self.io.var_ref(&name), f(&self.regs));
+                let op = Op::read_for(self.io.var_ref(name), f(&self.regs));
                 self.step_op(ctx, op, |regs, m| regs.var = m)
             }
             Instr::VarWrite(name, df, mf) => {
-                let op = Op::write_for(self.io.var_ref(&name), df(&self.regs), mf(&self.regs));
+                let op = Op::write_for(self.io.var_ref(name), df(&self.regs), mf(&self.regs));
                 self.step_op(ctx, op, |_, _| {})
             }
-            Instr::Repeat(n, body) => {
-                if n > 0 {
-                    let saved = self.regs.k;
-                    self.push_body(
-                        body,
-                        FrameKind::Repeat {
-                            left: n,
-                            saved_k: saved,
-                        },
-                    );
-                    self.regs.k = 0;
+            &Instr::Repeat(n, ref body) => {
+                if n == 0 {
+                    return Progress::Continue;
                 }
-                Progress::Continue
+                let saved_k = self.regs.k;
+                self.regs.k = 0;
+                Progress::Enter(body, FrameKind::Repeat { left: n, saved_k })
             }
             Instr::Forever(body) => {
                 assert!(!body.is_empty(), "Forever body must not be empty");
-                self.push_body(body, FrameKind::Forever);
                 self.regs.k = 0;
-                Progress::Continue
+                Progress::Enter(body, FrameKind::Forever)
             }
             Instr::IfFlag(then_body, else_body) => {
-                let body = if self.regs.flag { then_body } else { else_body };
-                if !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
-                }
-                Progress::Continue
+                seq(if self.regs.flag { then_body } else { else_body })
             }
             Instr::IfNowPast(f, body) => {
-                if ctx.now() > f(&self.regs) && !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
+                if ctx.now() > f(&self.regs) {
+                    seq(body)
+                } else {
+                    Progress::Continue
                 }
-                Progress::Continue
             }
-            Instr::PeriodicRelease(period) => {
+            &Instr::PeriodicRelease(period) => {
                 let next_k = self.regs.k + 1;
                 let base = self.regs.started + period * next_k;
                 let offset = self
@@ -777,22 +766,20 @@ impl ScriptProcess {
                         use_fallback = v.degraded;
                     }
                 }
-                let body = if use_fallback { fallback } else { nominal };
-                if !body.is_empty() {
-                    self.push_body(body, FrameKind::Seq);
-                }
-                Progress::Continue
+                seq(if use_fallback { fallback } else { nominal })
             }
-            Instr::Return => {
-                self.ctl.clear();
-                Progress::Continue
-            }
+            Instr::Return => Progress::Return,
         }
     }
 
     /// Steps a blocking relation operation: feeds its need to the runner
     /// and keeps it in flight, or completes it, `land`ing a read's value.
-    fn step_op(&mut self, ctx: &mut SegmentCtx<'_>, mut op: Op<Message>, land: Land) -> Progress {
+    fn step_op(
+        &mut self,
+        ctx: &mut SegmentCtx<'_>,
+        mut op: Op<Message>,
+        land: Land,
+    ) -> Progress<'static> {
         match op.step(&mut self.runner.agent(ctx)) {
             Err(need) => {
                 self.runner.feed(need, ctx);
@@ -807,6 +794,48 @@ impl ScriptProcess {
             }
         }
     }
+}
+
+/// Walking `body` next, as a plain sequence, unless it is empty.
+fn seq(body: &Arc<[Instr]>) -> Progress<'_> {
+    if body.is_empty() {
+        Progress::Continue
+    } else {
+        Progress::Enter(body, FrameKind::Seq)
+    }
+}
+
+/// Advances the control stack `ctl` to the next instruction, unwinding
+/// and rewinding loops (`k` counts a loop's iterations).
+fn fetch<'c>(ctl: &'c mut Vec<CtlFrame>, k: &mut u64) -> Option<&'c Instr> {
+    loop {
+        let frame = ctl.last_mut()?;
+        if frame.idx < frame.list.len() {
+            frame.idx += 1;
+            break;
+        }
+        match &mut frame.kind {
+            FrameKind::Seq => {
+                ctl.pop();
+            }
+            FrameKind::Repeat { left, saved_k } => {
+                *left -= 1;
+                if *left == 0 {
+                    *k = *saved_k;
+                    ctl.pop();
+                } else {
+                    frame.idx = 0;
+                    *k += 1;
+                }
+            }
+            FrameKind::Forever => {
+                frame.idx = 0;
+                *k += 1;
+            }
+        }
+    }
+    let frame = ctl.last()?;
+    Some(&frame.list[frame.idx - 1])
 }
 
 impl std::fmt::Debug for ScriptProcess {

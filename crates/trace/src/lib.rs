@@ -14,8 +14,9 @@
 //!   utilization (Figure 8);
 //! - [`Measure`] — cursor-style measurements such as external-event-to-
 //!   reaction latency;
-//! - [`Property`] — a named check over a trace, reporting [`Finding`]s:
-//!   what timing constraints and the schedule explorer's oracles share;
+//! - [`Property`] — a named check folded over a trace as it grows,
+//!   reporting [`Finding`]s: what timing constraints and the schedule
+//!   explorer's oracles share;
 //! - [`write_csv`] — machine-readable export.
 //!
 //! ```
@@ -48,7 +49,7 @@ pub mod vcd;
 pub use canon::{canonical, canonical_actor_into, canonical_record_into};
 pub use csv::write_csv;
 pub use measure::{Job, JobEdge, JobFold, Measure};
-pub use property::{Finding, Property};
+pub use property::{ActorTable, Finding, Property};
 pub use record::{
     ActorId, ActorInfo, ActorKind, CommKind, FaultKind, OverheadKind, Record, TaskState, TraceData,
 };

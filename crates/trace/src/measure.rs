@@ -69,40 +69,6 @@ impl<'a> Measure<'a> {
         Some(reaction - stimulus)
     }
 
-    /// Latencies from *every* occurrence of annotation `label` to the next
-    /// Running transition of `reactor`. Occurrences with no subsequent
-    /// reaction are omitted.
-    pub fn reaction_times(&self, label: &str, reactor: ActorId) -> Vec<SimDuration> {
-        self.trace
-            .annotation_times(label)
-            .into_iter()
-            .filter_map(|stim| {
-                self.first_transition_to(reactor, TaskState::Running, stim)
-                    .map(|r| r - stim)
-            })
-            .collect()
-    }
-
-    /// Total time `actor` spent in `state` within `[from, until]`.
-    pub fn time_in_state(
-        &self,
-        actor: ActorId,
-        state: TaskState,
-        from: SimTime,
-        until: SimTime,
-    ) -> SimDuration {
-        self.trace
-            .state_intervals(actor, until)
-            .into_iter()
-            .filter(|&(_, _, s)| s == state)
-            .map(|(s, e, _)| {
-                let s = s.max(from).min(until);
-                let e = e.max(from).min(until);
-                e - s
-            })
-            .sum()
-    }
-
     /// Splits a task's trace into *jobs* by folding its state changes
     /// through [`JobFold`], the one rule for where a job starts and
     /// ends: a job starts when the task becomes Ready out of a
@@ -204,7 +170,7 @@ impl Job {
 /// }
 /// assert_eq!((fold.jobs(), fold.min_ps(), fold.mean_ps(), fold.max_ps()), (1, 20, 20, 20));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct JobFold {
     prev: Option<TaskState>,
     open: u64,
@@ -272,6 +238,16 @@ impl JobFold {
         self.jobs
     }
 
+    /// Jobs activated and not completed yet.
+    pub fn open_jobs(&self) -> u64 {
+        self.open
+    }
+
+    /// The activation of the oldest open job in picoseconds, if any.
+    pub fn oldest_open_ps(&self) -> Option<u64> {
+        (self.open > 0).then_some(self.open_first)
+    }
+
     /// Shortest response time in picoseconds (0 without jobs).
     pub fn min_ps(&self) -> u64 {
         self.min
@@ -322,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn reaction_times_per_stimulus() {
+    fn reaction_time_answers_the_first_stimulus() {
         let rec = TraceRecorder::new();
         let clk = rec.register("clk", ActorKind::Task);
         let t = rec.register("T", ActorKind::Task);
@@ -333,26 +309,8 @@ mod tests {
         rec.state(t, ps(120), TaskState::Running);
         let trace = rec.snapshot();
         let m = Measure::new(&trace);
-        assert_eq!(
-            m.reaction_times("tick", t),
-            vec![SimDuration::from_ps(5), SimDuration::from_ps(20)]
-        );
         assert_eq!(m.reaction_time("tick", t), Some(SimDuration::from_ps(5)));
         assert_eq!(m.reaction_time("missing", t), None);
-    }
-
-    #[test]
-    fn time_in_state_is_window_clipped() {
-        let rec = TraceRecorder::new();
-        let t = rec.register("T", ActorKind::Task);
-        rec.state(t, ps(0), TaskState::Running);
-        rec.state(t, ps(100), TaskState::Waiting);
-        let trace = rec.snapshot();
-        let m = Measure::new(&trace);
-        assert_eq!(
-            m.time_in_state(t, TaskState::Running, ps(25), ps(75)),
-            SimDuration::from_ps(50)
-        );
     }
 
     #[test]

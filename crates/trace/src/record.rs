@@ -22,6 +22,14 @@ impl ActorId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The first actor of `actors` called `name`.
+    pub fn find(actors: &[ActorInfo], name: &str) -> Option<ActorId> {
+        actors
+            .iter()
+            .position(|a| a.name == name)
+            .map(|i| ActorId(i as u32))
+    }
 }
 
 impl fmt::Display for ActorId {

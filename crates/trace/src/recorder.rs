@@ -4,7 +4,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_kernel::world::{SharedWorld, Slot};
+use rtsim_kernel::world::{share, SharedWorld, Slot};
 use rtsim_kernel::{SimDuration, SimTime};
 
 use crate::record::{
@@ -42,7 +42,7 @@ impl Clone for TraceLog {
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.actors.clone_from(&source.actors);
+        share(&mut self.actors, &source.actors);
         self.records.clone_from(&source.records);
         self.seq = source.seq;
         self.enabled = source.enabled;
@@ -318,27 +318,6 @@ impl TraceRecorder {
         })
     }
 
-    /// Runs `f` over everything recorded so far as a [`Trace`], without
-    /// copying it: the log's record buffer is moved into the trace for
-    /// the call and back into the log after it, with the world locked
-    /// throughout. The zero-copy alternative to
-    /// [`snapshot`](TraceRecorder::snapshot) for code that reads a
-    /// `&Trace`, such as a property check.
-    ///
-    /// `f` must not use this recorder (or any clone of it), which panics.
-    /// If `f` panics, the log keeps no records.
-    pub fn with_trace<R>(&self, f: impl FnOnce(&Trace) -> R) -> R {
-        self.with_log("TraceRecorder::with_trace", |log| {
-            let trace = Trace {
-                actors: Arc::clone(&log.actors),
-                records: std::mem::take(&mut log.records),
-            };
-            let out = f(&trace);
-            log.records = trace.records;
-            out
-        })
-    }
-
     /// Runs `f` over the log's own actor table and records, with the
     /// world locked, without copying them — the zero-copy alternative to
     /// [`snapshot`](TraceRecorder::snapshot) for one-pass consumers such
@@ -425,10 +404,7 @@ impl Trace {
 
     /// Looks an actor up by name.
     pub fn actor_by_name(&self, name: &str) -> Option<ActorId> {
-        self.actors
-            .iter()
-            .position(|a| a.name == name)
-            .map(|i| ActorId(i as u32))
+        ActorId::find(&self.actors, name)
     }
 
     /// Iterates over actors of one kind.

@@ -188,10 +188,6 @@ fn figure6_constraints_verify_the_reaction_time() {
     let mut system = model.elaborate().unwrap();
     system.run().unwrap();
     let report = system.verify_constraints();
-    let trace = system.trace();
-    let f1 = trace.actor_by_name("Function_1").unwrap();
-    let reactions = Measure::new(&trace).reaction_times("clk_edge", f1);
-    assert_eq!(reactions.into_iter().max(), Some(us(15)));
     assert_eq!(
         report.to_string(),
         "[PASS] clk-to-F1 — worst reaction 15 us (bound 15 us), 2 stimuli, 0 unanswered

@@ -10,8 +10,8 @@ use rtsim::policies::{EarliestDeadlineFirst, Fifo, PriorityPreemptive, RateMonot
 use rtsim::scenarios::contended_system;
 use rtsim::trace::TraceData;
 use rtsim::{
-    assign_rate_monotonic, partition_first_fit, ActorKind, Measure, Overheads, PeriodicTask,
-    Priority, SchedulingPolicy, SimDuration, SimTime, SystemModel, TaskConfig, TaskState,
+    assign_rate_monotonic, partition_first_fit, ActorKind, Overheads, PeriodicTask, Priority,
+    SchedulingPolicy, SimDuration, SimTime, SystemModel, TaskConfig, TaskState,
 };
 
 fn us(v: u64) -> SimDuration {
@@ -142,10 +142,11 @@ fn round_robin_quantum_accounting_conserves_compute() {
     let end = system.now();
     assert_eq!(end, SimTime::ZERO + us(3_000), "zero-overhead makespan");
     let trace = system.trace();
-    let measure = Measure::new(&trace);
     let total_running: SimDuration = trace
         .actors_of_kind(ActorKind::Task)
-        .map(|a| measure.time_in_state(a, TaskState::Running, SimTime::ZERO, end))
+        .flat_map(|a| trace.state_intervals(a, end))
+        .filter(|&(_, _, state)| state == TaskState::Running)
+        .map(|(start, stop, _)| stop - start)
         .sum();
     assert_eq!(total_running, us(3_000));
 
