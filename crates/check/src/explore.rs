@@ -25,10 +25,10 @@
 //!    simulates, and checks, only its own suffix. At most one snapshot
 //!    per open frame is alive.
 //!
-//! A system that cannot fork (a closure body runs on a thread, or a
-//! custom scheduling policy cannot copy itself) is explored the original
-//! way: every sibling **replays** — rebuild and re-elaborate the
-//! scenario, then force the prefix of choices that led to the frame.
+//! A system that cannot fork (a closure body, which runs on a thread) is
+//! explored the original way: every sibling **replays** — rebuild and
+//! re-elaborate the scenario, then force the prefix of choices that led
+//! to the frame.
 //! [`replay`] and `rtsim-check --replay` use that path too. Either way
 //! the tree, its visiting order (deepest frame first, siblings in index
 //! order) and every count are the same; [`Exploration::fresh`] tells how

@@ -14,7 +14,9 @@
 //! - a fork adds no handle to its parent's world — every step machine
 //!   holds slot ids, not a world — and a fault plan's lanes are copied
 //!   with the world, not shared;
-//! - a system that cannot fork says so, and the explorer replays it;
+//! - a system with a closure body, which runs on a thread, cannot fork
+//!   and says so, and the explorer replays it; a processor running a
+//!   user-defined policy forks like any other;
 //! - a fork written over a spare system — one whose run is over, as the
 //!   explorer recycles them, or one of another scenario — runs exactly
 //!   as a fresh fork does.
@@ -25,6 +27,7 @@ use rtsim_check::{
     explore_with, replay, scenario_by_name, Budget, CheckScenario, Expectation, Exploration,
     SCENARIOS,
 };
+use rtsim_core::policies::PriorityPreemptive;
 use rtsim_core::{
     EngineKind, Overheads, PolicyView, SchedulerStats, SchedulingPolicy, TaskConfig, TaskId,
     TaskView,
@@ -328,13 +331,14 @@ fn a_fork_draws_from_its_own_fault_lane() {
     assert!(drops > 0, "the lossy queue never dropped a message");
 }
 
-/// A plain priority election without [`SchedulingPolicy::fork`].
-#[derive(Debug)]
-struct Uncopyable;
+/// A plain priority election, written outside the crate: deriving
+/// `Clone` is all a policy needs to fork.
+#[derive(Debug, Clone)]
+struct HighestFirst;
 
-impl SchedulingPolicy for Uncopyable {
+impl SchedulingPolicy for HighestFirst {
     fn name(&self) -> &str {
-        "uncopyable"
+        "highest-first"
     }
     fn select(&mut self, view: &PolicyView<'_>) -> Option<TaskId> {
         view.ready
@@ -352,13 +356,14 @@ impl SchedulingPolicy for Uncopyable {
     }
 }
 
-/// Two equal tasks released by one hardware tick, on a processor whose
-/// policy cannot copy itself.
-fn uncopyable_system() -> SystemModel {
-    let mut model = SystemModel::new("uncopyable");
+/// Two equal tasks released twice by a scripted hardware tick, on a
+/// processor running `policy`; the tasks' bodies are scripts, or with
+/// `closures` the same behaviour written as closures.
+fn ticked_pair(name: &str, policy: Box<dyn SchedulingPolicy>, closures: bool) -> SystemModel {
+    let mut model = SystemModel::new(name);
     model.software_processor_with(
         "CPU",
-        Box::new(Uncopyable),
+        policy,
         Overheads::zero(),
         true,
         EngineKind::ProcedureCall,
@@ -369,40 +374,50 @@ fn uncopyable_system() -> SystemModel {
         vec![s::repeat(2, vec![s::delay(us(10)), s::signal("Go")])],
     );
     model.map("Tick", Mapping::Hardware);
-    for name in ["A", "B"] {
-        model.function_script(
-            TaskConfig::new(name).priority(3),
-            vec![s::repeat(2, vec![s::await_event("Go"), s::exec(us(2))])],
-        );
-        model.map_to_processor(name, "CPU");
+    for task in ["A", "B"] {
+        let config = TaskConfig::new(task).priority(3);
+        if closures {
+            model.function(config, |agent, io| {
+                let go = io.event("Go");
+                for _ in 0..2 {
+                    go.wait(agent);
+                    agent.execute(us(2));
+                }
+            });
+        } else {
+            model.function_script(
+                config,
+                vec![s::repeat(2, vec![s::await_event("Go"), s::exec(us(2))])],
+            );
+        }
+        model.map_to_processor(task, "CPU");
     }
     model
 }
 
-const UNCOPYABLE: CheckScenario = CheckScenario {
-    name: "uncopyable",
-    build: uncopyable_system,
+const CLOSURE_PAIR: CheckScenario = CheckScenario {
+    name: "closure_pair",
+    build: || ticked_pair("closure_pair", Box::new(PriorityPreemptive::new()), true),
+    horizon: SimDuration::from_us(100),
+    expect: Expectation::Hold,
+};
+
+const USER_POLICY: CheckScenario = CheckScenario {
+    name: "user_policy",
+    build: || ticked_pair("user_policy", Box::new(HighestFirst), false),
     horizon: SimDuration::from_us(100),
     expect: Expectation::Hold,
 };
 
 #[test]
-fn a_thread_backed_task_or_an_uncopyable_policy_cannot_fork() {
-    let mut model = SystemModel::new("closure");
-    model.software_processor("CPU", Overheads::zero());
-    model.function(TaskConfig::new("T"), |agent, _io| agent.execute(us(5)));
-    model.map_to_processor("T", "CPU");
-    model.exec_mode(ExecMode::Segment);
-    let closure = model.elaborate().expect("elaborates");
-    assert!(closure.fork().is_none(), "a thread-backed task was forked");
-
+fn a_thread_backed_task_cannot_fork() {
     assert!(
-        elaborate(&UNCOPYABLE).fork().is_none(),
-        "a policy without `fork` was copied"
+        elaborate(&CLOSURE_PAIR).fork().is_none(),
+        "a thread-backed task was forked"
     );
     // The explorer replays such a system instead, with the same result.
-    let forked = explore_with(&UNCOPYABLE, &Budget::default(), true);
-    let replayed = explore_replaying(&UNCOPYABLE, &Budget::default(), true);
+    let forked = explore_with(&CLOSURE_PAIR, &Budget::default(), true);
+    let replayed = explore_replaying(&CLOSURE_PAIR, &Budget::default(), true);
     assert!(forked.complete && forked.runs > 1, "{forked:?}");
     assert_eq!(
         forked.fresh, forked.runs,
@@ -415,6 +430,18 @@ fn a_thread_backed_task_or_an_uncopyable_policy_cannot_fork() {
             replayed.choice_points,
             &replayed.trace_hashes
         )
+    );
+}
+
+#[test]
+fn a_user_policy_forks() {
+    assert!(elaborate(&USER_POLICY).fork().is_some());
+    compare(&USER_POLICY, &Budget::default(), true, "user policy pruned");
+    compare(
+        &USER_POLICY,
+        &Budget::default(),
+        false,
+        "user policy brute force",
     );
 }
 

@@ -15,12 +15,12 @@
 //!
 //! The explorer writes most forks over the system of a run that is over
 //! (`ElaboratedSystem::fork_into`), reusing its buffers: such a fork
-//! allocates only where the copy needs more room than the spare has, and
-//! for what a slot cannot copy in place (each processor's scheduling
-//! policy box). A type that stops writing into its own buffers (a
-//! derived `Clone` where a hand-written `clone_from` was, in a world slot,
-//! a machine or a property's monitor state), or a machine spawned as a
-//! closure again, moves those counts.
+//! allocates only where the copy needs more room than the spare has. A
+//! type that stops writing into its own buffers (a derived `Clone` where
+//! a hand-written `clone_from` was, in a world slot, a machine or a
+//! property's monitor state), or a machine spawned as a closure again,
+//! moves those counts. Each processor's scheduling policy is written over
+//! the spare's in place too, a stateful one included.
 //!
 //! The properties are monitors: the explorer folds each run's records
 //! into them at every choice point it snapshots, so a leaf folds only
@@ -34,9 +34,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rtsim_check::{explore, Budget, CheckScenario, Expectation, SCENARIOS};
-use rtsim_kernel::{ExecMode, SimTime};
-use rtsim_mcse::ElaboratedSystem;
+use rtsim_check::{explore, scenario_by_name, Budget, CheckScenario, Expectation, SCENARIOS};
+use rtsim_core::policies::{from_fn, RoundRobin};
+use rtsim_core::SchedulingPolicy;
+use rtsim_kernel::{ExecMode, SimDuration, SimTime};
+use rtsim_mcse::{ElaboratedSystem, SystemModel};
 
 struct Counting;
 
@@ -120,7 +122,7 @@ const SPARE_PINS: [(&str, u64, u64); 7] = [
 
 /// Runs and allocations of exploring every healthy scenario under the
 /// default budget, one after the other.
-const EXPLORE_PIN: (u64, u64) = (84_836, 10_299);
+const EXPLORE_PIN: (u64, u64) = (84_836, 10_289);
 
 /// The healthy scenarios, checked against the names of a pin table.
 fn healthy(pinned: impl Iterator<Item = &'static str>) -> Vec<&'static CheckScenario> {
@@ -137,8 +139,17 @@ fn healthy(pinned: impl Iterator<Item = &'static str>) -> Vec<&'static CheckScen
 }
 
 fn elaborate(scenario: &CheckScenario) -> ElaboratedSystem {
+    elaborate_with(scenario, |_| {})
+}
+
+/// `scenario` elaborated in Segment mode after `edit` changed its model.
+fn elaborate_with(
+    scenario: &CheckScenario,
+    edit: impl FnOnce(&mut SystemModel),
+) -> ElaboratedSystem {
     let mut model = (scenario.build)();
     model.exec_mode(ExecMode::Segment);
+    edit(&mut model);
     model.elaborate().expect("check scenario elaborates")
 }
 
@@ -174,21 +185,24 @@ fn fork_allocations(scenario: &CheckScenario) -> (u64, u64) {
     (points, allocs)
 }
 
-/// Runs two copies of one elaboration of `scenario`, taken before either
-/// ran, in the stable order one after the other, forking each into the
-/// same spare at every choice point: the allocations of those forks on
-/// the first run and on the second.
-fn spare_allocations(scenario: &CheckScenario) -> (u64, u64) {
-    let origin = elaborate(scenario);
+/// Runs two copies of `origin`, taken before either ran, in the stable
+/// order up to `horizon` one after the other, forking each into the same
+/// spare at every choice point: the allocations of those forks on the
+/// first run and on the second.
+fn spare_passes(origin: &ElaboratedSystem, horizon: SimDuration) -> (u64, u64) {
     let mut spare = origin.fork().expect("a script system forks");
     let mut passes = [0; 2];
     for allocs in &mut passes {
         let mut system = origin.fork().expect("a script system forks");
-        stable_run(&mut system, SimTime::ZERO + scenario.horizon, |system| {
+        stable_run(&mut system, SimTime::ZERO + horizon, |system| {
             *allocs += allocations_in(|| assert!(system.fork_into(&mut spare)));
         });
     }
     (passes[0], passes[1])
+}
+
+fn spare_allocations(scenario: &CheckScenario) -> (u64, u64) {
+    spare_passes(&elaborate(scenario), scenario.horizon)
 }
 
 /// The pins that `counted` does not reproduce, one line each.
@@ -221,6 +235,44 @@ fn a_fork_into_a_spare_makes_the_pinned_allocations() {
         spare_allocations,
     );
     assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+fn round_robin(_processor: &str) -> Box<dyn SchedulingPolicy> {
+    Box::new(RoundRobin::new(SimDuration::from_us(200)))
+}
+
+fn closures(_processor: &str) -> Box<dyn SchedulingPolicy> {
+    Box::new(from_fn(
+        "oldest-first",
+        |view| {
+            view.ready
+                .iter()
+                .min_by_key(|t| t.enqueue_seq)
+                .map(|t| t.id)
+        },
+        |_, _, _| false,
+    ))
+}
+
+/// A policy with state (a quantum; a name and two closures) is written
+/// over the spare's policy in place: with every processor running one,
+/// the second pass of `spare_passes` allocates nothing.
+#[test]
+fn a_fork_into_a_spare_copies_each_policy_in_place() {
+    type Make = fn(&str) -> Box<dyn SchedulingPolicy>;
+    for name in ["var_ceiling", "smp_migration"] {
+        let scenario = scenario_by_name(name).expect("registered");
+        for (policy, make) in [("RoundRobin", round_robin as Make), ("from_fn", closures)] {
+            let origin = elaborate_with(scenario, |model| {
+                model.override_schedulers(true, make);
+            });
+            let (_, second) = spare_passes(&origin, scenario.horizon);
+            assert_eq!(
+                second, 0,
+                "{name} under {policy}: the second pass allocated"
+            );
+        }
+    }
 }
 
 /// A leaf's check, as the explorer makes it: the stable run of each

@@ -3,13 +3,11 @@
 //! The communication layer of the `rtsim` project (Rust reproduction of
 //! the DATE 2004 generic-RTOS-model paper). The MCSE functional model the
 //! paper builds on connects functions with three relation kinds (§2), all
-//! provided here (plus the rendezvous extension):
+//! provided here:
 //!
 //! - [`RtEvent`] — synchronization with a *fugitive* (SystemC
 //!   `sc_event`-like), *boolean* or *counter* memorization policy;
 //! - [`MessageQueue`] — bounded producer/consumer message passing;
-//! - [`Rendezvous`] — the capacity-zero point: write and read synchronize
-//!   at the transfer instant;
 //! - [`SharedVar`] — data sharing under mutual exclusion, with plain,
 //!   preemption-masked (the paper's priority-inversion fix),
 //!   priority-inheritance and immediate-priority-ceiling protection modes.
@@ -23,7 +21,7 @@
 //! to its step machine. So the same relation connects software tasks
 //! (blocking through the RTOS, possibly preempting on wake) and hardware
 //! functions, on one processor or across several, whichever way their
-//! bodies are written. Rendezvous transfers stay closure-only.
+//! bodies are written.
 //!
 //! ```
 //! use rtsim_comm::MessageQueue;
@@ -61,13 +59,11 @@
 pub mod event_relation;
 pub mod op;
 pub mod queue;
-pub mod rendezvous;
 pub mod shared_var;
 
 pub use event_relation::{EventPolicy, EventRef, RtEvent};
 pub use op::{Need, Op};
 pub use queue::{MessageQueue, QueueRef};
-pub use rendezvous::Rendezvous;
 pub use shared_var::{LockMode, SharedVar, VarRef};
 
 // Re-exported so `LockMode::PriorityCeiling` can be constructed without

@@ -174,8 +174,7 @@ impl<T: Clone + Send + 'static> MessageQueue<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero — use [`Rendezvous`](crate::Rendezvous)
-    /// for unbuffered, fully synchronizing transfers.
+    /// Panics if `capacity` is zero.
     pub fn new(recorder: &TraceRecorder, name: &str, capacity: usize) -> Self {
         assert!(capacity > 0, "message queue capacity must be positive");
         let actor = recorder.register(name, ActorKind::Relation);

@@ -332,28 +332,6 @@ impl<T: Clone + Send + 'static> VarRef<T> {
             .comm(me, now, self.actor, kind);
     }
 
-    /// Runs `body` with the lock held, giving it the agent and the value.
-    /// The body may consume CPU time (`agent.execute(..)`) to model the
-    /// access duration.
-    pub fn with_lock<R>(
-        &self,
-        agent: &mut dyn Agent,
-        body: impl FnOnce(&mut dyn Agent, &mut T) -> R,
-    ) -> R {
-        while !self.acquire_step(agent) {
-            agent.suspend(true);
-        }
-        // The kernel's one-runner discipline makes this safe: no other
-        // agent can touch the value while we hold the model lock.
-        let mut value = self.get(agent);
-        let result = body(agent, &mut value);
-        self.set(agent, value);
-        if let Some(need) = self.release_step(agent) {
-            need.perform(agent);
-        }
-        result
-    }
-
     /// Reads the value instantaneously (still subject to mutual
     /// exclusion).
     pub fn read(&self, agent: &mut dyn Agent) -> T {

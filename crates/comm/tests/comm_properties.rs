@@ -105,11 +105,8 @@ fn shared_var_holds_alternate() {
                     &mut sim,
                     TaskConfig::new(&format!("t{i}")).priority(prio),
                     move |t| {
-                        for _ in 0..3 {
-                            var.with_lock(t, |agent, value| {
-                                agent.execute(rtsim_kernel::SimDuration::from_us(len));
-                                *value += 1;
-                            });
+                        for k in 0..3 {
+                            var.write_for(t, rtsim_kernel::SimDuration::from_us(len), k);
                             t.delay(rtsim_kernel::SimDuration::from_us(1));
                         }
                     },

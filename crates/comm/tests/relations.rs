@@ -282,121 +282,6 @@ fn queue_connects_hardware_to_software() {
     }
 }
 
-#[test]
-fn rendezvous_synchronizes_both_sides() {
-    use rtsim_comm::Rendezvous;
-    for engine in ENGINES {
-        let mut sim = Simulator::new();
-        let rec = TraceRecorder::new();
-        let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU").engine(engine));
-        let rv: Rendezvous<u32> = Rendezvous::new(&rec, "rv");
-
-        // Writer offers early and must block until the reader arrives.
-        // Timing: writer (higher priority) computes 0..10 and offers; the
-        // reader first runs at 10, so its 50 µs delay ends at 60 — the
-        // first handshake. The reader then computes 30 µs (60..90) and
-        // takes the second offer at 90.
-        let tx = rv.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("writer").priority(2), move |t| {
-            t.execute(us(10));
-            tx.write(t, 1);
-            assert_eq!(t.now().as_us(), 60);
-            tx.write(t, 2);
-            assert_eq!(t.now().as_us(), 90);
-        });
-        let rx = rv.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("reader").priority(1), move |t| {
-            t.delay(us(50));
-            assert_eq!(rx.read(t), 1);
-            t.execute(us(30));
-            assert_eq!(rx.read(t), 2);
-        });
-        sim.run().unwrap();
-        assert_eq!(sim.now(), SimTime::ZERO + us(90), "{engine}");
-    }
-}
-
-#[test]
-fn rendezvous_serves_writers_fifo() {
-    use rtsim_comm::Rendezvous;
-    let mut sim = Simulator::new();
-    let rec = TraceRecorder::new();
-    let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-    let rv: Rendezvous<u32> = Rendezvous::new(&rec, "rv");
-    for (i, prio) in [(1u32, 5u32), (2, 4), (3, 3)] {
-        let tx = rv.clone();
-        cpu.spawn_task(
-            &mut sim,
-            TaskConfig::new(&format!("w{i}")).priority(prio),
-            move |t| {
-                tx.write(t, i); // all offer at t=0, in priority order
-            },
-        );
-    }
-    let order = Arc::new(rtsim_kernel::sync::Mutex::new(Vec::new()));
-    let sink = Arc::clone(&order);
-    cpu.spawn_task(&mut sim, TaskConfig::new("reader").priority(1), move |t| {
-        for _ in 0..3 {
-            sink.lock().push(rv.read(t));
-            t.execute(us(5));
-        }
-    });
-    sim.run().unwrap();
-    assert_eq!(*order.lock(), vec![1, 2, 3]);
-}
-
-#[test]
-fn rendezvous_reader_blocks_until_offer() {
-    use rtsim_comm::Rendezvous;
-    let mut sim = Simulator::new();
-    let rec = TraceRecorder::new();
-    let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU"));
-    let rv: Rendezvous<u32> = Rendezvous::new(&rec, "rv");
-    let rx = rv.clone();
-    cpu.spawn_task(&mut sim, TaskConfig::new("reader").priority(5), move |t| {
-        assert_eq!(rx.read(t), 42); // blocks until 70
-        assert_eq!(t.now().as_us(), 70);
-    });
-    let tx = rv.clone();
-    spawn_hw_function(&mut sim, &rec, "hw_writer", move |hw| {
-        hw.delay(us(70));
-        tx.write(hw, 42);
-    });
-    sim.run().unwrap();
-}
-
-#[test]
-fn shared_var_serializes_access() {
-    for engine in ENGINES {
-        let mut sim = Simulator::new();
-        let rec = TraceRecorder::new();
-        let cpu = Processor::new(&mut sim, &rec, ProcessorConfig::new("CPU").engine(engine));
-        let var = SharedVar::new(&rec, "v", 0u64, LockMode::Plain);
-
-        // Two equal-priority tasks increment under the lock; the final
-        // value proves no lost updates despite the in-lock delays.
-        for name in ["a", "b"] {
-            let var = var.clone();
-            cpu.spawn_task(&mut sim, TaskConfig::new(name).priority(1), move |t| {
-                for _ in 0..5 {
-                    var.with_lock(t, |agent, value| {
-                        let snapshot = *value;
-                        agent.execute(us(3));
-                        *value = snapshot + 1;
-                    });
-                    t.delay(us(1));
-                }
-            });
-        }
-        let check = var.clone();
-        cpu.spawn_task(&mut sim, TaskConfig::new("checker").priority(0), move |t| {
-            t.delay(us(500));
-            assert_eq!(check.read(t), 10);
-        });
-        sim.run().unwrap();
-    }
-}
-
 /// Builds the Figure 7 cast: `low` (priority 1) holds `SharedVar_1` for
 /// 50 µs of in-lock computation starting at t=0; `high` (priority 9)
 /// arrives at t=10 and wants the variable; `mid` (priority 5) arrives at
@@ -423,9 +308,7 @@ fn inversion_scenario(mode: LockMode, engine: EngineKind) -> (u64, Trace) {
     });
     let v = var.clone();
     cpu.spawn_task(&mut sim, TaskConfig::new("low").priority(1), move |t| {
-        v.with_lock(t, |agent, _value| {
-            agent.execute(us(50));
-        });
+        v.write_for(t, us(50), 1);
         t.execute(us(5));
     });
     sim.run().unwrap();
@@ -505,7 +388,7 @@ fn priority_ceiling_blocks_up_to_ceiling_only() {
 
         let v = var.clone();
         cpu.spawn_task(&mut sim, TaskConfig::new("low").priority(1), move |t| {
-            v.with_lock(t, |agent, _| agent.execute(us(50)));
+            v.write_for(t, us(50), 1);
         });
         cpu.spawn_task(&mut sim, TaskConfig::new("mid").priority(4), |t| {
             t.delay(us(10));

@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use rtsim_kernel::world::{Fork, Slot, World};
+use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{Event, Notifier, SimDuration, SimTime};
 use rtsim_trace::{ActorId, OverheadKind, TaskState, TraceLog};
 
@@ -193,15 +193,15 @@ pub(crate) struct RtosState {
     pub stats: SchedulerStats,
 }
 
-/// A forked simulation gets a copy of the tables; the policy copies
-/// itself through [`SchedulingPolicy::fork`], and one that cannot makes
-/// the processor, and so the simulation, unforkable. The decision scratch
-/// `ready_view` is refilled before each use, so it is never copied.
-impl Fork for RtosState {
-    fn fork(&self) -> Option<Self> {
-        Some(RtosState {
+/// By hand, so that a fork into another simulation's world writes the
+/// tables, and the policy when it is of the same type, into the ones it
+/// has. The decision scratch `ready_view` is refilled before each use, so
+/// it is never copied.
+impl Clone for RtosState {
+    fn clone(&self) -> Self {
+        RtosState {
             kind: self.kind,
-            policy: self.policy.fork()?,
+            policy: self.policy.clone(),
             overheads: self.overheads.clone(),
             preemption_granularity: self.preemption_granularity,
             preemptive: self.preemptive,
@@ -216,16 +216,12 @@ impl Fork for RtosState {
             requests: self.requests.clone(),
             rtk_run: self.rtk_run,
             stats: self.stats,
-        })
+        }
     }
 
-    /// Writes the tables into the ones `self` already has.
-    fn fork_from(&mut self, source: &Self) -> bool {
-        let Some(policy) = source.policy.fork() else {
-            return false;
-        };
+    fn clone_from(&mut self, source: &Self) {
         self.kind = source.kind;
-        self.policy = policy;
+        self.policy.clone_from(&source.policy);
         self.overheads.clone_from(&source.overheads);
         self.preemption_granularity = source.preemption_granularity;
         self.preemptive = source.preemptive;
@@ -239,7 +235,6 @@ impl Fork for RtosState {
         self.requests.clone_from(&source.requests);
         self.rtk_run = source.rtk_run;
         self.stats = source.stats;
-        true
     }
 }
 

@@ -44,10 +44,6 @@ fn deadline_key(t: &TaskView) -> (SimTime, u64) {
 }
 
 impl SchedulingPolicy for EarliestDeadlineFirst {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "edf"
     }

@@ -25,10 +25,6 @@ impl Fifo {
 }
 
 impl SchedulingPolicy for Fifo {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "fifo"
     }

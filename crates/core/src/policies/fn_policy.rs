@@ -1,6 +1,7 @@
 //! Ad-hoc scheduling policies from closures.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rtsim_kernel::SimDuration;
 
@@ -38,7 +39,9 @@ use crate::task::TaskId;
 /// ```
 #[derive(Clone)]
 pub struct FnPolicy<S, P> {
-    name: String,
+    /// Shared by every copy, so that copying the policy allocates
+    /// nothing.
+    name: Arc<str>,
     select: S,
     preempt: P,
     time_slice: Option<SimDuration>,
@@ -51,7 +54,7 @@ where
     P: FnMut(&PolicyView<'_>, &TaskView, &TaskView) -> bool + Send,
 {
     FnPolicy {
-        name: name.to_owned(),
+        name: Arc::from(name),
         select,
         preempt,
         time_slice: None,
@@ -79,10 +82,6 @@ where
     S: FnMut(&PolicyView<'_>) -> Option<TaskId> + Clone + Send + 'static,
     P: FnMut(&PolicyView<'_>, &TaskView, &TaskView) -> bool + Clone + Send + 'static,
 {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

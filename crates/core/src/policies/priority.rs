@@ -29,10 +29,6 @@ impl PriorityPreemptive {
 }
 
 impl SchedulingPolicy for PriorityPreemptive {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "priority-preemptive"
     }

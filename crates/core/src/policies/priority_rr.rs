@@ -50,10 +50,6 @@ impl PriorityRoundRobin {
 }
 
 impl SchedulingPolicy for PriorityRoundRobin {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "priority-round-robin"
     }

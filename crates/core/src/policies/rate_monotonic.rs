@@ -34,10 +34,6 @@ fn period_key(t: &TaskView) -> (SimDuration, u64) {
 }
 
 impl SchedulingPolicy for RateMonotonic {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "rate-monotonic"
     }

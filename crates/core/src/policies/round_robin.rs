@@ -44,10 +44,6 @@ impl RoundRobin {
 }
 
 impl SchedulingPolicy for RoundRobin {
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        Some(Box::new(*self))
-    }
-
     fn name(&self) -> &str {
         "round-robin"
     }

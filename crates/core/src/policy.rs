@@ -10,6 +10,7 @@
 //!
 //! Built-in policies live in [`crate::policies`].
 
+use std::any::Any;
 use std::fmt;
 
 use rtsim_kernel::{SimDuration, SimTime};
@@ -50,7 +51,9 @@ pub struct PolicyView<'a> {
 /// A scheduling algorithm: the paper's pluggable `SchedulingPolicy`.
 ///
 /// Implementations must be deterministic — given the same view, return the
-/// same decision — or simulations stop being reproducible.
+/// same decision — or simulations stop being reproducible. A policy is a
+/// `Clone` value (see [`PolicyClone`]), so a processor running it copies
+/// with the rest of a forked simulation.
 ///
 /// # Examples
 ///
@@ -60,7 +63,7 @@ pub struct PolicyView<'a> {
 /// use rtsim_core::policy::{PolicyView, SchedulingPolicy, TaskView};
 /// use rtsim_core::TaskId;
 ///
-/// #[derive(Debug)]
+/// #[derive(Debug, Clone)]
 /// struct LongestWaiting;
 ///
 /// impl SchedulingPolicy for LongestWaiting {
@@ -80,7 +83,7 @@ pub struct PolicyView<'a> {
 ///     }
 /// }
 /// ```
-pub trait SchedulingPolicy: Send + fmt::Debug {
+pub trait SchedulingPolicy: Send + fmt::Debug + PolicyClone {
     /// Human-readable policy name, used in diagnostics.
     fn name(&self) -> &str;
 
@@ -105,12 +108,41 @@ pub trait SchedulingPolicy: Send + fmt::Debug {
     fn time_slice(&self, _view: &PolicyView<'_>, _task: &TaskView) -> Option<SimDuration> {
         None
     }
-    /// A copy of this policy in its current state, for a forked
-    /// simulation (see `Simulator::fork`). The default, `None`, makes a
-    /// processor running this policy unforkable, so a schedule explorer
-    /// replays its runs instead; every built-in policy returns `Some`.
-    fn fork(&self) -> Option<Box<dyn SchedulingPolicy>> {
-        None
+}
+
+/// Copies a boxed [`SchedulingPolicy`] in its current state, for a forked
+/// simulation (see `Simulator::fork`). Implemented for every `Clone +
+/// 'static` policy, so a policy needs only `#[derive(Clone)]`.
+pub trait PolicyClone: Any {
+    /// A copy of this policy in a new box.
+    fn clone_box(&self) -> Box<dyn SchedulingPolicy>;
+
+    /// Writes a copy of this policy over `into`: with
+    /// [`Clone::clone_from`] in place when `into` holds a policy of the
+    /// same type, else into a new box.
+    fn clone_into_box(&self, into: &mut Box<dyn SchedulingPolicy>);
+}
+
+impl<P: SchedulingPolicy + Clone + 'static> PolicyClone for P {
+    fn clone_box(&self) -> Box<dyn SchedulingPolicy> {
+        Box::new(self.clone())
+    }
+
+    fn clone_into_box(&self, into: &mut Box<dyn SchedulingPolicy>) {
+        match (&mut **into as &mut dyn Any).downcast_mut::<P>() {
+            Some(into) => into.clone_from(self),
+            None => *into = self.clone_box(),
+        }
+    }
+}
+
+impl Clone for Box<dyn SchedulingPolicy> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (**source).clone_into_box(self);
     }
 }
 
@@ -118,7 +150,7 @@ pub trait SchedulingPolicy: Send + fmt::Debug {
 mod tests {
     use super::*;
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     struct First;
     impl SchedulingPolicy for First {
         fn name(&self) -> &str {

@@ -189,10 +189,7 @@ impl Processor {
             config.cores,
         );
         let rtos = Rtos {
-            state: recorder
-                .world()
-                .lock_for("Processor::new")
-                .insert_fork(state),
+            state: recorder.world().lock_for("Processor::new").insert(state),
             log: recorder.log(),
         };
         match config.engine {

@@ -46,7 +46,7 @@ enum Step {
 
 /// The relations every task program may use.
 #[derive(Clone)]
-struct Relations {
+struct Channels {
     queue: MessageQueue<u32>,
     var: SharedVar<u32>,
     event: RtEvent,
@@ -59,7 +59,7 @@ struct Relations {
 #[derive(Clone)]
 struct Program {
     runner: SegTaskRunner,
-    rel: Relations,
+    rel: Channels,
     steps: Vec<Step>,
     pc: usize,
     release: SimTime,
@@ -110,7 +110,7 @@ impl Program {
 fn task(
     sim: &mut Simulator,
     cpu: &Processor,
-    rel: &Relations,
+    rel: &Channels,
     name: &str,
     priority: u32,
     steps: &[Step],
@@ -137,7 +137,7 @@ fn task(
 fn system(mode: ExecMode, rec: &TraceRecorder) -> (Simulator, Processor, Processor) {
     use Step::*;
     let mut sim = Simulator::with_mode(mode);
-    let rel = Relations {
+    let rel = Channels {
         queue: MessageQueue::new(rec, "q", 2),
         var: SharedVar::new(rec, "v", 0, LockMode::PriorityInheritance),
         event: RtEvent::new(rec, "ev", EventPolicy::Counter),

@@ -29,7 +29,7 @@ struct Log {
 }
 
 /// Delegates every decision to `inner` after checking the view it got.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Recording {
     inner: Box<dyn SchedulingPolicy>,
     log: Arc<Mutex<Log>>,

@@ -65,7 +65,7 @@ fn run(config: ProcessorConfig, tasks: &[(u32, u64, u64, u32)]) -> Trace {
 
 /// Counts the calls of each `SchedulingPolicy` method, delegating the
 /// decisions to `inner`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Counting {
     inner: Box<dyn SchedulingPolicy>,
     /// `select`, `should_preempt`, `time_slice`.

@@ -85,4 +85,4 @@ pub use scheduler::KernelStats;
 pub use segment::{ExecMode, KernelHandle, Notifier, SegMachine, SegStep, SegmentCtx, WaitRequest};
 pub use simulator::Simulator;
 pub use time::{SimDuration, SimTime};
-pub use world::{Fork, SharedWorld, Slot, World, WorldRef};
+pub use world::{SharedWorld, Slot, World, WorldRef};

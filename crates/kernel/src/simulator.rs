@@ -315,9 +315,8 @@ impl Simulator {
     /// its current state. It is [`fork_into`](Simulator::fork_into) a new,
     /// empty simulator.
     ///
-    /// `None` when the copy cannot be made: a live process is
-    /// thread-backed (its state is a stack on another thread), or a world
-    /// slot refuses to copy (see [`Fork`](crate::world::Fork)).
+    /// `None` when a live process is thread-backed: its state is a stack
+    /// on another thread, which cannot be copied.
     pub fn fork(&self) -> Option<Simulator> {
         let mut fork = Simulator::with_mode(self.mode);
         self.fork_into(&mut fork).then_some(fork)
@@ -339,7 +338,11 @@ impl Simulator {
     pub fn fork_into(&self, into: &mut Simulator) -> bool {
         into.mode = self.mode;
         into.attached = self.attached;
-        self.kernel.fork_into(&mut into.kernel) && self.world.fork_into(&into.world)
+        if !self.kernel.fork_into(&mut into.kernel) {
+            return false;
+        }
+        self.world.fork_into(&into.world);
+        true
     }
 
     /// The world this simulator lends to its steps.

@@ -26,9 +26,8 @@
 //! instead of deadlocking.
 //!
 //! A world can be **forked** ([`World::fork`]): every slot knows how to
-//! copy itself, because [`World::insert`] takes a `Clone` value and
-//! [`World::insert_fork`] a value implementing [`Fork`]. That is what
-//! lets a simulator be copied at a choice point (see
+//! copy itself, because [`World::insert`] takes a `Clone` value. That is
+//! what lets a simulator be copied at a choice point (see
 //! [`Simulator::fork`](crate::Simulator::fork)). A fork can also be
 //! written over another world of the same layout ([`World::fork_into`]),
 //! slot by slot in place, so copying into a spare allocates next to
@@ -92,27 +91,6 @@ impl<T> fmt::Debug for Slot<T> {
     }
 }
 
-/// A value that can be copied when its world is forked, but may refuse
-/// (say, because it holds a user-supplied trait object that cannot copy
-/// itself). `Clone` values go through [`World::insert`] instead.
-///
-/// A fresh fork of the world calls [`fork`](Fork::fork); a fork into
-/// another world of the same layout ([`World::fork_into`]) calls
-/// [`fork_from`](Fork::fork_from) on that world's value, the way a
-/// `Clone` slot is written with [`Clone::clone_from`].
-pub trait Fork: Sized {
-    /// A copy of `self`, or `None` if this value cannot be copied.
-    fn fork(&self) -> Option<Self>;
-
-    /// Writes a copy of `source` over `self`; `false` if `source` cannot
-    /// be copied, leaving `self` partly written. The default forks anew
-    /// and assigns; a value with buffers should override it to write into
-    /// its own.
-    fn fork_from(&mut self, source: &Self) -> bool {
-        source.fork().map(|copy| *self = copy).is_some()
-    }
-}
-
 /// Points `into` at `source`'s value, as `into.clone_from(source)` does,
 /// but leaves both counts alone when they already share it: an `Arc`'s
 /// `clone_from` clones and assigns, an atomic increment and decrement
@@ -126,29 +104,14 @@ pub fn share<T: ?Sized>(into: &mut Arc<T>, source: &Arc<T>) {
 
 /// Copies one type-erased slot over another (monomorphised per slot type
 /// at insert): in place when `into` holds the same type, else into a new
-/// box. `false` if the value refuses to copy (see [`Fork`]).
-type CopyFn = fn(&(dyn Any + Send), &mut Box<dyn Any + Send>) -> bool;
+/// box.
+type CopyFn = fn(&(dyn Any + Send), &mut Box<dyn Any + Send>);
 
-fn copy_clone<T: Any + Send + Clone>(
-    value: &(dyn Any + Send),
-    into: &mut Box<dyn Any + Send>,
-) -> bool {
+fn copy_clone<T: Any + Send + Clone>(value: &(dyn Any + Send), into: &mut Box<dyn Any + Send>) {
     let value: &T = value.downcast_ref().expect("slot holds its inserted type");
     match into.downcast_mut::<T>() {
         Some(into) => into.clone_from(value),
         None => *into = Box::new(value.clone()),
-    }
-    true
-}
-
-fn copy_fork<T: Any + Send + Fork>(
-    value: &(dyn Any + Send),
-    into: &mut Box<dyn Any + Send>,
-) -> bool {
-    let value: &T = value.downcast_ref().expect("slot holds its inserted type");
-    match into.downcast_mut::<T>() {
-        Some(into) => into.fork_from(value),
-        None => value.fork().map(|copy| *into = Box::new(copy)).is_some(),
     }
 }
 
@@ -186,40 +149,27 @@ impl World {
     /// that by cloning anew, so a type whose buffers are non-empty when
     /// its world is forked should write `clone_from` by hand.
     pub fn insert<T: Any + Send + Clone>(&mut self, value: T) -> Slot<T> {
-        self.push(value, copy_clone::<T>)
-    }
-
-    /// Stores `value` and returns its slot. A fork of this world gets
-    /// `value.fork()`, a fork into another world [`Fork::fork_from`]; if
-    /// that refuses, the world cannot be forked.
-    pub fn insert_fork<T: Any + Send + Fork>(&mut self, value: T) -> Slot<T> {
-        self.push(value, copy_fork::<T>)
-    }
-
-    fn push<T: Any + Send>(&mut self, value: T, copy: CopyFn) -> Slot<T> {
         let index = u32::try_from(self.slots.len()).expect("too many world slots");
-        self.slots.push((Box::new(value), copy));
+        self.slots.push((Box::new(value), copy_clone::<T>));
         Slot {
             index,
             marker: PhantomData,
         }
     }
 
-    /// A copy of every slot, under the same slot ids; `None` if some slot
-    /// cannot be copied (see [`Fork`]). The loan count carries over. It is
-    /// [`fork_into`](World::fork_into) an empty world.
-    pub fn fork(&self) -> Option<World> {
+    /// A copy of every slot, under the same slot ids. The loan count
+    /// carries over. It is [`fork_into`](World::fork_into) an empty world.
+    pub fn fork(&self) -> World {
         let mut fork = World::new();
-        self.fork_into(&mut fork).then_some(fork)
+        self.fork_into(&mut fork);
+        fork
     }
 
     /// Writes a [fork](World::fork) of this world over `into`: each slot
     /// in place where `into` holds a value of the same type under its id
     /// (a world of the same layout: no allocation but what the values'
-    /// own copies make), else into a new box. `false` if some slot cannot
-    /// be copied; `into` is then partly written, and a later fork into it
-    /// still writes every slot.
-    pub fn fork_into(&self, into: &mut World) -> bool {
+    /// own copies make), else into a new box.
+    pub fn fork_into(&self, into: &mut World) {
         let World { slots, loans } = self;
         // A placeholder a slot's copy replaces; a box of `()` allocates
         // nothing.
@@ -227,13 +177,10 @@ impl World {
         into.slots
             .resize_with(slots.len(), || (Box::new(()), copy_clone::<()>));
         for ((value, copy), (target, target_copy)) in slots.iter().zip(&mut into.slots) {
-            if !copy(value.as_ref(), target) {
-                return false;
-            }
+            copy(value.as_ref(), target);
             *target_copy = *copy;
         }
         into.loans = *loans;
-        true
     }
 
     /// Number of slots.
@@ -346,11 +293,11 @@ impl SharedWorld {
     /// # Panics
     ///
     /// Panics if both handles designate the same world.
-    pub fn fork_into(&self, into: &SharedWorld) -> bool {
+    pub fn fork_into(&self, into: &SharedWorld) {
         assert!(!self.same(into), "a world cannot be forked into itself");
         let source = self.hold("SharedWorld::fork_into");
         let mut target = into.hold("SharedWorld::fork_into");
-        source.fork_into(&mut target)
+        source.fork_into(&mut target);
     }
 
     fn address(&self) -> usize {
@@ -502,29 +449,15 @@ mod tests {
         let _ = shared.lock_for("Nested::accessor");
     }
 
-    #[derive(Debug, PartialEq)]
-    struct Refuses(bool);
-
-    impl Fork for Refuses {
-        fn fork(&self) -> Option<Self> {
-            self.0.then_some(Refuses(true))
-        }
-    }
-
     #[test]
     fn a_fork_copies_every_slot_under_the_same_ids() {
         let mut w = World::new();
         let a = w.insert(vec![1u32]);
-        let b = w.insert_fork(Refuses(true));
-        let mut copy = w.fork().expect("every slot copies");
+        let b = w.insert(String::from("b"));
+        let mut copy = w.fork();
         copy.get_mut(a).push(2);
         assert_eq!((w.get(a).len(), copy.get(a).len()), (1, 2));
-        assert_eq!(copy.get(b), &Refuses(true));
-        w.insert_fork(Refuses(false));
-        assert!(
-            w.fork().is_none(),
-            "a refusing slot makes the world unforkable"
-        );
+        assert_eq!(copy.get(b), "b");
     }
 
     #[test]
@@ -532,7 +465,7 @@ mod tests {
         let shared = SharedWorld::new();
         let slot = shared.lock_for("test").insert(0u8);
         let fork = SharedWorld::new();
-        assert!(shared.fork_into(&fork));
+        shared.fork_into(&fork);
         *fork.lock_for("test").get_mut(slot) = 7;
         assert!(!fork.same(&shared));
         assert_eq!((shared.handles(), fork.handles()), (1, 1));

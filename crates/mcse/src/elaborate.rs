@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use rtsim_comm::{EventRef, MessageQueue, QueueRef, Rendezvous, RtEvent, SharedVar, VarRef};
+use rtsim_comm::{EventRef, MessageQueue, QueueRef, RtEvent, SharedVar, VarRef};
 use rtsim_core::{
     register_seg_hw, spawn_hw_function, Processor, ProcessorConfig, SchedulerStats, TaskHandle,
 };
@@ -24,14 +24,15 @@ use crate::script::{FaultCtx, Instr, ScriptProcess};
 
 /// The relations visible to a function body, looked up by name.
 ///
-/// Obtained as the second argument of every function body. Lookups panic
-/// on unknown names — relation names are model-author constants, and a
-/// typo should fail loudly at first use.
+/// Obtained as the second argument of every closure body; a
+/// [`ScriptProcess`] reaches its relations through it too. It holds slot
+/// ids, never a world, so every forked simulation shares it. Lookups
+/// panic on unknown names — relation names are model-author constants,
+/// and a typo should fail loudly at first use.
 pub struct Io {
-    events: BTreeMap<String, RtEvent>,
-    queues: BTreeMap<String, MessageQueue<Message>>,
-    rendezvous: BTreeMap<String, Rendezvous<Message>>,
-    vars: BTreeMap<String, SharedVar<Message>>,
+    events: BTreeMap<String, EventRef>,
+    queues: BTreeMap<String, QueueRef<Message>>,
+    vars: BTreeMap<String, VarRef<Message>>,
 }
 
 impl Io {
@@ -40,8 +41,8 @@ impl Io {
     /// # Panics
     ///
     /// Panics if no event relation with that name was declared.
-    pub fn event(&self, name: &str) -> RtEvent {
-        lookup(&self.events, "event", name).clone()
+    pub fn event(&self, name: &str) -> EventRef {
+        *lookup(&self.events, "event", name)
     }
 
     /// The message-queue relation called `name`.
@@ -49,17 +50,8 @@ impl Io {
     /// # Panics
     ///
     /// Panics if no queue relation with that name was declared.
-    pub fn queue(&self, name: &str) -> MessageQueue<Message> {
-        lookup(&self.queues, "queue", name).clone()
-    }
-
-    /// The rendezvous relation called `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rendezvous relation with that name was declared.
-    pub fn rendezvous(&self, name: &str) -> Rendezvous<Message> {
-        lookup(&self.rendezvous, "rendezvous", name).clone()
+    pub fn queue(&self, name: &str) -> QueueRef<Message> {
+        *lookup(&self.queues, "queue", name)
     }
 
     /// The shared-variable relation called `name`.
@@ -67,17 +59,8 @@ impl Io {
     /// # Panics
     ///
     /// Panics if no shared-variable relation with that name was declared.
-    pub fn var(&self, name: &str) -> SharedVar<Message> {
-        lookup(&self.vars, "shared-variable", name).clone()
-    }
-
-    /// The scriptable relations' slot ids.
-    fn relations(&self) -> Relations {
-        Relations {
-            events: ids(&self.events, RtEvent::ids),
-            queues: ids(&self.queues, MessageQueue::ids),
-            vars: ids(&self.vars, SharedVar::ids),
-        }
+    pub fn var(&self, name: &str) -> VarRef<Message> {
+        *lookup(&self.vars, "shared-variable", name)
     }
 }
 
@@ -96,45 +79,11 @@ fn ids<R, I>(map: &BTreeMap<String, R>, f: impl Fn(&R) -> I) -> BTreeMap<String,
     map.iter().map(|(name, r)| (name.clone(), f(r))).collect()
 }
 
-/// The scriptable relations (events, queues, shared variables) as slot
-/// ids, looked up by name: what a [`ScriptProcess`] reaches them
-/// through. It holds no world, so every forked simulation shares it.
-pub struct Relations {
-    events: BTreeMap<String, EventRef>,
-    queues: BTreeMap<String, QueueRef<Message>>,
-    vars: BTreeMap<String, VarRef<Message>>,
-}
-
-impl Relations {
-    pub(crate) fn event_ref(&self, name: &str) -> &EventRef {
-        lookup(&self.events, "event", name)
-    }
-
-    pub(crate) fn queue_ref(&self, name: &str) -> &QueueRef<Message> {
-        lookup(&self.queues, "queue", name)
-    }
-
-    pub(crate) fn var_ref(&self, name: &str) -> &VarRef<Message> {
-        lookup(&self.vars, "shared-variable", name)
-    }
-}
-
-impl fmt::Debug for Relations {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Relations")
-            .field("events", &self.events.keys().collect::<Vec<_>>())
-            .field("queues", &self.queues.keys().collect::<Vec<_>>())
-            .field("vars", &self.vars.keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
 impl fmt::Debug for Io {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Io")
             .field("events", &self.events.keys().collect::<Vec<_>>())
             .field("queues", &self.queues.keys().collect::<Vec<_>>())
-            .field("rendezvous", &self.rendezvous.keys().collect::<Vec<_>>())
             .field("vars", &self.vars.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -179,7 +128,6 @@ fn check_script(
         let declared = relations.get(&**name).map(|decl| match decl {
             RelationDecl::Event(_) => "event",
             RelationDecl::Queue { .. } => "queue",
-            RelationDecl::Rendezvous => "rendezvous",
             RelationDecl::Var { .. } => "shared-variable",
         });
         if declared != Some(kind) {
@@ -251,10 +199,9 @@ impl ElaboratedSystem {
         let recorder = TraceRecorder::new();
         sim.attach_world(recorder.world());
 
-        // Relations first, so every function body can capture them.
+        // The relations first, so every function body can capture them.
         let mut events = BTreeMap::new();
         let mut queues = BTreeMap::new();
-        let mut rendezvous = BTreeMap::new();
         let mut vars = BTreeMap::new();
         for (name, decl) in &model.relations {
             match decl {
@@ -264,13 +211,10 @@ impl ElaboratedSystem {
                 RelationDecl::Queue { capacity } => {
                     queues.insert(name.clone(), MessageQueue::new(&recorder, name, *capacity));
                 }
-                RelationDecl::Rendezvous => {
-                    rendezvous.insert(name.clone(), Rendezvous::new(&recorder, name));
-                }
                 RelationDecl::Var { mode, initial } => {
                     vars.insert(
                         name.clone(),
-                        SharedVar::new(&recorder, name, *initial, *mode),
+                        SharedVar::new(&recorder, name, *initial, *mode).ids(),
                     );
                 }
             }
@@ -299,12 +243,10 @@ impl ElaboratedSystem {
         }
 
         let io = Arc::new(Io {
-            events,
-            queues,
-            rendezvous,
+            events: ids(&events, RtEvent::ids),
+            queues: ids(&queues, MessageQueue::ids),
             vars,
         });
-        let relations = Arc::new(io.relations());
 
         // Processors.
         let mut processors = BTreeMap::new();
@@ -330,7 +272,7 @@ impl ElaboratedSystem {
         let mut model_functions = model.functions;
         for fname in &model.function_order {
             let decl = model_functions.remove(fname).expect("declared function");
-            let (io, relations) = (Arc::clone(&io), Arc::clone(&relations));
+            let io = Arc::clone(&io);
             let fctx = injector
                 .as_ref()
                 .map(|inj| FaultCtx::new(Arc::clone(inj), fname));
@@ -343,7 +285,7 @@ impl ElaboratedSystem {
                 }
                 (Mapping::Hardware, Body::Script(script)) => {
                     let runner = register_seg_hw(&mut sim, &recorder, fname);
-                    let process = ScriptProcess::hw(runner, relations, script).with_fault(fctx);
+                    let process = ScriptProcess::hw(runner, io, script).with_fault(fctx);
                     sim.spawn_machine(fname, process);
                 }
                 (Mapping::Software(pname), Body::Closure(body)) => {
@@ -357,7 +299,7 @@ impl ElaboratedSystem {
                     let runner = processor.register_seg_task(&mut sim, decl.config);
                     let handle = runner.handle();
                     let process_name = format!("{}.{}", processor.name(), fname);
-                    let process = ScriptProcess::task(runner, relations, script).with_fault(fctx);
+                    let process = ScriptProcess::task(runner, io, script).with_fault(fctx);
                     sim.spawn_machine(&process_name, process);
                     tasks.insert(fname.clone(), handle);
                     task_placement.insert(fname.clone(), pname);
@@ -397,9 +339,8 @@ impl ElaboratedSystem {
     /// — that runs on independently of it: its own simulator and world,
     /// its recorder and processors reaching that world. It is
     /// [`fork_into`](ElaboratedSystem::fork_into) a new, empty system of
-    /// this elaboration. See [`Simulator::fork`] for when this is `None`
-    /// (a closure body, which runs on a thread, or a policy that cannot
-    /// copy itself).
+    /// this elaboration. `None` when a live function has a closure body,
+    /// which runs on a thread (see [`Simulator::fork`]).
     pub fn fork(&self) -> Option<ElaboratedSystem> {
         let sim = Simulator::with_mode(self.sim.exec_mode());
         let recorder = self.recorder.rebind(sim.shared_world());

@@ -5,8 +5,7 @@
 //! methodology, is:
 //!
 //! 1. **capture** the system as functions + relations ([`SystemModel`]:
-//!    events, queues, shared variables — plus rendezvous channels as an
-//!    extension);
+//!    events, queues, shared variables);
 //! 2. **map** each function to hardware or to a software processor
 //!    running the generic RTOS model ([`Mapping`]);
 //! 3. **generate** the executable simulation
@@ -75,7 +74,7 @@ pub mod script;
 
 pub use codegen::{generate_freertos, GeneratedCode};
 pub use constraint::{ConstraintReport, TimingConstraint};
-pub use elaborate::{ElaboratedSystem, Io, Relations};
+pub use elaborate::{ElaboratedSystem, Io};
 pub use error::ModelError;
 pub use model::{FunctionBody, Mapping, Message, SystemModel};
 pub use rtsim_fault::FaultPlan;

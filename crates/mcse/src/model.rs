@@ -73,7 +73,6 @@ pub enum Mapping {
 pub(crate) enum RelationDecl {
     Event(EventPolicy),
     Queue { capacity: usize },
-    Rendezvous,
     Var { mode: LockMode, initial: Message },
 }
 
@@ -82,7 +81,6 @@ impl fmt::Debug for RelationDecl {
         match self {
             RelationDecl::Event(p) => write!(f, "Event({p})"),
             RelationDecl::Queue { capacity } => write!(f, "Queue(cap={capacity})"),
-            RelationDecl::Rendezvous => f.write_str("Rendezvous"),
             RelationDecl::Var { mode, .. } => write!(f, "Var({mode})"),
         }
     }
@@ -353,15 +351,6 @@ impl SystemModel {
     pub fn queue(&mut self, name: &str, capacity: usize) -> &mut Self {
         assert!(capacity > 0, "queue `{name}` needs a positive capacity");
         self.add_relation(name, RelationDecl::Queue { capacity })
-    }
-
-    /// Declares a rendezvous (unbuffered, fully synchronizing) relation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a relation with the same name exists.
-    pub fn rendezvous(&mut self, name: &str) -> &mut Self {
-        self.add_relation(name, RelationDecl::Rendezvous)
     }
 
     /// Declares a shared-variable relation.

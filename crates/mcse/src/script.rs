@@ -18,9 +18,6 @@
 //! So a scripted model produces bit-identical canonical traces in either
 //! mode — the property the regression farm's cross-mode differential
 //! suite asserts.
-//!
-//! Rendezvous relations are not scriptable (their transfer handshake is
-//! inherently two-sided blocking); functions using them stay closures.
 
 use std::sync::Arc;
 
@@ -31,7 +28,7 @@ use rtsim_kernel::world::share;
 use rtsim_kernel::{SegMachine, SegStep, SegmentCtx, SimDuration, SimTime};
 use rtsim_trace::FaultKind;
 
-use crate::elaborate::Relations;
+use crate::elaborate::Io;
 use crate::model::Message;
 
 /// The fault-injection view of one function: the system's shared
@@ -473,15 +470,15 @@ enum Progress<'i> {
 /// spawned as it is with
 /// [`Simulator::spawn_machine`](rtsim_kernel::Simulator::spawn_machine).
 ///
-/// Plain data and slot ids (the runner, the [`Relations`] ids, the
-/// registers, the control stack and the operation in flight): a clone is
-/// the same script at the same point, which is how a forked simulation
-/// gets its own. It is spawned as a named [`SegMachine`], so a fork into
+/// Plain data and slot ids (the runner, the [`Io`] ids, the registers,
+/// the control stack and the operation in flight): a clone is the same
+/// script at the same point, which is how a forked simulation gets its
+/// own. It is spawned as a named [`SegMachine`], so a fork into
 /// another simulation writes it with `clone_from`, into the control and
 /// frame stacks that simulation's script already has.
 pub struct ScriptProcess {
     runner: Runner,
-    io: Arc<Relations>,
+    io: Arc<Io>,
     ctl: Vec<CtlFrame>,
     regs: Regs,
     /// The blocking relation operation in flight, stepped at each idle,
@@ -541,13 +538,13 @@ impl SegMachine for ScriptProcess {
 impl ScriptProcess {
     /// Binds a script to an RTOS task runner (see
     /// [`Processor::register_seg_task`](rtsim_core::Processor::register_seg_task)).
-    pub fn task(runner: SegTaskRunner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
+    pub fn task(runner: SegTaskRunner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
         Self::new(Runner::Task(runner), io, script)
     }
 
     /// Binds a script to a hardware-function runner (see
     /// [`register_seg_hw`](rtsim_core::register_seg_hw)).
-    pub fn hw(runner: SegHwRunner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
+    pub fn hw(runner: SegHwRunner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
         Self::new(Runner::Hw(runner), io, script)
     }
 
@@ -558,7 +555,7 @@ impl ScriptProcess {
         self
     }
 
-    fn new(runner: Runner, io: Arc<Relations>, script: Arc<[Instr]>) -> Self {
+    fn new(runner: Runner, io: Arc<Io>, script: Arc<[Instr]>) -> Self {
         let ctl = if script.is_empty() {
             Vec::new()
         } else {
@@ -636,26 +633,26 @@ impl ScriptProcess {
             }
             Instr::Signal(name) => {
                 let mut agent = self.runner.agent(ctx);
-                self.io.event_ref(name).signal(&mut agent);
+                self.io.event(name).signal(&mut agent);
                 Progress::Continue
             }
             Instr::AwaitEvent(name) => {
-                let op = Op::wait(self.io.event_ref(name));
+                let op = Op::wait(&self.io.event(name));
                 self.step_op(ctx, op, |_, _| {})
             }
             Instr::QueueWrite(name, f) => {
-                let op = Op::write(self.io.queue_ref(name), f(&self.regs));
+                let op = Op::write(&self.io.queue(name), f(&self.regs));
                 self.step_op(ctx, op, |_, _| {})
             }
             Instr::QueueRead(name) => {
-                let op = Op::read(self.io.queue_ref(name));
+                let op = Op::read(&self.io.queue(name));
                 self.step_op(ctx, op, |regs, m| regs.msg = m)
             }
             Instr::QueueTryWrite(name, f) => {
                 let msg = f(&self.regs);
                 let ok = {
                     let mut agent = self.runner.agent(ctx);
-                    self.io.queue_ref(name).try_write(&mut agent, msg).is_ok()
+                    self.io.queue(name).try_write(&mut agent, msg).is_ok()
                 };
                 self.regs.flag = ok;
                 Progress::Continue
@@ -663,7 +660,7 @@ impl ScriptProcess {
             Instr::QueueTryRead(name) => {
                 let got = {
                     let mut agent = self.runner.agent(ctx);
-                    self.io.queue_ref(name).try_read(&mut agent)
+                    self.io.queue(name).try_read(&mut agent)
                 };
                 match got {
                     Some(m) => {
@@ -675,11 +672,11 @@ impl ScriptProcess {
                 Progress::Continue
             }
             Instr::VarRead(name, f) => {
-                let op = Op::read_for(self.io.var_ref(name), f(&self.regs));
+                let op = Op::read_for(&self.io.var(name), f(&self.regs));
                 self.step_op(ctx, op, |regs, m| regs.var = m)
             }
             Instr::VarWrite(name, df, mf) => {
-                let op = Op::write_for(self.io.var_ref(name), df(&self.regs), mf(&self.regs));
+                let op = Op::write_for(&self.io.var(name), df(&self.regs), mf(&self.regs));
                 self.step_op(ctx, op, |_, _| {})
             }
             &Instr::Repeat(n, ref body) => {

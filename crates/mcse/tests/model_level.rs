@@ -227,40 +227,6 @@ fn processor_utilization_reflects_the_load() {
 }
 
 #[test]
-fn rendezvous_relation_through_the_model_layer() {
-    let mut model = SystemModel::new("rv");
-    model.rendezvous("handoff");
-    model.software_processor("CPU", Overheads::zero());
-    model.function(TaskConfig::new("offer").priority(2), |agent, io| {
-        let rv = io.rendezvous("handoff");
-        rv.write(agent, Message::new(9, 1)); // blocks until taken at 40
-        assert_eq!(agent.now().as_us(), 40);
-    });
-    model.function(TaskConfig::new("take").priority(1), |agent, io| {
-        let rv = io.rendezvous("handoff");
-        agent.delay(us(40));
-        assert_eq!(rv.read(agent).id, 9);
-    });
-    model.map_to_processor("offer", "CPU");
-    model.map_to_processor("take", "CPU");
-    let mut system = model.elaborate().unwrap();
-    system.run().unwrap();
-    // codegen knows the new relation kind too
-    let mut model = SystemModel::new("rv2");
-    model.rendezvous("handoff");
-    model.software_processor("CPU", Overheads::zero());
-    let code = generate_freertos(&model);
-    assert!(code
-        .file("relations.h")
-        .unwrap()
-        .contains("rendezvous `handoff`"));
-    assert!(code
-        .file("relations.c")
-        .unwrap()
-        .contains("xQueueCreate(1, sizeof(message_t));"));
-}
-
-#[test]
 fn io_lookup_of_unknown_relation_panics_inside_the_run() {
     let mut model = SystemModel::new("typo");
     model.software_processor("CPU", Overheads::zero());

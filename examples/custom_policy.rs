@@ -21,7 +21,7 @@ fn us(v: u64) -> SimDuration {
 /// A hand-written policy: urgency = priority, but a task that has been
 /// ready the longest wins ties *and* anything waiting longer than 500 µs
 /// jumps the queue entirely (a simple aging scheme).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct AgingPriority;
 
 impl SchedulingPolicy for AgingPriority {

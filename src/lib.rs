@@ -70,7 +70,7 @@ pub use rtsim_mcse as mcse;
 pub use rtsim_trace as trace;
 
 pub use rtsim_campaign::{Campaign, JobCtx};
-pub use rtsim_comm::{EventPolicy, LockMode, MessageQueue, Rendezvous, RtEvent, SharedVar};
+pub use rtsim_comm::{EventPolicy, LockMode, MessageQueue, RtEvent, SharedVar};
 pub use rtsim_core::policies;
 pub use rtsim_core::{
     assign_rate_monotonic, liu_layland_bound, partition_first_fit, response_time_analysis,
