@@ -598,8 +598,10 @@ impl<'s> Search<'s> {
 /// applies one bijective 64-bit mix (murmur3's `fmix64`) to `h ^ w` per
 /// integer `w` written, so changing any one word changes the result. A
 /// byte string writes its length, then its 8-byte chunks (the last one
-/// zero-padded). What a derived [`Hash`] writes is not promised stable
-/// across builds, so these hashes never leave the process.
+/// zero-padded). An annotation hashes as its label's id, which follows
+/// the order texts are first seen, and what a derived [`Hash`] writes is
+/// not promised stable across builds, so these hashes never leave the
+/// process.
 #[derive(Debug, Clone, Copy)]
 struct Mix(u64);
 
@@ -855,7 +857,7 @@ mod tests {
     use rtsim_trace::FaultKind::{Burst, Jitter};
     use rtsim_trace::OverheadKind::{ContextSave, Scheduling};
     use rtsim_trace::TraceData::{self, Annotation, Core, ResourceHeld, State};
-    use rtsim_trace::{ActorKind, TaskState, TraceRecorder};
+    use rtsim_trace::{ActorKind, Label, TaskState, TraceRecorder};
 
     fn hash(record: &Record) -> u64 {
         let mut h = Mix(Mix::SEED);
@@ -869,9 +871,8 @@ mod tests {
         let task = rec.register("T", ActorKind::Task);
         let queue = rec.register("Q", ActorKind::Relation);
         let event = rec.register("E", ActorKind::Relation);
-        let record = |at, seq, actor, data| Record {
+        let record = |at, actor, data| Record {
             at: SimTime::from_ps(at),
-            seq,
             actor,
             data,
         };
@@ -882,7 +883,7 @@ mod tests {
         let comm = |relation, kind| TraceData::Comm { relation, kind };
         let depth = |depth, capacity| TraceData::QueueDepth { depth, capacity };
         let fault = |kind, magnitude_ps| TraceData::Fault { kind, magnitude_ps };
-        let label = |text: &str| Annotation(text.to_owned());
+        let label = |text: &str| Annotation(Label::new(text));
         // One payload of each variant, then each of its fields changed.
         let variants = [
             (State(TaskState::Ready), vec![State(TaskState::Running)]),
@@ -894,7 +895,10 @@ mod tests {
                 comm(queue, Read),
                 vec![comm(event, Read), comm(queue, Write)],
             ),
-            (depth(1, 4), vec![depth(2, 4), depth(1, 5)]),
+            (
+                depth(1, 4),
+                vec![depth(2, 4), depth(1, 5), depth(4, 1), depth(1, u32::MAX)],
+            ),
             (ResourceHeld(true), vec![ResourceHeld(false)]),
             (label("ab"), vec![label("ab\0"), label("ba")]),
             (Core(1), vec![Core(0)]),
@@ -902,24 +906,32 @@ mod tests {
         ];
         let mut bases = HashSet::new();
         for (data, changed) in variants {
-            let base = record(7, 3, task, data.clone());
+            let base = record(7, task, data);
             // Equal records, built apart, hash equal.
-            assert_eq!(hash(&base), hash(&record(7, 3, task, data.clone())));
+            assert_eq!(hash(&base), hash(&record(7, task, data)));
             assert!(bases.insert(hash(&base)), "{base:?} aliases a variant");
-            let mut others = vec![
-                record(8, 3, task, data.clone()),
-                record(7, 4, task, data.clone()),
-                record(7, 3, event, data),
-            ];
-            others.extend(changed.into_iter().map(|d| record(7, 3, task, d)));
+            let mut others = vec![record(8, task, data), record(7, event, data)];
+            others.extend(changed.into_iter().map(|d| record(7, task, d)));
             for other in others {
                 assert_ne!(hash(&base), hash(&other), "{base:?} vs {other:?}");
             }
         }
-        // Labels that differ only past their first 8-byte chunk.
+        // Labels that differ only in their last byte.
         assert_ne!(
-            hash(&record(7, 3, task, label("deadline_miss"))),
-            hash(&record(7, 3, task, label("deadline_mist")))
+            hash(&record(7, task, label("deadline_miss"))),
+            hash(&record(7, task, label("deadline_mist")))
         );
+        // No record stores its position: the running hash takes records
+        // in order, so swapping two changes it.
+        let (a, b) = (
+            record(7, task, State(TaskState::Ready)),
+            record(7, task, Core(1)),
+        );
+        let slice_hash = |records: &[Record]| {
+            let mut h = Mix(Mix::SEED);
+            Record::hash_slice(records, &mut h);
+            h.finish()
+        };
+        assert_ne!(slice_hash(&[a, b]), slice_hash(&[b, a]));
     }
 }

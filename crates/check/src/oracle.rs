@@ -19,12 +19,19 @@
 //! critical-section exclusion by annotation, and a priority-inversion
 //! bound.
 
+use std::sync::LazyLock;
+
 use rtsim_kernel::{SimDuration, SimTime};
 use rtsim_mcse::SystemModel;
 use rtsim_trace::{
-    ActorId, ActorInfo, ActorKind, ActorTable, CommKind, Finding, Property, Record, TaskState,
-    TraceData,
+    ActorId, ActorInfo, ActorKind, ActorTable, CommKind, Finding, Label, Property, Record,
+    TaskState, TraceData,
 };
+
+/// The annotations the oracles look for, interned once.
+static DEADLINE_MISS: LazyLock<Label> = LazyLock::new(|| Label::new("deadline_miss"));
+static CS_ENTER: LazyLock<Label> = LazyLock::new(|| Label::new("cs_enter"));
+static CS_EXIT: LazyLock<Label> = LazyLock::new(|| Label::new("cs_exit"));
 
 /// No task ever completes past its deadline: the trace must not carry a
 /// `deadline_miss` annotation (the RTOS engine stamps one on every
@@ -41,10 +48,8 @@ impl Property for NoMissedDeadline {
     }
 
     fn observe(&self, misses: &mut Vec<SimTime>, _actors: &[ActorInfo], records: &[Record]) {
-        misses.extend(records.iter().filter_map(|r| match &r.data {
-            TraceData::Annotation(label) if label == "deadline_miss" => Some(r.at),
-            _ => None,
-        }));
+        let miss = TraceData::Annotation(*DEADLINE_MISS);
+        misses.extend(records.iter().filter(|r| r.data == miss).map(|r| r.at));
     }
 
     fn finish(&self, misses: &Vec<SimTime>, _: &[ActorInfo], _: SimTime) -> Vec<Finding> {
@@ -66,7 +71,7 @@ pub struct NoLostMessage;
 /// depth, and the writes and reads that name it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct QueueTally {
-    depth: Option<usize>,
+    depth: Option<u32>,
     writes: u64,
     reads: u64,
 }
@@ -274,28 +279,27 @@ impl Property for CriticalSectionExclusion {
 
     fn observe(&self, state: &mut Self::State, actors: &[ActorInfo], records: &[Record]) {
         state.fit(actors);
+        let (enter_label, exit_label) = (*CS_ENTER, *CS_EXIT);
         for r in records {
-            let TraceData::Annotation(label) = &r.data else {
+            let TraceData::Annotation(label) = r.data else {
                 continue;
             };
             if !is(actors, r.actor, ActorKind::Task) {
                 continue;
             }
             let open = &mut state.rows[r.actor.index()];
-            match label.as_str() {
-                "cs_enter" => *open = Some(r.at),
-                "cs_exit" => {
-                    if let Some(enter) = open.take() {
-                        let after = state.notes.partition_point(|s| s.task <= r.actor);
-                        let section = Section {
-                            task: r.actor,
-                            enter,
-                            exit: r.at,
-                        };
-                        state.notes.insert(after, section);
-                    }
+            if label == enter_label {
+                *open = Some(r.at);
+            } else if label == exit_label {
+                if let Some(enter) = open.take() {
+                    let after = state.notes.partition_point(|s| s.task <= r.actor);
+                    let section = Section {
+                        task: r.actor,
+                        enter,
+                        exit: r.at,
+                    };
+                    state.notes.insert(after, section);
                 }
-                _ => {}
             }
         }
     }

@@ -122,7 +122,7 @@ const SPARE_PINS: [(&str, u64, u64); 7] = [
 
 /// Runs and allocations of exploring every healthy scenario under the
 /// default budget, one after the other.
-const EXPLORE_PIN: (u64, u64) = (84_836, 10_289);
+const EXPLORE_PIN: (u64, u64) = (84_836, 10_275);
 
 /// The healthy scenarios, checked against the names of a pin table.
 fn healthy(pinned: impl Iterator<Item = &'static str>) -> Vec<&'static CheckScenario> {

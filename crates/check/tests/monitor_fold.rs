@@ -82,7 +82,7 @@ fn record(steps: &[Step]) -> Run {
                         let kind = [CommKind::Read, CommKind::Write, CommKind::Signal];
                         rec.comm(actor, t, other, kind[usize::from(what) % 3]);
                     }
-                    _ if what % 2 == 0 => rec.queue_depth(actor, t, usize::from(what) % 3, 4),
+                    _ if what % 2 == 0 => rec.queue_depth(actor, t, u32::from(what) % 3, 4),
                     _ => rec.resource_held(actor, t, what % 3 == 0),
                 }
             }

@@ -21,7 +21,7 @@ use crate::op::Op;
 
 struct QState<T> {
     buffer: VecDeque<T>,
-    capacity: usize,
+    capacity: u32,
     readers: VecDeque<(u64, Waiter)>,
     writers: VecDeque<(u64, Waiter)>,
     /// Installed by a fault plan: consulted once per message, on the
@@ -61,6 +61,11 @@ impl<T: Clone> Clone for QState<T> {
 }
 
 impl<T> QState<T> {
+    /// Messages buffered: at most `capacity`, so a `u32` too.
+    fn depth(&self) -> u32 {
+        u32::try_from(self.buffer.len()).expect("a queue holds at most its capacity")
+    }
+
     /// The ticket of a blocked end: its own on a retry, the next fresh
     /// one on its first registration.
     fn ticket(&mut self, ticket: &mut Option<u64>) -> u64 {
@@ -170,19 +175,20 @@ impl<T> fmt::Debug for QueueRef<T> {
 
 impl<T: Clone + Send + 'static> MessageQueue<T> {
     /// Creates a queue holding at most `capacity` messages, its state in
-    /// `recorder`'s world.
+    /// `recorder`'s world. The capacity is a `u32`, as is every depth the
+    /// queue records (see `TraceData::QueueDepth`).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(recorder: &TraceRecorder, name: &str, capacity: usize) -> Self {
+    pub fn new(recorder: &TraceRecorder, name: &str, capacity: u32) -> Self {
         assert!(capacity > 0, "message queue capacity must be positive");
         let actor = recorder.register(name, ActorKind::Relation);
         let state = recorder
             .world()
             .lock_for("MessageQueue::new")
             .insert(QState {
-                buffer: VecDeque::with_capacity(capacity),
+                buffer: VecDeque::with_capacity(capacity as usize),
                 capacity,
                 readers: VecDeque::new(),
                 writers: VecDeque::new(),
@@ -221,7 +227,7 @@ impl<T: Clone + Send + 'static> MessageQueue<T> {
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> u32 {
         self.with_state("MessageQueue::capacity", |st| st.capacity)
     }
 
@@ -272,7 +278,7 @@ impl<T: Clone + Send + 'static> QueueRef<T> {
         let reader = {
             let mut world = agent.kernel().world();
             let (st, log) = world.pair_mut(self.state, self.log);
-            if st.buffer.len() >= st.capacity {
+            if st.depth() >= st.capacity {
                 if let Some(ticket) = blocked {
                     let t = st.ticket(ticket);
                     enqueue_waiter(&mut st.writers, t, waiter);
@@ -281,7 +287,7 @@ impl<T: Clone + Send + 'static> QueueRef<T> {
             }
             st.buffer.push_back(message);
             log.comm(me, now, self.actor, CommKind::Write);
-            log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+            log.queue_depth(self.actor, now, st.depth(), st.capacity);
             st.readers.pop_front()
         };
         if let Some((_, w)) = reader {
@@ -311,7 +317,7 @@ impl<T: Clone + Send + 'static> QueueRef<T> {
                 return None;
             };
             log.comm(me, now, self.actor, CommKind::Read);
-            log.queue_depth(self.actor, now, st.buffer.len(), st.capacity);
+            log.queue_depth(self.actor, now, st.depth(), st.capacity);
             (message, st.writers.pop_front())
         };
         if let Some((_, w)) = writer {

@@ -31,7 +31,7 @@ fn gen_op(rng: &mut Rng) -> QueueOp {
 fn queue_matches_reference_model() {
     check(
         32,
-        |rng| (rng.gen_vec(1..60, gen_op), rng.gen_range(1usize..6)),
+        |rng| (rng.gen_vec(1..60, gen_op), rng.gen_range(1u32..6)),
         |(ops, capacity)| {
             let capacity = *capacity;
             let observed = Arc::new(Mutex::new(Vec::new()));
@@ -58,7 +58,7 @@ fn queue_matches_reference_model() {
             for op in ops {
                 match op {
                     QueueOp::TryWrite(v) => {
-                        if reference.len() < capacity {
+                        if reference.len() < capacity as usize {
                             reference.push_back(*v);
                             expected.push(1);
                         } else {

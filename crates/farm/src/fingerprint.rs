@@ -84,8 +84,8 @@ pub fn fingerprint(system: &ElaboratedSystem) -> Fingerprint {
             tasks.push((info.kind == ActorKind::Task).then(JobFold::default));
         }
         let (mut horizon, mut faults) = (0, 0);
-        for r in records {
-            canonical_record_into(&mut line, r);
+        for (seq, r) in records.iter().enumerate() {
+            canonical_record_into(&mut line, seq, r);
             hash_line(&mut line);
             horizon = horizon.max(r.at.as_ps());
             match r.data {

@@ -294,7 +294,7 @@ pub struct Mpeg2Config {
     /// Frame period of the camera (and of the decoder's output clock).
     pub frame_period: SimDuration,
     /// Capacity of every inter-stage queue.
-    pub queue_capacity: usize,
+    pub queue_capacity: u32,
 }
 
 impl Default for Mpeg2Config {

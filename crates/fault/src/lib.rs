@@ -254,6 +254,12 @@ impl FaultPlan {
             && self.degraded.is_empty()
     }
 
+    /// The world slots [`instantiate`](FaultPlan::instantiate) fills:
+    /// one per dropout lane and one per degraded-mode monitor.
+    pub fn slots(&self) -> usize {
+        self.dropouts.len() + self.degraded.len()
+    }
+
     /// Instantiates the plan's runtime, its lanes and monitors in
     /// `world`.
     pub fn instantiate(&self, world: &mut World) -> FaultInjector {

@@ -143,6 +143,15 @@ impl World {
         World::default()
     }
 
+    /// An empty world with room for `slots` slots before its slot table
+    /// grows.
+    pub fn with_capacity(slots: usize) -> Self {
+        World {
+            slots: Vec::with_capacity(slots),
+            loans: 0,
+        }
+    }
+
     /// Stores `value` and returns its slot. A fork of this world gets a
     /// clone of the value; a fork into another world writes it over that
     /// world's value with [`Clone::clone_from`]. A derived `Clone` does
@@ -272,6 +281,12 @@ impl SharedWorld {
     /// A new, empty world.
     pub fn new() -> Self {
         SharedWorld::default()
+    }
+
+    /// A new, empty world with room for `slots` slots (see
+    /// [`World::with_capacity`]).
+    pub fn with_capacity(slots: usize) -> Self {
+        SharedWorld(Arc::new(Mutex::new(World::with_capacity(slots))))
     }
 
     /// Whether both handles designate the same world.

@@ -16,7 +16,7 @@ use std::fmt;
 use rtsim_kernel::world::{Slot, World};
 use rtsim_kernel::{SimDuration, SimTime};
 use rtsim_trace::{
-    ActorId, ActorInfo, Finding, JobFold, Property, Record, TaskState, TraceData, TraceLog,
+    ActorId, ActorInfo, Finding, JobFold, Label, Property, Record, TaskState, TraceData, TraceLog,
 };
 
 /// A declarative timing requirement on the modeled system.
@@ -30,8 +30,9 @@ pub enum TimingConstraint {
     ReactionWithin {
         /// Constraint name for the report.
         name: String,
-        /// Annotation label marking the stimulus.
-        stimulus: String,
+        /// Annotation label marking the stimulus, interned once (build it
+        /// from the text with `.into()`).
+        stimulus: Label,
         /// The reacting function's name.
         reactor: String,
         /// Maximum admissible latency.
@@ -160,12 +161,12 @@ impl Property for TimingConstraint {
             .function
             .or_else(|| ActorId::find(actors, self.function()));
         let stimulus = match self {
-            TimingConstraint::ReactionWithin { stimulus, .. } => Some(stimulus.as_str()),
+            TimingConstraint::ReactionWithin { stimulus, .. } => Some(*stimulus),
             _ => None,
         };
         for r in records {
-            match &r.data {
-                TraceData::Annotation(label) if Some(label.as_str()) == stimulus => {
+            match r.data {
+                TraceData::Annotation(label) if Some(label) == stimulus => {
                     tally.stimuli += 1;
                     if tally.ran_at == Some(r.at) {
                         tally.worst = tally.worst.max(Some(SimDuration::ZERO));
@@ -176,7 +177,7 @@ impl Property for TimingConstraint {
                         tally.pending += 1;
                     }
                 }
-                &TraceData::State(state) if Some(r.actor) == tally.function => {
+                TraceData::State(state) if Some(r.actor) == tally.function => {
                     tally.jobs.observe(r.at, state);
                     if let (true, Some(since)) = (tally.running, tally.ran_at) {
                         tally.running_ps += r.at.as_ps() - since.as_ps();

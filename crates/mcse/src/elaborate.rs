@@ -195,8 +195,19 @@ impl ElaboratedSystem {
             .exec_mode
             .map_or_else(Simulator::new, Simulator::with_mode);
         // Every relation, processor and function keeps its state in the
-        // recorder's world, which the simulator lends to each step.
-        let recorder = TraceRecorder::new();
+        // recorder's world, which the simulator lends to each step. Its
+        // slot table is sized once: the log, each relation, fault lane
+        // and degraded-mode monitor, processor and hardware function
+        // (its wake latch), each property's state, and the folded count.
+        let hardware = model.functions.values();
+        let hardware = hardware.filter(|f| f.mapping == Some(Mapping::Hardware));
+        let slots = 2
+            + model.relations.len()
+            + model.fault_plan.as_ref().map_or(0, |p| p.slots())
+            + model.processors.len()
+            + hardware.count()
+            + model.constraints.len();
+        let recorder = TraceRecorder::with_slots(slots);
         sim.attach_world(recorder.world());
 
         // The relations first, so every function body can capture them.
@@ -315,6 +326,11 @@ impl ElaboratedSystem {
                 .map(|p| p.install(&mut world))
                 .collect();
             let folded = world.insert(0);
+            debug_assert_eq!(
+                world.len(),
+                slots,
+                "the slot table was sized for every slot"
+            );
             // Sizes the monitors' actor tables.
             fold(&monitors, folded, recorder.log(), &mut world);
             (monitors, folded)

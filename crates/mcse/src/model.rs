@@ -72,8 +72,15 @@ pub enum Mapping {
 /// Kind and parameters of one relation.
 pub(crate) enum RelationDecl {
     Event(EventPolicy),
-    Queue { capacity: usize },
-    Var { mode: LockMode, initial: Message },
+    /// A message queue; its capacity is a `u32`, as are the depths it
+    /// records.
+    Queue {
+        capacity: u32,
+    },
+    Var {
+        mode: LockMode,
+        initial: Message,
+    },
 }
 
 impl fmt::Debug for RelationDecl {
@@ -343,12 +350,13 @@ impl SystemModel {
         self.add_relation(name, RelationDecl::Event(policy))
     }
 
-    /// Declares a bounded message-queue relation.
+    /// Declares a bounded message-queue relation holding at most
+    /// `capacity` messages.
     ///
     /// # Panics
     ///
     /// Panics if a relation with the same name exists or `capacity` is 0.
-    pub fn queue(&mut self, name: &str, capacity: usize) -> &mut Self {
+    pub fn queue(&mut self, name: &str, capacity: u32) -> &mut Self {
         assert!(capacity > 0, "queue `{name}` needs a positive capacity");
         self.add_relation(name, RelationDecl::Queue { capacity })
     }

@@ -7,7 +7,7 @@ use rtsim_comm::{EventPolicy, LockMode, Priority};
 use rtsim_core::{EngineKind, Overheads, TaskConfig};
 use rtsim_kernel::{ExecMode, SimDuration, SimTime};
 use rtsim_mcse::script::{
-    await_event, delay, exec, q_read, q_write, repeat, signal, var_read, var_write, Instr,
+    await_event, delay, exec, note, q_read, q_write, repeat, signal, var_read, var_write, Instr,
 };
 use rtsim_mcse::{generate_freertos, Mapping, Message, ModelError, SystemModel, TimingConstraint};
 
@@ -527,4 +527,48 @@ fn a_hardware_release_follow_up_does_nothing_in_either_body() {
             "[{lock}] scripts/segment"
         );
     }
+}
+
+/// Annotations are interned labels, one id per text in the whole
+/// process: a scripted model that annotates and misses a deadline keeps
+/// equal records and writes equal canonical text whether its steps run
+/// inline (Segment) or on process threads (Thread).
+#[test]
+fn annotations_and_a_deadline_miss_record_alike_in_both_exec_modes() {
+    let run = |mode| {
+        let mut model = SystemModel::new("annotated");
+        model.exec_mode(mode);
+        model.software_processor("CPU", Overheads::uniform(us(2)));
+        model.function_script(
+            TaskConfig::new("late").priority(3).deadline(us(60)),
+            vec![
+                note("late start"),
+                exec(us(40)),
+                note("half\\way"),
+                exec(us(40)),
+            ],
+        );
+        model.function_script(
+            TaskConfig::new("busy").priority(7),
+            vec![repeat(3, vec![note("tick"), exec(us(10)), delay(us(15))])],
+        );
+        model.map_to_processor("late", "CPU");
+        model.map_to_processor("busy", "CPU");
+        let mut system = model.elaborate().unwrap();
+        system.run().unwrap();
+        let trace = system.trace();
+        (trace.records().to_vec(), rtsim_trace::canonical(&trace))
+    };
+    let (records, text) = run(ExecMode::Segment);
+    for line in [
+        " A deadline_miss\n",
+        " A late\\sstart\n",
+        " A half\\\\way\n",
+        " A tick\n",
+    ] {
+        assert!(text.contains(line), "no `{}` line in\n{text}", line.trim());
+    }
+    let (thread_records, thread_text) = run(ExecMode::Thread);
+    assert_eq!(thread_records, records);
+    assert_eq!(thread_text, text);
 }

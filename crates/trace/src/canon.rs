@@ -21,8 +21,12 @@
 //! <at_ps> <seq> <actor-index> F <fault-kind> <magnitude_ps>
 //! ```
 //!
-//! Times are picoseconds since time zero; names and annotation labels
-//! are escaped (`\\`, `\n`, `\s` for backslash, newline, space) so every
+//! Times are picoseconds since time zero. `<seq>` is the record's index
+//! in its trace, its sequence number: the total order of same-instant
+//! records. No record stores it; the format is unchanged from when each
+//! record did. Names and annotation labels are written as their text,
+//! never as an interned [`Label`](crate::Label) id, and are escaped
+//! (`\\`, `\n`, `\s` for backslash, newline, space) so every
 //! record stays exactly one line with space-separated fields. **Changing
 //! this format invalidates every pinned fingerprint** — treat it like a
 //! wire format, not an implementation detail.
@@ -94,14 +98,15 @@ pub fn canonical_actor_into(out: &mut Vec<u8>, index: usize, info: &ActorInfo) {
     push_escaped(out, &info.name);
 }
 
-/// Appends one record's canonical line (no trailing newline).
-pub fn canonical_record_into(out: &mut Vec<u8>, r: &Record) {
+/// Appends the canonical line (no trailing newline) of record `r`, the
+/// `seq`-th of its trace.
+pub fn canonical_record_into(out: &mut Vec<u8>, seq: usize, r: &Record) {
     push_decimal(out, r.at.as_ps());
     out.push(b' ');
-    push_decimal(out, r.seq);
+    push_decimal(out, seq as u64);
     out.push(b' ');
     push_decimal(out, r.actor.index() as u64);
-    match &r.data {
+    match r.data {
         TraceData::State(s) => {
             out.extend_from_slice(b" S ");
             out.extend_from_slice(s.key().as_bytes());
@@ -120,25 +125,25 @@ pub fn canonical_record_into(out: &mut Vec<u8>, r: &Record) {
         }
         TraceData::QueueDepth { depth, capacity } => {
             out.extend_from_slice(b" Q ");
-            push_decimal(out, *depth as u64);
+            push_decimal(out, depth.into());
             out.push(b'/');
-            push_decimal(out, *capacity as u64);
+            push_decimal(out, capacity.into());
         }
         TraceData::ResourceHeld(true) => out.extend_from_slice(b" R acquired"),
         TraceData::ResourceHeld(false) => out.extend_from_slice(b" R released"),
         TraceData::Annotation(label) => {
             out.extend_from_slice(b" A ");
-            push_escaped(out, label);
+            push_escaped(out, label.as_str());
         }
         TraceData::Core(core) => {
             out.extend_from_slice(b" K ");
-            push_decimal(out, *core as u64);
+            push_decimal(out, core as u64);
         }
         TraceData::Fault { kind, magnitude_ps } => {
             out.extend_from_slice(b" F ");
             out.extend_from_slice(kind.key().as_bytes());
             out.push(b' ');
-            push_decimal(out, *magnitude_ps);
+            push_decimal(out, magnitude_ps);
         }
     }
 }
@@ -169,8 +174,8 @@ pub fn canonical(trace: &Trace) -> String {
         canonical_actor_into(&mut out, index, info);
         out.push(b'\n');
     }
-    for r in trace.records() {
-        canonical_record_into(&mut out, r);
+    for (seq, r) in trace.records().iter().enumerate() {
+        canonical_record_into(&mut out, seq, r);
         out.push(b'\n');
     }
     // The writer only ever emits ASCII and whole `str`s.

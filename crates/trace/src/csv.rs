@@ -9,8 +9,9 @@ use crate::recorder::Trace;
 
 /// Writes `trace` as CSV to `out`.
 ///
-/// Columns: `time_ps,seq,actor,kind,detail,value`. One row per record,
-/// ended by `\n`; names and annotations are quoted by
+/// Columns: `time_ps,seq,actor,kind,detail,value`, where `seq` is the
+/// record's index in the trace. One row per record, ended by `\n`;
+/// names and annotation texts are quoted by
 /// [`rtsim_campaign::csv::escape`]. Pass `&mut writer` if you need the
 /// writer back.
 ///
@@ -37,23 +38,21 @@ use crate::recorder::Trace;
 /// ```
 pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
     writeln!(out, "time_ps,seq,actor,kind,detail,value")?;
-    for rec in trace.records() {
+    for (seq, rec) in trace.records().iter().enumerate() {
         let actor = escape(trace.actor_name(rec.actor));
-        let (kind, detail, value) = match &rec.data {
+        let (kind, detail, value) = match rec.data {
             TraceData::State(s) => ("state", s.to_string(), String::new()),
             TraceData::Overhead { kind, duration } => {
                 ("overhead", kind.to_string(), duration.as_ps().to_string())
             }
-            TraceData::Comm { relation, kind } => (
-                "comm",
-                kind.to_string(),
-                escape(trace.actor_name(*relation)),
-            ),
+            TraceData::Comm { relation, kind } => {
+                ("comm", kind.to_string(), escape(trace.actor_name(relation)))
+            }
             TraceData::QueueDepth { depth, capacity } => {
                 ("queue_depth", depth.to_string(), capacity.to_string())
             }
             TraceData::ResourceHeld(held) => ("resource", held.to_string(), String::new()),
-            TraceData::Annotation(label) => ("annotation", escape(label), String::new()),
+            TraceData::Annotation(label) => ("annotation", escape(label.as_str()), String::new()),
             TraceData::Core(core) => ("core", core.to_string(), String::new()),
             TraceData::Fault { kind, magnitude_ps } => {
                 ("fault", kind.to_string(), magnitude_ps.to_string())
@@ -63,7 +62,7 @@ pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
             out,
             "{},{},{},{},{},{}",
             rec.at.as_ps(),
-            rec.seq,
+            seq,
             actor,
             kind,
             detail,

@@ -37,6 +37,7 @@
 
 pub mod canon;
 pub mod csv;
+pub mod label;
 pub mod measure;
 pub mod property;
 pub mod record;
@@ -48,6 +49,7 @@ pub mod vcd;
 
 pub use canon::{canonical, canonical_actor_into, canonical_record_into};
 pub use csv::write_csv;
+pub use label::Label;
 pub use measure::{Job, JobEdge, JobFold, Measure};
 pub use property::{ActorTable, Finding, Property};
 pub use record::{

@@ -5,8 +5,11 @@
 //! arrows whose style tells read from write from signal.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use rtsim_kernel::{SimDuration, SimTime};
+
+use crate::label::Label;
 
 /// Identifies a traced entity (task, processor, or communication relation).
 ///
@@ -232,7 +235,10 @@ impl fmt::Display for FaultKind {
 }
 
 /// Payload of one trace record.
-#[derive(Debug, Clone, PartialEq, Hash)]
+///
+/// Plain data, 16 bytes: an annotation carries its interned [`Label`],
+/// not its text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceData {
     /// The actor (a task) entered `state`.
     State(TaskState),
@@ -252,16 +258,17 @@ pub enum TraceData {
         kind: CommKind,
     },
     /// A message queue's occupancy changed (for utilization statistics).
+    /// A queue's capacity is a `u32` where it is declared, so both fit.
     QueueDepth {
-        /// Messages in the queue after the operation.
-        depth: usize,
+        /// Messages in the queue after the operation, at most `capacity`.
+        depth: u32,
         /// Queue capacity.
-        capacity: usize,
+        capacity: u32,
     },
     /// A mutual-exclusion resource was acquired (`true`) or released.
     ResourceHeld(bool),
     /// Free-form user annotation, the anchor for TimeLine measurements.
-    Annotation(String),
+    Annotation(Label),
     /// The actor (a task) was dispatched on processor core `core`.
     /// Recorded by SMP processors only — single-core traces never carry
     /// it, keeping their canonical form unchanged.
@@ -279,17 +286,42 @@ pub enum TraceData {
     },
 }
 
-/// One timestamped trace record.
-#[derive(Debug, Clone, PartialEq, Hash)]
+/// One timestamped trace record: plain data, 32 bytes.
+///
+/// A record's sequence number, the total order among same-instant
+/// records, is its index in its log; the record does not store it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     /// When it happened.
     pub at: SimTime,
-    /// Global sequence number: total order among same-instant records.
-    pub seq: u64,
     /// Who it happened to.
     pub actor: ActorId,
     /// What happened.
     pub data: TraceData,
+}
+
+/// Three words per record: the instant; the actor, the variant and its
+/// small field; the wide payload. Only equal records write equal words:
+/// every small field fits in its 8 bits, and the variant tells how the
+/// wide word reads.
+impl Hash for Record {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (variant, small, wide): (u8, u8, u64) = match self.data {
+            TraceData::State(s) => (0, s as u8, 0),
+            TraceData::Overhead { kind, duration } => (1, kind as u8, duration.as_ps()),
+            TraceData::Comm { relation, kind } => (2, kind as u8, relation.0.into()),
+            TraceData::QueueDepth { depth, capacity } => {
+                (3, 0, u64::from(depth) << 32 | u64::from(capacity))
+            }
+            TraceData::ResourceHeld(held) => (4, held.into(), 0),
+            TraceData::Annotation(label) => (5, 0, label.0.into()),
+            TraceData::Core(core) => (6, 0, core as u64),
+            TraceData::Fault { kind, magnitude_ps } => (7, kind as u8, magnitude_ps),
+        };
+        state.write_u64(self.at.as_ps());
+        state.write_u64(u64::from(self.actor.0) << 32 | u64::from(variant) << 8 | u64::from(small));
+        state.write_u64(wide);
+    }
 }
 
 /// Static description of one registered actor.
@@ -327,5 +359,13 @@ mod tests {
         assert_eq!(CommKind::Signal.to_string(), "signal");
         assert_eq!(ActorKind::Processor.to_string(), "processor");
         assert_eq!(ActorId(3).to_string(), "actor#3");
+    }
+
+    /// Every trace buffer, snapshot and fork copy moves records of this
+    /// size: an annotation's text or a wider field would grow them all.
+    #[test]
+    fn records_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<TraceData>(), 16);
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 }

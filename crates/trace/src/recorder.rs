@@ -7,6 +7,7 @@ use std::sync::Arc;
 use rtsim_kernel::world::{share, SharedWorld, Slot};
 use rtsim_kernel::{SimDuration, SimTime};
 
+use crate::label::Label;
 use crate::record::{
     ActorId, ActorInfo, ActorKind, CommKind, OverheadKind, Record, TaskState, TraceData,
 };
@@ -25,18 +26,16 @@ use crate::record::{
 pub struct TraceLog {
     actors: Arc<Vec<ActorInfo>>,
     records: Vec<Record>,
-    seq: u64,
     enabled: bool,
 }
 
-/// By hand, so that a fork into another simulation's world writes the
-/// records into the record buffer that log already has.
+/// By hand, so that a fork into another simulation's world copies the
+/// records, one memory copy, into the record buffer that log already has.
 impl Clone for TraceLog {
     fn clone(&self) -> Self {
         TraceLog {
             actors: Arc::clone(&self.actors),
             records: self.records.clone(),
-            seq: self.seq,
             enabled: self.enabled,
         }
     }
@@ -44,7 +43,6 @@ impl Clone for TraceLog {
     fn clone_from(&mut self, source: &Self) {
         share(&mut self.actors, &source.actors);
         self.records.clone_from(&source.records);
-        self.seq = source.seq;
         self.enabled = source.enabled;
     }
 }
@@ -67,17 +65,9 @@ impl TraceLog {
 
     #[inline]
     fn push(&mut self, at: SimTime, actor: ActorId, data: TraceData) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.records.push(Record { at, actor, data });
         }
-        let seq = self.seq;
-        self.seq += 1;
-        self.records.push(Record {
-            at,
-            seq,
-            actor,
-            data,
-        });
     }
 
     /// Records a task state change.
@@ -107,7 +97,7 @@ impl TraceLog {
 
     /// Records a queue occupancy change on relation `actor`.
     #[inline]
-    pub fn queue_depth(&mut self, actor: ActorId, at: SimTime, depth: usize, capacity: usize) {
+    pub fn queue_depth(&mut self, actor: ActorId, at: SimTime, depth: u32, capacity: u32) {
         self.push(at, actor, TraceData::QueueDepth { depth, capacity });
     }
 
@@ -117,10 +107,11 @@ impl TraceLog {
         self.push(at, actor, TraceData::ResourceHeld(held));
     }
 
-    /// Records a free-form annotation on `actor`.
+    /// Records a free-form annotation on `actor`, interning its text
+    /// (see [`Label`]) only if records are being kept.
     pub fn annotate(&mut self, actor: ActorId, at: SimTime, label: &str) {
         if self.enabled {
-            self.push(at, actor, TraceData::Annotation(label.to_owned()));
+            self.push(at, actor, TraceData::Annotation(Label::new(label)));
         }
     }
 
@@ -149,7 +140,8 @@ impl TraceLog {
         &self.actors
     }
 
-    /// The records so far, in global order.
+    /// The records so far, in global order: a record's index is its
+    /// sequence number.
     pub fn records(&self) -> &[Record] {
         &self.records
     }
@@ -194,8 +186,7 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    fn with_enabled(enabled: bool) -> Self {
-        let world = SharedWorld::new();
+    fn in_world(world: SharedWorld, enabled: bool) -> Self {
         let log = world.lock_for("TraceRecorder::new").insert(TraceLog {
             enabled,
             ..TraceLog::default()
@@ -205,13 +196,20 @@ impl TraceRecorder {
 
     /// Creates an empty, enabled recorder in a world of its own.
     pub fn new() -> Self {
-        TraceRecorder::with_enabled(true)
+        TraceRecorder::in_world(SharedWorld::new(), true)
+    }
+
+    /// [`new`](TraceRecorder::new), in a world with room for `slots`
+    /// slots, the log's included: a model's elaboration counts the slots
+    /// it fills, so the world's slot table is allocated once.
+    pub fn with_slots(slots: usize) -> Self {
+        TraceRecorder::in_world(SharedWorld::with_capacity(slots), true)
     }
 
     /// Creates a recorder that drops all records (for speed benchmarks
     /// where tracing overhead must be excluded).
     pub fn disabled() -> Self {
-        TraceRecorder::with_enabled(false)
+        TraceRecorder::in_world(SharedWorld::new(), false)
     }
 
     /// The world holding this recorder's log.
@@ -269,7 +267,7 @@ impl TraceRecorder {
     }
 
     /// Records a queue occupancy change on relation `actor`.
-    pub fn queue_depth(&self, actor: ActorId, at: SimTime, depth: usize, capacity: usize) {
+    pub fn queue_depth(&self, actor: ActorId, at: SimTime, depth: u32, capacity: u32) {
         self.with_log("TraceRecorder::queue_depth", |log| {
             log.queue_depth(actor, at, depth, capacity)
         });
@@ -382,7 +380,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// All records, in global order.
+    /// All records, in global order: a record's index is its sequence
+    /// number.
     pub fn records(&self) -> &[Record] {
         &self.records
     }
@@ -458,12 +457,11 @@ impl Trace {
 
     /// Times at which annotation `label` was recorded (any actor).
     pub fn annotation_times(&self, label: &str) -> Vec<SimTime> {
+        let label = Label::new(label);
         self.records
             .iter()
-            .filter_map(|r| match &r.data {
-                TraceData::Annotation(l) if l == label => Some(r.at),
-                _ => None,
-            })
+            .filter(|r| r.data == TraceData::Annotation(label))
+            .map(|r| r.at)
             .collect()
     }
 }
@@ -492,8 +490,9 @@ mod tests {
         rec.state(a, SimTime::from_ps(10), TaskState::Ready);
         rec.state(a, SimTime::from_ps(20), TaskState::Running);
         let trace = rec.snapshot();
-        let seqs: Vec<u64> = trace.records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        let states: Vec<TraceData> = trace.records().iter().map(|r| r.data).collect();
+        let [running, ready] = [TaskState::Running, TaskState::Ready].map(TraceData::State);
+        assert_eq!(states, vec![running, ready, running]);
         assert_eq!(trace.horizon(), SimTime::from_ps(20));
     }
 

@@ -140,7 +140,7 @@ impl Statistics {
                         let fill = if capacity == 0 {
                             0.0
                         } else {
-                            depth as f64 / capacity as f64
+                            f64::from(depth) / f64::from(capacity)
                         };
                         rel.depth.step(r.at, horizon, fill);
                     }

@@ -125,7 +125,7 @@ pub fn write_vcd<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
     for rec in trace.records() {
         let (value, target) = match &rec.data {
             TraceData::State(s) => (u64::from(state_code(*s)), rec.actor),
-            TraceData::QueueDepth { depth, .. } => (*depth as u64, rec.actor),
+            TraceData::QueueDepth { depth, .. } => (u64::from(*depth), rec.actor),
             TraceData::ResourceHeld(held) => (u64::from(*held), rec.actor),
             _ => continue,
         };

@@ -337,7 +337,7 @@ fn reference_canonical(trace: &Trace) -> String {
     for (index, actor) in trace.actors().iter().enumerate() {
         let _ = writeln!(out, "actor {index} {} {}", actor.kind, escape(&actor.name));
     }
-    for r in trace.records() {
+    for (seq, r) in trace.records().iter().enumerate() {
         let body = match &r.data {
             TraceData::State(s) => format!("S {s}"),
             TraceData::Overhead { kind, duration } => format!("O {kind} {}", duration.as_ps()),
@@ -346,11 +346,11 @@ fn reference_canonical(trace: &Trace) -> String {
             TraceData::ResourceHeld(held) => {
                 format!("R {}", if *held { "acquired" } else { "released" })
             }
-            TraceData::Annotation(label) => format!("A {}", escape(label)),
+            TraceData::Annotation(label) => format!("A {}", escape(label.as_str())),
             TraceData::Core(core) => format!("K {core}"),
             TraceData::Fault { kind, magnitude_ps } => format!("F {kind} {magnitude_ps}"),
         };
-        let _ = writeln!(out, "{} {} {} {body}", r.at.as_ps(), r.seq, r.actor.index());
+        let _ = writeln!(out, "{} {seq} {} {body}", r.at.as_ps(), r.actor.index());
     }
     out
 }
@@ -364,6 +364,16 @@ fn gen_magnitude(rng: &mut Rng) -> u64 {
     }
 }
 
+/// A queue depth or capacity over the whole `u32` range, biased towards
+/// decimal-width boundaries and `u32::MAX`.
+fn gen_depth(rng: &mut Rng) -> u32 {
+    match rng.gen_range(0u32..3) {
+        0 => *rng.choose(&[0, 1, 9, 10, 99, 100, u32::MAX - 1, u32::MAX]),
+        1 => rng.gen_range(0..=u32::MAX),
+        _ => rng.gen_range(0u32..1_000),
+    }
+}
+
 fn gen_text(rng: &mut Rng) -> String {
     rng.gen_vec(0..8, |r| {
         *r.choose(&['a', 'Z', '0', '_', ' ', '\\', '\n', 'é'])
@@ -372,9 +382,10 @@ fn gen_text(rng: &mut Rng) -> String {
     .collect()
 }
 
-/// Every record kind, escaped names and labels, and `u64::MAX` times and
-/// magnitudes: `canonical` and the byte writer over borrowed records
-/// both equal the reference renderer.
+/// Every record kind, escaped names and labels, `u64::MAX` times and
+/// magnitudes, and `u32::MAX` queue depths and capacities: `canonical`
+/// and the byte writer over borrowed records both equal the reference
+/// renderer.
 #[test]
 fn byte_writer_matches_the_reference_renderer() {
     check(
@@ -390,6 +401,7 @@ fn byte_writer_matches_the_reference_renderer() {
                     r.next_u64(),
                     gen_magnitude(r),
                     gen_magnitude(r),
+                    [gen_depth(r), gen_depth(r)],
                     gen_text(r),
                 )
             });
@@ -401,7 +413,7 @@ fn byte_writer_matches_the_reference_renderer() {
                 .iter()
                 .map(|(name, kind)| rec.register(name, *kind))
                 .collect();
-            for &(kind, pick, a, b, ref label) in records {
+            for &(kind, pick, a, b, [depth, capacity], ref label) in records {
                 let actor = ids[pick as usize % ids.len()];
                 let other = ids[(pick >> 32) as usize % ids.len()];
                 let at = SimTime::from_ps(a);
@@ -433,7 +445,7 @@ fn byte_writer_matches_the_reference_renderer() {
                     0 => rec.state(actor, at, states[i % states.len()]),
                     1 => rec.overhead(actor, at, overheads[i % 4], SimDuration::from_ps(b)),
                     2 => rec.comm(actor, at, other, comms[i % 3]),
-                    3 => rec.queue_depth(actor, at, a as usize, i),
+                    3 => rec.queue_depth(actor, at, depth, capacity),
                     4 => rec.resource_held(actor, at, b % 2 == 0),
                     5 => rec.annotate(actor, at, label),
                     6 => rec.core(actor, at, i),
@@ -451,8 +463,8 @@ fn byte_writer_matches_the_reference_renderer() {
                     canonical_actor_into(&mut out, index, info);
                     out.push(b'\n');
                 }
-                for r in records {
-                    canonical_record_into(&mut out, r);
+                for (seq, r) in records.iter().enumerate() {
+                    canonical_record_into(&mut out, seq, r);
                     out.push(b'\n');
                 }
                 out

@@ -23,7 +23,7 @@ fn us(v: u64) -> SimDuration {
 fn assert_single_runner(trace: &Trace) {
     let mut states = vec![TaskState::Created; trace.actors().len()];
     let mut running = 0usize;
-    for rec in trace.records() {
+    for (seq, rec) in trace.records().iter().enumerate() {
         if let rtsim::trace::TraceData::State(next) = rec.data {
             let idx = rec.actor.index();
             if states[idx] == TaskState::Running && next != TaskState::Running {
@@ -35,9 +35,8 @@ fn assert_single_runner(trace: &Trace) {
             states[idx] = next;
             assert!(
                 running <= 1,
-                "two tasks running at {} (record seq {})",
-                rec.at,
-                rec.seq
+                "two tasks running at {} (record seq {seq})",
+                rec.at
             );
         }
     }
@@ -214,7 +213,7 @@ fn queue_conservation_across_processors() {
         |rng| {
             (
                 rng.gen_range(1usize..20),
-                rng.gen_range(1usize..8),
+                rng.gen_range(1u32..8),
                 rng.gen_range(0u64..20),
                 rng.gen_range(0u64..20),
             )
