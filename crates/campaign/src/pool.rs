@@ -124,18 +124,20 @@ fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, JobPanic> {
 pub struct Campaign {
     name: String,
     seed: u64,
-    workers: usize,
+    /// The count set with [`Campaign::workers`], if any.
+    workers: Option<usize>,
     first_index: usize,
 }
 
 impl Campaign {
     /// Creates a campaign. Worker count defaults to
-    /// [`workers_from_env`] (the `RTSIM_WORKERS` knob).
+    /// [`workers_from_env`] (the `RTSIM_WORKERS` knob), read when the
+    /// campaign runs.
     pub fn new(name: &str, seed: u64) -> Self {
         Campaign {
             name: name.to_owned(),
             seed,
-            workers: workers_from_env(),
+            workers: None,
             first_index: 0,
         }
     }
@@ -143,7 +145,7 @@ impl Campaign {
     /// Overrides the worker count (clamped to at least 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -173,8 +175,17 @@ impl Campaign {
         T: Send,
         F: Fn(&mut JobCtx) -> T + Send + Sync,
     {
+        self.run_on(self.workers.unwrap_or_else(workers_from_env), jobs, job)
+    }
+
+    /// [`Campaign::run`] on `workers` workers.
+    fn run_on<T, F>(&self, workers: usize, jobs: usize, job: F) -> Report<T>
+    where
+        T: Send,
+        F: Fn(&mut JobCtx) -> T + Send + Sync,
+    {
         let started = Instant::now();
-        let workers = self.workers.min(jobs.max(1));
+        let workers = workers.min(jobs.max(1));
         let root = Rng::seed_from_u64(self.seed);
         // `Relaxed` is enough: the counter publishes no data, its atomic
         // increment alone gives each index to exactly one worker, and the
@@ -239,28 +250,23 @@ impl Campaign {
         T: Send + PartialEq,
         F: Fn(&mut JobCtx) -> T + Send + Sync,
     {
-        let serial = Campaign {
-            name: self.name.clone(),
-            seed: self.seed,
-            workers: 1,
-            first_index: self.first_index,
-        }
-        .run(jobs, &job);
-        if self.workers == 1 {
+        let workers = self.workers.unwrap_or_else(workers_from_env);
+        let serial = self.run_on(1, jobs, &job);
+        if workers == 1 {
             return Comparison {
                 serial_wall: serial.wall,
                 parallel_wall: serial.wall,
                 report: serial,
             };
         }
-        let parallel = self.run(jobs, &job);
+        let parallel = self.run_on(workers, jobs, &job);
         for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
             match (&s.result, &p.result) {
                 (Ok(a), Ok(b)) if a == b => {}
                 (Err(_), Err(_)) => {}
                 _ => panic!(
-                    "campaign `{}` job {} diverged between 1 and {} workers",
-                    self.name, s.index, self.workers
+                    "campaign `{}` job {} diverged between 1 and {workers} workers",
+                    self.name, s.index
                 ),
             }
         }
@@ -356,6 +362,27 @@ mod tests {
         let values: Vec<usize> = report.values().copied().collect();
         assert_eq!(values, (0..50).collect::<Vec<_>>());
         assert_eq!(report.workers, 8);
+    }
+
+    #[test]
+    fn an_explicit_worker_count_is_the_one_that_runs_and_is_reported() {
+        // One more than the machine default, so the default cannot pass.
+        let n = thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+        let started = AtomicUsize::new(0);
+        let report = Campaign::new("explicit", 1).workers(n).run(n, |ctx| {
+            // Each job waits until all `n` have started, so they end on
+            // `n` workers only if `n` ran at once.
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                thread::yield_now();
+            }
+            ctx.worker()
+        });
+        assert_eq!(report.workers, n);
+        let mut workers: Vec<usize> = report.values().copied().collect();
+        workers.sort_unstable();
+        assert_eq!(workers, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

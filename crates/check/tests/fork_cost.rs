@@ -98,13 +98,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 /// Per healthy scenario: the choice points of its stable run, and the
 /// allocations of forking and dropping the system at all of them.
 const PINS: [(&str, u64, u64); 7] = [
-    ("rivals", 11, 380),
-    ("burst_queue", 13, 458),
-    ("irq_races", 15, 557),
-    ("var_ceiling", 4, 157),
-    ("pipeline", 6, 218),
-    ("smp_migration", 19, 718),
-    ("fault_dropout", 10, 327),
+    ("rivals", 11, 374),
+    ("burst_queue", 13, 456),
+    ("irq_races", 15, 554),
+    ("var_ceiling", 4, 156),
+    ("pipeline", 6, 214),
+    ("smp_migration", 19, 717),
+    ("fault_dropout", 10, 325),
 ];
 
 /// Per healthy scenario: the allocations of forking the system into one
@@ -115,9 +115,9 @@ const SPARE_PINS: [(&str, u64, u64); 7] = [
     ("burst_queue", 18, 0),
     ("irq_races", 19, 0),
     ("var_ceiling", 6, 0),
-    ("pipeline", 19, 0),
+    ("pipeline", 18, 0),
     ("smp_migration", 14, 0),
-    ("fault_dropout", 15, 0),
+    ("fault_dropout", 14, 0),
 ];
 
 /// Runs and allocations of exploring every healthy scenario under the

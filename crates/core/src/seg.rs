@@ -773,3 +773,21 @@ impl std::fmt::Debug for SegAgent<'_, '_> {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtsim_kernel::SegStep;
+
+    /// Every wait passes up from a frame through its runner to the kernel
+    /// in these enums, copied at each step up, so a wider wait widens
+    /// every copy.
+    #[test]
+    fn waits_and_steps_are_16_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<WaitRequest>(), 16);
+        assert_eq!(size_of::<FrameStep>(), 16);
+        assert_eq!(size_of::<SegControl>(), 16);
+        assert_eq!(size_of::<SegStep>(), 16);
+    }
+}

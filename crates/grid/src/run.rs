@@ -41,21 +41,22 @@ pub struct Grid {
     name: String,
     seed: u64,
     shards: usize,
-    workers: usize,
+    /// The count set with [`Grid::workers`], if any.
+    workers: Option<usize>,
     cache: Option<CacheStore>,
 }
 
 impl Grid {
     /// Creates a grid. Shard count defaults to 1, worker count to
-    /// `RTSIM_WORKERS` ([`workers_from_env`]), and the cache to
-    /// `RTSIM_GRID_CACHE` ([`CacheStore::from_env`]; no caching when
-    /// unset).
+    /// `RTSIM_WORKERS` ([`workers_from_env`], read once per run), and the
+    /// cache to `RTSIM_GRID_CACHE` ([`CacheStore::from_env`]; no caching
+    /// when unset).
     pub fn new(name: &str, seed: u64) -> Self {
         Grid {
             name: name.to_owned(),
             seed,
             shards: 1,
-            workers: workers_from_env(),
+            workers: None,
             cache: CacheStore::from_env(),
         }
     }
@@ -70,7 +71,7 @@ impl Grid {
     /// Overrides the per-shard worker count (clamped to at least 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -111,6 +112,7 @@ impl Grid {
         F: Fn(&mut JobCtx) -> T + Send + Sync,
     {
         let started = Instant::now();
+        let workers = self.workers.unwrap_or_else(workers_from_env);
         let shards = self.shards.min(jobs).max(1);
         let mut records = Vec::with_capacity(jobs);
         let mut lines = Vec::with_capacity(jobs);
@@ -122,7 +124,7 @@ impl Grid {
             let hits = AtomicUsize::new(0);
             let misses = AtomicUsize::new(0);
             let report = Campaign::new(&format!("{}/shard{shard}", self.name), self.seed)
-                .workers(self.workers)
+                .workers(workers)
                 .first_index(range.start)
                 .run(range.len(), |ctx| {
                     let index = ctx.index();
@@ -182,7 +184,7 @@ impl Grid {
             name: self.name.clone(),
             seed: self.seed,
             jobs,
-            workers: self.workers,
+            workers,
             records,
             lines,
             job_walls,
@@ -414,6 +416,41 @@ mod tests {
             assert_eq!(store.load(key).as_deref(), Some(cold.lines[0].as_str()));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_explicit_worker_count_runs_each_shard_and_is_reported() {
+        // One more than the machine default, so the default cannot pass.
+        let n = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+        let started = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let report = Grid::new("explicit", 1)
+            .no_cache()
+            .shards(2)
+            .workers(n)
+            .run(
+                2 * n,
+                |i| format!("cfg{i}"),
+                |ctx| {
+                    // Each job of a shard waits until all `n` have started,
+                    // so they end on `n` workers only if `n` ran at once.
+                    let started = &started[ctx.index() / n];
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while started.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    Rec {
+                        index: ctx.index() as u64,
+                        draw: ctx.worker() as u64,
+                    }
+                },
+            );
+        assert_eq!(report.workers, n);
+        for shard in report.records.chunks(n) {
+            let mut workers: Vec<u64> = shard.iter().map(|r| r.draw).collect();
+            workers.sort_unstable();
+            assert_eq!(workers, (0..n as u64).collect::<Vec<_>>());
+        }
     }
 
     #[test]

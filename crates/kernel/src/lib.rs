@@ -19,7 +19,7 @@
 //!   thread of their own;
 //! - waits with timeouts ([`ProcessContext::wait_event_for`]), the
 //!   primitive from which the RTOS model builds time-accurate preemption;
-//! - a deterministic scheduler with delta cycles and an event wheel
+//! - a deterministic scheduler with delta cycles and a timer queue
 //!   ([`Simulator`]).
 //!
 //! # Quick start

@@ -1,4 +1,4 @@
-//! The kernel scheduler: event wheel, delta cycles, and the run loop.
+//! The kernel scheduler: timer queue, delta cycles, and the run loop.
 //!
 //! The scheduler follows the SystemC evaluation model:
 //!
@@ -10,6 +10,13 @@
 //!    advancing time. Each pass is one *delta cycle*.
 //! 3. **Timed phase** — advance simulation time to the earliest pending
 //!    timer and fire everything scheduled at that instant.
+//!
+//! Timers wait in one queue, in `(time, stamp)` order: a binary heap,
+//! with the earliest entry held apart when it was pushed as the earliest.
+//! Most waits are short sleeps whose timer is the next to fire, so most
+//! timers are pushed and popped without touching the heap. An entry a
+//! wait or a notification no longer needs stays queued, and is dropped
+//! when it comes to the front.
 //!
 //! Determinism: runnable processes resume in FIFO wake order, waiters wake
 //! in registration order, and simultaneous timers fire in posting order, so
@@ -84,7 +91,7 @@ impl Clone for EventEntry {
     }
 }
 
-/// Action carried by a timer-wheel entry.
+/// Action carried by a timer-queue entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimedAction {
     /// Fire the event iff its pending notification still carries `stamp`.
@@ -107,6 +114,63 @@ impl TimedEntry {
             TimedAction::NotifyEvent(e, _) => CandidateDetail::TimerNotify(e),
             TimedAction::WakeProcess(pid, _) => CandidateDetail::TimerWake(pid),
         }
+    }
+}
+
+/// The kernel's timer store: a binary min-heap in `(time, stamp)` order,
+/// whose earliest entry is often held apart in `first`.
+///
+/// Most timers a step arms are the new earliest and fire next (a short
+/// timed wait), so such a timer is pushed into `first` and popped from it
+/// without touching the heap. Entries pop in exactly the heap's order,
+/// stale ones included: `first`, when set, comes at or before every heap
+/// entry.
+#[derive(Debug, Default)]
+struct TimerQueue {
+    first: Option<TimedEntry>,
+    heap: BinaryHeap<Reverse<TimedEntry>>,
+}
+
+impl TimerQueue {
+    /// Holds `e` apart when it is earlier than every entry queued, moving
+    /// a displaced held entry into the heap; queues it in the heap
+    /// otherwise.
+    fn push(&mut self, e: TimedEntry) {
+        match self.first {
+            Some(held) if e < held => {
+                self.first = Some(e);
+                self.heap.push(Reverse(held));
+            }
+            None if self.heap.peek().is_none_or(|Reverse(top)| e < *top) => self.first = Some(e),
+            _ => self.heap.push(Reverse(e)),
+        }
+    }
+
+    /// The earliest entry.
+    fn peek(&self) -> Option<TimedEntry> {
+        self.first.or_else(|| self.heap.peek().map(|Reverse(e)| *e))
+    }
+
+    /// Removes the earliest entry.
+    fn pop(&mut self) -> Option<TimedEntry> {
+        self.first
+            .take()
+            .or_else(|| self.heap.pop().map(|Reverse(e)| e))
+    }
+}
+
+/// By hand, so that a fork into another kernel reuses its heap.
+impl Clone for TimerQueue {
+    fn clone(&self) -> Self {
+        TimerQueue {
+            first: self.first,
+            heap: self.heap.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.first = source.first;
+        self.heap.clone_from(&source.heap);
     }
 }
 
@@ -195,7 +259,7 @@ pub(crate) struct Kernel {
     names: Arc<Names>,
     runnable: VecDeque<(ProcessId, Wake)>,
     delta_events: Vec<Event>,
-    timers: BinaryHeap<Reverse<TimedEntry>>,
+    timers: TimerQueue,
     stamp: u64,
     alive: usize,
     max_deltas: u64,
@@ -235,7 +299,7 @@ impl Kernel {
             names: Arc::clone(&NO_NAMES),
             runnable: VecDeque::new(),
             delta_events: Vec::new(),
-            timers: BinaryHeap::new(),
+            timers: TimerQueue::default(),
             stamp: 0,
             alive: 0,
             max_deltas: DEFAULT_MAX_DELTAS,
@@ -513,11 +577,11 @@ impl Kernel {
             Pending::Timed { time: existing, .. } if existing <= time => {} // keep earlier
             _ => {
                 entry.pending = Pending::Timed { time, stamp };
-                self.timers.push(Reverse(TimedEntry {
+                self.timers.push(TimedEntry {
                     time,
                     stamp,
                     action: TimedAction::NotifyEvent(event, stamp),
-                }));
+                });
             }
         }
     }
@@ -601,20 +665,19 @@ impl Kernel {
         if let Some(d) = timeout {
             let at = self.now().saturating_add(d);
             let stamp = self.next_stamp();
-            self.timers.push(Reverse(TimedEntry {
+            self.timers.push(TimedEntry {
                 time: at,
                 stamp,
                 action: TimedAction::WakeProcess(pid, seq),
-            }));
+            });
         }
     }
 
     fn apply_reason(&mut self, pid: ProcessId, reason: YieldReason<'_>) -> Result<(), KernelError> {
         match reason {
             YieldReason::Wait(WaitRequest::Time(d)) => self.park(pid, &[], Some(d)),
-            YieldReason::Wait(WaitRequest::Event { event, timeout }) => {
-                self.park(pid, &[event], timeout)
-            }
+            YieldReason::Wait(WaitRequest::Event(event)) => self.park(pid, &[event], None),
+            YieldReason::Wait(WaitRequest::EventFor(event, d)) => self.park(pid, &[event], Some(d)),
             YieldReason::WaitAny { events, timeout } => self.park(pid, events, timeout),
             YieldReason::Terminated => {
                 self.procs[pid.index()].state = ProcState::Dead;
@@ -635,7 +698,7 @@ impl Kernel {
     /// Pops invalid timer entries and returns the time of the next valid
     /// one, if any.
     fn next_timer_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(top)) = self.timers.peek().copied() {
+        while let Some(top) = self.timers.peek() {
             if self.timer_valid(&top) {
                 return Some(top.time);
             }
@@ -896,13 +959,13 @@ impl Kernel {
             .post((self, outcome));
     }
 
-    /// Pops every heap entry ripe at `t` (valid, `time <= t`) into the
-    /// empty `ripe`, in the heap's deterministic ascending `(time, stamp)`
+    /// Pops every timer entry ripe at `t` (valid, `time <= t`) into the
+    /// empty `ripe`, in the queue's deterministic ascending `(time, stamp)`
     /// order — the stable same-instant slice a timer choice point
     /// enumerates. Invalid entries are discarded during the pop.
     fn take_ripe(&mut self, t: SimTime) {
         debug_assert!(self.ripe.is_empty());
-        while let Some(Reverse(top)) = self.timers.peek().copied() {
+        while let Some(top) = self.timers.peek() {
             if top.time > t {
                 break;
             }
@@ -1052,11 +1115,177 @@ impl DerefMut for Home {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::sync::Mutex;
 
     use super::*;
     use crate::process::pool_counts;
+    use crate::testutil::{check, Rng};
     use crate::{ExecMode, Simulator};
+
+    /// The reads the run loop makes of its timer store, over the queue
+    /// and over the reference below.
+    trait Timers {
+        fn earliest(&self) -> Option<TimedEntry>;
+        fn pop_earliest(&mut self) -> Option<TimedEntry>;
+
+        /// As [`Kernel::next_timer_time`]: drops stale earliest entries.
+        fn next_valid(&mut self, stale: &[u64]) -> Option<SimTime> {
+            while let Some(top) = self.earliest() {
+                if !stale.contains(&top.stamp) {
+                    return Some(top.time);
+                }
+                self.pop_earliest();
+            }
+            None
+        }
+
+        /// As [`Kernel::take_ripe`]: the valid entries due by `t`.
+        fn take_ripe(&mut self, t: SimTime, stale: &[u64]) -> Vec<TimedEntry> {
+            let mut ripe = Vec::new();
+            while let Some(top) = self.earliest().filter(|top| top.time <= t) {
+                self.pop_earliest();
+                if !stale.contains(&top.stamp) {
+                    ripe.push(top);
+                }
+            }
+            ripe
+        }
+    }
+
+    impl Timers for TimerQueue {
+        fn earliest(&self) -> Option<TimedEntry> {
+            self.peek()
+        }
+        fn pop_earliest(&mut self) -> Option<TimedEntry> {
+            self.pop()
+        }
+    }
+
+    /// The reference: every entry in one sorted `Vec`.
+    impl Timers for Vec<TimedEntry> {
+        fn earliest(&self) -> Option<TimedEntry> {
+            self.first().copied()
+        }
+        fn pop_earliest(&mut self) -> Option<TimedEntry> {
+            (!self.is_empty()).then(|| self.remove(0))
+        }
+    }
+
+    /// One step of the timer-queue property.
+    #[derive(Debug)]
+    enum TimerOp {
+        /// Arm a timer this many ps after the current instant: few
+        /// distinct times, so that many tie and their stamps order them.
+        Push(u64),
+        /// Make the `k`-th queued entry (modulo the count) stale, as a
+        /// wait that ended another way or an overridden notification.
+        Invalidate(usize),
+        /// The next valid timer's time, stale entries dropped.
+        Next,
+        /// Advance to the next valid timer and drain its instant.
+        Drain,
+        /// Remove the earliest entry, valid or not.
+        Pop,
+        /// Fork: copy the queue into the spare with `clone_from`, and go
+        /// on with the copy (the spare is the queue of an earlier fork).
+        Fork,
+    }
+
+    fn timer_op(rng: &mut Rng) -> TimerOp {
+        match rng.gen_range(0u32..20) {
+            0..=8 => TimerOp::Push(rng.gen_range(0u64..6)),
+            9 | 10 => TimerOp::Invalidate(rng.gen_range(0usize..64)),
+            11 | 12 => TimerOp::Next,
+            13..=15 => TimerOp::Drain,
+            16 | 17 => TimerOp::Pop,
+            _ => TimerOp::Fork,
+        }
+    }
+
+    #[test]
+    fn the_timer_queue_pops_in_the_order_of_one_sorted_list() {
+        // Steps that met a tie, a displaced held entry, a stale held
+        // entry and a fork into a used spare.
+        let seen = Cell::new([0u32; 4]);
+        let saw = |what: usize| {
+            let mut counts = seen.get();
+            counts[what] += 1;
+            seen.set(counts);
+        };
+        check(
+            128,
+            |rng| rng.gen_vec(0..200, timer_op),
+            |ops| {
+                let (mut queue, mut spare) = (TimerQueue::default(), TimerQueue::default());
+                let mut reference: Vec<TimedEntry> = Vec::new();
+                let mut stale = Vec::new();
+                let (mut now, mut stamp) = (SimTime::ZERO, 0);
+                for (step, op) in ops.iter().enumerate() {
+                    match *op {
+                        TimerOp::Push(after) => {
+                            stamp += 1;
+                            let e = TimedEntry {
+                                time: now.saturating_add(SimDuration::from_ps(after)),
+                                stamp,
+                                action: TimedAction::WakeProcess(ProcessId(0), stamp),
+                            };
+                            if reference.iter().any(|r| r.time == e.time) {
+                                saw(0);
+                            }
+                            if queue.first.is_some_and(|held| e < held) {
+                                saw(1);
+                            }
+                            queue.push(e);
+                            let at = reference.partition_point(|r| *r < e);
+                            reference.insert(at, e);
+                        }
+                        TimerOp::Invalidate(k) => {
+                            if !reference.is_empty() {
+                                stale.push(reference[k % reference.len()].stamp);
+                            }
+                        }
+                        TimerOp::Next | TimerOp::Drain => {
+                            if queue.first.is_some_and(|held| stale.contains(&held.stamp)) {
+                                saw(2);
+                            }
+                            let next = queue.next_valid(&stale);
+                            assert_eq!(next, reference.next_valid(&stale), "step {step}");
+                            if let (TimerOp::Drain, Some(t)) = (op, next) {
+                                now = t;
+                                let ripe = queue.take_ripe(t, &stale);
+                                assert_eq!(ripe, reference.take_ripe(t, &stale), "step {step}");
+                            }
+                        }
+                        TimerOp::Pop => {
+                            let popped = queue.pop_earliest();
+                            assert_eq!(popped, reference.pop_earliest(), "step {step}");
+                        }
+                        TimerOp::Fork => {
+                            if spare.first.is_some() || !spare.heap.is_empty() {
+                                saw(3);
+                            }
+                            spare.clone_from(&queue);
+                            std::mem::swap(&mut queue, &mut spare);
+                        }
+                    }
+                    if let Some(held) = queue.first {
+                        assert!(
+                            queue.heap.iter().all(|Reverse(e)| held < *e),
+                            "step {step}: the held entry is not the earliest"
+                        );
+                    }
+                    let mut copy = queue.clone();
+                    let all: Vec<TimedEntry> = std::iter::from_fn(|| copy.pop()).collect();
+                    assert_eq!(all, reference, "step {step}: the queue's contents");
+                }
+            },
+        );
+        // A replay runs one case, which need not meet them all.
+        if std::env::var_os("RTSIM_PROP_SEED").is_none() {
+            assert!(seen.get().iter().all(|&n| n > 0), "{:?}", seen.get());
+        }
+    }
 
     type Log = Arc<Mutex<Vec<usize>>>;
 

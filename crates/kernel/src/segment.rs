@@ -84,19 +84,17 @@ impl std::fmt::Display for ExecMode {
 
 /// The wait a segment requests when it yields — the exact analogue of
 /// `wait_for`, `wait_event` and `wait_event_for` on
-/// [`ProcessContext`]. A plain value: yielding never allocates.
+/// [`ProcessContext`]. A plain 16-byte value: yielding never allocates,
+/// and the enums that carry a wait up to the kernel ([`SegStep`], the
+/// RTOS runners' steps) are 16 bytes too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaitRequest {
     /// Sleep for a fixed duration (`wait_for`); zero still yields.
     Time(SimDuration),
-    /// Block on one event, optionally bounded by a timeout (`wait_event`,
-    /// `wait_event_for`).
-    Event {
-        /// The event to wait on.
-        event: Event,
-        /// Timeout bound, if any.
-        timeout: Option<SimDuration>,
-    },
+    /// Block on one event (`wait_event`).
+    Event(Event),
+    /// Block on one event for at most a timeout (`wait_event_for`).
+    EventFor(Event, SimDuration),
 }
 
 impl WaitRequest {
@@ -107,18 +105,12 @@ impl WaitRequest {
 
     /// `wait_event(e)` as a request.
     pub fn event(e: Event) -> Self {
-        WaitRequest::Event {
-            event: e,
-            timeout: None,
-        }
+        WaitRequest::Event(e)
     }
 
     /// `wait_event_for(e, timeout)` as a request.
     pub fn event_for(e: Event, timeout: SimDuration) -> Self {
-        WaitRequest::Event {
-            event: e,
-            timeout: Some(timeout),
-        }
+        WaitRequest::EventFor(e, timeout)
     }
 }
 
